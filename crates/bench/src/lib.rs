@@ -13,7 +13,7 @@
 #![warn(missing_docs)]
 
 use autoclass::search::SearchConfig;
-use mpsim::presets;
+use mpsim::{presets, Engine};
 use pautoclass::{run_search_with, ParallelConfig, ParallelOutcome, Strategy};
 
 /// The dataset sizes of the paper's Figures 6–7 (tuples of two reals).
@@ -91,10 +91,9 @@ pub fn run_one(data: &autoclass::data::Dataset, p: usize, cfg: &GridConfig) -> P
         strategy: cfg.strategy,
         ..ParallelConfig::default()
     };
-    let opts = mpsim::SimOptions {
-        recv_timeout: std::time::Duration::from_secs(600),
-        ..Default::default()
-    };
+    // The cooperative engine is bitwise identical to the threaded one and
+    // carries each rank on one OS thread at a time.
+    let opts = mpsim::SimOptions { engine: Engine::Cooperative, ..Default::default() };
     // lint:allow(unwrap): bench harness; a failed simulation should abort the run
     run_search_with(data, &machine, &pc, &opts).expect("simulated run failed")
 }
@@ -172,6 +171,28 @@ mod tests {
         let g = grid_from_args(&args);
         assert_eq!(g.sizes, vec![100, 200]);
         assert_eq!(g.procs, vec![1, 2]);
+    }
+
+    #[test]
+    fn run_one_is_bitwise_identical_to_the_threaded_engine() {
+        let mut g = GridConfig::quick();
+        g.search.start_j_list = vec![2, 4];
+        g.search.max_cycles = 3;
+        let data = datagen::paper_dataset(300, g.data_seed);
+        let coop = run_one(&data, 3, &g);
+        let pc = ParallelConfig {
+            search: g.search.clone(),
+            strategy: g.strategy,
+            ..ParallelConfig::default()
+        };
+        let threaded =
+            run_search_with(&data, &presets::meiko_cs2(3), &pc, &mpsim::SimOptions::default())
+                .unwrap();
+        assert_eq!(coop.elapsed.to_bits(), threaded.elapsed.to_bits());
+        assert_eq!(
+            coop.best.approx.log_likelihood.to_bits(),
+            threaded.best.approx.log_likelihood.to_bits()
+        );
     }
 
     #[test]

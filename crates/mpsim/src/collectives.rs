@@ -1,33 +1,18 @@
-//! Collective operations built on point-to-point messaging.
+//! Collective operations on the world [`Comm`].
 //!
-//! Every collective here is implemented with the textbook message-passing
-//! algorithm (dissemination barrier, binomial-tree broadcast/reduce,
-//! recursive-doubling / ring / linear allreduce, ring allgather), so the
-//! simulated communication pattern — and therefore the modeled cost — is
-//! the one a real MPI implementation would produce.
-//!
-//! # SPMD discipline
-//!
-//! As with MPI, all ranks must call the same sequence of collectives with
-//! compatible arguments. Each collective call consumes one slot of a
-//! per-communicator sequence number used as the message tag, so a rank that
-//! skips a collective deadlocks (and is caught by the receive timeout)
-//! rather than silently corrupting a later collective.
-//!
-//! # Phase attribution
-//!
-//! Collectives carry no phase tagging of their own: every constituent
-//! send/recv and all idle time waiting on peers is charged to whatever
-//! phase span (see [`Comm::enter_phase`]) is open on the calling rank, so
-//! wrapping a collective call in a span attributes its full modeled cost —
-//! including the algorithm-dependent message fan-out — to that bucket.
+//! The shared schedules — barrier, broadcast, gather, allgather and the
+//! allreduce family — live in [`crate::schedule`], written once for both
+//! backends and every sub-communicator; this module connects `Comm` to
+//! them and adds the simulator-only collectives (binomial reduce, scatter,
+//! all-to-all, scan). Every algorithm is the textbook message-passing one,
+//! so the simulated communication pattern — and therefore the modeled
+//! cost — is the one a real MPI implementation would produce.
 
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgo;
-use crate::verify::{CollFingerprint, CollKind};
-
-/// Base of the tag space reserved for collectives (above all user tags).
-pub(crate) const COLL_TAG_BASE: u64 = 1 << 32;
+use crate::error::SimError;
+use crate::schedule::{self, fp, Collective, PointToPoint, World};
+use crate::verify::{hash_f64s, CollFingerprint, CollKind, WORLD_COMM};
 
 /// Element-wise reduction operator over `f64` vectors. All operators are
 /// commutative, which the recursive-doubling algorithm exploits to keep
@@ -60,71 +45,74 @@ impl ReduceOp {
     }
 }
 
-/// Shorthand for building the fingerprint a collective posts on entry.
-fn fp(kind: CollKind, root: Option<usize>, op: Option<ReduceOp>, elems: usize) -> CollFingerprint {
-    CollFingerprint { kind, root, op, elems: Some(elems) }
+impl PointToPoint for Comm {
+    fn rank(&self) -> usize {
+        self.rank()
+    }
+    fn size(&self) -> usize {
+        self.size()
+    }
+    fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
+        self.send_f64s(to, tag, data);
+    }
+    fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
+        self.recv_f64s(from, tag)
+    }
+    fn mismatch(&self, detail: String) -> ! {
+        self.fail(SimError::CollectiveMismatch { rank: self.rank(), detail })
+    }
+}
+
+impl Collective for Comm {
+    /// Allocate the collective's unique tag, count it, and — when
+    /// collective checking is enabled — cross-validate this rank's
+    /// fingerprint against the other ranks' claims for the same sequence
+    /// number, failing the run on divergence.
+    fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
+        let seq = self.count_collective();
+        self.check_collective(WORLD_COMM, seq, self.size(), fp);
+        schedule::COLL_TAG_BASE + seq
+    }
+    fn check_replicated(&mut self, label: &str, buf: &[f64]) {
+        self.check_replication(WORLD_COMM, self.coll_seq, self.size(), label, buf);
+    }
+}
+
+impl World for Comm {
+    fn coll_seq(&self) -> u64 {
+        self.coll_seq
+    }
+    fn check_collective(&mut self, comm: u64, seq: u64, size: usize, fp: CollFingerprint) {
+        let Some(v) = &self.verify else { return };
+        if !v.opts().check_collectives {
+            return;
+        }
+        if let Err(e) = v.check_collective(self.rank(), comm, seq, size, fp) {
+            self.fail(e);
+        }
+    }
+    fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]) {
+        let Some(v) = &self.verify else { return };
+        if !v.opts().check_replication {
+            return;
+        }
+        if let Err(e) = v.check_replication(self.rank(), comm, seq, size, label, hash_f64s(buf)) {
+            self.fail(e);
+        }
+    }
 }
 
 impl Comm {
     /// Synchronize all ranks (dissemination barrier, `ceil(log2 P)` rounds).
     pub fn barrier(&mut self) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(fp(CollKind::Barrier, None, None, 0));
-        let me = self.rank();
-        let mut k = 1usize;
-        while k < p {
-            let to = (me + k) % p;
-            let from = (me + p - k) % p;
-            self.send_bytes(to, tag, Vec::new());
-            let _ = self.recv_bytes(from, tag);
-            k <<= 1;
-        }
+        schedule::barrier(self);
     }
 
     /// Broadcast `buf` from `root` to all ranks (binomial tree). On entry
     /// only `root`'s buffer is meaningful; on exit every rank holds the
     /// root's data. All ranks must pass buffers of the same length.
     pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(fp(CollKind::Broadcast, Some(root), None, buf.len()));
-        let me = self.rank();
-        let vrank = (me + p - root) % p;
-
-        // Receive from the parent in the binomial tree.
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let src = (me + p - mask) % p;
-                let data = self.recv_f64s(src, tag);
-                if data.len() != buf.len() {
-                    self.mismatch(format!(
-                        "broadcast buffer length {} != incoming {}",
-                        buf.len(),
-                        data.len()
-                    ));
-                }
-                buf.copy_from_slice(&data);
-                break;
-            }
-            mask <<= 1;
-        }
-        // Forward to children.
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < p {
-                let dst = (me + mask) % p;
-                self.send_f64s(dst, tag, buf);
-            }
-            mask >>= 1;
-        }
-        // Every rank now holds the root's data — a replication invariant.
-        self.check_replicated_result("broadcast result", buf);
+        schedule::broadcast(self, root, buf);
     }
 
     /// Reduce element-wise into `root` (binomial tree). After the call the
@@ -171,32 +159,15 @@ impl Comm {
     /// (P, length, network parameters), all identical on every rank, so
     /// every rank dispatches to the same concrete algorithm.
     pub fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
-        if self.size() <= 1 {
-            return;
-        }
+        let machine = self.machine();
         let algo = match algo {
             AllreduceAlgo::Auto => {
-                crate::cost::select_allreduce(self.size(), buf.len(), &self.machine().network)
+                crate::cost::select_allreduce(self.size(), buf.len(), &machine.network)
             }
             other => other,
         };
-        // The fingerprint is posted before algorithm dispatch, so a length
-        // or operator divergence is caught even when the chosen algorithm
-        // would route the mismatched buffers past each other.
-        let tag = self.coll_enter(fp(CollKind::Allreduce, None, Some(op), buf.len()));
-        match algo {
-            AllreduceAlgo::Linear | AllreduceAlgo::OrderedLinear => {
-                self.allreduce_linear(buf, op, tag)
-            }
-            AllreduceAlgo::RecursiveDoubling => self.allreduce_rd(buf, op, tag),
-            AllreduceAlgo::Ring => self.allreduce_ring(buf, op, tag),
-            AllreduceAlgo::Rabenseifner => self.allreduce_rabenseifner(buf, op, tag),
-            AllreduceAlgo::Hierarchical => self.allreduce_hierarchical(buf, op, tag),
-            AllreduceAlgo::Auto => unreachable!("Auto resolved to a concrete algorithm above"),
-        }
-        // Every rank now holds the same reduction (the simulator's
-        // algorithms are bitwise deterministic) — a replication invariant.
-        self.check_replicated_result("allreduce result", buf);
+        let node_size = machine.topology.node_size();
+        schedule::allreduce(self, buf, op, algo, node_size);
     }
 
     /// Non-blocking allreduce with the machine's default algorithm. See
@@ -231,263 +202,6 @@ impl Comm {
         self.nb_retract(idle0)
     }
 
-    /// Gather to rank 0 (folding in rank order, so the floating-point
-    /// reduction order is deterministic and independent of the algorithm's
-    /// tree shape), then send the result back to every rank individually.
-    /// `O(P)` latencies — the behaviour of early-90s MPI reductions.
-    fn allreduce_linear(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        if me == 0 {
-            for src in 1..p {
-                let data = self.recv_f64s(src, tag);
-                if data.len() != buf.len() {
-                    self.mismatch(format!(
-                        "allreduce length {} != rank {src}'s {}",
-                        buf.len(),
-                        data.len()
-                    ));
-                }
-                op.fold(buf, &data);
-            }
-            for dst in 1..p {
-                self.send_f64s(dst, tag, buf);
-            }
-        } else {
-            self.send_f64s(0, tag, buf);
-            let data = self.recv_f64s(0, tag);
-            buf.copy_from_slice(&data);
-        }
-    }
-
-    /// Recursive doubling: `ceil(log2 P)` rounds of pairwise full-vector
-    /// exchanges. Non-power-of-two sizes park the excess ranks: each extra
-    /// rank first folds its vector into a partner in the power-of-two
-    /// group and receives the final result afterwards (the MPICH scheme).
-    fn allreduce_rd(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        let pow2 = p.next_power_of_two() / if p.is_power_of_two() { 1 } else { 2 };
-        let rem = p - pow2;
-
-        if me >= pow2 {
-            // Extra rank: contribute and wait for the result.
-            let partner = me - pow2;
-            self.send_f64s(partner, tag, buf);
-            let data = self.recv_f64s(partner, tag);
-            buf.copy_from_slice(&data);
-            return;
-        }
-        if me < rem {
-            let data = self.recv_f64s(me + pow2, tag);
-            op.fold(buf, &data);
-        }
-        // Pairwise exchange within the power-of-two group. Both partners
-        // fold the same two (identical-per-subgroup) values with a
-        // commutative op, so all ranks stay bitwise identical.
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = me ^ mask;
-            self.send_f64s(partner, tag, buf);
-            let data = self.recv_f64s(partner, tag);
-            op.fold(buf, &data);
-            mask <<= 1;
-        }
-        if me < rem {
-            self.send_f64s(me + pow2, tag, buf);
-        }
-    }
-
-    /// Ring allreduce: reduce-scatter then allgather, `2(P-1)` rounds of
-    /// `~m/P`-sized messages. Bandwidth-optimal for long vectors.
-    fn allreduce_ring(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        let n = buf.len();
-        if n == 0 {
-            // Still synchronize so the collective sequence stays aligned.
-            self.barrier();
-            return;
-        }
-        // Chunk c covers chunk_range(c); chunks differ by at most one item.
-        let range = |c: usize| -> std::ops::Range<usize> {
-            let base = n / p;
-            let extra = n % p;
-            let start = c * base + c.min(extra);
-            let len = base + usize::from(c < extra);
-            start..start + len
-        };
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-
-        // Reduce-scatter: after p-1 steps, rank r owns the fully reduced
-        // chunk (r + 1) % p.
-        for step in 0..p - 1 {
-            let send_c = (me + p - step) % p;
-            let recv_c = (me + p - step - 1) % p;
-            self.send_f64s(right, tag, &buf[range(send_c)]);
-            let data = self.recv_f64s(left, tag);
-            op.fold(&mut buf[range(recv_c)], &data);
-        }
-        // Allgather: circulate the reduced chunks.
-        for step in 0..p - 1 {
-            let send_c = (me + 1 + p - step) % p;
-            let recv_c = (me + p - step) % p;
-            self.send_f64s(right, tag, &buf[range(send_c)]);
-            let data = self.recv_f64s(left, tag);
-            buf[range(recv_c)].copy_from_slice(&data);
-        }
-    }
-
-    /// Rabenseifner's allreduce: recursive-halving reduce-scatter followed
-    /// by a recursive-doubling allgather — `2·log2 P'` rounds moving about
-    /// `2m(P'−1)/P'` bytes per rank (`P'` = largest power of two ≤ P), the
-    /// ring's bandwidth optimality with logarithmic latency. Non-power-of-
-    /// two sizes park the excess ranks exactly like [`recursive
-    /// doubling`](Self::allreduce_rd). The element space is split into the
-    /// same balanced chunk partition the ring uses (over the pow2 group),
-    /// so lengths not divisible by P — including lengths shorter than P,
-    /// where some chunks are empty — work unchanged. Each chunk's
-    /// reduction is computed along a fixed binary tree on exactly one
-    /// owner rank and then copied verbatim to all ranks in the allgather,
-    /// so the result is bitwise identical everywhere.
-    fn allreduce_rabenseifner(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let members: Vec<usize> = (0..self.size()).collect();
-        self.rabenseifner_over(&members, buf, op, tag);
-    }
-
-    /// Rabenseifner's schedule over an arbitrary member list: `members` is
-    /// the ascending list of participating world ranks, and the algorithm
-    /// runs as if they formed a dense communicator of size
-    /// `members.len()`. With `members == 0..P` this is exactly
-    /// [`allreduce_rabenseifner`](Self::allreduce_rabenseifner); the
-    /// hierarchical allreduce reuses it over the node leaders. Must be
-    /// called by every member (and only members), with `self.rank()` in
-    /// the list.
-    fn rabenseifner_over(&mut self, members: &[usize], buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let g = members.len();
-        if g <= 1 {
-            return;
-        }
-        let me = members
-            .iter()
-            .position(|&r| r == self.rank())
-            .unwrap_or_else(|| panic!("rank {} is not a member of this group", self.rank()));
-        let pow2 = g.next_power_of_two() / if g.is_power_of_two() { 1 } else { 2 };
-        let rem = g - pow2;
-
-        if me >= pow2 {
-            // Extra rank: contribute and wait for the result.
-            let partner = members[me - pow2];
-            self.send_f64s(partner, tag, buf);
-            let data = self.recv_f64s(partner, tag);
-            buf.copy_from_slice(&data);
-            return;
-        }
-        if me < rem {
-            let data = self.recv_f64s(members[me + pow2], tag);
-            op.fold(buf, &data);
-        }
-
-        let n = buf.len();
-        // Balanced chunk partition over the pow2 group: chunk c covers
-        // range(c), sizes differing by at most one element (empty when
-        // n < pow2 — empty messages still synchronize).
-        let range = |c: usize| -> std::ops::Range<usize> {
-            let base = n / pow2;
-            let extra = n % pow2;
-            let start = c * base + c.min(extra);
-            start..start + base + usize::from(c < extra)
-        };
-        // Element span of the chunk interval [clo, chi).
-        let span = |clo: usize, chi: usize| range(clo).start..range(chi - 1).end;
-
-        // Reduce-scatter by recursive halving: each round exchanges half of
-        // the remaining chunk interval with the partner and folds the kept
-        // half. The rank keeps the half containing its own chunk index, so
-        // after log2(pow2) rounds rank r owns exactly chunk r, reduced over
-        // the whole group.
-        let (mut clo, mut chi) = (0usize, pow2);
-        let mut mask = pow2 >> 1;
-        while mask > 0 {
-            let partner = members[me ^ mask];
-            let mid = clo + (chi - clo) / 2;
-            let (keep, give) =
-                if me & mask == 0 { ((clo, mid), (mid, chi)) } else { ((mid, chi), (clo, mid)) };
-            // Sends are buffered, so send-then-recv cannot deadlock.
-            self.send_f64s(partner, tag, &buf[span(give.0, give.1)]);
-            let data = self.recv_f64s(partner, tag);
-            op.fold(&mut buf[span(keep.0, keep.1)], &data);
-            (clo, chi) = keep;
-            mask >>= 1;
-        }
-
-        // Allgather by recursive doubling: intervals (always mask chunks
-        // long and mask-aligned) double until every rank holds [0, pow2).
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = members[me ^ mask];
-            self.send_f64s(partner, tag, &buf[span(clo, chi)]);
-            let data = self.recv_f64s(partner, tag);
-            // The partner's interval is the mirror of ours within the
-            // doubled block.
-            let plo = clo ^ mask;
-            buf[span(plo, plo + mask)].copy_from_slice(&data);
-            clo = clo.min(plo);
-            chi = clo + 2 * mask;
-            mask <<= 1;
-        }
-
-        if me < rem {
-            self.send_f64s(members[me + pow2], tag, buf);
-        }
-    }
-
-    /// Hierarchical allreduce for fat-tree-of-multicore-node machines
-    /// (see [`crate::cost::AllreduceAlgo::Hierarchical`]): an
-    /// ascending-rank linear fold onto each node's leader over the cheap
-    /// intra-node fabric, [`rabenseifner_over`](Self::rabenseifner_over)
-    /// among the leaders over the inter-node network, then an intra-node
-    /// broadcast of the result. Fold orders are fixed (ascending within
-    /// the node, Rabenseifner's tree among leaders), so the result is
-    /// bitwise identical on every rank. On a flat topology every rank is
-    /// its own leader and this is plain Rabenseifner.
-    fn allreduce_hierarchical(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        let ns = self.machine().topology.node_size().clamp(1, p);
-        let node = me / ns;
-        let leader = node * ns;
-        let node_end = ((node + 1) * ns).min(p);
-
-        // Intra-node reduce: members fold into the leader in ascending
-        // rank order (a deterministic left fold).
-        if me == leader {
-            for src in leader + 1..node_end {
-                let data = self.recv_f64s(src, tag);
-                if data.len() != buf.len() {
-                    self.mismatch(format!(
-                        "allreduce length {} != rank {src}'s {}",
-                        buf.len(),
-                        data.len()
-                    ));
-                }
-                op.fold(buf, &data);
-            }
-            // Inter-node reduce among the leaders only.
-            let leaders: Vec<usize> = (0..p).step_by(ns).collect();
-            self.rabenseifner_over(&leaders, buf, op, tag);
-            // Intra-node broadcast of the finished result.
-            for dst in leader + 1..node_end {
-                self.send_f64s(dst, tag, buf);
-            }
-        } else {
-            self.send_f64s(leader, tag, buf);
-            let data = self.recv_f64s(leader, tag);
-            buf.copy_from_slice(&data);
-        }
-    }
-
     /// Allreduce of a single scalar; returns the reduced value.
     pub fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
         let mut buf = [value];
@@ -499,47 +213,14 @@ impl Comm {
     /// concatenated in rank order. Returns `Some` on the root, `None`
     /// elsewhere.
     pub fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        let p = self.size();
-        let me = self.rank();
-        let tag = self.coll_enter(fp(CollKind::Gather, Some(root), None, mine.len()));
-        if me == root {
-            let mut all = Vec::with_capacity(mine.len() * p);
-            for src in 0..p {
-                if src == me {
-                    all.extend_from_slice(mine);
-                } else {
-                    let data = self.recv_f64s(src, tag);
-                    all.extend_from_slice(&data);
-                }
-            }
-            Some(all)
-        } else {
-            self.send_f64s(root, tag, mine);
-            None
-        }
+        schedule::gather(self, root, mine)
     }
 
     /// Allgather over a ring: every rank ends with every rank's vector
     /// (`result[r]` is rank `r`'s contribution). Vectors may differ in
     /// length across ranks.
     pub fn allgather_f64s(&mut self, mine: &[f64]) -> Vec<Vec<f64>> {
-        let p = self.size();
-        let me = self.rank();
-        let tag = self.coll_enter(fp(CollKind::Allgather, None, None, mine.len()));
-        let mut blocks: Vec<Vec<f64>> = vec![Vec::new(); p];
-        blocks[me] = mine.to_vec();
-        if p == 1 {
-            return blocks;
-        }
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-        let mut cur = mine.to_vec();
-        for step in 0..p - 1 {
-            self.send_f64s(right, tag, &cur);
-            cur = self.recv_f64s(left, tag);
-            blocks[(me + p - step - 1) % p] = cur.clone();
-        }
-        blocks
+        schedule::allgather(self, mine)
     }
 
     /// Scatter: `root` supplies one block per rank; every rank receives its
@@ -619,10 +300,6 @@ impl Comm {
 
     /// Broadcast a single `u64` from `root` (handy for sizes and seeds).
     pub fn broadcast_u64(&mut self, root: usize, value: u64) -> u64 {
-        let p = self.size();
-        if p <= 1 {
-            return value;
-        }
         // Reuse the f64 tree via bit transmutation to keep one tree
         // implementation; u64 bit patterns survive the f64 round-trip
         // because the payload codec is bit-exact.

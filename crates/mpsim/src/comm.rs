@@ -2,8 +2,8 @@
 //!
 //! A [`Comm`] is handed to each rank's closure by the SPMD engine. It plays
 //! the role of `MPI_COMM_WORLD`: it knows the rank, the communicator size,
-//! and provides blocking `send`/`recv` (plus the collectives implemented in
-//! [`crate::collectives`] on top of them).
+//! and provides blocking `send`/`recv` (plus the collectives of
+//! [`crate::collectives`] and [`crate::schedule`] on top of them).
 //!
 //! # Virtual time
 //!
@@ -29,7 +29,7 @@ use crate::error::SimError;
 use crate::fault::FaultState;
 use crate::payload::{checksum, decode_f64s, decode_u64s, encode_f64s, encode_u64s, DecodeError};
 use crate::trace::{Event, EventKind, PhaseStats, RankStats};
-use crate::verify::{hash_f64s, CollFingerprint, VerifyState, USER_REPL_COMM, WORLD_COMM};
+use crate::verify::{hash_f64s, VerifyState, USER_REPL_COMM};
 
 /// Highest tag value available to user point-to-point messages. Collectives
 /// use tags above this range so that user traffic can never be confused
@@ -894,45 +894,13 @@ impl Comm {
         self.events.take().unwrap_or_default()
     }
 
-    /// Raise a collective-argument-mismatch error (used by collectives when
-    /// they can detect inconsistency cheaply).
-    pub(crate) fn mismatch(&self, detail: String) -> ! {
-        self.fail(SimError::CollectiveMismatch { rank: self.rank, detail })
-    }
-
-    /// Enter a collective: allocate its unique tag, count it, and — when
-    /// collective checking is enabled — cross-validate this rank's
-    /// fingerprint against the other ranks' claims for the same sequence
-    /// number, failing the run on divergence.
-    pub(crate) fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
+    /// Count a world collective (run-wide and in the current phase) and
+    /// return its sequence number.
+    pub(crate) fn count_collective(&mut self) -> u64 {
         self.coll_seq += 1;
         self.stats.collectives += 1;
         self.phase_counters[self.clock.current_phase()].collectives += 1;
-        if let Some(v) = &self.verify {
-            if v.opts().check_collectives {
-                if let Err(e) =
-                    v.check_collective(self.rank, WORLD_COMM, self.coll_seq, self.size, fp)
-                {
-                    self.fail(e);
-                }
-            }
-        }
-        crate::collectives::COLL_TAG_BASE + self.coll_seq
-    }
-
-    /// Hash a collective's replicated result buffer and cross-check it
-    /// against the other ranks (no-op unless replication checking is on).
-    pub(crate) fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
-        let Some(v) = &self.verify else { return };
-        if !v.opts().check_replication {
-            return;
-        }
-        let hash = hash_f64s(buf);
-        if let Err(e) =
-            v.check_replication(self.rank, WORLD_COMM, self.coll_seq, self.size, label, hash)
-        {
-            self.fail(e);
-        }
+        self.coll_seq
     }
 
     /// Whether replication-invariant hashing is enabled for this run.

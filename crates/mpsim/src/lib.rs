@@ -36,9 +36,13 @@
 //! * [`clock`] — per-rank virtual clocks with compute/comm/idle accounting
 //! * [`comm`] — point-to-point messaging ([`Comm`]), blocking and
 //!   non-blocking ([`Request`] handles with `wait`/`waitall`)
-//! * [`collectives`] — Barrier/Bcast/Reduce/Allreduce/Gather/… on top of
-//!   point-to-point, with textbook algorithms
-//! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue)
+//! * [`schedule`] — the one copy of every shared collective schedule
+//!   (barrier, broadcast, gather, allgather, the allreduce family),
+//!   generic over a small point-to-point surface both backends implement
+//! * [`collectives`] — the world [`Comm`]'s collectives, including the
+//!   simulator-only Reduce/Scatter/Alltoall/Scan
+//! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue): one
+//!   group type for both backends
 //! * [`engine`] — the SPMD launcher ([`run_spmd`]) and its two execution
 //!   engines: thread-per-rank ([`Engine::Threaded`]) and the cooperative
 //!   virtual-time scheduler ([`Engine::Cooperative`]) for `P = 1024+`
@@ -72,6 +76,7 @@ pub mod fault;
 pub mod payload;
 pub mod replay;
 pub mod report;
+pub mod schedule;
 pub mod subcomm;
 pub mod topology;
 pub mod trace;
@@ -91,7 +96,7 @@ pub use fault::{FaultAction, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 pub use payload::DecodeError;
 pub use replay::{ReplayEntry, ReplayLog};
 pub use report::{PhaseRow, Report, RunRecord, RunRow};
-pub use subcomm::SubComm;
+pub use subcomm::{Group, SubComm};
 pub use topology::Topology;
 pub use trace::{Event, EventKind, PhaseStats, RankStats, RunStats, RECOVERY_PHASE};
 pub use traits::{CommError, Communicator, GroupCommunicator};

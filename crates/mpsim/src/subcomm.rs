@@ -1,103 +1,134 @@
-//! Sub-communicators: the `MPI_Comm_split` analogue.
+//! Sub-communicators: the `MPI_Comm_split` analogue, for both backends.
 //!
-//! [`Comm::split`] partitions the world by a `color`; ranks sharing a
-//! color form a sub-communicator with dense ranks `0..group size` ordered
-//! by world rank. The returned [`SubComm`] borrows the world communicator
-//! and offers the core collectives over the group, with a disjoint tag
-//! space so group traffic can never be confused with world traffic.
+//! [`split`] partitions a world communicator by a `color`; ranks sharing a
+//! color form a [`Group`] with dense ranks `0..group size` ordered by world
+//! rank, and [`Group::split`] partitions a group once more. A group borrows
+//! its world communicator and runs the shared [`crate::schedule`]
+//! collectives through a member-list view of it, in a tag space disjoint
+//! from world traffic and from every other group's. The group type is
+//! generic over the world: [`SubComm`] is the simulator's and
+//! `shmcomm::NativeSubComm` the native backend's, so both derive the same
+//! members, tags and registry ids from one protocol.
 //!
-//! As with MPI, `split` is itself collective: every rank of the world
+//! As with MPI, `split` is itself collective: every rank of the parent
 //! communicator must call it (with whatever color), in the same relative
 //! order with respect to other collectives.
 
 use crate::collectives::ReduceOp;
 use crate::comm::Comm;
-use crate::verify::{CollFingerprint, CollKind};
+use crate::cost::AllreduceAlgo;
+use crate::schedule::{self, Collective, Members, PointToPoint, World};
+use crate::verify::CollFingerprint;
 
 /// Tag-space marker for sub-communicator traffic (bit 63).
 const SUB_TAG_BASE: u64 = 1 << 63;
 
 /// Marker bit (bit 30 of the color key) for groups formed by splitting a
-/// [`SubComm`] — keeps a nested group's tags and verifier registry ids
-/// disjoint from every first-level split's, whatever colors are used.
+/// group — keeps a nested group's tags and verifier registry ids disjoint
+/// from every first-level split's. First-level colors may not set it.
 const NESTED_COLOR_BIT: u32 = 1 << 30;
 
-/// The color key a nested group stamps into its tag space: parent and
-/// child colors packed side by side (15 bits each) under the nested
-/// marker bit. Two levels of splitting with colors below 2^15 are
-/// supported — far beyond the fleet hierarchy's needs — and the native
-/// backend computes the identical key, keeping tags bitwise aligned
-/// across backends.
-pub(crate) fn nested_color_key(parent: u32, child: u32) -> u32 {
-    NESTED_COLOR_BIT | ((parent & 0x7FFF) << 15) | (child & 0x7FFF)
-}
+/// Largest color a nested split takes, for the parent group and for the
+/// child: the nested key packs both side by side, 15 bits each.
+const NESTED_COLOR_MAX: u32 = 0x7FFF;
 
-/// A communicator over a subset of the world's ranks.
-pub struct SubComm<'a> {
-    world: &'a mut Comm,
-    /// World ranks of the members, ascending; index = sub rank.
-    members: Vec<usize>,
-    /// This rank's position within `members`.
-    rank: usize,
-    /// Color the group was formed with (part of the tag space).
+/// A communicator over a subset of a world communicator's ranks.
+pub struct Group<'a, W> {
+    /// The world, seen through the member list (world ranks, ascending;
+    /// index = group rank).
+    view: Members<'a, W>,
+    /// Color key the group was formed with (part of the tag space).
     color: u32,
     /// Per-group collective sequence number.
     seq: u64,
-    /// Registry id for the verifier: distinguishes this group from the
+    /// Registry id for the verifiers: distinguishes this group from the
     /// world communicator and from groups of other splits/colors.
     comm_id: u64,
 }
+
+/// The simulator's sub-communicator.
+pub type SubComm<'a> = Group<'a, Comm>;
 
 impl Comm {
     /// Split the world communicator by color: ranks passing equal colors
     /// form a group. Collective over the world communicator.
     pub fn split(&mut self, color: u32) -> SubComm<'_> {
-        // Allgather (world) of colors to agree on the membership.
-        let mine = [color as f64];
-        let all = self.allgather_f64s(&mine);
-        let members: Vec<usize> =
-            all.iter().enumerate().filter(|(_, c)| c[0] as u32 == color).map(|(r, _)| r).collect();
-        let rank = members
-            .iter()
-            .position(|&r| r == self.rank())
-            // lint:allow(unwrap): the allgather included this rank's own color
-            .expect("calling rank is in its own color group");
-        // All members observed the same split allgather, so they agree on
-        // the world collective sequence number and derive the same id;
-        // including it keeps successive same-color splits distinct in the
-        // verifier's registry.
-        let comm_id = SUB_TAG_BASE | (u64::from(color) << 32) | self.coll_seq;
-        SubComm { world: self, members, rank, color, seq: 0, comm_id }
+        split(self, color)
     }
 }
 
-impl SubComm<'_> {
+/// Split `world` by color: ranks passing equal colors form a group.
+/// Collective over `world`. A color with bit 30 set fails the run with a
+/// typed collective mismatch: that bit marks nested groups.
+pub fn split<W: World>(world: &mut W, color: u32) -> Group<'_, W> {
+    if color & NESTED_COLOR_BIT != 0 {
+        world.mismatch(format!("split color {color:#x} sets bit 30, which marks nested groups"));
+    }
+    // Allgather (world) of colors to agree on the membership.
+    let all = schedule::allgather(world, &[f64::from(color)]);
+    let members: Vec<usize> =
+        all.iter().enumerate().filter(|(_, c)| c[0] as u32 == color).map(|(r, _)| r).collect();
+    let me = PointToPoint::rank(world);
+    // All members observed the same split allgather, so they agree on the
+    // world collective sequence number and derive the same id; including
+    // it keeps successive same-color splits distinct in the registries.
+    let comm_id = SUB_TAG_BASE | (u64::from(color) << 32) | world.coll_seq();
+    Group::new(world, members, me, color, comm_id)
+}
+
+impl<'a, W: World> Group<'a, W> {
+    /// A group over `members` (world ranks, ascending) that contains the
+    /// calling world rank `me`.
+    fn new(world: &'a mut W, members: Vec<usize>, me: usize, color: u32, comm_id: u64) -> Self {
+        let rank = members
+            .iter()
+            .position(|&r| r == me)
+            // lint:allow(unwrap): the color exchange included this rank's own color
+            .expect("calling rank is in its own color group");
+        Group { view: Members { inner: world, members, rank }, color, seq: 0, comm_id }
+    }
+
     /// This rank's id within the group.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.view.rank
     }
 
     /// Group size.
     pub fn size(&self) -> usize {
-        self.members.len()
+        self.view.members.len()
     }
 
     /// World ranks of the group, ascending.
     pub fn members(&self) -> &[usize] {
-        &self.members
+        &self.view.members
     }
 
     /// Access the underlying world communicator (e.g. for `work`).
-    pub fn world(&mut self) -> &mut Comm {
-        self.world
+    pub fn world(&mut self) -> &mut W {
+        self.view.inner
     }
 
-    /// Charge local compute on the member's clock; forwards to
-    /// [`Comm::work`] so group-local algorithms (e.g. a shrunk EM resume
-    /// after a rank failure) read naturally without reaching for
-    /// [`SubComm::world`] on every step.
+    /// Account local compute on the member's world clock, so group-local
+    /// algorithms (e.g. a shrunk EM resume after a rank failure) read
+    /// naturally without reaching for [`Group::world`] on every step.
     pub fn work(&mut self, ops: u64) {
-        self.world.work(ops);
+        self.view.inner.work(ops);
+    }
+
+    /// Synchronize the group (dissemination barrier over group ranks).
+    pub fn barrier(&mut self) {
+        schedule::barrier(self);
+    }
+
+    /// Broadcast from the group-rank `root` to the group (binomial tree).
+    pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
+        schedule::broadcast(self, root, buf);
+    }
+
+    /// Allreduce over the group; always recursive doubling, whatever the
+    /// machine's default algorithm.
+    pub fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
+        schedule::allreduce(self, buf, op, AllreduceAlgo::RecursiveDoubling, 1);
     }
 
     /// Allreduce of a single scalar over the group; the group analogue of
@@ -108,202 +139,85 @@ impl SubComm<'_> {
         buf[0]
     }
 
-    fn next_tag(&mut self) -> u64 {
-        self.seq += 1;
-        SUB_TAG_BASE | (u64::from(self.color) << 32) | self.seq
-    }
-
-    /// Enter a group collective: allocate its tag and cross-validate the
-    /// fingerprint against the other group members (world-rank labelled,
-    /// so divergence reports stay unambiguous).
-    fn coll_enter(
-        &mut self,
-        kind: CollKind,
-        root: Option<usize>,
-        op: Option<ReduceOp>,
-        elems: usize,
-    ) -> u64 {
-        let tag = self.next_tag();
-        let world_rank = self.members[self.rank];
-        if let Some(v) = &self.world.verify {
-            if v.opts().check_collectives {
-                let fp = CollFingerprint { kind, root, op, elems: Some(elems) };
-                if let Err(e) =
-                    v.check_collective(world_rank, self.comm_id, self.seq, self.members.len(), fp)
-                {
-                    self.world.fail(e);
-                }
-            }
-        }
-        tag
-    }
-
-    /// Hash a group collective's replicated result and cross-check it
-    /// within the group (no-op unless replication checking is on).
-    fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
-        let world_rank = self.members[self.rank];
-        let Some(v) = &self.world.verify else { return };
-        if !v.opts().check_replication {
-            return;
-        }
-        let hash = crate::verify::hash_f64s(buf);
-        if let Err(e) =
-            v.check_replication(world_rank, self.comm_id, self.seq, self.members.len(), label, hash)
-        {
-            self.world.fail(e);
-        }
-    }
-
-    fn send(&mut self, sub_dst: usize, tag: u64, values: &[f64]) {
-        let dst = self.members[sub_dst];
-        self.world.send_f64s(dst, tag, values);
-    }
-
-    fn recv(&mut self, sub_src: usize, tag: u64) -> Vec<f64> {
-        let src = self.members[sub_src];
-        self.world.recv_f64s(src, tag)
-    }
-
-    /// Synchronize the group (dissemination barrier over group ranks).
-    pub fn barrier(&mut self) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(CollKind::Barrier, None, None, 0);
-        let me = self.rank;
-        let mut k = 1usize;
-        while k < p {
-            self.send((me + k) % p, tag, &[]);
-            let _ = self.recv((me + p - k) % p, tag);
-            k <<= 1;
-        }
-    }
-
-    /// Broadcast from the group-rank `root` to the group (binomial tree).
-    pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(CollKind::Broadcast, Some(root), None, buf.len());
-        let me = self.rank;
-        let vrank = (me + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let src = (me + p - mask) % p;
-                let data = self.recv(src, tag);
-                buf.copy_from_slice(&data);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < p {
-                let dst = (me + mask) % p;
-                let copy = buf.to_vec();
-                self.send(dst, tag, &copy);
-            }
-            mask >>= 1;
-        }
-        self.check_replicated_result("group broadcast result", buf);
-    }
-
-    /// Allreduce over the group (recursive doubling with the standard
-    /// non-power-of-two pre/post steps).
-    pub fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(CollKind::Allreduce, None, Some(op), buf.len());
-        let me = self.rank;
-        let pow2 = if p.is_power_of_two() { p } else { p.next_power_of_two() / 2 };
-        let rem = p - pow2;
-
-        if me >= pow2 {
-            let partner = me - pow2;
-            let copy = buf.to_vec();
-            self.send(partner, tag, &copy);
-            let data = self.recv(partner, tag);
-            buf.copy_from_slice(&data);
-            self.check_replicated_result("group allreduce result", buf);
-            return;
-        }
-        if me < rem {
-            let data = self.recv(me + pow2, tag);
-            op.fold(buf, &data);
-        }
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = me ^ mask;
-            let copy = buf.to_vec();
-            self.send(partner, tag, &copy);
-            let data = self.recv(partner, tag);
-            op.fold(buf, &data);
-            mask <<= 1;
-        }
-        if me < rem {
-            let copy = buf.to_vec();
-            self.send(me + pow2, tag, &copy);
-        }
-        self.check_replicated_result("group allreduce result", buf);
-    }
-
     /// Gather variable-length vectors to the group-rank `root`,
     /// concatenated in group-rank order. `Some` on the root.
     pub fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        let p = self.size();
-        let tag = self.coll_enter(CollKind::Gather, Some(root), None, mine.len());
-        if self.rank == root {
-            let mut all = Vec::with_capacity(mine.len() * p);
-            for src in 0..p {
-                if src == self.rank {
-                    all.extend_from_slice(mine);
-                } else {
-                    let data = self.recv(src, tag);
-                    all.extend_from_slice(&data);
-                }
-            }
-            Some(all)
-        } else {
-            self.send(root, tag, mine);
-            None
-        }
+        schedule::gather(self, root, mine)
     }
 
     /// Split this group by color: members passing equal colors form a
     /// nested sub-communicator (`MPI_Comm_split` on a non-world
     /// communicator), with dense ranks ordered by parent group rank. The
-    /// membership exchange runs as a group gather + broadcast — schedules
-    /// both backends already share — so nested splits stay bitwise
-    /// aligned across backends too. Collective over this group.
-    pub fn split(&mut self, color: u32) -> SubComm<'_> {
-        let p = self.size();
-        let mut all = vec![0.0; p];
+    /// membership exchange runs as a group gather + broadcast. Collective
+    /// over this group.
+    ///
+    /// Two levels of splitting are supported, with colors up to `0x7FFF`
+    /// at each: a larger color, or a split of a nested group, fails the
+    /// run with a typed collective mismatch rather than letting two
+    /// groups share a tag space.
+    pub fn split(&mut self, color: u32) -> Group<'_, W> {
+        if self.color > NESTED_COLOR_MAX || color > NESTED_COLOR_MAX {
+            self.mismatch(format!(
+                "nested split takes colors up to {NESTED_COLOR_MAX:#x} at two levels; \
+                 got parent color {:#x}, child color {color:#x}",
+                self.color
+            ));
+        }
+        let mut all = vec![0.0; self.size()];
         if let Some(gathered) = self.gather_f64s(0, &[f64::from(color)]) {
             all.copy_from_slice(&gathered);
         }
         self.broadcast_f64s(0, &mut all);
-        let members_sub: Vec<usize> =
-            all.iter().enumerate().filter(|(_, c)| **c as u32 == color).map(|(r, _)| r).collect();
-        let rank = members_sub
-            .iter()
-            .position(|&r| r == self.rank)
-            // lint:allow(unwrap): the gather included this rank's own color
-            .expect("calling rank is in its own color group");
         // Child membership in *world* ranks, so the nested group talks
-        // straight over the world communicator like any first-level group.
-        let members: Vec<usize> = members_sub.iter().map(|&r| self.members[r]).collect();
-        let key = nested_color_key(self.color, color);
+        // straight to the world like any first-level group.
+        let members: Vec<usize> = all
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| **c as u32 == color)
+            .map(|(r, _)| self.view.members[r])
+            .collect();
+        let me = self.view.members[self.view.rank];
+        let key = NESTED_COLOR_BIT | (self.color << 15) | color;
         // All members agree on the parent's collective sequence here (they
         // just ran the same gather + broadcast), so they derive the same
         // registry id; including it keeps successive same-color nested
-        // splits distinct in the verifier's registry.
+        // splits distinct in the registries.
         let comm_id = SUB_TAG_BASE | (u64::from(key) << 32) | self.seq;
-        SubComm { world: &mut *self.world, members, rank, color: key, seq: 0, comm_id }
+        Group::new(&mut *self.view.inner, members, me, key, comm_id)
+    }
+}
+
+impl<W: World> PointToPoint for Group<'_, W> {
+    fn rank(&self) -> usize {
+        self.view.rank
+    }
+    fn size(&self) -> usize {
+        self.view.members.len()
+    }
+    fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
+        self.view.send(to, tag, data);
+    }
+    fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
+        self.view.recv(from, tag)
+    }
+    fn mismatch(&self, detail: String) -> ! {
+        self.view.mismatch(detail)
+    }
+}
+
+impl<W: World> Collective for Group<'_, W> {
+    /// Allocate the group collective's tag and cross-validate its
+    /// fingerprint against the other members (world-rank labelled, so
+    /// divergence reports stay unambiguous).
+    fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
+        self.seq += 1;
+        let size = self.size();
+        self.view.inner.check_collective(self.comm_id, self.seq, size, fp);
+        SUB_TAG_BASE | (u64::from(self.color) << 32) | self.seq
+    }
+    fn check_replicated(&mut self, label: &str, buf: &[f64]) {
+        let size = self.size();
+        self.view.inner.check_replication(self.comm_id, self.seq, size, label, buf);
     }
 }
 

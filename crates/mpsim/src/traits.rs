@@ -6,19 +6,20 @@
 //! sends/receives, the allreduce family (blocking and non-blocking),
 //! broadcast/gather, phase spans, replication checks, and `split` — and
 //! [`GroupCommunicator`] captures the subset a post-split group supports.
-//! [`crate::Comm`] / [`crate::SubComm`] are the first implementors (the
-//! simulated backend); the `shmcomm` crate provides a wall-clock native
-//! backend over OS threads implementing the same traits with the same
-//! collective schedules, so one generic SPMD driver runs on either.
+//! [`crate::Comm`] implements [`Communicator`] for the simulated backend
+//! and the `shmcomm` crate's `NativeComm` for a wall-clock native backend
+//! over OS threads; [`GroupCommunicator`] has a single implementation, the
+//! [`crate::subcomm::Group`] split from either. One generic SPMD driver
+//! runs on both.
 //!
 //! # Determinism contract
 //!
-//! An implementation must fold reductions in a *fixed, rank-ordered or
-//! tree-ordered* sequence that depends only on `(algorithm, P, length)` —
-//! never on arrival order, scheduling, or wall-clock races — so that two
-//! backends running the same driver produce bitwise-identical `f64`
-//! results. The schedules in [`crate::collectives`] define the reference
-//! fold orders.
+//! Reductions must fold in a *fixed, rank-ordered or tree-ordered*
+//! sequence that depends only on `(algorithm, P, length)` — never on
+//! arrival order, scheduling, or wall-clock races — so that two backends
+//! running the same driver produce bitwise-identical `f64` results. Both
+//! backends run the one copy of every schedule in [`crate::schedule`], so
+//! the fold orders are identical by construction.
 //!
 //! # Errors
 //!
@@ -32,7 +33,8 @@ use crate::collectives::ReduceOp;
 use crate::comm::{Comm, Request};
 use crate::cost::{AllreduceAlgo, MachineSpec};
 use crate::error::SimError;
-use crate::subcomm::SubComm;
+use crate::schedule::World;
+use crate::subcomm::{Group, SubComm};
 
 /// A backend-neutral communication failure.
 ///
@@ -386,23 +388,24 @@ impl Communicator for Comm {
     }
 }
 
-impl GroupCommunicator for SubComm<'_> {
+/// The one group type, over either backend's world.
+impl<W: World> GroupCommunicator for Group<'_, W> {
     type Child<'c>
-        = SubComm<'c>
+        = Group<'c, W>
     where
         Self: 'c;
 
     fn rank(&self) -> usize {
-        SubComm::rank(self)
+        Group::rank(self)
     }
     fn size(&self) -> usize {
-        SubComm::size(self)
+        Group::size(self)
     }
     fn members(&self) -> &[usize] {
-        SubComm::members(self)
+        Group::members(self)
     }
     fn work(&mut self, ops: u64) {
-        SubComm::work(self, ops);
+        Group::work(self, ops);
     }
     fn enter_phase(&mut self, name: &str) {
         self.world().enter_phase(name);
@@ -411,22 +414,22 @@ impl GroupCommunicator for SubComm<'_> {
         self.world().exit_phase();
     }
     fn barrier(&mut self) {
-        SubComm::barrier(self);
+        Group::barrier(self);
     }
     fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        SubComm::broadcast_f64s(self, root, buf);
+        Group::broadcast_f64s(self, root, buf);
     }
     fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        SubComm::allreduce_f64s(self, buf, op);
+        Group::allreduce_f64s(self, buf, op);
     }
     fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        SubComm::allreduce_scalar(self, value, op)
+        Group::allreduce_scalar(self, value, op)
     }
     fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        SubComm::gather_f64s(self, root, mine)
+        Group::gather_f64s(self, root, mine)
     }
-    fn split(&mut self, color: u32) -> SubComm<'_> {
-        SubComm::split(self, color)
+    fn split(&mut self, color: u32) -> Group<'_, W> {
+        Group::split(self, color)
     }
 }
 

@@ -206,10 +206,12 @@ pub(crate) struct VerifyState {
     hashes: SlotRegistry<(u64, String)>,
 }
 
-/// Communicator id of the world communicator in the verification registry.
-pub(crate) const WORLD_COMM: u64 = 0;
-/// Communicator id for user-level [`crate::Comm::verify_replicated`] calls.
-pub(crate) const USER_REPL_COMM: u64 = u64::MAX;
+/// Communicator id of the world communicator in the verification
+/// registries (both backends).
+pub const WORLD_COMM: u64 = 0;
+/// Communicator id for user-level [`crate::Comm::verify_replicated`] calls
+/// (both backends).
+pub const USER_REPL_COMM: u64 = u64::MAX;
 
 impl VerifyState {
     pub(crate) fn new(p: usize, opts: VerifyOptions) -> Self {

@@ -1,103 +1,71 @@
-//! Collectives on the native backend — the *same schedules, same fold
-//! orders* as [`mpsim::collectives`], so results are bitwise identical
-//! across backends under every algorithm.
+//! Collectives on the native backend. [`NativeComm`] implements the
+//! point-to-point surface and hooks of [`mpsim::schedule`] and runs that
+//! module's schedules — the simulator's own code — so results are bitwise
+//! identical across backends under every algorithm by construction.
 //!
-//! # Determinism contract
-//!
-//! Each schedule below is a line-for-line mirror of its simulated
-//! counterpart: the sequence of sends, receives, and `ReduceOp::fold`
-//! calls a rank performs depends only on `(algorithm, P, length)`. There
-//! is no shared accumulator and no atomics race on payloads — every
+//! There is no shared accumulator and no atomics race on payloads: every
 //! partial reduction is owned by exactly one thread, and values cross
-//! threads only through channel messages — so arrival timing can never
+//! threads only through channel messages, so arrival timing can never
 //! reorder a floating-point fold. `Auto` resolves through the same
 //! [`mpsim::select_allreduce`] before anything is posted, keeping the
 //! *algorithm choice* itself identical across backends.
 
 use mpsim::error::SimError;
+use mpsim::schedule::{self, Collective, PointToPoint, World};
 use mpsim::traits::CommError;
-use mpsim::{AllreduceAlgo, ReduceOp};
+use mpsim::verify::WORLD_COMM;
+use mpsim::{AllreduceAlgo, CollFingerprint, ReduceOp};
 
 use crate::comm::{NativeComm, NativeReq, ReqKind};
 
-/// Base of the tag space reserved for collectives (above all user tags;
-/// same split as the simulator's).
-pub(crate) const COLL_TAG_BASE: u64 = 1 << 32;
+impl PointToPoint for NativeComm {
+    fn rank(&self) -> usize {
+        self.rank()
+    }
+    fn size(&self) -> usize {
+        self.size()
+    }
+    fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
+        self.send_f64s(to, tag, data);
+    }
+    fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
+        self.recv_f64s(from, tag)
+    }
+    fn mismatch(&self, detail: String) -> ! {
+        self.fail(CommError::Sim(SimError::CollectiveMismatch { rank: self.rank(), detail }))
+    }
+}
+
+impl Collective for NativeComm {
+    /// Count the collective in the current phase and allocate its tag.
+    /// The native backend has no fingerprint verifier.
+    fn coll_enter(&mut self, _fp: CollFingerprint) -> u64 {
+        schedule::COLL_TAG_BASE + self.count_collective()
+    }
+    fn check_replicated(&mut self, label: &str, buf: &[f64]) {
+        self.check_replication(WORLD_COMM, self.coll_seq, self.size(), label, buf);
+    }
+}
+
+impl World for NativeComm {
+    fn coll_seq(&self) -> u64 {
+        self.coll_seq
+    }
+    fn check_collective(&mut self, _comm: u64, _seq: u64, _size: usize, _fp: CollFingerprint) {}
+    fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]) {
+        self.check_replicated_in(comm, seq, size, label, buf);
+    }
+}
 
 impl NativeComm {
-    /// Raise a collective-argument mismatch as a typed error.
-    fn mismatch(&self, detail: String) -> ! {
-        self.fail(CommError::Sim(SimError::CollectiveMismatch { rank: self.rank(), detail }));
-    }
-
     /// Synchronize all ranks (dissemination barrier, `ceil(log2 P)` rounds).
     pub fn barrier(&mut self) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter();
-        let me = self.rank();
-        let mut k = 1usize;
-        while k < p {
-            let to = (me + k) % p;
-            let from = (me + p - k) % p;
-            self.send_f64s(to, tag, &[]);
-            let _ = self.recv_f64s(from, tag);
-            k <<= 1;
-        }
+        schedule::barrier(self);
     }
 
-    /// Broadcast `buf` from `root` to all ranks (binomial tree, same
-    /// shape as the simulator's).
+    /// Broadcast `buf` from `root` to all ranks (binomial tree).
     pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter();
-        let me = self.rank();
-        let vrank = (me + p - root) % p;
-
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let src = (me + p - mask) % p;
-                let data = self.recv_f64s(src, tag);
-                if data.len() != buf.len() {
-                    self.mismatch(format!(
-                        "broadcast buffer length {} != incoming {}",
-                        buf.len(),
-                        data.len()
-                    ));
-                }
-                buf.copy_from_slice(&data);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < p {
-                let dst = (me + mask) % p;
-                let copy = buf.to_vec();
-                self.send_f64s(dst, tag, &copy);
-            }
-            mask >>= 1;
-        }
-        self.check_replicated_result("broadcast result", buf);
-    }
-
-    /// Broadcast a single `u64` from `root` via the f64 tree (bit
-    /// patterns survive because payloads travel verbatim).
-    pub fn broadcast_u64(&mut self, root: usize, value: u64) -> u64 {
-        let p = self.size();
-        if p <= 1 {
-            return value;
-        }
-        let mut buf = [f64::from_bits(value)];
-        self.broadcast_f64s(root, &mut buf);
-        buf[0].to_bits()
+        schedule::broadcast(self, root, buf);
     }
 
     /// Allreduce with the machine's default algorithm.
@@ -111,27 +79,15 @@ impl NativeComm {
     /// spec this run is compared against — so both backends dispatch to
     /// the same concrete schedule.
     pub fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
-        if self.size() <= 1 {
-            return;
-        }
+        let machine = self.machine();
         let algo = match algo {
             AllreduceAlgo::Auto => {
-                mpsim::select_allreduce(self.size(), buf.len(), &self.machine().network)
+                mpsim::select_allreduce(self.size(), buf.len(), &machine.network)
             }
             other => other,
         };
-        let tag = self.coll_enter();
-        match algo {
-            AllreduceAlgo::Linear | AllreduceAlgo::OrderedLinear => {
-                self.allreduce_linear(buf, op, tag)
-            }
-            AllreduceAlgo::RecursiveDoubling => self.allreduce_rd(buf, op, tag),
-            AllreduceAlgo::Ring => self.allreduce_ring(buf, op, tag),
-            AllreduceAlgo::Rabenseifner => self.allreduce_rabenseifner(buf, op, tag),
-            AllreduceAlgo::Hierarchical => self.allreduce_hierarchical(buf, op, tag),
-            AllreduceAlgo::Auto => unreachable!("Auto resolved to a concrete algorithm above"),
-        }
-        self.check_replicated_result("allreduce result", buf);
+        let node_size = machine.topology.node_size();
+        schedule::allreduce(self, buf, op, algo, node_size);
     }
 
     /// Allreduce of a single scalar; returns the reduced value.
@@ -164,324 +120,9 @@ impl NativeComm {
         NativeReq { rank: self.rank(), kind: ReqKind::Ready, done: false }
     }
 
-    /// Gather to rank 0 in rank order, then send the result back to
-    /// every rank. Mirrors the simulator's linear schedule exactly
-    /// (fold order: rank 0's own buffer, then ranks 1..P).
-    fn allreduce_linear(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        if me == 0 {
-            for src in 1..p {
-                let data = self.recv_f64s(src, tag);
-                if data.len() != buf.len() {
-                    self.mismatch(format!(
-                        "allreduce length {} != rank {src}'s {}",
-                        buf.len(),
-                        data.len()
-                    ));
-                }
-                op.fold(buf, &data);
-            }
-            for dst in 1..p {
-                let copy = buf.to_vec();
-                self.send_f64s(dst, tag, &copy);
-            }
-        } else {
-            let copy = buf.to_vec();
-            self.send_f64s(0, tag, &copy);
-            let data = self.recv_f64s(0, tag);
-            buf.copy_from_slice(&data);
-        }
-    }
-
-    /// Recursive doubling with the MPICH non-power-of-two parking
-    /// scheme; mirrors [`mpsim`]'s schedule and fold order.
-    fn allreduce_rd(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        let pow2 = p.next_power_of_two() / if p.is_power_of_two() { 1 } else { 2 };
-        let rem = p - pow2;
-
-        if me >= pow2 {
-            let partner = me - pow2;
-            let copy = buf.to_vec();
-            self.send_f64s(partner, tag, &copy);
-            let data = self.recv_f64s(partner, tag);
-            buf.copy_from_slice(&data);
-            return;
-        }
-        if me < rem {
-            let data = self.recv_f64s(me + pow2, tag);
-            op.fold(buf, &data);
-        }
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = me ^ mask;
-            let copy = buf.to_vec();
-            self.send_f64s(partner, tag, &copy);
-            let data = self.recv_f64s(partner, tag);
-            op.fold(buf, &data);
-            mask <<= 1;
-        }
-        if me < rem {
-            let copy = buf.to_vec();
-            self.send_f64s(me + pow2, tag, &copy);
-        }
-    }
-
-    /// Ring allreduce (reduce-scatter + allgather) with the same
-    /// balanced chunk partition and fold order as the simulator's.
-    fn allreduce_ring(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        let n = buf.len();
-        if n == 0 {
-            self.barrier();
-            return;
-        }
-        let range = |c: usize| -> std::ops::Range<usize> {
-            let base = n / p;
-            let extra = n % p;
-            let start = c * base + c.min(extra);
-            let len = base + usize::from(c < extra);
-            start..start + len
-        };
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-
-        for step in 0..p - 1 {
-            let send_c = (me + p - step) % p;
-            let recv_c = (me + p - step - 1) % p;
-            let chunk = buf[range(send_c)].to_vec();
-            self.send_f64s(right, tag, &chunk);
-            let data = self.recv_f64s(left, tag);
-            op.fold(&mut buf[range(recv_c)], &data);
-        }
-        for step in 0..p - 1 {
-            let send_c = (me + 1 + p - step) % p;
-            let recv_c = (me + p - step) % p;
-            let chunk = buf[range(send_c)].to_vec();
-            self.send_f64s(right, tag, &chunk);
-            let data = self.recv_f64s(left, tag);
-            buf[range(recv_c)].copy_from_slice(&data);
-        }
-    }
-
-    /// Rabenseifner's allreduce (recursive-halving reduce-scatter +
-    /// recursive-doubling allgather) with the simulator's parking,
-    /// chunk partition, and fold order.
-    fn allreduce_rabenseifner(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        let pow2 = p.next_power_of_two() / if p.is_power_of_two() { 1 } else { 2 };
-        let rem = p - pow2;
-
-        if me >= pow2 {
-            let partner = me - pow2;
-            let copy = buf.to_vec();
-            self.send_f64s(partner, tag, &copy);
-            let data = self.recv_f64s(partner, tag);
-            buf.copy_from_slice(&data);
-            return;
-        }
-        if me < rem {
-            let data = self.recv_f64s(me + pow2, tag);
-            op.fold(buf, &data);
-        }
-
-        let n = buf.len();
-        let range = |c: usize| -> std::ops::Range<usize> {
-            let base = n / pow2;
-            let extra = n % pow2;
-            let start = c * base + c.min(extra);
-            start..start + base + usize::from(c < extra)
-        };
-        let span = |clo: usize, chi: usize| range(clo).start..range(chi - 1).end;
-
-        let (mut clo, mut chi) = (0usize, pow2);
-        let mut mask = pow2 >> 1;
-        while mask > 0 {
-            let partner = me ^ mask;
-            let mid = clo + (chi - clo) / 2;
-            let (keep, give) =
-                if me & mask == 0 { ((clo, mid), (mid, chi)) } else { ((mid, chi), (clo, mid)) };
-            let chunk = buf[span(give.0, give.1)].to_vec();
-            self.send_f64s(partner, tag, &chunk);
-            let data = self.recv_f64s(partner, tag);
-            op.fold(&mut buf[span(keep.0, keep.1)], &data);
-            (clo, chi) = keep;
-            mask >>= 1;
-        }
-
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = me ^ mask;
-            let chunk = buf[span(clo, chi)].to_vec();
-            self.send_f64s(partner, tag, &chunk);
-            let data = self.recv_f64s(partner, tag);
-            let plo = clo ^ mask;
-            buf[span(plo, plo + mask)].copy_from_slice(&data);
-            clo = clo.min(plo);
-            chi = clo + 2 * mask;
-            mask <<= 1;
-        }
-
-        if me < rem {
-            let copy = buf.to_vec();
-            self.send_f64s(me + pow2, tag, &copy);
-        }
-    }
-
-    /// Rabenseifner's schedule over an arbitrary ascending member list —
-    /// the native mirror of the simulator's `rabenseifner_over`, with the
-    /// same parking scheme, chunk partition, and fold order.
-    fn rabenseifner_over(&mut self, members: &[usize], buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let g = members.len();
-        if g <= 1 {
-            return;
-        }
-        let me = members
-            .iter()
-            .position(|&r| r == self.rank())
-            .unwrap_or_else(|| panic!("rank {} is not a member of this group", self.rank()));
-        let pow2 = g.next_power_of_two() / if g.is_power_of_two() { 1 } else { 2 };
-        let rem = g - pow2;
-
-        if me >= pow2 {
-            let partner = members[me - pow2];
-            let copy = buf.to_vec();
-            self.send_f64s(partner, tag, &copy);
-            let data = self.recv_f64s(partner, tag);
-            buf.copy_from_slice(&data);
-            return;
-        }
-        if me < rem {
-            let data = self.recv_f64s(members[me + pow2], tag);
-            op.fold(buf, &data);
-        }
-
-        let n = buf.len();
-        let range = |c: usize| -> std::ops::Range<usize> {
-            let base = n / pow2;
-            let extra = n % pow2;
-            let start = c * base + c.min(extra);
-            start..start + base + usize::from(c < extra)
-        };
-        let span = |clo: usize, chi: usize| range(clo).start..range(chi - 1).end;
-
-        let (mut clo, mut chi) = (0usize, pow2);
-        let mut mask = pow2 >> 1;
-        while mask > 0 {
-            let partner = members[me ^ mask];
-            let mid = clo + (chi - clo) / 2;
-            let (keep, give) =
-                if me & mask == 0 { ((clo, mid), (mid, chi)) } else { ((mid, chi), (clo, mid)) };
-            let chunk = buf[span(give.0, give.1)].to_vec();
-            self.send_f64s(partner, tag, &chunk);
-            let data = self.recv_f64s(partner, tag);
-            op.fold(&mut buf[span(keep.0, keep.1)], &data);
-            (clo, chi) = keep;
-            mask >>= 1;
-        }
-
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = members[me ^ mask];
-            let chunk = buf[span(clo, chi)].to_vec();
-            self.send_f64s(partner, tag, &chunk);
-            let data = self.recv_f64s(partner, tag);
-            let plo = clo ^ mask;
-            buf[span(plo, plo + mask)].copy_from_slice(&data);
-            clo = clo.min(plo);
-            chi = clo + 2 * mask;
-            mask <<= 1;
-        }
-
-        if me < rem {
-            let copy = buf.to_vec();
-            self.send_f64s(members[me + pow2], tag, &copy);
-        }
-    }
-
-    /// Hierarchical allreduce: intra-node ascending fold to the node
-    /// leader, Rabenseifner among the leaders, intra-node broadcast —
-    /// exactly the simulator's schedule, so results are bitwise identical
-    /// across backends.
-    fn allreduce_hierarchical(&mut self, buf: &mut [f64], op: ReduceOp, tag: u64) {
-        let p = self.size();
-        let me = self.rank();
-        let ns = self.machine().topology.node_size().clamp(1, p);
-        let node = me / ns;
-        let leader = node * ns;
-        let node_end = ((node + 1) * ns).min(p);
-
-        if me == leader {
-            for src in leader + 1..node_end {
-                let data = self.recv_f64s(src, tag);
-                if data.len() != buf.len() {
-                    self.mismatch(format!(
-                        "allreduce length {} != rank {src}'s {}",
-                        buf.len(),
-                        data.len()
-                    ));
-                }
-                op.fold(buf, &data);
-            }
-            let leaders: Vec<usize> = (0..p).step_by(ns).collect();
-            self.rabenseifner_over(&leaders, buf, op, tag);
-            for dst in leader + 1..node_end {
-                let copy = buf.to_vec();
-                self.send_f64s(dst, tag, &copy);
-            }
-        } else {
-            let copy = buf.to_vec();
-            self.send_f64s(leader, tag, &copy);
-            let data = self.recv_f64s(leader, tag);
-            buf.copy_from_slice(&data);
-        }
-    }
-
     /// Gather each rank's (possibly differently sized) vector to `root`,
     /// concatenated in rank order. `Some` on the root.
     pub fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        let p = self.size();
-        let me = self.rank();
-        let tag = self.coll_enter();
-        if me == root {
-            let mut all = Vec::with_capacity(mine.len() * p);
-            for src in 0..p {
-                if src == me {
-                    all.extend_from_slice(mine);
-                } else {
-                    let data = self.recv_f64s(src, tag);
-                    all.extend_from_slice(&data);
-                }
-            }
-            Some(all)
-        } else {
-            self.send_f64s(root, tag, mine);
-            None
-        }
-    }
-
-    /// Allgather over a ring: `result[r]` is rank `r`'s contribution.
-    pub fn allgather_f64s(&mut self, mine: &[f64]) -> Vec<Vec<f64>> {
-        let p = self.size();
-        let me = self.rank();
-        let tag = self.coll_enter();
-        let mut blocks: Vec<Vec<f64>> = vec![Vec::new(); p];
-        blocks[me] = mine.to_vec();
-        if p == 1 {
-            return blocks;
-        }
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-        let mut cur = mine.to_vec();
-        for step in 0..p - 1 {
-            self.send_f64s(right, tag, &cur);
-            cur = self.recv_f64s(left, tag);
-            blocks[(me + p - step - 1) % p] = cur.clone();
-        }
-        blocks
+        schedule::gather(self, root, mine)
     }
 }

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use mpsim::error::SimError;
 use mpsim::traits::CommError;
+use mpsim::verify::USER_REPL_COMM;
 use mpsim::{MachineSpec, PhaseStats, RankStats, DEFAULT_PHASE};
 
 /// How long a blocked receive sleeps per poll before re-checking the
@@ -57,12 +58,6 @@ pub(crate) struct ReplCheck {
 
 /// `(comm_id, seq)` → (label, first poster's hash, ranks posted so far).
 type ReplSlots = std::collections::BTreeMap<(u64, u64), (String, u64, usize)>;
-
-/// Registry id of the world communicator (matches the simulator's).
-pub(crate) const WORLD_COMM: u64 = 0;
-/// Registry id for user-level `verify_replicated` checks (matches the
-/// simulator's).
-pub(crate) const USER_REPL_COMM: u64 = u64::MAX;
 
 impl ReplCheck {
     pub(crate) fn new() -> Self {
@@ -490,26 +485,17 @@ impl NativeComm {
         self.repl.is_some()
     }
 
-    /// Count a collective in the current phase and allocate its tag
-    /// (collective tags live above all user tags, same split as the
-    /// simulator's).
-    pub(crate) fn coll_enter(&mut self) -> u64 {
+    /// Count a world collective in the current phase and return its
+    /// sequence number.
+    pub(crate) fn count_collective(&mut self) -> u64 {
         self.coll_seq += 1;
         self.buckets[self.cur_phase].collectives += 1;
-        crate::collectives::COLL_TAG_BASE + self.coll_seq
+        self.coll_seq
     }
 
-    /// Hash a collective's replicated result and cross-check it against
-    /// the other ranks (no-op unless replication checking is on).
-    pub(crate) fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
-        let Some(repl) = self.repl.clone() else { return };
-        let hash = mpsim::hash_f64s(buf);
-        if let Err(e) = repl.check(self.rank, WORLD_COMM, self.coll_seq, self.size, label, hash) {
-            self.fail(e);
-        }
-    }
-
-    /// Group-scoped replication check used by `NativeSubComm`.
+    /// Hash a replicated result of collective `seq` on communicator
+    /// `comm_id` (`group` ranks) and cross-check it against the other
+    /// ranks (no-op unless replication checking is on).
     pub(crate) fn check_replicated_in(
         &mut self,
         comm_id: u64,

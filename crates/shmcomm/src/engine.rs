@@ -123,8 +123,8 @@ fn classify(rank: usize, payload: Box<dyn std::any::Any + Send>) -> CommError {
 ///
 /// The machine spec contributes only its *decisions* (rank count,
 /// default/auto allreduce algorithm); all timing is measured, not
-/// modeled. Rank bodies communicate through [`NativeComm`], whose
-/// collective schedules are bitwise mirrors of the simulator's.
+/// modeled. Rank bodies communicate through [`NativeComm`], which runs
+/// the simulator's own collective schedules ([`mpsim::schedule`]).
 ///
 /// # Errors
 ///

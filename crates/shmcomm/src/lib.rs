@@ -3,11 +3,11 @@
 //! Where [`mpsim`] runs the SPMD program on OS threads under *virtual*
 //! time from LogGP cost models, this crate runs the very same program on
 //! OS threads under *wall-clock* time: one `std::thread` per rank, an
-//! `mpsc` channel mesh for typed messages, and the exact collective
-//! schedules of the simulator (recursive doubling, ring, Rabenseifner,
-//! linear — same fold orders, same non-power-of-two parking), so the
-//! numerical results are bitwise identical across backends while the
-//! reported times come from real silicon.
+//! `mpsc` channel mesh for typed messages, and the simulator's own
+//! collective schedules ([`mpsim::schedule`]: one copy of each, run by
+//! both backends) and sub-communicator type, so the numerical results are
+//! bitwise identical across backends by construction while the reported
+//! times come from real silicon.
 //!
 //! Both backends implement [`mpsim::Communicator`]; a driver written
 //! against the trait picks its machine with one call:

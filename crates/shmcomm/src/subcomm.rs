@@ -1,246 +1,17 @@
 //! Native sub-communicators: the `MPI_Comm_split` analogue on the
-//! shared-memory backend, mirroring [`mpsim::SubComm`]'s schedules (and
-//! tag-space split) exactly so group collectives are bitwise identical
-//! across backends.
-
-use mpsim::ReduceOp;
+//! shared-memory backend. The split protocol, tag layout and group
+//! collectives are [`mpsim::subcomm::Group`]'s, written once for both
+//! backends; this module names its native instance.
 
 use crate::comm::NativeComm;
 
-/// Tag-space marker for sub-communicator traffic (bit 63; same split as
-/// the simulator's).
-const SUB_TAG_BASE: u64 = 1 << 63;
-
-/// Marker bit for nested-group color keys (same as the simulator's).
-const NESTED_COLOR_BIT: u32 = 1 << 30;
-
-/// The color key a nested group stamps into its tag space — identical to
-/// `mpsim::subcomm::nested_color_key`, so nested-group tags and registry
-/// ids are bitwise aligned across backends. Colors below 2^15, two
-/// levels of nesting.
-fn nested_color_key(parent: u32, child: u32) -> u32 {
-    NESTED_COLOR_BIT | ((parent & 0x7FFF) << 15) | (child & 0x7FFF)
-}
-
 /// A communicator over a subset of the native world's ranks.
-pub struct NativeSubComm<'a> {
-    world: &'a mut NativeComm,
-    /// World ranks of the members, ascending; index = sub rank.
-    members: Vec<usize>,
-    /// This rank's position within `members`.
-    rank: usize,
-    /// Color the group was formed with (part of the tag space).
-    color: u32,
-    /// Per-group collective sequence number.
-    seq: u64,
-    /// Registry id distinguishing this group in the replication checker.
-    comm_id: u64,
-}
+pub type NativeSubComm<'a> = mpsim::subcomm::Group<'a, NativeComm>;
 
 impl NativeComm {
     /// Split the world communicator by color: ranks passing equal colors
     /// form a group. Collective over the world communicator.
     pub fn split(&mut self, color: u32) -> NativeSubComm<'_> {
-        let mine = [color as f64];
-        let all = self.allgather_f64s(&mine);
-        let members: Vec<usize> =
-            all.iter().enumerate().filter(|(_, c)| c[0] as u32 == color).map(|(r, _)| r).collect();
-        let me = self.rank();
-        let rank = members
-            .iter()
-            .position(|&r| r == me)
-            // lint:allow(unwrap): the allgather included this rank's own color
-            .expect("calling rank is in its own color group");
-        let comm_id = SUB_TAG_BASE | (u64::from(color) << 32) | self.coll_seq;
-        NativeSubComm { world: self, members, rank, color, seq: 0, comm_id }
-    }
-}
-
-impl NativeSubComm<'_> {
-    /// This rank's id within the group.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// World ranks of the group, ascending.
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// Access the underlying world communicator.
-    pub fn world(&mut self) -> &mut NativeComm {
-        self.world
-    }
-
-    /// Timing no-op, like [`NativeComm::work`].
-    pub fn work(&mut self, ops: u64) {
-        self.world.work(ops);
-    }
-
-    /// Allreduce of a single scalar over the group.
-    pub fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        let mut buf = [value];
-        self.allreduce_f64s(&mut buf, op);
-        buf[0]
-    }
-
-    fn next_tag(&mut self) -> u64 {
-        self.seq += 1;
-        SUB_TAG_BASE | (u64::from(self.color) << 32) | self.seq
-    }
-
-    fn check_replicated_result(&mut self, label: &str, buf: &[f64]) {
-        let (comm_id, seq, group) = (self.comm_id, self.seq, self.members.len());
-        self.world.check_replicated_in(comm_id, seq, group, label, buf);
-    }
-
-    fn send(&mut self, sub_dst: usize, tag: u64, values: &[f64]) {
-        let dst = self.members[sub_dst];
-        self.world.send_f64s(dst, tag, values);
-    }
-
-    fn recv(&mut self, sub_src: usize, tag: u64) -> Vec<f64> {
-        let src = self.members[sub_src];
-        self.world.recv_f64s(src, tag)
-    }
-
-    /// Synchronize the group (dissemination barrier over group ranks).
-    pub fn barrier(&mut self) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.next_tag();
-        let me = self.rank;
-        let mut k = 1usize;
-        while k < p {
-            self.send((me + k) % p, tag, &[]);
-            let _ = self.recv((me + p - k) % p, tag);
-            k <<= 1;
-        }
-    }
-
-    /// Broadcast from the group-rank `root` to the group (binomial tree,
-    /// same shape as the simulator's group broadcast).
-    pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.next_tag();
-        let me = self.rank;
-        let vrank = (me + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let src = (me + p - mask) % p;
-                let data = self.recv(src, tag);
-                buf.copy_from_slice(&data);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < p {
-                let dst = (me + mask) % p;
-                let copy = buf.to_vec();
-                self.send(dst, tag, &copy);
-            }
-            mask >>= 1;
-        }
-        self.check_replicated_result("group broadcast result", buf);
-    }
-
-    /// Allreduce over the group (recursive doubling with the standard
-    /// non-power-of-two parking, same fold order as the simulator's).
-    pub fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.next_tag();
-        let me = self.rank;
-        let pow2 = if p.is_power_of_two() { p } else { p.next_power_of_two() / 2 };
-        let rem = p - pow2;
-
-        if me >= pow2 {
-            let partner = me - pow2;
-            let copy = buf.to_vec();
-            self.send(partner, tag, &copy);
-            let data = self.recv(partner, tag);
-            buf.copy_from_slice(&data);
-            self.check_replicated_result("group allreduce result", buf);
-            return;
-        }
-        if me < rem {
-            let data = self.recv(me + pow2, tag);
-            op.fold(buf, &data);
-        }
-        let mut mask = 1usize;
-        while mask < pow2 {
-            let partner = me ^ mask;
-            let copy = buf.to_vec();
-            self.send(partner, tag, &copy);
-            let data = self.recv(partner, tag);
-            op.fold(buf, &data);
-            mask <<= 1;
-        }
-        if me < rem {
-            let copy = buf.to_vec();
-            self.send(me + pow2, tag, &copy);
-        }
-        self.check_replicated_result("group allreduce result", buf);
-    }
-
-    /// Gather variable-length vectors to the group-rank `root`,
-    /// concatenated in group-rank order. `Some` on the root.
-    pub fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        let p = self.size();
-        let tag = self.next_tag();
-        if self.rank == root {
-            let mut all = Vec::with_capacity(mine.len() * p);
-            for src in 0..p {
-                if src == self.rank {
-                    all.extend_from_slice(mine);
-                } else {
-                    let data = self.recv(src, tag);
-                    all.extend_from_slice(&data);
-                }
-            }
-            Some(all)
-        } else {
-            self.send(root, tag, mine);
-            None
-        }
-    }
-
-    /// Split this group by color: the nested `MPI_Comm_split` analogue,
-    /// mirroring `mpsim::SubComm::split`'s gather + broadcast membership
-    /// exchange and color-key scheme exactly, so nested-group collectives
-    /// are bitwise identical across backends. Collective over this group.
-    pub fn split(&mut self, color: u32) -> NativeSubComm<'_> {
-        let p = self.size();
-        let mut all = vec![0.0; p];
-        if let Some(gathered) = self.gather_f64s(0, &[f64::from(color)]) {
-            all.copy_from_slice(&gathered);
-        }
-        self.broadcast_f64s(0, &mut all);
-        let members_sub: Vec<usize> =
-            all.iter().enumerate().filter(|(_, c)| **c as u32 == color).map(|(r, _)| r).collect();
-        let rank = members_sub
-            .iter()
-            .position(|&r| r == self.rank)
-            // lint:allow(unwrap): the gather included this rank's own color
-            .expect("calling rank is in its own color group");
-        let members: Vec<usize> = members_sub.iter().map(|&r| self.members[r]).collect();
-        let key = nested_color_key(self.color, color);
-        let comm_id = SUB_TAG_BASE | (u64::from(key) << 32) | self.seq;
-        NativeSubComm { world: &mut *self.world, members, rank, color: key, seq: 0, comm_id }
+        mpsim::subcomm::split(self, color)
     }
 }

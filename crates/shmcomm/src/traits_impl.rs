@@ -1,8 +1,10 @@
-//! [`Communicator`] / [`GroupCommunicator`] implementations for the
-//! native backend: pure delegation to the inherent methods, so generic
-//! SPMD drivers written against `mpsim::traits` run here unchanged.
+//! The [`Communicator`] implementation for the native backend: pure
+//! delegation to the inherent methods, so generic SPMD drivers written
+//! against `mpsim::traits` run here unchanged. Its groups are
+//! [`mpsim::subcomm::Group`]s, whose one `GroupCommunicator` impl covers
+//! both backends.
 
-use mpsim::traits::{Communicator, GroupCommunicator};
+use mpsim::traits::Communicator;
 use mpsim::{AllreduceAlgo, MachineSpec, ReduceOp};
 
 use crate::comm::{NativeComm, NativeReq};
@@ -88,49 +90,5 @@ impl Communicator for NativeComm {
     }
     fn split(&mut self, color: u32) -> NativeSubComm<'_> {
         NativeComm::split(self, color)
-    }
-}
-
-impl GroupCommunicator for NativeSubComm<'_> {
-    type Child<'c>
-        = NativeSubComm<'c>
-    where
-        Self: 'c;
-
-    fn rank(&self) -> usize {
-        NativeSubComm::rank(self)
-    }
-    fn size(&self) -> usize {
-        NativeSubComm::size(self)
-    }
-    fn members(&self) -> &[usize] {
-        NativeSubComm::members(self)
-    }
-    fn work(&mut self, ops: u64) {
-        NativeSubComm::work(self, ops);
-    }
-    fn enter_phase(&mut self, name: &str) {
-        self.world().enter_phase(name);
-    }
-    fn exit_phase(&mut self) {
-        self.world().exit_phase();
-    }
-    fn barrier(&mut self) {
-        NativeSubComm::barrier(self);
-    }
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        NativeSubComm::broadcast_f64s(self, root, buf);
-    }
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        NativeSubComm::allreduce_f64s(self, buf, op);
-    }
-    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        NativeSubComm::allreduce_scalar(self, value, op)
-    }
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        NativeSubComm::gather_f64s(self, root, mine)
-    }
-    fn split(&mut self, color: u32) -> NativeSubComm<'_> {
-        NativeSubComm::split(self, color)
     }
 }

@@ -24,6 +24,11 @@ fn payload(rank: usize, n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// Every reduction operator.
+fn ops() -> impl Strategy<Value = ReduceOp> {
+    prop_oneof![Just(ReduceOp::Sum), Just(ReduceOp::Prod), Just(ReduceOp::Max), Just(ReduceOp::Min)]
+}
+
 fn body<C: Communicator>(
     comm: &mut C,
     n: usize,
@@ -46,7 +51,7 @@ proptest! {
         // chunking paths of ring and Rabenseifner.
         n in 0usize..21,
         seed in 0u64..u64::MAX,
-        op in prop_oneof![Just(ReduceOp::Sum), Just(ReduceOp::Max), Just(ReduceOp::Min)],
+        op in ops(),
         algo in prop_oneof![
             Just(AllreduceAlgo::Linear),
             Just(AllreduceAlgo::OrderedLinear),
@@ -68,6 +73,32 @@ proptest! {
             prop_assert_eq!(bits, &native.per_rank[0]);
         }
         // ...and the two backends agree with each other, bit for bit.
+        prop_assert_eq!(&sim.per_rank, &native.per_rank);
+    }
+
+    #[test]
+    fn hierarchical_is_bitwise_identical_across_backends(
+        // (P, ranks per node): full nodes, and a last node left partial
+        // when P is not a multiple of the node size.
+        (p, node_size) in prop_oneof![
+            Just((4usize, 2usize)),
+            Just((6usize, 4usize)),
+            Just((7usize, 3usize)),
+            Just((8usize, 4usize)),
+        ],
+        n in 0usize..21,
+        seed in 0u64..u64::MAX,
+        op in ops(),
+    ) {
+        let machine = presets::hier_cluster(p, node_size);
+        let algo = AllreduceAlgo::Hierarchical;
+        let sim = mpsim::run_spmd_default(&machine, |c| body(c, n, seed, op, algo)).unwrap();
+        let native =
+            run_native(&machine, &NativeOptions::default(), |c| body(c, n, seed, op, algo))
+                .unwrap();
+        for bits in &sim.per_rank {
+            prop_assert_eq!(bits, &sim.per_rank[0]);
+        }
         prop_assert_eq!(&sim.per_rank, &native.per_rank);
     }
 
