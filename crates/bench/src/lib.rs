@@ -13,8 +13,8 @@
 #![warn(missing_docs)]
 
 use autoclass::search::SearchConfig;
-use mpsim::{presets, Engine};
-use pautoclass::{run_search_with, ParallelConfig, ParallelOutcome, Strategy};
+use mpsim::presets;
+use pautoclass::{run_search, ParallelConfig, ParallelOutcome, Strategy};
 
 /// The dataset sizes of the paper's Figures 6–7 (tuples of two reals).
 pub const PAPER_SIZES: &[usize] = &[5_000, 10_000, 20_000, 40_000, 60_000, 80_000, 100_000];
@@ -91,11 +91,8 @@ pub fn run_one(data: &autoclass::data::Dataset, p: usize, cfg: &GridConfig) -> P
         strategy: cfg.strategy,
         ..ParallelConfig::default()
     };
-    // The cooperative engine is bitwise identical to the threaded one and
-    // carries each rank on one OS thread at a time.
-    let opts = mpsim::SimOptions { engine: Engine::Cooperative, ..Default::default() };
     // lint:allow(unwrap): bench harness; a failed simulation should abort the run
-    run_search_with(data, &machine, &pc, &opts).expect("simulated run failed")
+    run_search(data, &machine, &pc).expect("simulated run failed")
 }
 
 /// Format seconds as the paper's `h.mm.ss` axis labels.
@@ -171,28 +168,6 @@ mod tests {
         let g = grid_from_args(&args);
         assert_eq!(g.sizes, vec![100, 200]);
         assert_eq!(g.procs, vec![1, 2]);
-    }
-
-    #[test]
-    fn run_one_is_bitwise_identical_to_the_threaded_engine() {
-        let mut g = GridConfig::quick();
-        g.search.start_j_list = vec![2, 4];
-        g.search.max_cycles = 3;
-        let data = datagen::paper_dataset(300, g.data_seed);
-        let coop = run_one(&data, 3, &g);
-        let pc = ParallelConfig {
-            search: g.search.clone(),
-            strategy: g.strategy,
-            ..ParallelConfig::default()
-        };
-        let threaded =
-            run_search_with(&data, &presets::meiko_cs2(3), &pc, &mpsim::SimOptions::default())
-                .unwrap();
-        assert_eq!(coop.elapsed.to_bits(), threaded.elapsed.to_bits());
-        assert_eq!(
-            coop.best.approx.log_likelihood.to_bits(),
-            threaded.best.approx.log_likelihood.to_bits()
-        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! # Virtual time
 //!
-//! Real bytes move between real threads through channels, but *time* is
-//! modeled: the sender charges endpoint overhead and stamps the message
-//! with its departure time; the receiver advances to
+//! Real bytes move between ranks through the cooperative scheduler's
+//! per-pair mailboxes (see [`crate::coop`]), but *time* is modeled: the
+//! sender charges endpoint overhead and stamps the message with its
+//! departure time; the receiver advances to
 //! `max(own clock, departure + transit)` (waiting counts as idle time) and
 //! then charges its own endpoint overhead. Transit time comes from the
 //! machine's [`crate::cost::NetworkModel`] and topology hop count. This is
@@ -18,9 +19,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::clock::Clock;
 use crate::coop::{CoopShared, Deposit};
@@ -52,28 +52,6 @@ pub(crate) struct Envelope {
     /// is active, verified on arrival.
     pub checksum: Option<u64>,
     pub bytes: Vec<u8>,
-}
-
-/// Polling slice for blocking receives; bounds how stale the abort flag can
-/// get while a rank is blocked.
-const RECV_SLICE: Duration = Duration::from_millis(25);
-
-/// How a [`Comm`]'s envelopes physically move between ranks. Everything
-/// else — virtual clocks, statistics, verification, fault injection — is
-/// shared between the variants, which is what makes the two engines
-/// bitwise identical.
-pub(crate) enum Transport {
-    /// Thread-per-rank engine: a full mesh of unbounded `mpsc` channels,
-    /// blocked receives polling in wall-clock slices.
-    Mesh {
-        /// `inboxes[src]` receives messages sent by `src` to this rank.
-        inboxes: Vec<Receiver<Envelope>>,
-        /// `outboxes[dst]` sends messages from this rank to `dst`.
-        outboxes: Vec<Sender<Envelope>>,
-    },
-    /// Cooperative engine: lazily created per-pair mailboxes inside the
-    /// shared scheduler state; blocked ranks park on a condvar.
-    Coop(Arc<CoopShared>),
 }
 
 /// What a [`Request`] is waiting for.
@@ -165,13 +143,12 @@ pub struct Comm {
     spec: Arc<MachineSpec>,
     clock: Clock,
     stats: RankStats,
-    /// The message-movement backend (see [`Transport`]).
-    transport: Transport,
+    /// The scheduler and mailboxes shared by every rank of the run.
+    coop: Arc<CoopShared>,
     /// Messages received out of tag order, keyed by source, in arrival
     /// order. Lazily created so an idle pair costs nothing at large `P`.
     stash: BTreeMap<usize, VecDeque<Envelope>>,
     abort: Arc<AtomicBool>,
-    recv_timeout: Duration,
     /// Monotone counter giving every collective call a unique tag; all
     /// ranks must invoke collectives in the same order (SPMD discipline),
     /// exactly as MPI requires.
@@ -194,7 +171,7 @@ pub struct Comm {
     /// Shared in-flight replay log (see [`crate::replay`]); `None` when
     /// no localized-recovery supervisor installed one.
     replay: Option<crate::replay::ReplayLog>,
-    /// `pulled_from[src]`: envelopes this rank has taken off the channel
+    /// `pulled_from[src]`: envelopes this rank has taken off the mailbox
     /// from `src` (stashed or matched); compared against the fault layer's
     /// delivered-send count to prove a wait is for a dropped message.
     pulled_from: Vec<u64>,
@@ -210,9 +187,8 @@ impl Comm {
     pub(crate) fn new(
         rank: usize,
         spec: Arc<MachineSpec>,
-        transport: Transport,
+        coop: Arc<CoopShared>,
         abort: Arc<AtomicBool>,
-        recv_timeout: Duration,
         record_events: bool,
         verify: Option<Arc<VerifyState>>,
         fault: Option<Arc<FaultState>>,
@@ -225,10 +201,9 @@ impl Comm {
             spec,
             clock: Clock::new(),
             stats: RankStats { rank, ..Default::default() },
-            transport,
+            coop,
             stash: BTreeMap::new(),
             abort,
-            recv_timeout,
             coll_seq: 0,
             repl_seq: 0,
             phase_names: vec![DEFAULT_PHASE.to_string()],
@@ -461,35 +436,22 @@ impl Comm {
         // bytes are simply never read), but the verifier must not keep
         // counting it as in flight or the deadlock detector would treat
         // the edge to the finished rank as forever busy.
-        match &self.transport {
-            Transport::Mesh { outboxes, .. } => {
-                if outboxes[dst].send(env).is_err() {
-                    if let Some(v) = &self.verify {
-                        v.unrecord_send(self.rank, dst);
-                    }
-                    self.check_abort();
+        match self.coop.deposit(self.rank, dst, env, self.clock.now()) {
+            Ok(Deposit::Delivered) => {}
+            Ok(Deposit::Closed) => {
+                if let Some(v) = &self.verify {
+                    v.unrecord_send(self.rank, dst);
                 }
+                self.check_abort();
             }
-            Transport::Coop(coop) => {
-                let coop = Arc::clone(coop);
-                match coop.deposit(self.rank, dst, env, self.clock.now()) {
-                    Ok(Deposit::Delivered) => {}
-                    Ok(Deposit::Closed) => {
-                        if let Some(v) = &self.verify {
-                            v.unrecord_send(self.rank, dst);
-                        }
-                        self.check_abort();
-                    }
-                    // Woken with a typed error (stall rescue or abort
-                    // cascade) while parked on a full mailbox: the
-                    // envelope never got in flight.
-                    Err(err) => {
-                        if let Some(v) = &self.verify {
-                            v.unrecord_send(self.rank, dst);
-                        }
-                        self.fail(err);
-                    }
+            // Woken with a typed error (stall rescue or abort cascade)
+            // while parked on a full mailbox: the envelope never got in
+            // flight.
+            Err(err) => {
+                if let Some(v) = &self.verify {
+                    v.unrecord_send(self.rank, dst);
                 }
+                self.fail(err);
             }
         }
     }
@@ -503,7 +465,7 @@ impl Comm {
     }
 
     /// Take the next envelope from `src` with exactly `tag` off the wire
-    /// (or the stash), blocking in *wall-clock* time only. No virtual-time
+    /// (or the stash), parking until the scheduler delivers it. No virtual-time
     /// or statistics bookkeeping happens here; callers pair this with
     /// [`Comm::accept`] (blocking receive) or the non-blocking completion
     /// path in [`Comm::wait`].
@@ -521,49 +483,18 @@ impl Comm {
         if let Some(v) = &detect {
             v.register_wait(self.rank, src, tag);
         }
-        if let Transport::Coop(coop) = &self.transport {
-            // The cooperative scheduler needs no wall-clock deadline: a
-            // wait that can never be satisfied is detected structurally
-            // the moment the run has no runnable rank, and surfaces here
-            // as a typed error.
-            let coop = Arc::clone(coop);
-            loop {
-                self.check_abort();
-                match coop.pull_or_block(
-                    self.rank,
-                    src,
-                    tag,
-                    self.pulled_from[src],
-                    self.clock.now(),
-                ) {
-                    Ok(env) => {
-                        self.pulled_from[src] += 1;
-                        let matched = env.tag == tag;
-                        if let Some(v) = &detect {
-                            v.record_pull(self.rank, src, matched);
-                        }
-                        if matched {
-                            return env;
-                        }
-                        self.stash.entry(src).or_default().push_back(env);
-                    }
-                    Err(err) => {
-                        if let Some(v) = &detect {
-                            v.clear_wait(self.rank);
-                        }
-                        self.fail(err);
-                    }
-                }
-            }
-        }
-        let deadline = Instant::now() + self.recv_timeout;
+        // No wall-clock deadline: a wait that can never be satisfied is
+        // detected structurally the moment the run has no runnable rank,
+        // and surfaces here as a typed error.
         loop {
             self.check_abort();
-            let polled = match &self.transport {
-                Transport::Mesh { inboxes, .. } => inboxes[src].recv_timeout(RECV_SLICE),
-                Transport::Coop(_) => unreachable!("cooperative pulls handled above"),
-            };
-            match polled {
+            match self.coop.pull_or_block(
+                self.rank,
+                src,
+                tag,
+                self.pulled_from[src],
+                self.clock.now(),
+            ) {
                 Ok(env) => {
                     self.pulled_from[src] += 1;
                     let matched = env.tag == tag;
@@ -575,60 +506,11 @@ impl Comm {
                     }
                     self.stash.entry(src).or_default().push_back(env);
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    // A quiet slice: first ask the fault layer whether this
-                    // wait is provably hopeless (peer crashed, or the only
-                    // unaccounted message on the link was dropped) — the
-                    // typed replacement for a hang.
-                    if let Some(err) = self
-                        .fault
-                        .as_ref()
-                        .and_then(|fs| fs.diagnose_wait(self.rank, src, self.pulled_from[src]))
-                    {
-                        if let Some(v) = &detect {
-                            v.clear_wait(self.rank);
-                        }
-                        self.fail(err);
+                Err(err) => {
+                    if let Some(v) = &detect {
+                        v.clear_wait(self.rank);
                     }
-                    // Then look for a provable deadlock before (long
-                    // before) the wall-clock timeout trips — unless a
-                    // fatal fault is on record. A crash or drop leaves a
-                    // wait-for cycle in its wake (the victim's peers wait
-                    // on each other through the missing message), and
-                    // which rank's poll tick fires first is a wall-clock
-                    // race; standing down keeps the diagnosis typed and
-                    // deterministic, with the recv timeout as backstop.
-                    let fault_pending = self.fault.as_ref().is_some_and(|fs| fs.has_fatal_record());
-                    if !fault_pending {
-                        if let Some(err) =
-                            detect.as_ref().and_then(|v| v.scan_for_deadlock(self.rank))
-                        {
-                            self.fail(err);
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        if let Some(v) = &detect {
-                            v.clear_wait(self.rank);
-                        }
-                        self.fail(SimError::RecvTimeout {
-                            rank: self.rank,
-                            from: src,
-                            tag,
-                            budget: self.recv_timeout,
-                        });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The sender's half is gone. If the fault layer knows
-                    // why, report the culprit instead of a bare abort.
-                    if let Some(err) = self
-                        .fault
-                        .as_ref()
-                        .and_then(|fs| fs.diagnose_wait(self.rank, src, self.pulled_from[src]))
-                    {
-                        self.fail(err);
-                    }
-                    self.fail(SimError::Aborted { rank: self.rank });
+                    self.fail(err);
                 }
             }
         }

@@ -1,15 +1,11 @@
-//! Cooperative virtual-time scheduler: the large-`P` execution engine.
+//! Cooperative virtual-time scheduler: the simulator's execution engine.
 //!
-//! The threaded engine runs every rank as a free-running OS thread and
-//! wires a full `P x P` mesh of `mpsc` channels, which stops scaling long
-//! before `P = 1024`: the mesh alone is a million channels, and blocked
-//! receives burn wall-clock time polling in 25 ms slices. This module
-//! replaces both mechanisms. Ranks still live on OS threads (Rust has no
-//! stable coroutines), but at most **one rank runs at a time**: a single
-//! baton is handed from rank to rank, every other thread is parked on its
-//! own condvar, and a blocked receive costs nothing until its message
-//! arrives. Mailboxes are created lazily per communicating pair, so memory
-//! scales with the communication graph actually used, not with `P^2`.
+//! Ranks live on OS threads (Rust has no stable coroutines), but at most
+//! **one rank runs at a time**: a single baton is handed from rank to
+//! rank, every other thread is parked on its own condvar, and a blocked
+//! receive costs nothing until its message arrives. Mailboxes are created
+//! lazily per communicating pair, so memory scales with the communication
+//! graph actually used, not with `P^2`.
 //!
 //! # Scheduling discipline
 //!
@@ -20,19 +16,17 @@
 //! receive names its source, the virtual-time results are schedule
 //! independent: the run queue's ordering is a memory/locality heuristic
 //! (it keeps per-rank clocks advancing roughly together), **not** a
-//! correctness requirement, which is why the cooperative engine is
-//! bitwise identical to the threaded one.
+//! correctness requirement.
 //!
 //! # Stall rescue
 //!
 //! When no rank is runnable and at least one is blocked, the run can never
-//! make progress — the cooperative scheduler *knows* this structurally, so
-//! unlike the threaded engine it needs no wall-clock timeout. The blocked
-//! rank diagnosed first (ascending rank order, mirroring the threaded
-//! engine's harvest tiebreak) is woken with a typed error: the fault layer
-//! gets the first word (crashed/dropped peers), then the wait-for-graph
-//! verifier, then a structural fallback that always finds either a wait on
-//! a finished rank or a cycle.
+//! make progress — the scheduler *knows* this structurally, so it needs no
+//! wall-clock timeout. The blocked rank diagnosed first (ascending rank
+//! order) is woken with a typed error: the fault layer gets the first word
+//! (crashed/dropped peers), then the wait-for-graph verifier, then a
+//! structural fallback that always finds either a wait on a finished rank
+//! or a cycle.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,7 +43,7 @@ pub(crate) enum Deposit {
     /// The envelope is in the destination's mailbox.
     Delivered,
     /// The destination already finished or failed; the envelope was
-    /// discarded (the cooperative analogue of an `mpsc` disconnect).
+    /// discarded.
     Closed,
 }
 
@@ -232,11 +226,11 @@ impl CoopShared {
         }
     }
 
-    /// Pick the victim of a provable stall and its typed error, in the
-    /// priority order the threaded engine's poll loop uses: fault layer,
-    /// then wait-for-graph verifier, then a structural fallback on the
-    /// scheduler's own wait edges. Total: at a stall every blocked rank's
-    /// wait chain ends in a finished rank or a cycle.
+    /// Pick the victim of a provable stall and its typed error, in
+    /// priority order: fault layer, then wait-for-graph verifier, then a
+    /// structural fallback on the scheduler's own wait edges. Total: at a
+    /// stall every blocked rank's wait chain ends in a finished rank or a
+    /// cycle.
     fn diagnose_stall(&self, state: &CoopState) -> (usize, SimError) {
         let p = state.status.len();
         if let Some(fs) = &self.fault {
@@ -248,9 +242,9 @@ impl CoopShared {
                 }
             }
         }
-        // Same stand-down rule as the threaded poll loop: with a fatal
-        // fault on record the wait-for scan would race the fault layer's
-        // typed diagnosis, so it yields.
+        // With a fatal fault on record the wait-for scan would pre-empt
+        // the fault layer's typed diagnosis (the fault's wake forms wait
+        // cycles), so it yields.
         let fault_pending = self.fault.as_ref().is_some_and(|fs| fs.has_fatal_record());
         if !fault_pending {
             if let Some(v) = self.verify.as_ref().filter(|v| v.opts().detect_deadlock) {

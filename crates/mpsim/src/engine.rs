@@ -1,27 +1,20 @@
-//! The SPMD launcher: one closure per rank, on either of two engines.
+//! The SPMD launcher: one closure per rank on the cooperative engine.
 //!
 //! [`run_spmd`] hands each rank a [`Comm`] and harvests results and
 //! per-rank statistics. A panic on any rank aborts the whole run and is
-//! reported as a [`SimError`]. Two execution engines share every layer of
-//! bookkeeping (clocks, verification, fault injection) and therefore
-//! produce bitwise-identical results:
-//!
-//! - [`Engine::Threaded`]: one free-running OS thread per rank with a full
-//!   `P x P` mesh of channels; blocked receives poll a shared abort flag
-//!   in wall-clock slices. Simple and truly parallel, but both the mesh
-//!   and the polling stop scaling around a few hundred ranks.
-//! - [`Engine::Cooperative`]: ranks are cooperatively scheduled tasks on
-//!   a virtual-time-ordered run queue with lazily created per-pair
-//!   mailboxes (see [`crate::coop`]); exactly one rank runs at a time and
-//!   a blocked receive costs nothing. This is the engine for `P = 1024+`.
+//! reported as a [`SimError`]. Ranks are cooperatively scheduled tasks on
+//! a virtual-time-ordered run queue with lazily created per-pair
+//! mailboxes (see [`crate::coop`]): each rank body runs on its own parked
+//! OS thread, exactly one rank runs at a time, a blocked receive costs
+//! nothing, and a run that can never progress is diagnosed structurally
+//! the moment no rank is runnable — there is no wall-clock timer.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Once};
-use std::time::Duration;
 
-use crate::comm::{AbortPanic, Comm, Envelope, Transport};
+use crate::comm::{AbortPanic, Comm};
 use crate::coop::CoopShared;
 use crate::cost::MachineSpec;
 use crate::error::SimError;
@@ -29,52 +22,41 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::trace::{RankStats, RunStats};
 use crate::verify::{VerifyOptions, VerifyState};
 
-/// Which execution engine carries the ranks (see the module docs).
+/// The execution engine carrying the ranks. There is one: the
+/// cooperative virtual-time scheduler (see the module docs).
+///
+/// [`run_spmd`] never reads [`SimOptions::engine`]; the enum and the
+/// field exist only so that code naming `Engine::Cooperative` keeps
+/// compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// One free-running OS thread per rank, full channel mesh.
+    /// Cooperative virtual-time scheduler with lazy per-pair mailboxes.
     #[default]
-    Threaded,
-    /// Cooperative virtual-time scheduler with lazy per-pair mailboxes;
-    /// required beyond a few hundred ranks.
     Cooperative,
 }
 
-/// Stack reserved per rank thread under the cooperative engine. The
-/// address space is only reserved, not committed, so `P = 1024` costs
-/// 1 GiB of *virtual* memory — cheap on any 64-bit host — while still
-/// leaving room for the EM search's deepest call chains.
-const COOP_STACK_BYTES: usize = 1 << 20;
+/// Stack reserved per rank thread. The address space is only reserved,
+/// not committed, so `P = 1024` costs 1 GiB of *virtual* memory — cheap
+/// on any 64-bit host — while still leaving room for the EM search's
+/// deepest call chains.
+const RANK_STACK_BYTES: usize = 1 << 20;
 
 /// Engine knobs that are about the *simulation host*, not the modeled
 /// machine (which lives in [`MachineSpec`]).
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Execution engine carrying the ranks.
+    /// Execution engine; never read (see [`Engine`]).
     pub engine: Engine,
-    /// Wall-clock time a blocking receive may wait before the run is
-    /// declared deadlocked. Raise this for very long-running rank bodies.
-    ///
-    /// This is a *total* budget for the run's patience, not a per-rank
-    /// one: the effective per-receive deadline is scaled down with `P`
-    /// (to `recv_timeout / P`, floored at 2 s) so that a 1024-rank run
-    /// whose ranks time out one after another fails in seconds rather
-    /// than in `P x recv_timeout`. The cooperative engine ignores it
-    /// entirely — stalls there are detected structurally, with no timer.
-    pub recv_timeout: Duration,
     /// Most envelopes allowed in flight on any single (sender, receiver)
-    /// pair under the cooperative engine; a sender at the bound parks
-    /// until the receiver drains. Bounds the simulator's memory on
-    /// send-heavy programs at large `P` (the threaded engine's channels
-    /// remain unbounded: its free-running senders cannot park without
-    /// risking untimed hangs).
+    /// pair; a sender at the bound parks until the receiver drains.
+    /// Bounds the simulator's memory on send-heavy programs at large `P`.
     pub max_inflight_per_pair: usize,
     /// Record a per-rank message event trace (see
     /// [`crate::trace::Event`]); returned in [`SpmdOutput::events`].
     pub record_events: bool,
     /// Which correctness checks run alongside the program (see
     /// [`crate::verify`]). The default enables only deadlock detection,
-    /// which costs nothing until a receive has already stalled.
+    /// which costs nothing until the run has already stalled.
     pub verify: VerifyOptions,
     /// Deterministic fault plan to inject into the run (see
     /// [`crate::fault`]); `None` simulates perfectly reliable hardware.
@@ -95,7 +77,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             engine: Engine::default(),
-            recv_timeout: Duration::from_secs(120),
             max_inflight_per_pair: 1024,
             record_events: false,
             verify: VerifyOptions::default(),
@@ -111,22 +92,6 @@ impl SimOptions {
     pub fn verified() -> Self {
         SimOptions { verify: VerifyOptions::all(), ..Default::default() }
     }
-
-    /// Default options on the cooperative engine.
-    pub fn cooperative() -> Self {
-        SimOptions { engine: Engine::Cooperative, ..Default::default() }
-    }
-}
-
-/// Per-receive wall-clock deadline for a run of `p` ranks: the configured
-/// budget scaled down by `P` (ranks that time out do so one after
-/// another), floored at 2 s so small machines keep slack for slow hosts,
-/// and never *above* the configured budget (a caller who asked for 200 ms
-/// gets 200 ms).
-fn effective_recv_timeout(configured: Duration, p: usize) -> Duration {
-    const FLOOR: Duration = Duration::from_secs(2);
-    let scaled = configured.checked_div(p.max(1) as u32).unwrap_or(configured);
-    scaled.max(FLOOR).min(configured)
 }
 
 /// Everything a finished SPMD run produces.
@@ -147,17 +112,15 @@ pub struct SpmdOutput<T> {
     pub events: Vec<Vec<crate::trace::Event>>,
     /// Largest number of envelopes any single (sender, receiver) mailbox
     /// held at once, against [`SimOptions::max_inflight_per_pair`].
-    /// Always 0 under the threaded engine (its channels are unbounded and
-    /// untracked).
     pub mailbox_high_water: usize,
     /// One row per warm spare slot ([`MachineSpec::spares`]), rank ids
-    /// `p..p+spares`. Spares park outside the rank mesh for the whole run
-    /// — they are not collective participants and never execute a timed
-    /// receive, so they are exempt from the P-scaled receive-timeout
-    /// diagnosis by construction — and accrue no virtual time until a
-    /// recovery supervisor promotes their slot into a failed logical
-    /// rank. Kept out of [`SpmdOutput::ranks`] so aggregate statistics
-    /// and symmetry checks keep describing the `p` working ranks.
+    /// `p..p+spares`. Spares park outside the scheduler for the whole run
+    /// — they are not collective participants and never hold the baton,
+    /// so no stall diagnosis can name them — and accrue no virtual time
+    /// until a recovery supervisor promotes their slot into a failed
+    /// logical rank. Kept out of [`SpmdOutput::ranks`] so aggregate
+    /// statistics and symmetry checks keep describing the `p` working
+    /// ranks.
     pub spare_ranks: Vec<RankStats>,
 }
 
@@ -168,9 +131,10 @@ pub struct SpmdOutput<T> {
 /// a shared read-only dataset is distributed without copying.
 ///
 /// # Errors
-/// Returns the first rank failure by severity: a user panic beats a receive
-/// timeout beats a follow-on abort, so the root cause is reported rather
-/// than a symptom.
+/// Returns the first rank failure by severity: a root cause (a user panic,
+/// an injected crash, a proven deadlock) beats a peer's failure diagnosis
+/// beats a follow-on abort, so the root cause is reported rather than a
+/// symptom.
 pub fn run_spmd<T, F>(
     spec: &MachineSpec,
     opts: &SimOptions,
@@ -189,16 +153,19 @@ where
     let abort = Arc::new(AtomicBool::new(false));
     let verify = opts.verify.any().then(|| Arc::new(VerifyState::new(p, opts.verify.clone())));
     let fault = opts.fault.as_ref().map(|plan| Arc::new(FaultState::new(plan.clone(), p)));
+    let coop = Arc::new(CoopShared::new(
+        p,
+        opts.max_inflight_per_pair,
+        verify.clone(),
+        fault.clone(),
+        Arc::clone(&abort),
+    ));
 
-    // Warm spares: one parked thread per spare slot, alive for the whole
-    // run so a hot standby really is warm. They hang off a harness-level
-    // control channel — not the rank mesh, not the cooperative baton —
-    // and block on an *undeadlined* receive that the harness releases by
-    // dropping its sender when the engine returns. Because a parked spare
-    // never executes a timed receive and never registers with the
-    // deadlock scanner, the P-scaled receive-timeout diagnosis cannot
-    // fire on it no matter how long the run takes.
-    let (results, mailbox_high_water, spare_ranks) = std::thread::scope(|scope| {
+    let (results, spare_ranks) = std::thread::scope(|scope| {
+        // Warm spares: one parked thread per spare slot, alive for the
+        // whole run so a hot standby really is warm. They hang off a
+        // harness-level control channel, not the scheduler's baton, and
+        // block until the harness drops its sender when the ranks return.
         let mut park_txs = Vec::with_capacity(spec.spares);
         let mut spare_handles = Vec::with_capacity(spec.spares);
         for i in 0..spec.spares {
@@ -212,10 +179,59 @@ where
                 RankStats { rank: slot, ..RankStats::default() }
             }));
         }
-        let (results, high_water) = match opts.engine {
-            Engine::Threaded => (run_threaded(&spec, opts, &abort, &verify, &fault, &f), 0),
-            Engine::Cooperative => run_cooperative(&spec, opts, &abort, &verify, &fault, &f),
-        };
+        let mut handles = Vec::with_capacity(p);
+        for rank in 0..p {
+            let spec = Arc::clone(&spec);
+            let abort = Arc::clone(&abort);
+            let coop = Arc::clone(&coop);
+            let verify = verify.clone();
+            let fault = fault.clone();
+            let replay = opts.replay.clone();
+            let record_events = opts.record_events;
+            let f = &f;
+            let handle = std::thread::Builder::new()
+                .name(format!("coop-rank-{rank}"))
+                .stack_size(RANK_STACK_BYTES)
+                .spawn_scoped(scope, move || {
+                    // Park until first scheduled: from here on at most one
+                    // rank thread is ever runnable at a time.
+                    coop.wait_first_turn(rank);
+                    let mut comm = Comm::new(
+                        rank,
+                        spec,
+                        Arc::clone(&coop),
+                        abort.clone(),
+                        record_events,
+                        verify.clone(),
+                        fault,
+                        replay,
+                    );
+                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+                    let res = settle_rank(rank, outcome, &mut comm, &abort, &verify);
+                    // Release the baton *after* settle_rank's mark_done /
+                    // abort bookkeeping: the next scheduled rank's
+                    // detectors must already see this rank's fate.
+                    coop.finish(rank, res.is_err());
+                    res
+                })
+                // lint:allow(unwrap): thread spawn only fails on resource exhaustion
+                .expect("spawn rank thread");
+            handles.push(handle);
+        }
+        let results: Vec<RankOutcome<T>> = handles
+            .into_iter()
+            .enumerate()
+            .map(|(rank, h)| {
+                // The worker never panics outside catch_unwind; report it
+                // as a rank panic if it somehow does.
+                h.join().unwrap_or_else(|_| {
+                    Err(SimError::RankPanicked {
+                        rank,
+                        message: "worker thread died outside catch_unwind".into(),
+                    })
+                })
+            })
+            .collect();
         drop(park_txs);
         let spare_ranks: Vec<RankStats> = spare_handles
             .into_iter()
@@ -224,8 +240,9 @@ where
                 h.join().unwrap_or_else(|_| RankStats { rank: p + i, ..RankStats::default() })
             })
             .collect();
-        (results, high_water, spare_ranks)
+        (results, spare_ranks)
     });
+    let mailbox_high_water = coop.high_water();
 
     let mut first_error: Option<SimError> = None;
     let mut per_rank = Vec::with_capacity(p);
@@ -266,8 +283,7 @@ where
 type RankOutcome<T> = Result<(T, RankStats, Vec<crate::trace::Event>), SimError>;
 
 /// Finish one rank's run: classify the outcome, keep the verifier's
-/// done/abort bookkeeping in the order the detectors rely on. Shared by
-/// both engines — this is where their behavior is pinned together.
+/// done/abort bookkeeping in the order the detectors rely on.
 fn settle_rank<T>(
     rank: usize,
     outcome: std::thread::Result<T>,
@@ -299,154 +315,6 @@ fn settle_rank<T>(
     }
 }
 
-/// Defensive join fallback: the worker itself never panics outside
-/// `catch_unwind`, but report it as a rank panic if it somehow does.
-fn join_rank<T>(rank: usize, joined: std::thread::Result<RankOutcome<T>>) -> RankOutcome<T> {
-    joined.unwrap_or_else(|_| {
-        Err(SimError::RankPanicked {
-            rank,
-            message: "worker thread died outside catch_unwind".into(),
-        })
-    })
-}
-
-/// The thread-per-rank engine: a full mesh of channels, every rank truly
-/// concurrent.
-#[allow(clippy::needless_range_loop)] // (src, dst) index pairs read clearer
-fn run_threaded<T, F>(
-    spec: &Arc<MachineSpec>,
-    opts: &SimOptions,
-    abort: &Arc<AtomicBool>,
-    verify: &Option<Arc<VerifyState>>,
-    fault: &Option<Arc<FaultState>>,
-    f: &F,
-) -> Vec<RankOutcome<T>>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let p = spec.p;
-    // Full mesh of unbounded channels: matrix[src][dst].
-    let mut senders: Vec<Vec<std::sync::mpsc::Sender<Envelope>>> = Vec::with_capacity(p);
-    let mut receivers: Vec<Vec<Option<std::sync::mpsc::Receiver<Envelope>>>> =
-        (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    for src in 0..p {
-        let mut row = Vec::with_capacity(p);
-        for dst in 0..p {
-            let (tx, rx) = channel();
-            row.push(tx);
-            receivers[dst][src] = Some(rx);
-        }
-        senders.push(row);
-    }
-
-    let recv_timeout = effective_recv_timeout(opts.recv_timeout, p);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let spec = Arc::clone(spec);
-            let abort = Arc::clone(abort);
-            let outboxes = senders[rank].clone();
-            let inboxes: Vec<_> = receivers[rank]
-                .iter_mut()
-                // lint:allow(unwrap): each receiver is taken exactly once, by construction
-                .map(|r| r.take().expect("receiver already taken"))
-                .collect();
-            let record_events = opts.record_events;
-            let verify = verify.clone();
-            let fault = fault.clone();
-            let replay = opts.replay.clone();
-            handles.push(scope.spawn(move || {
-                let mut comm = Comm::new(
-                    rank,
-                    spec,
-                    Transport::Mesh { inboxes, outboxes },
-                    abort.clone(),
-                    recv_timeout,
-                    record_events,
-                    verify.clone(),
-                    fault,
-                    replay,
-                );
-                let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                settle_rank(rank, outcome, &mut comm, &abort, &verify)
-            }));
-        }
-        handles.into_iter().enumerate().map(|(rank, h)| join_rank(rank, h.join())).collect()
-    })
-}
-
-/// The cooperative engine: one parked thread per rank, a single baton,
-/// lazily created mailboxes (see [`crate::coop`]). Returns the results
-/// plus the mailbox high-water mark.
-fn run_cooperative<T, F>(
-    spec: &Arc<MachineSpec>,
-    opts: &SimOptions,
-    abort: &Arc<AtomicBool>,
-    verify: &Option<Arc<VerifyState>>,
-    fault: &Option<Arc<FaultState>>,
-    f: &F,
-) -> (Vec<RankOutcome<T>>, usize)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    let p = spec.p;
-    let coop = Arc::new(CoopShared::new(
-        p,
-        opts.max_inflight_per_pair,
-        verify.clone(),
-        fault.clone(),
-        Arc::clone(abort),
-    ));
-    let recv_timeout = effective_recv_timeout(opts.recv_timeout, p);
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let spec = Arc::clone(spec);
-            let abort = Arc::clone(abort);
-            let coop = Arc::clone(&coop);
-            let record_events = opts.record_events;
-            let verify = verify.clone();
-            let fault = fault.clone();
-            let replay = opts.replay.clone();
-            let builder = std::thread::Builder::new()
-                .name(format!("coop-rank-{rank}"))
-                .stack_size(COOP_STACK_BYTES);
-            let handle = builder
-                .spawn_scoped(scope, move || {
-                    // Park until first scheduled: from here on at most one
-                    // rank thread is ever runnable at a time.
-                    coop.wait_first_turn(rank);
-                    let mut comm = Comm::new(
-                        rank,
-                        spec,
-                        Transport::Coop(Arc::clone(&coop)),
-                        abort.clone(),
-                        recv_timeout,
-                        record_events,
-                        verify.clone(),
-                        fault,
-                        replay,
-                    );
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                    let res = settle_rank(rank, outcome, &mut comm, &abort, &verify);
-                    // Release the baton *after* settle_rank's mark_done /
-                    // abort bookkeeping: the next scheduled rank's
-                    // detectors must already see this rank's fate.
-                    coop.finish(rank, res.is_err());
-                    res
-                })
-                // lint:allow(unwrap): thread spawn only fails on resource exhaustion
-                .expect("spawn cooperative rank thread");
-            handles.push(handle);
-        }
-        handles.into_iter().enumerate().map(|(rank, h)| join_rank(rank, h.join())).collect()
-    });
-    let high_water = coop.high_water();
-    (results, high_water)
-}
-
 /// Convenience wrapper using default options.
 pub fn run_spmd_default<T, F>(spec: &MachineSpec, f: F) -> Result<SpmdOutput<T>, SimError>
 where
@@ -470,7 +338,6 @@ fn severity(e: &SimError) -> u8 {
         SimError::PayloadCorrupt { .. } => 3,
         SimError::PeerFailed { .. } => 2,
         SimError::Timeout { .. } => 2,
-        SimError::RecvTimeout { .. } => 2,
         SimError::InvalidMachine(_) => 2,
         SimError::Aborted { .. } => 1,
     }
@@ -479,7 +346,7 @@ fn severity(e: &SimError) -> u8 {
 thread_local! {
     /// `file:line:column` of the last panic thrown on this thread,
     /// captured by the hook below. Read by [`classify_panic`], which runs
-    /// on the panicking rank's own thread in both engines.
+    /// on the panicking rank's own thread.
     static LAST_PANIC_LOCATION: std::cell::RefCell<Option<String>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -533,6 +400,7 @@ fn classify_panic(rank: usize, payload: Box<dyn std::any::Any + Send>) -> SimErr
 mod tests {
     use super::*;
     use crate::cost::presets;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn zero_ranks_is_invalid() {
@@ -582,12 +450,9 @@ mod tests {
     #[test]
     fn mismatched_collective_is_diagnosed_as_deadlock() {
         // Rank 1 skips the barrier and finishes; rank 0 blocks forever.
-        // The default-on detector must prove the deadlock long before the
-        // receive timeout (set far above the asserted bound) would fire.
         let spec = presets::zero_cost(2);
-        let opts = SimOptions { recv_timeout: Duration::from_secs(120), ..Default::default() };
-        let start = std::time::Instant::now();
-        let r = run_spmd::<(), _>(&spec, &opts, |c| {
+        let start = Instant::now();
+        let r = run_spmd_default::<(), _>(&spec, |c| {
             if c.rank() == 0 {
                 c.barrier(); // rank 1 never joins
             }
@@ -600,114 +465,25 @@ mod tests {
             }
             other => panic!("expected Deadlock, got {other:?}"),
         }
+        // Structural: no polling, no timer — diagnosis is immediate.
         assert!(elapsed < Duration::from_secs(1), "diagnosis took {elapsed:?}");
     }
 
     #[test]
-    fn mismatched_collective_times_out_without_detection() {
-        // With the detector off, the old wall-clock timeout is the
-        // backstop (kept as a regression test for that path). The
-        // P-scaling must leave a small explicit budget alone.
-        let spec = presets::zero_cost(2);
-        let opts = SimOptions {
-            recv_timeout: Duration::from_millis(200),
-            verify: crate::verify::VerifyOptions::none(),
-            ..Default::default()
-        };
-        let r = run_spmd::<(), _>(&spec, &opts, |c| {
-            if c.rank() == 0 {
-                c.barrier(); // rank 1 never joins
-            }
-        });
-        match r {
-            Err(SimError::RecvTimeout { budget, .. }) => {
-                assert_eq!(budget, Duration::from_millis(200));
-            }
-            other => panic!("expected RecvTimeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn effective_recv_timeout_scales_with_p() {
-        let s = Duration::from_secs;
-        // Large machines divide the budget down to the 2 s floor...
-        assert_eq!(effective_recv_timeout(s(120), 1024), s(2));
-        assert_eq!(effective_recv_timeout(s(120), 64), s(2));
-        // ...mid-sized machines scale proportionally...
-        assert_eq!(effective_recv_timeout(s(120), 8), s(15));
-        // ...and an explicit budget below the floor is honored as-is.
-        assert_eq!(
-            effective_recv_timeout(Duration::from_millis(200), 2),
-            Duration::from_millis(200)
-        );
-        assert_eq!(effective_recv_timeout(s(1), 1024), s(1));
-        assert_eq!(effective_recv_timeout(s(120), 1), s(120));
-    }
-
-    #[test]
-    fn recv_timeout_fails_fast_on_a_large_machine() {
-        // Satellite regression: at P = 64 the default 120 s budget
-        // becomes a 2 s per-receive deadline, so an undetected mismatch
-        // fails in seconds instead of two minutes.
-        let spec = presets::zero_cost(64);
-        let opts =
-            SimOptions { verify: crate::verify::VerifyOptions::none(), ..Default::default() };
-        let start = std::time::Instant::now();
-        let r = run_spmd::<(), _>(&spec, &opts, |c| {
-            if c.rank() == 0 {
-                let _ = c.recv_f64s(1, 7); // rank 1 never sends
-            }
-        });
-        let elapsed = start.elapsed();
-        match r {
-            Err(SimError::RecvTimeout { budget, .. }) => {
-                assert_eq!(budget, Duration::from_secs(2));
-            }
-            other => panic!("expected RecvTimeout, got {other:?}"),
-        }
-        assert!(elapsed < Duration::from_secs(30), "took {elapsed:?}");
-    }
-
-    #[test]
-    fn parked_spares_are_exempt_from_the_receive_timeout() {
-        // Satellite regression: warm spares idle for the whole run. With a
-        // 200 ms explicit budget (honored as-is by the P-scaling) and a
-        // run lasting several times that, spares implemented as mesh
-        // ranks spinning in a timed receive loop would be diagnosed as
-        // RecvTimeout; parked control-channel spares must not be.
-        let spec = presets::zero_cost(2).with_spares(2);
-        let opts = SimOptions {
-            recv_timeout: Duration::from_millis(200),
-            verify: crate::verify::VerifyOptions::none(),
-            ..Default::default()
-        };
-        let out = run_spmd(&spec, &opts, |c| {
-            // Wall-clock work far beyond the per-receive deadline, with no
-            // blocked receives among the working ranks.
-            std::thread::sleep(Duration::from_millis(700));
-            c.rank()
-        })
-        .unwrap();
-        assert_eq!(out.per_rank, vec![0, 1]);
-        assert_eq!(out.ranks.len(), 2, "aggregates must keep describing the working ranks");
-        let ids: Vec<usize> = out.spare_ranks.iter().map(|r| r.rank).collect();
-        assert_eq!(ids, vec![2, 3], "one stats row per spare slot");
-        for s in &out.spare_ranks {
-            assert_eq!(s.elapsed, 0.0, "a parked spare accrues no virtual time");
-        }
-    }
-
-    #[test]
     fn cooperative_engine_carries_spares_outside_the_baton() {
-        let spec = presets::zero_cost(3).with_spares(1);
-        let out = run_spmd(&spec, &SimOptions::cooperative(), |c| {
+        let spec = presets::zero_cost(3).with_spares(2);
+        let out = run_spmd_default(&spec, |c| {
             c.barrier();
             c.rank()
         })
         .unwrap();
         assert_eq!(out.per_rank, vec![0, 1, 2]);
-        assert_eq!(out.spare_ranks.len(), 1);
-        assert_eq!(out.spare_ranks[0].rank, 3);
+        assert_eq!(out.ranks.len(), 3, "aggregates must keep describing the working ranks");
+        let ids: Vec<usize> = out.spare_ranks.iter().map(|r| r.rank).collect();
+        assert_eq!(ids, vec![3, 4], "one stats row per spare slot");
+        for s in &out.spare_ranks {
+            assert_eq!(s.elapsed, 0.0, "a parked spare accrues no virtual time");
+        }
     }
 
     #[test]
@@ -732,22 +508,10 @@ mod tests {
         }
     }
 
-    // ---- cooperative engine ----
-
-    #[test]
-    fn cooperative_ranks_see_distinct_ids() {
-        let spec = presets::zero_cost(5);
-        let out = run_spmd(&spec, &SimOptions::cooperative(), |c| (c.rank(), c.size())).unwrap();
-        for (i, (r, s)) in out.per_rank.iter().enumerate() {
-            assert_eq!(*r, i);
-            assert_eq!(*s, 5);
-        }
-    }
-
     #[test]
     fn cooperative_ring_passes_a_token() {
         let spec = presets::zero_cost(4);
-        let out = run_spmd(&spec, &SimOptions::cooperative(), |c| {
+        let out = run_spmd_default(&spec, |c| {
             let p = c.size();
             let me = c.rank();
             if me == 0 {
@@ -765,102 +529,12 @@ mod tests {
     }
 
     #[test]
-    fn cooperative_user_panic_is_reported_with_rank() {
-        let spec = presets::zero_cost(3);
-        let r = run_spmd::<(), _>(&spec, &SimOptions::cooperative(), |c| {
-            if c.rank() == 1 {
-                panic!("deliberate test failure");
-            }
-            c.barrier();
-        });
-        match r {
-            Err(SimError::RankPanicked { rank, message }) => {
-                assert_eq!(rank, 1);
-                assert!(message.contains("deliberate"));
-            }
-            other => panic!("expected RankPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cooperative_mismatched_collective_is_diagnosed_as_deadlock() {
-        let spec = presets::zero_cost(2);
-        let start = std::time::Instant::now();
-        let r = run_spmd::<(), _>(&spec, &SimOptions::cooperative(), |c| {
-            if c.rank() == 0 {
-                c.barrier(); // rank 1 never joins
-            }
-        });
-        let elapsed = start.elapsed();
-        match r {
-            Err(SimError::Deadlock { detail, .. }) => {
-                assert!(detail.contains("rank 0 waits on rank 1"), "{detail}");
-                assert!(detail.contains("finished"), "{detail}");
-            }
-            other => panic!("expected Deadlock, got {other:?}"),
-        }
-        // Structural: no polling, no timer — diagnosis is immediate.
-        assert!(elapsed < Duration::from_secs(1), "diagnosis took {elapsed:?}");
-    }
-
-    #[test]
-    fn cooperative_send_recv_cycle_is_diagnosed_with_full_wait_graph() {
-        let spec = presets::zero_cost(3);
-        let r = run_spmd::<(), _>(&spec, &SimOptions::cooperative(), |c| {
-            let from = (c.rank() + 1) % c.size();
-            let _ = c.recv_f64s(from, 7);
-        });
-        match r {
-            Err(SimError::Deadlock { cycle, detail, .. }) => {
-                let mut cycle = cycle;
-                cycle.sort_unstable();
-                assert_eq!(cycle, vec![0, 1, 2], "{detail}");
-                for rank in 0..3 {
-                    assert!(
-                        detail.contains(&format!("rank {rank} waits on rank {}", (rank + 1) % 3)),
-                        "{detail}"
-                    );
-                }
-            }
-            other => panic!("expected Deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cooperative_detects_deadlock_even_without_verification() {
-        // With every verifier off the threaded engine can only time out;
-        // the cooperative scheduler still proves the stall structurally
-        // and reports a typed deadlock naming the cycle.
-        let spec = presets::zero_cost(3);
-        let opts = SimOptions {
-            verify: crate::verify::VerifyOptions::none(),
-            ..SimOptions::cooperative()
-        };
-        let start = std::time::Instant::now();
-        let r = run_spmd::<(), _>(&spec, &opts, |c| {
-            let from = (c.rank() + 1) % c.size();
-            let _ = c.recv_f64s(from, 7);
-        });
-        let elapsed = start.elapsed();
-        match r {
-            Err(SimError::Deadlock { cycle, detail, .. }) => {
-                let mut cycle = cycle;
-                cycle.sort_unstable();
-                assert_eq!(cycle, vec![0, 1, 2], "{detail}");
-            }
-            other => panic!("expected Deadlock, got {other:?}"),
-        }
-        assert!(elapsed < Duration::from_secs(1), "diagnosis took {elapsed:?}");
-    }
-
-    #[test]
     fn send_recv_cycle_is_diagnosed_with_full_wait_graph() {
         // Classic head-to-head deadlock: every rank receives from its right
         // neighbour before sending anything.
         let spec = presets::zero_cost(3);
-        let opts = SimOptions { recv_timeout: Duration::from_secs(120), ..Default::default() };
-        let start = std::time::Instant::now();
-        let r = run_spmd::<(), _>(&spec, &opts, |c| {
+        let start = Instant::now();
+        let r = run_spmd_default::<(), _>(&spec, |c| {
             let from = (c.rank() + 1) % c.size();
             let _ = c.recv_f64s(from, 7);
         });
@@ -876,6 +550,30 @@ mod tests {
                         "{detail}"
                     );
                 }
+            }
+            other => panic!("expected Deadlock, got {other:?}"),
+        }
+        assert!(elapsed < Duration::from_secs(1), "diagnosis took {elapsed:?}");
+    }
+
+    #[test]
+    fn cooperative_detects_deadlock_even_without_verification() {
+        // With every verifier off the scheduler still proves the stall
+        // structurally and reports a typed deadlock naming the cycle.
+        let spec = presets::zero_cost(3);
+        let opts =
+            SimOptions { verify: crate::verify::VerifyOptions::none(), ..Default::default() };
+        let start = Instant::now();
+        let r = run_spmd::<(), _>(&spec, &opts, |c| {
+            let from = (c.rank() + 1) % c.size();
+            let _ = c.recv_f64s(from, 7);
+        });
+        let elapsed = start.elapsed();
+        match r {
+            Err(SimError::Deadlock { cycle, detail, .. }) => {
+                let mut cycle = cycle;
+                cycle.sort_unstable();
+                assert_eq!(cycle, vec![0, 1, 2], "{detail}");
             }
             other => panic!("expected Deadlock, got {other:?}"),
         }

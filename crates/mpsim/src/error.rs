@@ -16,12 +16,6 @@ pub enum SimError {
     /// A rank's user code panicked. The message is the panic payload when
     /// it was a string, or a placeholder otherwise.
     RankPanicked { rank: usize, message: String },
-    /// A blocking receive waited longer than the effective wall-clock
-    /// timeout (`budget`, the P-scaled value derived from
-    /// [`crate::SimOptions::recv_timeout`]). This almost always indicates
-    /// mismatched communication (e.g. one rank skipped a collective)
-    /// rather than a slow sender.
-    RecvTimeout { rank: usize, from: usize, tag: u64, budget: std::time::Duration },
     /// The run was aborted because another rank failed first.
     Aborted { rank: usize },
     /// Invalid machine description (e.g. zero ranks).
@@ -81,11 +75,6 @@ impl fmt::Display for SimError {
             SimError::RankPanicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
-            SimError::RecvTimeout { rank, from, tag, budget } => write!(
-                f,
-                "rank {rank} timed out receiving from rank {from} (tag {tag:#x}) after \
-                 {budget:?}; likely mismatched sends/collectives"
-            ),
             SimError::Aborted { rank } => {
                 write!(f, "rank {rank} aborted because another rank failed")
             }
@@ -152,16 +141,6 @@ mod tests {
         let e = SimError::RankPanicked { rank: 3, message: "boom".into() };
         assert!(e.to_string().contains("rank 3"));
         assert!(e.to_string().contains("boom"));
-
-        let e = SimError::RecvTimeout {
-            rank: 1,
-            from: 0,
-            tag: 0xC0,
-            budget: std::time::Duration::from_secs(2),
-        };
-        assert!(e.to_string().contains("timed out"));
-        assert!(e.to_string().contains("0xc0"));
-        assert!(e.to_string().contains("2s"), "names the budget: {e}");
     }
 
     #[test]

@@ -311,10 +311,10 @@ impl FaultState {
 
     /// Has a *fatal* fault (crash or drop) fired in this run? While true,
     /// the wait-for-graph deadlock scanner stands down: the fault's wake
-    /// forms wait cycles, and racing the generic deadlock verdict against
-    /// the typed per-rank diagnosis would make the surfaced error depend
-    /// on wall-clock poll order. Delays and degraded links leave no
-    /// record — they are absorbed, not diagnosed.
+    /// forms wait cycles, and the generic deadlock verdict must not
+    /// pre-empt the typed per-rank diagnosis naming the culprit. Delays
+    /// and degraded links leave no record — they are absorbed, not
+    /// diagnosed.
     pub fn has_fatal_record(&self) -> bool {
         // lint:allow(unwrap): mutex poisoning only follows another panic
         self.failed.lock().expect("fault state lock").iter().any(Option::is_some)

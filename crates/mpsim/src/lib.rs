@@ -1,10 +1,10 @@
 //! # mpsim — a deterministic simulated message-passing multicomputer
 //!
 //! This crate is the substrate under the P-AutoClass reproduction: an
-//! MPI-like SPMD environment in which *computation is real* (each rank is
-//! an OS thread running the actual algorithm on its data partition, and
-//! real bytes flow between ranks) while *time is virtual* (per-rank clocks
-//! advance according to calibrated compute and network cost models).
+//! MPI-like SPMD environment in which *computation is real* (each rank
+//! runs the actual algorithm on its data partition, and real bytes flow
+//! between ranks) while *time is virtual* (per-rank clocks advance
+//! according to calibrated compute and network cost models).
 //!
 //! This lets a single-core host reproduce the scaling behaviour of a
 //! 10-processor Meiko CS-2 deterministically: the numerical results are
@@ -43,9 +43,9 @@
 //!   simulator-only Reduce/Scatter/Alltoall/Scan
 //! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue): one
 //!   group type for both backends
-//! * [`engine`] — the SPMD launcher ([`run_spmd`]) and its two execution
-//!   engines: thread-per-rank ([`Engine::Threaded`]) and the cooperative
-//!   virtual-time scheduler ([`Engine::Cooperative`]) for `P = 1024+`
+//! * [`engine`] — the SPMD launcher ([`run_spmd`]) on the cooperative
+//!   virtual-time scheduler: one parked thread per rank, one rank running
+//!   at a time, stalls diagnosed structurally, `P = 1024+`
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]: crashes,
 //!   drops, delays, corruption, degraded links) and receive-side failure
 //!   detection that turns hangs into typed errors naming the culprit

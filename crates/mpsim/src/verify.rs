@@ -15,11 +15,11 @@
 //!   immediately, naming both ranks and both calls.
 //! * **Deadlock detection** ([`VerifyOptions::detect_deadlock`], on by
 //!   default): every blocking receive registers which rank it waits on.
-//!   The detector piggybacks on the receive polling loop and reports a
-//!   [`SimError::Deadlock`] with the full wait-for graph as soon as it
-//!   finds a cycle of quiescent waits, or a rank waiting on a peer whose
-//!   body already returned — typically within one 25 ms polling slice
-//!   instead of the 120 s receive timeout.
+//!   When the run stalls (no rank is runnable), the scheduler consults the
+//!   detector right after the fault layer, and it reports a
+//!   [`SimError::Deadlock`] with the full wait-for graph: a cycle of
+//!   quiescent waits, or a rank waiting on a peer whose body already
+//!   returned.
 //! * **Replication hashing** ([`VerifyOptions::check_replication`]):
 //!   allreduce and broadcast results — which the simulator guarantees to be
 //!   bitwise identical on every rank — are hashed per rank and
@@ -31,7 +31,7 @@
 //!
 //! An edge `r → s` ("r blocked receiving from s") is *quiescent* when `r`
 //! has pulled every message `s` ever enqueued to it. Send counters are
-//! bumped before the envelope enters the channel, and a rank's pull counter
+//! bumped before the envelope enters the mailbox, and a rank's pull counter
 //! and wait registration are updated under the same mutex the detector
 //! locks, so a quiescent edge means there is genuinely nothing in flight.
 //! A rank only registers as waiting *after* its preceding sends, so if the
@@ -185,7 +185,7 @@ struct Wait {
 struct WaitTable {
     /// `waits[r]` is `Some` while rank `r` is blocked in `recv`.
     waits: Vec<Option<Wait>>,
-    /// `pulled[dst][src]`: envelopes rank `dst` has taken off its channel
+    /// `pulled[dst][src]`: envelopes rank `dst` has taken off its mailbox
     /// from `src` (whether or not the tag matched).
     pulled: Vec<Vec<u64>>,
 }
@@ -205,7 +205,7 @@ type SlotRegistry<T> = Mutex<BTreeMap<(u64, u64), Slot<T>>>;
 pub(crate) struct VerifyState {
     opts: VerifyOptions,
     /// `sent[src][dst]`: envelopes `src` has enqueued toward `dst`,
-    /// counted before the envelope enters the channel.
+    /// counted before the envelope enters the mailbox.
     sent: Vec<Vec<AtomicU64>>,
     /// Ranks whose body returned normally.
     done: Vec<AtomicBool>,
@@ -252,13 +252,13 @@ impl VerifyState {
     }
 
     /// Undo a [`record_send`](Self::record_send) whose envelope never made
-    /// it into the channel (the receiver was already gone): the bytes were
+    /// it into the mailbox (the receiver was already gone): the bytes were
     /// never visible, so no receiver can have pulled them.
     pub(crate) fn unrecord_send(&self, src: usize, dst: usize) {
         self.sent[src][dst].fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Count an envelope pulled off `dst`'s channel from `src`; when its
+    /// Count an envelope pulled off `dst`'s mailbox from `src`; when its
     /// tag matched the blocked receive, the wait registration is cleared in
     /// the same critical section (so the detector can never see a consumed
     /// message alongside a stale wait).
@@ -276,15 +276,15 @@ impl VerifyState {
         t.waits[rank] = Some(Wait { on, tag });
     }
 
-    /// Clear `rank`'s wait registration (timeout/failure exit paths).
+    /// Clear `rank`'s wait registration (failure exit paths).
     pub(crate) fn clear_wait(&self, rank: usize) {
         let mut t = lock(&self.table);
         t.waits[rank] = None;
     }
 
-    /// Look for a provable deadlock involving `me` (called from the receive
-    /// polling loop after a slice elapsed with no message). Returns the
-    /// error to raise, or `None` if progress is still possible.
+    /// Look for a provable deadlock involving `me` (called by the
+    /// scheduler's stall diagnosis for each blocked receiver). Returns the
+    /// error to raise, or `None` if no deadlock is provable from `me`.
     pub(crate) fn scan_for_deadlock(&self, me: usize) -> Option<SimError> {
         let t = lock(&self.table);
         let p = t.waits.len();

@@ -1,7 +1,6 @@
-//! Cooperative-engine tests: large-`P` runs that the thread-per-rank
-//! engine cannot carry, the bounded-mailbox memory guarantee, and the
-//! invariants (phase partition, message symmetry, cross-engine bitwise
-//! agreement) that pin the two engines together.
+//! Cooperative-engine tests: large-`P` runs, the bounded-mailbox memory
+//! guarantee, and the invariants (phase partition, message symmetry) the
+//! engine must keep at every size.
 
 use mpsim::{presets, run_spmd, ReduceOp, SimOptions};
 use proptest::prelude::*;
@@ -31,8 +30,7 @@ fn exchange_body(c: &mut mpsim::Comm) -> Vec<f64> {
 #[test]
 fn cooperative_runs_1024_ranks() {
     let spec = presets::zero_cost(1024);
-    let opts = SimOptions { verify: mpsim::VerifyOptions::all(), ..SimOptions::cooperative() };
-    let out = run_spmd(&spec, &opts, exchange_body).unwrap();
+    let out = run_spmd(&spec, &SimOptions::verified(), exchange_body).unwrap();
     let p = 1024.0_f64;
     let expect = vec![p, p * (p - 1.0) / 2.0];
     for r in &out.per_rank {
@@ -50,7 +48,7 @@ fn bounded_mailbox_holds_under_a_flood() {
     const BOUND: usize = 8;
     const MSGS: usize = 10_000;
     let spec = presets::zero_cost(2);
-    let opts = SimOptions { max_inflight_per_pair: BOUND, ..SimOptions::cooperative() };
+    let opts = SimOptions { max_inflight_per_pair: BOUND, ..SimOptions::default() };
     let out = run_spmd(&spec, &opts, |c| {
         if c.rank() == 0 {
             for i in 0..MSGS {
@@ -75,37 +73,6 @@ fn bounded_mailbox_holds_under_a_flood() {
     assert!(out.mailbox_high_water > 0, "flood never used the mailbox");
 }
 
-#[test]
-fn engines_agree_bitwise_on_results_and_clocks() {
-    // Same body, same machine, both engines: per-rank values, elapsed
-    // virtual time, and every per-rank stat must agree exactly. This is
-    // the structural-parity claim the cooperative engine rests on.
-    for p in [1usize, 2, 4, 8] {
-        let spec = presets::meiko_cs2(p);
-        let threaded = run_spmd(
-            &spec,
-            &SimOptions { verify: mpsim::VerifyOptions::all(), ..Default::default() },
-            exchange_body,
-        )
-        .unwrap();
-        let coop = run_spmd(
-            &spec,
-            &SimOptions { verify: mpsim::VerifyOptions::all(), ..SimOptions::cooperative() },
-            exchange_body,
-        )
-        .unwrap();
-        assert_eq!(threaded.per_rank, coop.per_rank, "P={p} results");
-        assert_eq!(threaded.elapsed.to_bits(), coop.elapsed.to_bits(), "P={p} elapsed");
-        for (t, c) in threaded.ranks.iter().zip(&coop.ranks) {
-            assert_eq!(t.elapsed.to_bits(), c.elapsed.to_bits(), "P={p} rank {}", t.rank);
-            assert_eq!(t.msgs_sent, c.msgs_sent, "P={p} rank {}", t.rank);
-            assert_eq!(t.bytes_sent, c.bytes_sent, "P={p} rank {}", t.rank);
-            assert_eq!(t.msgs_recvd, c.msgs_recvd, "P={p} rank {}", t.rank);
-            assert_eq!(t.collectives, c.collectives, "P={p} rank {}", t.rank);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
@@ -118,7 +85,7 @@ proptest! {
     ) {
         let p = [64usize, 256, 1024][pick];
         let spec = presets::zero_cost(p);
-        let out = run_spmd(&spec, &SimOptions::cooperative(), |c| {
+        let out = run_spmd(&spec, &SimOptions::default(), |c| {
             c.enter_phase("estep");
             c.work(10 + (c.rank() as u64).wrapping_mul(seed) % 97);
             c.exit_phase();
@@ -137,35 +104,5 @@ proptest! {
         }
         let symmetry = out.stats.check_message_symmetry();
         prop_assert!(symmetry.is_ok(), "P={p}: {symmetry:?}");
-    }
-
-    /// The engines agree bitwise for arbitrary seeds and machine sizes.
-    #[test]
-    fn engines_agree_for_arbitrary_programs(
-        p in 2usize..9,
-        seed in 0u64..1_000_000,
-    ) {
-        let spec = presets::meiko_cs2(p);
-        let body = |c: &mut mpsim::Comm| {
-            let me = c.rank();
-            c.work(seed % 1_000 + me as u64);
-            let mut v = vec![
-                (seed.wrapping_mul(me as u64 + 1) >> 32) as f64,
-                me as f64 + seed as f64,
-            ];
-            c.allreduce_f64s(&mut v, ReduceOp::Sum);
-            if me + 1 < c.size() {
-                c.send_f64s(me + 1, 1, &v);
-            }
-            if me > 0 {
-                let got = c.recv_f64s(me - 1, 1);
-                assert_eq!(got, v, "replicated allreduce result");
-            }
-            v
-        };
-        let threaded = run_spmd(&spec, &SimOptions::default(), body).unwrap();
-        let coop = run_spmd(&spec, &SimOptions::cooperative(), body).unwrap();
-        prop_assert_eq!(&threaded.per_rank, &coop.per_rank);
-        prop_assert_eq!(threaded.elapsed.to_bits(), coop.elapsed.to_bits());
     }
 }

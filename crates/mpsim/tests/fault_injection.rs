@@ -21,14 +21,7 @@ const ALGOS: [AllreduceAlgo; 5] = [
 ];
 
 fn opts_with(plan: FaultPlan) -> SimOptions {
-    SimOptions {
-        // Short wall-clock backstop: these tests must *not* rely on it —
-        // typed detection has to fire long before — but if detection ever
-        // regressed this bounds the suite instead of hanging CI.
-        recv_timeout: Duration::from_secs(20),
-        fault: Some(plan),
-        ..Default::default()
-    }
+    SimOptions { fault: Some(plan), ..Default::default() }
 }
 
 /// A small SPMD body exercising collectives in a loop: work + allreduce,
@@ -230,7 +223,6 @@ fn fault_detection_coexists_with_the_wait_for_graph_detector() {
     // reported as the root cause — not misdiagnosed as a deadlock and not
     // drowned out by collective-fingerprint bookkeeping.
     let mut opts = SimOptions::verified();
-    opts.recv_timeout = Duration::from_secs(20);
     opts.fault = Some(FaultPlan::new(vec![FaultSpec {
         rank: 1,
         action: FaultAction::Crash,

@@ -78,9 +78,7 @@ fn collective_mismatch_is_detected() {
     // Scatter with the wrong number of blocks must surface as a
     // CollectiveMismatch, not a hang or silent corruption.
     let spec = presets::zero_cost(3);
-    let opts =
-        SimOptions { recv_timeout: std::time::Duration::from_millis(300), ..Default::default() };
-    let r = run_spmd(&spec, &opts, |c| {
+    let r = run_spmd(&spec, &SimOptions::default(), |c| {
         if c.rank() == 0 {
             let blocks = vec![vec![1.0]; 2]; // wrong: needs 3
             c.scatter_f64s(0, Some(&blocks))

@@ -121,7 +121,7 @@ fn search_rank_body<C: Communicator>(
 /// Run the full P-AutoClass search on the given (simulated) machine.
 ///
 /// # Errors
-/// Propagates engine failures (rank panics, deadlock timeouts, verifier
+/// Propagates engine failures (rank panics, proven deadlocks, verifier
 /// divergences) as [`RunError::Sim`]; a search that stores no
 /// classification (e.g. an empty `start_j_list`) is
 /// [`RunError::EmptySearch`] rather than a panic.
@@ -133,8 +133,8 @@ pub fn run_search(
     run_search_with(data, machine, config, &SimOptions::default())
 }
 
-/// [`run_search`] with explicit engine options (longer receive timeouts
-/// for very large workloads, event tracing, verification layers).
+/// [`run_search`] with explicit engine options (event tracing,
+/// verification layers, fault plans).
 ///
 /// # Errors
 /// Same contract as [`run_search`].

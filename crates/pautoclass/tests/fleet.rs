@@ -2,19 +2,17 @@
 //! change *where* candidates run, never their numbers. With duplicate
 //! abandonment disabled the consensus winner (and the whole retained
 //! list) is bit-identical to the serial search on a machine of one
-//! fleet's size, on both backends and both engines; the scheduler's
+//! fleet's size, on both backends; the scheduler's
 //! duplicate elimination and work stealing are exercised separately; the
 //! control plane costs O(G) messages, none at G = 1; and the
 //! fault-tolerant supervisor recovers per policy with the damage confined
 //! to the culprit's fleet.
 
-use std::time::Duration;
-
 use autoclass::model::classes_to_flat;
 use autoclass::search::{Classification, SearchConfig};
 use mpsim::{
-    presets, AllreduceAlgo, Engine, FaultAction, FaultPlan, FaultSpec, FaultTrigger, MachineSpec,
-    SimError, SimOptions,
+    presets, AllreduceAlgo, FaultAction, FaultPlan, FaultSpec, FaultTrigger, MachineSpec, SimError,
+    SimOptions,
 };
 use pautoclass::{
     run_search_fleet, run_search_fleet_ft, run_search_fleet_native, run_search_fleet_with,
@@ -85,27 +83,16 @@ fn single_fleet_degenerates_to_the_serial_search() {
 }
 
 #[test]
-fn fleet_search_matches_across_backends_and_engines() {
+fn fleet_search_matches_across_backends() {
     let data = datagen::paper_dataset(240, 9);
     let cfg = config(vec![2, 3], 13);
     let fc = FleetConfig { groups: 2, ..FleetConfig::default() };
     let m = rd_machine(4);
-    let threaded = run_search_fleet_with(&data, &m, &cfg, &fc, &SimOptions::default()).unwrap();
-    let coop = run_search_fleet_with(
-        &data,
-        &m,
-        &cfg,
-        &fc,
-        &SimOptions { engine: Engine::Cooperative, ..SimOptions::default() },
-    )
-    .unwrap();
+    let sim = run_search_fleet_with(&data, &m, &cfg, &fc, &SimOptions::default()).unwrap();
     let native = run_search_fleet_native(&data, &m, &cfg, &fc, &NativeOptions::default()).unwrap();
-    let reference = all_bits(&threaded.outcome.all);
-    assert_eq!(all_bits(&coop.outcome.all), reference, "cooperative engine differs");
-    assert_eq!(all_bits(&native.outcome.all), reference, "native backend differs");
-    assert_eq!(threaded.fleet.rounds, coop.fleet.rounds);
-    assert_eq!(threaded.fleet.rounds, native.fleet.rounds);
-    assert_eq!(threaded.outcome.cycles, native.outcome.cycles);
+    assert_eq!(all_bits(&native.outcome.all), all_bits(&sim.outcome.all), "native backend differs");
+    assert_eq!(sim.fleet.rounds, native.fleet.rounds);
+    assert_eq!(sim.outcome.cycles, native.outcome.cycles);
 }
 
 #[test]
@@ -202,12 +189,12 @@ fn a_single_fleet_costs_the_serial_search_within_5_percent() {
     // within 5% at every P.
     let data = datagen::paper_dataset(480, 5);
     let cfg = config(vec![2, 3, 4], 29);
-    let coop = SimOptions { engine: Engine::Cooperative, ..SimOptions::default() };
+    let opts = SimOptions::default();
     for p in [8, 64] {
         let m = rd_machine(p);
-        let serial = run_search_with(&data, &m, &cfg, &coop).unwrap();
+        let serial = run_search_with(&data, &m, &cfg, &opts).unwrap();
         let fc = FleetConfig { groups: 1, round_cycles: 2, ..FleetConfig::default() };
-        let out = run_search_fleet_with(&data, &m, &cfg, &fc, &coop).unwrap();
+        let out = run_search_fleet_with(&data, &m, &cfg, &fc, &opts).unwrap();
         assert_eq!(all_bits(&out.outcome.all), all_bits(&serial.all), "P = {p}");
         assert!(out.fleet.rounds > 3, "several rounds must run: {:?}", out.fleet);
         assert_eq!(phase_msgs(&out.outcome, "dedup"), 0, "P = {p}");
@@ -248,7 +235,7 @@ fn ft(policy: RecoveryPolicy) -> FtConfig {
 }
 
 fn opts_with(plan: FaultPlan) -> SimOptions {
-    SimOptions { recv_timeout: Duration::from_secs(20), fault: Some(plan), ..SimOptions::default() }
+    SimOptions { fault: Some(plan), ..SimOptions::default() }
 }
 
 fn crash(rank: usize, seq: u64) -> FaultPlan {

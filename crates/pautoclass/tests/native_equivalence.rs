@@ -3,9 +3,10 @@
 //! the simulated multicomputer (`mpsim::Comm`, virtual time) or on real
 //! cores (`shmcomm::NativeComm`, wall-clock time). Classifications,
 //! log-likelihoods, and the replication hashes of every flat parameter
-//! vector must agree to the last bit at P ∈ {1, 2, 4, 8} — the machine
-//! spec only chooses algorithms; the numbers come from identical fold
-//! orders on both backends.
+//! vector must agree to the last bit at P ∈ {1, 2, 4, 8}, and on the
+//! hierarchical fat-tree cluster with its hierarchical allreduce — the
+//! machine spec only chooses algorithms; the numbers come from identical
+//! fold orders on both backends.
 
 use autoclass::model::classes_to_flat;
 use autoclass::search::SearchConfig;
@@ -72,15 +73,18 @@ fn assert_bitwise_identical(sim: &ParallelOutcome, native: &ParallelOutcome, lab
 fn verified_search_is_bitwise_identical_across_backends() {
     let data = datagen::paper_dataset(600, 9);
     let cfg = config(Strategy::Full { exchange: Exchange::Fused });
-    for p in [1usize, 2, 4, 8] {
-        let spec = presets::meiko_cs2(p);
+    let machines = [1usize, 2, 4, 8]
+        .map(|p| (format!("meiko_cs2 P={p}"), presets::meiko_cs2(p)))
+        .into_iter()
+        .chain([("hier_cluster(8, 4)".to_string(), presets::hier_cluster(8, 4))]);
+    for (label, spec) in machines {
         let sim = run_search_with(&data, &spec, &cfg, &SimOptions::verified())
-            .unwrap_or_else(|e| panic!("P={p} sim: {e}"));
+            .unwrap_or_else(|e| panic!("{label} sim: {e}"));
         let native = run_search_native(&data, &spec, &cfg, &NativeOptions::verified())
-            .unwrap_or_else(|e| panic!("P={p} native: {e}"));
-        assert_bitwise_identical(&sim, &native, &format!("P={p}"));
-        assert!(native.elapsed > 0.0, "P={p}: native run must report wall-clock time");
-        assert!(sim.cycles > 0, "P={p}: search ran no cycles");
+            .unwrap_or_else(|e| panic!("{label} native: {e}"));
+        assert_bitwise_identical(&sim, &native, &label);
+        assert!(native.elapsed > 0.0, "{label}: native run must report wall-clock time");
+        assert!(sim.cycles > 0, "{label}: search ran no cycles");
     }
 }
 

@@ -3,8 +3,6 @@
 //! recovered result or a typed error naming the culprit — never a hang,
 //! never a panic, never silently different numbers.
 
-use std::time::Duration;
-
 use autoclass::model::classes_to_flat;
 use autoclass::search::SearchConfig;
 use mpsim::{
@@ -30,7 +28,7 @@ fn ft(policy: RecoveryPolicy) -> FtConfig {
 }
 
 fn opts_with(plan: FaultPlan) -> SimOptions {
-    SimOptions { recv_timeout: Duration::from_secs(20), fault: Some(plan), ..SimOptions::default() }
+    SimOptions { fault: Some(plan), ..SimOptions::default() }
 }
 
 fn crash(rank: usize, seq: u64) -> FaultPlan {

@@ -97,7 +97,6 @@ pub const COLLECTIVES: &[&str] = &[
     "scan_f64s",
     "scatter_f64s",
     "split",
-    "split_by",
     "verify_replicated",
 ];
 

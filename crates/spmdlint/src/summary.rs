@@ -289,7 +289,7 @@ fn classify_collectives(
     }
 }
 
-/// Identifiers bound by `let x = ….split(…)` (or `.split_by(…)`) anywhere in the body,
+/// Identifiers bound by `let x = ….split(…)` anywhere in the body,
 /// including inside branch arms and loop bodies.
 fn collect_split_bindings(stmts: &[syn::Stmt], out: &mut BTreeSet<String>) {
     use syn::{Expr, Stmt};
@@ -300,9 +300,7 @@ fn collect_split_bindings(stmts: &[syn::Stmt], out: &mut BTreeSet<String>) {
                     if let Expr::Opaque { tokens, .. } = e {
                         let n = tokens.len();
                         let is_split = n >= 2
-                            && tokens
-                                .get(n - 2)
-                                .is_some_and(|t| t.is_ident("split") || t.is_ident("split_by"))
+                            && tokens.get(n - 2).is_some_and(|t| t.is_ident("split"))
                             && matches!(
                                 tokens.get(n - 1),
                                 Some(Tt::Group { delim: Delim::Paren, .. })

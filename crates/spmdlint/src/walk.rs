@@ -64,7 +64,7 @@ struct Ctx {
     shaped: BTreeMap<String, String>,
     reqs: BTreeMap<String, Req>,
     /// identifiers holding a split-child (sub-group) communicator:
-    /// `sub`-named parameters plus `.split(...)` / `.split_by(...)` bindings
+    /// `sub`-named parameters plus `.split(...)` bindings
     subcomms: BTreeSet<String>,
     /// lines of currently-open `enter_phase` calls
     phases: Vec<usize>,
@@ -225,7 +225,7 @@ impl<'a> Walker<'a> {
         match init {
             Expr::Opaque { tokens, .. } => {
                 let outer = outermost_call(tokens);
-                bound_subcomm = outer.is_some_and(is_split);
+                bound_subcomm = outer == Some("split");
                 let is_request = outer.is_some_and(|n| {
                     REQUEST_FNS.contains(&n)
                         || self.summaries.get(n).is_some_and(|i| i.returns_request)
@@ -899,7 +899,7 @@ impl<'a> Walker<'a> {
         // (c) a split's colors are a collective argument, not a payload:
         // the color function must be the same on every rank, so no
         // rank-tainted value may feed it.
-        if is_split(name) {
+        if name == "split" {
             if let Some(t) = names.iter().find(|n| ctx.tainted.contains_key(n.as_str())) {
                 if self.once(line, format!("payload-split-{name}")) {
                     let mut f = RawFinding::new(
@@ -1146,12 +1146,6 @@ impl<'a> Walker<'a> {
 /// The outermost trailing call in a token run: `recv.chain().name(args)`
 /// — the run's last token is the args group, the token before it the
 /// callee name.
-/// The communicator splits: collective calls whose result is a
-/// split-child communicator.
-fn is_split(name: &str) -> bool {
-    name == "split" || name == "split_by"
-}
-
 fn outermost_call(ts: &[Tt]) -> Option<&str> {
     let n = ts.len();
     if n >= 2 {

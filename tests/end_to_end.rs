@@ -101,20 +101,13 @@ fn rank_failure_is_reported_not_hung() {
     // Failure injection through the whole stack: a panicking rank inside
     // a P-AutoClass-shaped SPMD body must surface as an error.
     let spec = mpsim::presets::zero_cost(4);
-    let r = mpsim::run_spmd(
-        &spec,
-        &mpsim::SimOptions {
-            recv_timeout: std::time::Duration::from_millis(300),
-            ..Default::default()
-        },
-        |comm| {
-            if comm.rank() == 2 {
-                panic!("injected fault");
-            }
-            let mut buf = vec![1.0; 8];
-            comm.allreduce_f64s(&mut buf, mpsim::ReduceOp::Sum);
-        },
-    );
+    let r = mpsim::run_spmd_default(&spec, |comm| {
+        if comm.rank() == 2 {
+            panic!("injected fault");
+        }
+        let mut buf = vec![1.0; 8];
+        comm.allreduce_f64s(&mut buf, mpsim::ReduceOp::Sum);
+    });
     match r {
         Err(mpsim::SimError::RankPanicked { rank, message }) => {
             assert_eq!(rank, 2);

@@ -30,16 +30,7 @@
 //! how the LogGP-predicted scaling curve compares to what this host
 //! actually delivers.
 //!
-//! A fourth artifact, `BENCH_8.json` (written by `--engines`), is the
-//! engine-overhead table: host wall-clock of the identical verified
-//! search under the thread-per-rank engine versus the cooperative
-//! virtual-time engine at P ∈ {1,2,4,8,64}, gated on the two engines
-//! agreeing **bitwise** (log likelihood and virtual elapsed time), plus
-//! cooperative-only large-`P` rows at P ∈ {64,256,1024} on the
-//! hierarchical fat-tree cluster — the sizes the threaded engine cannot
-//! carry.
-//!
-//! A fifth artifact, `BENCH_9.json` (written by `--ensemble`), measures
+//! A fourth artifact, `BENCH_9.json` (written by `--ensemble`), measures
 //! the fleet-parallel model search — G concurrent sub-searches over split
 //! communicators — against the serial search at P ∈ {8,64,256} ×
 //! G ∈ {1,2,4,8}: candidates per virtual second, duplicate-elimination
@@ -50,12 +41,11 @@
 //!
 //! Flags: `--smoke` (small sizes for CI), `--native` (run the native
 //! wall-clock benchmark instead, default output `BENCH_7.json`),
-//! `--engines` (run the engine-overhead benchmark instead, default output
-//! `BENCH_8.json`), `--ensemble` (run the fleet-search benchmark instead,
-//! default output `BENCH_9.json`), `--out PATH` (default `BENCH_2.json`
-//! in the repo root), `--out4 PATH` (default `BENCH_4.json`), `--check
-//! PATH` (validate an existing results file of any of the five schemas
-//! instead of benchmarking).
+//! `--ensemble` (run the fleet-search benchmark instead, default output
+//! `BENCH_9.json`), `--out PATH` (default `BENCH_2.json` in the repo
+//! root), `--out4 PATH` (default `BENCH_4.json`), `--check PATH`
+//! (validate an existing results file of any of the four schemas instead
+//! of benchmarking).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -69,7 +59,7 @@ use autoclass::model::{
 };
 use autoclass::model::{EStepScratch, WtsMatrix};
 use autoclass::search::SearchConfig;
-use mpsim::{presets, AllreduceAlgo, Engine, MachineSpec, SimOptions};
+use mpsim::{presets, AllreduceAlgo, MachineSpec, SimOptions};
 use pautoclass::driver::{build_model, init_classes_parallel, parallel_base_cycle};
 use pautoclass::{
     run_fixed_j, run_search_fleet_with, run_search_with, Consensus, Exchange, FleetConfig,
@@ -86,23 +76,6 @@ pub fn bench(args: &[String]) -> ExitCode {
         return check(Path::new(path));
     }
     let root = crate::repo_root();
-    if args.iter().any(|a| a == "--engines") {
-        let out_path =
-            flag_value("--out").map(Into::into).unwrap_or_else(|| root.join("BENCH_8.json"));
-        let json = match run_engine_benchmarks(smoke) {
-            Ok(j) => j,
-            Err(msg) => {
-                eprintln!("xtask bench --engines: {msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(&out_path, &json) {
-            eprintln!("xtask bench --engines: cannot write {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("xtask bench --engines: wrote {}", out_path.display());
-        return ExitCode::SUCCESS;
-    }
     if args.iter().any(|a| a == "--ensemble") {
         let out_path =
             flag_value("--out").map(Into::into).unwrap_or_else(|| root.join("BENCH_9.json"));
@@ -665,141 +638,6 @@ fn run_native_benchmarks(smoke: bool) -> Result<String, String> {
     Ok(out)
 }
 
-/// The engine-overhead benchmark behind `BENCH_8.json`: the identical
-/// verified search timed (host wall clock) under both execution engines,
-/// gated on bitwise agreement, plus cooperative-only large-`P` rows on
-/// the hierarchical fat-tree cluster.
-fn run_engine_benchmarks(smoke: bool) -> Result<String, String> {
-    let (n, cycles) = if smoke { (1_200, 10) } else { (4_000, 20) };
-    let cfg = ParallelConfig {
-        search: SearchConfig {
-            start_j_list: vec![4],
-            tries_per_j: 1,
-            max_cycles: cycles,
-            rel_delta_ll: 0.0,
-            min_class_weight: 0.0,
-            seed: 42,
-            max_stored: 1,
-        },
-        strategy: Strategy::Full { exchange: Exchange::Fused },
-        partition: Partitioning::Block,
-        correlated_blocks: Vec::new(),
-    };
-
-    // ---- both engines, same machine, same search --------------------
-    struct OverheadRow {
-        p: usize,
-        threaded_host_s: f64,
-        cooperative_host_s: f64,
-        bitwise_equal: bool,
-    }
-    let data = datagen::paper_dataset(n, 2);
-    let mut overhead_rows: Vec<OverheadRow> = Vec::new();
-    let mut engines_bitwise_equal = true;
-    for p in [1usize, 2, 4, 8, 64] {
-        let spec = presets::meiko_cs2(p);
-        let t0 = Instant::now();
-        let threaded = run_search_with(&data, &spec, &cfg, &SimOptions::verified())
-            .map_err(|e| format!("threaded P={p}: {e}"))?;
-        let threaded_host_s = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let coop = run_search_with(
-            &data,
-            &spec,
-            &cfg,
-            &SimOptions { engine: Engine::Cooperative, ..SimOptions::verified() },
-        )
-        .map_err(|e| format!("cooperative P={p}: {e}"))?;
-        let cooperative_host_s = t0.elapsed().as_secs_f64();
-        let bitwise_equal = threaded.best.approx.log_likelihood.to_bits()
-            == coop.best.approx.log_likelihood.to_bits()
-            && threaded.elapsed.to_bits() == coop.elapsed.to_bits()
-            && threaded.cycles == coop.cycles;
-        engines_bitwise_equal &= bitwise_equal;
-        eprintln!(
-            "xtask bench --engines: P={p} threaded {threaded_host_s:.3}s, \
-             cooperative {cooperative_host_s:.3}s, bitwise_equal={bitwise_equal}"
-        );
-        overhead_rows.push(OverheadRow { p, threaded_host_s, cooperative_host_s, bitwise_equal });
-    }
-    if !engines_bitwise_equal {
-        return Err("the two engines disagreed bitwise on the verified search".to_string());
-    }
-
-    // ---- cooperative-only large-P rows on the fat-tree cluster ------
-    struct LargePRow {
-        p: usize,
-        host_s: f64,
-        virtual_s: f64,
-        cycles: usize,
-    }
-    let (ln, lcycles) = if smoke { (2_048, 3) } else { (8_192, 5) };
-    let lcfg = ParallelConfig {
-        search: SearchConfig { max_cycles: lcycles, ..cfg.search.clone() },
-        ..cfg.clone()
-    };
-    let ldata = datagen::paper_dataset(ln, 4);
-    let mut largep_rows: Vec<LargePRow> = Vec::new();
-    for p in [64usize, 256, 1024] {
-        let spec = presets::hier_cluster(p, 8);
-        let t0 = Instant::now();
-        let out = run_search_with(
-            &ldata,
-            &spec,
-            &lcfg,
-            &SimOptions { engine: Engine::Cooperative, ..SimOptions::verified() },
-        )
-        .map_err(|e| format!("large-P cooperative P={p}: {e}"))?;
-        let host_s = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "xtask bench --engines: large-P P={p} host {host_s:.3}s, virtual {:.6}s",
-            out.elapsed
-        );
-        largep_rows.push(LargePRow { p, host_s, virtual_s: out.elapsed, cycles: out.cycles });
-    }
-    let largep_completed = largep_rows.iter().all(|r| r.cycles > 0 && r.virtual_s > 0.0);
-    if !largep_completed {
-        return Err("a large-P cooperative run produced no cycles".to_string());
-    }
-
-    // ---- Hand-formatted JSON ----------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"kind\": \"engines\",");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    out.push_str("  \"gates\": {\n");
-    let _ = writeln!(out, "    \"engines_bitwise_equal\": {engines_bitwise_equal},");
-    let _ = writeln!(out, "    \"largep_completed\": {largep_completed}");
-    out.push_str("  },\n");
-    out.push_str("  \"engine_overhead\": [\n");
-    for (i, r) in overhead_rows.iter().enumerate() {
-        let comma = if i + 1 < overhead_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"p\": {}, \"threaded_host_s\": {:.6}, \"cooperative_host_s\": {:.6}, \
-             \"coop_over_threaded\": {:.3}, \"bitwise_equal\": {}}}{comma}",
-            r.p,
-            r.threaded_host_s,
-            r.cooperative_host_s,
-            r.cooperative_host_s / r.threaded_host_s.max(1e-12),
-            r.bitwise_equal
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"largep\": [\n");
-    for (i, r) in largep_rows.iter().enumerate() {
-        let comma = if i + 1 < largep_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"p\": {}, \"host_s\": {:.6}, \"virtual_s\": {:.9}, \"cycles\": {}}}{comma}",
-            r.p, r.host_s, r.virtual_s, r.cycles
-        );
-    }
-    out.push_str("  ]\n}\n");
-    Ok(out)
-}
-
 /// The fleet-parallel search benchmark behind `BENCH_9.json`: the serial
 /// search versus the fleet search (G concurrent sub-searches over split
 /// communicators) at P ∈ {8, 64, 256} × G ∈ {1, 2, 4, 8}, gated on
@@ -818,13 +656,6 @@ fn run_ensemble_benchmarks(smoke: bool) -> Result<String, String> {
         let mut m = presets::meiko_cs2(p);
         m.allreduce = AllreduceAlgo::RecursiveDoubling;
         m
-    };
-    let opts_for = |p: usize| {
-        if p > 8 {
-            SimOptions { engine: Engine::Cooperative, ..SimOptions::default() }
-        } else {
-            SimOptions::default()
-        }
     };
 
     // ---- bitwise parity: fleet winner == serial winner --------------
@@ -947,7 +778,7 @@ fn run_ensemble_benchmarks(smoke: bool) -> Result<String, String> {
     sizes.dedup();
     let mut serial_at = std::collections::BTreeMap::new();
     for &p in &sizes {
-        let serial = run_search_with(&sdata, &rd_machine(p), &scfg, &opts_for(p))
+        let serial = run_search_with(&sdata, &rd_machine(p), &scfg, &SimOptions::default())
             .map_err(|e| format!("serial P={p}: {e}"))?;
         serial_at.insert(p, serial);
     }
@@ -966,8 +797,9 @@ fn run_ensemble_benchmarks(smoke: bool) -> Result<String, String> {
     for &p in ps {
         for g in gs {
             let fc = FleetConfig { groups: g, ..FleetConfig::default() };
-            let out = run_search_fleet_with(&sdata, &rd_machine(p), &scfg, &fc, &opts_for(p))
-                .map_err(|e| format!("fleet P={p} G={g}: {e}"))?;
+            let out =
+                run_search_fleet_with(&sdata, &rd_machine(p), &scfg, &fc, &SimOptions::default())
+                    .map_err(|e| format!("fleet P={p} G={g}: {e}"))?;
             let ll = out.outcome.best.approx.log_likelihood;
             // With abandonment off the fleet replays the serial dedup
             // chain over the same candidates, each computed at the
@@ -1103,19 +935,6 @@ const ENSEMBLE_REQUIRED: [&str; 13] = [
     "\"cands_per_vs\"",
 ];
 
-/// Required keys for the engine-overhead artifact (`BENCH_8.json`).
-const ENGINES_REQUIRED: [&str; 9] = [
-    "\"schema_version\": 1",
-    "\"kind\": \"engines\"",
-    "\"engines_bitwise_equal\": true",
-    "\"largep_completed\": true",
-    "\"engine_overhead\"",
-    "\"threaded_host_s\"",
-    "\"cooperative_host_s\"",
-    "\"largep\"",
-    "\"virtual_s\"",
-];
-
 /// Required keys for the native wall-clock artifact (`BENCH_7.json`).
 const NATIVE_REQUIRED: [&str; 13] = [
     "\"schema_version\": 1",
@@ -1151,9 +970,6 @@ fn check(path: &Path) -> ExitCode {
     }
     if text.contains("\"kind\": \"native\"") {
         return check_keys(path, &text, &NATIVE_REQUIRED);
-    }
-    if text.contains("\"kind\": \"engines\"") {
-        return check_keys(path, &text, &ENGINES_REQUIRED);
     }
     if text.contains("\"kind\": \"ensemble\"") {
         return check_keys(path, &text, &ENSEMBLE_REQUIRED);

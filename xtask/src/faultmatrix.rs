@@ -42,11 +42,11 @@
 //! sniffed from the artifact; a bare `--check` runs the selected sweep
 //! and then validates what it just wrote, the one-command CI form),
 //! `--largep` (run the reduced large-`P` sweep instead: crash and corrupt
-//! under abort/restart/promote on the **cooperative** engine and the
-//! hierarchical fat-tree cluster at P ∈ {64, 256, 1024} — `--smoke`
-//! trims to P ∈ {64, 256} — writing `faultmatrix_largep.json`/`.txt`),
+//! under abort/restart/promote on the hierarchical fat-tree cluster at
+//! P ∈ {64, 256, 1024} — `--smoke` trims to P ∈ {64, 256} — writing
+//! `faultmatrix_largep.json`/`.txt`),
 //! `--standby` (run the localized-recovery sweep instead: spare-rank
-//! promotion on both simulator engines **and** the native backend,
+//! promotion on the simulator **and** the native backend,
 //! replay-vs-rollback cost, spare exhaustion, and shard corruption at
 //! P ∈ {2, 5, 8} — `--smoke` trims to P ∈ {2, 5} — writing
 //! `faultmatrix_standby.json`/`.txt`).
@@ -58,8 +58,7 @@ use std::process::ExitCode;
 use autoclass::model::classes_to_flat;
 use autoclass::search::SearchConfig;
 use mpsim::{
-    presets, Engine, FaultAction, FaultPlan, FaultSpec, FaultTrigger, MachineSpec, SimError,
-    SimOptions,
+    presets, FaultAction, FaultPlan, FaultSpec, FaultTrigger, MachineSpec, SimError, SimOptions,
 };
 use pautoclass::{
     run_search_ft, run_search_ft_native, Exchange, FtConfig, FtOutcome, NativeOptions,
@@ -675,12 +674,10 @@ fn run_ksweep(
 }
 
 /// The reduced large-`P` sweep: crash and corrupt under abort/restart on
-/// the cooperative engine and the hierarchical fat-tree cluster. The full
-/// fault × policy matrix at these sizes would dominate CI for no extra
-/// coverage — the fault layer is engine- and size-independent; what this
-/// sweep pins is that detection, diagnosis, and bit-identical recovery
-/// survive the cooperative scheduler at processor counts the threaded
-/// engine cannot carry.
+/// the hierarchical fat-tree cluster. The full fault × policy matrix at
+/// these sizes would dominate CI for no extra coverage — the fault layer
+/// is size-independent; what this sweep pins is that detection,
+/// diagnosis, and bit-identical recovery survive at P up to 1024.
 fn run_largep_matrix(smoke: bool) -> Result<(Vec<Baseline>, Vec<Cell>), String> {
     let ps: &[usize] = if smoke { &[64, 256] } else { &[64, 256, 1024] };
     // Every rank must own data at P = 1024. On the tiny per-rank
@@ -703,11 +700,6 @@ fn run_largep_matrix(smoke: bool) -> Result<(Vec<Baseline>, Vec<Cell>), String> 
     };
     let data = datagen::paper_dataset(2_048, 7);
     let cfg = parallel_config();
-    let coop_opts = |plan: Option<FaultPlan>| SimOptions {
-        engine: Engine::Cooperative,
-        fault: plan,
-        ..SimOptions::default()
-    };
 
     let mut baselines = Vec::new();
     let mut cells = Vec::new();
@@ -718,7 +710,7 @@ fn run_largep_matrix(smoke: bool) -> Result<(Vec<Baseline>, Vec<Cell>), String> 
             &spec,
             &cfg,
             &ftc(RecoveryPolicy::RestartFromCheckpoint),
-            &coop_opts(None),
+            &SimOptions::default(),
         )
         .map_err(|e| format!("P={p}: unfaulted baseline failed: {e}"))?;
         if base.attempts != 1 || !base.faults.is_empty() {
@@ -732,12 +724,10 @@ fn run_largep_matrix(smoke: bool) -> Result<(Vec<Baseline>, Vec<Cell>), String> 
                 (RecoveryPolicy::Abort, "abort"),
                 (RecoveryPolicy::RestartFromCheckpoint, "restart"),
                 // The spare-rank row: one warm spare absorbs the fault
-                // without changing P, even at a thousand ranks on the
-                // cooperative scheduler.
+                // without changing P, even at a thousand ranks.
                 (RecoveryPolicy::PromoteSpare, "promote"),
             ] {
-                let res =
-                    run_search_ft(&data, &spec, &cfg, &ftc(policy), &coop_opts(Some(plan(kind))));
+                let res = run_search_ft(&data, &spec, &cfg, &ftc(policy), &opts_with(plan(kind)));
                 cells.push(grade_cell(p, kind, pname, res, &base_bits)?);
             }
         }
@@ -935,9 +925,8 @@ fn grade_standby(
 /// gates the two localized mechanisms against the rollback policy:
 ///
 /// * **promote** — a warm spare takes over the culprit's logical slot on
-///   the threaded engine, the cooperative engine, *and* the native
-///   backend: exactly one promotion, P preserved, result bit-identical
-///   to the fault-free run.
+///   the simulator *and* the native backend: exactly one promotion, P
+///   preserved, result bit-identical to the fault-free run.
 /// * **replay vs restart** — on the identical fault cell, the in-flight
 ///   replay's recovery virtual time must be *strictly* below the full
 ///   rollback's (localization is the point; equality means the log
@@ -968,31 +957,24 @@ fn run_standby_matrix(smoke: bool) -> Result<Vec<StandbyCell>, String> {
             return Err(format!("P={p}: unfaulted baseline reported phantom faults"));
         }
         let base_bits = result_bits(&base.outcome);
-        cells.push(grade_standby(
-            p,
-            "baseline",
-            "sim-threaded",
-            &base,
-            &base_bits,
-            (1, 0, 0, false),
-        )?);
+        cells.push(grade_standby(p, "baseline", "sim-coop", &base, &base_bits, (1, 0, 0, false))?);
 
-        // Spare promotion on both simulator engines.
-        for (backend, engine) in
-            [("sim-threaded", Engine::Threaded), ("sim-coop", Engine::Cooperative)]
-        {
-            let opts =
-                SimOptions { engine, fault: Some(plan_for("crash")), ..SimOptions::default() };
-            let out = run_search_ft(&data, &spec, &cfg, &ftc(RecoveryPolicy::PromoteSpare), &opts)
-                .map_err(|e| format!("P={p} promote [{backend}]: {e}"))?;
-            let cell = grade_standby(p, "promote", backend, &out, &base_bits, (2, 1, 0, false))?;
-            if cell.recovery_s <= 0.0 {
-                return Err(format!(
-                    "P={p} promote [{backend}]: promotion reported no recovery virtual time"
-                ));
-            }
-            cells.push(cell);
+        // Spare promotion on the simulator.
+        let out = run_search_ft(
+            &data,
+            &spec,
+            &cfg,
+            &ftc(RecoveryPolicy::PromoteSpare),
+            &opts_with(plan_for("crash")),
+        )
+        .map_err(|e| format!("P={p} promote [sim-coop]: {e}"))?;
+        let cell = grade_standby(p, "promote", "sim-coop", &out, &base_bits, (2, 1, 0, false))?;
+        if cell.recovery_s <= 0.0 {
+            return Err(format!(
+                "P={p} promote [sim-coop]: promotion reported no recovery virtual time"
+            ));
         }
+        cells.push(cell);
 
         // Spare promotion on the native backend: same crash plan, real
         // threads. Timings are wall-clock there, so they are zeroed in
@@ -1020,7 +1002,7 @@ fn run_standby_matrix(smoke: bool) -> Result<Vec<StandbyCell>, String> {
         cells.push(grade_standby(
             p,
             "restart",
-            "sim-threaded",
+            "sim-coop",
             &restart,
             &base_bits,
             (2, 0, 0, false),
@@ -1033,14 +1015,7 @@ fn run_standby_matrix(smoke: bool) -> Result<Vec<StandbyCell>, String> {
             &opts_with(plan_for("crash")),
         )
         .map_err(|e| format!("P={p} replay: {e}"))?;
-        cells.push(grade_standby(
-            p,
-            "replay",
-            "sim-threaded",
-            &replay,
-            &base_bits,
-            (2, 0, 1, false),
-        )?);
+        cells.push(grade_standby(p, "replay", "sim-coop", &replay, &base_bits, (2, 0, 1, false))?);
         if restart.recovery_time <= 0.0 {
             return Err(format!("P={p}: rollback charged no recovery virtual time"));
         }
@@ -1076,14 +1051,7 @@ fn run_standby_matrix(smoke: bool) -> Result<Vec<StandbyCell>, String> {
         };
         let out = run_search_ft(&data, &spec, &cfg, &ft, &opts_with(two_crashes))
             .map_err(|e| format!("P={p} exhausted: {e}"))?;
-        cells.push(grade_standby(
-            p,
-            "exhausted",
-            "sim-threaded",
-            &out,
-            &base_bits,
-            (3, 1, 0, true),
-        )?);
+        cells.push(grade_standby(p, "exhausted", "sim-coop", &out, &base_bits, (3, 1, 0, true))?);
 
         // A corrupted checkpoint shard: promotion must refuse it with a
         // typed diagnosis naming the shard's owner, fall back to the
@@ -1112,7 +1080,7 @@ fn run_standby_matrix(smoke: bool) -> Result<Vec<StandbyCell>, String> {
         cells.push(grade_standby(
             p,
             "corrupt-shard",
-            "sim-threaded",
+            "sim-coop",
             &out,
             &base_bits,
             (2, 0, 0, true),

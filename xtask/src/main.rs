@@ -61,7 +61,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask lint \
                  | analyze [--check] [--out PATH] [--fixtures] [--root DIR] \
-                 | bench [--smoke] [--native] [--engines] [--ensemble] [--out PATH] [--check PATH] \
+                 | bench [--smoke] [--native] [--ensemble] [--out PATH] [--check PATH] \
                  | report [--smoke] [--largep] [--out DIR] [--check PATH] \
                  | calibrate [--smoke] [--out PATH] [--check PATH] \
                  | faultmatrix [--smoke] [--largep] [--standby] [--out DIR] [--check [PATH]]"

@@ -33,11 +33,9 @@
 //! `--out DIR` (default `report/` in the repo root), `--check PATH`
 //! (validate an existing `report.json` or `report_largep.json` instead of
 //! running — the schema is sniffed from the artifact), `--largep` (run
-//! the large-`P` series instead: the verified search under the
-//! **cooperative** engine on the hierarchical fat-tree cluster at
-//! P ∈ {64, 256, 1024} against a P = 1 baseline, writing
-//! `report_largep.json`/`.txt` — the processor counts the thread-per-rank
-//! engine cannot carry).
+//! the large-`P` series instead: the verified search on the hierarchical
+//! fat-tree cluster at P ∈ {64, 256, 1024} against a P = 1 baseline,
+//! writing `report_largep.json`/`.txt`).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -46,7 +44,7 @@ use std::process::ExitCode;
 use autoclass::data::GlobalStats;
 use autoclass::model::{Model, StatLayout};
 use autoclass::search::SearchConfig;
-use mpsim::{predicted_allreduce_cost, presets, Engine, Report, RunRecord, RunStats, SimOptions};
+use mpsim::{predicted_allreduce_cost, presets, Report, RunRecord, RunStats, SimOptions};
 use pautoclass::{run_search_with, Exchange, ParallelConfig, Partitioning, Strategy};
 
 /// Accepted band for measured/predicted allreduce time, P > 1. The LogGP
@@ -324,9 +322,9 @@ struct LargePRow {
     allreduce_s: f64,
 }
 
-/// The large-`P` series: the verified search under the cooperative engine
-/// on the hierarchical fat-tree cluster, at processor counts far beyond
-/// what the thread-per-rank engine tolerates. Enforces the same phase /
+/// The large-`P` series: the verified search on the hierarchical fat-tree
+/// cluster, at processor counts two orders of magnitude past the paper's
+/// machine. Enforces the same phase /
 /// symmetry / determinism invariants as the main series and renders the
 /// paper-style speedup curve (Fig. 7's shape, extended to P = 1024).
 fn run_largep_series(smoke: bool) -> Result<Vec<LargePRow>, String> {
@@ -347,7 +345,7 @@ fn run_largep_series(smoke: bool) -> Result<Vec<LargePRow>, String> {
         partition: Partitioning::Block,
         correlated_blocks: Vec::new(),
     };
-    let opts = SimOptions { engine: Engine::Cooperative, ..SimOptions::verified() };
+    let opts = SimOptions::verified();
     let mut rows = Vec::new();
     let mut base_elapsed = 0.0_f64;
     for p in ps {
@@ -453,9 +451,8 @@ fn report_largep(smoke: bool, out_dir: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Determinism gate: virtual time must not depend on host scheduling,
-    // and the cooperative engine doubly so — the artifact must re-render
-    // bit-identically.
+    // Determinism gate: virtual time must not depend on host scheduling
+    // — the artifact must re-render bit-identically.
     let deterministic = match run_largep_series(smoke) {
         Ok(second) => largep_json(smoke, &second, true) == largep_json(smoke, &first, true),
         Err(msg) => {
