@@ -171,10 +171,6 @@ pub struct Comm {
     /// Shared in-flight replay log (see [`crate::replay`]); `None` when
     /// no localized-recovery supervisor installed one.
     replay: Option<crate::replay::ReplayLog>,
-    /// `pulled_from[src]`: envelopes this rank has taken off the mailbox
-    /// from `src` (stashed or matched); compared against the fault layer's
-    /// delivered-send count to prove a wait is for a dropped message.
-    pulled_from: Vec<u64>,
     /// Completion horizon of non-blocking collectives already posted:
     /// later posts may not complete before earlier ones (the wire is
     /// FIFO per endpoint), so each new completion is clamped to at least
@@ -213,7 +209,6 @@ impl Comm {
             verify,
             fault,
             replay,
-            pulled_from: vec![0; size],
             nb_horizon: 0.0,
         }
     }
@@ -417,42 +412,22 @@ impl Comm {
             }
             if d.dropped {
                 // The sender has charged all its costs and believes the
-                // message left; the wire loses it. Never recorded with the
-                // verifier, so the deadlock detector does not count it as
-                // in flight.
+                // message left; the wire loses it before any mailbox.
                 return;
             }
         }
         let env = Envelope { tag, depart, seq, checksum: sum, bytes };
-        // Count the send before the envelope becomes visible, so the
-        // deadlock detector can never see a quiescent edge with a message
-        // actually in flight.
-        if let Some(v) = &self.verify {
-            v.record_send(self.rank, dst);
-        }
         // A gone receiver means the run is aborting after a failure
         // elsewhere, or `dst` already finished its body and will never
-        // receive again. The latter is legal for a buffered send (the
-        // bytes are simply never read), but the verifier must not keep
-        // counting it as in flight or the deadlock detector would treat
-        // the edge to the finished rank as forever busy.
+        // receive again. The latter is legal for a buffered send: the
+        // bytes are simply never read.
         match self.coop.deposit(self.rank, dst, env, self.clock.now()) {
             Ok(Deposit::Delivered) => {}
-            Ok(Deposit::Closed) => {
-                if let Some(v) = &self.verify {
-                    v.unrecord_send(self.rank, dst);
-                }
-                self.check_abort();
-            }
+            Ok(Deposit::Closed) => self.check_abort(),
             // Woken with a typed error (stall rescue or abort cascade)
             // while parked on a full mailbox: the envelope never got in
             // flight.
-            Err(err) => {
-                if let Some(v) = &self.verify {
-                    v.unrecord_send(self.rank, dst);
-                }
-                self.fail(err);
-            }
+            Err(err) => self.fail(err),
         }
     }
 
@@ -479,39 +454,15 @@ impl Comm {
                 return q.remove(pos).expect("position is valid");
             }
         }
-        let detect = self.verify.as_ref().filter(|v| v.opts().detect_deadlock).cloned();
-        if let Some(v) = &detect {
-            v.register_wait(self.rank, src, tag);
-        }
         // No wall-clock deadline: a wait that can never be satisfied is
         // detected structurally the moment the run has no runnable rank,
         // and surfaces here as a typed error.
         loop {
             self.check_abort();
-            match self.coop.pull_or_block(
-                self.rank,
-                src,
-                tag,
-                self.pulled_from[src],
-                self.clock.now(),
-            ) {
-                Ok(env) => {
-                    self.pulled_from[src] += 1;
-                    let matched = env.tag == tag;
-                    if let Some(v) = &detect {
-                        v.record_pull(self.rank, src, matched);
-                    }
-                    if matched {
-                        return env;
-                    }
-                    self.stash.entry(src).or_default().push_back(env);
-                }
-                Err(err) => {
-                    if let Some(v) = &detect {
-                        v.clear_wait(self.rank);
-                    }
-                    self.fail(err);
-                }
+            match self.coop.pull_or_block(self.rank, src, tag, self.clock.now()) {
+                Ok(env) if env.tag == tag => return env,
+                Ok(env) => self.stash.entry(src).or_default().push_back(env),
+                Err(err) => self.fail(err),
             }
         }
     }

@@ -24,9 +24,16 @@
 //! make progress — the scheduler *knows* this structurally, so it needs no
 //! wall-clock timeout. The blocked rank diagnosed first (ascending rank
 //! order) is woken with a typed error: the fault layer gets the first word
-//! (crashed/dropped peers), then the wait-for-graph verifier, then a
-//! structural fallback that always finds either a wait on a finished rank
-//! or a cycle.
+//! (crashed/dropped peers), then the scheduler's own wait-for edges, which
+//! always end in either a wait on a finished rank or a cycle.
+//!
+//! # Handoff
+//!
+//! A handoff picks the next rank under the scheduler lock but wakes it
+//! only after releasing the lock, so the woken thread never blocks on a
+//! mutex its waker still holds: one wake, one sleep. The waker then waits
+//! for the baton with a predicate loop, so a baton handed back before it
+//! sleeps is not lost.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,7 +42,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use crate::comm::Envelope;
 use crate::error::SimError;
 use crate::fault::FaultState;
-use crate::verify::VerifyState;
 
 /// Outcome of a [`CoopShared::deposit`] that did not fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +60,10 @@ enum RankStatus {
     Ready,
     /// Holds the baton.
     Running,
-    /// Parked in a blocking receive from `src` with `tag`; `pulled` is how
-    /// many envelopes this rank has taken off the `(src, me)` mailbox, the
-    /// number the fault layer compares against delivered sends to prove a
-    /// wait is for a dropped message.
-    RecvWait { src: usize, tag: u64, pulled: u64 },
+    /// Parked in a blocking receive from `src` with `tag`. The `(src, me)`
+    /// mailbox is empty for as long as this holds: the rank parks only on
+    /// an empty mailbox and is readied by the next deposit into it.
+    RecvWait { src: usize, tag: u64 },
     /// Parked in a send to `dst` whose mailbox is at the in-flight bound.
     SendWait { dst: usize },
     /// Returned from its body normally.
@@ -123,7 +128,7 @@ struct CoopState {
 }
 
 /// Shared state of one cooperative run: the scheduler proper plus the
-/// verification/fault layers it consults when the run stalls.
+/// fault layer it consults when the run stalls.
 pub(crate) struct CoopShared {
     state: Mutex<CoopState>,
     /// One condvar per rank: each parked thread waits only on its own, so
@@ -133,7 +138,6 @@ pub(crate) struct CoopShared {
     /// until the receiver drains (see
     /// [`crate::SimOptions::max_inflight_per_pair`]).
     max_inflight: usize,
-    verify: Option<Arc<VerifyState>>,
     fault: Option<Arc<FaultState>>,
     abort: Arc<AtomicBool>,
 }
@@ -142,7 +146,6 @@ impl CoopShared {
     pub(crate) fn new(
         p: usize,
         max_inflight: usize,
-        verify: Option<Arc<VerifyState>>,
         fault: Option<Arc<FaultState>>,
         abort: Arc<AtomicBool>,
     ) -> Self {
@@ -164,7 +167,6 @@ impl CoopShared {
             }),
             cvs: (0..p).map(|_| Condvar::new()).collect(),
             max_inflight: max_inflight.max(1),
-            verify,
             fault,
             abort,
         }
@@ -206,53 +208,62 @@ impl CoopShared {
         state.ready.push(HeapEntry { clock, rank });
     }
 
-    /// Hand the baton to the runnable rank with the smallest virtual
+    /// Give the baton to the runnable rank with the smallest virtual
     /// clock; if none is runnable but some rank is blocked, the run has
-    /// stalled for good — wake a victim with a typed diagnosis instead.
-    fn schedule_next(&self, state: &mut CoopState) {
+    /// stalled for good — pick a victim and hand it a typed diagnosis
+    /// instead. Returns the rank to wake, which the caller must do with
+    /// [`Self::handoff`] or [`Self::wake`] *after* releasing the lock.
+    fn schedule_next(&self, state: &mut CoopState) -> Option<usize> {
         debug_assert!(state.running.is_none());
-        if let Some(e) = state.ready.pop() {
-            state.status[e.rank] = RankStatus::Running;
-            state.running = Some(e.rank);
-            self.cvs[e.rank].notify_one();
-            return;
-        }
-        if state.status.iter().any(RankStatus::is_blocked) {
-            let (victim, err) = self.diagnose_stall(state);
-            state.pending[victim] = Some(err);
-            state.status[victim] = RankStatus::Running;
-            state.running = Some(victim);
-            self.cvs[victim].notify_one();
+        let next = match state.ready.pop() {
+            Some(e) => e.rank,
+            None if state.status.iter().any(RankStatus::is_blocked) => {
+                let (victim, err) = self.diagnose_stall(state);
+                state.pending[victim] = Some(err);
+                victim
+            }
+            None => return None,
+        };
+        state.status[next] = RankStatus::Running;
+        state.running = Some(next);
+        Some(next)
+    }
+
+    fn wake(&self, next: Option<usize>) {
+        if let Some(next) = next {
+            self.cvs[next].notify_one();
         }
     }
 
-    /// Pick the victim of a provable stall and its typed error, in
-    /// priority order: fault layer, then wait-for-graph verifier, then a
-    /// structural fallback on the scheduler's own wait edges. Total: at a
-    /// stall every blocked rank's wait chain ends in a finished rank or a
-    /// cycle.
-    fn diagnose_stall(&self, state: &CoopState) -> (usize, SimError) {
-        let p = state.status.len();
-        if let Some(fs) = &self.fault {
-            for r in 0..p {
-                if let RankStatus::RecvWait { src, pulled, .. } = state.status[r] {
-                    if let Some(err) = fs.diagnose_wait(r, src, pulled) {
-                        return (r, err);
-                    }
-                }
-            }
+    /// Give up the baton from `me` (already marked blocked and scheduled
+    /// away from): release the lock, wake `next`, and park until the
+    /// baton comes back. A stall rescue that picked `me` itself needs no
+    /// wake and keeps the lock.
+    fn handoff<'a>(
+        &'a self,
+        me: usize,
+        next: Option<usize>,
+        state: MutexGuard<'a, CoopState>,
+    ) -> MutexGuard<'a, CoopState> {
+        if next == Some(me) {
+            return state;
         }
-        // With a fatal fault on record the wait-for scan would pre-empt
-        // the fault layer's typed diagnosis (the fault's wake forms wait
-        // cycles), so it yields.
-        let fault_pending = self.fault.as_ref().is_some_and(|fs| fs.has_fatal_record());
-        if !fault_pending {
-            if let Some(v) = self.verify.as_ref().filter(|v| v.opts().detect_deadlock) {
-                for r in 0..p {
-                    if matches!(state.status[r], RankStatus::RecvWait { .. }) {
-                        if let Some(err) = v.scan_for_deadlock(r) {
-                            return (r, err);
-                        }
+        drop(state);
+        self.wake(next);
+        self.wait_for_baton(me, self.lock())
+    }
+
+    /// Pick the victim of a provable stall and its typed error: the fault
+    /// layer first, then the structural diagnosis on the scheduler's own
+    /// wait edges. Total: at a stall every blocked rank's wait chain ends
+    /// in a finished rank or a cycle.
+    fn diagnose_stall(&self, state: &CoopState) -> (usize, SimError) {
+        if let Some(fs) = &self.fault {
+            for (r, status) in state.status.iter().enumerate() {
+                if let RankStatus::RecvWait { src, .. } = *status {
+                    let in_flight = state.mail.get(&(src, r)).map_or(0, VecDeque::len);
+                    if let Some(err) = fs.diagnose_wait(r, src, in_flight) {
+                        return (r, err);
                     }
                 }
             }
@@ -260,11 +271,11 @@ impl CoopShared {
         self.structural_stall(state)
     }
 
-    /// Fallback diagnosis from the scheduler's own wait edges, for runs
-    /// with verification off (or stalls the verifier cannot see, e.g. a
-    /// cycle through a bounded-mailbox send). Blocked ranks' mailboxes
-    /// from their named source are empty by construction, so a wait on a
-    /// finished rank is hopeless and a cycle is a deadlock.
+    /// Deadlock diagnosis from the scheduler's own wait edges, covering
+    /// receive waits and sends parked on a bounded mailbox alike. Blocked
+    /// ranks' mailboxes from their named source are empty by construction,
+    /// so nothing is in flight: a wait on a finished rank is hopeless and a
+    /// cycle is a deadlock.
     fn structural_stall(&self, state: &CoopState) -> (usize, SimError) {
         let p = state.status.len();
         let target = |r: usize| -> Option<usize> {
@@ -321,8 +332,7 @@ impl CoopShared {
 
     /// Take the next envelope `src` has in flight to `me`, or park until
     /// one arrives (or a stall rescue / abort cascade wakes `me` with an
-    /// error). `pulled` and `now` freeze this rank's receive progress and
-    /// virtual clock for the scheduler.
+    /// error). `now` freezes this rank's virtual clock for the scheduler.
     ///
     /// The mailbox check and the park happen under one lock acquisition,
     /// so a deposit can never slip between "saw it empty" and "parked"
@@ -332,7 +342,6 @@ impl CoopShared {
         me: usize,
         src: usize,
         tag: u64,
-        pulled: u64,
         now: f64,
     ) -> Result<Envelope, SimError> {
         let mut state = self.lock();
@@ -347,11 +356,11 @@ impl CoopShared {
                 }
                 return Ok(env);
             }
-            state.status[me] = RankStatus::RecvWait { src, tag, pulled };
+            state.status[me] = RankStatus::RecvWait { src, tag };
             state.clocks[me] = now;
             state.running = None;
-            self.schedule_next(&mut state);
-            state = self.wait_for_baton(me, state);
+            let next = self.schedule_next(&mut state);
+            state = self.handoff(me, next, state);
         }
     }
 
@@ -389,8 +398,8 @@ impl CoopShared {
             state.status[me] = RankStatus::SendWait { dst };
             state.clocks[me] = now;
             state.running = None;
-            self.schedule_next(&mut state);
-            state = self.wait_for_baton(me, state);
+            let next = self.schedule_next(&mut state);
+            state = self.handoff(me, next, state);
         }
     }
 
@@ -400,8 +409,8 @@ impl CoopShared {
     /// aborting (parked ranks no longer poll the abort flag, so the flag
     /// alone cannot reach them), and hand the baton on.
     ///
-    /// Call order matters for the verifier: the engine must
-    /// `mark_done`/set the abort flag *before* this releases the baton.
+    /// The engine must set the abort flag *before* calling this, so the
+    /// cascade sees it.
     pub(crate) fn finish(&self, me: usize, failed: bool) {
         let mut state = self.lock();
         state.status[me] = if failed { RankStatus::Failed } else { RankStatus::Done };
@@ -425,7 +434,9 @@ impl CoopShared {
         }
         if state.running == Some(me) {
             state.running = None;
-            self.schedule_next(&mut state);
+            let next = self.schedule_next(&mut state);
+            drop(state);
+            self.wake(next);
         }
     }
 }

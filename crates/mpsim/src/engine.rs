@@ -11,7 +11,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Once};
 
 use crate::comm::{AbortPanic, Comm};
@@ -55,8 +54,8 @@ pub struct SimOptions {
     /// [`crate::trace::Event`]); returned in [`SpmdOutput::events`].
     pub record_events: bool,
     /// Which correctness checks run alongside the program (see
-    /// [`crate::verify`]). The default enables only deadlock detection,
-    /// which costs nothing until the run has already stalled.
+    /// [`crate::verify`]). The default runs none; deadlock diagnosis is
+    /// the scheduler's and always on.
     pub verify: VerifyOptions,
     /// Deterministic fault plan to inject into the run (see
     /// [`crate::fault`]); `None` simulates perfectly reliable hardware.
@@ -88,7 +87,7 @@ impl Default for SimOptions {
 
 impl SimOptions {
     /// Options with every verification layer enabled: collective
-    /// fingerprinting, deadlock detection, and replication hashing.
+    /// fingerprinting and replication hashing.
     pub fn verified() -> Self {
         SimOptions { verify: VerifyOptions::all(), ..Default::default() }
     }
@@ -114,13 +113,13 @@ pub struct SpmdOutput<T> {
     /// held at once, against [`SimOptions::max_inflight_per_pair`].
     pub mailbox_high_water: usize,
     /// One row per warm spare slot ([`MachineSpec::spares`]), rank ids
-    /// `p..p+spares`. Spares park outside the scheduler for the whole run
-    /// — they are not collective participants and never hold the baton,
-    /// so no stall diagnosis can name them — and accrue no virtual time
-    /// until a recovery supervisor promotes their slot into a failed
-    /// logical rank. Kept out of [`SpmdOutput::ranks`] so aggregate
-    /// statistics and symmetry checks keep describing the `p` working
-    /// ranks.
+    /// `p..p+spares`, all zero. Spares stand outside the scheduler for the
+    /// whole run — they run no code, are not collective participants and
+    /// never hold the baton, so no stall diagnosis can name them — and
+    /// accrue no virtual time until a recovery supervisor promotes their
+    /// slot into a failed logical rank. Kept out of [`SpmdOutput::ranks`]
+    /// so aggregate statistics and symmetry checks keep describing the `p`
+    /// working ranks.
     pub spare_ranks: Vec<RankStats>,
 }
 
@@ -151,34 +150,12 @@ where
     install_panic_capture();
     let spec = Arc::new(spec.clone());
     let abort = Arc::new(AtomicBool::new(false));
-    let verify = opts.verify.any().then(|| Arc::new(VerifyState::new(p, opts.verify.clone())));
+    let verify = opts.verify.any().then(|| Arc::new(VerifyState::new(opts.verify.clone())));
     let fault = opts.fault.as_ref().map(|plan| Arc::new(FaultState::new(plan.clone(), p)));
-    let coop = Arc::new(CoopShared::new(
-        p,
-        opts.max_inflight_per_pair,
-        verify.clone(),
-        fault.clone(),
-        Arc::clone(&abort),
-    ));
+    let coop =
+        Arc::new(CoopShared::new(p, opts.max_inflight_per_pair, fault.clone(), Arc::clone(&abort)));
 
-    let (results, spare_ranks) = std::thread::scope(|scope| {
-        // Warm spares: one parked thread per spare slot, alive for the
-        // whole run so a hot standby really is warm. They hang off a
-        // harness-level control channel, not the scheduler's baton, and
-        // block until the harness drops its sender when the ranks return.
-        let mut park_txs = Vec::with_capacity(spec.spares);
-        let mut spare_handles = Vec::with_capacity(spec.spares);
-        for i in 0..spec.spares {
-            let (tx, rx) = channel::<()>();
-            park_txs.push(tx);
-            let slot = p + i;
-            spare_handles.push(scope.spawn(move || {
-                // Err(RecvError) when the harness drops its sender — the
-                // normal "run over, stand down" signal.
-                let _ = rx.recv();
-                RankStats { rank: slot, ..RankStats::default() }
-            }));
-        }
+    let results = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for rank in 0..p {
             let spec = Arc::clone(&spec);
@@ -207,10 +184,9 @@ where
                         replay,
                     );
                     let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                    let res = settle_rank(rank, outcome, &mut comm, &abort, &verify);
-                    // Release the baton *after* settle_rank's mark_done /
-                    // abort bookkeeping: the next scheduled rank's
-                    // detectors must already see this rank's fate.
+                    let res = settle_rank(rank, outcome, &mut comm, &abort);
+                    // Release the baton *after* settle_rank has set the
+                    // abort flag, so finish's abort cascade sees it.
                     coop.finish(rank, res.is_err());
                     res
                 })
@@ -218,7 +194,7 @@ where
                 .expect("spawn rank thread");
             handles.push(handle);
         }
-        let results: Vec<RankOutcome<T>> = handles
+        handles
             .into_iter()
             .enumerate()
             .map(|(rank, h)| {
@@ -231,18 +207,11 @@ where
                     })
                 })
             })
-            .collect();
-        drop(park_txs);
-        let spare_ranks: Vec<RankStats> = spare_handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join().unwrap_or_else(|_| RankStats { rank: p + i, ..RankStats::default() })
-            })
-            .collect();
-        (results, spare_ranks)
+            .collect::<Vec<RankOutcome<T>>>()
     });
     let mailbox_high_water = coop.high_water();
+    let spare_ranks =
+        (p..p + spec.spares).map(|rank| RankStats { rank, ..RankStats::default() }).collect();
 
     let mut first_error: Option<SimError> = None;
     let mut per_rank = Vec::with_capacity(p);
@@ -282,25 +251,16 @@ where
 
 type RankOutcome<T> = Result<(T, RankStats, Vec<crate::trace::Event>), SimError>;
 
-/// Finish one rank's run: classify the outcome, keep the verifier's
-/// done/abort bookkeeping in the order the detectors rely on.
+/// Finish one rank's run: classify the outcome and, for a root-cause
+/// failure, raise the abort flag.
 fn settle_rank<T>(
     rank: usize,
     outcome: std::thread::Result<T>,
     comm: &mut Comm,
     abort: &AtomicBool,
-    verify: &Option<Arc<VerifyState>>,
 ) -> RankOutcome<T> {
     match outcome {
-        Ok(value) => {
-            // Mark completion before releasing the rank so the deadlock
-            // detector can tell "will never send again" apart from
-            // "still running".
-            if let Some(v) = verify {
-                v.mark_done(rank);
-            }
-            Ok((value, comm.stats(), comm.take_events()))
-        }
+        Ok(value) => Ok((value, comm.stats(), comm.take_events())),
         Err(payload) => {
             let err = classify_panic(rank, payload);
             // An injected crash must not tear the other ranks down from
@@ -554,6 +514,78 @@ mod tests {
             other => panic!("expected Deadlock, got {other:?}"),
         }
         assert!(elapsed < Duration::from_secs(1), "diagnosis took {elapsed:?}");
+    }
+
+    /// Run `body` on `p` ranks and return the `Deadlock` it must end in.
+    fn expect_deadlock(p: usize, body: impl Fn(&mut Comm) + Sync) -> (Vec<usize>, String) {
+        match run_spmd_default::<(), _>(&presets::zero_cost(p), body) {
+            Err(SimError::Deadlock { cycle, detail, .. }) => (cycle, detail),
+            other => panic!("expected Deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wait_on_a_returned_rank_names_the_finished_peer() {
+        let (cycle, detail) = expect_deadlock(3, |c| {
+            if c.rank() == 0 {
+                let _ = c.recv_f64s(2, 9);
+            }
+        });
+        assert!(cycle.is_empty(), "{detail}");
+        assert!(detail.contains("rank 0 waits on rank 2"), "{detail}");
+        assert!(detail.contains("already finished"), "{detail}");
+    }
+
+    #[test]
+    fn stashed_wrong_tag_envelope_still_closes_the_cycle() {
+        // Rank 0 pulls rank 1's tag-3 envelope into its stash while
+        // waiting for tag 7; nothing else is in flight, so the two
+        // receives wait on each other for good.
+        let (mut cycle, detail) = expect_deadlock(2, |c| {
+            if c.rank() == 1 {
+                c.send_f64s(0, 3, &[1.0]);
+            }
+            let _ = c.recv_f64s(1 - c.rank(), 7);
+        });
+        cycle.sort_unstable();
+        assert_eq!(cycle, vec![0, 1], "{detail}");
+        assert!(detail.contains("rank 0 waits on rank 1 (tag 0x7)"), "{detail}");
+    }
+
+    #[test]
+    fn receive_from_a_busy_sender_is_never_diagnosed() {
+        // Rank 0 blocks long before rank 1's message exists: a wait on a
+        // rank that is still running is not a stall.
+        let spec = presets::hier_cluster(2, 1);
+        let out = run_spmd_default(&spec, |c| {
+            if c.rank() == 0 {
+                let v = c.recv_f64s(1, 7);
+                c.send_f64s(1, 8, &v);
+                v[0]
+            } else {
+                c.work(1 << 30);
+                c.send_f64s(0, 7, &[42.0]);
+                c.recv_f64s(0, 8)[0]
+            }
+        })
+        .unwrap();
+        assert_eq!(out.per_rank, vec![42.0, 42.0]);
+        assert!(out.ranks[0].idle > 0.0, "rank 0 should have waited for the late send");
+    }
+
+    #[test]
+    fn wait_on_a_rank_that_returned_after_its_receive_is_diagnosed() {
+        let (cycle, detail) = expect_deadlock(2, |c| {
+            if c.rank() == 0 {
+                let _ = c.recv_f64s(1, 7);
+            } else {
+                c.send_f64s(0, 7, &[1.0]);
+                let _ = c.recv_f64s(0, 8);
+            }
+        });
+        assert!(cycle.is_empty(), "{detail}");
+        assert!(detail.contains("rank 1 waits on rank 0"), "{detail}");
+        assert!(detail.contains("already finished"), "{detail}");
     }
 
     #[test]

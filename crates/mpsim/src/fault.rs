@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::SimError;
@@ -277,49 +277,30 @@ pub(crate) struct SendDirective {
 }
 
 /// Shared per-run fault state built by the engine from a [`FaultPlan`].
+/// Every per-link table is sparse: it holds only the links a fault hit.
 pub(crate) struct FaultState {
     plan: FaultPlan,
-    p: usize,
     /// Per-rank failure record; set by the culprit *before* it dies so a
     /// peer can never observe the death without its explanation.
     failed: Mutex<Vec<Option<FailureRecord>>>,
     /// First dropped message per (src, dst) link.
     dropped: Mutex<BTreeMap<(usize, usize), FailureRecord>>,
-    /// `sent_ok[src*p + dst]`: envelopes actually enqueued on the link
-    /// (drops excluded); compared against the receiver's pull count to
-    /// prove a wait can only be for the dropped message.
-    sent_ok: Vec<AtomicU64>,
-    /// `degrade[src*p + dst]`: bits of the active slowdown factor; 0 = ok.
-    degrade: Vec<AtomicU64>,
+    /// Active slowdown factor per degraded (src, dst) link.
+    degrade: Mutex<BTreeMap<(usize, usize), f64>>,
 }
 
 impl FaultState {
     pub fn new(plan: FaultPlan, p: usize) -> Self {
         FaultState {
             plan,
-            p,
             failed: Mutex::new(vec![None; p]),
             dropped: Mutex::new(BTreeMap::new()),
-            sent_ok: (0..p * p).map(|_| AtomicU64::new(0)).collect(),
-            degrade: (0..p * p).map(|_| AtomicU64::new(0)).collect(),
+            degrade: Mutex::new(BTreeMap::new()),
         }
     }
 
     pub fn virtual_timeout(&self) -> Option<f64> {
         self.plan.virtual_timeout
-    }
-
-    /// Has a *fatal* fault (crash or drop) fired in this run? While true,
-    /// the wait-for-graph deadlock scanner stands down: the fault's wake
-    /// forms wait cycles, and the generic deadlock verdict must not
-    /// pre-empt the typed per-rank diagnosis naming the culprit. Delays
-    /// and degraded links leave no record — they are absorbed, not
-    /// diagnosed.
-    pub fn has_fatal_record(&self) -> bool {
-        // lint:allow(unwrap): mutex poisoning only follows another panic
-        self.failed.lock().expect("fault state lock").iter().any(Option::is_some)
-            // lint:allow(unwrap): mutex poisoning only follows another panic
-            || !self.dropped.lock().expect("fault state lock").is_empty()
     }
 
     fn try_fire(&self, idx: usize) -> bool {
@@ -353,8 +334,7 @@ impl FaultState {
         None
     }
 
-    /// Apply message-level faults to the send `src → dst` with seq `seq`,
-    /// and account the message on the link if it is actually delivered.
+    /// Apply message-level faults to the send `src → dst` with seq `seq`.
     pub fn on_send(
         &self,
         src: usize,
@@ -391,26 +371,23 @@ impl FaultState {
                 FaultAction::DegradeLink { dst: d2, factor }
                     if d2 == dst && Self::hit(s.trigger, seq, now) && self.try_fire(i) =>
                 {
-                    self.degrade[src * self.p + d2].store(factor.to_bits(), Ordering::Relaxed);
+                    // lint:allow(unwrap): mutex poisoning only follows another panic
+                    self.degrade.lock().expect("fault state lock").insert((src, dst), factor);
                 }
                 _ => {}
             }
         }
-        let bits = self.degrade[src * self.p + dst].load(Ordering::Relaxed);
-        if bits != 0 {
-            d.degrade_factor = Some(f64::from_bits(bits));
-        }
-        if !d.dropped {
-            self.sent_ok[src * self.p + dst].fetch_add(1, Ordering::Relaxed);
-        }
+        // lint:allow(unwrap): mutex poisoning only follows another panic
+        d.degrade_factor = self.degrade.lock().expect("fault state lock").get(&(src, dst)).copied();
         d
     }
 
     /// Explain why `me`'s wait on `src` can never be satisfied, if the
-    /// fault record proves it: either `src` failed, or the only message
-    /// unaccounted for on the link is one that was dropped
-    /// (`pulled_from_src` counts envelopes `me` has taken off this link).
-    pub fn diagnose_wait(&self, me: usize, src: usize, pulled_from_src: u64) -> Option<SimError> {
+    /// fault record proves it: either `src` failed, or the link dropped a
+    /// message and has nothing else in flight (`in_flight` counts the
+    /// envelopes delivered to `me`'s mailbox from `src` and not yet
+    /// pulled; dropped envelopes never reach a mailbox).
+    pub fn diagnose_wait(&self, me: usize, src: usize, in_flight: usize) -> Option<SimError> {
         // lint:allow(unwrap): mutex poisoning only follows another panic
         if let Some(rec) = &self.failed.lock().expect("fault state lock")[src] {
             return Some(SimError::PeerFailed {
@@ -424,7 +401,7 @@ impl FaultState {
         // lint:allow(unwrap): mutex poisoning only follows another panic
         let dropped = self.dropped.lock().expect("fault state lock");
         if let Some(rec) = dropped.get(&(src, me)) {
-            if self.sent_ok[src * self.p + me].load(Ordering::Relaxed) == pulled_from_src {
+            if in_flight == 0 {
                 return Some(SimError::PeerFailed {
                     rank: me,
                     peer: src,
@@ -486,9 +463,9 @@ mod tests {
         assert!(st.on_send(1, 0, 1, 0.0, "estep").dropped);
         assert!(!st.on_send(1, 0, 2, 0.0, "estep").dropped);
         // One delivered message not yet pulled: the wait might be for it.
-        assert!(st.diagnose_wait(0, 1, 0).is_none());
+        assert!(st.diagnose_wait(0, 1, 1).is_none());
         // Link drained: the wait can only be for the dropped message.
-        match st.diagnose_wait(0, 1, 1) {
+        match st.diagnose_wait(0, 1, 0) {
             Some(SimError::PeerFailed { rank, peer, kind, seq, phase }) => {
                 assert_eq!((rank, peer, kind, seq), (0, 1, FaultKind::Drop, 1));
                 assert_eq!(phase, "estep");

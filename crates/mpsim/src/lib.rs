@@ -60,8 +60,9 @@
 //!   [`GroupCommunicator`] traits (plus [`CommError`]) that let the same
 //!   SPMD driver run on this simulator or on a wall-clock native backend
 //! * [`verify`] — opt-in SPMD correctness verification: collective
-//!   fingerprint cross-validation, wait-for-graph deadlock detection, and
-//!   replication-invariant hashing (see [`SimOptions::verified`])
+//!   fingerprint cross-validation and replication-invariant hashing (see
+//!   [`SimOptions::verified`]); deadlocks are always diagnosed by the
+//!   scheduler
 
 #![warn(missing_docs)]
 
