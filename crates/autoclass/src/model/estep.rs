@@ -410,10 +410,10 @@ fn update_wts_tiled<S: TileSink>(
     EStepScalars { log_likelihood, complete_ll, ops }
 }
 
-/// The pre-blocking reference E-step, retained verbatim for the benchmark
-/// harness (`cargo xtask bench` measures it against the blocked kernel in
-/// the same process) and for the bitwise-equivalence test. Full-column
-/// phase 1, then a strided full-matrix phase 2.
+/// The pre-blocking reference E-step, retained verbatim as the oracle the
+/// blocked kernel is tested against (`blocked_kernel_matches_naive_to_rounding`
+/// checks outputs to rounding and op counts exactly). Full-column phase 1,
+/// then a strided full-matrix phase 2.
 pub fn update_wts_naive(
     model: &Model,
     view: &DataView<'_>,
@@ -699,51 +699,76 @@ mod tests {
 
     /// Many items (forcing several tiles plus a ragged tail): the blocked
     /// kernel must match the retained naive reference to final-rounding
-    /// precision. Phase 1 is the identical operation sequence; phase 2
-    /// replaces two libm `exp` calls per element with one `fast_exp` plus
-    /// a normalization multiply, so outputs agree to a few ulps rather
-    /// than bitwise.
+    /// precision, and both must charge `estep_ops` for the E-step. Phase 1
+    /// is the identical operation sequence; phase 2 replaces two libm
+    /// `exp` calls per element with one `fast_exp` plus a normalization
+    /// multiply, so outputs agree to a few ulps rather than bitwise. Two
+    /// inputs: two well-separated classes on one real attribute, and
+    /// eight overlapping classes on two real attributes.
     #[test]
     fn blocked_kernel_matches_naive_to_rounding() {
         fn close(a: f64, b: f64, what: &str) {
             let tol = 1e-12 * a.abs().max(b.abs()).max(1e-300);
             assert!((a - b).abs() <= tol, "{what}: {a} vs {b}");
         }
-        let schema = Schema::new(vec![Attribute::real("x", 0.01)]);
+        fn check(schema: Schema, rows: &[Vec<Value>], classes: &[ClassParams]) {
+            let data = Dataset::from_rows(schema.clone(), rows);
+            let stats = GlobalStats::compute(&data.full_view());
+            let model = Model::new(schema, &stats);
+            let (n, j) = (rows.len(), classes.len());
+
+            let mut wts_naive = WtsMatrix::new(0, 0);
+            let naive = update_wts_naive(&model, &data.full_view(), classes, &mut wts_naive);
+
+            let mut wts_blocked = WtsMatrix::new(0, 0);
+            let mut scratch = EStepScratch::default();
+            let blocked =
+                update_wts_into(&model, &data.full_view(), classes, &mut wts_blocked, &mut scratch);
+
+            close(naive.log_likelihood, blocked.log_likelihood, "log likelihood");
+            close(naive.complete_ll, blocked.complete_ll, "complete log likelihood");
+            assert_eq!(naive.ops, estep_ops(n, j, model.n_attrs()), "J={j}");
+            assert_eq!(blocked.ops, naive.ops, "J={j}");
+            for (a, b) in naive.class_weight_sums.iter().zip(&scratch.class_weight_sums) {
+                close(*a, *b, "class weight sums");
+            }
+            for c in 0..j {
+                for (a, b) in wts_naive.class_column(c).iter().zip(wts_blocked.class_column(c)) {
+                    close(*a, *b, "weight matrix");
+                }
+            }
+        }
         let n = 2 * ESTEP_TILE + 37;
+
         let rows: Vec<Vec<Value>> = (0..n)
             .map(|i| {
                 let x = if i % 2 == 0 { -5.0 } else { 5.0 } + (i as f64) * 1e-3;
                 vec![Value::Real(x)]
             })
             .collect();
-        let data = Dataset::from_rows(schema.clone(), &rows);
-        let stats = GlobalStats::compute(&data.full_view());
-        let model = Model::new(schema, &stats);
-        let classes = vec![
+        let classes = [
             ClassParams::new(n as f64 / 2.0, 0.5, vec![TermParams::normal(-5.0, 0.7)]),
             ClassParams::new(n as f64 / 2.0, 0.5, vec![TermParams::normal(5.0, 0.7)]),
         ];
+        check(Schema::new(vec![Attribute::real("x", 0.01)]), &rows, &classes);
 
-        let mut wts_naive = WtsMatrix::new(0, 0);
-        let naive = update_wts_naive(&model, &data.full_view(), &classes, &mut wts_naive);
-
-        let mut wts_blocked = WtsMatrix::new(0, 0);
-        let mut scratch = EStepScratch::default();
-        let blocked =
-            update_wts_into(&model, &data.full_view(), &classes, &mut wts_blocked, &mut scratch);
-
-        close(naive.log_likelihood, blocked.log_likelihood, "log likelihood");
-        close(naive.complete_ll, blocked.complete_ll, "complete log likelihood");
-        assert_eq!(naive.ops, blocked.ops);
-        for (a, b) in naive.class_weight_sums.iter().zip(&scratch.class_weight_sums) {
-            close(*a, *b, "class weight sums");
-        }
-        for c in 0..2 {
-            for (a, b) in wts_naive.class_column(c).iter().zip(wts_blocked.class_column(c)) {
-                close(*a, *b, "weight matrix");
-            }
-        }
+        let center = |c: usize| (1.5 * c as f64, (c % 3) as f64);
+        let rows: Vec<Vec<Value>> = (0..n)
+            .map(|i| {
+                let (x, y) = center(i % 8);
+                let jitter = ((i * 37) % 101) as f64 / 101.0 - 0.5;
+                vec![Value::Real(x + jitter), Value::Real(y - jitter)]
+            })
+            .collect();
+        let classes: Vec<ClassParams> = (0..8)
+            .map(|c| {
+                let (x, y) = center(c);
+                let terms = vec![TermParams::normal(x, 0.8), TermParams::normal(y, 0.8)];
+                ClassParams::new(n as f64 / 8.0, 0.125, terms)
+            })
+            .collect();
+        let schema = Schema::new(vec![Attribute::real("x", 0.01), Attribute::real("y", 0.01)]);
+        check(schema, &rows, &classes);
     }
 
     /// The fused single-pass E+M kernel vs the two-pass form

@@ -82,7 +82,7 @@ impl ComputeModel {
 /// tree shapes). Early-1990s MPI implementations commonly used linear
 /// gather+broadcast reductions; modern ones use recursive doubling or ring
 /// algorithms. The choice changes the latency/bandwidth trade-off and is
-/// one of the ablations in the bench crate.
+/// the A-collectives ablation of `cargo xtask report`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceAlgo {
     /// Gather everything to rank 0, reduce there, broadcast back. Costs

@@ -278,9 +278,9 @@ where
 /// and collision-resistant enough for divergence *detection* (a divergence
 /// missed by a 64-bit hash collision is astronomically unlikely).
 ///
-/// Public so other backends (and cross-backend gates like
-/// `cargo xtask calibrate`) compute replication hashes with the exact
-/// same function the simulated verifier uses.
+/// Public so other backends (and cross-backend gates like the native
+/// column of `cargo xtask report`) compute replication hashes with the
+/// exact same function the simulated verifier uses.
 pub fn hash_f64s(values: &[f64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in values {

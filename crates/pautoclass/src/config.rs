@@ -13,7 +13,8 @@ pub enum Exchange {
     /// the class/attribute loops. Many small latency-bound messages.
     PerTerm,
     /// A single Allreduce of the whole flat statistics vector — the
-    /// natural fusion optimization; one of the ablations in `bench`.
+    /// natural fusion optimization; one of the A-strategy ablation's
+    /// columns in `cargo xtask report`.
     /// The two cycle log-likelihood scalars piggyback on the same
     /// message, so one collective per cycle replaces three.
     Fused,
@@ -58,7 +59,7 @@ pub enum Partitioning {
     Block,
     /// Contiguous blocks proportional to the given per-rank weights (one
     /// per rank) — e.g. relative processor speeds on a heterogeneous
-    /// machine. See the `ablation_imbalance` bench.
+    /// machine. See the A-imbalance section of `cargo xtask report`.
     Weighted(Vec<f64>),
 }
 

@@ -1,7 +1,7 @@
 //! Qualitative reproduction of the paper's scaling results on the
 //! simulated Meiko CS-2: speedup grows with dataset size, small datasets
 //! saturate, and scaleup (fixed data per processor) stays nearly flat.
-//! The figure harnesses in the `bench` crate print the full curves; these
+//! `cargo xtask report` prints the full curves (Figs 6–8); these
 //! tests pin the *shapes* so regressions in the cost model or the drivers
 //! are caught.
 

@@ -1,8 +1,8 @@
 //! Scaling study in miniature: the paper's three measurements (elapsed
 //! time, speedup, scaleup) on one small workload, plus the k-means
 //! baseline on the identical simulated machine — a compact tour of the
-//! whole evaluation pipeline. The `bench` crate's `fig6`/`fig7`/`fig8`
-//! binaries run the full-size grids.
+//! whole evaluation pipeline. `cargo xtask report` runs the full-size
+//! grids of Figures 6–8.
 //!
 //! Run with: `cargo run --example cluster_scaling --release`
 

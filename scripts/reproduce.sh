@@ -1,34 +1,11 @@
 #!/usr/bin/env bash
-# Regenerate every experiment in EXPERIMENTS.md into results/.
-# Usage: scripts/reproduce.sh [--full]
-# --full uses the paper's start_j_list (2,4,8,16,24,50,64); expect a long run.
+# Regenerate every table in EXPERIMENTS.md into report/.
+# Usage: scripts/reproduce.sh [--full] [--smoke]
+# --full uses the paper's start_j_list (2,4,8,16,24,50,64) for the Fig 6/7
+# grid; expect a long run. All dependencies are vendored in-tree
+# (vendor/*), so the script works without registry access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-mode="${1:-}"
-out=results
-mkdir -p "$out"
-
-run() {
-    local name="$1"; shift
-    echo "=== $name ==="
-    cargo run --offline -p bench --bin "$name" --release -- "$@" | tee "$out/$name.txt"
-}
-
-# All dependencies are vendored in-tree (vendor/*), so the whole script
-# works without registry access.
-cargo build --offline --workspace --release
-
-run fig6 $mode
-run fig7 $mode
-run fig8
-run profile_phases
-run ablation_strategy
-run ablation_allreduce
-run ablation_imbalance
-run seq_scaling
-
-echo "=== criterion benches ==="
-cargo bench --offline --workspace | tee "$out/criterion.txt"
-
+cargo xtask report "$@"
 echo
-echo "All experiment outputs are in $out/; compare against EXPERIMENTS.md."
+echo "All tables are in report/; compare against EXPERIMENTS.md."

@@ -7,12 +7,11 @@
 //!   plus the rank-taint rules (collective-divergence, unwaited-request,
 //!   phase-balance, rank-variant-payload, nondet), with JSON output for
 //!   CI. See `cargo xtask analyze --help` equivalent flags below.
-//! * `bench` — the benchmark harness behind `BENCH_2.json`: E-step kernel
-//!   throughput (naive vs blocked, same process) and virtual cycle times
-//!   per strategy × P. See the `bench` module docs for flags.
-//! * `report` — reproduce the paper's evaluation tables (per-phase time,
-//!   speedup, efficiency, critical path) from verified runs at a series of
-//!   processor counts. See the `report` module docs for flags and gates.
+//! * `report` — regenerate every table in EXPERIMENTS.md: the verified
+//!   paper series (per-phase time, speedup, efficiency, critical path)
+//!   with its native column, Fig 6–8, the in-text claims, the ablations
+//!   and the fleet table, each with its gates. See the `report` module
+//!   docs for flags and gates.
 //! * `faultmatrix` — the robustness acceptance sweep: every injected fault
 //!   kind × recovery policy × processor count must either recover
 //!   bit-identically or surface a typed error naming the correct culprit.
@@ -40,10 +39,9 @@
 //!   rule fires at its expected line.
 //! * `--root DIR` — analyze a different root (used by the corpus).
 
-mod bench;
-mod calibrate;
 mod faultmatrix;
 mod report;
+mod sections;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -53,17 +51,13 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
         Some("analyze") => analyze(&args[1..]),
-        Some("bench") => bench::bench(&args[1..]),
         Some("report") => report::report(&args[1..]),
-        Some("calibrate") => calibrate::calibrate(&args[1..]),
         Some("faultmatrix") => faultmatrix::faultmatrix(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask lint \
                  | analyze [--check] [--out PATH] [--fixtures] [--root DIR] \
-                 | bench [--smoke] [--native] [--ensemble] [--out PATH] [--check PATH] \
-                 | report [--smoke] [--largep] [--out DIR] [--check PATH] \
-                 | calibrate [--smoke] [--out PATH] [--check PATH] \
+                 | report [--smoke] [--full] [--largep] [--out DIR] [--check PATH] \
                  | faultmatrix [--smoke] [--largep] [--standby] [--out DIR] [--check [PATH]]"
             );
             ExitCode::FAILURE

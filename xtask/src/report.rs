@@ -1,14 +1,16 @@
 //! `cargo xtask report` — reproduce the paper's evaluation tables.
 //!
-//! Runs the verified P-AutoClass search (all verification layers on) at a
-//! series of processor counts on the calibrated Meiko CS-2 model, collects
-//! the per-rank phase-attributed statistics, and renders the paper-style
-//! tables — per-phase time, speedup, efficiency, comm/compute ratio, and
-//! the max-vs-mean critical-path summary — through [`mpsim::Report`] as
-//! aligned text, CSV, and JSON artifacts.
+//! One command regenerates every table in EXPERIMENTS.md. Its core is the
+//! paper series: the verified P-AutoClass search (all verification layers
+//! on) at a series of processor counts on the calibrated Meiko CS-2
+//! model, rendered through [`mpsim::Report`] as the per-phase time,
+//! speedup, efficiency, comm/compute ratio and max-vs-mean critical-path
+//! tables. The sections of [`crate::sections`] follow it: Fig 6 and Fig 7
+//! from one grid of searches, Fig 8, T-profile, A-strategy,
+//! A-collectives, A-imbalance, A-seq and the F-ensemble fleet table.
 //!
-//! The harness also checks these invariants and records them as gates in
-//! the JSON artifact:
+//! The harness checks these invariants and records them as gates in the
+//! JSON artifact:
 //!
 //! 1. **Phase accounting** — on every rank the phase buckets sum to the
 //!    rank's elapsed virtual time within 1e-9 (enforced by
@@ -28,24 +30,44 @@
 //!    bitwise-identical search outcome to the blocking Fused series and,
 //!    at every P > 1, exposes strictly less `"allreduce"` time (the
 //!    hidden remainder is reported per P in `overlap_allreduce`).
+//! 6. **Native column** — each P also runs `run_search_native` (one OS
+//!    thread per rank) on the same data, config and machine. The result
+//!    must be bitwise identical to the simulated run (log likelihood,
+//!    score, cycle count and every stored classification's parameter
+//!    hash); the native phase buckets must partition each rank's measured
+//!    time, and every phase fraction and speedup must be finite. The
+//!    wall-clock numbers go to `report_native.txt`, outside the
+//!    determinism-compared JSON.
+//! 7. **Section gates** — each section's own shape checks (see
+//!    [`crate::sections`]); a failed gate fails the run after printing
+//!    every table.
 //!
-//! Flags: `--smoke` (P ∈ {1,2,4}, small dataset — the CI configuration),
-//! `--out DIR` (default `report/` in the repo root), `--check PATH`
-//! (validate an existing `report.json` or `report_largep.json` instead of
-//! running — the schema is sniffed from the artifact), `--largep` (run
-//! the large-`P` series instead: the verified search on the hierarchical
-//! fat-tree cluster at P ∈ {64, 256, 1024} against a P = 1 baseline,
-//! writing `report_largep.json`/`.txt`).
+//! Flags: `--smoke` (every section at CI size — the CI configuration),
+//! `--full` (the paper's `start_j_list = 2,4,8,16,24,50,64` for the Fig
+//! 6/7 grid), `--out DIR` (default `report/` in the repo root), `--check
+//! PATH` (validate an existing `report.json` or `report_largep.json`
+//! instead of running — the schema is sniffed from the artifact),
+//! `--largep` (run the large-`P` series instead: the verified search on
+//! the hierarchical fat-tree cluster at P ∈ {64, 256, 1024} against a
+//! P = 1 baseline, writing `report_largep.json`/`.txt`).
 
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
 use autoclass::data::GlobalStats;
-use autoclass::model::{Model, StatLayout};
+use autoclass::model::{classes_to_flat, Model, StatLayout};
 use autoclass::search::SearchConfig;
-use mpsim::{predicted_allreduce_cost, presets, Report, RunRecord, RunStats, SimOptions};
-use pautoclass::{run_search_with, Exchange, ParallelConfig, Partitioning, Strategy};
+use mpsim::{
+    hash_f64s, predicted_allreduce_cost, presets, RankStats, Report, RunRecord, RunStats,
+    SimOptions,
+};
+use pautoclass::{
+    run_search_native, run_search_with, Exchange, NativeOptions, ParallelConfig, ParallelOutcome,
+    Partitioning, Strategy,
+};
+
+use crate::sections;
 
 /// Accepted band for measured/predicted allreduce time, P > 1. The LogGP
 /// linear-allreduce formula serializes the whole exchange while the
@@ -55,8 +77,28 @@ use pautoclass::{run_search_with, Exchange, ParallelConfig, Partitioning, Strate
 const LOGGP_RATIO_MIN: f64 = 0.2;
 const LOGGP_RATIO_MAX: f64 = 5.0;
 
+/// Gates the paper series enforces before it returns.
+const SERIES_GATES: [&str; 11] = [
+    "phase_sums_ok",
+    "speedup_p1_exact",
+    "symmetry_ok",
+    "loggp_ok",
+    "overlap_ok",
+    "pipelined_matches_fused",
+    "deterministic",
+    "native_bitwise_identical",
+    "native_phase_sums_ok",
+    "native_fractions_ok",
+    "native_speedup_finite",
+];
+
+/// Phases the driver attributes time to, in display order. Anything not
+/// claimed by the first three lands in the enclosing `search` bucket.
+const PHASES: [&str; 4] = ["estep", "mstep", "allreduce", "search"];
+
 pub fn report(args: &[String]) -> ExitCode {
     let smoke = args.iter().any(|a| a == "--smoke");
+    let full = args.iter().any(|a| a == "--full");
     let flag_value = |name: &str| {
         args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
     };
@@ -65,52 +107,82 @@ pub fn report(args: &[String]) -> ExitCode {
     }
     let root = crate::repo_root();
     let out_dir = flag_value("--out").map(Into::into).unwrap_or_else(|| root.join("report"));
-    if args.iter().any(|a| a == "--largep") {
-        return report_largep(smoke, &out_dir);
-    }
-
-    let (first, loggp, overlap) = match run_series(smoke) {
-        Ok(v) => v,
+    let result = if args.iter().any(|a| a == "--largep") {
+        report_largep(smoke, &out_dir)
+    } else {
+        report_paper(smoke, full, &out_dir)
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("xtask report: {msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn report_paper(smoke: bool, full: bool, out_dir: &Path) -> Result<(), String> {
+    let first = run_series(smoke)?;
     // Determinism gate: the sim is virtual-time-deterministic, so a second
     // identical series must render bit-identical artifacts.
-    let deterministic = match run_series(smoke) {
-        Ok((second, _, _)) => second.to_json() == first.to_json(),
-        Err(msg) => {
-            eprintln!("xtask report: repeat run failed: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !deterministic {
-        eprintln!("xtask report: repeated series rendered different artifacts");
-        return ExitCode::FAILURE;
+    let second = run_series(smoke).map_err(|msg| format!("repeat run failed: {msg}"))?;
+    if second.report.to_json() != first.report.to_json() {
+        return Err("repeated series rendered different artifacts".to_string());
     }
 
-    let json = assemble_json(smoke, &first, &loggp, &overlap, deterministic);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("xtask report: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
+    let sections = [
+        sections::fig6_fig7(smoke, full)?,
+        sections::fig8(smoke)?,
+        sections::profile(smoke)?,
+        sections::strategy(smoke)?,
+        sections::collectives()?,
+        sections::imbalance(smoke)?,
+        sections::seq(smoke)?,
+        sections::fleet(smoke)?,
+    ];
+    let mut text = first.report.to_text();
+    for s in &sections {
+        text.push('\n');
+        text.push_str(&s.text);
     }
+    let native = native_text(&first.native);
+    print!("{text}\n{native}");
+    let gates: Vec<(&str, bool)> = sections.iter().flat_map(|s| s.gates.iter().copied()).collect();
+    if !gates.iter().map(|g| g.0).eq(sections::GATES) {
+        return Err("section gates differ from the --check schema (sections::GATES)".to_string());
+    }
+    let failed: Vec<&str> = gates.iter().filter(|g| !g.1).map(|g| g.0).collect();
+    if !failed.is_empty() {
+        return Err(format!("section gate(s) failed: {}", failed.join(", ")));
+    }
+
+    let json = assemble_json(smoke, &first, &gates);
     let artifacts = [
         ("report.json", json),
-        ("report.txt", first.to_text()),
-        ("report_summary.csv", first.summary_csv()),
-        ("report_phases.csv", first.phases_csv()),
+        ("report.txt", text),
+        ("report_native.txt", native),
+        ("report_summary.csv", first.report.summary_csv()),
+        ("report_phases.csv", first.report.phases_csv()),
     ];
-    for (name, content) in &artifacts {
+    write_artifacts(out_dir, &artifacts)?;
+    println!("\nxtask report: wrote {} artifacts to {}", artifacts.len(), out_dir.display());
+    Ok(())
+}
+
+fn write_artifacts(out_dir: &Path, artifacts: &[(&str, String)]) -> Result<(), String> {
+    std::fs::create_dir_all(out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    for (name, content) in artifacts {
         let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("xtask report: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, content)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
-    print!("{}", first.to_text());
-    println!("\nxtask report: wrote 4 artifacts to {}", out_dir.display());
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Max-over-ranks total of one phase bucket.
+fn phase_time(ranks: &[RankStats], name: &str) -> f64 {
+    ranks.iter().filter_map(|r| r.phase(name).map(|ph| ph.total())).fold(0.0, f64::max)
 }
 
 /// Exposed (non-hidden) allreduce time of the overlapped cycle against
@@ -144,7 +216,133 @@ impl LoggpRow {
     }
 }
 
-fn run_series(smoke: bool) -> Result<(Report, Vec<LoggpRow>, Vec<OverlapRow>), String> {
+/// The paper series run natively at one processor count, next to the
+/// simulated run it matched bit for bit.
+struct NativeRow {
+    p: usize,
+    cycles: usize,
+    /// Virtual seconds of the simulated run.
+    sim_elapsed_s: f64,
+    /// Measured wall-clock seconds of the native run.
+    native_elapsed_s: f64,
+    /// `(phase, sim fraction of elapsed, native fraction of elapsed)`.
+    phase_fracs: Vec<(&'static str, f64, f64)>,
+}
+
+struct Series {
+    report: Report,
+    loggp: Vec<LoggpRow>,
+    overlap: Vec<OverlapRow>,
+    native: Vec<NativeRow>,
+}
+
+/// Hashes of every stored classification's flat parameters — the same
+/// FNV-1a the in-run replication verifier uses.
+fn outcome_hashes(out: &ParallelOutcome) -> Vec<u64> {
+    out.all.iter().map(|c| hash_f64s(&classes_to_flat(&c.classes))).collect()
+}
+
+/// Gate 6 at one P: the native run is the simulated run, bit for bit;
+/// its phase buckets partition each rank's measured time; both elapsed
+/// times are positive and finite (so every speedup is); every phase
+/// fraction is in [0, 1].
+fn native_row(
+    p: usize,
+    sim: &ParallelOutcome,
+    native: &ParallelOutcome,
+) -> Result<NativeRow, String> {
+    let identical = sim.best.approx.log_likelihood.to_bits()
+        == native.best.approx.log_likelihood.to_bits()
+        && sim.best.score().to_bits() == native.best.score().to_bits()
+        && sim.cycles == native.cycles
+        && outcome_hashes(sim) == outcome_hashes(native);
+    if !identical {
+        return Err(format!(
+            "P={p}: native run diverged from the simulated one (ll {} vs {}, cycles {} vs {}) \
+             — the determinism contract is broken",
+            sim.best.approx.log_likelihood,
+            native.best.approx.log_likelihood,
+            sim.cycles,
+            native.cycles
+        ));
+    }
+    for (r, rs) in native.ranks.iter().enumerate() {
+        let sum: f64 = rs.phases.iter().map(|ph| ph.total()).sum();
+        if !((sum - rs.elapsed).abs() <= 1e-6 * rs.elapsed.max(1e-12)) {
+            return Err(format!(
+                "P={p} rank {r}: native phase totals {sum:.6e}s do not partition elapsed {:.6e}s",
+                rs.elapsed
+            ));
+        }
+    }
+    // Positive, finite elapsed times on both backends make every speedup
+    // and fraction below finite.
+    if !(sim.elapsed > 0.0 && native.elapsed > 0.0 && native.elapsed.is_finite()) {
+        return Err(format!(
+            "P={p}: degenerate elapsed times (sim {:.3e}, native {:.3e})",
+            sim.elapsed, native.elapsed
+        ));
+    }
+    let phase_fracs: Vec<_> = PHASES
+        .iter()
+        .map(|&name| {
+            let sf = phase_time(&sim.ranks, name) / sim.elapsed;
+            (name, sf, phase_time(&native.ranks, name) / native.elapsed)
+        })
+        .collect();
+    // A max-over-ranks phase exceeds the max-rank elapsed only through a
+    // bug, not noise; allow epsilon.
+    let in_range = |f: f64| (0.0..=1.0 + 1e-9).contains(&f);
+    if let Some((name, sf, nf)) =
+        phase_fracs.iter().find(|(_, sf, nf)| !(in_range(*sf) && in_range(*nf)))
+    {
+        return Err(format!("P={p}: phase '{name}' fraction out of range ({sf}, {nf})"));
+    }
+    Ok(NativeRow {
+        p,
+        cycles: sim.cycles,
+        sim_elapsed_s: sim.elapsed,
+        native_elapsed_s: native.elapsed,
+        phase_fracs,
+    })
+}
+
+fn native_text(rows: &[NativeRow]) -> String {
+    let (s1, n1) = (rows[0].sim_elapsed_s, rows[0].native_elapsed_s);
+    let host_threads = std::thread::available_parallelism().map_or(0, usize::from);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "native column — the paper series on {host_threads} host thread(s), bitwise identical \
+         to the simulated run"
+    );
+    let _ = writeln!(
+        out,
+        "{:>4} {:>10} {:>14} {:>12} {:>14} {:>16}",
+        "P", "cycles", "sim elapsed", "sim spd", "native elapsed", "native spd"
+    );
+    for r in rows {
+        let _ = writeln!(
+            out,
+            "{:>4} {:>10} {:>13.6}s {:>12.3} {:>13.6}s {:>16.3}",
+            r.p,
+            r.cycles,
+            r.sim_elapsed_s,
+            s1 / r.sim_elapsed_s,
+            r.native_elapsed_s,
+            n1 / r.native_elapsed_s
+        );
+    }
+    let _ = writeln!(out, "\nphase fractions of elapsed (sim / native):");
+    for r in rows {
+        let cols: Vec<String> =
+            r.phase_fracs.iter().map(|(name, sf, nf)| format!("{name} {sf:.3}/{nf:.3}")).collect();
+        let _ = writeln!(out, "  P={:<3} {}", r.p, cols.join("  "));
+    }
+    out
+}
+
+fn run_series(smoke: bool) -> Result<Series, String> {
     let (n, j, cycles, ps): (usize, usize, usize, &[usize]) =
         if smoke { (1_200, 4, 6, &[1, 2, 4]) } else { (6_000, 4, 10, &[1, 2, 4, 6, 8, 10]) };
     let data = datagen::paper_dataset(n, 11);
@@ -174,17 +372,14 @@ fn run_series(smoke: bool) -> Result<(Report, Vec<LoggpRow>, Vec<OverlapRow>), S
     let mut records = Vec::new();
     let mut loggp = Vec::new();
     let mut overlap = Vec::new();
+    let mut native = Vec::new();
     for &p in ps {
         let spec = presets::meiko_cs2(p);
         let out = run_search_with(&data, &spec, &config, &SimOptions::verified())
             .map_err(|e| format!("P={p}: {e}"))?;
         let agg = RunStats::from_ranks(&out.ranks);
         agg.check_message_symmetry().map_err(|e| format!("P={p}: {e}"))?;
-        let measured_s = out
-            .ranks
-            .iter()
-            .filter_map(|r| r.phase("allreduce").map(|ph| ph.total()))
-            .fold(0.0, f64::max);
+        let measured_s = phase_time(&out.ranks, "allreduce");
         let per_cycle = [j, stats_len + 2]
             .iter()
             .map(|&m| predicted_allreduce_cost(spec.allreduce, p, m, &spec.network))
@@ -210,11 +405,7 @@ fn run_series(smoke: bool) -> Result<(Report, Vec<LoggpRow>, Vec<OverlapRow>), S
         };
         let piped = run_search_with(&data, &spec, &piped_cfg, &SimOptions::verified())
             .map_err(|e| format!("pipelined P={p}: {e}"))?;
-        let piped_exposed_s = piped
-            .ranks
-            .iter()
-            .filter_map(|r| r.phase("allreduce").map(|ph| ph.total()))
-            .fold(0.0, f64::max);
+        let piped_exposed_s = phase_time(&piped.ranks, "allreduce");
         let hidden_s = piped.ranks.iter().map(|r| r.hidden_comm).fold(0.0, f64::max);
         let matches = piped.best.approx.log_likelihood.to_bits()
             == out.best.approx.log_likelihood.to_bits()
@@ -237,6 +428,9 @@ fn run_series(smoke: bool) -> Result<(Report, Vec<LoggpRow>, Vec<OverlapRow>), S
         }
         overlap.push(OverlapRow { p, fused_exposed_s: measured_s, piped_exposed_s, hidden_s });
         loggp.push(row);
+        let nat = run_search_native(&data, &spec, &config, &NativeOptions::verified())
+            .map_err(|e| format!("native P={p}: {e}"))?;
+        native.push(native_row(p, &out, &nat)?);
         records.push(RunRecord { p, elapsed: out.elapsed, ranks: out.ranks });
     }
     let report = Report::build(&records)?;
@@ -246,30 +440,24 @@ fn run_series(smoke: bool) -> Result<(Report, Vec<LoggpRow>, Vec<OverlapRow>), S
     if !p1_exact {
         return Err("P=1 speedup is not exactly 1.0".to_string());
     }
-    Ok((report, loggp, overlap))
+    Ok(Series { report, loggp, overlap, native })
 }
 
-fn assemble_json(
-    smoke: bool,
-    report: &Report,
-    loggp: &[LoggpRow],
-    overlap: &[OverlapRow],
-    deterministic: bool,
-) -> String {
+fn assemble_json(smoke: bool, series: &Series, section_gates: &[(&str, bool)]) -> String {
+    let (report, loggp, overlap) = (&series.report, &series.loggp, &series.overlap);
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema_version\": 1,");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
-    out.push_str("  \"gates\": {\n");
-    // All gates were enforced in run_series; reaching here means true, but
-    // record them so --check (and CI) can assert on the artifact alone.
-    let _ = writeln!(out, "    \"phase_sums_ok\": true,");
-    let _ = writeln!(out, "    \"speedup_p1_exact\": true,");
-    let _ = writeln!(out, "    \"symmetry_ok\": true,");
-    let _ = writeln!(out, "    \"loggp_ok\": true,");
-    let _ = writeln!(out, "    \"overlap_ok\": true,");
-    let _ = writeln!(out, "    \"pipelined_matches_fused\": true,");
-    let _ = writeln!(out, "    \"deterministic\": {deterministic}");
-    out.push_str("  },\n");
+    // The series gates were enforced in run_series and report_paper;
+    // reaching here means true, but record every gate so --check (and CI)
+    // can assert on the artifact alone.
+    let gates: Vec<String> = SERIES_GATES
+        .iter()
+        .map(|g| (*g, true))
+        .chain(section_gates.iter().copied())
+        .map(|(name, ok)| format!("    \"{name}\": {ok}"))
+        .collect();
+    let _ = writeln!(out, "  \"gates\": {{\n{}\n  }},", gates.join(",\n"));
     out.push_str("  \"overlap_allreduce\": [\n");
     for (i, r) in overlap.iter().enumerate() {
         let comma = if i + 1 < overlap.len() { "," } else { "" };
@@ -363,11 +551,7 @@ fn run_largep_series(smoke: bool) -> Result<Vec<LargePRow>, String> {
                 ));
             }
         }
-        let allreduce_s = out
-            .ranks
-            .iter()
-            .filter_map(|r| r.phase("allreduce").map(|ph| ph.total()))
-            .fold(0.0, f64::max);
+        let allreduce_s = phase_time(&out.ranks, "allreduce");
         if p == 1 {
             base_elapsed = out.elapsed;
         }
@@ -393,7 +577,7 @@ fn run_largep_series(smoke: bool) -> Result<Vec<LargePRow>, String> {
     Ok(rows)
 }
 
-fn largep_json(smoke: bool, rows: &[LargePRow], deterministic: bool) -> String {
+fn largep_json(smoke: bool, rows: &[LargePRow]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema_version\": 1,");
     let _ = writeln!(out, "  \"kind\": \"largep\",");
@@ -406,7 +590,7 @@ fn largep_json(smoke: bool, rows: &[LargePRow], deterministic: bool) -> String {
     let _ = writeln!(out, "    \"symmetry_ok\": true,");
     let _ = writeln!(out, "    \"speedup_p1_exact\": true,");
     let _ = writeln!(out, "    \"scales_at_p64\": true,");
-    let _ = writeln!(out, "    \"deterministic\": {deterministic}");
+    let _ = writeln!(out, "    \"deterministic\": true");
     out.push_str("  },\n");
     out.push_str("  \"series\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -443,43 +627,22 @@ fn largep_text(rows: &[LargePRow]) -> String {
     out
 }
 
-fn report_largep(smoke: bool, out_dir: &Path) -> ExitCode {
-    let first = match run_largep_series(smoke) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("xtask report --largep: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn report_largep(smoke: bool, out_dir: &Path) -> Result<(), String> {
+    let first = run_largep_series(smoke)?;
     // Determinism gate: virtual time must not depend on host scheduling
     // — the artifact must re-render bit-identically.
-    let deterministic = match run_largep_series(smoke) {
-        Ok(second) => largep_json(smoke, &second, true) == largep_json(smoke, &first, true),
-        Err(msg) => {
-            eprintln!("xtask report --largep: repeat run failed: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !deterministic {
-        eprintln!("xtask report --largep: repeated series rendered different artifacts");
-        return ExitCode::FAILURE;
+    let second = run_largep_series(smoke).map_err(|msg| format!("repeat run failed: {msg}"))?;
+    if largep_json(smoke, &second) != largep_json(smoke, &first) {
+        return Err("repeated large-P series rendered different artifacts".to_string());
     }
-    let json = largep_json(smoke, &first, deterministic);
     let text = largep_text(&first);
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("xtask report --largep: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    for (name, content) in [("report_largep.json", &json), ("report_largep.txt", &text)] {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("xtask report --largep: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
+    write_artifacts(
+        out_dir,
+        &[("report_largep.json", largep_json(smoke, &first)), ("report_largep.txt", text.clone())],
+    )?;
     print!("{text}");
     println!("\nxtask report --largep: wrote 2 artifacts to {}", out_dir.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Required keys for the large-`P` artifact (`report_largep.json`).
@@ -499,6 +662,26 @@ const LARGEP_REQUIRED: [&str; 13] = [
     "\"efficiency\"",
 ];
 
+/// Keys the paper-series artifact (`report.json`) must contain besides
+/// its gates.
+const PAPER_KEYS: [&str; 15] = [
+    "overlap_allreduce",
+    "pipelined_exposed_s",
+    "hidden_s",
+    "loggp_allreduce",
+    "report",
+    "runs",
+    "phases",
+    "speedup",
+    "efficiency",
+    "comm_compute_ratio",
+    "estep",
+    "mstep",
+    "allreduce",
+    "search",
+    "gates",
+];
+
 /// Structural validation of a report artifact: required keys exist and
 /// every gate reads `true`. Numeric values are machine-model outputs and
 /// deliberately not pinned here.
@@ -510,61 +693,23 @@ fn check(path: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if text.contains("\"kind\": \"largep\"") {
-        let mut missing = Vec::new();
-        for key in LARGEP_REQUIRED {
-            if !text.contains(key) {
-                missing.push(key);
-            }
-        }
-        return if missing.is_empty() {
-            println!("xtask report --check: {} ok", path.display());
-            ExitCode::SUCCESS
-        } else {
-            for key in missing {
-                eprintln!("xtask report --check: {} missing {key}", path.display());
-            }
-            ExitCode::FAILURE
-        };
-    }
-    let required = [
-        "\"schema_version\": 1",
-        "\"gates\"",
-        "\"phase_sums_ok\": true",
-        "\"speedup_p1_exact\": true",
-        "\"symmetry_ok\": true",
-        "\"loggp_ok\": true",
-        "\"overlap_ok\": true",
-        "\"pipelined_matches_fused\": true",
-        "\"deterministic\": true",
-        "\"overlap_allreduce\"",
-        "\"pipelined_exposed_s\"",
-        "\"hidden_s\"",
-        "\"loggp_allreduce\"",
-        "\"report\"",
-        "\"runs\"",
-        "\"phases\"",
-        "\"speedup\"",
-        "\"efficiency\"",
-        "\"comm_compute_ratio\"",
-        "\"estep\"",
-        "\"mstep\"",
-        "\"allreduce\"",
-        "\"search\"",
-    ];
-    let mut missing = Vec::new();
-    for key in required {
-        if !text.contains(key) {
-            missing.push(key);
-        }
+    let required: Vec<String> = if text.contains("\"kind\": \"largep\"") {
+        LARGEP_REQUIRED.iter().map(|k| k.to_string()).collect()
+    } else {
+        let gates = SERIES_GATES.iter().chain(&sections::GATES);
+        std::iter::once("\"schema_version\": 1".to_string())
+            .chain(PAPER_KEYS.iter().map(|k| format!("\"{k}\"")))
+            .chain(gates.map(|g| format!("\"{g}\": true")))
+            .collect()
+    };
+    let missing: Vec<&String> = required.iter().filter(|k| !text.contains(k.as_str())).collect();
+    for key in &missing {
+        eprintln!("xtask report --check: {} missing {key}", path.display());
     }
     if missing.is_empty() {
         println!("xtask report --check: {} ok", path.display());
         ExitCode::SUCCESS
     } else {
-        for key in missing {
-            eprintln!("xtask report --check: {} missing {key}", path.display());
-        }
         ExitCode::FAILURE
     }
 }
