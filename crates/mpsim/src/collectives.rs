@@ -11,7 +11,9 @@
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgo;
 use crate::error::SimError;
-use crate::schedule::{self, fp, Collective, PointToPoint, World};
+use crate::schedule::{
+    self, check_len, fp, Buf, Collective, PlanKey, PointToPoint, Seating, World,
+};
 use crate::verify::{hash_f64s, CollFingerprint, CollKind, WORLD_COMM};
 
 /// Element-wise reduction operator over `f64` vectors. All operators are
@@ -76,6 +78,12 @@ impl Collective for Comm {
     fn check_replicated(&mut self, label: &str, buf: &[f64]) {
         self.check_replication(WORLD_COMM, self.coll_seq, self.size(), label, buf);
     }
+    fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
+        let at = Seating { comm: WORLD_COMM, seq: self.coll_seq, members: None, rank: self.rank() };
+        if !self.rendezvous(at, key, op, buf) {
+            schedule::plan(key).run(self, tag, op, buf);
+        }
+    }
 }
 
 impl World for Comm {
@@ -99,6 +107,15 @@ impl World for Comm {
         if let Err(e) = v.check_replication(self.rank(), comm, seq, size, label, hash_f64s(buf)) {
             self.fail(e);
         }
+    }
+    fn rendezvous(
+        &mut self,
+        at: Seating<'_>,
+        key: PlanKey,
+        op: ReduceOp,
+        buf: &mut Buf<'_>,
+    ) -> bool {
+        self.meet(at, key, op, buf)
     }
 }
 
@@ -134,6 +151,7 @@ impl Comm {
                 if vsrc < p {
                     let src = (vsrc + root) % p;
                     let data = self.recv_f64s(src, tag);
+                    check_len(self, src, buf, &data);
                     op.fold(buf, &data);
                 }
             } else {
@@ -288,6 +306,7 @@ impl Comm {
         let tag = self.coll_enter(fp(CollKind::Scan, None, Some(op), buf.len()));
         if me > 0 {
             let prefix = self.recv_f64s(me - 1, tag);
+            check_len(self, me - 1, buf, &prefix);
             // Keep rank order: result = reduce(prefix, mine).
             let mut acc = prefix;
             op.fold(&mut acc, buf);

@@ -2,8 +2,16 @@
 //!
 //! A [`Comm`] is handed to each rank's closure by the SPMD engine. It plays
 //! the role of `MPI_COMM_WORLD`: it knows the rank, the communicator size,
-//! and provides blocking `send`/`recv` (plus the collectives of
-//! [`crate::collectives`] and [`crate::schedule`] on top of them).
+//! and provides blocking `send`/`recv`, plus the collectives of
+//! [`crate::collectives`] and [`crate::schedule`].
+//!
+//! A shared collective is a plan (see [`crate::schedule`]), run one of two
+//! ways. When a fault plan, event recording, a verifier or a replay log is
+//! on, each of those layers has to see every message, so the plan runs as
+//! this rank's sends and receives. Otherwise the rank meets the other
+//! members at one rendezvous (see `crate::coop`), where the last to arrive
+//! runs the plan for all of them; the clock, counters and buffer it hands
+//! back are exactly what the messages would have produced.
 //!
 //! # Virtual time
 //!
@@ -23,11 +31,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::clock::Clock;
+use crate::collectives::ReduceOp;
 use crate::coop::{CoopShared, Deposit};
 use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::FaultState;
 use crate::payload::{checksum, decode_f64s, decode_u64s, encode_f64s, encode_u64s, DecodeError};
+use crate::schedule::{Buf, PlanKey, Seat, Seating, Tally};
 use crate::trace::{Event, EventKind, PhaseStats, RankStats};
 use crate::verify::{hash_f64s, VerifyState, USER_REPL_COMM};
 
@@ -176,6 +186,10 @@ pub struct Comm {
     /// FIFO per endpoint), so each new completion is clamped to at least
     /// this value.
     nb_horizon: f64,
+    /// Whether collectives run at one rendezvous rather than as messages:
+    /// only when nothing needs to see each message (no fault plan, event
+    /// recording, verifier or replay log).
+    meets: bool,
 }
 
 impl Comm {
@@ -191,6 +205,7 @@ impl Comm {
         replay: Option<crate::replay::ReplayLog>,
     ) -> Self {
         let size = spec.p;
+        let meets = !record_events && verify.is_none() && fault.is_none() && replay.is_none();
         Comm {
             rank,
             size,
@@ -210,6 +225,7 @@ impl Comm {
             fault,
             replay,
             nb_horizon: 0.0,
+            meets,
         }
     }
 
@@ -691,6 +707,52 @@ impl Comm {
             completion,
             done: false,
         }
+    }
+
+    /// Run plan `key` at the rendezvous `at`, unless this run's collectives
+    /// must run as messages (then return `false`): deposit this rank's
+    /// buffer, clock and arguments, park until the last member has run the
+    /// plan for everyone, then take back the result, the advanced clock
+    /// and the messages the plan sent and received on this rank's behalf.
+    pub(crate) fn meet(
+        &mut self,
+        at: Seating<'_>,
+        key: PlanKey,
+        op: ReduceOp,
+        buf: &mut Buf<'_>,
+    ) -> bool {
+        if !self.meets {
+            return false;
+        }
+        self.check_abort();
+        let data = match buf {
+            Buf::Flat(b) => b.to_vec(),
+            Buf::Blocks(bl) => std::mem::take(&mut bl[at.rank]),
+        };
+        let clock = std::mem::take(&mut self.clock);
+        let seat =
+            Box::new(Seat { clock, tally: Tally::default(), key, op, data, blocks: Vec::new() });
+        let seat = match self.coop.meet(self.rank, at, seat, &self.spec) {
+            Ok(seat) => seat,
+            Err(err) => self.fail(err),
+        };
+        self.clock = seat.clock;
+        let t = seat.tally;
+        self.stats.msgs_sent += t.msgs_sent;
+        self.stats.bytes_sent += t.bytes_sent;
+        self.stats.msgs_recvd += t.msgs_recvd;
+        self.stats.bytes_recvd += t.bytes_recvd;
+        let c = &mut self.phase_counters[self.clock.current_phase()];
+        c.msgs_sent += t.msgs_sent;
+        c.bytes_sent += t.bytes_sent;
+        c.msgs_recvd += t.msgs_recvd;
+        c.bytes_recvd += t.bytes_recvd;
+        match buf {
+            Buf::Flat(b) => b.copy_from_slice(&seat.data),
+            Buf::Blocks(bl) if seat.blocks.is_empty() => bl[at.rank] = seat.data,
+            Buf::Blocks(bl) => **bl = seat.blocks,
+        }
+        true
     }
 
     /// Snapshot of this rank's statistics with the clock folded in.

@@ -7,10 +7,28 @@
 //! lazily per communicating pair, so memory scales with the communication
 //! graph actually used, not with `P^2`.
 //!
+//! # Collectives at one rendezvous
+//!
+//! On the default path (no fault plan, event recording, verifier or
+//! replay log) a collective moves no envelope. Each member deposits a
+//! [`Seat`] — its buffer, its clock (moved, not shared) and its call's
+//! plan key — at the meeting keyed by `(communicator id, sequence
+//! number)` and parks. The last member to arrive runs the whole plan on
+//! its own thread ([`schedule::run_central`]): the same folds in the same
+//! order, and per member, in its program order, the same LogGP charges
+//! the plan's messages would make. It then hands every parked member its
+//! seat back, marks it runnable at its new clock and keeps running, so a
+//! collective costs one wake per member instead of one handoff per
+//! message. Logical messages are still counted in every member's
+//! statistics. Running the plan centrally changes no result because the
+//! cost model keeps no link state: a member's charges depend only on the
+//! plan and the members' clocks at arrival.
+//!
 //! # Scheduling discipline
 //!
-//! A rank runs until it *blocks* — a receive with an empty mailbox, or a
-//! send into a mailbox at its in-flight bound — and then hands the baton
+//! A rank runs until it *blocks* — a receive with an empty mailbox, a
+//! send into a mailbox at its in-flight bound, or a rendezvous other
+//! members have not reached yet — and then hands the baton
 //! to the runnable rank with the smallest frozen virtual clock (rank id
 //! breaks ties). Because this is a conservative simulation in which every
 //! receive names its source, the virtual-time results are schedule
@@ -25,7 +43,9 @@
 //! wall-clock timeout. The blocked rank diagnosed first (ascending rank
 //! order) is woken with a typed error: the fault layer gets the first word
 //! (crashed/dropped peers), then the scheduler's own wait-for edges, which
-//! always end in either a wait on a finished rank or a cycle.
+//! always end in either a wait on a finished rank or a cycle. A rank
+//! parked at a rendezvous waits on the lowest member that has not
+//! arrived, so a member that skips a collective is named.
 //!
 //! # Handoff
 //!
@@ -40,8 +60,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::comm::Envelope;
+use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::FaultState;
+use crate::schedule::{self, Seat, Seating};
 
 /// Outcome of a [`CoopShared::deposit`] that did not fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +88,9 @@ enum RankStatus {
     RecvWait { src: usize, tag: u64 },
     /// Parked in a send to `dst` whose mailbox is at the in-flight bound.
     SendWait { dst: usize },
+    /// Parked at the rendezvous of collective `seq` on communicator
+    /// `comm`, waiting for the members that have not arrived yet.
+    CollWait { comm: u64, seq: u64 },
     /// Returned from its body normally.
     Done,
     /// Unwound with an error.
@@ -74,7 +99,10 @@ enum RankStatus {
 
 impl RankStatus {
     fn is_blocked(&self) -> bool {
-        matches!(self, RankStatus::RecvWait { .. } | RankStatus::SendWait { .. })
+        matches!(
+            self,
+            RankStatus::RecvWait { .. } | RankStatus::SendWait { .. } | RankStatus::CollWait { .. }
+        )
     }
 
     fn is_gone(&self) -> bool {
@@ -125,6 +153,32 @@ struct CoopState {
     pending: Vec<Option<SimError>>,
     /// Largest number of envelopes any single mailbox ever held.
     high_water: usize,
+    /// Collectives some but not all members have arrived at, by
+    /// `(communicator id, sequence number)`.
+    meetings: BTreeMap<(u64, u64), Meeting>,
+    /// Each rank's seat back from a rendezvous that ran while it was
+    /// parked, until it next holds the baton.
+    inbox: Vec<Option<Box<Seat>>>,
+}
+
+/// A collective some of its members have arrived at.
+struct Meeting {
+    /// World ranks of the members, ascending; `None` for the world.
+    members: Option<Vec<usize>>,
+    /// Deposited seats, by dense rank.
+    seats: Vec<Option<Box<Seat>>>,
+    arrived: usize,
+}
+
+impl Meeting {
+    fn world(&self, dense: usize) -> usize {
+        self.members.as_ref().map_or(dense, |m| m[dense])
+    }
+
+    /// World rank of the lowest member that has not arrived yet.
+    fn first_missing(&self) -> Option<usize> {
+        self.seats.iter().position(Option::is_none).map(|i| self.world(i))
+    }
 }
 
 /// Shared state of one cooperative run: the scheduler proper plus the
@@ -164,6 +218,8 @@ impl CoopShared {
                 mail: BTreeMap::new(),
                 pending: (0..p).map(|_| None).collect(),
                 high_water: 0,
+                meetings: BTreeMap::new(),
+                inbox: (0..p).map(|_| None).collect(),
             }),
             cvs: (0..p).map(|_| Condvar::new()).collect(),
             max_inflight: max_inflight.max(1),
@@ -278,10 +334,14 @@ impl CoopShared {
     /// cycle is a deadlock.
     fn structural_stall(&self, state: &CoopState) -> (usize, SimError) {
         let p = state.status.len();
+        let absent = |comm: u64, seq: u64| -> Option<usize> {
+            state.meetings.get(&(comm, seq)).and_then(Meeting::first_missing)
+        };
         let target = |r: usize| -> Option<usize> {
             match state.status[r] {
                 RankStatus::RecvWait { src, .. } => Some(src),
                 RankStatus::SendWait { dst } => Some(dst),
+                RankStatus::CollWait { comm, seq } => absent(comm, seq),
                 _ => None,
             }
         };
@@ -293,6 +353,12 @@ impl CoopShared {
                 RankStatus::SendWait { dst } => {
                     format!("rank {r} waits to send to rank {dst} (mailbox at bound)")
                 }
+                RankStatus::CollWait { comm, seq } => match absent(comm, seq) {
+                    Some(m) => format!(
+                        "rank {r} waits on rank {m} (collective {seq} of communicator {comm:#x})"
+                    ),
+                    None => format!("rank {r}"),
+                },
                 _ => format!("rank {r}"),
             }
         };
@@ -400,6 +466,88 @@ impl CoopShared {
             state.running = None;
             let next = self.schedule_next(&mut state);
             state = self.handoff(me, next, state);
+        }
+    }
+
+    /// Deposit `me`'s seat at the rendezvous `at` and take it back once
+    /// the collective has run. Every member but the last parks; the last
+    /// to arrive runs the whole plan on its own thread
+    /// ([`schedule::run_central`]), hands each parked member its seat,
+    /// marks it runnable at its new clock and keeps the baton, so every
+    /// member is woken exactly once, by an ordinary handoff. A stall
+    /// rescue or abort cascade wakes a parked member with an error
+    /// instead.
+    pub(crate) fn meet(
+        &self,
+        me: usize,
+        at: Seating<'_>,
+        seat: Box<Seat>,
+        spec: &MachineSpec,
+    ) -> Result<Box<Seat>, SimError> {
+        let now = seat.clock.now();
+        let key = (at.comm, at.seq);
+        let mut state = self.lock();
+        if let Some(err) = state.pending[me].take() {
+            return Err(err);
+        }
+        let p = state.status.len();
+        let m = state.meetings.entry(key).or_insert_with(|| {
+            let size = at.members.map_or(p, <[usize]>::len);
+            Meeting {
+                members: at.members.map(<[usize]>::to_vec),
+                seats: (0..size).map(|_| None).collect(),
+                arrived: 0,
+            }
+        });
+        if m.seats.get(at.rank).is_none_or(Option::is_some) || m.world(at.rank) != me {
+            let detail = format!(
+                "rank {me} met collective {} of communicator {:#x} as member {} of {}, \
+                 which does not match the members already there",
+                at.seq,
+                at.comm,
+                at.rank,
+                m.seats.len()
+            );
+            return Err(SimError::CollectiveMismatch { rank: me, detail });
+        }
+        m.seats[at.rank] = Some(seat);
+        m.arrived += 1;
+        if m.arrived == m.seats.len() {
+            // lint:allow(unwrap): the entry was found or inserted above
+            let mut m = state.meetings.remove(&key).expect("meeting is present");
+            // Every other rank is parked, so the plan runs without the lock.
+            drop(state);
+            let mut seats: Vec<Box<Seat>> =
+                std::mem::take(&mut m.seats).into_iter().flatten().collect();
+            let world = |i: usize| m.world(i);
+            schedule::run_central(spec, &world, &mut seats)?;
+            let mut state = self.lock();
+            let mut mine = None;
+            for (i, seat) in seats.into_iter().enumerate() {
+                let r = world(i);
+                if r == me {
+                    mine = Some(seat);
+                } else if state.status[r] == (RankStatus::CollWait { comm: at.comm, seq: at.seq }) {
+                    state.clocks[r] = seat.clock.now();
+                    state.inbox[r] = Some(seat);
+                    Self::make_ready(&mut state, r);
+                }
+            }
+            // lint:allow(unwrap): the caller's own seat is among the members'
+            return Ok(mine.expect("caller is a member"));
+        }
+        loop {
+            state.status[me] = RankStatus::CollWait { comm: at.comm, seq: at.seq };
+            state.clocks[me] = now;
+            state.running = None;
+            let next = self.schedule_next(&mut state);
+            state = self.handoff(me, next, state);
+            if let Some(err) = state.pending[me].take() {
+                return Err(err);
+            }
+            if let Some(seat) = state.inbox[me].take() {
+                return Ok(seat);
+            }
         }
     }
 

@@ -37,8 +37,9 @@
 //! * [`comm`] — point-to-point messaging ([`Comm`]), blocking and
 //!   non-blocking ([`Request`] handles with `wait`/`waitall`)
 //! * [`schedule`] — the one copy of every shared collective schedule
-//!   (barrier, broadcast, gather, allgather, the allreduce family),
-//!   generic over a small point-to-point surface both backends implement
+//!   (barrier, broadcast, gather, allgather, the allreduce family), as a
+//!   cached plan both backends run over a small point-to-point surface and
+//!   the simulator also runs at one rendezvous per collective
 //! * [`collectives`] — the world [`Comm`]'s collectives, including the
 //!   simulator-only Reduce/Scatter/Alltoall/Scan
 //! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue): one

@@ -1,38 +1,52 @@
-//! The collective schedules, each written exactly once.
+//! The collective schedules, each written exactly once, as data.
 //!
 //! Every barrier, broadcast, gather, allgather and allreduce in the
-//! workspace is one generic function in this module. The simulator's
-//! [`Comm`](crate::Comm), the native backend's `shmcomm::NativeComm`, and
-//! the sub-communicator [`Group`](crate::subcomm::Group) split from either
-//! all run these same functions, so the sequence of sends, receives and
-//! [`ReduceOp::fold`] calls a rank performs depends only on
-//! `(algorithm, P, length)` — on every communicator and both backends, by
-//! construction. That is what makes results bitwise identical across
-//! backends.
+//! workspace is a `Plan`: a list of rounds of point-to-point `Step`s
+//! in the communicator's dense ranks, each moving a range of the buffer
+//! (folded into the receiver's with [`ReduceOp::fold`], or copied over
+//! it) or one rank's whole contributed block. A plan depends only on its
+//! [`PlanKey`] — shape, size, length, root and node size — so it is built
+//! once, kept in a small bounded cache (`plan`) and indexed per rank:
+//! rank `r`'s program is its steps in round order, within a round its
+//! sends before its receives.
 //!
-//! A schedule sees a communicator through three small traits:
+//! A plan runs two ways, with the same folds in the same order, so the
+//! results are bitwise identical:
+//!
+//! * **As messages.** `Plan::run` walks one rank's program over the
+//!   [`PointToPoint`] surface. The native backend (`shmcomm`) always runs
+//!   plans this way, and so does the simulator whenever a fault plan,
+//!   event recording, a verifier or a replay log has to see each message.
+//! * **At one rendezvous.** On the simulator's default path every member
+//!   deposits its buffer and clock at one meeting point, and the last to
+//!   arrive runs the whole plan for all of them (`run_central`),
+//!   charging each member exactly the LogGP costs its messages would have
+//!   cost, in the same order (see `crate::coop`).
+//!
+//! Either way the sequence of sends, receives and folds a rank performs
+//! depends only on the plan key — on every communicator and both
+//! backends, by construction. That is what makes results bitwise
+//! identical across backends.
+//!
+//! A collective sees a communicator through three small traits:
 //!
 //! * [`PointToPoint`]: dense `rank`/`size`, tagged `send`/`recv` of `f64`
 //!   blocks, and a typed `mismatch` for inconsistent arguments;
 //! * [`Collective`]: the entry hook that allocates a collective's tag and
-//!   posts its fingerprint, and the replication-check hook run on a
-//!   replicated result;
+//!   posts its fingerprint, the replication-check hook run on a
+//!   replicated result, and the hook that runs a plan;
 //! * [`World`]: what a world communicator lends the groups split from it
-//!   (its collective sequence and the communicator-scoped verifier hooks).
-//!
-//! A member-list view maps the dense indices of a subset of ranks onto the
-//! underlying communicator; the hierarchical allreduce runs Rabenseifner
-//! over the node leaders through one, and every group talks to its world
-//! through one.
+//!   (its collective sequence, the communicator-scoped verifier hooks and
+//!   its rendezvous).
 //!
 //! # SPMD discipline
 //!
 //! As with MPI, all ranks must call the same sequence of collectives with
 //! compatible arguments. Each collective consumes one slot of the
-//! communicator's sequence number, which becomes its message tag, so a
-//! rank that skips a collective deadlocks (and is diagnosed) rather than
-//! silently corrupting a later one. A buffer whose length disagrees with
-//! what a peer sends fails the run with
+//! communicator's sequence number, which becomes its message tag and its
+//! rendezvous key, so a rank that skips a collective deadlocks (and is
+//! diagnosed) rather than silently corrupting a later one. A buffer whose
+//! length disagrees with a peer's fails the run with
 //! [`SimError::CollectiveMismatch`](crate::SimError::CollectiveMismatch),
 //! whether or not the fingerprint verifier is on.
 //!
@@ -44,9 +58,12 @@
 //! open on the calling rank.
 
 use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::clock::Clock;
 use crate::collectives::ReduceOp;
-use crate::cost::AllreduceAlgo;
+use crate::cost::{AllreduceAlgo, MachineSpec};
+use crate::error::SimError;
 use crate::traits::Communicator;
 use crate::verify::{CollFingerprint, CollKind};
 
@@ -54,7 +71,7 @@ use crate::verify::{CollFingerprint, CollKind};
 /// tags); a world collective's tag is this plus its sequence number.
 pub const COLL_TAG_BASE: u64 = 1 << 32;
 
-/// The point-to-point surface a schedule runs on.
+/// The point-to-point surface a plan runs on as messages.
 pub trait PointToPoint {
     /// This rank's dense index in `0..size()`.
     fn rank(&self) -> usize;
@@ -69,13 +86,31 @@ pub trait PointToPoint {
 }
 
 /// A communicator collectives run on: the point-to-point surface plus the
-/// per-communicator entry and replication hooks.
+/// per-communicator entry, replication and execution hooks.
 pub trait Collective: PointToPoint {
     /// Enter a collective: allocate its tag and post its fingerprint.
     fn coll_enter(&mut self, fp: CollFingerprint) -> u64;
     /// Cross-check a replicated result across ranks (no-op unless
     /// replication checking is on).
     fn check_replicated(&mut self, label: &str, buf: &[f64]);
+    /// Run this rank's part of the plan `key` names, for the collective
+    /// just entered with `tag`. The default exchanges the plan's messages.
+    fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
+        plan(key).run(self, tag, op, buf);
+    }
+}
+
+/// Where a member meets the other members of one collective.
+#[derive(Debug, Clone, Copy)]
+pub struct Seating<'a> {
+    /// Registry id of the communicator (the verifier's id).
+    pub comm: u64,
+    /// The collective's sequence number on that communicator.
+    pub seq: u64,
+    /// World ranks of the members, ascending; `None` for the world itself.
+    pub members: Option<&'a [usize]>,
+    /// The caller's dense rank among the members.
+    pub rank: usize,
 }
 
 /// A world communicator: what it lends the groups split from it.
@@ -88,33 +123,17 @@ pub trait World: Collective + Communicator {
     /// Cross-check a replicated result of collective `seq` of
     /// communicator `comm` (`size` ranks).
     fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]);
-}
-
-/// A view of a subset of ranks as a dense communicator: index `i` is
-/// `members[i]` on the underlying one.
-pub(crate) struct Members<'a, S> {
-    pub(crate) inner: &'a mut S,
-    /// Ranks of the members on `inner`, ascending; index = dense rank.
-    pub(crate) members: Vec<usize>,
-    /// This rank's position within `members`.
-    pub(crate) rank: usize,
-}
-
-impl<S: PointToPoint> PointToPoint for Members<'_, S> {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-    fn size(&self) -> usize {
-        self.members.len()
-    }
-    fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
-        self.inner.send(self.members[to], tag, data);
-    }
-    fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        self.inner.recv(self.members[from], tag)
-    }
-    fn mismatch(&self, detail: String) -> ! {
-        self.inner.mismatch(detail)
+    /// Run plan `key` at one rendezvous of every member instead of as
+    /// messages, if this world runs collectives that way. Returns `false`,
+    /// leaving `buf` alone, when the plan must run as messages.
+    fn rendezvous(
+        &mut self,
+        _at: Seating<'_>,
+        _key: PlanKey,
+        _op: ReduceOp,
+        _buf: &mut Buf<'_>,
+    ) -> bool {
+        false
     }
 }
 
@@ -128,21 +147,9 @@ pub(crate) fn fp(
     CollFingerprint { kind, root, op, elems: Some(elems), colors: None }
 }
 
-/// Receive from `from` and fold the block into `acc`.
-fn recv_fold<S: PointToPoint>(s: &mut S, from: usize, tag: u64, op: ReduceOp, acc: &mut [f64]) {
-    let data = s.recv(from, tag);
-    check_len(s, from, acc, &data);
-    op.fold(acc, &data);
-}
-
-/// Receive from `from` and overwrite `dst` with the block.
-fn recv_copy<S: PointToPoint>(s: &mut S, from: usize, tag: u64, dst: &mut [f64]) {
-    let data = s.recv(from, tag);
-    check_len(s, from, dst, &data);
-    dst.copy_from_slice(&data);
-}
-
-fn check_len<S: PointToPoint>(s: &S, from: usize, mine: &[f64], data: &[f64]) {
+/// Fail through `s` unless the buffer a message lands in is exactly as
+/// long as the message.
+pub(crate) fn check_len<S: PointToPoint + ?Sized>(s: &S, from: usize, mine: &[f64], data: &[f64]) {
     if mine.len() != data.len() {
         s.mismatch(format!(
             "buffer length {} != {} elements received from rank {from}",
@@ -161,6 +168,630 @@ fn chunk(n: usize, parts: usize, c: usize) -> Range<usize> {
     start..start + base + usize::from(c < extra)
 }
 
+/// Which schedule family a plan belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// Dissemination barrier: `ceil(log2 P)` rounds of empty messages.
+    Barrier,
+    /// Binomial-tree broadcast from the root.
+    Broadcast,
+    /// Every rank's block to the root, received in rank order.
+    Gather,
+    /// Ring allgather of every rank's block.
+    Allgather,
+    /// The allreduce schedule of a concrete algorithm (never `Auto`).
+    Allreduce(AllreduceAlgo),
+}
+
+/// Everything a plan depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanKey {
+    /// The schedule family.
+    pub(crate) shape: Shape,
+    /// Number of ranks taking part.
+    pub(crate) size: usize,
+    /// Elements in each rank's buffer (0 for barriers and for the block
+    /// collectives, whose blocks may differ in length).
+    pub(crate) len: usize,
+    /// Root of a broadcast or gather (0 otherwise).
+    pub(crate) root: usize,
+    /// Ranks per node, read by the hierarchical allreduce (1 otherwise).
+    pub(crate) node_size: usize,
+}
+
+impl PlanKey {
+    fn new(shape: Shape, size: usize) -> Self {
+        PlanKey { shape, size, len: 0, root: 0, node_size: 1 }
+    }
+
+    /// The allreduce plan for `algo` over `size` ranks of `len` elements.
+    fn allreduce(algo: AllreduceAlgo, size: usize, len: usize, node_size: usize) -> Self {
+        let node_size =
+            if algo == AllreduceAlgo::Hierarchical { node_size.clamp(1, size.max(1)) } else { 1 };
+        PlanKey { len, node_size, ..PlanKey::new(Shape::Allreduce(algo), size) }
+    }
+}
+
+/// What one step moves from its source to its destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Move {
+    /// Elements `lo..hi` of the source's buffer, folded into the same
+    /// range of the destination's (`dst = dst op src`).
+    Fold(u32, u32),
+    /// Elements `lo..hi` of the source's buffer, copied over the same
+    /// range of the destination's.
+    Copy(u32, u32),
+    /// The whole block contributed by rank `b`, copied to the
+    /// destination's block `b` (gather and allgather).
+    Block(u32),
+}
+
+/// One message of a plan, in dense ranks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Step {
+    /// Sending rank.
+    src: u32,
+    /// Receiving rank.
+    dst: u32,
+    /// What the message carries and how it lands.
+    what: Move,
+}
+
+/// Marks a receive in a rank's program (otherwise a send).
+const RECV: u32 = 1 << 31;
+
+/// A collective schedule as data: rounds of steps, plus each rank's
+/// program in the order that rank performs them.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    key: PlanKey,
+    steps: Vec<Step>,
+    /// Round `i` is `steps[rounds[i]..rounds[i + 1]]`.
+    rounds: Vec<u32>,
+    /// Rank `r`'s program is `program[starts[r]..starts[r + 1]]`: step
+    /// indices, with [`RECV`] set on receives.
+    starts: Vec<u32>,
+    program: Vec<u32>,
+}
+
+/// The buffer a collective works on, as the plan's moves address it.
+pub enum Buf<'a> {
+    /// One flat buffer (barrier, broadcast, allreduce).
+    Flat(&'a mut [f64]),
+    /// One block per rank, indexed by dense rank (gather, allgather); on
+    /// entry only the caller's own block is meaningful.
+    Blocks(&'a mut Vec<Vec<f64>>),
+}
+
+impl Buf<'_> {
+    /// The data a send of `what` carries.
+    fn part(&self, what: Move) -> &[f64] {
+        match (self, what) {
+            (Buf::Flat(b), Move::Fold(lo, hi) | Move::Copy(lo, hi)) => &b[lo as usize..hi as usize],
+            (Buf::Blocks(bl), Move::Block(i)) => &bl[i as usize],
+            _ => unreachable!("a plan's moves match its buffer's shape"),
+        }
+    }
+
+    /// Land the message `data` from `from` as `what` says, failing through
+    /// `s` when its length disagrees with the range it lands in.
+    fn land<S: PointToPoint + ?Sized>(
+        &mut self,
+        s: &S,
+        from: usize,
+        what: Move,
+        op: ReduceOp,
+        data: Vec<f64>,
+    ) {
+        match (self, what) {
+            (Buf::Flat(b), Move::Fold(lo, hi)) => {
+                let dst = &mut b[lo as usize..hi as usize];
+                check_len(s, from, dst, &data);
+                op.fold(dst, &data);
+            }
+            (Buf::Flat(b), Move::Copy(lo, hi)) => {
+                let dst = &mut b[lo as usize..hi as usize];
+                check_len(s, from, dst, &data);
+                dst.copy_from_slice(&data);
+            }
+            (Buf::Blocks(bl), Move::Block(i)) => bl[i as usize] = data,
+            _ => unreachable!("a plan's moves match its buffer's shape"),
+        }
+    }
+}
+
+impl Plan {
+    /// The plan's rounds, in order.
+    fn rounds(&self) -> impl Iterator<Item = &[Step]> + '_ {
+        self.rounds.windows(2).map(|w| &self.steps[w[0] as usize..w[1] as usize])
+    }
+
+    /// Heap bytes the plan holds.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Plan>()
+            + self.steps.capacity() * std::mem::size_of::<Step>()
+            + (self.rounds.capacity() + self.starts.capacity() + self.program.capacity()) * 4
+    }
+
+    /// Run `s`'s part of the plan as messages tagged `tag`.
+    pub(crate) fn run<S: PointToPoint + ?Sized>(
+        &self,
+        s: &mut S,
+        tag: u64,
+        op: ReduceOp,
+        buf: &mut Buf<'_>,
+    ) {
+        let me = s.rank();
+        let ops = &self.program[self.starts[me] as usize..self.starts[me + 1] as usize];
+        for &code in ops {
+            let st = self.steps[(code & !RECV) as usize];
+            if code & RECV == 0 {
+                s.send(st.dst as usize, tag, buf.part(st.what));
+            } else {
+                let from = st.src as usize;
+                let data = s.recv(from, tag);
+                buf.land(s, from, st.what, op, data);
+            }
+        }
+    }
+
+    /// Build the plan `key` names.
+    fn build(key: PlanKey) -> Plan {
+        let mut b = Builder { steps: Vec::new(), rounds: vec![0] };
+        let (p, n) = (key.size, key.len);
+        match key.shape {
+            Shape::Barrier => barrier_steps(&mut b, p),
+            Shape::Broadcast => broadcast_steps(&mut b, p, key.root, n),
+            Shape::Gather => gather_steps(&mut b, p, key.root),
+            Shape::Allgather => allgather_steps(&mut b, p),
+            Shape::Allreduce(AllreduceAlgo::Linear | AllreduceAlgo::OrderedLinear) => {
+                linear_steps(&mut b, p, n);
+            }
+            Shape::Allreduce(AllreduceAlgo::RecursiveDoubling) => {
+                recursive_doubling_steps(&mut b, p, n, &|r| r);
+            }
+            Shape::Allreduce(AllreduceAlgo::Ring) => ring_steps(&mut b, p, n),
+            Shape::Allreduce(AllreduceAlgo::Rabenseifner) => {
+                rabenseifner_steps(&mut b, p, n, &|r| r);
+            }
+            Shape::Allreduce(AllreduceAlgo::Hierarchical) => {
+                hierarchical_steps(&mut b, p, n, key.node_size);
+            }
+            Shape::Allreduce(AllreduceAlgo::Auto) => {
+                unreachable!("Auto is resolved before a plan is keyed")
+            }
+        }
+        b.index(key)
+    }
+}
+
+/// Rounds of steps under construction.
+struct Builder {
+    steps: Vec<Step>,
+    rounds: Vec<u32>,
+}
+
+impl Builder {
+    fn step(&mut self, src: usize, dst: usize, what: Move) {
+        self.steps.push(Step { src: src as u32, dst: dst as u32, what });
+    }
+
+    /// Close the current round (nothing to close when it is empty).
+    fn round(&mut self) {
+        let end = self.steps.len() as u32;
+        if self.rounds[self.rounds.len() - 1] != end {
+            self.rounds.push(end);
+        }
+    }
+
+    /// Index every rank's program: its steps round by round, within a
+    /// round its sends before its receives, each in step order.
+    fn index(mut self, key: PlanKey) -> Plan {
+        self.round();
+        let p = key.size;
+        let mut starts = vec![0u32; p + 1];
+        for st in &self.steps {
+            starts[st.src as usize + 1] += 1;
+            starts[st.dst as usize + 1] += 1;
+        }
+        for r in 0..p {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts[..p].to_vec();
+        let mut program = vec![0u32; 2 * self.steps.len()];
+        let mut put = |rank: u32, code: u32| {
+            let at = &mut next[rank as usize];
+            program[*at as usize] = code;
+            *at += 1;
+        };
+        for w in self.rounds.windows(2) {
+            let round = w[0]..w[1];
+            for i in round.clone() {
+                put(self.steps[i as usize].src, i);
+            }
+            for i in round {
+                put(self.steps[i as usize].dst, i | RECV);
+            }
+        }
+        Plan { key, steps: self.steps, rounds: self.rounds, starts, program }
+    }
+}
+
+/// Range move helpers over `usize` ranges.
+fn fold(r: Range<usize>) -> Move {
+    Move::Fold(r.start as u32, r.end as u32)
+}
+
+fn copy(r: Range<usize>) -> Move {
+    Move::Copy(r.start as u32, r.end as u32)
+}
+
+/// Dissemination barrier: in round `k` every rank sends an empty message
+/// `k` ranks ahead and receives one from `k` ranks behind.
+fn barrier_steps(b: &mut Builder, p: usize) {
+    let mut k = 1usize;
+    while k < p {
+        for me in 0..p {
+            b.step(me, (me + k) % p, copy(0..0));
+        }
+        b.round();
+        k <<= 1;
+    }
+}
+
+/// Binomial-tree broadcast: in the round of mask `m` (from the largest
+/// power of two below `P` down to 1) every relative rank that is a
+/// multiple of `2m` forwards to the relative rank `m` above it. A rank
+/// receives once, in the round of its lowest set bit, and forwards in
+/// every later round.
+fn broadcast_steps(b: &mut Builder, p: usize, root: usize, n: usize) {
+    let mut mask = 1usize;
+    while mask < p {
+        mask <<= 1;
+    }
+    mask >>= 1;
+    while mask > 0 {
+        for v in (0..p).step_by(2 * mask) {
+            if v + mask < p {
+                b.step((v + root) % p, (v + mask + root) % p, copy(0..n));
+            }
+        }
+        b.round();
+        mask >>= 1;
+    }
+}
+
+/// Gather: every other rank's block to the root, received in rank order.
+fn gather_steps(b: &mut Builder, p: usize, root: usize) {
+    for src in (0..p).filter(|&src| src != root) {
+        b.step(src, root, Move::Block(src as u32));
+    }
+}
+
+/// Ring allgather: step `s` forwards to the right the block received at
+/// step `s - 1` (a rank's own at `s = 0`).
+fn allgather_steps(b: &mut Builder, p: usize) {
+    for step in 0..p.saturating_sub(1) {
+        for me in 0..p {
+            b.step(me, (me + 1) % p, Move::Block(((me + p - step) % p) as u32));
+        }
+        b.round();
+    }
+}
+
+/// Linear allreduce: rank 0 folds every rank's vector in rank order, then
+/// sends the result back to each rank individually. `O(P)` latencies —
+/// the behaviour of early-90s MPI reductions.
+fn linear_steps(b: &mut Builder, p: usize, n: usize) {
+    for src in 1..p {
+        b.step(src, 0, fold(0..n));
+    }
+    b.round();
+    for dst in 1..p {
+        b.step(0, dst, copy(0..n));
+    }
+    b.round();
+}
+
+/// Largest power of two `≤ p`.
+fn pow2_floor(p: usize) -> usize {
+    if p.is_power_of_two() {
+        p
+    } else {
+        p.next_power_of_two() / 2
+    }
+}
+
+/// The non-power-of-two pre-step of MPICH over ranks `rk(0..p)`: each rank
+/// at or above the largest power of two `pow2 ≤ P` hands its vector to
+/// rank `me - pow2`, which folds it in; the parked rank then waits for
+/// [`unpark_steps`]. Returns `pow2`.
+fn park_steps(b: &mut Builder, p: usize, n: usize, rk: &dyn Fn(usize) -> usize) -> usize {
+    let pow2 = pow2_floor(p);
+    for me in pow2..p {
+        b.step(rk(me), rk(me - pow2), fold(0..n));
+    }
+    b.round();
+    pow2
+}
+
+/// The post-step matching [`park_steps`]: hand the result to the parked
+/// partner.
+fn unpark_steps(b: &mut Builder, p: usize, n: usize, pow2: usize, rk: &dyn Fn(usize) -> usize) {
+    for me in pow2..p {
+        b.step(rk(me - pow2), rk(me), copy(0..n));
+    }
+    b.round();
+}
+
+/// Recursive doubling: `log2 P'` rounds of pairwise full-vector exchanges
+/// among the `P'` unparked ranks. Both partners fold the same two values
+/// with a commutative op, so all ranks stay bitwise identical.
+fn recursive_doubling_steps(b: &mut Builder, p: usize, n: usize, rk: &dyn Fn(usize) -> usize) {
+    let pow2 = park_steps(b, p, n, rk);
+    let mut mask = 1usize;
+    while mask < pow2 {
+        for me in 0..pow2 {
+            b.step(rk(me), rk(me ^ mask), fold(0..n));
+        }
+        b.round();
+        mask <<= 1;
+    }
+    unpark_steps(b, p, n, pow2, rk);
+}
+
+/// Ring allreduce: reduce-scatter then allgather, `2(P-1)` rounds of
+/// `~m/P`-sized messages over a balanced (ragged) chunk partition.
+/// Bandwidth-optimal for long vectors. Needs `n > 0`: an empty ring
+/// allreduce runs a barrier instead (see [`allreduce`]).
+fn ring_steps(b: &mut Builder, p: usize, n: usize) {
+    // Reduce-scatter: after p-1 steps, rank r owns the fully reduced
+    // chunk (r + 1) % p.
+    for step in 0..p - 1 {
+        for me in 0..p {
+            b.step(me, (me + 1) % p, fold(chunk(n, p, (me + p - step) % p)));
+        }
+        b.round();
+    }
+    // Allgather: circulate the reduced chunks.
+    for step in 0..p - 1 {
+        for me in 0..p {
+            b.step(me, (me + 1) % p, copy(chunk(n, p, (me + 1 + p - step) % p)));
+        }
+        b.round();
+    }
+}
+
+/// Rabenseifner's allreduce over ranks `rk(0..p)`: recursive-halving
+/// reduce-scatter followed by a recursive-doubling allgather — `2·log2 P'`
+/// rounds moving about `2m(P'−1)/P'` bytes per rank (`P'` = largest power
+/// of two ≤ P), the ring's bandwidth optimality with logarithmic latency.
+/// Excess ranks are parked as in recursive doubling. The element space is
+/// split into the ring's balanced chunk partition over the `P'` group, so
+/// any length works, including lengths shorter than `P'`. Each chunk is
+/// reduced along a fixed binary tree on exactly one owner and then copied
+/// verbatim to all ranks, so the result is bitwise identical everywhere.
+fn rabenseifner_steps(b: &mut Builder, p: usize, n: usize, rk: &dyn Fn(usize) -> usize) {
+    let pow2 = park_steps(b, p, n, rk);
+    // Element span of the chunk interval [lo, hi).
+    let span = |(lo, hi): (usize, usize)| chunk(n, pow2, lo).start..chunk(n, pow2, hi - 1).end;
+    // Each rank's chunk interval; partners share theirs until they split it.
+    let mut owned = vec![(0usize, pow2); pow2];
+
+    // Reduce-scatter by recursive halving: each round gives the partner
+    // half of the remaining chunk interval and folds the kept half. After
+    // log2(pow2) rounds rank r owns exactly chunk r, fully reduced.
+    let mut mask = pow2 >> 1;
+    while mask > 0 {
+        for (me, iv) in owned.iter_mut().enumerate() {
+            let (lo, hi) = *iv;
+            let mid = lo + (hi - lo) / 2;
+            let (keep, give) =
+                if me & mask == 0 { ((lo, mid), (mid, hi)) } else { ((mid, hi), (lo, mid)) };
+            b.step(rk(me), rk(me ^ mask), fold(span(give)));
+            *iv = keep;
+        }
+        b.round();
+        mask >>= 1;
+    }
+
+    // Allgather by recursive doubling: the owned interval (always mask
+    // chunks long and mask-aligned) doubles until it is [0, pow2); the
+    // partner's interval is the mirror of ours within the doubled block.
+    let mut mask = 1usize;
+    while mask < pow2 {
+        for (me, iv) in owned.iter_mut().enumerate() {
+            b.step(rk(me), rk(me ^ mask), copy(span(*iv)));
+            let lo = iv.0.min(iv.0 ^ mask);
+            *iv = (lo, lo + 2 * mask);
+        }
+        b.round();
+        mask <<= 1;
+    }
+    unpark_steps(b, p, n, pow2, rk);
+}
+
+/// Hierarchical allreduce for fat-tree-of-multicore-node machines (see
+/// [`AllreduceAlgo::Hierarchical`]): an ascending-rank linear fold onto
+/// each node's leader over the intra-node fabric, Rabenseifner among the
+/// leaders over the inter-node network, then an intra-node send of the
+/// result. Fold orders are fixed, so the result is bitwise identical on
+/// every rank. On a flat topology every rank is its own leader and this
+/// is plain Rabenseifner.
+fn hierarchical_steps(b: &mut Builder, p: usize, n: usize, ns: usize) {
+    let nodes = || (0..p).step_by(ns).map(move |leader| (leader, (leader + ns).min(p)));
+    for (leader, end) in nodes() {
+        for src in leader + 1..end {
+            b.step(src, leader, fold(0..n));
+        }
+    }
+    b.round();
+    rabenseifner_steps(b, p.div_ceil(ns), n, &|i| i * ns);
+    for (leader, end) in nodes() {
+        for dst in leader + 1..end {
+            b.step(leader, dst, copy(0..n));
+        }
+    }
+    b.round();
+}
+
+/// Most plans the cache keeps, and most heap bytes they may hold: about
+/// two `hier_cluster(1024, 8)` allreduce plans. Rebuilding an evicted
+/// plan costs far less than running it, while every cached byte counts
+/// in a run's peak heap.
+const PLAN_CACHE_ENTRIES: usize = 32;
+const PLAN_CACHE_BYTES: usize = 1 << 18;
+
+/// Plans kept for reuse, most recently used first.
+static PLANS: Mutex<Vec<Arc<Plan>>> = Mutex::new(Vec::new());
+
+/// The plan `key` names, from the cache or freshly built. The cache is
+/// shared by every run in the process and both backends, and holds at
+/// most 32 plans and 256 KiB of them (the most recently used plan always
+/// stays, however large).
+pub(crate) fn plan(key: PlanKey) -> Arc<Plan> {
+    // A poisoned cache still holds whole plans: entries are only ever
+    // inserted, moved or dropped as a unit.
+    let mut plans = PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(i) = plans.iter().position(|p| p.key == key) {
+        plans[..=i].rotate_right(1);
+        return Arc::clone(&plans[0]);
+    }
+    let built = Arc::new(Plan::build(key));
+    plans.insert(0, Arc::clone(&built));
+    let mut bytes: usize = plans.iter().map(|p| p.bytes()).sum();
+    while plans.len() > 1 && (plans.len() > PLAN_CACHE_ENTRIES || bytes > PLAN_CACHE_BYTES) {
+        if let Some(evicted) = plans.pop() {
+            bytes -= evicted.bytes();
+        }
+    }
+    built
+}
+
+/// Messages and payload bytes one member sent and received in a
+/// collective run at a rendezvous.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    pub msgs_sent: u64,
+    pub bytes_sent: u64,
+    pub msgs_recvd: u64,
+    pub bytes_recvd: u64,
+}
+
+/// One member's seat at a rendezvous: what it brings — its arguments,
+/// buffer and clock — and, once the plan has run, what it takes away.
+#[derive(Debug)]
+pub(crate) struct Seat {
+    pub clock: Clock,
+    pub tally: Tally,
+    pub key: PlanKey,
+    pub op: ReduceOp,
+    /// The member's flat buffer, or the block it contributes.
+    pub data: Vec<f64>,
+    /// Every member's block, once this member has received any (a
+    /// gather's root, every allgather member); empty otherwise.
+    pub blocks: Vec<Vec<f64>>,
+}
+
+/// Fail unless every seat holds the same collective call as dense rank
+/// 0's; `world` maps dense ranks to the world ranks errors name.
+fn check_seats(seats: &[Box<Seat>], world: &dyn Fn(usize) -> usize) -> Result<(), SimError> {
+    let (k0, op0, r0) = (seats[0].key, seats[0].op, world(0));
+    for (i, s) in seats.iter().enumerate().skip(1) {
+        let k = s.key;
+        let detail = if k.shape != k0.shape || k.size != k0.size {
+            format!(
+                "collective {:?} on {} ranks != {:?} on {} at rank {r0}",
+                k.shape, k.size, k0.shape, k0.size
+            )
+        } else if k.len != k0.len {
+            format!("buffer length {} != {} elements at rank {r0}", k.len, k0.len)
+        } else if k.root != k0.root {
+            format!("root {} != {} at rank {r0}", k.root, k0.root)
+        } else if k.node_size != k0.node_size {
+            format!("node size {} != {} at rank {r0}", k.node_size, k0.node_size)
+        } else if s.op != op0 {
+            format!("reduce op {:?} != {op0:?} at rank {r0}", s.op)
+        } else {
+            continue;
+        };
+        return Err(SimError::CollectiveMismatch { rank: world(i), detail });
+    }
+    Ok(())
+}
+
+/// Run a whole plan for every member at once: `seats[i]` is dense rank
+/// `i`, world rank `world(i)`. Each member is charged, in its own program
+/// order, exactly what [`Plan::run`] over the simulator's messages would
+/// charge it: `o` of endpoint overhead per send, departing at its clock
+/// after it; per receive, an idle wait until departure plus transit, then
+/// `o`. Rounds run all their sends before any receive, so a step's
+/// payload is the sender's buffer before the round's folds, as on the
+/// wire. Fails with a typed mismatch when the members disagree on the
+/// call.
+pub(crate) fn run_central(
+    spec: &MachineSpec,
+    world: &dyn Fn(usize) -> usize,
+    seats: &mut [Box<Seat>],
+) -> Result<(), SimError> {
+    check_seats(seats, world)?;
+    let plan = plan(seats[0].key);
+    let op = seats[0].op;
+    let overhead = spec.network.overhead;
+    // Per step of the current round: departure time, payload length, and
+    // where its payload sits in `staged`.
+    let mut sent: Vec<(f64, usize, usize)> = Vec::new();
+    let mut staged: Vec<f64> = Vec::new();
+    for round in plan.rounds() {
+        sent.clear();
+        staged.clear();
+        for st in round {
+            let src = st.src as usize;
+            let at = staged.len();
+            let len = match st.what {
+                Move::Fold(lo, hi) | Move::Copy(lo, hi) => {
+                    staged.extend_from_slice(&seats[src].data[lo as usize..hi as usize]);
+                    (hi - lo) as usize
+                }
+                Move::Block(b) => seats[b as usize].data.len(),
+            };
+            let seat = &mut seats[src];
+            seat.clock.advance_comm(overhead);
+            seat.tally.msgs_sent += 1;
+            seat.tally.bytes_sent += 8 * len as u64;
+            sent.push((seat.clock.now(), len, at));
+        }
+        for (st, &(depart, len, at)) in round.iter().zip(&sent) {
+            let (src, dst) = (st.src as usize, st.dst as usize);
+            let seat = &mut seats[dst];
+            seat.clock.wait_until(depart + spec.transit(8 * len, world(src), world(dst)));
+            seat.clock.advance_comm(overhead);
+            seat.tally.msgs_recvd += 1;
+            seat.tally.bytes_recvd += 8 * len as u64;
+            match st.what {
+                Move::Fold(lo, hi) => {
+                    op.fold(&mut seat.data[lo as usize..hi as usize], &staged[at..at + len]);
+                }
+                Move::Copy(lo, hi) => {
+                    seat.data[lo as usize..hi as usize].copy_from_slice(&staged[at..at + len]);
+                }
+                Move::Block(b) => {
+                    // Blocks are never folded, so the block a rank forwards
+                    // is still its contributor's.
+                    let block = seats[b as usize].data.clone();
+                    let seat = &mut seats[dst];
+                    if seat.blocks.is_empty() {
+                        seat.blocks = vec![Vec::new(); plan.key.size];
+                        seat.blocks[dst] = seat.data.clone();
+                    }
+                    seat.blocks[b as usize] = block;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Synchronize all ranks (dissemination barrier, `ceil(log2 P)` rounds of
 /// zero-length messages).
 pub fn barrier<C: Collective>(c: &mut C) {
@@ -169,13 +800,7 @@ pub fn barrier<C: Collective>(c: &mut C) {
         return;
     }
     let tag = c.coll_enter(fp(CollKind::Barrier, None, None, 0));
-    let me = c.rank();
-    let mut k = 1usize;
-    while k < p {
-        c.send((me + k) % p, tag, &[]);
-        let _ = c.recv((me + p - k) % p, tag);
-        k <<= 1;
-    }
+    c.run_plan(PlanKey::new(Shape::Barrier, p), tag, ReduceOp::Sum, &mut Buf::Flat(&mut []));
 }
 
 /// Broadcast `buf` from `root` to all ranks (binomial tree). On entry only
@@ -186,25 +811,8 @@ pub fn broadcast<C: Collective>(c: &mut C, root: usize, buf: &mut [f64]) {
         return;
     }
     let tag = c.coll_enter(fp(CollKind::Broadcast, Some(root), None, buf.len()));
-    let me = c.rank();
-    let vrank = (me + p - root) % p;
-    // Receive from the parent in the binomial tree.
-    let mut mask = 1usize;
-    while mask < p {
-        if vrank & mask != 0 {
-            recv_copy(c, (me + p - mask) % p, tag, buf);
-            break;
-        }
-        mask <<= 1;
-    }
-    // Forward to children.
-    mask >>= 1;
-    while mask > 0 {
-        if vrank + mask < p {
-            c.send((me + mask) % p, tag, buf);
-        }
-        mask >>= 1;
-    }
+    let key = PlanKey { len: buf.len(), root, ..PlanKey::new(Shape::Broadcast, p) };
+    c.run_plan(key, tag, ReduceOp::Sum, &mut Buf::Flat(buf));
     // Every rank now holds the root's data — a replication invariant.
     c.check_replicated("broadcast result", buf);
 }
@@ -215,36 +823,26 @@ pub fn gather<C: Collective>(c: &mut C, root: usize, mine: &[f64]) -> Option<Vec
     let p = c.size();
     let me = c.rank();
     let tag = c.coll_enter(fp(CollKind::Gather, Some(root), None, mine.len()));
-    if me != root {
-        c.send(root, tag, mine);
-        return None;
-    }
-    let mut all = Vec::with_capacity(mine.len() * p);
-    for src in 0..p {
-        if src == me {
-            all.extend_from_slice(mine);
-        } else {
-            all.extend(c.recv(src, tag));
-        }
-    }
-    Some(all)
+    let mut blocks = vec![Vec::new(); p];
+    blocks[me] = mine.to_vec();
+    let key = PlanKey { root, ..PlanKey::new(Shape::Gather, p) };
+    c.run_plan(key, tag, ReduceOp::Sum, &mut Buf::Blocks(&mut blocks));
+    (me == root).then(|| blocks.concat())
 }
 
 /// Allgather over a ring: `result[r]` is rank `r`'s vector. Vectors may
 /// differ in length across ranks.
 pub fn allgather<C: Collective>(c: &mut C, mine: &[f64]) -> Vec<Vec<f64>> {
     let p = c.size();
-    let me = c.rank();
     let tag = c.coll_enter(fp(CollKind::Allgather, None, None, mine.len()));
-    let mut blocks: Vec<Vec<f64>> = vec![Vec::new(); p];
-    blocks[me] = mine.to_vec();
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    // Step s forwards the block received at step s - 1 (our own at s = 0).
-    for step in 0..p - 1 {
-        c.send(right, tag, &blocks[(me + p - step) % p]);
-        blocks[(me + p - step - 1) % p] = c.recv(left, tag);
-    }
+    let mut blocks = vec![Vec::new(); p];
+    blocks[c.rank()] = mine.to_vec();
+    c.run_plan(
+        PlanKey::new(Shape::Allgather, p),
+        tag,
+        ReduceOp::Sum,
+        &mut Buf::Blocks(&mut blocks),
+    );
     blocks
 }
 
@@ -259,188 +857,104 @@ pub fn allreduce<C: Collective>(
     algo: AllreduceAlgo,
     node_size: usize,
 ) {
-    if c.size() <= 1 {
+    let p = c.size();
+    if p <= 1 {
         return;
     }
     // The fingerprint is posted before dispatch, so a length or operator
     // divergence is caught even when the schedule would route the
     // mismatched buffers past each other.
     let tag = c.coll_enter(fp(CollKind::Allreduce, None, Some(op), buf.len()));
-    match algo {
-        AllreduceAlgo::Linear | AllreduceAlgo::OrderedLinear => linear(c, buf, op, tag),
-        AllreduceAlgo::RecursiveDoubling => recursive_doubling(c, buf, op, tag),
-        AllreduceAlgo::Ring => ring(c, buf, op, tag),
-        AllreduceAlgo::Rabenseifner => rabenseifner(c, buf, op, tag),
-        AllreduceAlgo::Hierarchical => hierarchical(c, buf, op, tag, node_size),
-        AllreduceAlgo::Auto => unreachable!("Auto is resolved before dispatch"),
+    if algo == AllreduceAlgo::Ring && buf.is_empty() {
+        // An empty ring has no chunks to circulate; still synchronize so
+        // the collective sequence stays aligned.
+        barrier(c);
+    } else {
+        c.run_plan(PlanKey::allreduce(algo, p, buf.len(), node_size), tag, op, &mut Buf::Flat(buf));
     }
     c.check_replicated("allreduce result", buf);
 }
 
-/// Linear allreduce: rank 0 folds every rank's vector in rank order, then
-/// sends the result back to each rank individually. `O(P)` latencies —
-/// the behaviour of early-90s MPI reductions.
-fn linear<S: PointToPoint>(s: &mut S, buf: &mut [f64], op: ReduceOp, tag: u64) {
-    if s.rank() != 0 {
-        s.send(0, tag, buf);
-        recv_copy(s, 0, tag, buf);
-        return;
-    }
-    for src in 1..s.size() {
-        recv_fold(s, src, tag, op, buf);
-    }
-    for dst in 1..s.size() {
-        s.send(dst, tag, buf);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// The non-power-of-two pre-step of MPICH. Ranks at or above the largest
-/// power of two `pow2 ≤ P` are parked: each hands its vector to rank
-/// `me - pow2`, waits for the final result, and gets `None`. Every other
-/// rank folds in its parked partner's vector, if it has one, and gets
-/// `Some(pow2)`.
-fn park<S: PointToPoint>(s: &mut S, buf: &mut [f64], op: ReduceOp, tag: u64) -> Option<usize> {
-    let p = s.size();
-    let me = s.rank();
-    let pow2 = if p.is_power_of_two() { p } else { p.next_power_of_two() / 2 };
-    if me >= pow2 {
-        s.send(me - pow2, tag, buf);
-        recv_copy(s, me - pow2, tag, buf);
-        return None;
-    }
-    if me + pow2 < p {
-        recv_fold(s, me + pow2, tag, op, buf);
-    }
-    Some(pow2)
-}
-
-/// The post-step matching [`park`]: hand the result to the parked partner.
-fn unpark<S: PointToPoint>(s: &mut S, buf: &[f64], tag: u64, pow2: usize) {
-    let me = s.rank();
-    if me + pow2 < s.size() {
-        s.send(me + pow2, tag, buf);
-    }
-}
-
-/// Recursive doubling: `log2 P'` rounds of pairwise full-vector exchanges
-/// among the `P'` unparked ranks. Both partners fold the same two values
-/// with a commutative op, so all ranks stay bitwise identical.
-fn recursive_doubling<S: PointToPoint>(s: &mut S, buf: &mut [f64], op: ReduceOp, tag: u64) {
-    let Some(pow2) = park(s, buf, op, tag) else { return };
-    let me = s.rank();
-    let mut mask = 1usize;
-    while mask < pow2 {
-        s.send(me ^ mask, tag, buf);
-        recv_fold(s, me ^ mask, tag, op, buf);
-        mask <<= 1;
-    }
-    unpark(s, buf, tag, pow2);
-}
-
-/// Ring allreduce: reduce-scatter then allgather, `2(P-1)` rounds of
-/// `~m/P`-sized messages over a balanced (ragged) chunk partition.
-/// Bandwidth-optimal for long vectors.
-fn ring<C: Collective>(c: &mut C, buf: &mut [f64], op: ReduceOp, tag: u64) {
-    let p = c.size();
-    let me = c.rank();
-    let n = buf.len();
-    if n == 0 {
-        // Still synchronize so the collective sequence stays aligned.
-        barrier(c);
-        return;
-    }
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    // Reduce-scatter: after p-1 steps, rank r owns the fully reduced
-    // chunk (r + 1) % p.
-    for step in 0..p - 1 {
-        c.send(right, tag, &buf[chunk(n, p, (me + p - step) % p)]);
-        recv_fold(c, left, tag, op, &mut buf[chunk(n, p, (me + p - step - 1) % p)]);
-    }
-    // Allgather: circulate the reduced chunks.
-    for step in 0..p - 1 {
-        c.send(right, tag, &buf[chunk(n, p, (me + 1 + p - step) % p)]);
-        recv_copy(c, left, tag, &mut buf[chunk(n, p, (me + p - step) % p)]);
-    }
-}
-
-/// Rabenseifner's allreduce: recursive-halving reduce-scatter followed by
-/// a recursive-doubling allgather — `2·log2 P'` rounds moving about
-/// `2m(P'−1)/P'` bytes per rank (`P'` = largest power of two ≤ P), the
-/// ring's bandwidth optimality with logarithmic latency. Excess ranks are
-/// parked as in recursive doubling. The element space is split into the
-/// ring's balanced chunk partition over the `P'` group, so any length
-/// works, including lengths shorter than `P'`. Each chunk is reduced
-/// along a fixed binary tree on exactly one owner and then copied
-/// verbatim to all ranks, so the result is bitwise identical everywhere.
-fn rabenseifner<S: PointToPoint>(s: &mut S, buf: &mut [f64], op: ReduceOp, tag: u64) {
-    let Some(pow2) = park(s, buf, op, tag) else { return };
-    let me = s.rank();
-    let n = buf.len();
-    // Element span of the chunk interval [lo, hi).
-    let span = |lo: usize, hi: usize| chunk(n, pow2, lo).start..chunk(n, pow2, hi - 1).end;
-
-    // Reduce-scatter by recursive halving: each round gives the partner
-    // half of the remaining chunk interval and folds the kept half. After
-    // log2(pow2) rounds rank r owns exactly chunk r, fully reduced.
-    let (mut lo, mut hi) = (0usize, pow2);
-    let mut mask = pow2 >> 1;
-    while mask > 0 {
-        let mid = lo + (hi - lo) / 2;
-        let (keep, give) =
-            if me & mask == 0 { ((lo, mid), (mid, hi)) } else { ((mid, hi), (lo, mid)) };
-        s.send(me ^ mask, tag, &buf[span(give.0, give.1)]);
-        recv_fold(s, me ^ mask, tag, op, &mut buf[span(keep.0, keep.1)]);
-        (lo, hi) = keep;
-        mask >>= 1;
+    fn all_keys(p: usize, n: usize) -> Vec<PlanKey> {
+        let mut keys = vec![
+            PlanKey::new(Shape::Barrier, p),
+            PlanKey { len: n, root: p / 2, ..PlanKey::new(Shape::Broadcast, p) },
+            PlanKey { root: p - 1, ..PlanKey::new(Shape::Gather, p) },
+            PlanKey::new(Shape::Allgather, p),
+        ];
+        for algo in [
+            AllreduceAlgo::Linear,
+            AllreduceAlgo::RecursiveDoubling,
+            AllreduceAlgo::Ring,
+            AllreduceAlgo::Rabenseifner,
+            AllreduceAlgo::Hierarchical,
+        ] {
+            keys.push(PlanKey::allreduce(algo, p, n.max(1), 3));
+        }
+        keys
     }
 
-    // Allgather by recursive doubling: the owned interval (always mask
-    // chunks long and mask-aligned) doubles until it is [0, pow2); the
-    // partner's interval is the mirror of ours within the doubled block.
-    let mut mask = 1usize;
-    while mask < pow2 {
-        s.send(me ^ mask, tag, &buf[span(lo, hi)]);
-        let plo = lo ^ mask;
-        recv_copy(s, me ^ mask, tag, &mut buf[span(plo, plo + mask)]);
-        lo = lo.min(plo);
-        hi = lo + 2 * mask;
-        mask <<= 1;
+    #[test]
+    fn every_program_is_its_steps_sends_first_within_a_round() {
+        for p in [2usize, 3, 5, 8, 13] {
+            for key in all_keys(p, 7) {
+                let plan = Plan::build(key);
+                for me in 0..p {
+                    let mut expect = Vec::new();
+                    let mut base = 0u32;
+                    for round in plan.rounds() {
+                        let idx = |i: usize| base + i as u32;
+                        let sends = round.iter().enumerate().filter(|(_, s)| s.src as usize == me);
+                        expect.extend(sends.map(|(i, _)| idx(i)));
+                        let recvs = round.iter().enumerate().filter(|(_, s)| s.dst as usize == me);
+                        expect.extend(recvs.map(|(i, _)| idx(i) | RECV));
+                        base += round.len() as u32;
+                    }
+                    let got = &plan.program[plan.starts[me] as usize..plan.starts[me + 1] as usize];
+                    assert_eq!(got, &expect[..], "{key:?} rank {me}");
+                }
+            }
+        }
     }
-    unpark(s, buf, tag, pow2);
-}
 
-/// Hierarchical allreduce for fat-tree-of-multicore-node machines (see
-/// [`AllreduceAlgo::Hierarchical`]): an ascending-rank linear fold onto
-/// each node's leader over the intra-node fabric, Rabenseifner among the
-/// leaders over the inter-node network, then an intra-node send of the
-/// result. Fold orders are fixed, so the result is bitwise identical on
-/// every rank. On a flat topology every rank is its own leader and this
-/// is plain Rabenseifner.
-fn hierarchical<S: PointToPoint>(
-    s: &mut S,
-    buf: &mut [f64],
-    op: ReduceOp,
-    tag: u64,
-    node_size: usize,
-) {
-    let p = s.size();
-    let me = s.rank();
-    let ns = node_size.clamp(1, p);
-    let leader = me / ns * ns;
-    let node_end = (leader + ns).min(p);
-    if me != leader {
-        s.send(leader, tag, buf);
-        recv_copy(s, leader, tag, buf);
-        return;
+    #[test]
+    fn hierarchical_plan_moves_the_probed_message_count() {
+        // 896 node members fold up and get the result back (2 x 896), and
+        // 128 leaders run Rabenseifner's 2 x 7 rounds (1 792).
+        let plan = Plan::build(PlanKey::allreduce(AllreduceAlgo::Hierarchical, 1024, 58, 8));
+        assert_eq!(plan.steps.len(), 3584);
     }
-    for src in leader + 1..node_end {
-        recv_fold(s, src, tag, op, buf);
+
+    #[test]
+    fn plans_grow_as_p_log_p() {
+        // `tests/heap_scaling.rs` measures runs with their plans already
+        // cached, so the plans' own growth is pinned here: doubling P from
+        // 512 grows a barrier plan by 2 x 10/9 and an allreduce plan by 2.
+        for key in [
+            |p| PlanKey::new(Shape::Barrier, p),
+            |p| PlanKey::allreduce(AllreduceAlgo::Hierarchical, p, 58, 8),
+        ] {
+            let ratio =
+                Plan::build(key(1024)).bytes() as f64 / Plan::build(key(512)).bytes() as f64;
+            assert!(ratio < 2.5, "{:?}: {ratio:.2}", key(1024));
+        }
     }
-    let mut leaders =
-        Members { inner: &mut *s, members: (0..p).step_by(ns).collect(), rank: me / ns };
-    rabenseifner(&mut leaders, buf, op, tag);
-    for dst in leader + 1..node_end {
-        s.send(dst, tag, buf);
+
+    #[test]
+    fn cache_returns_one_plan_per_key_and_stays_bounded() {
+        let key = PlanKey::allreduce(AllreduceAlgo::Ring, 6, 11, 1);
+        assert!(Arc::ptr_eq(&plan(key), &plan(key)));
+        for size in 2..2 + 2 * PLAN_CACHE_ENTRIES {
+            plan(PlanKey::new(Shape::Barrier, size));
+        }
+        let plans = PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(plans.len() <= PLAN_CACHE_ENTRIES);
+        assert!(
+            plans.len() == 1 || plans.iter().map(|p| p.bytes()).sum::<usize>() <= PLAN_CACHE_BYTES
+        );
     }
 }

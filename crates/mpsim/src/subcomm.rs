@@ -4,8 +4,9 @@
 //! color form a [`Group`] with dense ranks `0..group size` ordered by world
 //! rank, and [`Group::split`] partitions a group once more. A group borrows
 //! its world communicator and runs the shared [`crate::schedule`]
-//! collectives through a member-list view of it, in a tag space disjoint
-//! from world traffic and from every other group's. The group type is
+//! collectives on it, mapping group ranks to world ranks through its
+//! member list, in a tag space and rendezvous keys disjoint from world
+//! traffic and from every other group's. The group type is
 //! generic over the world: [`SubComm`] is the simulator's and
 //! `shmcomm::NativeSubComm` the native backend's, so both derive the same
 //! members, tags and registry ids from one protocol.
@@ -26,7 +27,7 @@
 use crate::collectives::ReduceOp;
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgo;
-use crate::schedule::{self, fp, Collective, Members, PointToPoint, World};
+use crate::schedule::{self, fp, Buf, Collective, PlanKey, PointToPoint, Seating, World};
 use crate::verify::{hash_f64s, CollFingerprint, CollKind};
 
 /// Tag-space marker for sub-communicator traffic (bit 63).
@@ -43,9 +44,11 @@ const NESTED_COLOR_MAX: u32 = 0x7FFF;
 
 /// A communicator over a subset of a world communicator's ranks.
 pub struct Group<'a, W> {
-    /// The world, seen through the member list (world ranks, ascending;
-    /// index = group rank).
-    view: Members<'a, W>,
+    world: &'a mut W,
+    /// World ranks of the members, ascending; index = group rank.
+    members: Vec<usize>,
+    /// This rank's position within `members`.
+    rank: usize,
     /// Color key the group was formed with (part of the tag space).
     color: u32,
     /// Per-group collective sequence number.
@@ -111,34 +114,34 @@ impl<'a, W: World> Group<'a, W> {
             .position(|&r| r == me)
             // lint:allow(unwrap): the members are the ranks of the caller's own color
             .expect("calling rank is in its own color group");
-        Group { view: Members { inner: world, members, rank }, color, seq: 0, comm_id }
+        Group { world, members, rank, color, seq: 0, comm_id }
     }
 
     /// This rank's id within the group.
     pub fn rank(&self) -> usize {
-        self.view.rank
+        self.rank
     }
 
     /// Group size.
     pub fn size(&self) -> usize {
-        self.view.members.len()
+        self.members.len()
     }
 
     /// World ranks of the group, ascending.
     pub fn members(&self) -> &[usize] {
-        &self.view.members
+        &self.members
     }
 
     /// Access the underlying world communicator (e.g. for `work`).
     pub fn world(&mut self) -> &mut W {
-        self.view.inner
+        self.world
     }
 
     /// Account local compute on the member's world clock, so group-local
     /// algorithms (e.g. a shrunk EM resume after a rank failure) read
     /// naturally without reaching for [`Group::world`] on every step.
     pub fn work(&mut self, ops: u64) {
-        self.view.inner.work(ops);
+        self.world.work(ops);
     }
 
     /// Synchronize the group (dissemination barrier over group ranks).
@@ -183,7 +186,7 @@ impl<'a, W: World> Group<'a, W> {
     /// groups share a tag space.
     pub fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Group<'_, W> {
         let colors = color_table(self.size(), color_of);
-        let color = colors[self.view.rank];
+        let color = colors[self.rank];
         if self.color > NESTED_COLOR_MAX || color > NESTED_COLOR_MAX {
             self.mismatch(format!(
                 "nested split takes colors up to {NESTED_COLOR_MAX:#x} at two levels; \
@@ -194,36 +197,34 @@ impl<'a, W: World> Group<'a, W> {
         self.coll_enter(split_fp(&colors));
         // Child membership in *world* ranks, so the nested group talks
         // straight to the world like any first-level group.
-        let members: Vec<usize> = (0..colors.len())
-            .filter(|&r| colors[r] == color)
-            .map(|r| self.view.members[r])
-            .collect();
-        let me = self.view.members[self.view.rank];
+        let members: Vec<usize> =
+            (0..colors.len()).filter(|&r| colors[r] == color).map(|r| self.members[r]).collect();
+        let me = self.members[self.rank];
         let key = NESTED_COLOR_BIT | (self.color << 15) | color;
         // All members agree on the parent's collective sequence here (they
         // all entered this split), so they derive the same registry id;
         // including it keeps successive same-color nested splits distinct
         // in the registries.
         let comm_id = SUB_TAG_BASE | (u64::from(key) << 32) | self.seq;
-        Group::new(&mut *self.view.inner, members, me, key, comm_id)
+        Group::new(&mut *self.world, members, me, key, comm_id)
     }
 }
 
 impl<W: World> PointToPoint for Group<'_, W> {
     fn rank(&self) -> usize {
-        self.view.rank
+        self.rank
     }
     fn size(&self) -> usize {
-        self.view.members.len()
+        self.members.len()
     }
     fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
-        self.view.send(to, tag, data);
+        self.world.send(self.members[to], tag, data);
     }
     fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        self.view.recv(from, tag)
+        self.world.recv(self.members[from], tag)
     }
     fn mismatch(&self, detail: String) -> ! {
-        self.view.mismatch(detail)
+        self.world.mismatch(detail)
     }
 }
 
@@ -234,12 +235,22 @@ impl<W: World> Collective for Group<'_, W> {
     fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
         self.seq += 1;
         let size = self.size();
-        self.view.inner.check_collective(self.comm_id, self.seq, size, fp);
+        self.world.check_collective(self.comm_id, self.seq, size, fp);
         SUB_TAG_BASE | (u64::from(self.color) << 32) | self.seq
     }
     fn check_replicated(&mut self, label: &str, buf: &[f64]) {
         let size = self.size();
-        self.view.inner.check_replication(self.comm_id, self.seq, size, label, buf);
+        self.world.check_replication(self.comm_id, self.seq, size, label, buf);
+    }
+    /// Meet at the world's rendezvous when it has one, keyed by this
+    /// group's id and sequence; exchange messages with the members
+    /// otherwise.
+    fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
+        let members = Some(&self.members[..]);
+        let at = Seating { comm: self.comm_id, seq: self.seq, members, rank: self.rank };
+        if !self.world.rendezvous(at, key, op, buf) {
+            schedule::plan(key).run(self, tag, op, buf);
+        }
     }
 }
 

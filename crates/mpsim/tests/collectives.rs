@@ -482,3 +482,29 @@ fn hierarchical_allreduce_is_cheaper_than_flat_on_a_hier_cluster() {
         "hierarchical {hier:.6}s should beat flat Rabenseifner {flat:.6}s on a hier_cluster"
     );
 }
+
+/// Run a reduce or scan with rank 1's buffer one element longer than the
+/// others' and return the detail of the typed mismatch it must fail with.
+fn length_mismatch_detail(body: impl Fn(&mut mpsim::Comm, &mut [f64]) + Sync) -> String {
+    let spec = presets::meiko_cs2(3);
+    let r = mpsim::run_spmd::<(), _>(&spec, &mpsim::SimOptions::default(), |c| {
+        let mut buf = vec![1.0; 2 + usize::from(c.rank() == 1)];
+        body(c, &mut buf);
+    });
+    match r {
+        Err(mpsim::SimError::CollectiveMismatch { detail, .. }) => detail,
+        other => panic!("expected CollectiveMismatch, got {:?}", other.err()),
+    }
+}
+
+#[test]
+fn reduce_length_mismatch_is_typed() {
+    let detail = length_mismatch_detail(|c, buf| c.reduce_f64s(0, buf, ReduceOp::Sum));
+    assert!(detail.contains("buffer length"), "{detail}");
+}
+
+#[test]
+fn scan_length_mismatch_is_typed() {
+    let detail = length_mismatch_detail(|c, buf| c.scan_f64s(buf, ReduceOp::Sum));
+    assert!(detail.contains("buffer length"), "{detail}");
+}

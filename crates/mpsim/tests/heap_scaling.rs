@@ -1,10 +1,14 @@
 //! The simulator's memory grows with the machine, not with its square: a
 //! counting `#[global_allocator]` records the peak live heap of a
-//! default-option barrier at `P = 512` and `P = 1024`, and doubling `P`
-//! must not much more than double it (the barrier's mailboxes cover
-//! `P log2 P` pairs, so about 2.2x is expected). Any per-run table
-//! indexed by (rank, rank) — 16 bytes a pair costs 4 MiB at `P = 512` and
-//! 16 MiB at `P = 1024` — pushes the ratio towards 4.
+//! default-option barrier and of a default-option hierarchical allreduce
+//! of 58 elements at `P = 512` and `P = 1024`, and doubling `P` must not
+//! much more than double either (the allreduce's rendezvous seats are
+//! `O(P len)`). Any per-run table indexed by (rank, rank) — 16 bytes a
+//! pair costs 4 MiB at `P = 512` and 16 MiB at `P = 1024` — pushes the
+//! ratio towards 4. Each probe runs once unmeasured first, so its plan is
+//! already in the process-wide plan cache: the cache's own size is
+//! bounded on its own (see `mpsim::schedule`), and evicting a plan inside
+//! a measured run would hide that run's growth.
 //!
 //! One `#[test]` in its own binary, so no concurrently running test shares
 //! the allocator's counters.
@@ -12,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mpsim::{presets, run_spmd, SimOptions};
+use mpsim::{presets, run_spmd, Comm, MachineSpec, ReduceOp, SimOptions};
 
 /// The system allocator, counting live heap bytes and their peak.
 struct CountingAlloc;
@@ -68,36 +72,48 @@ fn grew(bytes: usize) {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Peak heap growth, in bytes, over what was live before a default-option
-/// barrier on `p` ranks.
-fn barrier_peak_bytes(p: usize) -> usize {
-    let spec = presets::zero_cost(p);
+/// run of `body` on `spec`, measured on the second of two runs.
+fn peak_bytes(spec: &MachineSpec, body: impl Fn(&mut Comm) + Sync) -> usize {
     let opts = SimOptions::default();
+    drop(run_spmd(spec, &opts, &body).expect("the probe runs"));
     let base = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(base, Ordering::Relaxed);
-    let out = run_spmd(&spec, &opts, |c| c.barrier()).expect("barrier runs");
+    let out = run_spmd(spec, &opts, &body).expect("the probe runs");
     let peak = PEAK_BYTES.load(Ordering::Relaxed);
     drop(out);
     peak - base
 }
 
+fn barrier(p: usize) -> usize {
+    peak_bytes(&presets::zero_cost(p), |c| c.barrier())
+}
+
+fn hier_allreduce(p: usize) -> usize {
+    peak_bytes(&presets::hier_cluster(p, 8), |c| {
+        let mut buf = vec![c.rank() as f64; 58];
+        c.allreduce_f64s(&mut buf, ReduceOp::Sum);
+    })
+}
+
 #[test]
 fn peak_heap_grows_linearly_in_p() {
-    // Warm up process-wide lazies (panic hook, thread bookkeeping) so
-    // neither measured run pays for them.
-    barrier_peak_bytes(8);
-    let half = barrier_peak_bytes(512);
-    let full = barrier_peak_bytes(1024);
-    let ratio = full as f64 / half as f64;
     let mib = |b: usize| b as f64 / (1024.0 * 1024.0);
-    println!(
-        "peak heap: P=512 {:.2} MiB, P=1024 {:.2} MiB, ratio {ratio:.2}",
-        mib(half),
-        mib(full)
-    );
-    assert!(
-        ratio < 2.5,
-        "doubling P grew the peak heap {ratio:.2}x ({:.2} -> {:.2} MiB): some state is O(P^2)",
-        mib(half),
-        mib(full)
-    );
+    for (probe, half, full) in [
+        ("barrier", barrier(512), barrier(1024)),
+        ("hier_cluster allreduce", hier_allreduce(512), hier_allreduce(1024)),
+    ] {
+        let ratio = full as f64 / half as f64;
+        println!(
+            "{probe} peak heap: P=512 {:.2} MiB, P=1024 {:.2} MiB, ratio {ratio:.2}",
+            mib(half),
+            mib(full)
+        );
+        assert!(
+            ratio < 2.5,
+            "{probe}: doubling P grew the peak heap {ratio:.2}x ({:.2} -> {:.2} MiB): \
+             some state is O(P^2)",
+            mib(half),
+            mib(full)
+        );
+    }
 }
