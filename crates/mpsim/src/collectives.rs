@@ -1,20 +1,17 @@
 //! Collective operations on the world [`Comm`].
 //!
-//! The shared schedules — barrier, broadcast, gather, allgather and the
+//! The schedules — barrier, broadcast, gather, allgather and the
 //! allreduce family — live in [`crate::schedule`], written once for both
 //! backends and every sub-communicator; this module connects `Comm` to
-//! them and adds the simulator-only collectives (binomial reduce, scatter,
-//! all-to-all, scan). Every algorithm is the textbook message-passing one,
-//! so the simulated communication pattern — and therefore the modeled
-//! cost — is the one a real MPI implementation would produce.
+//! them. Every algorithm is the textbook message-passing one, so the
+//! simulated communication pattern — and therefore the modeled cost — is
+//! the one a real MPI implementation would produce.
 
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgo;
 use crate::error::SimError;
-use crate::schedule::{
-    self, check_len, fp, Buf, Collective, PlanKey, PointToPoint, Seating, World,
-};
-use crate::verify::{hash_f64s, CollFingerprint, CollKind, WORLD_COMM};
+use crate::schedule::{self, Buf, Collective, PlanKey, PointToPoint, Seating, World};
+use crate::verify::{hash_f64s, CollFingerprint, WORLD_COMM};
 
 /// Element-wise reduction operator over `f64` vectors. All operators are
 /// commutative, which the recursive-doubling algorithm exploits to keep
@@ -132,38 +129,6 @@ impl Comm {
         schedule::broadcast(self, root, buf);
     }
 
-    /// Reduce element-wise into `root` (binomial tree). After the call the
-    /// root's `buf` holds the reduction over all ranks; other ranks' `buf`
-    /// contents are unspecified.
-    pub fn reduce_f64s(&mut self, root: usize, buf: &mut [f64], op: ReduceOp) {
-        let p = self.size();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(fp(CollKind::Reduce, Some(root), Some(op), buf.len()));
-        let me = self.rank();
-        let vrank = (me + p - root) % p;
-
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask == 0 {
-                let vsrc = vrank | mask;
-                if vsrc < p {
-                    let src = (vsrc + root) % p;
-                    let data = self.recv_f64s(src, tag);
-                    check_len(self, src, buf, &data);
-                    op.fold(buf, &data);
-                }
-            } else {
-                let vdst = vrank & !mask;
-                let dst = (vdst + root) % p;
-                self.send_f64s(dst, tag, buf);
-                break;
-            }
-            mask <<= 1;
-        }
-    }
-
     /// Allreduce with the machine's default algorithm (see
     /// [`crate::cost::MachineSpec::allreduce`]). On exit every rank holds
     /// the element-wise reduction of all ranks' buffers.
@@ -239,82 +204,6 @@ impl Comm {
     /// length across ranks.
     pub fn allgather_f64s(&mut self, mine: &[f64]) -> Vec<Vec<f64>> {
         schedule::allgather(self, mine)
-    }
-
-    /// Scatter: `root` supplies one block per rank; every rank receives its
-    /// block. Non-roots must pass `None`.
-    ///
-    /// # Panics
-    /// Panics (as a collective mismatch) if the root provides a number of
-    /// blocks different from the communicator size, or a non-root provides
-    /// data.
-    pub fn scatter_f64s(&mut self, root: usize, blocks: Option<&[Vec<f64>]>) -> Vec<f64> {
-        let p = self.size();
-        let me = self.rank();
-        let tag =
-            self.coll_enter(fp(CollKind::Scatter, Some(root), None, blocks.map_or(0, |b| b.len())));
-        if me == root {
-            let blocks = match blocks {
-                Some(b) if b.len() == p => b,
-                Some(b) => self.mismatch(format!("scatter got {} blocks for {} ranks", b.len(), p)),
-                None => self.mismatch("scatter root must supply blocks".into()),
-            };
-            for (dst, block) in blocks.iter().enumerate() {
-                if dst != me {
-                    self.send_f64s(dst, tag, block);
-                }
-            }
-            blocks[me].clone()
-        } else {
-            if blocks.is_some() {
-                self.mismatch("scatter non-root must pass None".into());
-            }
-            self.recv_f64s(root, tag)
-        }
-    }
-
-    /// All-to-all personalized exchange: `send[d]` goes to rank `d`;
-    /// returns `recv` with `recv[s]` from rank `s`.
-    pub fn alltoall_f64s(&mut self, send: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let p = self.size();
-        let me = self.rank();
-        if send.len() != p {
-            self.mismatch(format!("alltoall got {} blocks for {} ranks", send.len(), p));
-        }
-        let tag = self.coll_enter(fp(CollKind::Alltoall, None, None, send.len()));
-        let mut recv: Vec<Vec<f64>> = vec![Vec::new(); p];
-        recv[me] = send[me].clone();
-        // Pairwise exchange by offset; sends are buffered so the
-        // send-then-recv order cannot deadlock.
-        for offset in 1..p {
-            let dst = (me + offset) % p;
-            let src = (me + p - offset) % p;
-            self.send_f64s(dst, tag, &send[dst]);
-            recv[src] = self.recv_f64s(src, tag);
-        }
-        recv
-    }
-
-    /// Inclusive prefix reduction in rank order: rank `r` ends with the
-    /// reduction of ranks `0..=r`. Linear chain (deterministic order).
-    pub fn scan_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        let p = self.size();
-        let me = self.rank();
-        if p <= 1 {
-            return;
-        }
-        let tag = self.coll_enter(fp(CollKind::Scan, None, Some(op), buf.len()));
-        if me > 0 {
-            let prefix = self.recv_f64s(me - 1, tag);
-            check_len(self, me - 1, buf, &prefix);
-            // Keep rank order: result = reduce(prefix, mine).
-            let mut acc = prefix;
-            op.fold(&mut acc, buf);
-            buf.copy_from_slice(&acc);
-        }
-        if me + 1 < p {
-            self.send_f64s(me + 1, tag, buf);
-        }
     }
 
     /// Broadcast a single `u64` from `root` (handy for sizes and seeds).

@@ -40,8 +40,7 @@
 //!   (barrier, broadcast, gather, allgather, the allreduce family), as a
 //!   cached plan both backends run over a small point-to-point surface and
 //!   the simulator also runs at one rendezvous per collective
-//! * [`collectives`] — the world [`Comm`]'s collectives, including the
-//!   simulator-only Reduce/Scatter/Alltoall/Scan
+//! * [`collectives`] — the world [`Comm`]'s collectives
 //! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue): one
 //!   group type for both backends
 //! * [`engine`] — the SPMD launcher ([`run_spmd`]) on the cooperative

@@ -16,8 +16,8 @@
 //! failed rank's ring after the run dies. Writes are charged a small
 //! virtual-time cost on the receiving rank (see
 //! [`ReplayLog::WRITE_OPS`]) — durability is not free, and the
-//! `faultmatrix` gates compare recovery times across policies honestly
-//! only if the logging tax is on the books.
+//! report's R-standby gates compare recovery times across policies
+//! honestly only if the logging tax is on the books.
 //!
 //! Rings are truncated by [`crate::Comm::replay_truncate`] (called by
 //! the checkpoint publisher) — entries older than the last checkpoint

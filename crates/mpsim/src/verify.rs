@@ -74,13 +74,9 @@ impl VerifyOptions {
 pub enum CollKind {
     Barrier,
     Broadcast,
-    Reduce,
     Allreduce,
     Gather,
     Allgather,
-    Scatter,
-    Alltoall,
-    Scan,
     Split,
 }
 
@@ -90,12 +86,7 @@ impl CollKind {
     fn uniform_len(self) -> bool {
         matches!(
             self,
-            CollKind::Barrier
-                | CollKind::Broadcast
-                | CollKind::Reduce
-                | CollKind::Allreduce
-                | CollKind::Scan
-                | CollKind::Split
+            CollKind::Barrier | CollKind::Broadcast | CollKind::Allreduce | CollKind::Split
         )
     }
 }

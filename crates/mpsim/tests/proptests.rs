@@ -76,17 +76,12 @@ proptest! {
         let spec = presets::zero_cost(p);
         let out = run_spmd_default(&spec, |c| {
             let mine: Vec<f64> = (0..chunk).map(|i| value(c.rank(), i)).collect();
-            // Gather to root, then scatter back: everyone must recover
-            // exactly their own block.
-            let gathered = c.gather_f64s(0, &mine);
-            let back = if c.rank() == 0 {
-                let all = gathered.expect("root holds gathered data");
-                let blocks: Vec<Vec<f64>> =
-                    all.chunks(chunk).map(|b| b.to_vec()).collect();
-                c.scatter_f64s(0, Some(&blocks))
-            } else {
-                c.scatter_f64s(0, None)
-            };
+            // Gather to root, broadcast the concatenation back, and let
+            // every rank slice out its own block: everyone must recover
+            // exactly what they contributed.
+            let mut all = c.gather_f64s(0, &mine).unwrap_or_else(|| vec![0.0; chunk * c.size()]);
+            c.broadcast_f64s(0, &mut all);
+            let back = all[c.rank() * chunk..(c.rank() + 1) * chunk].to_vec();
             (mine, back)
         }).unwrap();
         for (mine, back) in out.per_rank {

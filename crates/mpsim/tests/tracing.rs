@@ -75,16 +75,17 @@ fn with_rank_speeds_validates_length() {
 
 #[test]
 fn collective_mismatch_is_detected() {
-    // Scatter with the wrong number of blocks must surface as a
-    // CollectiveMismatch, not a hang or silent corruption.
+    // A broadcast whose root passes a longer buffer than the others must
+    // surface as a CollectiveMismatch, not a hang or silent corruption.
     let spec = presets::zero_cost(3);
     let r = run_spmd(&spec, &SimOptions::default(), |c| {
-        if c.rank() == 0 {
-            let blocks = vec![vec![1.0]; 2]; // wrong: needs 3
-            c.scatter_f64s(0, Some(&blocks))
-        } else {
-            c.scatter_f64s(0, None)
-        }
+        let mut buf = vec![1.0; if c.rank() == 0 { 3 } else { 2 }]; // wrong: lengths differ
+        c.broadcast_f64s(0, &mut buf);
     });
-    assert!(matches!(r, Err(mpsim::SimError::CollectiveMismatch { rank: 0, .. })), "got {r:?}");
+    match r {
+        Err(mpsim::SimError::CollectiveMismatch { detail, .. }) => {
+            assert!(detail.contains("buffer length"), "{detail}");
+        }
+        other => panic!("expected CollectiveMismatch, got {other:?}"),
+    }
 }

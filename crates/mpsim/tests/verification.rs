@@ -27,8 +27,6 @@ fn full_verification_is_quiet_on_a_correct_program() {
         let mine = vec![c.rank() as f64; c.rank() + 1]; // ragged: allowed
         let _ = c.gather_f64s(2, &mine);
         let _ = c.allgather_f64s(&mine);
-        let mut scan = vec![1.0];
-        c.scan_f64s(&mut scan, ReduceOp::Sum);
         {
             let mut sub = c.split(|r| (r % 2) as u32);
             sub.barrier();

@@ -4,6 +4,8 @@
 use autoclass::data::{block_partition, weighted_partition};
 use autoclass::search::SearchConfig;
 
+use crate::error::PartitionError;
+
 /// How the global sufficient statistics are exchanged in the parallel
 /// `update_parameters`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,10 +66,33 @@ pub enum Partitioning {
 }
 
 impl Partitioning {
+    /// Check that this partitioning can split a dataset over `p`
+    /// processors. Every entry point calls it before launch, so a bad
+    /// partitioning is one typed error instead of a panic on every rank.
+    ///
+    /// # Errors
+    /// A `Weighted` partitioning whose weight count is not `p`, with a
+    /// negative or non-finite weight, or with no positive weight.
+    pub fn validate(&self, p: usize) -> Result<(), PartitionError> {
+        let Partitioning::Weighted(w) = self else { return Ok(()) };
+        if w.len() != p {
+            return Err(PartitionError::WeightCount { weights: w.len(), p });
+        }
+        if let Some((rank, &weight)) =
+            w.iter().enumerate().find(|(_, w)| !(**w >= 0.0 && w.is_finite()))
+        {
+            return Err(PartitionError::BadWeight { rank, weight });
+        }
+        if !w.iter().any(|&x| x > 0.0) {
+            return Err(PartitionError::NoPositiveWeight);
+        }
+        Ok(())
+    }
+
     /// The per-rank row ranges for `n` items over `p` processors.
     ///
     /// # Panics
-    /// Panics if `Weighted` weights don't count `p` entries.
+    /// Panics if the partitioning fails [`Partitioning::validate`].
     pub fn ranges(&self, n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
         match self {
             Partitioning::Block => block_partition(n, p),
@@ -148,7 +173,7 @@ pub struct StandbyConfig {
     /// covers the gap back to the checkpoint.
     pub fallback: RecoveryPolicy,
     /// Deterministic shard-corruption injection for tests and the
-    /// `faultmatrix` sweep; `None` on healthy storage.
+    /// report's R-standby sweep; `None` on healthy storage.
     pub shard_fault: Option<ShardFault>,
 }
 

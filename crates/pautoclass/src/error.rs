@@ -29,7 +29,54 @@ pub enum RunError {
     /// failure (panicked rank, poisoned lock, disconnected channel,
     /// receive timeout) on real cores.
     Comm(CommError),
+    /// The configured [`crate::Partitioning`] cannot split the data over
+    /// the machine; rejected before any rank starts.
+    Partition(PartitionError),
 }
+
+/// Why a [`crate::Partitioning`] was rejected.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum PartitionError {
+    /// `Weighted` needs exactly one weight per rank.
+    WeightCount {
+        /// Weights supplied.
+        weights: usize,
+        /// Ranks of the machine.
+        p: usize,
+    },
+    /// A weight is negative, infinite or NaN.
+    BadWeight {
+        /// The rank the weight belongs to.
+        rank: usize,
+        /// The offending weight.
+        weight: f64,
+    },
+    /// Every weight is zero, so no rank would get data.
+    NoPositiveWeight,
+    /// The fleet search block-partitions each fleet itself; it takes
+    /// only [`crate::Partitioning::Block`].
+    BlockOnly,
+}
+
+impl std::fmt::Display for PartitionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PartitionError::WeightCount { weights, p } => {
+                write!(f, "{weights} partition weight(s) for {p} ranks: need one per rank")
+            }
+            PartitionError::BadWeight { rank, weight } => {
+                write!(f, "partition weight {weight} of rank {rank} is not finite and non-negative")
+            }
+            PartitionError::NoPositiveWeight => write!(f, "every partition weight is zero"),
+            PartitionError::BlockOnly => {
+                write!(f, "the fleet search takes only Partitioning::Block")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PartitionError {}
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -40,6 +87,7 @@ impl std::fmt::Display for RunError {
             }
             RunError::Checkpoint(e) => write!(f, "cannot resume from checkpoint: {e}"),
             RunError::Comm(e) => write!(f, "communication backend failed: {e}"),
+            RunError::Partition(e) => write!(f, "invalid data partitioning: {e}"),
         }
     }
 }
@@ -51,6 +99,7 @@ impl std::error::Error for RunError {
             RunError::EmptySearch => None,
             RunError::Checkpoint(e) => Some(e),
             RunError::Comm(e) => Some(e),
+            RunError::Partition(e) => Some(e),
         }
     }
 }
@@ -64,6 +113,12 @@ impl From<SimError> for RunError {
 impl From<CheckpointError> for RunError {
     fn from(e: CheckpointError) -> Self {
         RunError::Checkpoint(e)
+    }
+}
+
+impl From<PartitionError> for RunError {
+    fn from(e: PartitionError) -> Self {
+        RunError::Partition(e)
     }
 }
 

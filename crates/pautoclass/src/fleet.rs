@@ -58,8 +58,10 @@ use mpsim::{
 };
 use shmcomm::{run_native, NativeOptions};
 
-use crate::config::{Consensus, FleetConfig, FtConfig, ParallelConfig, RecoveryPolicy};
-use crate::error::RunError;
+use crate::config::{
+    Consensus, FleetConfig, FtConfig, ParallelConfig, Partitioning, RecoveryPolicy,
+};
+use crate::error::{PartitionError, RunError};
 use crate::recover::fault_culprit;
 use crate::run::{outcome_from, ParallelOutcome};
 
@@ -955,7 +957,8 @@ fn fleet_rank_body<C: Communicator>(
 /// candidates run, not their numbers.
 ///
 /// # Errors
-/// Same contract as [`crate::run_search`].
+/// Same contract as [`crate::run_search`], except that any partitioning
+/// but [`Partitioning::Block`] is [`RunError::Partition`].
 pub fn run_search_fleet(
     data: &Dataset,
     machine: &MachineSpec,
@@ -965,10 +968,19 @@ pub fn run_search_fleet(
     run_search_fleet_with(data, machine, config, fc, &SimOptions::default())
 }
 
+/// Every fleet block-partitions its own data, so a fleet entry point
+/// rejects any other [`crate::Partitioning`] instead of ignoring it.
+fn block_only(config: &ParallelConfig) -> Result<(), PartitionError> {
+    match config.partition {
+        Partitioning::Block => Ok(()),
+        Partitioning::Weighted(_) => Err(PartitionError::BlockOnly),
+    }
+}
+
 /// [`run_search_fleet`] with explicit engine options.
 ///
 /// # Errors
-/// Same contract as [`crate::run_search`].
+/// Same contract as [`run_search_fleet`].
 pub fn run_search_fleet_with(
     data: &Dataset,
     machine: &MachineSpec,
@@ -976,6 +988,7 @@ pub fn run_search_fleet_with(
     fc: &FleetConfig,
     opts: &SimOptions,
 ) -> Result<FleetOutcome, RunError> {
+    block_only(config)?;
     let out = run_spmd(machine, opts, |comm| fleet_rank_body(comm, data, config, fc))?;
     let Some((all, cycles, fleet)) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
@@ -988,7 +1001,8 @@ pub fn run_search_fleet_with(
 /// bitwise-identical classifications.
 ///
 /// # Errors
-/// Same contract as [`crate::run_search_native`].
+/// Same contract as [`crate::run_search_native`], except that any
+/// partitioning but [`Partitioning::Block`] is [`RunError::Partition`].
 pub fn run_search_fleet_native(
     data: &Dataset,
     machine: &MachineSpec,
@@ -996,6 +1010,7 @@ pub fn run_search_fleet_native(
     fc: &FleetConfig,
     opts: &NativeOptions,
 ) -> Result<FleetOutcome, RunError> {
+    block_only(config)?;
     let out = run_native(machine, opts, |comm| fleet_rank_body(comm, data, config, fc))?;
     let Some((all, cycles, fleet)) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
@@ -1049,7 +1064,8 @@ fn shrunk_fleet_rank_body<C: Communicator>(
 /// [`crate::StandbyConfig::fallback`].
 ///
 /// # Errors
-/// Same contract as [`crate::run_search_ft`].
+/// Same contract as [`crate::run_search_ft`], except that any
+/// partitioning but [`Partitioning::Block`] is [`RunError::Partition`].
 pub fn run_search_fleet_ft(
     data: &Dataset,
     machine: &MachineSpec,
@@ -1058,6 +1074,7 @@ pub fn run_search_fleet_ft(
     ft: &FtConfig,
     opts: &SimOptions,
 ) -> Result<FleetFtOutcome, RunError> {
+    block_only(config)?;
     let store: Mutex<Option<FleetCheckpoint>> = Mutex::new(None);
     let mut faults: Vec<SimError> = Vec::new();
     let mut excluded: Option<usize> = None;

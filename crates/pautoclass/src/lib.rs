@@ -48,7 +48,7 @@ pub use config::{
     Consensus, Exchange, FleetConfig, FtConfig, ParallelConfig, Partitioning, RecoveryPolicy,
     ShardFault, StandbyConfig, Strategy,
 };
-pub use error::RunError;
+pub use error::{PartitionError, RunError};
 pub use fleet::{
     run_search_fleet, run_search_fleet_ft, run_search_fleet_native, run_search_fleet_with,
     EnsembleSummary, FleetFtOutcome, FleetOutcome, FleetStats,

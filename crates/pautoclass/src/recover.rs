@@ -201,7 +201,8 @@ fn recovery_prologue<C: Communicator>(comm: &mut C, recovery: Recovery) {
 /// # Errors
 /// Non-recoverable engine errors (program bugs, verifier divergences),
 /// recoverable faults under [`RecoveryPolicy::Abort`] or past
-/// `max_restarts`, undecodable checkpoints, and empty searches.
+/// `max_restarts`, undecodable checkpoints, empty searches, and a
+/// partitioning that fails [`crate::Partitioning::validate`].
 pub fn run_search_ft(
     data: &Dataset,
     machine: &MachineSpec,
@@ -209,6 +210,7 @@ pub fn run_search_ft(
     ft: &FtConfig,
     opts: &SimOptions,
 ) -> Result<FtOutcome, RunError> {
+    config.partition.validate(machine.p)?;
     let store: Mutex<Option<Vec<u8>>> = Mutex::new(None);
     let mut sup = Supervisor::new(machine, ft);
     let mut opts_now = opts.clone();
@@ -289,6 +291,7 @@ pub fn run_search_ft_native(
             backend: "native",
         }));
     }
+    config.partition.validate(machine.p)?;
     let store: Mutex<Option<Vec<u8>>> = Mutex::new(None);
     let mut sup = Supervisor::new(machine, ft);
     let mut attempts = 0usize;

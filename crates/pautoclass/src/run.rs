@@ -124,7 +124,8 @@ fn search_rank_body<C: Communicator>(
 /// Propagates engine failures (rank panics, proven deadlocks, verifier
 /// divergences) as [`RunError::Sim`]; a search that stores no
 /// classification (e.g. an empty `start_j_list`) is
-/// [`RunError::EmptySearch`] rather than a panic.
+/// [`RunError::EmptySearch`] rather than a panic, and a partitioning that
+/// fails [`crate::Partitioning::validate`] is [`RunError::Partition`].
 pub fn run_search(
     data: &Dataset,
     machine: &MachineSpec,
@@ -144,6 +145,7 @@ pub fn run_search_with(
     config: &ParallelConfig,
     opts: &SimOptions,
 ) -> Result<ParallelOutcome, RunError> {
+    config.partition.validate(machine.p)?;
     let out = run_spmd(machine, opts, |comm| search_rank_body(comm, data, config))?;
     let Some((all, cycles)) = out.per_rank.into_iter().next() else {
         // A machine with zero ranks is rejected by the engine before the
@@ -165,13 +167,15 @@ pub fn run_search_with(
 /// Native backend failures (a panicked rank, a poisoned lock, a
 /// disconnected channel, a receive timeout) surface as
 /// [`RunError::Comm`]; a search that stores no classification is
-/// [`RunError::EmptySearch`].
+/// [`RunError::EmptySearch`]; a bad partitioning is
+/// [`RunError::Partition`].
 pub fn run_search_native(
     data: &Dataset,
     machine: &MachineSpec,
     config: &ParallelConfig,
     opts: &NativeOptions,
 ) -> Result<ParallelOutcome, RunError> {
+    config.partition.validate(machine.p)?;
     let out = run_native(machine, opts, |comm| search_rank_body(comm, data, config))?;
     let Some((all, cycles)) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
@@ -216,7 +220,8 @@ pub struct CycleTiming {
 /// (no class death, no convergence exit) and time them in virtual time.
 ///
 /// # Errors
-/// Propagates engine failures as [`RunError::Sim`].
+/// Propagates engine failures as [`RunError::Sim`] and a bad partitioning
+/// as [`RunError::Partition`].
 pub fn run_fixed_j(
     data: &Dataset,
     machine: &MachineSpec,
@@ -225,6 +230,7 @@ pub fn run_fixed_j(
     seed: u64,
     config: &ParallelConfig,
 ) -> Result<CycleTiming, RunError> {
+    config.partition.validate(machine.p)?;
     let out = run_spmd(machine, &SimOptions::default(), |comm| {
         comm.enter_phase("search");
         let parts = config.partition.ranges(data.len(), comm.size());

@@ -86,16 +86,12 @@ pub const COLLECTIVES: &[&str] = &[
     "allreduce_f64s",
     "allreduce_f64s_with",
     "allreduce_scalar",
-    "alltoall_f64s",
     "barrier",
     "broadcast_f64s",
     "broadcast_u64",
     "gather_f64s",
     "iallreduce_f64s",
     "iallreduce_f64s_with",
-    "reduce_f64s",
-    "scan_f64s",
-    "scatter_f64s",
     "split",
     "verify_replicated",
 ];
@@ -114,7 +110,6 @@ pub const SANITIZERS: &[&str] = &[
     "allreduce_scalar",
     "broadcast_f64s",
     "broadcast_u64",
-    "scan_f64s",
 ];
 
 /// The blocking collectives the legacy loop rule watches (kept exactly

@@ -1,14 +1,17 @@
-//! `cargo xtask faultmatrix` — the robustness acceptance sweep.
+//! The fault-tolerance sections of `cargo xtask report`: R-faultmatrix,
+//! R-standby and (under `report --largep`) L-largep faults.
 //!
-//! Runs the fault-tolerant search ([`pautoclass::run_search_ft`]) through
-//! every fault kind × recovery policy × processor count cell and gates on
-//! the tentpole property: **every injected fault is either recovered
-//! bit-identically or reported with a typed error naming the correct
-//! culprit rank and fault kind — no hangs, no panics, no silently
-//! different numbers.**
+//! Each runs the fault-tolerant search ([`pautoclass::run_search_ft`])
+//! through a grid of injected faults and gates on one property: **every
+//! injected fault is either recovered bit-identically or reported with a
+//! typed error naming the correct culprit rank and fault kind — no hangs,
+//! no panics, no silently different numbers.** A cell that breaks it
+//! fails the whole report with the cell's coordinates; the gates a
+//! section returns record what its cells enforced.
 //!
-//! Per processor count the harness runs an unfaulted fault-tolerant
-//! baseline, then injects each fatal fault kind (crash, drop,
+//! **R-faultmatrix.** Per processor count (P ∈ {2, 4, 5, 8}; `--smoke`
+//! trims to {2, 4}) the sweep runs an unfaulted fault-tolerant baseline,
+//! then injects each fatal fault kind (crash, drop,
 //! delay-past-virtual-timeout, corrupt) under each recovery policy:
 //!
 //! * **abort** — the run must terminate with a typed [`mpsim::SimError`]
@@ -23,37 +26,29 @@
 //! Two benign faults (a delay under the timeout, a degraded link) must
 //! complete with *no* error, bit-identical results, and strictly more
 //! virtual time — robustness must not come at the price of spurious
-//! failure reports.
+//! failure reports. A checkpoint-interval sweep at P = 4 records recovery
+//! overhead versus the interval `k`. A seeded sub-sweep
+//! ([`FaultPlan::seeded`]) grades randomized plans under the restart
+//! policy; plans the contract deliberately does not cover (a crash on
+//! rank 0 — the checkpoint publisher — and the benign kinds) are listed
+//! as skipped with reasons instead of being silently dropped.
 //!
-//! A checkpoint-interval sweep at P = 4 records recovery overhead versus
-//! the interval `k` (the data behind the EXPERIMENTS.md walkthrough), and
-//! the whole series is run twice: the rendered JSON must be bit-identical
-//! (the fault layer must not break virtual-time determinism).
+//! **R-standby.** The localized-recovery sweep: spare-rank promotion on
+//! the simulator **and** the native backend, replay-vs-rollback cost,
+//! spare exhaustion, and shard corruption at P ∈ {2, 5, 8} (`--smoke`:
+//! {2, 5}).
 //!
-//! A seeded sub-sweep ([`FaultPlan::seeded`]) grades randomized plans
-//! under the restart policy; plans the contract deliberately does not
-//! cover (a crash on rank 0 — the checkpoint publisher — and the benign
-//! kinds) are recorded as explicit `skipped_cells` with reasons instead
-//! of being silently dropped.
+//! **L-largep faults.** Crash and corrupt under abort/restart/promote on
+//! the hierarchical fat-tree cluster at P ∈ {64, 256, 1024} (`--smoke`:
+//! {64, 256}).
 //!
-//! Flags: `--smoke` (P ∈ {2,4}, short sweep — the CI configuration),
-//! `--out DIR` (default `faultmatrix/` in the repo root), `--check PATH`
-//! (validate an existing artifact instead of running — the schema is
-//! sniffed from the artifact; a bare `--check` runs the selected sweep
-//! and then validates what it just wrote, the one-command CI form),
-//! `--largep` (run the reduced large-`P` sweep instead: crash and corrupt
-//! under abort/restart/promote on the hierarchical fat-tree cluster at
-//! P ∈ {64, 256, 1024} — `--smoke` trims to P ∈ {64, 256} — writing
-//! `faultmatrix_largep.json`/`.txt`),
-//! `--standby` (run the localized-recovery sweep instead: spare-rank
-//! promotion on the simulator **and** the native backend,
-//! replay-vs-rollback cost, spare exhaustion, and shard corruption at
-//! P ∈ {2, 5, 8} — `--smoke` trims to P ∈ {2, 5} — writing
-//! `faultmatrix_standby.json`/`.txt`).
+//! Every section runs its sweep twice and gates on the two sweeps being
+//! equal value for value: fault injection, detection and recovery are
+//! pinned to virtual time, so the fault layer must not break
+//! determinism. Every number in the tables is virtual time; the native
+//! promotion cell's wall-clock timings are printed as zeros.
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::process::ExitCode;
 
 use autoclass::model::classes_to_flat;
 use autoclass::search::SearchConfig;
@@ -64,6 +59,74 @@ use pautoclass::{
     run_search_ft, run_search_ft_native, Exchange, FtConfig, FtOutcome, NativeOptions,
     ParallelConfig, ParallelOutcome, RecoveryPolicy, RunError, ShardFault, StandbyConfig, Strategy,
 };
+
+use crate::sections::Section;
+
+/// The gates of [`largep`], in order: `report --largep` records them
+/// after its series gates.
+pub const LARGEP_GATES: [&str; 5] = [
+    "largep_faults_abort_names_correct_culprit",
+    "largep_faults_restart_bit_identical",
+    "largep_faults_promote_bit_identical",
+    "largep_faults_promote_preserves_p",
+    "largep_faults_deterministic",
+];
+
+/// R-faultmatrix: the fault × policy × P sweep, the seeded plans and the
+/// checkpoint-interval sweep.
+pub fn faults(smoke: bool) -> Result<Section, String> {
+    let first = run_matrix(smoke)?;
+    let second = run_matrix(smoke).map_err(|msg| format!("repeat sweep failed: {msg}"))?;
+    // Every other gate is enforced cell by cell inside run_matrix: an
+    // offending cell is an error, so reaching here means it held.
+    Ok(Section {
+        text: to_text("R-faultmatrix — fault x policy x P sweep", &first),
+        gates: vec![
+            ("faults_abort_names_correct_culprit", true),
+            ("faults_restart_bit_identical", true),
+            ("faults_shrink_survivors_ok", true),
+            ("faults_benign_faults_absorbed", true),
+            ("faults_ksweep_bit_identical", true),
+            ("faults_seeded_recovered_bit_identical", true),
+            ("faults_deterministic", first == second),
+        ],
+    })
+}
+
+/// R-standby: the localized-recovery sweep.
+pub fn standby(smoke: bool) -> Result<Section, String> {
+    let first = run_standby_matrix(smoke)?;
+    let second = run_standby_matrix(smoke).map_err(|msg| format!("repeat sweep failed: {msg}"))?;
+    // Enforced cell by cell inside run_standby_matrix, except determinism.
+    let deterministic = first == second;
+    Ok(Section {
+        text: standby_text(&first),
+        gates: vec![
+            ("standby_promote_preserves_p", true),
+            ("standby_promote_bit_identical", true),
+            ("standby_promote_native_bit_identical", true),
+            ("standby_replay_strictly_cheaper_than_restart", true),
+            ("standby_shard_corruption_detected", true),
+            ("standby_exhausted_fallback_deterministic", deterministic),
+            ("standby_deterministic", deterministic),
+        ],
+    })
+}
+
+/// L-largep faults: the reduced fault sweep at large P.
+pub fn largep(smoke: bool) -> Result<Section, String> {
+    let (baselines, cells) = run_largep_matrix(smoke)?;
+    let second = run_largep_matrix(smoke).map_err(|msg| format!("repeat sweep failed: {msg}"))?;
+    let deterministic = second.0 == baselines && second.1 == cells;
+    let m =
+        Matrix { baselines, cells, ksweep: Vec::new(), seeded: Vec::new(), skipped: Vec::new() };
+    // Enforced cell by cell inside run_largep_matrix, except determinism.
+    let held = [true, true, true, true, deterministic];
+    Ok(Section {
+        text: to_text("L-largep faults — fault x policy x P sweep on hier_cluster", &m),
+        gates: LARGEP_GATES.into_iter().zip(held).collect(),
+    })
+}
 
 /// Culprit rank for every injected fault. Rank 1 sends to the allreduce
 /// root (rank 0) once per collective under the preset's `Linear`
@@ -86,76 +149,9 @@ const TOLERATED_DELAY_S: f64 = 1.0;
 /// Bandwidth slowdown for the degraded-link cell.
 const DEGRADE_FACTOR: f64 = 200.0;
 
-pub fn faultmatrix(args: &[String]) -> ExitCode {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .filter(|v| !v.starts_with("--"))
-            .map(String::as_str)
-    };
-    // `--check PATH` validates an existing artifact and exits; a bare
-    // `--check` (no path) runs the selected sweep first and then
-    // validates the artifact it just wrote.
-    let self_check = args.iter().any(|a| a == "--check");
-    if let Some(path) = flag_value("--check") {
-        return check(Path::new(path));
-    }
-    let root = crate::repo_root();
-    let out_dir = flag_value("--out").map(Into::into).unwrap_or_else(|| root.join("faultmatrix"));
-    if args.iter().any(|a| a == "--standby") {
-        return faultmatrix_standby(smoke, &out_dir, self_check);
-    }
-    if args.iter().any(|a| a == "--largep") {
-        return faultmatrix_largep(smoke, &out_dir, self_check);
-    }
-
-    let first = match run_matrix(smoke) {
-        Ok(m) => m,
-        Err(msg) => {
-            eprintln!("xtask faultmatrix: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Determinism gate: fault injection, detection, and recovery are all
-    // pinned to virtual time, so a second identical sweep must render
-    // bit-identical artifacts.
-    let deterministic = match run_matrix(smoke) {
-        Ok(second) => to_json(smoke, &second, true) == to_json(smoke, &first, true),
-        Err(msg) => {
-            eprintln!("xtask faultmatrix: repeat run failed: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !deterministic {
-        eprintln!("xtask faultmatrix: repeated sweep rendered different artifacts");
-        return ExitCode::FAILURE;
-    }
-
-    let json = to_json(smoke, &first, deterministic);
-    let text = to_text(&first);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("xtask faultmatrix: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    for (name, content) in [("faultmatrix.json", &json), ("faultmatrix.txt", &text)] {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("xtask faultmatrix: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    print!("{text}");
-    println!("\nxtask faultmatrix: wrote 2 artifacts to {}", out_dir.display());
-    if self_check {
-        return check(&out_dir.join("faultmatrix.json"));
-    }
-    ExitCode::SUCCESS
-}
-
 /// One cell of the sweep: what was injected, how the supervisor was told
 /// to react, and what actually happened (all gates already enforced).
+#[derive(PartialEq)]
 struct Cell {
     p: usize,
     kind: &'static str,
@@ -172,6 +168,7 @@ struct Cell {
 }
 
 /// Recovery overhead at one checkpoint interval (P = 4, crash + restart).
+#[derive(PartialEq)]
 struct KRow {
     k: usize,
     unfaulted_s: f64,
@@ -185,12 +182,14 @@ struct KRow {
     resume_saving_s: f64,
 }
 
+#[derive(PartialEq)]
 struct Baseline {
     p: usize,
     elapsed_s: f64,
 }
 
 /// One graded cell from the seeded sub-sweep (P = 4, restart policy).
+#[derive(PartialEq)]
 struct SeededCell {
     seed: u64,
     kind: &'static str,
@@ -200,7 +199,8 @@ struct SeededCell {
 }
 
 /// A seeded plan the sweep deliberately refuses to grade; the reason is
-/// part of the artifact so the exclusion is auditable.
+/// part of the table so the exclusion is auditable.
+#[derive(PartialEq)]
 struct SkippedCell {
     seed: u64,
     kind: &'static str,
@@ -208,6 +208,7 @@ struct SkippedCell {
     reason: &'static str,
 }
 
+#[derive(PartialEq)]
 struct Matrix {
     baselines: Vec<Baseline>,
     cells: Vec<Cell>,
@@ -369,7 +370,7 @@ fn run_matrix(smoke: bool) -> Result<Matrix, String> {
     Ok(Matrix { baselines, cells, ksweep: run_ksweep(smoke, &data, &cfg)?, seeded, skipped })
 }
 
-/// The label a fault action carries in artifacts and diagnoses.
+/// The label a fault action carries in tables and diagnoses.
 fn fault_kind_label(a: &FaultAction) -> &'static str {
     match a {
         FaultAction::Crash => "crash",
@@ -735,120 +736,8 @@ fn run_largep_matrix(smoke: bool) -> Result<(Vec<Baseline>, Vec<Cell>), String> 
     Ok((baselines, cells))
 }
 
-fn largep_json(smoke: bool, baselines: &[Baseline], cells: &[Cell], deterministic: bool) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"kind\": \"largep\",");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"engine\": \"cooperative\",");
-    let _ = writeln!(out, "  \"machine\": \"hier_cluster\",");
-    let _ = writeln!(out, "  \"culprit_rank\": {CULPRIT},");
-    out.push_str("  \"gates\": {\n");
-    // Enforced in run_largep_matrix via grade_cell; recorded for --check.
-    let _ = writeln!(out, "    \"abort_names_correct_culprit\": true,");
-    let _ = writeln!(out, "    \"restart_bit_identical\": true,");
-    let _ = writeln!(out, "    \"promote_bit_identical\": true,");
-    let _ = writeln!(out, "    \"promote_preserves_p\": true,");
-    let _ = writeln!(out, "    \"deterministic\": {deterministic}");
-    out.push_str("  },\n");
-    out.push_str("  \"baselines\": [\n");
-    for (i, b) in baselines.iter().enumerate() {
-        let comma = if i + 1 < baselines.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{\"p\": {}, \"elapsed_s\": {:.9}}}{comma}", b.p, b.elapsed_s);
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let bits = match c.bit_identical {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"p\": {}, \"fault\": \"{}\", \"policy\": \"{}\", \"outcome\": \"{}\", \
-             \"attempts\": {}, \"survivors\": {}, \"bit_identical\": {bits}, \
-             \"elapsed_s\": {:.9}}}{comma}",
-            c.p,
-            c.kind,
-            c.policy,
-            c.outcome.replace('\\', "\\\\").replace('"', "\\\""),
-            c.attempts,
-            c.survivors,
-            c.elapsed_s
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn faultmatrix_largep(smoke: bool, out_dir: &Path, self_check: bool) -> ExitCode {
-    let (baselines, cells) = match run_largep_matrix(smoke) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("xtask faultmatrix --largep: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let deterministic = match run_largep_matrix(smoke) {
-        Ok((b2, c2)) => {
-            largep_json(smoke, &b2, &c2, true) == largep_json(smoke, &baselines, &cells, true)
-        }
-        Err(msg) => {
-            eprintln!("xtask faultmatrix --largep: repeat run failed: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !deterministic {
-        eprintln!("xtask faultmatrix --largep: repeated sweep rendered different artifacts");
-        return ExitCode::FAILURE;
-    }
-    let json = largep_json(smoke, &baselines, &cells, deterministic);
-    let text = to_text(&Matrix {
-        baselines,
-        cells,
-        ksweep: Vec::new(),
-        seeded: Vec::new(),
-        skipped: Vec::new(),
-    });
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("xtask faultmatrix --largep: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    for (name, content) in [("faultmatrix_largep.json", &json), ("faultmatrix_largep.txt", &text)] {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("xtask faultmatrix --largep: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    print!("{text}");
-    println!("\nxtask faultmatrix --largep: wrote 2 artifacts to {}", out_dir.display());
-    if self_check {
-        return check(&out_dir.join("faultmatrix_largep.json"));
-    }
-    ExitCode::SUCCESS
-}
-
-/// Required keys for the large-`P` artifact (`faultmatrix_largep.json`).
-const LARGEP_REQUIRED: [&str; 14] = [
-    "\"schema_version\": 1",
-    "\"kind\": \"largep\"",
-    "\"engine\": \"cooperative\"",
-    "\"machine\": \"hier_cluster\"",
-    "\"abort_names_correct_culprit\": true",
-    "\"restart_bit_identical\": true",
-    "\"promote_bit_identical\": true",
-    "\"promote_preserves_p\": true",
-    "\"deterministic\": true",
-    "\"fault\": \"crash\"",
-    "\"fault\": \"corrupt\"",
-    "\"policy\": \"abort\"",
-    "\"policy\": \"restart\"",
-    "\"policy\": \"promote\"",
-];
-
 /// One cell of the localized-recovery (standby) sweep.
+#[derive(PartialEq)]
 struct StandbyCell {
     p: usize,
     scenario: &'static str,
@@ -978,7 +867,7 @@ fn run_standby_matrix(smoke: bool) -> Result<Vec<StandbyCell>, String> {
 
         // Spare promotion on the native backend: same crash plan, real
         // threads. Timings are wall-clock there, so they are zeroed in
-        // the artifact — the determinism gate compares rendered JSON and
+        // the table — the determinism gate compares the two sweeps and
         // must see only modeled quantities.
         let nopts = NativeOptions { fault: Some(plan_for("crash")), ..NativeOptions::default() };
         let out =
@@ -1089,55 +978,12 @@ fn run_standby_matrix(smoke: bool) -> Result<Vec<StandbyCell>, String> {
     Ok(cells)
 }
 
-fn standby_json(smoke: bool, cells: &[StandbyCell], deterministic: bool) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"kind\": \"standby\",");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"culprit_rank\": {CULPRIT},");
-    out.push_str("  \"gates\": {\n");
-    // Enforced in run_standby_matrix; recorded for --check.
-    let _ = writeln!(out, "    \"promote_preserves_p\": true,");
-    let _ = writeln!(out, "    \"promote_bit_identical\": true,");
-    let _ = writeln!(out, "    \"promote_native_bit_identical\": true,");
-    let _ = writeln!(out, "    \"replay_strictly_cheaper_than_restart\": true,");
-    let _ = writeln!(out, "    \"shard_corruption_detected\": true,");
-    let _ = writeln!(out, "    \"exhausted_fallback_deterministic\": {deterministic},");
-    let _ = writeln!(out, "    \"deterministic\": {deterministic}");
-    out.push_str("  },\n");
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let bits = match c.bit_identical {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"p\": {}, \"scenario\": \"{}\", \"backend\": \"{}\", \"outcome\": \"{}\", \
-             \"attempts\": {}, \"promotions\": {}, \"replays\": {}, \"fell_back\": {}, \
-             \"survivors\": {}, \"bit_identical\": {bits}, \"recovery_s\": {:.9}, \
-             \"elapsed_s\": {:.9}}}{comma}",
-            c.p,
-            c.scenario,
-            c.backend,
-            c.outcome,
-            c.attempts,
-            c.promotions,
-            c.replays,
-            c.fell_back,
-            c.survivors,
-            c.recovery_s,
-            c.elapsed_s
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn standby_text(cells: &[StandbyCell]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "localized recovery sweep (culprit rank {CULPRIT}, all gates enforced)");
+    let _ = writeln!(
+        out,
+        "R-standby — localized recovery sweep (culprit rank {CULPRIT}, all gates enforced)"
+    );
     let _ = writeln!(
         out,
         "{:>3}  {:<13} {:<12} {:>8} {:>5} {:>7} {:>9} {:>9} {:>12} {:>12}  outcome",
@@ -1172,70 +1018,9 @@ fn standby_text(cells: &[StandbyCell]) -> String {
     out
 }
 
-fn faultmatrix_standby(smoke: bool, out_dir: &Path, self_check: bool) -> ExitCode {
-    let cells = match run_standby_matrix(smoke) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("xtask faultmatrix --standby: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let deterministic = match run_standby_matrix(smoke) {
-        Ok(second) => standby_json(smoke, &second, true) == standby_json(smoke, &cells, true),
-        Err(msg) => {
-            eprintln!("xtask faultmatrix --standby: repeat run failed: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !deterministic {
-        eprintln!("xtask faultmatrix --standby: repeated sweep rendered different artifacts");
-        return ExitCode::FAILURE;
-    }
-    let json = standby_json(smoke, &cells, deterministic);
-    let text = standby_text(&cells);
-    if let Err(e) = std::fs::create_dir_all(out_dir) {
-        eprintln!("xtask faultmatrix --standby: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    for (name, content) in [("faultmatrix_standby.json", &json), ("faultmatrix_standby.txt", &text)]
-    {
-        let path = out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("xtask faultmatrix --standby: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    print!("{text}");
-    println!("\nxtask faultmatrix --standby: wrote 2 artifacts to {}", out_dir.display());
-    if self_check {
-        return check(&out_dir.join("faultmatrix_standby.json"));
-    }
-    ExitCode::SUCCESS
-}
-
-/// Required keys for the standby artifact (`faultmatrix_standby.json`).
-const STANDBY_REQUIRED: [&str; 16] = [
-    "\"schema_version\": 1",
-    "\"kind\": \"standby\"",
-    "\"promote_preserves_p\": true",
-    "\"promote_bit_identical\": true",
-    "\"promote_native_bit_identical\": true",
-    "\"replay_strictly_cheaper_than_restart\": true",
-    "\"shard_corruption_detected\": true",
-    "\"exhausted_fallback_deterministic\": true",
-    "\"deterministic\": true",
-    "\"scenario\": \"promote\"",
-    "\"scenario\": \"restart\"",
-    "\"scenario\": \"replay\"",
-    "\"scenario\": \"exhausted\"",
-    "\"scenario\": \"corrupt-shard\"",
-    "\"backend\": \"native\"",
-    "\"backend\": \"sim-coop\"",
-];
-
-fn to_text(m: &Matrix) -> String {
+fn to_text(title: &str, m: &Matrix) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "fault x policy x P sweep (culprit rank {CULPRIT}, all gates enforced)");
+    let _ = writeln!(out, "{title} (culprit rank {CULPRIT}, all gates enforced)");
     let _ = writeln!(
         out,
         "{:>3}  {:<15} {:<8} {:<10} {:>8} {:>9} {:>12} {:>12}  outcome",
@@ -1295,149 +1080,4 @@ fn to_text(m: &Matrix) -> String {
         );
     }
     out
-}
-
-fn to_json(smoke: bool, m: &Matrix, deterministic: bool) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"culprit_rank\": {CULPRIT},");
-    out.push_str("  \"gates\": {\n");
-    // Every gate is enforced inside run_matrix; reaching here means true.
-    // Recorded so --check (and CI) can assert on the artifact alone.
-    let _ = writeln!(out, "    \"abort_names_correct_culprit\": true,");
-    let _ = writeln!(out, "    \"restart_bit_identical\": true,");
-    let _ = writeln!(out, "    \"shrink_survivors_ok\": true,");
-    let _ = writeln!(out, "    \"benign_faults_absorbed\": true,");
-    let _ = writeln!(out, "    \"ksweep_bit_identical\": true,");
-    let _ = writeln!(out, "    \"seeded_recovered_bit_identical\": true,");
-    let _ = writeln!(out, "    \"deterministic\": {deterministic}");
-    out.push_str("  },\n");
-    out.push_str("  \"baselines\": [\n");
-    for (i, b) in m.baselines.iter().enumerate() {
-        let comma = if i + 1 < m.baselines.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{\"p\": {}, \"elapsed_s\": {:.9}}}{comma}", b.p, b.elapsed_s);
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in m.cells.iter().enumerate() {
-        let comma = if i + 1 < m.cells.len() { "," } else { "" };
-        let bits = match c.bit_identical {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"p\": {}, \"fault\": \"{}\", \"policy\": \"{}\", \"outcome\": \"{}\", \
-             \"attempts\": {}, \"survivors\": {}, \"bit_identical\": {bits}, \
-             \"recovery_s\": {:.9}, \"elapsed_s\": {:.9}}}{comma}",
-            c.p,
-            c.kind,
-            c.policy,
-            c.outcome.replace('\\', "\\\\").replace('"', "\\\""),
-            c.attempts,
-            c.survivors,
-            c.recovery_s,
-            c.elapsed_s
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"seeded_cells\": [\n");
-    for (i, c) in m.seeded.iter().enumerate() {
-        let comma = if i + 1 < m.seeded.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"seed\": {}, \"fault\": \"{}\", \"rank\": {}, \"outcome\": \"{}\", \
-             \"attempts\": {}, \"bit_identical\": true}}{comma}",
-            c.seed, c.kind, c.rank, c.outcome, c.attempts
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"skipped_cells\": [\n");
-    for (i, c) in m.skipped.iter().enumerate() {
-        let comma = if i + 1 < m.skipped.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"seed\": {}, \"fault\": \"{}\", \"rank\": {}, \"reason\": \"{}\"}}{comma}",
-            c.seed, c.kind, c.rank, c.reason
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"checkpoint_interval_sweep\": [\n");
-    for (i, r) in m.ksweep.iter().enumerate() {
-        let comma = if i + 1 < m.ksweep.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"k\": {}, \"unfaulted_s\": {:.9}, \"faulted_s\": {:.9}, \
-             \"ckpt_overhead_s\": {:.9}, \"resume_saving_s\": {:.9}}}{comma}",
-            r.k, r.unfaulted_s, r.faulted_s, r.ckpt_overhead_s, r.resume_saving_s
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Structural validation of a faultmatrix artifact: required keys exist
-/// and every gate reads `true`. Timing values are machine-model outputs
-/// and deliberately not pinned here.
-fn check(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask faultmatrix --check: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if text.contains("\"kind\": \"standby\"") {
-        return check_required(path, &text, &STANDBY_REQUIRED);
-    }
-    if text.contains("\"kind\": \"largep\"") {
-        return check_required(path, &text, &LARGEP_REQUIRED);
-    }
-    let required = [
-        "\"schema_version\": 1",
-        "\"gates\"",
-        "\"abort_names_correct_culprit\": true",
-        "\"restart_bit_identical\": true",
-        "\"shrink_survivors_ok\": true",
-        "\"benign_faults_absorbed\": true",
-        "\"ksweep_bit_identical\": true",
-        "\"deterministic\": true",
-        "\"baselines\"",
-        "\"cells\"",
-        "\"fault\": \"crash\"",
-        "\"fault\": \"drop\"",
-        "\"fault\": \"delay\"",
-        "\"fault\": \"corrupt\"",
-        "\"fault\": \"delay-tolerated\"",
-        "\"fault\": \"degrade\"",
-        "\"policy\": \"abort\"",
-        "\"policy\": \"restart\"",
-        "\"policy\": \"shrink\"",
-        "\"seeded_recovered_bit_identical\": true",
-        "\"seeded_cells\"",
-        "\"skipped_cells\"",
-        "\"reason\"",
-        "\"checkpoint_interval_sweep\"",
-        "\"resume_saving_s\"",
-    ];
-    check_required(path, &text, &required)
-}
-
-fn check_required(path: &Path, text: &str, required: &[&str]) -> ExitCode {
-    let mut missing = Vec::new();
-    for key in required {
-        if !text.contains(key) {
-            missing.push(key);
-        }
-    }
-    if missing.is_empty() {
-        println!("xtask faultmatrix --check: {} ok", path.display());
-        ExitCode::SUCCESS
-    } else {
-        for key in missing {
-            eprintln!("xtask faultmatrix --check: {} missing {key}", path.display());
-        }
-        ExitCode::FAILURE
-    }
 }

@@ -10,12 +10,11 @@
 //! * `report` — regenerate every table in EXPERIMENTS.md: the verified
 //!   paper series (per-phase time, speedup, efficiency, critical path)
 //!   with its native column, Fig 6–8, the in-text claims, the ablations
-//!   and the fleet table, each with its gates. See the `report` module
-//!   docs for flags and gates.
-//! * `faultmatrix` — the robustness acceptance sweep: every injected fault
-//!   kind × recovery policy × processor count must either recover
-//!   bit-identically or surface a typed error naming the correct culprit.
-//!   See the `faultmatrix` module docs for flags and gates.
+//!   and the fleet table, each with its gates, then the robustness
+//!   sweeps: every injected fault kind × recovery policy × processor
+//!   count must either recover bit-identically or surface a typed error
+//!   naming the correct culprit. See the `report` and `faultmatrix`
+//!   module docs for flags and gates.
 //!
 //! # Rules
 //!
@@ -52,13 +51,11 @@ fn main() -> ExitCode {
         Some("lint") => lint(),
         Some("analyze") => analyze(&args[1..]),
         Some("report") => report::report(&args[1..]),
-        Some("faultmatrix") => faultmatrix::faultmatrix(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask lint \
                  | analyze [--check] [--out PATH] [--fixtures] [--root DIR] \
-                 | report [--smoke] [--full] [--largep] [--out DIR] [--check PATH] \
-                 | faultmatrix [--smoke] [--largep] [--standby] [--out DIR] [--check [PATH]]"
+                 | report [--smoke] [--full] [--largep] [--out DIR] [--check PATH]"
             );
             ExitCode::FAILURE
         }

@@ -7,7 +7,9 @@
 //! speedup, efficiency, comm/compute ratio and max-vs-mean critical-path
 //! tables. The sections of [`crate::sections`] follow it: Fig 6 and Fig 7
 //! from one grid of searches, Fig 8, T-profile, A-strategy,
-//! A-collectives, A-imbalance, A-seq and the F-ensemble fleet table.
+//! A-collectives, A-imbalance, A-seq and the F-ensemble fleet table; then
+//! the fault-tolerance sections of [`crate::faultmatrix`], R-faultmatrix
+//! and R-standby.
 //!
 //! The harness checks these invariants and records them as gates in the
 //! JSON artifact:
@@ -39,8 +41,8 @@
 //!    wall-clock numbers go to `report_native.txt`, outside the
 //!    determinism-compared JSON.
 //! 7. **Section gates** — each section's own shape checks (see
-//!    [`crate::sections`]); a failed gate fails the run after printing
-//!    every table.
+//!    [`crate::sections`] and [`crate::faultmatrix`]); a failed gate
+//!    fails the run after printing every table.
 //!
 //! Flags: `--smoke` (every section at CI size — the CI configuration),
 //! `--full` (the paper's `start_j_list = 2,4,8,16,24,50,64` for the Fig
@@ -49,7 +51,8 @@
 //! instead of running — the schema is sniffed from the artifact),
 //! `--largep` (run the large-`P` series instead: the verified search on
 //! the hierarchical fat-tree cluster at P ∈ {64, 256, 1024} against a
-//! P = 1 baseline, writing `report_largep.json`/`.txt`).
+//! P = 1 baseline, then the L-largep faults section, writing
+//! `report_largep.json`/`.txt`).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -67,7 +70,7 @@ use pautoclass::{
     Partitioning, Strategy,
 };
 
-use crate::sections;
+use crate::{faultmatrix, sections};
 
 /// Accepted band for measured/predicted allreduce time, P > 1. The LogGP
 /// linear-allreduce formula serializes the whole exchange while the
@@ -139,6 +142,8 @@ fn report_paper(smoke: bool, full: bool, out_dir: &Path) -> Result<(), String> {
         sections::imbalance(smoke)?,
         sections::seq(smoke)?,
         sections::fleet(smoke)?,
+        faultmatrix::faults(smoke)?,
+        faultmatrix::standby(smoke)?,
     ];
     let mut text = first.report.to_text();
     for s in &sections {
@@ -148,13 +153,7 @@ fn report_paper(smoke: bool, full: bool, out_dir: &Path) -> Result<(), String> {
     let native = native_text(&first.native);
     print!("{text}\n{native}");
     let gates: Vec<(&str, bool)> = sections.iter().flat_map(|s| s.gates.iter().copied()).collect();
-    if !gates.iter().map(|g| g.0).eq(sections::GATES) {
-        return Err("section gates differ from the --check schema (sections::GATES)".to_string());
-    }
-    let failed: Vec<&str> = gates.iter().filter(|g| !g.1).map(|g| g.0).collect();
-    if !failed.is_empty() {
-        return Err(format!("section gate(s) failed: {}", failed.join(", ")));
-    }
+    enforce_gates(&gates, &sections::GATES)?;
 
     let json = assemble_json(smoke, &first, &gates);
     let artifacts = [
@@ -167,6 +166,31 @@ fn report_paper(smoke: bool, full: bool, out_dir: &Path) -> Result<(), String> {
     write_artifacts(out_dir, &artifacts)?;
     println!("\nxtask report: wrote {} artifacts to {}", artifacts.len(), out_dir.display());
     Ok(())
+}
+
+/// Fail unless the sections returned exactly the gates of `schema` (the
+/// one `--check` asserts), in order, and every one held.
+fn enforce_gates(gates: &[(&str, bool)], schema: &[&str]) -> Result<(), String> {
+    if !gates.iter().map(|g| g.0).eq(schema.iter().copied()) {
+        return Err("section gates differ from the --check schema".to_string());
+    }
+    let failed: Vec<&str> = gates.iter().filter(|g| !g.1).map(|g| g.0).collect();
+    if !failed.is_empty() {
+        return Err(format!("section gate(s) failed: {}", failed.join(", ")));
+    }
+    Ok(())
+}
+
+/// The artifact's `"gates"` object: the series gates, enforced before
+/// any artifact is written and so `true`, then the sections' gates.
+fn gates_json(series: &[&str], section_gates: &[(&str, bool)]) -> String {
+    let gates: Vec<String> = series
+        .iter()
+        .map(|g| (*g, true))
+        .chain(section_gates.iter().copied())
+        .map(|(name, ok)| format!("    \"{name}\": {ok}"))
+        .collect();
+    format!("  \"gates\": {{\n{}\n  }},\n", gates.join(",\n"))
 }
 
 fn write_artifacts(out_dir: &Path, artifacts: &[(&str, String)]) -> Result<(), String> {
@@ -448,16 +472,9 @@ fn assemble_json(smoke: bool, series: &Series, section_gates: &[(&str, bool)]) -
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema_version\": 1,");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
-    // The series gates were enforced in run_series and report_paper;
-    // reaching here means true, but record every gate so --check (and CI)
-    // can assert on the artifact alone.
-    let gates: Vec<String> = SERIES_GATES
-        .iter()
-        .map(|g| (*g, true))
-        .chain(section_gates.iter().copied())
-        .map(|(name, ok)| format!("    \"{name}\": {ok}"))
-        .collect();
-    let _ = writeln!(out, "  \"gates\": {{\n{}\n  }},", gates.join(",\n"));
+    // Record every gate so --check (and CI) can assert on the artifact
+    // alone.
+    out.push_str(&gates_json(&SERIES_GATES, section_gates));
     out.push_str("  \"overlap_allreduce\": [\n");
     for (i, r) in overlap.iter().enumerate() {
         let comma = if i + 1 < overlap.len() { "," } else { "" };
@@ -577,21 +594,14 @@ fn run_largep_series(smoke: bool) -> Result<Vec<LargePRow>, String> {
     Ok(rows)
 }
 
-fn largep_json(smoke: bool, rows: &[LargePRow]) -> String {
+fn largep_json(smoke: bool, rows: &[LargePRow], fault_gates: &[(&str, bool)]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema_version\": 1,");
     let _ = writeln!(out, "  \"kind\": \"largep\",");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let _ = writeln!(out, "  \"engine\": \"cooperative\",");
     let _ = writeln!(out, "  \"machine\": \"hier_cluster\",");
-    out.push_str("  \"gates\": {\n");
-    // Enforced in run_largep_series; recorded for --check and CI.
-    let _ = writeln!(out, "    \"phase_sums_ok\": true,");
-    let _ = writeln!(out, "    \"symmetry_ok\": true,");
-    let _ = writeln!(out, "    \"speedup_p1_exact\": true,");
-    let _ = writeln!(out, "    \"scales_at_p64\": true,");
-    let _ = writeln!(out, "    \"deterministic\": true");
-    out.push_str("  },\n");
+    out.push_str(&gates_json(&LARGEP_SERIES_GATES, fault_gates));
     out.push_str("  \"series\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -632,30 +642,35 @@ fn report_largep(smoke: bool, out_dir: &Path) -> Result<(), String> {
     // Determinism gate: virtual time must not depend on host scheduling
     // — the artifact must re-render bit-identically.
     let second = run_largep_series(smoke).map_err(|msg| format!("repeat run failed: {msg}"))?;
-    if largep_json(smoke, &second) != largep_json(smoke, &first) {
+    if largep_json(smoke, &second, &[]) != largep_json(smoke, &first, &[]) {
         return Err("repeated large-P series rendered different artifacts".to_string());
     }
-    let text = largep_text(&first);
+    let faults = faultmatrix::largep(smoke)?;
+    let text = format!("{}\n{}", largep_text(&first), faults.text);
+    print!("{text}");
+    enforce_gates(&faults.gates, &faultmatrix::LARGEP_GATES)?;
     write_artifacts(
         out_dir,
-        &[("report_largep.json", largep_json(smoke, &first)), ("report_largep.txt", text.clone())],
+        &[
+            ("report_largep.json", largep_json(smoke, &first, &faults.gates)),
+            ("report_largep.txt", text),
+        ],
     )?;
-    print!("{text}");
     println!("\nxtask report --largep: wrote 2 artifacts to {}", out_dir.display());
     Ok(())
 }
 
-/// Required keys for the large-`P` artifact (`report_largep.json`).
-const LARGEP_REQUIRED: [&str; 13] = [
-    "\"schema_version\": 1",
+/// Gates the large-`P` series enforces before it returns; the L-largep
+/// faults section's ([`faultmatrix::LARGEP_GATES`]) follow them.
+const LARGEP_SERIES_GATES: [&str; 5] =
+    ["phase_sums_ok", "symmetry_ok", "speedup_p1_exact", "scales_at_p64", "deterministic"];
+
+/// Keys the large-`P` artifact (`report_largep.json`) must contain
+/// besides its gates.
+const LARGEP_KEYS: [&str; 7] = [
     "\"kind\": \"largep\"",
     "\"engine\": \"cooperative\"",
     "\"machine\": \"hier_cluster\"",
-    "\"phase_sums_ok\": true",
-    "\"symmetry_ok\": true",
-    "\"speedup_p1_exact\": true",
-    "\"scales_at_p64\": true",
-    "\"deterministic\": true",
     "\"series\"",
     "\"p\": 1024",
     "\"speedup\"",
@@ -682,9 +697,25 @@ const PAPER_KEYS: [&str; 15] = [
     "gates",
 ];
 
-/// Structural validation of a report artifact: required keys exist and
-/// every gate reads `true`. Numeric values are machine-model outputs and
-/// deliberately not pinned here.
+/// Structural validation of a report artifact's text: the required keys
+/// it lacks, each gate counting as present only if it reads `true`. The
+/// schema is sniffed from the artifact. Numeric values are machine-model
+/// outputs and deliberately not pinned here.
+fn missing_keys(text: &str) -> Vec<String> {
+    let (keys, gates): (Vec<String>, Vec<&str>) = if text.contains("\"kind\": \"largep\"") {
+        let gates = LARGEP_SERIES_GATES.iter().chain(&faultmatrix::LARGEP_GATES);
+        (LARGEP_KEYS.iter().map(|k| k.to_string()).collect(), gates.copied().collect())
+    } else {
+        let gates = SERIES_GATES.iter().chain(&sections::GATES);
+        (PAPER_KEYS.iter().map(|k| format!("\"{k}\"")).collect(), gates.copied().collect())
+    };
+    std::iter::once("\"schema_version\": 1".to_string())
+        .chain(keys)
+        .chain(gates.iter().map(|g| format!("\"{g}\": true")))
+        .filter(|k| !text.contains(k.as_str()))
+        .collect()
+}
+
 fn check(path: &Path) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -693,16 +724,7 @@ fn check(path: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let required: Vec<String> = if text.contains("\"kind\": \"largep\"") {
-        LARGEP_REQUIRED.iter().map(|k| k.to_string()).collect()
-    } else {
-        let gates = SERIES_GATES.iter().chain(&sections::GATES);
-        std::iter::once("\"schema_version\": 1".to_string())
-            .chain(PAPER_KEYS.iter().map(|k| format!("\"{k}\"")))
-            .chain(gates.map(|g| format!("\"{g}\": true")))
-            .collect()
-    };
-    let missing: Vec<&String> = required.iter().filter(|k| !text.contains(k.as_str())).collect();
+    let missing = missing_keys(&text);
     for key in &missing {
         eprintln!("xtask report --check: {} missing {key}", path.display());
     }
@@ -711,5 +733,102 @@ fn check(path: &Path) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The R-faultmatrix and R-standby gates `report --check` must
+    /// assert on `report.json`.
+    const FAULT_GATES: [&str; 14] = [
+        "faults_abort_names_correct_culprit",
+        "faults_restart_bit_identical",
+        "faults_shrink_survivors_ok",
+        "faults_benign_faults_absorbed",
+        "faults_ksweep_bit_identical",
+        "faults_seeded_recovered_bit_identical",
+        "faults_deterministic",
+        "standby_promote_preserves_p",
+        "standby_promote_bit_identical",
+        "standby_promote_native_bit_identical",
+        "standby_replay_strictly_cheaper_than_restart",
+        "standby_shard_corruption_detected",
+        "standby_exhausted_fallback_deterministic",
+        "standby_deterministic",
+    ];
+
+    /// The L-largep faults gates it must assert on `report_largep.json`.
+    const LARGEP_FAULT_GATES: [&str; 5] = [
+        "largep_faults_abort_names_correct_culprit",
+        "largep_faults_restart_bit_identical",
+        "largep_faults_promote_bit_identical",
+        "largep_faults_promote_preserves_p",
+        "largep_faults_deterministic",
+    ];
+
+    /// A `report.json` rendered by the real emitter from a tiny search.
+    fn paper_artifact() -> String {
+        let data = datagen::paper_dataset(120, 11);
+        let config =
+            ParallelConfig { search: SearchConfig::quick(vec![2], 1), ..ParallelConfig::default() };
+        let out = run_search_with(&data, &presets::meiko_cs2(2), &config, &SimOptions::default())
+            .expect("tiny search runs");
+        let record = RunRecord { p: 2, elapsed: out.elapsed, ranks: out.ranks };
+        let series = Series {
+            report: Report::build(&[record]).expect("one record builds a report"),
+            loggp: vec![LoggpRow { p: 2, cycles: 1, measured_s: 1.0, predicted_s: 1.0 }],
+            overlap: vec![OverlapRow {
+                p: 2,
+                fused_exposed_s: 1.0,
+                piped_exposed_s: 0.5,
+                hidden_s: 0.5,
+            }],
+            native: Vec::new(),
+        };
+        let gates: Vec<(&str, bool)> = sections::GATES.iter().map(|&g| (g, true)).collect();
+        assemble_json(true, &series, &gates)
+    }
+
+    /// A `report_largep.json` rendered by the real emitter.
+    fn largep_artifact() -> String {
+        let rows = [1, 64, 256, 1024].map(|p| LargePRow {
+            p,
+            elapsed_s: 1.0 / p as f64,
+            speedup: p as f64,
+            efficiency: 1.0,
+            cycles: 3,
+            allreduce_s: 0.0,
+        });
+        largep_json(true, &rows, &faultmatrix::LARGEP_GATES.map(|g| (g, true)))
+    }
+
+    /// `artifact` passes, and fails once `gate` is removed or reads false.
+    fn assert_check_guards(artifact: &str, gate: &str) {
+        assert_eq!(missing_keys(artifact), Vec::<String>::new());
+        let line = format!("\"{gate}\": true");
+        assert!(artifact.contains(&line), "{gate} is not in the artifact");
+        for broken in
+            [artifact.replace(&line, ""), artifact.replace(&line, &line.replace("true", "false"))]
+        {
+            assert_eq!(missing_keys(&broken), vec![line.clone()], "{gate}");
+        }
+    }
+
+    #[test]
+    fn check_asserts_every_fault_gate_of_report_json() {
+        let artifact = paper_artifact();
+        for gate in FAULT_GATES {
+            assert_check_guards(&artifact, gate);
+        }
+    }
+
+    #[test]
+    fn check_asserts_every_fault_gate_of_report_largep_json() {
+        let artifact = largep_artifact();
+        for gate in LARGEP_FAULT_GATES {
+            assert_check_guards(&artifact, gate);
+        }
     }
 }

@@ -23,9 +23,9 @@ pub struct Section {
     pub gates: Vec<(&'static str, bool)>,
 }
 
-/// Every section's gates in report order: the schema `report --check`
-/// asserts on.
-pub const GATES: [&str; 14] = [
+/// Every section's gates in report order, the fault-tolerance sections
+/// of [`crate::faultmatrix`] last: the schema `report --check` asserts on.
+pub const GATES: [&str; 28] = [
     "fig7_at_most_linear",
     "fig7_gain_grows_with_size",
     "fig8_scaleup_flat",
@@ -40,6 +40,20 @@ pub const GATES: [&str; 14] = [
     "seq_linear",
     "fleet_no_worse_ll",
     "candidates_scale_with_g",
+    "faults_abort_names_correct_culprit",
+    "faults_restart_bit_identical",
+    "faults_shrink_survivors_ok",
+    "faults_benign_faults_absorbed",
+    "faults_ksweep_bit_identical",
+    "faults_seeded_recovered_bit_identical",
+    "faults_deterministic",
+    "standby_promote_preserves_p",
+    "standby_promote_bit_identical",
+    "standby_promote_native_bit_identical",
+    "standby_replay_strictly_cheaper_than_restart",
+    "standby_shard_corruption_detected",
+    "standby_exhausted_fallback_deterministic",
+    "standby_deterministic",
 ];
 
 /// The dataset seed every paper-workload section uses.
