@@ -89,10 +89,19 @@ pub fn read_csv<R: Read>(schema: Schema, reader: R) -> Result<Dataset, CsvError>
             }
             match &attr.kind {
                 AttributeKind::Real { .. } | AttributeKind::PositiveReal { .. } => {
-                    let x: f64 = field.parse().map_err(|_| CsvError::Row {
+                    let bad = |what: &str| CsvError::Row {
                         line: lineno,
-                        detail: format!("{:?} is not a real for column {:?}", field, attr.name),
-                    })?;
+                        detail: format!("{:?} is not {what} for column {:?}", field, attr.name),
+                    };
+                    let x: f64 = field.parse().map_err(|_| bad("a real"))?;
+                    // `f64::parse` also accepts `inf` and `NaN`, which
+                    // `Dataset::from_rows` rejects by panicking.
+                    if !x.is_finite() {
+                        return Err(bad("a finite real"));
+                    }
+                    if matches!(attr.kind, AttributeKind::PositiveReal { .. }) && x <= 0.0 {
+                        return Err(bad("a positive real"));
+                    }
                     row.push(Value::Real(x));
                 }
                 AttributeKind::Discrete { levels, names } => {
@@ -216,6 +225,40 @@ mod tests {
             }
             other => panic!("{other}"),
         }
+    }
+
+    /// Values `f64::parse` accepts but the dataset cannot hold are row
+    /// errors naming the line and column, not panics.
+    fn rejected(schema: Schema, text: &str, col: &str) {
+        match read_csv(schema, text.as_bytes()) {
+            Err(CsvError::Row { line, detail }) => {
+                assert_eq!(line, 3, "{detail}");
+                assert!(detail.contains(col), "{detail}");
+            }
+            other => panic!("{text:?}: expected a row error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn infinite_real_rejected() {
+        rejected(schema(), "x,c\n1.0,a\ninf,b\n", "\"x\"");
+    }
+
+    #[test]
+    fn nan_real_rejected() {
+        rejected(schema(), "x,c\n1.0,a\nNaN,b\n", "\"x\"");
+    }
+
+    #[test]
+    fn zero_positive_real_rejected() {
+        let schema = Schema::new(vec![Attribute::positive_real("p", 0.1)]);
+        rejected(schema, "p\n1.5\n0\n", "\"p\"");
+    }
+
+    #[test]
+    fn negative_positive_real_rejected() {
+        let schema = Schema::new(vec![Attribute::positive_real("p", 0.1)]);
+        rejected(schema, "p\n1.5\n-2\n", "\"p\"");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use crate::data::dataset::DataView;
 use crate::model::class::{ClassParams, Model};
 use crate::model::suffstats::SuffStats;
+use crate::model::wide::{run_wide, Isa, Wide, LANES};
 
 /// Column-major item×class weight matrix: `class_column(j)[i]` is w_ij.
 /// Column-major because every kernel (log-density accumulation, statistics
@@ -177,7 +178,7 @@ trait TileSink {
 struct NoSink;
 
 impl TileSink for NoSink {
-    #[inline]
+    #[inline(always)]
     fn tile(&mut self, _lo: usize, _hi: usize, _wts: &WtsMatrix) {}
 }
 
@@ -194,8 +195,30 @@ struct StatsSink<'a, 'v> {
 }
 
 impl TileSink for StatsSink<'_, '_> {
+    #[inline(always)]
     fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix) {
-        self.ops += self.stats.accumulate_tile(self.model, self.view, wts, lo, hi, self.carry);
+        self.ops +=
+            self.stats.accumulate_tile_inline(self.model, self.view, wts, lo, hi, self.carry);
+    }
+}
+
+/// One call of the tile loop, as a [`Wide`] kernel so it runs on the
+/// widest instance the CPU supports.
+struct Tiled<'a, 'v, S> {
+    model: &'a Model,
+    view: &'a DataView<'v>,
+    classes: &'a [ClassParams],
+    wts: &'a mut WtsMatrix,
+    scratch: &'a mut EStepScratch,
+    sink: &'a mut S,
+}
+
+impl<S: TileSink> Wide for Tiled<'_, '_, S> {
+    type Out = EStepScalars;
+
+    #[inline(always)]
+    fn run(self) -> EStepScalars {
+        update_wts_tiled(self.model, self.view, self.classes, self.wts, self.scratch, self.sink)
     }
 }
 
@@ -214,6 +237,9 @@ impl TileSink for StatsSink<'_, '_> {
 /// pass rather than strictly item-by-item. The two agree to
 /// final-rounding ulps; every cross-rank replication guarantee is
 /// unaffected because all ranks run this same deterministic kernel.
+///
+/// Runs on the widest instance of the kernel the CPU supports (see
+/// `model::wide`); every instance gives the same bits.
 pub fn update_wts_into(
     model: &Model,
     view: &DataView<'_>,
@@ -221,7 +247,7 @@ pub fn update_wts_into(
     wts: &mut WtsMatrix,
     scratch: &mut EStepScratch,
 ) -> EStepScalars {
-    update_wts_tiled(model, view, classes, wts, scratch, &mut NoSink)
+    run_wide(Isa::best(), Tiled { model, view, classes, wts, scratch, sink: &mut NoSink })
 }
 
 /// Single-pass fused E+M kernel: identical to [`update_wts_into`] (same
@@ -246,10 +272,25 @@ pub fn update_wts_and_stats_into(
     stats: &mut SuffStats,
     carry: &mut Vec<f64>,
 ) -> (EStepScalars, u64) {
+    update_wts_and_stats_on(Isa::best(), model, view, classes, wts, scratch, stats, carry)
+}
+
+/// [`update_wts_and_stats_into`] on the kernel instance for `isa`.
+#[allow(clippy::too_many_arguments)]
+fn update_wts_and_stats_on(
+    isa: Isa,
+    model: &Model,
+    view: &DataView<'_>,
+    classes: &[ClassParams],
+    wts: &mut WtsMatrix,
+    scratch: &mut EStepScratch,
+    stats: &mut SuffStats,
+    carry: &mut Vec<f64>,
+) -> (EStepScalars, u64) {
     carry.clear();
     carry.resize(stats.carry_len(model), 0.0);
     let mut sink = StatsSink { model, view, stats, carry, ops: 0 };
-    let scalars = update_wts_tiled(model, view, classes, wts, scratch, &mut sink);
+    let scalars = run_wide(isa, Tiled { model, view, classes, wts, scratch, sink: &mut sink });
     let stat_ops = sink.ops;
     stats.finish_tiles(model, carry);
     (scalars, stat_ops)
@@ -257,7 +298,10 @@ pub fn update_wts_and_stats_into(
 
 /// The tile loop shared by [`update_wts_into`] and
 /// [`update_wts_and_stats_into`]; `sink` observes each tile after its
-/// weights are final.
+/// weights are final. Always inlined, together with everything on its hot
+/// path, so that each [`Wide`] instance compiles the whole loop at its own
+/// vector width.
+#[inline(always)]
 fn update_wts_tiled<S: TileSink>(
     model: &Model,
     view: &DataView<'_>,
@@ -373,12 +417,11 @@ fn update_wts_tiled<S: TileSink>(
             }
         }
 
-        // Pass C: the two scalar reductions, i-ascending as before, then
-        // reciprocals for the normalization pass.
-        for (m, s) in rm.iter().zip(sums.iter()) {
+        // Pass C: the two scalar reductions, i-ascending as before (one
+        // loop, so each chain's add latency hides behind the other's
+        // work), then reciprocals for the normalization pass.
+        for ((m, a), s) in rm.iter().zip(accwr.iter()).zip(sums.iter()) {
             log_likelihood += m + s.ln();
-        }
-        for (a, s) in accwr.iter().zip(sums.iter()) {
             complete_ll += a / s;
         }
         for s in sums.iter_mut() {
@@ -386,16 +429,15 @@ fn update_wts_tiled<S: TileSink>(
         }
 
         // Pass D: normalize in place and fold each column segment into its
-        // class weight sum.
-        for (c, cw) in scratch.class_weight_sums.iter_mut().enumerate() {
-            let col = &mut wts.data[c * n + lo..c * n + hi];
-            let mut acc = 0.0;
-            for (wv, &inv) in col.iter_mut().zip(sums.iter()) {
-                let w = *wv * inv;
-                *wv = w;
-                acc += w;
-            }
-            *cw += acc;
+        // class weight sum, `LANES` classes at a time.
+        let cws = &mut scratch.class_weight_sums;
+        let mut c0 = 0;
+        while c0 + LANES <= j {
+            normalize_classes::<LANES>(&mut wts.data, n, c0, lo, sums, &mut cws[c0..c0 + LANES]);
+            c0 += LANES;
+        }
+        for c in c0..j {
+            normalize_classes::<1>(&mut wts.data, n, c, lo, sums, &mut cws[c..c + 1]);
         }
 
         // The tile's weights are final; hand them to the sink while the
@@ -408,6 +450,42 @@ fn update_wts_tiled<S: TileSink>(
     let k = model.n_attrs() as u64;
     let ops = (n as u64) * (j as u64) * (k + 2);
     EStepScalars { log_likelihood, complete_ll, ops }
+}
+
+/// Pass D for the `L` classes `c0..c0 + L`: scale each weight of the tile
+/// starting at item `lo` by its item's reciprocal sum `inv[t]`, in place,
+/// and add each class's tile total to its entry of `cws`.
+///
+/// One lane per class: the `L` per-class sums are independent chains that
+/// advance together, one item per step, so none waits on the latency of
+/// its own previous add. Each chain still adds its items in ascending
+/// order, so every sum is bitwise the one-class-at-a-time fold.
+#[inline(always)]
+fn normalize_classes<const L: usize>(
+    data: &mut [f64],
+    n: usize,
+    c0: usize,
+    lo: usize,
+    inv: &[f64],
+    cws: &mut [f64],
+) {
+    let mut rest = &mut data[c0 * n..];
+    let mut cols: [&mut [f64]; L] = std::array::from_fn(|_| {
+        let (col, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        &mut col[lo..lo + inv.len()]
+    });
+    let mut acc = [0.0; L];
+    for (t, &inv) in inv.iter().enumerate() {
+        for (col, acc) in cols.iter_mut().zip(acc.iter_mut()) {
+            let w = col[t] * inv;
+            col[t] = w;
+            *acc += w;
+        }
+    }
+    for (cw, acc) in cws.iter_mut().zip(acc) {
+        *cw += acc;
+    }
 }
 
 /// The pre-blocking reference E-step, retained verbatim as the oracle the
@@ -508,8 +586,9 @@ pub fn estep_ops(n: usize, j: usize, k: usize) -> u64 {
 /// interval), and a bit-assembled power-of-two scale. The integer `n`
 /// is read straight out of the shifter's mantissa bits (the shifted sum
 /// stores `2^51 + n` in its low 52 bits) rather than via an `f64 → i64`
-/// conversion, which has no packed form on baseline x86-64 and would
-/// otherwise stop the surrounding loop from vectorizing. Relative error
+/// conversion, which has no packed form below AVX-512DQ and would stop the
+/// surrounding loop from vectorizing in the plain and AVX2 instances (see
+/// `model::wide`); the bit read vectorizes at every level. Relative error
 /// vs libm `exp` is a few ulps (≲ 1e-15) across the supported domain.
 ///
 /// Inputs below −708 return exactly `0.0`: true `exp` underflows to
@@ -530,7 +609,7 @@ pub fn estep_ops(n: usize, j: usize, k: usize) -> u64 {
 ///   beyond it the shifted exponent would wrap into garbage bits. The
 ///   log-sum-exp caller only ever passes `r − max ≤ 0`, but the guard
 ///   makes the helper total over `f64`.
-#[inline]
+#[inline(always)]
 fn fast_exp(x: f64) -> f64 {
     const LOG2E: f64 = std::f64::consts::LOG2_E;
     // fdlibm's split of ln 2, quoted at its published precision (the
@@ -858,6 +937,116 @@ mod tests {
         }
         for (i, (a, b)) in stats_two.data.iter().zip(&stats_fused.data).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "stat slot {i}: {a} vs {b}");
+        }
+    }
+
+    /// Every kernel instance this CPU supports (see `model::wide`) against
+    /// the plain one, bit for bit: the E-step alone, the fused E+M kernel
+    /// and `SuffStats::accumulate`, on a schema with every term family —
+    /// Normal with missing values, LogNormal, Multinomial without and with
+    /// a missing level, a 2-D MultiNormal block — at class counts that
+    /// leave class blocks with remainders, over a ragged last tile.
+    #[test]
+    fn every_kernel_instance_is_bitwise_identical_to_plain() {
+        use crate::model::init::init_classes;
+        use crate::model::suffstats::{StatLayout, SuffStats};
+        use crate::model::wide::{run_wide, Isa};
+
+        let schema = Schema::new(vec![
+            Attribute::real("x", 0.01),
+            Attribute::positive_real("y", 0.01),
+            Attribute::discrete("c", 3),
+            Attribute::discrete("d", 4),
+            Attribute::real("u", 0.01),
+            Attribute::real("v", 0.01),
+        ]);
+        let rows: Vec<Vec<Value>> = (0..2 * ESTEP_TILE + 37)
+            .map(|i| {
+                let s = (i as f64 * 0.37).sin();
+                let side = if i % 3 == 0 { -3.0 } else { 2.0 };
+                let miss = |every: usize, at: usize, v: Value| {
+                    if i % every == at {
+                        Value::Missing
+                    } else {
+                        v
+                    }
+                };
+                vec![
+                    miss(7, 3, Value::Real(side + s)),
+                    Value::Real((0.5 * side + 0.3 * s).exp()),
+                    miss(11, 5, Value::Discrete((i % 3) as u32)),
+                    miss(5, 1, Value::Discrete((i * 7 % 4) as u32)),
+                    Value::Real(side + 0.8 * s),
+                    miss(13, 4, Value::Real(-side + 0.6 * s)),
+                ]
+            })
+            .collect();
+        let data = Dataset::from_rows(schema.clone(), &rows);
+        let view = data.full_view();
+        let gstats = GlobalStats::compute(&view);
+        let model =
+            Model::with_correlated(schema, &gstats, &[vec![4, 5]]).with_missing_levels(&[3]);
+
+        // Every output bit of the three kernels, in one vector.
+        let outputs = |isa: Isa, classes: &[ClassParams]| -> Vec<u64> {
+            let j = classes.len();
+            let mut bits = Vec::new();
+            let push_e = |bits: &mut Vec<u64>, e: EStepScalars, s: &EStepScratch, w: &WtsMatrix| {
+                bits.extend([e.log_likelihood.to_bits(), e.complete_ll.to_bits(), e.ops]);
+                bits.extend(s.class_weight_sums.iter().map(|v| v.to_bits()));
+                bits.extend((0..j).flat_map(|c| w.class_column(c)).map(|v| v.to_bits()));
+            };
+
+            let (mut wts, mut scratch) = (WtsMatrix::default(), EStepScratch::default());
+            let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
+            let (e, ops) = update_wts_and_stats_on(
+                isa,
+                &model,
+                &view,
+                classes,
+                &mut wts,
+                &mut scratch,
+                &mut stats,
+                &mut Vec::new(),
+            );
+            push_e(&mut bits, e, &scratch, &wts);
+            bits.push(ops);
+            bits.extend(stats.data.iter().map(|v| v.to_bits()));
+
+            let (mut wts, mut scratch) = (WtsMatrix::default(), EStepScratch::default());
+            let tiled = Tiled {
+                model: &model,
+                view: &view,
+                classes,
+                wts: &mut wts,
+                scratch: &mut scratch,
+                sink: &mut NoSink,
+            };
+            let e = run_wide(isa, tiled);
+            push_e(&mut bits, e, &scratch, &wts);
+            let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
+            bits.push(stats.accumulate_on(isa, &model, &view, &wts));
+            bits.extend(stats.data.iter().map(|v| v.to_bits()));
+            bits
+        };
+
+        for j in [1, 3, 5, 8] {
+            let classes = init_classes(&model, &view, j, 7 + j as u64);
+            let plain = outputs(Isa::Plain, &classes);
+            for &isa in &Isa::ALL[1..] {
+                if !isa.supported() {
+                    println!("skipping the {isa:?} instance: this CPU does not support it");
+                    continue;
+                }
+                let wide = outputs(isa, &classes);
+                assert_eq!(plain.len(), wide.len());
+                if let Some(k) = plain.iter().zip(&wide).position(|(a, b)| a != b) {
+                    panic!(
+                        "J={j}: {isa:?} differs from Plain at output {k}: {:#x} vs {:#x}",
+                        wide[k], plain[k]
+                    );
+                }
+            }
         }
     }
 

@@ -8,6 +8,7 @@ pub mod init;
 pub mod mstep;
 pub mod prior;
 pub mod suffstats;
+mod wide;
 pub mod workspace;
 
 pub use approx::{converged, evaluate, Approximation};

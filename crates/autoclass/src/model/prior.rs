@@ -673,26 +673,30 @@ impl TermParams {
 
     /// Add this term's log densities for a whole column into `out`
     /// (the hot kernel of `update_wts`; one call per class × attribute).
+    ///
+    /// A missing (NaN) value adds `-0.0`, the exact additive identity
+    /// (`o + -0.0` is `o` for every `o`, signed zeros included), so the
+    /// skip is a select rather than a branch and the loop vectorizes at
+    /// every ISA level with the bits of a branch that skips the add.
+    /// Always inlined, so the E-step's wide instances compile it at their
+    /// own width.
+    #[inline(always)]
     pub fn accumulate_log_prob_real(&self, xs: &[f64], out: &mut [f64]) {
         debug_assert_eq!(xs.len(), out.len());
         match self {
             TermParams::Normal { mean, sigma, log_norm } => {
                 let inv = 1.0 / sigma;
                 for (x, o) in xs.iter().zip(out.iter_mut()) {
-                    if !x.is_nan() {
-                        let z = (x - mean) * inv;
-                        *o += log_norm - 0.5 * z * z;
-                    }
+                    let z = (x - mean) * inv;
+                    *o += if x.is_nan() { -0.0 } else { log_norm - 0.5 * z * z };
                 }
             }
             TermParams::LogNormal { mean, sigma, log_norm } => {
                 let inv = 1.0 / sigma;
                 for (x, o) in xs.iter().zip(out.iter_mut()) {
-                    if !x.is_nan() {
-                        let lx = x.ln();
-                        let z = (lx - mean) * inv;
-                        *o += log_norm - 0.5 * z * z - lx;
-                    }
+                    let lx = x.ln();
+                    let z = (lx - mean) * inv;
+                    *o += if x.is_nan() { -0.0 } else { log_norm - 0.5 * z * z - lx };
                 }
             }
             _ => panic!("real column for a non-scalar-real term"),

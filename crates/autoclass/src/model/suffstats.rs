@@ -11,6 +11,7 @@ use crate::data::dataset::DataView;
 use crate::model::class::Model;
 use crate::model::estep::WtsMatrix;
 use crate::model::prior::TermPrior;
+use crate::model::wide::{run_wide, Isa, Wide, LANES};
 
 /// Index arithmetic for the flat statistics vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,8 +70,8 @@ impl StatLayout {
 
 /// Carry slots per class for tiled accumulation: the running class-weight
 /// sum plus an `(s0, s1, s2)` triple per scalar real (Normal/LogNormal)
-/// group. Multinomial and MultiNormal groups need no carry — their untiled
-/// accumulation already writes per item straight into the flat block.
+/// group. Multinomial and MultiNormal groups need no carry — they write
+/// per item straight into the flat block.
 fn carry_stride(model: &Model) -> usize {
     let scalar_groups = model
         .groups
@@ -87,6 +88,50 @@ pub struct SuffStats {
     pub layout: StatLayout,
     /// The flat values; element-wise summable across partitions.
     pub data: Vec<f64>,
+}
+
+/// Where the carried chains (each class weight and each Normal/LogNormal
+/// `(s0, s1, s2)`) of one [`SuffStats::accumulate_range`] start and end.
+/// A type parameter rather than an enum, so each instance of the kernel
+/// is compiled for one of the two.
+trait Chains {
+    /// The value the chain in carry slot `slot` starts from.
+    fn start(&self, slot: usize) -> f64;
+    /// Hand back the chain in carry slot `slot`, whose statistic is `stat`.
+    fn end(&mut self, slot: usize, stat: &mut f64, v: f64);
+}
+
+/// Continue from a tile carry buffer and leave the chains in it, for
+/// [`SuffStats::finish_tiles`] to flush after the last tile.
+struct Carry<'a>(&'a mut [f64]);
+
+impl Chains for Carry<'_> {
+    #[inline(always)]
+    fn start(&self, slot: usize) -> f64 {
+        self.0[slot]
+    }
+
+    #[inline(always)]
+    fn end(&mut self, slot: usize, _stat: &mut f64, v: f64) {
+        self.0[slot] = v;
+    }
+}
+
+/// Start every chain at zero and add it into the statistics after the
+/// range: the flush `finish_tiles` does, for a range that is a whole
+/// partition. No carry buffer, so nothing to allocate.
+struct Flush;
+
+impl Chains for Flush {
+    #[inline(always)]
+    fn start(&self, _slot: usize) -> f64 {
+        0.0
+    }
+
+    #[inline(always)]
+    fn end(&mut self, _slot: usize, stat: &mut f64, v: f64) {
+        *stat += v;
+    }
 }
 
 impl SuffStats {
@@ -109,95 +154,27 @@ impl SuffStats {
     /// Accumulate this partition's weighted statistics (the local part of
     /// `update_parameters`). Returns the number of abstract ops performed,
     /// for the virtual-time model.
+    ///
+    /// The body is the one [`SuffStats::accumulate_tile`] and the fused
+    /// E+M kernel run, over the whole partition as a single tile, with
+    /// each chain flushed into the statistics at the end. That is bitwise
+    /// what any tiling followed by [`SuffStats::finish_tiles`] gives, since
+    /// a tiled chain carries across tiles unbroken. Runs on the widest
+    /// kernel instance the CPU supports.
     pub fn accumulate(&mut self, model: &Model, view: &DataView<'_>, wts: &WtsMatrix) -> u64 {
-        let n = view.len();
-        assert_eq!(wts.n_items(), n, "weights/partition size mismatch");
-        assert_eq!(wts.n_classes(), self.layout.j, "weights/layout class count mismatch");
-        let mut ops: u64 = 0;
-        for c in 0..self.layout.j {
-            let w = wts.class_column(c);
-            // Class weight w_c over this partition.
-            let wsum: f64 = w.iter().sum();
-            self.data[self.layout.weight_index(c)] += wsum;
-            ops += n as u64;
-            for (k, group) in model.groups.iter().enumerate() {
-                let range = self.layout.attr_range(c, k);
-                let block = &mut self.data[range];
-                match &group.prior {
-                    TermPrior::Normal { .. } => {
-                        let xs = view.real_column(group.attrs[0]);
-                        let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                s0 += wi;
-                                s1 += wi * x;
-                                s2 += wi * x * x;
-                            }
-                        }
-                        block[0] += s0;
-                        block[1] += s1;
-                        block[2] += s2;
-                        ops += n as u64;
-                    }
-                    TermPrior::LogNormal { .. } => {
-                        let xs = view.real_column(group.attrs[0]);
-                        let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                let lx = x.ln();
-                                s0 += wi;
-                                s1 += wi * lx;
-                                s2 += wi * lx * lx;
-                            }
-                        }
-                        block[0] += s0;
-                        block[1] += s1;
-                        block[2] += s2;
-                        ops += n as u64;
-                    }
-                    TermPrior::Multinomial { missing_level, .. } => {
-                        let ls = view.discrete_column(group.attrs[0]);
-                        let missing_slot = block.len() - 1;
-                        for (&l, &wi) in ls.iter().zip(w) {
-                            if l != crate::data::dataset::MISSING_DISCRETE {
-                                block[l as usize] += wi;
-                            } else if *missing_level {
-                                block[missing_slot] += wi;
-                            }
-                        }
-                        ops += n as u64;
-                    }
-                    TermPrior::MultiNormal { dim, .. } => {
-                        // Joint block: skip items missing *any* block
-                        // value. Allocation-free: the columns are indexed
-                        // through the view directly (d is small, the
-                        // repeated column lookups are trivial next to the
-                        // d² products), in the same item order and with the
-                        // same products as before — bitwise identical.
-                        let d = *dim;
-                        'items: for (i, &wi) in w.iter().enumerate() {
-                            for &attr in &group.attrs {
-                                if view.real_column(attr)[i].is_nan() {
-                                    continue 'items;
-                                }
-                            }
-                            block[0] += wi;
-                            for a in 0..d {
-                                let xa = view.real_column(group.attrs[a])[i];
-                                block[1 + a] += wi * xa;
-                                for b in 0..=a {
-                                    let xb = view.real_column(group.attrs[b])[i];
-                                    block[1 + d + crate::model::prior::tri_index(a, b)] +=
-                                        wi * xa * xb;
-                                }
-                            }
-                        }
-                        ops += (n * d) as u64;
-                    }
-                }
-            }
-        }
-        ops
+        self.accumulate_on(Isa::best(), model, view, wts)
+    }
+
+    /// [`SuffStats::accumulate`] on the kernel instance for `isa`.
+    pub(crate) fn accumulate_on(
+        &mut self,
+        isa: Isa,
+        model: &Model,
+        view: &DataView<'_>,
+        wts: &WtsMatrix,
+    ) -> u64 {
+        let (lo, hi) = (0, view.len());
+        run_wide(isa, Accumulate { stats: self, model, view, wts, lo, hi, chains: Flush })
     }
 
     /// Length of the carry buffer threaded through
@@ -220,6 +197,7 @@ impl SuffStats {
     /// same item order either way. `carry` must be zeroed to
     /// [`SuffStats::carry_len`] before the first tile. Returns abstract
     /// ops, summing over a partition's tiles to exactly the untiled count.
+    /// Runs on the widest kernel instance the CPU supports.
     pub fn accumulate_tile(
         &mut self,
         model: &Model,
@@ -229,75 +207,135 @@ impl SuffStats {
         hi: usize,
         carry: &mut [f64],
     ) -> u64 {
+        assert_eq!(carry.len(), self.carry_len(model), "carry buffer length mismatch");
+        let chains = Carry(carry);
+        run_wide(Isa::best(), Accumulate { stats: self, model, view, wts, lo, hi, chains })
+    }
+
+    /// [`SuffStats::accumulate_tile`] for the fused E+M kernel, which
+    /// inlines it into its own instance.
+    #[inline(always)]
+    pub(crate) fn accumulate_tile_inline(
+        &mut self,
+        model: &Model,
+        view: &DataView<'_>,
+        wts: &WtsMatrix,
+        lo: usize,
+        hi: usize,
+        carry: &mut [f64],
+    ) -> u64 {
+        self.accumulate_range(model, view, wts, lo, hi, &mut Carry(carry))
+    }
+
+    /// The statistics kernel: accumulate items `[lo, hi)`, the carried
+    /// chains starting and ending as `chains` says.
+    ///
+    /// The chains advance [`LANES`] classes per item loop, one lane per
+    /// class, then one class at a time for the remainder. Each chain still
+    /// adds its items in ascending order, so every sum keeps the bits of a
+    /// one-class-at-a-time fold.
+    #[inline(always)]
+    fn accumulate_range<C: Chains>(
+        &mut self,
+        model: &Model,
+        view: &DataView<'_>,
+        wts: &WtsMatrix,
+        lo: usize,
+        hi: usize,
+        chains: &mut C,
+    ) -> u64 {
         let n = view.len();
+        let j = self.layout.j;
         assert_eq!(wts.n_items(), n, "weights/partition size mismatch");
-        assert_eq!(wts.n_classes(), self.layout.j, "weights/layout class count mismatch");
+        assert_eq!(wts.n_classes(), j, "weights/layout class count mismatch");
         assert!(lo <= hi && hi <= n, "tile [{lo}, {hi}) out of range for {n} items");
+        let mut c0 = 0;
+        while c0 + LANES <= j {
+            self.accumulate_classes::<LANES, C>(model, view, wts, lo, hi, chains, c0);
+            c0 += LANES;
+        }
+        for c in c0..j {
+            self.accumulate_classes::<1, C>(model, view, wts, lo, hi, chains, c);
+        }
+        // Per class: the weight, then one op per item per scalar or
+        // multinomial group and `d` per MultiNormal block.
+        let per_item: usize = 1 + model
+            .groups
+            .iter()
+            .map(|g| match g.prior {
+                TermPrior::MultiNormal { dim, .. } => dim,
+                _ => 1,
+            })
+            .sum::<usize>();
+        ((hi - lo) * j * per_item) as u64
+    }
+
+    /// [`SuffStats::accumulate_range`] for the `L` classes `c0..c0 + L`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn accumulate_classes<const L: usize, C: Chains>(
+        &mut self,
+        model: &Model,
+        view: &DataView<'_>,
+        wts: &WtsMatrix,
+        lo: usize,
+        hi: usize,
+        chains: &mut C,
+        c0: usize,
+    ) {
         let cstride = carry_stride(model);
-        assert_eq!(carry.len(), self.layout.j * cstride, "carry buffer length mismatch");
-        let tl = hi - lo;
-        let mut ops: u64 = 0;
-        for c in 0..self.layout.j {
-            let w = &wts.class_column(c)[lo..hi];
-            let cbase = c * cstride;
-            // Continue the class-weight left fold exactly where the
-            // previous tile left it.
-            let mut wsum = carry[cbase];
-            for &wi in w {
-                wsum += wi;
+        let cols: [&[f64]; L] = std::array::from_fn(|l| &wts.class_column(c0 + l)[lo..hi]);
+        // The class weights: `L` independent left folds.
+        let mut wsum: [f64; L] = std::array::from_fn(|l| chains.start((c0 + l) * cstride));
+        for t in 0..hi - lo {
+            for (s, col) in wsum.iter_mut().zip(&cols) {
+                *s += col[t];
             }
-            carry[cbase] = wsum;
-            ops += tl as u64;
-            let mut coff = cbase + 1;
-            for (k, group) in model.groups.iter().enumerate() {
-                let range = self.layout.attr_range(c, k);
-                let block = &mut self.data[range];
-                match &group.prior {
-                    TermPrior::Normal { .. } => {
-                        let xs = &view.real_column(group.attrs[0])[lo..hi];
-                        let (mut s0, mut s1, mut s2) =
-                            (carry[coff], carry[coff + 1], carry[coff + 2]);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                s0 += wi;
-                                s1 += wi * x;
-                                s2 += wi * x * x;
-                            }
-                        }
-                        (carry[coff], carry[coff + 1], carry[coff + 2]) = (s0, s1, s2);
-                        coff += 3;
-                        ops += tl as u64;
+        }
+        for (l, s) in wsum.into_iter().enumerate() {
+            let stat = &mut self.data[self.layout.weight_index(c0 + l)];
+            chains.end((c0 + l) * cstride, stat, s);
+        }
+        let mut coff = 1;
+        for (k, group) in model.groups.iter().enumerate() {
+            match &group.prior {
+                TermPrior::Normal { .. } | TermPrior::LogNormal { .. } => {
+                    let xs = &view.real_column(group.attrs[0])[lo..hi];
+                    let slot = |l: usize, m: usize| (c0 + l) * cstride + coff + m;
+                    let mut s: [[f64; 3]; L] =
+                        std::array::from_fn(|l| std::array::from_fn(|m| chains.start(slot(l, m))));
+                    if matches!(group.prior, TermPrior::LogNormal { .. }) {
+                        moments(xs, &cols, &mut s, f64::ln);
+                    } else {
+                        moments(xs, &cols, &mut s, |x| x);
                     }
-                    TermPrior::LogNormal { .. } => {
-                        let xs = &view.real_column(group.attrs[0])[lo..hi];
-                        let (mut s0, mut s1, mut s2) =
-                            (carry[coff], carry[coff + 1], carry[coff + 2]);
-                        for (&x, &wi) in xs.iter().zip(w) {
-                            if !x.is_nan() {
-                                let lx = x.ln();
-                                s0 += wi;
-                                s1 += wi * lx;
-                                s2 += wi * lx * lx;
-                            }
+                    for (l, s) in s.iter().enumerate() {
+                        let block = &mut self.data[self.layout.attr_range(c0 + l, k)];
+                        for (m, (stat, &v)) in block.iter_mut().zip(s).enumerate() {
+                            chains.end(slot(l, m), stat, v);
                         }
-                        (carry[coff], carry[coff + 1], carry[coff + 2]) = (s0, s1, s2);
-                        coff += 3;
-                        ops += tl as u64;
                     }
-                    TermPrior::Multinomial { missing_level, .. } => {
-                        let ls = &view.discrete_column(group.attrs[0])[lo..hi];
+                    coff += 3;
+                }
+                TermPrior::Multinomial { missing_level, .. } => {
+                    let ls = &view.discrete_column(group.attrs[0])[lo..hi];
+                    for (l, w) in cols.iter().enumerate() {
+                        let block = &mut self.data[self.layout.attr_range(c0 + l, k)];
                         let missing_slot = block.len() - 1;
-                        for (&l, &wi) in ls.iter().zip(w) {
-                            if l != crate::data::dataset::MISSING_DISCRETE {
-                                block[l as usize] += wi;
+                        for (&lv, &wi) in ls.iter().zip(*w) {
+                            if lv != crate::data::dataset::MISSING_DISCRETE {
+                                block[lv as usize] += wi;
                             } else if *missing_level {
                                 block[missing_slot] += wi;
                             }
                         }
-                        ops += tl as u64;
                     }
-                    TermPrior::MultiNormal { dim, .. } => {
-                        let d = *dim;
+                }
+                TermPrior::MultiNormal { dim, .. } => {
+                    // Joint block: skip items missing *any* block value.
+                    let d = *dim;
+                    for (l, w) in cols.iter().enumerate() {
+                        let block = &mut self.data[self.layout.attr_range(c0 + l, k)];
                         'items: for (t, &wi) in w.iter().enumerate() {
                             let i = lo + t;
                             for &attr in &group.attrs {
@@ -316,18 +354,15 @@ impl SuffStats {
                                 }
                             }
                         }
-                        ops += (tl * d) as u64;
                     }
                 }
             }
         }
-        ops
     }
 
     /// Flush the scalar accumulation chains carried across
     /// [`SuffStats::accumulate_tile`] calls into the flat statistics —
-    /// one `+=` per carried accumulator, exactly like the untiled
-    /// [`SuffStats::accumulate`]'s single final add.
+    /// one `+=` per carried accumulator, a single final add per chain.
     pub fn finish_tiles(&mut self, model: &Model, carry: &[f64]) {
         let cstride = carry_stride(model);
         assert_eq!(carry.len(), self.layout.j * cstride, "carry buffer length mismatch");
@@ -361,6 +396,55 @@ impl SuffStats {
     /// weights were accumulated; each item contributes exactly 1).
     pub fn total_weight(&self) -> f64 {
         (0..self.layout.j).map(|c| self.class_weight(c)).sum()
+    }
+}
+
+/// Continue the `(s0, s1, s2)` chains of one scalar real group for `L`
+/// classes over the items of `xs`, whose weights are `cols`: the weighted
+/// count, sum and sum of squares of `f(x)` (`f` is `ln` for LogNormal).
+#[inline(always)]
+fn moments<const L: usize>(
+    xs: &[f64],
+    cols: &[&[f64]; L],
+    s: &mut [[f64; 3]; L],
+    f: impl Fn(f64) -> f64,
+) {
+    for col in cols {
+        assert_eq!(col.len(), xs.len(), "weights/values length mismatch");
+    }
+    for (t, &x) in xs.iter().enumerate() {
+        let v = f(x);
+        // A missing value adds -0.0, the exact additive identity: the
+        // bits of skipping the item, with no branch.
+        let skip = x.is_nan();
+        for (s, col) in s.iter_mut().zip(cols) {
+            let w = col[t];
+            let wv = w * v;
+            s[0] += if skip { -0.0 } else { w };
+            s[1] += if skip { -0.0 } else { wv };
+            s[2] += if skip { -0.0 } else { wv * v };
+        }
+    }
+}
+
+/// One statistics kernel call as a [`Wide`] kernel.
+struct Accumulate<'a, 'v, C> {
+    stats: &'a mut SuffStats,
+    model: &'a Model,
+    view: &'a DataView<'v>,
+    wts: &'a WtsMatrix,
+    lo: usize,
+    hi: usize,
+    chains: C,
+}
+
+impl<C: Chains> Wide for Accumulate<'_, '_, C> {
+    type Out = u64;
+
+    #[inline(always)]
+    fn run(self) -> u64 {
+        let Accumulate { stats, model, view, wts, lo, hi, mut chains } = self;
+        stats.accumulate_range(model, view, wts, lo, hi, &mut chains)
     }
 }
 
