@@ -40,6 +40,7 @@
 //! * [`math`] — log-gamma / log-sum-exp utilities
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod data;
 pub mod linalg;

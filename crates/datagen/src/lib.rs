@@ -16,6 +16,7 @@
 //! * [`inject_missing`] — random missing-value injection.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use autoclass::data::{Attribute, Column, Dataset, Schema};
 use rand::rngs::StdRng;

@@ -13,6 +13,7 @@
 //! complete vectors.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use autoclass::data::{block_partition, DataView, Dataset};
 use mpsim::{run_spmd, Comm, MachineSpec, RankStats, ReduceOp, SimError, SimOptions};

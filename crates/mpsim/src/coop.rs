@@ -1,11 +1,14 @@
 //! Cooperative virtual-time scheduler: the simulator's execution engine.
 //!
-//! Ranks live on OS threads (Rust has no stable coroutines), but at most
-//! **one rank runs at a time**: a single baton is handed from rank to
-//! rank, every other thread is parked on its own condvar, and a blocked
-//! receive costs nothing until its message arrives. Mailboxes are created
-//! lazily per communicating pair, so memory scales with the communication
-//! graph actually used, not with `P^2`.
+//! Every rank body runs as a stackful fiber (see [`crate::fiber`]) on the
+//! thread that called [`crate::run_spmd`], and that thread runs the
+//! scheduler loop: take the runnable rank with the smallest virtual clock
+//! ([`CoopShared::next_rank`]) and resume it until it blocks or finishes.
+//! So exactly one rank runs at a time, a handoff is one stack switch to
+//! the loop and one back into the next rank, and a blocked receive costs
+//! nothing until its message arrives. Mailboxes are created lazily per
+//! communicating pair, so memory scales with the communication graph
+//! actually used, not with `P^2`.
 //!
 //! # Collectives at one rendezvous
 //!
@@ -13,56 +16,55 @@
 //! replay log) a collective moves no envelope. Each member deposits a
 //! [`Seat`] — its buffer, its clock (moved, not shared) and its call's
 //! plan key — at the meeting keyed by `(communicator id, sequence
-//! number)` and parks. The last member to arrive runs the whole plan on
-//! its own thread ([`schedule::run_central`]): the same folds in the same
-//! order, and per member, in its program order, the same LogGP charges
-//! the plan's messages would make. It then hands every parked member its
-//! seat back, marks it runnable at its new clock and keeps running, so a
-//! collective costs one wake per member instead of one handoff per
-//! message. Logical messages are still counted in every member's
-//! statistics. Running the plan centrally changes no result because the
-//! cost model keeps no link state: a member's charges depend only on the
-//! plan and the members' clocks at arrival.
+//! number)` and suspends. The last member to arrive runs the whole plan
+//! on its own fiber ([`schedule::run_central`]): the same folds in the
+//! same order, and per member, in its program order, the same LogGP
+//! charges the plan's messages would make. It then hands every waiting
+//! member its seat back, marks it runnable at its new clock and keeps
+//! running, so a collective costs one resume per member instead of one
+//! handoff per message. Logical messages are still counted in every
+//! member's statistics. Running the plan centrally changes no result
+//! because the cost model keeps no link state: a member's charges depend
+//! only on the plan and the members' clocks at arrival.
 //!
 //! # Scheduling discipline
 //!
 //! A rank runs until it *blocks* — a receive with an empty mailbox, a
 //! send into a mailbox at its in-flight bound, or a rendezvous other
-//! members have not reached yet — and then hands the baton
-//! to the runnable rank with the smallest frozen virtual clock (rank id
-//! breaks ties). Because this is a conservative simulation in which every
-//! receive names its source, the virtual-time results are schedule
-//! independent: the run queue's ordering is a memory/locality heuristic
-//! (it keeps per-rank clocks advancing roughly together), **not** a
-//! correctness requirement.
+//! members have not reached yet — and then suspends back to the loop,
+//! which resumes the runnable rank with the smallest frozen virtual clock
+//! (rank id breaks ties; rank 0 runs first). Because this is a
+//! conservative simulation in which every receive names its source, the
+//! virtual-time results are schedule independent: the run queue's
+//! ordering is a memory/locality heuristic (it keeps per-rank clocks
+//! advancing roughly together), **not** a correctness requirement.
 //!
 //! # Stall rescue
 //!
 //! When no rank is runnable and at least one is blocked, the run can never
 //! make progress — the scheduler *knows* this structurally, so it needs no
 //! wall-clock timeout. The blocked rank diagnosed first (ascending rank
-//! order) is woken with a typed error: the fault layer gets the first word
-//! (crashed/dropped peers), then the scheduler's own wait-for edges, which
-//! always end in either a wait on a finished rank or a cycle. A rank
-//! parked at a rendezvous waits on the lowest member that has not
+//! order) is resumed with a typed error: the fault layer gets the first
+//! word (crashed/dropped peers), then the scheduler's own wait-for edges,
+//! which always end in either a wait on a finished rank or a cycle. A rank
+//! waiting at a rendezvous waits on the lowest member that has not
 //! arrived, so a member that skips a collective is named.
 //!
-//! # Handoff
+//! # Switching
 //!
-//! A handoff picks the next rank under the scheduler lock but wakes it
-//! only after releasing the lock, so the woken thread never blocks on a
-//! mutex its waker still holds: one wake, one sleep. The waker then waits
-//! for the baton with a predicate loop, so a baton handed back before it
-//! sleeps is not lost.
+//! A rank marks itself blocked and releases the scheduler lock before it
+//! suspends, and retakes the lock once resumed: no lock is ever held
+//! across a switch, so the next rank on the thread never finds it taken.
 
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::comm::Envelope;
 use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::FaultState;
+use crate::fiber;
 use crate::schedule::{self, Seat, Seating};
 
 /// Outcome of a [`CoopShared::deposit`] that did not fail.
@@ -80,15 +82,15 @@ pub(crate) enum Deposit {
 enum RankStatus {
     /// Runnable; has exactly one entry on the run queue.
     Ready,
-    /// Holds the baton.
+    /// Resumed by the scheduler loop and not yet blocked or finished.
     Running,
-    /// Parked in a blocking receive from `src` with `tag`. The `(src, me)`
-    /// mailbox is empty for as long as this holds: the rank parks only on
+    /// Suspended in a blocking receive from `src` with `tag`. The `(src, me)`
+    /// mailbox is empty for as long as this holds: the rank blocks only on
     /// an empty mailbox and is readied by the next deposit into it.
     RecvWait { src: usize, tag: u64 },
-    /// Parked in a send to `dst` whose mailbox is at the in-flight bound.
+    /// Suspended in a send to `dst` whose mailbox is at the in-flight bound.
     SendWait { dst: usize },
-    /// Parked at the rendezvous of collective `seq` on communicator
+    /// Suspended at the rendezvous of collective `seq` on communicator
     /// `comm`, waiting for the members that have not arrived yet.
     CollWait { comm: u64, seq: u64 },
     /// Returned from its body normally.
@@ -135,11 +137,8 @@ impl Ord for HeapEntry {
 }
 
 struct CoopState {
-    /// The rank currently holding the baton; `None` only transiently
-    /// inside a handoff (or at the end of the run).
-    running: Option<usize>,
     status: Vec<RankStatus>,
-    /// Each rank's virtual clock, frozen when it last gave up the baton;
+    /// Each rank's virtual clock, frozen when it last blocked;
     /// the run-queue key. Invariant: a `Ready` rank has exactly one heap
     /// entry, pushed with its current frozen clock, so entries are never
     /// stale.
@@ -157,7 +156,7 @@ struct CoopState {
     /// `(communicator id, sequence number)`.
     meetings: BTreeMap<(u64, u64), Meeting>,
     /// Each rank's seat back from a rendezvous that ran while it was
-    /// parked, until it next holds the baton.
+    /// blocked, until it is next resumed.
     inbox: Vec<Option<Box<Seat>>>,
 }
 
@@ -185,10 +184,7 @@ impl Meeting {
 /// fault layer it consults when the run stalls.
 pub(crate) struct CoopShared {
     state: Mutex<CoopState>,
-    /// One condvar per rank: each parked thread waits only on its own, so
-    /// a handoff wakes exactly the intended thread.
-    cvs: Vec<Condvar>,
-    /// Per-pair in-flight envelope bound; a sender at the bound parks
+    /// Per-pair in-flight envelope bound; a sender at the bound blocks
     /// until the receiver drains (see
     /// [`crate::SimOptions::max_inflight_per_pair`]).
     max_inflight: usize,
@@ -204,15 +200,11 @@ impl CoopShared {
         abort: Arc<AtomicBool>,
     ) -> Self {
         assert!(p > 0, "cooperative scheduler needs at least one rank");
-        let mut status = vec![RankStatus::Ready; p];
-        // Seed the run queue with every rank at clock zero except rank 0,
-        // which is born holding the baton.
-        status[0] = RankStatus::Running;
-        let ready = (1..p).map(|rank| HeapEntry { clock: 0.0, rank }).collect();
+        // Every rank starts runnable at clock zero, so rank 0 runs first.
+        let ready = (0..p).map(|rank| HeapEntry { clock: 0.0, rank }).collect();
         CoopShared {
             state: Mutex::new(CoopState {
-                running: Some(0),
-                status,
+                status: vec![RankStatus::Ready; p],
                 clocks: vec![0.0; p],
                 ready,
                 mail: BTreeMap::new(),
@@ -221,7 +213,6 @@ impl CoopShared {
                 meetings: BTreeMap::new(),
                 inbox: (0..p).map(|_| None).collect(),
             }),
-            cvs: (0..p).map(|_| Condvar::new()).collect(),
             max_inflight: max_inflight.max(1),
             fault,
             abort,
@@ -230,26 +221,9 @@ impl CoopShared {
 
     /// The scheduler never panics while holding the lock, so a poisoned
     /// mutex still guards consistent state; recover it rather than
-    /// cascading a secondary panic through every parked rank.
+    /// cascading a secondary panic through every blocked rank.
     fn lock(&self) -> MutexGuard<'_, CoopState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn wait_for_baton<'a>(
-        &'a self,
-        me: usize,
-        mut state: MutexGuard<'a, CoopState>,
-    ) -> MutexGuard<'a, CoopState> {
-        while state.running != Some(me) {
-            state = self.cvs[me].wait(state).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        state
-    }
-
-    /// Park the calling rank's thread until it is first scheduled.
-    pub(crate) fn wait_first_turn(&self, me: usize) {
-        let state = self.lock();
-        drop(self.wait_for_baton(me, state));
     }
 
     /// Largest per-pair mailbox depth observed over the whole run.
@@ -264,13 +238,12 @@ impl CoopShared {
         state.ready.push(HeapEntry { clock, rank });
     }
 
-    /// Give the baton to the runnable rank with the smallest virtual
-    /// clock; if none is runnable but some rank is blocked, the run has
-    /// stalled for good — pick a victim and hand it a typed diagnosis
-    /// instead. Returns the rank to wake, which the caller must do with
-    /// [`Self::handoff`] or [`Self::wake`] *after* releasing the lock.
-    fn schedule_next(&self, state: &mut CoopState) -> Option<usize> {
-        debug_assert!(state.running.is_none());
+    /// The rank the scheduler loop resumes next: the runnable rank with
+    /// the smallest virtual clock. If none is runnable but some rank is
+    /// blocked, the run has stalled for good, so pick a victim and hand it
+    /// a typed diagnosis instead. `None` once every rank has finished.
+    pub(crate) fn next_rank(&self) -> Option<usize> {
+        let state = &mut *self.lock();
         let next = match state.ready.pop() {
             Some(e) => e.rank,
             None if state.status.iter().any(RankStatus::is_blocked) => {
@@ -281,32 +254,25 @@ impl CoopShared {
             None => return None,
         };
         state.status[next] = RankStatus::Running;
-        state.running = Some(next);
         Some(next)
     }
 
-    fn wake(&self, next: Option<usize>) {
-        if let Some(next) = next {
-            self.cvs[next].notify_one();
-        }
-    }
-
-    /// Give up the baton from `me` (already marked blocked and scheduled
-    /// away from): release the lock, wake `next`, and park until the
-    /// baton comes back. A stall rescue that picked `me` itself needs no
-    /// wake and keeps the lock.
-    fn handoff<'a>(
+    /// Block `me` as `status` with its clock frozen at `now`: release the
+    /// lock, suspend back to the scheduler loop, and retake the lock once
+    /// resumed.
+    fn block<'a>(
         &'a self,
         me: usize,
-        next: Option<usize>,
-        state: MutexGuard<'a, CoopState>,
+        status: RankStatus,
+        now: f64,
+        mut state: MutexGuard<'a, CoopState>,
     ) -> MutexGuard<'a, CoopState> {
-        if next == Some(me) {
-            return state;
-        }
+        debug_assert!(status.is_blocked());
+        state.status[me] = status;
+        state.clocks[me] = now;
         drop(state);
-        self.wake(next);
-        self.wait_for_baton(me, self.lock())
+        fiber::suspend();
+        self.lock()
     }
 
     /// Pick the victim of a provable stall and its typed error: the fault
@@ -328,7 +294,7 @@ impl CoopShared {
     }
 
     /// Deadlock diagnosis from the scheduler's own wait edges, covering
-    /// receive waits and sends parked on a bounded mailbox alike. Blocked
+    /// receive waits and sends blocked on a bounded mailbox alike. Blocked
     /// ranks' mailboxes from their named source are empty by construction,
     /// so nothing is in flight: a wait on a finished rank is hopeless and a
     /// cycle is a deadlock.
@@ -396,13 +362,9 @@ impl CoopShared {
         (victim, SimError::Deadlock { rank: victim, cycle, detail })
     }
 
-    /// Take the next envelope `src` has in flight to `me`, or park until
-    /// one arrives (or a stall rescue / abort cascade wakes `me` with an
+    /// Take the next envelope `src` has in flight to `me`, or block until
+    /// one arrives (or a stall rescue / abort cascade resumes `me` with an
     /// error). `now` freezes this rank's virtual clock for the scheduler.
-    ///
-    /// The mailbox check and the park happen under one lock acquisition,
-    /// so a deposit can never slip between "saw it empty" and "parked"
-    /// (the classic lost wakeup).
     pub(crate) fn pull_or_block(
         &self,
         me: usize,
@@ -416,21 +378,17 @@ impl CoopShared {
                 return Err(err);
             }
             if let Some(env) = state.mail.get_mut(&(src, me)).and_then(VecDeque::pop_front) {
-                // Draining may reopen a mailbox the sender is parked on.
+                // Draining may reopen a mailbox the sender is blocked on.
                 if state.status[src] == (RankStatus::SendWait { dst: me }) {
                     Self::make_ready(&mut state, src);
                 }
                 return Ok(env);
             }
-            state.status[me] = RankStatus::RecvWait { src, tag };
-            state.clocks[me] = now;
-            state.running = None;
-            let next = self.schedule_next(&mut state);
-            state = self.handoff(me, next, state);
+            state = self.block(me, RankStatus::RecvWait { src, tag }, now, state);
         }
     }
 
-    /// Put `env` in flight from `me` to `dst`, parking while the mailbox
+    /// Put `env` in flight from `me` to `dst`, blocking while the mailbox
     /// is at the in-flight bound. Depositing to a finished rank reports
     /// [`Deposit::Closed`] (a buffered send to a rank that will never
     /// receive again is legal; the caller unwinds its bookkeeping).
@@ -461,22 +419,17 @@ impl CoopShared {
                 }
                 return Ok(Deposit::Delivered);
             }
-            state.status[me] = RankStatus::SendWait { dst };
-            state.clocks[me] = now;
-            state.running = None;
-            let next = self.schedule_next(&mut state);
-            state = self.handoff(me, next, state);
+            state = self.block(me, RankStatus::SendWait { dst }, now, state);
         }
     }
 
     /// Deposit `me`'s seat at the rendezvous `at` and take it back once
-    /// the collective has run. Every member but the last parks; the last
-    /// to arrive runs the whole plan on its own thread
-    /// ([`schedule::run_central`]), hands each parked member its seat,
-    /// marks it runnable at its new clock and keeps the baton, so every
-    /// member is woken exactly once, by an ordinary handoff. A stall
-    /// rescue or abort cascade wakes a parked member with an error
-    /// instead.
+    /// the collective has run. Every member but the last blocks; the last
+    /// to arrive runs the whole plan on its own fiber
+    /// ([`schedule::run_central`]), hands each waiting member its seat,
+    /// marks it runnable at its new clock and keeps running, so every
+    /// member is resumed exactly once. A stall rescue or abort cascade
+    /// resumes a waiting member with an error instead.
     pub(crate) fn meet(
         &self,
         me: usize,
@@ -515,7 +468,8 @@ impl CoopShared {
         if m.arrived == m.seats.len() {
             // lint:allow(unwrap): the entry was found or inserted above
             let mut m = state.meetings.remove(&key).expect("meeting is present");
-            // Every other rank is parked, so the plan runs without the lock.
+            // Every other member is suspended, so the plan runs without the
+            // lock.
             drop(state);
             let mut seats: Vec<Box<Seat>> =
                 std::mem::take(&mut m.seats).into_iter().flatten().collect();
@@ -537,11 +491,7 @@ impl CoopShared {
             return Ok(mine.expect("caller is a member"));
         }
         loop {
-            state.status[me] = RankStatus::CollWait { comm: at.comm, seq: at.seq };
-            state.clocks[me] = now;
-            state.running = None;
-            let next = self.schedule_next(&mut state);
-            state = self.handoff(me, next, state);
+            state = self.block(me, RankStatus::CollWait { comm: at.comm, seq: at.seq }, now, state);
             if let Some(err) = state.pending[me].take() {
                 return Err(err);
             }
@@ -551,11 +501,12 @@ impl CoopShared {
         }
     }
 
-    /// Retire `me` from the run: mark it done or failed, wake senders
-    /// parked on its mailboxes (their deposit observes the closed
-    /// endpoint), cascade the abort to every parked rank when the run is
-    /// aborting (parked ranks no longer poll the abort flag, so the flag
-    /// alone cannot reach them), and hand the baton on.
+    /// Retire `me` from the run: mark it done or failed, make senders
+    /// blocked on its mailboxes runnable (their deposit observes the
+    /// closed endpoint), and cascade the abort to every blocked rank when
+    /// the run is aborting (blocked ranks do not poll the abort flag, so
+    /// the flag alone cannot reach them). The rank's body then returns to
+    /// the scheduler loop.
     ///
     /// The engine must set the abort flag *before* calling this, so the
     /// cascade sees it.
@@ -579,12 +530,6 @@ impl CoopShared {
                     Self::make_ready(&mut state, r);
                 }
             }
-        }
-        if state.running == Some(me) {
-            state.running = None;
-            let next = self.schedule_next(&mut state);
-            drop(state);
-            self.wake(next);
         }
     }
 }

@@ -4,10 +4,22 @@
 //! per-rank statistics. A panic on any rank aborts the whole run and is
 //! reported as a [`SimError`]. Ranks are cooperatively scheduled tasks on
 //! a virtual-time-ordered run queue with lazily created per-pair
-//! mailboxes (see [`crate::coop`]): each rank body runs on its own parked
-//! OS thread, exactly one rank runs at a time, a blocked receive costs
-//! nothing, and a run that can never progress is diagnosed structurally
-//! the moment no rank is runnable — there is no wall-clock timer.
+//! mailboxes (see [`crate::coop`]): each rank body runs as a stackful
+//! fiber on the calling thread, which runs the scheduler loop, so no
+//! thread is started per rank and a handoff is a stack switch. Exactly
+//! one rank runs at a time, a blocked receive costs nothing, and a run
+//! that can never progress is diagnosed structurally the moment no rank
+//! is runnable — there is no wall-clock timer.
+//!
+//! # Stack overflow
+//!
+//! Each rank has a 1 MiB stack with a guard page below it. On x86_64
+//! Linux, where a rank's stack is a fiber stack rather than a thread's,
+//! running off its end kills the process with `SIGSEGV` and no message:
+//! std's handler only recognizes its threads' own guard pages. On other
+//! targets a rank runs on a thread of its own, and an overflow prints
+//! "has overflowed its stack" before aborting. Either way the process
+//! dies rather than corrupting memory.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
@@ -18,6 +30,7 @@ use crate::coop::CoopShared;
 use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
+use crate::fiber::Fiber;
 use crate::trace::{RankStats, RunStats};
 use crate::verify::{VerifyOptions, VerifyState};
 
@@ -33,12 +46,6 @@ pub enum Engine {
     #[default]
     Cooperative,
 }
-
-/// Stack reserved per rank thread. The address space is only reserved,
-/// not committed, so `P = 1024` costs 1 GiB of *virtual* memory — cheap
-/// on any 64-bit host — while still leaving room for the EM search's
-/// deepest call chains.
-const RANK_STACK_BYTES: usize = 1 << 20;
 
 /// Engine knobs that are about the *simulation host*, not the modeled
 /// machine (which lives in [`MachineSpec`]).
@@ -115,7 +122,7 @@ pub struct SpmdOutput<T> {
     /// One row per warm spare slot ([`MachineSpec::spares`]), rank ids
     /// `p..p+spares`, all zero. Spares stand outside the scheduler for the
     /// whole run — they run no code, are not collective participants and
-    /// never hold the baton, so no stall diagnosis can name them — and
+    /// are never scheduled, so no stall diagnosis can name them — and
     /// accrue no virtual time until a recovery supervisor promotes their
     /// slot into a failed logical rank. Kept out of [`SpmdOutput::ranks`]
     /// so aggregate statistics and symmetry checks keep describing the `p`
@@ -126,8 +133,8 @@ pub struct SpmdOutput<T> {
 /// Run `f` as an SPMD program on the machine described by `spec`.
 ///
 /// `f` is invoked once per rank with that rank's [`Comm`]; it may borrow
-/// from the caller's stack (the ranks run on scoped threads), which is how
-/// a shared read-only dataset is distributed without copying.
+/// from the caller's stack (every rank runs while `run_spmd` waits), which
+/// is how a shared read-only dataset is distributed without copying.
 ///
 /// # Errors
 /// Returns the first rank failure by severity: a root cause (a user panic,
@@ -155,9 +162,11 @@ where
     let coop =
         Arc::new(CoopShared::new(p, opts.max_inflight_per_pair, fault.clone(), Arc::clone(&abort)));
 
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
+    let mut slots: Vec<Option<RankOutcome<T>>> = (0..p).map(|_| None).collect();
+    let mut fibers: Vec<Fiber<'_>> = slots
+        .iter_mut()
+        .enumerate()
+        .map(|(rank, slot)| {
             let spec = Arc::clone(&spec);
             let abort = Arc::clone(&abort);
             let coop = Arc::clone(&coop);
@@ -166,49 +175,32 @@ where
             let replay = opts.replay.clone();
             let record_events = opts.record_events;
             let f = &f;
-            let handle = std::thread::Builder::new()
-                .name(format!("coop-rank-{rank}"))
-                .stack_size(RANK_STACK_BYTES)
-                .spawn_scoped(scope, move || {
-                    // Park until first scheduled: from here on at most one
-                    // rank thread is ever runnable at a time.
-                    coop.wait_first_turn(rank);
-                    let mut comm = Comm::new(
-                        rank,
-                        spec,
-                        Arc::clone(&coop),
-                        abort.clone(),
-                        record_events,
-                        verify.clone(),
-                        fault,
-                        replay,
-                    );
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-                    let res = settle_rank(rank, outcome, &mut comm, &abort);
-                    // Release the baton *after* settle_rank has set the
-                    // abort flag, so finish's abort cascade sees it.
-                    coop.finish(rank, res.is_err());
-                    res
-                })
-                // lint:allow(unwrap): thread spawn only fails on resource exhaustion
-                .expect("spawn rank thread");
-            handles.push(handle);
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| {
-                // The worker never panics outside catch_unwind; report it
-                // as a rank panic if it somehow does.
-                h.join().unwrap_or_else(|_| {
-                    Err(SimError::RankPanicked {
-                        rank,
-                        message: "worker thread died outside catch_unwind".into(),
-                    })
-                })
+            Fiber::new(move || {
+                let mut comm = Comm::new(
+                    rank,
+                    spec,
+                    Arc::clone(&coop),
+                    abort.clone(),
+                    record_events,
+                    verify,
+                    fault,
+                    replay,
+                );
+                let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+                let res = settle_rank(rank, outcome, &mut comm, &abort);
+                // Retire the rank *after* settle_rank has set the abort
+                // flag, so finish's abort cascade sees it.
+                coop.finish(rank, res.is_err());
+                *slot = Some(res);
             })
-            .collect::<Vec<RankOutcome<T>>>()
-    });
+        })
+        .collect();
+    while let Some(rank) = coop.next_rank() {
+        fibers[rank].resume();
+    }
+    drop(fibers);
+    // lint:allow(unwrap): the loop ends only once every rank has finished
+    let results = slots.into_iter().map(|slot| slot.expect("every rank ran to completion"));
     let mailbox_high_water = coop.high_water();
     let spare_ranks =
         (p..p + spec.spares).map(|rank| RankStats { rank, ..RankStats::default() }).collect();
@@ -306,7 +298,8 @@ fn severity(e: &SimError) -> u8 {
 thread_local! {
     /// `file:line:column` of the last panic thrown on this thread,
     /// captured by the hook below. Read by [`classify_panic`], which runs
-    /// on the panicking rank's own thread.
+    /// on the panicking rank's fiber right after the unwind, before any
+    /// other rank can run on this thread.
     static LAST_PANIC_LOCATION: std::cell::RefCell<Option<String>> =
         const { std::cell::RefCell::new(None) };
 }

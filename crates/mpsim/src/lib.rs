@@ -44,8 +44,9 @@
 //! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue): one
 //!   group type for both backends
 //! * [`engine`] — the SPMD launcher ([`run_spmd`]) on the cooperative
-//!   virtual-time scheduler: one parked thread per rank, one rank running
-//!   at a time, stalls diagnosed structurally, `P = 1024+`
+//!   virtual-time scheduler: every rank a stackful fiber on the calling
+//!   thread, one rank running at a time, stalls diagnosed structurally,
+//!   `P = 1024+`
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]: crashes,
 //!   drops, delays, corruption, degraded links) and receive-side failure
 //!   detection that turns hangs into typed errors naming the culprit
@@ -65,6 +66,7 @@
 //!   scheduler
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod clock;
 pub mod collectives;
@@ -74,6 +76,7 @@ pub mod cost;
 pub mod engine;
 pub mod error;
 pub mod fault;
+mod fiber;
 pub mod payload;
 pub mod replay;
 pub mod report;

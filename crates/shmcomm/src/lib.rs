@@ -43,6 +43,7 @@
 //! on the caller's thread.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod comm;

@@ -56,6 +56,8 @@
 //! message) with a hand-rolled encoder and `BTreeMap`-only internals, so
 //! two runs over the same tree are byte-identical.
 
+#![forbid(unsafe_code)]
+
 mod stream;
 mod summary;
 mod walk;

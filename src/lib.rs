@@ -16,6 +16,7 @@
 //! inventory and EXPERIMENTS.md for the paper-vs-measured record.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use autoclass;
 pub use datagen;
