@@ -227,15 +227,21 @@ impl<'a> DataView<'a> {
 /// equal-sized blocks mean no load balancing is needed.
 pub fn block_partition(n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
     assert!(p > 0, "need at least one processor");
+    (0..p).map(|r| block_range(n, p, r)).collect()
+}
+
+/// Rank `r`'s block of [`block_partition`]`(n, p)`, in O(1): what a
+/// processor that touches only its own block needs.
+///
+/// # Panics
+/// Panics if `p == 0` or `r >= p`.
+pub fn block_range(n: usize, p: usize, r: usize) -> std::ops::Range<usize> {
+    assert!(p > 0, "need at least one processor");
+    assert!(r < p, "rank {r} out of range for {p} processors");
     let base = n / p;
     let extra = n % p;
-    (0..p)
-        .map(|r| {
-            let start = r * base + r.min(extra);
-            let len = base + usize::from(r < extra);
-            start..start + len
-        })
-        .collect()
+    let start = r * base + r.min(extra);
+    start..start + base + usize::from(r < extra)
 }
 
 /// Contiguous partition of `n` rows proportional to `weights` (e.g.

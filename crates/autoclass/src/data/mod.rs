@@ -8,7 +8,8 @@ pub mod stats;
 
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dataset::{
-    block_partition, weighted_partition, Column, DataView, Dataset, Value, MISSING_DISCRETE,
+    block_partition, block_range, weighted_partition, Column, DataView, Dataset, Value,
+    MISSING_DISCRETE,
 };
 pub use schema::{Attribute, AttributeKind, Schema};
 pub use stats::{AttrStats, GlobalStats};

@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use autoclass::data::{block_partition, DataView, Dataset};
+use autoclass::data::{block_range, DataView, Dataset};
 use mpsim::{run_spmd, Comm, MachineSpec, RankStats, ReduceOp, SimError, SimOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -208,8 +208,7 @@ pub struct ParallelKMeans {
 
 /// The per-rank body, exposed for composition in larger SPMD programs.
 pub fn kmeans_rank_body(comm: &mut Comm, data: &Dataset, config: &KMeansConfig) -> KMeansResult {
-    let parts = block_partition(data.len(), comm.size());
-    let part = &parts[comm.rank()];
+    let part = block_range(data.len(), comm.size(), comm.rank());
     let view = data.view(part.start, part.end);
     let d = view.schema().len();
     let k = config.k;

@@ -87,6 +87,9 @@ impl World for Comm {
     fn coll_seq(&self) -> u64 {
         self.coll_seq
     }
+    fn checks_collectives(&self) -> bool {
+        self.verify.as_ref().is_some_and(|v| v.opts().check_collectives)
+    }
     fn check_collective(&mut self, comm: u64, seq: u64, size: usize, fp: CollFingerprint) {
         let Some(v) = &self.verify else { return };
         if !v.opts().check_collectives {

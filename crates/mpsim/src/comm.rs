@@ -190,6 +190,11 @@ pub struct Comm {
     /// only when nothing needs to see each message (no fault plan, event
     /// recording, verifier or replay log).
     meets: bool,
+    /// This rank's seat at the rendezvous, lent to each meeting and taken
+    /// back after it, so a collective allocates nothing per member: its
+    /// buffer is refilled in place and its clock swapped in and out.
+    /// Made at the first meeting.
+    seat: Option<Box<Seat>>,
 }
 
 impl Comm {
@@ -226,6 +231,7 @@ impl Comm {
             replay,
             nb_horizon: 0.0,
             meets,
+            seat: None,
         }
     }
 
@@ -710,10 +716,11 @@ impl Comm {
     }
 
     /// Run plan `key` at the rendezvous `at`, unless this run's collectives
-    /// must run as messages (then return `false`): deposit this rank's
-    /// buffer, clock and arguments, park until the last member has run the
-    /// plan for everyone, then take back the result, the advanced clock
-    /// and the messages the plan sent and received on this rank's behalf.
+    /// must run as messages (then return `false`): lend this rank's seat,
+    /// holding its buffer, clock and arguments, park until the last member
+    /// has run the plan for everyone, then take the seat back with the
+    /// result, the advanced clock and the messages the plan sent and
+    /// received on this rank's behalf.
     pub(crate) fn meet(
         &mut self,
         at: Seating<'_>,
@@ -725,18 +732,32 @@ impl Comm {
             return false;
         }
         self.check_abort();
-        let data = match buf {
-            Buf::Flat(b) => b.to_vec(),
-            Buf::Blocks(bl) => std::mem::take(&mut bl[at.rank]),
-        };
-        let clock = std::mem::take(&mut self.clock);
-        let seat =
-            Box::new(Seat { clock, tally: Tally::default(), key, op, data, blocks: Vec::new() });
-        let seat = match self.coop.meet(self.rank, at, seat, &self.spec) {
+        let mut seat = self.seat.take().unwrap_or_else(|| {
+            Box::new(Seat {
+                clock: Clock::new(),
+                tally: Tally::default(),
+                key,
+                op,
+                data: Vec::new(),
+                blocks: Vec::new(),
+            })
+        });
+        seat.key = key;
+        seat.op = op;
+        seat.tally = Tally::default();
+        match buf {
+            Buf::Flat(b) => {
+                seat.data.clear();
+                seat.data.extend_from_slice(b);
+            }
+            Buf::Blocks(bl) => seat.data = std::mem::take(&mut bl[at.rank]),
+        }
+        std::mem::swap(&mut self.clock, &mut seat.clock);
+        let mut seat = match self.coop.meet(self.rank, at, seat, &self.spec) {
             Ok(seat) => seat,
             Err(err) => self.fail(err),
         };
-        self.clock = seat.clock;
+        std::mem::swap(&mut self.clock, &mut seat.clock);
         let t = seat.tally;
         self.stats.msgs_sent += t.msgs_sent;
         self.stats.bytes_sent += t.bytes_sent;
@@ -749,9 +770,12 @@ impl Comm {
         c.bytes_recvd += t.bytes_recvd;
         match buf {
             Buf::Flat(b) => b.copy_from_slice(&seat.data),
-            Buf::Blocks(bl) if seat.blocks.is_empty() => bl[at.rank] = seat.data,
-            Buf::Blocks(bl) => **bl = seat.blocks,
+            Buf::Blocks(bl) if seat.blocks.is_empty() => {
+                bl[at.rank] = std::mem::take(&mut seat.data)
+            }
+            Buf::Blocks(bl) => **bl = std::mem::take(&mut seat.blocks),
         }
+        self.seat = Some(seat);
         true
     }
 

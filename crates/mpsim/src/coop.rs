@@ -13,10 +13,11 @@
 //! # Collectives at one rendezvous
 //!
 //! On the default path (no fault plan, event recording, verifier or
-//! replay log) a collective moves no envelope. Each member deposits a
-//! [`Seat`] — its buffer, its clock (moved, not shared) and its call's
-//! plan key — at the meeting keyed by `(communicator id, sequence
-//! number)` and suspends. The last member to arrive runs the whole plan
+//! replay log) a collective moves no envelope. Each member lends its
+//! [`Seat`] — its buffer, its clock (swapped in, not shared) and its
+//! call's plan key, kept by its `Comm` from one collective to the next
+//! so that lending it allocates nothing — to the meeting keyed by
+//! `(communicator id, sequence number)` and suspends. The last member to arrive runs the whole plan
 //! on its own fiber ([`schedule::run_central`]): the same folds in the
 //! same order, and per member, in its program order, the same LogGP
 //! charges the plan's messages would make. It then hands every waiting
@@ -423,7 +424,7 @@ impl CoopShared {
         }
     }
 
-    /// Deposit `me`'s seat at the rendezvous `at` and take it back once
+    /// Lend `me`'s seat to the rendezvous `at` and hand it back once
     /// the collective has run. Every member but the last blocks; the last
     /// to arrive runs the whole plan on its own fiber
     /// ([`schedule::run_central`]), hands each waiting member its seat,

@@ -13,7 +13,10 @@
 //!
 //! # Stack overflow
 //!
-//! Each rank has a 1 MiB stack with a guard page below it. On x86_64
+//! Each rank has a 1 MiB stack with a guard page below it, recycled
+//! from an earlier launch where one is pooled (see [`crate::fiber`]); a
+//! launch that cannot map the stacks it needs returns
+//! [`SimError::InvalidMachine`]. On x86_64
 //! Linux, where a rank's stack is a fiber stack rather than a thread's,
 //! running off its end kills the process with `SIGSEGV` and no message:
 //! std's handler only recognizes its threads' own guard pages. On other
@@ -140,7 +143,8 @@ pub struct SpmdOutput<T> {
 /// Returns the first rank failure by severity: a root cause (a user panic,
 /// an injected crash, a proven deadlock) beats a peer's failure diagnosis
 /// beats a follow-on abort, so the root cause is reported rather than a
-/// symptom.
+/// symptom. A machine with no rank, or one whose rank stacks cannot be
+/// mapped, is [`SimError::InvalidMachine`] before any rank runs.
 pub fn run_spmd<T, F>(
     spec: &MachineSpec,
     opts: &SimOptions,
@@ -163,7 +167,9 @@ where
         Arc::new(CoopShared::new(p, opts.max_inflight_per_pair, fault.clone(), Arc::clone(&abort)));
 
     let mut slots: Vec<Option<RankOutcome<T>>> = (0..p).map(|_| None).collect();
-    let mut fibers: Vec<Fiber<'_>> = slots
+    // A failed launch drops the fibers already made, which pools their
+    // stacks.
+    let mut fibers = slots
         .iter_mut()
         .enumerate()
         .map(|(rank, slot)| {
@@ -194,11 +200,15 @@ where
                 *slot = Some(res);
             })
         })
-        .collect();
+        .collect::<std::io::Result<Vec<Fiber<'_>>>>()
+        .map_err(|e| SimError::InvalidMachine(format!("cannot map stacks for {p} ranks: {e}")))?;
     while let Some(rank) = coop.next_rank() {
         fibers[rank].resume();
     }
-    drop(fibers);
+    // Last rank first: the pool hands out the most recently dropped stack
+    // first, so the next launch of this size puts every rank on the stack
+    // it had here.
+    fibers.into_iter().rev().for_each(drop);
     // lint:allow(unwrap): the loop ends only once every rank has finished
     let results = slots.into_iter().map(|slot| slot.expect("every rank ran to completion"));
     let mailbox_high_water = coop.high_water();

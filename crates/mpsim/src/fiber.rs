@@ -10,7 +10,11 @@
 //!
 //! On x86_64 Linux a fiber is an `mmap`ed stack plus one register-save
 //! stack switch (`switched`): resuming and suspending cost tens of
-//! nanoseconds and no system call. Every other target uses a parked OS
+//! nanoseconds and no system call. A dropped fiber's stack goes back to a
+//! process-wide pool of at most [`STACK_POOL_CAP`] stacks, still guarded,
+//! and the next fiber made on any thread reuses it, so a launch of `P`
+//! ranks maps nothing when `P` stacks are pooled; its touched pages stay
+//! resident while it waits. Every other target uses a parked OS
 //! thread per fiber and one condvar handing the turn back and forth
 //! (`threaded`), as do ThreadSanitizer builds (`cfg(mpsim_tsan)`, set by
 //! the build script), since TSan cannot follow an unannotated stack
@@ -36,6 +40,12 @@
 /// call chains.
 pub(crate) const RANK_STACK_BYTES: usize = 1 << 20;
 
+/// Most unused stacks the process keeps mapped for reuse: one launch of
+/// 1024 ranks, the largest machine the workloads simulate. Stacks dropped
+/// beyond it are unmapped.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", not(mpsim_tsan)))]
+pub(crate) const STACK_POOL_CAP: usize = 1024;
+
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(mpsim_tsan)))]
 pub(crate) use switched::{suspend, Fiber};
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(mpsim_tsan))))]
@@ -48,8 +58,9 @@ mod switched {
     use std::cell::Cell;
     use std::io;
     use std::ptr;
+    use std::sync::{Mutex, PoisonError};
 
-    use super::RANK_STACK_BYTES;
+    use super::{RANK_STACK_BYTES, STACK_POOL_CAP};
 
     /// The C library's memory-mapping calls; std links the C library
     /// already.
@@ -85,8 +96,33 @@ mod switched {
         len: usize,
     }
 
+    // SAFETY: a `Stack` is the only handle to its mapping and carries no
+    // state tied to a thread; it crosses threads only through `POOL`,
+    // which holds stacks no fiber runs on.
+    unsafe impl Send for Stack {}
+
+    /// Stacks no fiber runs on, last dropped on top; at most
+    /// `STACK_POOL_CAP`. A poisoned lock still guards whole stacks: a
+    /// push or pop either happened or did not.
+    static POOL: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+
     impl Stack {
-        fn new() -> Stack {
+        /// The most recently pooled stack, or a newly mapped one.
+        fn take() -> io::Result<Stack> {
+            let pooled = POOL.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            pooled.map_or_else(Stack::map, Ok)
+        }
+
+        /// Back to the pool, or unmapped when the pool is full. Only for a
+        /// stack no fiber will run on again.
+        fn recycle(self) {
+            let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
+            if pool.len() < STACK_POOL_CAP {
+                pool.push(self);
+            }
+        }
+
+        fn map() -> io::Result<Stack> {
             // SAFETY: `sysconf` only reads a constant of the system.
             let page = usize::try_from(unsafe { sys::sysconf(sys::SC_PAGESIZE) }).unwrap_or(4096);
             let len = RANK_STACK_BYTES + page;
@@ -104,15 +140,15 @@ mod switched {
             };
             // `MAP_FAILED` is `(void *)-1`.
             if base as usize == usize::MAX {
-                panic!("cannot map a {len}-byte fiber stack: {}", io::Error::last_os_error());
+                return Err(io::Error::last_os_error());
             }
             let stack = Stack { base, len };
             // SAFETY: the first page lies in the mapping made above, which
             // nothing references yet.
             if unsafe { sys::mprotect(base, page, sys::PROT_NONE) } != 0 {
-                panic!("cannot protect a fiber stack's guard page: {}", io::Error::last_os_error());
+                return Err(io::Error::last_os_error());
             }
-            stack
+            Ok(stack)
         }
 
         /// One past the highest usable byte; 16-aligned, as the mapping is
@@ -124,10 +160,12 @@ mod switched {
 
     impl Drop for Stack {
         fn drop(&mut self) {
-            // SAFETY: `base..base + len` is exactly the mapping `new` made,
+            // SAFETY: `base..base + len` is exactly the mapping `map` made,
             // and no fiber runs on it any more: a `Stack` is dropped only
-            // with its `Fiber`, which is not running while it can be
-            // dropped. A failed unmap only leaks address space.
+            // when `recycle` finds the pool full or `map` fails to guard
+            // it, and is recycled only by its `Fiber`'s drop, which cannot
+            // run while the fiber does. A failed unmap only leaks address
+            // space.
             unsafe { sys::munmap(self.base, self.len) };
         }
     }
@@ -158,16 +196,21 @@ mod switched {
     /// A body and the stack it runs on.
     pub(crate) struct Fiber<'a> {
         ctx: Box<Context<'a>>,
-        /// Only held: it must stay mapped for as long as the fiber lives.
-        _stack: Stack,
+        /// Mapped for as long as the fiber lives; `Drop` takes it back to
+        /// the pool, so it is `None` only there.
+        stack: Option<Stack>,
     }
 
     impl<'a> Fiber<'a> {
-        /// A fiber that runs `body` once first resumed. The new stack
-        /// starts with the creating thread's floating-point control
-        /// state, as a new thread would.
-        pub(crate) fn new(body: impl FnOnce() + Send + 'a) -> Fiber<'a> {
-            let stack = Stack::new();
+        /// A fiber that runs `body` once first resumed, on a pooled stack
+        /// or a newly mapped one. The stack starts with the creating
+        /// thread's floating-point control state, as a new thread would.
+        ///
+        /// # Errors
+        /// The OS error when no stack is pooled and a new one cannot be
+        /// mapped or guarded.
+        pub(crate) fn new(body: impl FnOnce() + Send + 'a) -> io::Result<Fiber<'a>> {
+            let stack = Stack::take()?;
             let ctx = Box::new(Context {
                 regs: Regs {
                     fiber_sp: Cell::new(ptr::null_mut()),
@@ -208,7 +251,7 @@ mod switched {
             // 8-aligned and unused, and `frame` is a separate local.
             unsafe { sp.copy_from_nonoverlapping(frame.as_ptr(), frame.len()) };
             ctx.regs.fiber_sp.set(sp.cast());
-            Fiber { ctx, _stack: stack }
+            Ok(Fiber { ctx, stack: Some(stack) })
         }
 
         /// Run the body until it next suspends or returns; `true` once it
@@ -222,12 +265,23 @@ mod switched {
             let outer = CURRENT.replace(regs);
             // SAFETY: `fiber_sp` holds a context in the layout `switch`
             // restores, saved by the fiber's last `suspend` or laid out by
-            // `new`, on this fiber's stack, which `self._stack` keeps
+            // `new`, on this fiber's stack, which `self.stack` keeps
             // mapped. The fiber resumes on the thread that created it and
             // runs only until it switches back here through `caller_sp`.
             unsafe { switch(regs.caller_sp.as_ptr(), regs.fiber_sp.get()) };
             CURRENT.set(outer);
             self.ctx.done.get()
+        }
+    }
+
+    impl Drop for Fiber<'_> {
+        /// Pool the stack: the fiber is not running, as `resume` holds
+        /// `&mut self` for as long as it does, so nothing runs on the
+        /// stack any more.
+        fn drop(&mut self) {
+            if let Some(stack) = self.stack.take() {
+                stack.recycle();
+            }
         }
     }
 
@@ -323,6 +377,7 @@ mod switched {
 #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux", not(mpsim_tsan)))))]
 mod threaded {
     use std::cell::OnceCell;
+    use std::io;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Arc, Condvar, Mutex, PoisonError};
     use std::thread::{self, JoinHandle};
@@ -371,9 +426,10 @@ mod threaded {
     }
 
     impl<'a> Fiber<'a> {
-        pub(crate) fn new(body: impl FnOnce() + Send + 'a) -> Fiber<'a> {
+        /// Never fails: the thread starts at the first resume.
+        pub(crate) fn new(body: impl FnOnce() + Send + 'a) -> io::Result<Fiber<'a>> {
             let baton = Arc::new(Baton { turn: Mutex::new(Turn::Caller), cv: Condvar::new() });
-            Fiber { body: Some(Box::new(body)), baton, thread: None, done: false }
+            Ok(Fiber { body: Some(Box::new(body)), baton, thread: None, done: false })
         }
 
         pub(crate) fn resume(&mut self) -> bool {
@@ -440,7 +496,7 @@ mod tests {
                 #[test]
                 fn a_body_that_never_suspends_finishes_on_the_first_resume() {
                     let ran = Mutex::new(false);
-                    let mut fiber = Fiber::new(|| *ran.lock().unwrap() = true);
+                    let mut fiber = Fiber::new(|| *ran.lock().unwrap() = true).unwrap();
                     assert!(fiber.resume());
                     assert!(*ran.lock().unwrap());
                 }
@@ -455,7 +511,8 @@ mod tests {
                         push(3);
                         suspend();
                         push(5);
-                    });
+                    })
+                    .unwrap();
                     push(0);
                     assert!(!fiber.resume());
                     push(2);
@@ -481,6 +538,7 @@ mod tests {
                                 }
                                 totals.lock().unwrap()[i as usize] = local.iter().sum();
                             })
+                            .unwrap()
                         })
                         .collect();
                     for _ in 0..10 {
@@ -500,13 +558,15 @@ mod tests {
                             push("inner a");
                             suspend();
                             push("inner b");
-                        });
+                        })
+                        .unwrap();
                         assert!(!inner.resume());
                         push("outer between");
                         suspend();
                         assert!(inner.resume());
                         push("outer end");
-                    });
+                    })
+                    .unwrap();
                     assert!(!outer.resume());
                     push("caller");
                     assert!(outer.resume());
@@ -518,7 +578,7 @@ mod tests {
                 fn an_unstarted_fiber_drops_its_body() {
                     let token = Arc::new(());
                     let held = Arc::clone(&token);
-                    drop(Fiber::new(move || drop(held)));
+                    drop(Fiber::new(move || drop(held)).unwrap());
                     assert_eq!(Arc::strong_count(&token), 1);
                 }
 
@@ -553,7 +613,8 @@ mod tests {
                         set_mxcsr(caller | ROUND_TOWARD_ZERO);
                         suspend();
                         assert_eq!(mxcsr(), caller | ROUND_TOWARD_ZERO);
-                    });
+                    })
+                    .unwrap();
                     assert!(!fiber.resume());
                     assert_eq!(mxcsr(), caller, "the fiber's rounding mode leaked out");
                     assert!(fiber.resume());

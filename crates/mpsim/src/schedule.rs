@@ -117,6 +117,11 @@ pub struct Seating<'a> {
 pub trait World: Collective + Communicator {
     /// Sequence number of the most recent world collective.
     fn coll_seq(&self) -> u64;
+    /// Whether [`World::check_collective`] reads the fingerprints it is
+    /// given; when it does not, a split skips hashing its color table.
+    fn checks_collectives(&self) -> bool {
+        false
+    }
     /// Cross-check collective `seq` of communicator `comm` (`size` ranks)
     /// against the other members' fingerprints.
     fn check_collective(&mut self, comm: u64, seq: u64, size: usize, fp: CollFingerprint);
@@ -739,9 +744,20 @@ pub(crate) fn run_central(
     let op = seats[0].op;
     let overhead = spec.network.overhead;
     // Per step of the current round: departure time, payload length, and
-    // where its payload sits in `staged`.
-    let mut sent: Vec<(f64, usize, usize)> = Vec::new();
-    let mut staged: Vec<f64> = Vec::new();
+    // where its payload sits in `staged`. Both are sized for the widest
+    // round up front, so they allocate once per collective.
+    let staged_len = |round: &[Step]| -> usize {
+        round
+            .iter()
+            .map(|st| match st.what {
+                Move::Fold(lo, hi) | Move::Copy(lo, hi) => (hi - lo) as usize,
+                Move::Block(_) => 0,
+            })
+            .sum()
+    };
+    let mut sent: Vec<(f64, usize, usize)> =
+        Vec::with_capacity(plan.rounds().map(<[Step]>::len).max().unwrap_or(0));
+    let mut staged: Vec<f64> = Vec::with_capacity(plan.rounds().map(staged_len).max().unwrap_or(0));
     for round in plan.rounds() {
         sent.clear();
         staged.clear();

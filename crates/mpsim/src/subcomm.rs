@@ -13,12 +13,15 @@
 //!
 //! The colors are a collective argument: every rank passes the same color
 //! function, `color_of(r)` being parent rank `r`'s color, so each rank
-//! works out every group's membership locally and a split moves no
+//! works out its own group's membership locally and a split moves no
 //! message. It still takes one collective sequence number on the parent,
 //! which keeps the registry ids and tags of successive splits distinct and
-//! lets the verifier diagnose a rank that skips the split, and its
-//! fingerprint carries a hash of the color table, so a rank whose colors
-//! differ fails the run with a collective divergence.
+//! lets the verifier diagnose a rank that skips the split. When the world
+//! checks collectives ([`World::checks_collectives`]), the fingerprint
+//! also carries a hash of the whole color table, so a rank whose colors
+//! differ fails the run with a collective divergence; otherwise nothing
+//! reads that hash and a rank evaluates only the colors it needs: its
+//! own, and one per parent rank to find its group.
 //!
 //! As with MPI, a split is itself collective: every rank of the parent
 //! communicator must call it, in the same relative order with respect to
@@ -69,19 +72,15 @@ impl Comm {
     }
 }
 
-/// Every parent rank's color, in parent rank order.
-fn color_table(size: usize, color_of: impl Fn(usize) -> u32) -> Vec<u32> {
-    (0..size).map(color_of).collect()
-}
-
-/// The fingerprint a split posts: the parent's size and a hash of the
+/// The fingerprint a split of a `size`-rank parent posts: the size and,
+/// when `hashed` (the world checks collectives), a hash of the whole
 /// color table.
-fn split_fp(colors: &[u32]) -> CollFingerprint {
-    let table: Vec<f64> = colors.iter().map(|&c| f64::from(c)).collect();
-    CollFingerprint {
-        colors: Some(hash_f64s(&table)),
-        ..fp(CollKind::Split, None, None, table.len())
-    }
+fn split_fp(size: usize, color_of: &impl Fn(usize) -> u32, hashed: bool) -> CollFingerprint {
+    let colors = hashed.then(|| {
+        let table: Vec<f64> = (0..size).map(|r| f64::from(color_of(r))).collect();
+        hash_f64s(&table)
+    });
+    CollFingerprint { colors, ..fp(CollKind::Split, None, None, size) }
 }
 
 /// Split `world` by `color_of(r)`, world rank `r`'s color, which every rank
@@ -90,14 +89,15 @@ fn split_fp(colors: &[u32]) -> CollFingerprint {
 /// 30 set fails the run with a typed collective mismatch: that bit marks
 /// nested groups.
 pub fn split<W: World>(world: &mut W, color_of: impl Fn(usize) -> u32) -> Group<'_, W> {
-    let colors = color_table(PointToPoint::size(world), color_of);
+    let size = PointToPoint::size(world);
     let me = PointToPoint::rank(world);
-    let color = colors[me];
+    let color = color_of(me);
     if color & NESTED_COLOR_BIT != 0 {
         world.mismatch(format!("split color {color:#x} sets bit 30, which marks nested groups"));
     }
-    world.coll_enter(split_fp(&colors));
-    let members: Vec<usize> = (0..colors.len()).filter(|&r| colors[r] == color).collect();
+    let hashed = world.checks_collectives();
+    world.coll_enter(split_fp(size, &color_of, hashed));
+    let members: Vec<usize> = (0..size).filter(|&r| color_of(r) == color).collect();
     // All members entered the same split, so they agree on the world
     // collective sequence number and derive the same id; including it
     // keeps successive same-color splits distinct in the registries.
@@ -185,8 +185,7 @@ impl<'a, W: World> Group<'a, W> {
     /// run with a typed collective mismatch rather than letting two
     /// groups share a tag space.
     pub fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Group<'_, W> {
-        let colors = color_table(self.size(), color_of);
-        let color = colors[self.rank];
+        let color = color_of(self.rank);
         if self.color > NESTED_COLOR_MAX || color > NESTED_COLOR_MAX {
             self.mismatch(format!(
                 "nested split takes colors up to {NESTED_COLOR_MAX:#x} at two levels; \
@@ -194,11 +193,12 @@ impl<'a, W: World> Group<'a, W> {
                 self.color
             ));
         }
-        self.coll_enter(split_fp(&colors));
+        let hashed = self.world.checks_collectives();
+        self.coll_enter(split_fp(self.size(), &color_of, hashed));
         // Child membership in *world* ranks, so the nested group talks
         // straight to the world like any first-level group.
         let members: Vec<usize> =
-            (0..colors.len()).filter(|&r| colors[r] == color).map(|r| self.members[r]).collect();
+            (0..self.size()).filter(|&r| color_of(r) == color).map(|r| self.members[r]).collect();
         let me = self.members[self.rank];
         let key = NESTED_COLOR_BIT | (self.color << 15) | color;
         // All members agree on the parent's collective sequence here (they

@@ -10,19 +10,34 @@
 //! bounded on its own (see `mpsim::schedule`), and evicting a plan inside
 //! a measured run would hide that run's growth.
 //!
-//! One `#[test]` in its own binary, so no concurrently running test shares
-//! the allocator's counters.
+//! The same allocator also counts allocations: a collective at the
+//! rendezvous allocates a few times per call, not once or more per
+//! member, so at `P = 64` an allreduce on the world or on a group makes
+//! fewer than `P / 2` allocations.
+//!
+//! The tests share the allocator's counters, so each holds `SERIAL` while
+//! it measures; the binary holds no other test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mpsim::{presets, run_spmd, Comm, MachineSpec, ReduceOp, SimOptions};
 
-/// The system allocator, counting live heap bytes and their peak.
+/// The system allocator, counting live heap bytes, their peak and the
+/// allocations made.
 struct CountingAlloc;
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by a test while it reads the counters.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees hold; the counters are statistics
@@ -64,6 +79,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 fn grew(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
@@ -97,6 +113,7 @@ fn hier_allreduce(p: usize) -> usize {
 
 #[test]
 fn peak_heap_grows_linearly_in_p() {
+    let _serial = serial();
     let mib = |b: usize| b as f64 / (1024.0 * 1024.0);
     for (probe, half, full) in [
         ("barrier", barrier(512), barrier(1024)),
@@ -114,6 +131,49 @@ fn peak_heap_grows_linearly_in_p() {
              some state is O(P^2)",
             mib(half),
             mib(full)
+        );
+    }
+}
+
+/// Allocations a default-option run of `body(comm, calls)` on `spec`
+/// makes per call: `(allocations at 200 calls - at 100) / 100`, so the
+/// launch's own allocations cancel out. A first run caches the plan.
+fn allocs_per_call(spec: &MachineSpec, body: impl Fn(&mut Comm, usize) + Sync) -> f64 {
+    let opts = SimOptions::default();
+    let allocs = |calls: usize| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        drop(run_spmd(spec, &opts, |c| body(c, calls)).expect("the probe runs"));
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
+    allocs(1);
+    let (hundred, two_hundred) = (allocs(100), allocs(200));
+    (two_hundred as f64 - hundred as f64) / 100.0
+}
+
+#[test]
+fn no_collective_allocates_per_member() {
+    let _serial = serial();
+    const P: usize = 64;
+    let spec = presets::meiko_cs2(P);
+    let world = allocs_per_call(&spec, |c, calls| {
+        let mut buf = vec![c.rank() as f64; 58];
+        for _ in 0..calls {
+            c.allreduce_f64s(&mut buf, ReduceOp::Sum);
+        }
+    });
+    let group = allocs_per_call(&spec, |c, calls| {
+        let mut sub = c.split(|r| (r % 2) as u32);
+        let mut buf = vec![sub.rank() as f64; 58];
+        for _ in 0..calls {
+            sub.allreduce_f64s(&mut buf, ReduceOp::Sum);
+        }
+    });
+    for (probe, per_call) in [("world allreduce", world), ("group allreduce", group)] {
+        println!("{probe} at P={P}: {per_call:.1} allocations per call");
+        assert!(
+            per_call < (P / 2) as f64,
+            "{probe} at P={P} makes {per_call:.1} allocations per call: \
+             some rendezvous state is allocated per member"
         );
     }
 }

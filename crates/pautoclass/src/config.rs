@@ -1,7 +1,7 @@
 //! Configuration of a P-AutoClass run: parallelization strategy, the
 //! statistics-exchange pattern, and the data decomposition.
 
-use autoclass::data::{block_partition, weighted_partition};
+use autoclass::data::{block_partition, block_range, weighted_partition};
 use autoclass::search::SearchConfig;
 
 use crate::error::PartitionError;
@@ -100,6 +100,19 @@ impl Partitioning {
                 assert_eq!(w.len(), p, "need one partition weight per rank");
                 weighted_partition(n, w)
             }
+        }
+    }
+
+    /// Rank `r`'s rows of [`Partitioning::ranges`]`(n, p)`: O(1) for
+    /// `Block`, so a rank's set-up does not grow with `p`.
+    ///
+    /// # Panics
+    /// Panics if the partitioning fails [`Partitioning::validate`] or
+    /// `r >= p`.
+    pub fn range(&self, n: usize, p: usize, r: usize) -> std::ops::Range<usize> {
+        match self {
+            Partitioning::Block => block_range(n, p, r),
+            Partitioning::Weighted(_) => self.ranges(n, p)[r].clone(),
         }
     }
 }

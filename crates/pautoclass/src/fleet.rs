@@ -46,7 +46,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use autoclass::data::{block_partition, Dataset};
+use autoclass::data::{block_partition, block_range, Dataset};
 use autoclass::model::{
     classes_from_flat_into, classes_to_flat, converged, derive_seed, log_param_prior,
     update_wts_into, Approximation, ClassParams, CycleWorkspace, EStepScratch, Model, WtsMatrix,
@@ -374,8 +374,7 @@ fn fleet_core<G: GroupCommunicator>(
     let shrunk = sub.size() < orig_p;
     sub.enter_phase(if shrunk { RECOVERY_PHASE } else { "search" });
     let mut fleet = sub.split(|r| fleet_of[r]);
-    let parts = block_partition(data.len(), fleet.size());
-    let part = parts[fleet.rank()].clone();
+    let part = block_range(data.len(), fleet.size(), fleet.rank());
     let view = data.view(part.start, part.end);
     let model = crate::driver::sub_build_model(&mut fleet, &view, &config.correlated_blocks);
     drop(fleet);
@@ -812,8 +811,7 @@ fn ensemble_stage<G: GroupCommunicator>(
     voters: usize,
 ) -> EnsembleSummary {
     let v = voters.min(all.len());
-    let parts = block_partition(data.len(), sub.size());
-    let part = parts[sub.rank()].clone();
+    let part = block_range(data.len(), sub.size(), sub.rank());
     let view = data.view(part.start, part.end);
     let n_local = view.len();
 

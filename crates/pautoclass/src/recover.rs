@@ -42,7 +42,7 @@
 
 use std::sync::Mutex;
 
-use autoclass::data::{block_partition, Dataset};
+use autoclass::data::{block_range, Dataset};
 use autoclass::model::{
     classes_from_flat_into, classes_to_flat, converged, derive_seed, log_param_prior,
     Approximation, CycleWorkspace,
@@ -604,8 +604,7 @@ fn ft_rank_body<C: Communicator>(
 ) -> (Vec<Classification>, usize) {
     recovery_prologue(comm, recovery);
     comm.enter_phase("search");
-    let parts = config.partition.ranges(data.len(), comm.size());
-    let part = &parts[comm.rank()];
+    let part = config.partition.range(data.len(), comm.size(), comm.rank());
     let view = data.view(part.start, part.end);
     let model = build_model(comm, &view, &config.correlated_blocks);
     let sc = &config.search;
@@ -725,8 +724,7 @@ fn shrunk_rank_body<C: Communicator>(
         sub.exit_phase();
         return None;
     }
-    let parts = block_partition(data.len(), sub.size());
-    let part = &parts[sub.rank()];
+    let part = block_range(data.len(), sub.size(), sub.rank());
     let view = data.view(part.start, part.end);
     // Survivors-only by design: the excluded rank has already left and
     // every collective below runs on the shrunk communicator `sub`,

@@ -44,8 +44,7 @@ fn search_rank_body<C: Communicator>(
     // Everything not claimed by an inner span (model setup, class-death
     // and convergence decisions, dedup/scoring) is model-search time.
     comm.enter_phase("search");
-    let parts = config.partition.ranges(data.len(), comm.size());
-    let part = &parts[comm.rank()];
+    let part = config.partition.range(data.len(), comm.size(), comm.rank());
     let view = data.view(part.start, part.end);
     let model = build_model(comm, &view, &config.correlated_blocks);
     let sc = &config.search;
@@ -233,8 +232,7 @@ pub fn run_fixed_j(
     config.partition.validate(machine.p)?;
     let out = run_spmd(machine, &SimOptions::default(), |comm| {
         comm.enter_phase("search");
-        let parts = config.partition.ranges(data.len(), comm.size());
-        let part = &parts[comm.rank()];
+        let part = config.partition.range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
         let model = build_model(comm, &view, &config.correlated_blocks);
         let mut classes = Vec::new();
