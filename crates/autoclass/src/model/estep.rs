@@ -5,6 +5,7 @@
 
 use crate::data::dataset::DataView;
 use crate::model::class::{ClassParams, Model};
+use crate::model::prior::TermPrior;
 use crate::model::suffstats::SuffStats;
 use crate::model::wide::{run_wide, Isa, Wide, LANES};
 
@@ -119,6 +120,9 @@ pub struct EStepScratch {
     /// Per-item `Σ_c e_ic · r_ic` over one tile (for the complete-data
     /// log likelihood).
     accwr: Vec<f64>,
+    /// `ln x` of one tile's values, group-major over the LogNormal groups
+    /// (empty when the model has none).
+    ln_x: Vec<f64>,
     /// Attribute-major gather of one tile's MVN block columns.
     mvn_gather: Vec<f64>,
     /// `x − μ` workspace for the Mahalanobis kernel.
@@ -329,6 +333,16 @@ fn update_wts_tiled<S: TileSink>(
         let hi = (lo + ESTEP_TILE).min(n);
         let tl = hi - lo;
 
+        // The tile's logarithms, taken once per LogNormal group rather
+        // than once per class.
+        scratch.ln_x.clear();
+        for group in &model.groups {
+            if matches!(group.prior, TermPrior::LogNormal { .. }) {
+                let xs = &view.real_column(group.attrs[0])[lo..hi];
+                scratch.ln_x.extend(xs.iter().map(|x| x.ln()));
+            }
+        }
+
         // Phase 1 (tile): joint log densities, column segment by column
         // segment. Each per-attribute kernel runs on the `[lo, hi)` slice
         // of its column — the same element-wise additions the full-column
@@ -336,16 +350,20 @@ fn update_wts_tiled<S: TileSink>(
         for (c, class) in classes.iter().enumerate() {
             let col = &mut wts.data[c * n + lo..c * n + hi];
             col.fill(class.log_pi);
+            let mut ln_at = 0;
             for (term, group) in class.terms.iter().zip(&model.groups) {
                 match &group.prior {
-                    crate::model::prior::TermPrior::Normal { .. }
-                    | crate::model::prior::TermPrior::LogNormal { .. } => {
-                        term.accumulate_log_prob_real(
-                            &view.real_column(group.attrs[0])[lo..hi],
-                            col,
-                        );
+                    TermPrior::Normal { .. } => {
+                        let xs = &view.real_column(group.attrs[0])[lo..hi];
+                        term.accumulate_log_prob_real(xs, &[], col);
                     }
-                    crate::model::prior::TermPrior::Multinomial { missing_level, .. } => {
+                    TermPrior::LogNormal { .. } => {
+                        let xs = &view.real_column(group.attrs[0])[lo..hi];
+                        let ln_xs = &scratch.ln_x[ln_at..ln_at + tl];
+                        ln_at += tl;
+                        term.accumulate_log_prob_real(xs, ln_xs, col);
+                    }
+                    TermPrior::Multinomial { missing_level, .. } => {
                         let ls = &view.discrete_column(group.attrs[0])[lo..hi];
                         if *missing_level {
                             term.accumulate_log_prob_discrete_with_missing(ls, col);
@@ -353,7 +371,7 @@ fn update_wts_tiled<S: TileSink>(
                             term.accumulate_log_prob_discrete(ls, col);
                         }
                     }
-                    crate::model::prior::TermPrior::MultiNormal { .. } => {
+                    TermPrior::MultiNormal { .. } => {
                         // Gather the tile's block columns attribute-major
                         // into the reusable flat buffer (replaces the
                         // per-call `Vec<&[f64]>` of column pointers).
@@ -429,12 +447,18 @@ fn update_wts_tiled<S: TileSink>(
         }
 
         // Pass D: normalize in place and fold each column segment into its
-        // class weight sum, `LANES` classes at a time.
+        // class weight sum, `LANES` classes at a time, then `LANES / 2`,
+        // then one.
         let cws = &mut scratch.class_weight_sums;
         let mut c0 = 0;
         while c0 + LANES <= j {
             normalize_classes::<LANES>(&mut wts.data, n, c0, lo, sums, &mut cws[c0..c0 + LANES]);
             c0 += LANES;
+        }
+        if c0 + LANES / 2 <= j {
+            let cws = &mut cws[c0..c0 + LANES / 2];
+            normalize_classes::<{ LANES / 2 }>(&mut wts.data, n, c0, lo, sums, cws);
+            c0 += LANES / 2;
         }
         for c in c0..j {
             normalize_classes::<1>(&mut wts.data, n, c, lo, sums, &mut cws[c..c + 1]);
@@ -509,11 +533,15 @@ pub fn update_wts_naive(
         col.iter_mut().for_each(|v| *v = class.log_pi);
         for (term, group) in class.terms.iter().zip(&model.groups) {
             match &group.prior {
-                crate::model::prior::TermPrior::Normal { .. }
-                | crate::model::prior::TermPrior::LogNormal { .. } => {
-                    term.accumulate_log_prob_real(view.real_column(group.attrs[0]), col);
+                TermPrior::Normal { .. } => {
+                    term.accumulate_log_prob_real(view.real_column(group.attrs[0]), &[], col);
                 }
-                crate::model::prior::TermPrior::Multinomial { missing_level, .. } => {
+                TermPrior::LogNormal { .. } => {
+                    let xs = view.real_column(group.attrs[0]);
+                    let ln_xs: Vec<f64> = xs.iter().map(|x| x.ln()).collect();
+                    term.accumulate_log_prob_real(xs, &ln_xs, col);
+                }
+                TermPrior::Multinomial { missing_level, .. } => {
                     let ls = view.discrete_column(group.attrs[0]);
                     if *missing_level {
                         term.accumulate_log_prob_discrete_with_missing(ls, col);
@@ -521,7 +549,7 @@ pub fn update_wts_naive(
                         term.accumulate_log_prob_discrete(ls, col);
                     }
                 }
-                crate::model::prior::TermPrior::MultiNormal { .. } => {
+                TermPrior::MultiNormal { .. } => {
                     let cols: Vec<&[f64]> =
                         group.attrs.iter().map(|&a| view.real_column(a)).collect();
                     term.accumulate_log_prob_mvn(&cols, col);
@@ -855,9 +883,11 @@ mod tests {
     /// class weight sums, and the sufficient statistics must all be
     /// **bitwise** identical, and the op counts must match — across
     /// several tiles plus a ragged tail, on a mixed real + discrete
-    /// schema with missing values.
+    /// schema with missing values. Two classes, and thirteen, whose
+    /// 8-, 4- and 1-class chains all carry across tiles.
     #[test]
     fn fused_estep_mstep_is_bitwise_identical_to_two_pass() {
+        use crate::model::init::init_classes;
         use crate::model::suffstats::{StatLayout, SuffStats};
 
         let schema = Schema::new(vec![Attribute::real("x", 0.01), Attribute::discrete("c", 3)]);
@@ -897,46 +927,53 @@ mod tests {
         ];
         let view = data.full_view();
 
-        // Two-pass reference: E-step, then a whole-partition accumulate.
-        let mut wts_two = WtsMatrix::new(0, 0);
-        let mut scratch_two = EStepScratch::default();
-        let e_two = update_wts_into(&model, &view, &classes, &mut wts_two, &mut scratch_two);
-        let mut stats_two = SuffStats::zeros(StatLayout::new(&model, 2));
-        let mops_two = stats_two.accumulate(&model, &view, &wts_two);
+        for classes in [classes, init_classes(&model, &view, 13, 5)] {
+            let j = classes.len();
 
-        // Fused single pass.
-        let mut wts_fused = WtsMatrix::new(0, 0);
-        let mut scratch_fused = EStepScratch::default();
-        let mut stats_fused = SuffStats::zeros(StatLayout::new(&model, 2));
-        let mut carry = Vec::new();
-        let (e_fused, mops_fused) = update_wts_and_stats_into(
-            &model,
-            &view,
-            &classes,
-            &mut wts_fused,
-            &mut scratch_fused,
-            &mut stats_fused,
-            &mut carry,
-        );
+            // Two-pass reference: E-step, then a whole-partition accumulate.
+            let mut wts_two = WtsMatrix::new(0, 0);
+            let mut scratch_two = EStepScratch::default();
+            let e_two = update_wts_into(&model, &view, &classes, &mut wts_two, &mut scratch_two);
+            let mut stats_two = SuffStats::zeros(StatLayout::new(&model, j));
+            let mops_two = stats_two.accumulate(&model, &view, &wts_two);
 
-        assert_eq!(e_two.log_likelihood.to_bits(), e_fused.log_likelihood.to_bits());
-        assert_eq!(e_two.complete_ll.to_bits(), e_fused.complete_ll.to_bits());
-        assert_eq!(e_two.ops, e_fused.ops);
-        assert_eq!(mops_two, mops_fused, "statistics op counts must match");
-        for (c, (a, b)) in
-            scratch_two.class_weight_sums.iter().zip(&scratch_fused.class_weight_sums).enumerate()
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "class weight sum {c}");
-        }
-        for c in 0..2 {
-            for (i, (a, b)) in
-                wts_two.class_column(c).iter().zip(wts_fused.class_column(c)).enumerate()
+            // Fused single pass.
+            let mut wts_fused = WtsMatrix::new(0, 0);
+            let mut scratch_fused = EStepScratch::default();
+            let mut stats_fused = SuffStats::zeros(StatLayout::new(&model, j));
+            let mut carry = Vec::new();
+            let (e_fused, mops_fused) = update_wts_and_stats_into(
+                &model,
+                &view,
+                &classes,
+                &mut wts_fused,
+                &mut scratch_fused,
+                &mut stats_fused,
+                &mut carry,
+            );
+
+            assert_eq!(e_two.log_likelihood.to_bits(), e_fused.log_likelihood.to_bits());
+            assert_eq!(e_two.complete_ll.to_bits(), e_fused.complete_ll.to_bits());
+            assert_eq!(e_two.ops, e_fused.ops);
+            assert_eq!(mops_two, mops_fused, "J={j}: statistics op counts must match");
+            for (c, (a, b)) in scratch_two
+                .class_weight_sums
+                .iter()
+                .zip(&scratch_fused.class_weight_sums)
+                .enumerate()
             {
-                assert_eq!(a.to_bits(), b.to_bits(), "weight [{c}][{i}]");
+                assert_eq!(a.to_bits(), b.to_bits(), "J={j}: class weight sum {c}");
             }
-        }
-        for (i, (a, b)) in stats_two.data.iter().zip(&stats_fused.data).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "stat slot {i}: {a} vs {b}");
+            for c in 0..j {
+                for (i, (a, b)) in
+                    wts_two.class_column(c).iter().zip(wts_fused.class_column(c)).enumerate()
+                {
+                    assert_eq!(a.to_bits(), b.to_bits(), "J={j}: weight [{c}][{i}]");
+                }
+            }
+            for (i, (a, b)) in stats_two.data.iter().zip(&stats_fused.data).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "J={j}: stat slot {i}: {a} vs {b}");
+            }
         }
     }
 
@@ -945,7 +982,8 @@ mod tests {
     /// and `SuffStats::accumulate`, on a schema with every term family —
     /// Normal with missing values, LogNormal, Multinomial without and with
     /// a missing level, a 2-D MultiNormal block — at class counts that
-    /// leave class blocks with remainders, over a ragged last tile.
+    /// run every block width (8, 4 and 1 classes, 13 running all three)
+    /// and leave remainders, over a ragged last tile.
     #[test]
     fn every_kernel_instance_is_bitwise_identical_to_plain() {
         use crate::model::init::init_classes;
@@ -1030,7 +1068,7 @@ mod tests {
             bits
         };
 
-        for j in [1, 3, 5, 8] {
+        for j in [1, 3, 5, 8, 13, 24] {
             let classes = init_classes(&model, &view, j, 7 + j as u64);
             let plain = outputs(Isa::Plain, &classes);
             for &isa in &Isa::ALL[1..] {

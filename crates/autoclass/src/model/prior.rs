@@ -673,28 +673,35 @@ impl TermParams {
 
     /// Add this term's log densities for a whole column into `out`
     /// (the hot kernel of `update_wts`; one call per class × attribute).
+    /// `ln_xs` holds `xs[i].ln()` for a LogNormal term, so a caller that
+    /// runs every class over one column takes each logarithm once; a
+    /// Normal term ignores it (pass `&[]`).
     ///
     /// A missing (NaN) value adds `-0.0`, the exact additive identity
     /// (`o + -0.0` is `o` for every `o`, signed zeros included), so the
     /// skip is a select rather than a branch and the loop vectorizes at
-    /// every ISA level with the bits of a branch that skips the add.
+    /// every ISA level with the bits of a branch that skips the add. The
+    /// test is on `x`: a negative `x` has a NaN logarithm but is not
+    /// missing. The parameters are bound by value: a select on a value
+    /// read through a reference makes the read conditional, which the
+    /// wide instances compile to a masked gather per vector.
     /// Always inlined, so the E-step's wide instances compile it at their
     /// own width.
     #[inline(always)]
-    pub fn accumulate_log_prob_real(&self, xs: &[f64], out: &mut [f64]) {
+    pub fn accumulate_log_prob_real(&self, xs: &[f64], ln_xs: &[f64], out: &mut [f64]) {
         debug_assert_eq!(xs.len(), out.len());
-        match self {
+        match *self {
             TermParams::Normal { mean, sigma, log_norm } => {
                 let inv = 1.0 / sigma;
-                for (x, o) in xs.iter().zip(out.iter_mut()) {
+                for (&x, o) in xs.iter().zip(out.iter_mut()) {
                     let z = (x - mean) * inv;
                     *o += if x.is_nan() { -0.0 } else { log_norm - 0.5 * z * z };
                 }
             }
             TermParams::LogNormal { mean, sigma, log_norm } => {
+                assert_eq!(ln_xs.len(), xs.len(), "one logarithm per value");
                 let inv = 1.0 / sigma;
-                for (x, o) in xs.iter().zip(out.iter_mut()) {
-                    let lx = x.ln();
+                for ((&x, &lx), o) in xs.iter().zip(ln_xs).zip(out.iter_mut()) {
                     let z = (lx - mean) * inv;
                     *o += if x.is_nan() { -0.0 } else { log_norm - 0.5 * z * z - lx };
                 }
@@ -905,10 +912,22 @@ mod tests {
         let t = TermParams::normal(0.5, 1.5);
         let xs = [0.0, 1.0, f64::NAN, -3.0];
         let mut out = vec![0.0; 4];
-        t.accumulate_log_prob_real(&xs, &mut out);
+        t.accumulate_log_prob_real(&xs, &[], &mut out);
         for (x, o) in xs.iter().zip(&out) {
             assert!((o - t.log_prob_real(*x)).abs() < 1e-12);
         }
+
+        // A negative value has a NaN logarithm but is not missing: its
+        // NaN density must reach the sum, not be skipped.
+        let t = TermParams::log_normal(0.5, 1.5);
+        let xs = [0.5, 1.0, f64::NAN, 7.0, -2.0];
+        let ln_xs = xs.map(f64::ln);
+        let mut out = vec![0.0; 5];
+        t.accumulate_log_prob_real(&xs, &ln_xs, &mut out);
+        for (x, o) in xs[..4].iter().zip(&out) {
+            assert!((o - t.log_prob_real(*x)).abs() < 1e-12);
+        }
+        assert!(out[4].is_nan());
 
         let m = TermParams::Multinomial { log_p: vec![(0.25f64).ln(), (0.75f64).ln()] };
         let ls = [0u32, 1, crate::data::dataset::MISSING_DISCRETE, 1];

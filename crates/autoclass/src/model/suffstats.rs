@@ -231,9 +231,9 @@ impl SuffStats {
     /// chains starting and ending as `chains` says.
     ///
     /// The chains advance [`LANES`] classes per item loop, one lane per
-    /// class, then one class at a time for the remainder. Each chain still
-    /// adds its items in ascending order, so every sum keeps the bits of a
-    /// one-class-at-a-time fold.
+    /// class, then `LANES / 2`, then one class at a time for the
+    /// remainder. Each chain still adds its items in ascending order, so
+    /// every sum keeps the bits of a one-class-at-a-time fold.
     #[inline(always)]
     fn accumulate_range<C: Chains>(
         &mut self,
@@ -253,6 +253,10 @@ impl SuffStats {
         while c0 + LANES <= j {
             self.accumulate_classes::<LANES, C>(model, view, wts, lo, hi, chains, c0);
             c0 += LANES;
+        }
+        if c0 + LANES / 2 <= j {
+            self.accumulate_classes::<{ LANES / 2 }, C>(model, view, wts, lo, hi, chains, c0);
+            c0 += LANES / 2;
         }
         for c in c0..j {
             self.accumulate_classes::<1, C>(model, view, wts, lo, hi, chains, c);

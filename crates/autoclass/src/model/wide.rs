@@ -16,8 +16,11 @@
 
 /// Classes advanced together by the class-blocked reduction chains (the
 /// E-step's class weight sums and the statistics' carried chains): one
-/// lane per class, four lanes filling an AVX2 register.
-pub(crate) const LANES: usize = 4;
+/// lane per class, eight lanes filling an AVX-512 register. Four lanes
+/// leave the AVX-512 instance waiting on add latency; the chains take the
+/// classes eight at a time, then a block of `LANES / 2`, then one at a
+/// time, so every class count keeps most chains in wide blocks.
+pub(crate) const LANES: usize = 8;
 
 /// A kernel body compiled inside each instance. `run` must be
 /// `#[inline(always)]`, as must everything on its hot path, or it is

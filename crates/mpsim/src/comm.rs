@@ -352,7 +352,7 @@ impl Comm {
     /// envelope; `arrival` is the virtual time the receiver would have to
     /// wait until. No-op without an active fault plan.
     fn integrity_check(&mut self, src: usize, env: &Envelope, arrival: f64) {
-        let Some(fs) = self.fault.clone() else { return };
+        let Some(fs) = &self.fault else { return };
         if let Some(limit) = fs.virtual_timeout() {
             let waited = arrival - self.clock.now();
             if waited > limit {
@@ -409,9 +409,8 @@ impl Comm {
         let mut bytes = bytes;
         let mut depart = self.clock.now();
         let mut sum = None;
-        if let Some(fs) = self.fault.clone() {
-            let phase = self.current_phase().to_string();
-            let d = fs.on_send(self.rank, dst, seq, depart, &phase);
+        if let Some(fs) = &self.fault {
+            let d = fs.on_send(self.rank, dst, seq, depart, self.current_phase());
             let clean = checksum(&bytes);
             sum = Some(clean);
             depart += d.extra_delay;

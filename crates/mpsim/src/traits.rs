@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn comm_implements_the_trait() {
         let spec = presets::zero_cost(4);
-        let out = run_spmd_default(&spec, |c| generic_body(c)).unwrap();
+        let out = run_spmd_default(&spec, generic_body).unwrap();
         for (rank, (sum, m, sub)) in out.per_rank.iter().enumerate() {
             assert_eq!(*sum, 10.0, "rank {rank}");
             // max over ranks = 3, then summed over 4 ranks by iallreduce.

@@ -175,8 +175,7 @@ fn isend_irecv_roundtrip_delivers_and_accounts() {
         } else {
             let mut req = c.irecv_f64s(0, 7);
             c.work(100_000);
-            let data = c.wait(&mut req).expect("recv request returns data");
-            data
+            c.wait(&mut req).expect("recv request returns data")
         }
     })
     .unwrap();

@@ -146,8 +146,8 @@ fn broadcast_gather_and_subcomm_collectives_match() {
         out
     }
     let machine = presets::meiko_cs2(6);
-    let sim = mpsim::run_spmd_default(&machine, |c| body(c)).unwrap();
-    let native = run_native(&machine, &NativeOptions::default(), |c| body(c)).unwrap();
+    let sim = mpsim::run_spmd_default(&machine, body).unwrap();
+    let native = run_native(&machine, &NativeOptions::default(), body).unwrap();
     assert_eq!(sim.per_rank, native.per_rank);
 }
 
@@ -170,7 +170,7 @@ fn nonblocking_requests_match_the_eager_sim() {
         buf.iter().chain(ring.iter()).map(|v| v.to_bits()).collect()
     }
     let machine = presets::meiko_cs2(4);
-    let sim = mpsim::run_spmd_default(&machine, |c| body(c)).unwrap();
-    let native = run_native(&machine, &NativeOptions::default(), |c| body(c)).unwrap();
+    let sim = mpsim::run_spmd_default(&machine, body).unwrap();
+    let native = run_native(&machine, &NativeOptions::default(), body).unwrap();
     assert_eq!(sim.per_rank, native.per_rank);
 }

@@ -98,8 +98,8 @@ fn ragged_nested_groups_sum_exactly() {
         (inner.size(), sum)
     }
     let machine = presets::meiko_cs2(6);
-    let sim = mpsim::run_spmd_default(&machine, |c| run(c)).unwrap();
-    let native = run_native(&machine, &NativeOptions::default(), |c| run(c)).unwrap();
+    let sim = mpsim::run_spmd_default(&machine, run).unwrap();
+    let native = run_native(&machine, &NativeOptions::default(), run).unwrap();
     assert_eq!(sim.per_rank, native.per_rank);
     let expect = [(2, 2.0), (2, 4.0), (2, 2.0), (2, 4.0), (1, 4.0), (1, 5.0)];
     for (rank, (size, sum)) in sim.per_rank.iter().enumerate() {
