@@ -76,10 +76,8 @@ impl Collective for Comm {
         self.check_replication(WORLD_COMM, self.coll_seq, self.size(), label, buf);
     }
     fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
-        let at = Seating { comm: WORLD_COMM, seq: self.coll_seq, members: None, rank: self.rank() };
-        if !self.rendezvous(at, key, op, buf) {
-            schedule::plan(key).run(self, tag, op, buf);
-        }
+        let (seq, rank) = (self.coll_seq, self.rank());
+        self.meet(Seating { comm: WORLD_COMM, seq, members: None, rank, tag }, key, op, buf);
     }
 }
 
@@ -115,7 +113,8 @@ impl World for Comm {
         op: ReduceOp,
         buf: &mut Buf<'_>,
     ) -> bool {
-        self.meet(at, key, op, buf)
+        self.meet(at, key, op, buf);
+        true
     }
 }
 

@@ -5,18 +5,21 @@
 //! and provides blocking `send`/`recv`, plus the collectives of
 //! [`crate::collectives`] and [`crate::schedule`].
 //!
-//! A shared collective is a plan (see [`crate::schedule`]), run one of two
-//! ways. When a fault plan, event recording, a verifier or a replay log is
-//! on, each of those layers has to see every message, so the plan runs as
-//! this rank's sends and receives. Otherwise the rank meets the other
-//! members at one rendezvous (see `crate::coop`), where the last to arrive
-//! runs the plan for all of them; the clock, counters and buffer it hands
-//! back are exactly what the messages would have produced.
+//! A shared collective is a plan (see [`crate::schedule`]) run at one
+//! rendezvous of its members (see `crate::coop`): the rank lends its
+//! buffer and its endpoint — clock, counters, event trace — to the
+//! meeting, and the last member to arrive runs the plan for all of them.
+//! Every message of a run, point-to-point or inside a collective, is
+//! booked by the same two methods, `Endpoint::send` and
+//! `Endpoint::recv`: the LogGP charge, the counters, the event, the fault
+//! plan's checkpoints and directives, the timeout and checksum checks
+//! and the replay-ring record.
 //!
 //! # Virtual time
 //!
-//! Real bytes move between ranks through the cooperative scheduler's
-//! per-pair mailboxes (see [`crate::coop`]), but *time* is modeled: the
+//! Real values move between ranks — point-to-point through the
+//! cooperative scheduler's per-pair mailboxes, collectives at their
+//! rendezvous (see `crate::coop`) — but *time* is modeled: the
 //! sender charges endpoint overhead and stamps the message with its
 //! departure time; the receiver advances to
 //! `max(own clock, departure + transit)` (waiting counts as idle time) and
@@ -36,8 +39,9 @@ use crate::coop::{CoopShared, Deposit};
 use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::FaultState;
-use crate::payload::{checksum, decode_f64s, decode_u64s, encode_f64s, encode_u64s, DecodeError};
-use crate::schedule::{Buf, PlanKey, Seat, Seating, Tally};
+use crate::payload::{checksum_f64s, DecodeError};
+use crate::replay::{ReplayEntry, ReplayLog};
+use crate::schedule::{Buf, PlanKey, Seat, Seating, Stop};
 use crate::trace::{Event, EventKind, PhaseStats, RankStats};
 use crate::verify::{hash_f64s, VerifyState, USER_REPL_COMM};
 
@@ -53,15 +57,32 @@ pub(crate) struct AbortPanic(pub SimError);
 #[derive(Debug)]
 pub(crate) struct Envelope {
     pub tag: u64,
+    pub stamp: Stamp,
+    pub data: Vec<f64>,
+}
+
+/// What the wire attaches to a message that left its sender.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamp {
+    /// Sender's per-rank message sequence number (1-based): its send
+    /// count, so integrity and failure errors can name the exact message.
+    pub seq: u64,
     /// Sender's virtual time at which the message left the NIC.
     pub depart: f64,
-    /// Sender's per-rank message sequence number (1-based), so integrity
-    /// and failure errors can name the exact message.
-    pub seq: u64,
-    /// FNV-1a checksum of `bytes` as sent; stamped only when a fault plan
-    /// is active, verified on arrival.
-    pub checksum: Option<u64>,
-    pub bytes: Vec<u8>,
+    /// FNV-1a checksum of the payload as sent, stamped only when a fault
+    /// plan is active (0 otherwise) and checked on arrival.
+    pub sum: u64,
+    /// Checksum of the payload as it arrives: `sum` unless the fault plan
+    /// corrupted it.
+    pub found: u64,
+}
+
+/// What every message of a run is charged against, shared by its ranks:
+/// the machine, and the fault plan and replay log when installed.
+pub(crate) struct Net {
+    pub spec: MachineSpec,
+    pub fault: Option<FaultState>,
+    pub replay: Option<ReplayLog>,
 }
 
 /// What a [`Request`] is waiting for.
@@ -133,11 +154,11 @@ impl Drop for Request {
 /// explicit [`Comm::enter_phase`] span.
 pub const DEFAULT_PHASE: &str = "other";
 
-/// Per-phase message counters mirroring the time buckets in
-/// [`crate::clock::Clock`]; merged with them into
-/// [`crate::trace::PhaseStats`] when stats are snapshotted.
+/// Message and collective counters of one phase bucket; merged with the
+/// clock's times into [`crate::trace::PhaseStats`], and summed into
+/// [`RankStats`], when stats are snapshotted.
 #[derive(Debug, Clone, Copy, Default)]
-struct PhaseCounters {
+struct Counters {
     msgs_sent: u64,
     bytes_sent: u64,
     msgs_recvd: u64,
@@ -145,14 +166,213 @@ struct PhaseCounters {
     collectives: u64,
 }
 
+/// One rank's end of the wire: its clock and everything a message it
+/// sends or receives is booked into. A [`Comm`] owns one and lends it to
+/// each rendezvous, where the plan's messages are booked into it by the
+/// same methods that book the envelopes [`Comm::send_f64s`] and
+/// [`Comm::recv_f64s`] move. The default is the stand-in a [`Seat`]
+/// holds while its member keeps its own endpoint.
+#[derive(Debug, Default)]
+pub(crate) struct Endpoint {
+    /// World rank.
+    pub rank: usize,
+    pub clock: Clock,
+    /// Messages sent so far, across phases: the last one's sequence
+    /// number.
+    sent: u64,
+    /// Per-phase counters, parallel to the clock's time buckets.
+    phases: Vec<Counters>,
+    /// Phase names, parallel to the clock's time buckets; `[0]` is the
+    /// implicit [`DEFAULT_PHASE`] bucket.
+    phase_names: Vec<String>,
+    /// Message event trace; `None` when tracing is disabled.
+    events: Option<Vec<Event>>,
+}
+
+impl Endpoint {
+    fn new(rank: usize, record_events: bool) -> Self {
+        Endpoint {
+            rank,
+            clock: Clock::new(),
+            sent: 0,
+            phases: vec![Counters::default()],
+            phase_names: vec![DEFAULT_PHASE.to_string()],
+            events: record_events.then(Vec::new),
+        }
+    }
+
+    /// Name of the phase currently receiving attribution.
+    fn phase(&self) -> &str {
+        &self.phase_names[self.clock.current_phase()]
+    }
+
+    /// Apply `f` to the current phase's counters.
+    #[inline]
+    fn count(&mut self, f: impl Fn(&mut Counters)) {
+        f(&mut self.phases[self.clock.current_phase()]);
+    }
+
+    #[inline]
+    fn event(&mut self, kind: EventKind, peer: usize, bytes: usize, tag: u64) {
+        if let Some(events) = &mut self.events {
+            events.push(Event { t: self.clock.now(), kind, peer, bytes, tag });
+        }
+    }
+
+    /// Fault-injection checkpoint (send entry, receive entry,
+    /// [`Comm::work`]): the typed error this rank dies with when the fault
+    /// plan crashes it now. Its failure record is published before this
+    /// returns, so no peer can observe the death without its explanation.
+    #[inline]
+    pub fn crash(&self, net: &Net) -> Option<SimError> {
+        let fs = net.fault.as_ref()?;
+        let rec = fs.crash_due(self.rank, self.sent, self.clock.now(), self.phase())?;
+        Some(SimError::RankCrashed { rank: self.rank, seq: rec.seq, phase: rec.phase })
+    }
+
+    /// Book a send of `data` to `dst` with `tag`: count it, charge
+    /// endpoint overhead, record the event, then apply the fault plan's
+    /// directive for it. Returns the message's stamp, or `None` when the
+    /// wire drops it: the sender has charged all its costs and believes
+    /// the message left.
+    #[inline]
+    pub fn send(&mut self, net: &Net, dst: usize, tag: u64, data: &[f64]) -> Option<Stamp> {
+        let len = 8 * data.len();
+        self.sent += 1;
+        self.count(|c| {
+            c.msgs_sent += 1;
+            c.bytes_sent += len as u64;
+        });
+        self.clock.advance_comm(net.spec.network.overhead);
+        self.event(EventKind::Send, dst, len, tag);
+        let (seq, now) = (self.sent, self.clock.now());
+        let (depart, sum, found) = match &net.fault {
+            None => (now, 0, 0),
+            Some(fs) => self.faulted(net, fs, dst, data, seq)?,
+        };
+        Some(Stamp { seq, depart, sum, found })
+    }
+
+    /// Apply the fault plan's directive to message `seq`, `data` to `dst`,
+    /// leaving now: its departure and its checksums as sent and as they
+    /// arrive, or `None` when the wire drops it.
+    fn faulted(
+        &self,
+        net: &Net,
+        fs: &FaultState,
+        dst: usize,
+        data: &[f64],
+        seq: u64,
+    ) -> Option<(f64, u64, u64)> {
+        let len = 8 * data.len();
+        let mut depart = self.clock.now();
+        let d = fs.on_send(self.rank, dst, seq, depart, self.phase());
+        let clean = checksum_f64s(data, None);
+        let (sum, found) = match d.corrupt {
+            None => (clean, clean),
+            // Nothing to flip: corrupt the checksum instead so the fault
+            // is still observable on arrival.
+            Some((_, mask)) if len == 0 => (clean ^ u64::from(mask), clean),
+            Some((byte, mask)) => (clean, checksum_f64s(data, Some((byte % len, mask)))),
+        };
+        depart += d.extra_delay;
+        if let Some(factor) = d.degrade_factor {
+            // Inflate departure by the extra per-byte wire time of the
+            // degraded link; latency and endpoint overhead are as built.
+            let per_byte =
+                net.spec.transit(len, self.rank, dst) - net.spec.transit(0, self.rank, dst);
+            depart += (factor - 1.0) * per_byte;
+        }
+        (!d.dropped).then_some((depart, sum, found))
+    }
+
+    /// Virtual time at which a message of `len` bytes from `src` stamped
+    /// `stamp` arrives here.
+    #[inline]
+    fn arrival(&self, net: &Net, src: usize, len: usize, stamp: &Stamp) -> f64 {
+        stamp.depart + net.spec.transit(len, src, self.rank)
+    }
+
+    /// The fault plan's virtual-time timeout and checksum verification
+    /// of a message from `src` this rank waits for until `arrival`.
+    fn check(
+        &self,
+        fs: &FaultState,
+        src: usize,
+        stamp: &Stamp,
+        arrival: f64,
+    ) -> Result<(), SimError> {
+        if let Some(limit) = fs.virtual_timeout() {
+            let waited = arrival - self.clock.now();
+            if waited > limit {
+                let phase = self.phase().to_string();
+                let (rank, seq) = (self.rank, stamp.seq);
+                return Err(SimError::Timeout { rank, from: src, seq, waited, limit, phase });
+            }
+        }
+        if stamp.found != stamp.sum {
+            let cause = DecodeError::ChecksumMismatch { expected: stamp.sum, found: stamp.found };
+            return Err(SimError::PayloadCorrupt {
+                rank: self.rank,
+                from: src,
+                seq: stamp.seq,
+                cause,
+            });
+        }
+        Ok(())
+    }
+
+    /// Book a message delivered from `src`: count it, record the event,
+    /// and log its coordinates into the replay ring when one is
+    /// installed, charging the bounded-ring write on this rank's clock —
+    /// recovery logging is not free.
+    #[inline]
+    fn delivered(&mut self, net: &Net, src: usize, tag: u64, len: usize, stamp: &Stamp) {
+        self.count(|c| {
+            c.msgs_recvd += 1;
+            c.bytes_recvd += len as u64;
+        });
+        self.event(EventKind::Recv, src, len, tag);
+        let Some(log) = &net.replay else { return };
+        log.record(self.rank, ReplayEntry { src, tag, seq: stamp.seq, checksum: stamp.sum, len });
+        let dt =
+            ReplayLog::WRITE_OPS as f64 * net.spec.compute.sec_per_op / net.spec.speed(self.rank);
+        self.clock.advance_compute(dt);
+    }
+
+    /// Book the blocking receive of a message of `len` bytes from `src`:
+    /// check it, idle until it arrives, charge endpoint overhead, and book
+    /// its delivery.
+    #[inline]
+    pub fn recv(
+        &mut self,
+        net: &Net,
+        src: usize,
+        tag: u64,
+        len: usize,
+        stamp: &Stamp,
+    ) -> Result<(), SimError> {
+        let arrival = self.arrival(net, src, len, stamp);
+        if let Some(fs) = &net.fault {
+            self.check(fs, src, stamp, arrival)?;
+        }
+        self.clock.wait_until(arrival);
+        self.clock.advance_comm(net.spec.network.overhead);
+        self.delivered(net, src, tag, len, stamp);
+        Ok(())
+    }
+}
+
 /// Per-rank communicator for one SPMD run. Not `Clone`: exactly one per
 /// rank, mirroring an MPI process.
 pub struct Comm {
     rank: usize,
     size: usize,
-    spec: Arc<MachineSpec>,
-    clock: Clock,
-    stats: RankStats,
+    /// The machine, fault plan and replay log every message is charged
+    /// against.
+    net: Arc<Net>,
+    /// This rank's clock, counters and event trace.
+    ep: Endpoint,
     /// The scheduler and mailboxes shared by every rank of the run.
     coop: Arc<CoopShared>,
     /// Messages received out of tag order, keyed by source, in arrival
@@ -165,72 +385,45 @@ pub struct Comm {
     pub(crate) coll_seq: u64,
     /// Monotone counter for user-level [`Comm::verify_replicated`] calls.
     repl_seq: u64,
-    /// Phase names, parallel to the clock's time buckets; `[0]` is the
-    /// implicit [`DEFAULT_PHASE`] bucket.
-    phase_names: Vec<String>,
-    /// Per-phase message counters, parallel to `phase_names`.
-    phase_counters: Vec<PhaseCounters>,
     /// Stack of open `enter_phase` spans (bucket indices).
     phase_stack: Vec<usize>,
-    /// Message event trace; `None` when tracing is disabled.
-    events: Option<Vec<Event>>,
     /// Shared verification state; `None` when every check is disabled.
     pub(crate) verify: Option<Arc<VerifyState>>,
-    /// Shared fault-injection state; `None` when no fault plan is active.
-    fault: Option<Arc<FaultState>>,
-    /// Shared in-flight replay log (see [`crate::replay`]); `None` when
-    /// no localized-recovery supervisor installed one.
-    replay: Option<crate::replay::ReplayLog>,
     /// Completion horizon of non-blocking collectives already posted:
     /// later posts may not complete before earlier ones (the wire is
     /// FIFO per endpoint), so each new completion is clamped to at least
     /// this value.
     nb_horizon: f64,
-    /// Whether collectives run at one rendezvous rather than as messages:
-    /// only when nothing needs to see each message (no fault plan, event
-    /// recording, verifier or replay log).
-    meets: bool,
     /// This rank's seat at the rendezvous, lent to each meeting and taken
     /// back after it, so a collective allocates nothing per member: its
-    /// buffer is refilled in place and its clock swapped in and out.
+    /// buffer is refilled in place and its endpoint swapped in and out.
     /// Made at the first meeting.
     seat: Option<Box<Seat>>,
 }
 
 impl Comm {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rank: usize,
-        spec: Arc<MachineSpec>,
+        net: Arc<Net>,
         coop: Arc<CoopShared>,
         abort: Arc<AtomicBool>,
         record_events: bool,
         verify: Option<Arc<VerifyState>>,
-        fault: Option<Arc<FaultState>>,
-        replay: Option<crate::replay::ReplayLog>,
     ) -> Self {
-        let size = spec.p;
-        let meets = !record_events && verify.is_none() && fault.is_none() && replay.is_none();
+        let size = net.spec.p;
         Comm {
             rank,
             size,
-            spec,
-            clock: Clock::new(),
-            stats: RankStats { rank, ..Default::default() },
+            net,
+            ep: Endpoint::new(rank, record_events),
             coop,
             stash: BTreeMap::new(),
             abort,
             coll_seq: 0,
             repl_seq: 0,
-            phase_names: vec![DEFAULT_PHASE.to_string()],
-            phase_counters: vec![PhaseCounters::default()],
             phase_stack: Vec::new(),
-            events: record_events.then(Vec::new),
             verify,
-            fault,
-            replay,
             nb_horizon: 0.0,
-            meets,
             seat: None,
         }
     }
@@ -247,12 +440,12 @@ impl Comm {
 
     /// The machine being simulated.
     pub fn machine(&self) -> &MachineSpec {
-        &self.spec
+        &self.net.spec
     }
 
     /// Current virtual time on this rank, in seconds.
     pub fn now(&self) -> f64 {
-        self.clock.now()
+        self.ep.clock.now()
     }
 
     /// Charge `ops` abstract operations of local compute to the virtual
@@ -260,13 +453,14 @@ impl Comm {
     /// this rank's relative speed on heterogeneous machines.
     pub fn work(&mut self, ops: u64) {
         self.fault_checkpoint();
-        let dt = ops as f64 * self.spec.compute.sec_per_op / self.spec.speed(self.rank);
-        self.clock.advance_compute(dt);
+        let spec = &self.net.spec;
+        let dt = ops as f64 * spec.compute.sec_per_op / spec.speed(self.rank);
+        self.ep.clock.advance_compute(dt);
     }
 
     /// Charge an exact number of virtual seconds of local compute.
     pub fn work_secs(&mut self, secs: f64) {
-        self.clock.advance_compute(secs);
+        self.ep.clock.advance_compute(secs);
     }
 
     /// Run `f`, measure its wall-clock duration, and charge it (scaled by
@@ -274,8 +468,8 @@ impl Comm {
     pub fn measured<R>(&mut self, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
-        let dt = start.elapsed().as_secs_f64() * self.spec.compute.wall_scale;
-        self.clock.advance_compute(dt);
+        let dt = start.elapsed().as_secs_f64() * self.net.spec.compute.wall_scale;
+        self.ep.clock.advance_compute(dt);
         out
     }
 
@@ -291,18 +485,19 @@ impl Comm {
     /// partition the rank's elapsed time: whatever runs outside any span
     /// lands in the implicit [`DEFAULT_PHASE`] bucket.
     pub fn enter_phase(&mut self, name: &str) {
-        let idx = match self.phase_names.iter().position(|n| n == name) {
+        let ep = &mut self.ep;
+        let idx = match ep.phase_names.iter().position(|n| n == name) {
             Some(idx) => idx,
             None => {
-                let idx = self.clock.push_phase();
-                self.phase_names.push(name.to_string());
-                self.phase_counters.push(PhaseCounters::default());
-                debug_assert_eq!(self.phase_names.len(), idx + 1);
+                let idx = ep.clock.push_phase();
+                ep.phase_names.push(name.to_string());
+                ep.phases.push(Counters::default());
+                debug_assert_eq!(ep.phase_names.len(), idx + 1);
                 idx
             }
         };
         self.phase_stack.push(idx);
-        self.clock.set_phase(idx);
+        ep.clock.set_phase(idx);
     }
 
     /// Close the innermost open phase span, returning attribution to the
@@ -311,12 +506,12 @@ impl Comm {
     /// enter/exit stays safe even if its caller already unwound the stack.
     pub fn exit_phase(&mut self) {
         self.phase_stack.pop();
-        self.clock.set_phase(self.phase_stack.last().copied().unwrap_or(0));
+        self.ep.clock.set_phase(self.phase_stack.last().copied().unwrap_or(0));
     }
 
     /// Name of the phase currently receiving attribution.
     pub fn current_phase(&self) -> &str {
-        &self.phase_names[self.clock.current_phase()]
+        self.ep.phase()
     }
 
     fn check_abort(&self) {
@@ -330,119 +525,40 @@ impl Comm {
         std::panic::panic_any(AbortPanic(err));
     }
 
+    /// Die with `err`, an injected crash. Deliberately does *not* set the
+    /// shared abort flag — the peers must detect the failure through the
+    /// fault records (that detection path is the machinery under test),
+    /// not be torn down by the engine.
+    fn die(err: SimError) -> ! {
+        std::panic::panic_any(AbortPanic(err));
+    }
+
     /// Fault-injection checkpoint: die here when the plan says this rank
-    /// crashes now. Deliberately does *not* set the shared abort flag —
-    /// the peers must detect the failure through the fault records (that
-    /// detection path is the machinery under test), not be torn down by
-    /// the engine.
-    fn fault_checkpoint(&mut self) {
-        let Some(fs) = &self.fault else { return };
-        if let Some(rec) =
-            fs.crash_due(self.rank, self.stats.msgs_sent, self.clock.now(), self.current_phase())
-        {
-            std::panic::panic_any(AbortPanic(SimError::RankCrashed {
-                rank: self.rank,
-                seq: rec.seq,
-                phase: rec.phase,
-            }));
+    /// crashes now.
+    fn fault_checkpoint(&self) {
+        if let Some(err) = self.ep.crash(&self.net) {
+            Self::die(err);
         }
     }
 
-    /// Virtual-time timeout and checksum verification for an arriving
-    /// envelope; `arrival` is the virtual time the receiver would have to
-    /// wait until. No-op without an active fault plan.
-    fn integrity_check(&mut self, src: usize, env: &Envelope, arrival: f64) {
-        let Some(fs) = &self.fault else { return };
-        if let Some(limit) = fs.virtual_timeout() {
-            let waited = arrival - self.clock.now();
-            if waited > limit {
-                let phase = self.current_phase().to_string();
-                self.fail(SimError::Timeout {
-                    rank: self.rank,
-                    from: src,
-                    seq: env.seq,
-                    waited,
-                    limit,
-                    phase,
-                });
-            }
-        }
-        if let Some(expected) = env.checksum {
-            let found = checksum(&env.bytes);
-            if found != expected {
-                self.fail(SimError::PayloadCorrupt {
-                    rank: self.rank,
-                    from: src,
-                    seq: env.seq,
-                    cause: DecodeError::ChecksumMismatch { expected, found },
-                });
-            }
-        }
-    }
-
-    /// Send `bytes` to `dst` with `tag`. Buffered and non-blocking, like an
-    /// `MPI_Send` that always finds buffer space.
+    /// Send `values` to `dst` with `tag`. Buffered and non-blocking, like
+    /// an `MPI_Send` that always finds buffer space.
     ///
     /// # Panics
-    /// Panics if `dst` is out of range or `tag` exceeds [`MAX_USER_TAG`]
-    /// (internal collective calls may use larger tags).
-    pub fn send_bytes(&mut self, dst: usize, tag: u64, bytes: Vec<u8>) {
+    /// Panics if `dst` is out of range.
+    pub fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
         assert!(dst < self.size, "send to rank {dst} but size is {}", self.size);
         self.check_abort();
         self.fault_checkpoint();
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += bytes.len() as u64;
-        let cur = self.clock.current_phase();
-        self.phase_counters[cur].msgs_sent += 1;
-        self.phase_counters[cur].bytes_sent += bytes.len() as u64;
-        self.clock.advance_comm(self.spec.network.overhead);
-        if let Some(events) = &mut self.events {
-            events.push(Event {
-                t: self.clock.now(),
-                kind: EventKind::Send,
-                peer: dst,
-                bytes: bytes.len(),
-                tag,
-            });
-        }
-        let seq = self.stats.msgs_sent;
-        let mut bytes = bytes;
-        let mut depart = self.clock.now();
-        let mut sum = None;
-        if let Some(fs) = &self.fault {
-            let d = fs.on_send(self.rank, dst, seq, depart, self.current_phase());
-            let clean = checksum(&bytes);
-            sum = Some(clean);
-            depart += d.extra_delay;
-            if let Some(factor) = d.degrade_factor {
-                // Inflate departure by the extra per-byte wire time of the
-                // degraded link; latency and endpoint overhead are as built.
-                let per_byte = self.spec.transit(bytes.len(), self.rank, dst)
-                    - self.spec.transit(0, self.rank, dst);
-                depart += (factor - 1.0) * per_byte;
-            }
-            if let Some((byte, mask)) = d.corrupt {
-                if bytes.is_empty() {
-                    // Nothing to flip: corrupt the checksum instead so the
-                    // fault is still observable on arrival.
-                    sum = Some(clean ^ u64::from(mask));
-                } else {
-                    let i = byte % bytes.len();
-                    bytes[i] ^= mask;
-                }
-            }
-            if d.dropped {
-                // The sender has charged all its costs and believes the
-                // message left; the wire loses it before any mailbox.
-                return;
-            }
-        }
-        let env = Envelope { tag, depart, seq, checksum: sum, bytes };
+        let Some(stamp) = self.ep.send(&self.net, dst, tag, values) else {
+            return;
+        };
+        let env = Envelope { tag, stamp, data: values.to_vec() };
         // A gone receiver means the run is aborting after a failure
         // elsewhere, or `dst` already finished its body and will never
         // receive again. The latter is legal for a buffered send: the
-        // bytes are simply never read.
-        match self.coop.deposit(self.rank, dst, env, self.clock.now()) {
+        // values are simply never read.
+        match self.coop.deposit(self.rank, dst, env, self.ep.clock.now()) {
             Ok(Deposit::Delivered) => {}
             Ok(Deposit::Closed) => self.check_abort(),
             // Woken with a typed error (stall rescue or abort cascade)
@@ -452,19 +568,22 @@ impl Comm {
         }
     }
 
-    /// Blocking receive of a message from `src` with exactly `tag`.
+    /// Blocking receive of the message from `src` with exactly `tag`.
     /// Messages from `src` with other tags are stashed and delivered to
     /// later matching receives in arrival order.
-    pub fn recv_bytes(&mut self, src: usize, tag: u64) -> Vec<u8> {
+    pub fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
         let env = self.pull_envelope(src, tag);
-        self.accept(src, env)
+        if let Err(err) = self.ep.recv(&self.net, src, tag, 8 * env.data.len(), &env.stamp) {
+            self.fail(err);
+        }
+        env.data
     }
 
     /// Take the next envelope from `src` with exactly `tag` off the wire
-    /// (or the stash), parking until the scheduler delivers it. No virtual-time
-    /// or statistics bookkeeping happens here; callers pair this with
-    /// [`Comm::accept`] (blocking receive) or the non-blocking completion
-    /// path in [`Comm::wait`].
+    /// (or the stash), parking until the scheduler delivers it. No
+    /// virtual-time or statistics bookkeeping happens here; callers pair
+    /// this with [`Endpoint::recv`] (blocking receive) or the non-blocking
+    /// completion path in [`Comm::wait`].
     fn pull_envelope(&mut self, src: usize, tag: u64) -> Envelope {
         assert!(src < self.size, "recv from rank {src} but size is {}", self.size);
         self.fault_checkpoint();
@@ -475,12 +594,18 @@ impl Comm {
                 return q.remove(pos).expect("position is valid");
             }
         }
-        // No wall-clock deadline: a wait that can never be satisfied is
-        // detected structurally the moment the run has no runnable rank,
-        // and surfaces here as a typed error.
+        self.await_envelope(src, tag)
+    }
+
+    /// Park until the scheduler delivers the next envelope from `src` with
+    /// exactly `tag`, stashing others from `src`. No wall-clock deadline:
+    /// a wait that can never be satisfied is detected structurally the
+    /// moment the run has no runnable rank, and surfaces here as a typed
+    /// error.
+    fn await_envelope(&mut self, src: usize, tag: u64) -> Envelope {
         loop {
             self.check_abort();
-            match self.coop.pull_or_block(self.rank, src, tag, self.clock.now()) {
+            match self.coop.pull_or_block(self.rank, src, tag, self.ep.clock.now()) {
                 Ok(env) if env.tag == tag => return env,
                 Ok(env) => self.stash.entry(src).or_default().push_back(env),
                 Err(err) => self.fail(err),
@@ -488,87 +613,12 @@ impl Comm {
         }
     }
 
-    /// Book a received envelope: advance the virtual clock to its arrival
-    /// and charge endpoint overhead.
-    fn accept(&mut self, src: usize, env: Envelope) -> Vec<u8> {
-        let transit = self.spec.transit(env.bytes.len(), src, self.rank);
-        self.integrity_check(src, &env, env.depart + transit);
-        self.clock.wait_until(env.depart + transit);
-        self.clock.advance_comm(self.spec.network.overhead);
-        self.stats.msgs_recvd += 1;
-        self.stats.bytes_recvd += env.bytes.len() as u64;
-        let cur = self.clock.current_phase();
-        self.phase_counters[cur].msgs_recvd += 1;
-        self.phase_counters[cur].bytes_recvd += env.bytes.len() as u64;
-        if let Some(events) = &mut self.events {
-            events.push(Event {
-                t: self.clock.now(),
-                kind: EventKind::Recv,
-                peer: src,
-                bytes: env.bytes.len(),
-                tag: env.tag,
-            });
-        }
-        self.replay_record(src, env.tag, env.seq, env.checksum, env.bytes.len());
-        env.bytes
-    }
-
-    /// Log a delivered envelope's coordinates into the replay ring (when
-    /// one is installed) and charge the bounded-ring write on this rank's
-    /// clock — recovery logging is not free.
-    fn replay_record(&mut self, src: usize, tag: u64, seq: u64, checksum: Option<u64>, len: usize) {
-        let Some(log) = &self.replay else { return };
-        log.record(
-            self.rank,
-            crate::replay::ReplayEntry { src, tag, seq, checksum: checksum.unwrap_or(0), len },
-        );
-        let dt = crate::replay::ReplayLog::WRITE_OPS as f64 * self.spec.compute.sec_per_op
-            / self.spec.speed(self.rank);
-        self.clock.advance_compute(dt);
-    }
-
     /// Drop this rank's replay-ring entries: the checkpoint that was just
     /// published covers everything delivered so far, so none of it can
     /// need replaying. No-op when no log is installed.
     pub fn replay_truncate(&mut self) {
-        if let Some(log) = &self.replay {
+        if let Some(log) = &self.net.replay {
             log.truncate(self.rank);
-        }
-    }
-
-    /// Typed send of an `f64` slice.
-    pub fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
-        self.send_bytes(dst, tag, encode_f64s(values));
-    }
-
-    /// Typed receive of an `f64` vector.
-    pub fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        let env = self.pull_envelope(src, tag);
-        let seq = env.seq;
-        let bytes = self.accept(src, env);
-        match decode_f64s(&bytes) {
-            Ok(v) => v,
-            Err(cause) => {
-                self.fail(SimError::PayloadCorrupt { rank: self.rank, from: src, seq, cause })
-            }
-        }
-    }
-
-    /// Typed send of a `u64` slice.
-    pub fn send_u64s(&mut self, dst: usize, tag: u64, values: &[u64]) {
-        self.send_bytes(dst, tag, encode_u64s(values));
-    }
-
-    /// Typed receive of a `u64` vector.
-    pub fn recv_u64s(&mut self, src: usize, tag: u64) -> Vec<u64> {
-        let env = self.pull_envelope(src, tag);
-        let seq = env.seq;
-        let bytes = self.accept(src, env);
-        match decode_u64s(&bytes) {
-            Ok(v) => v,
-            Err(cause) => {
-                self.fail(SimError::PayloadCorrupt { rank: self.rank, from: src, seq, cause })
-            }
         }
     }
 
@@ -578,7 +628,7 @@ impl Comm {
     /// keep the post/wait protocol uniform across operation kinds.
     pub fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Request {
         self.send_f64s(dst, tag, values);
-        let now = self.clock.now();
+        let now = self.ep.clock.now();
         Request {
             rank: self.rank,
             kind: ReqKind::Send,
@@ -598,8 +648,8 @@ impl Comm {
         assert!(src < self.size, "irecv from rank {src} but size is {}", self.size);
         self.check_abort();
         self.fault_checkpoint();
-        self.clock.advance_comm(self.spec.network.overhead);
-        let now = self.clock.now();
+        self.ep.clock.advance_comm(self.net.spec.network.overhead);
+        let now = self.ep.clock.now();
         Request {
             rank: self.rank,
             kind: ReqKind::Recv { src, tag },
@@ -635,37 +685,20 @@ impl Comm {
             }
             ReqKind::Recv { src, tag } => {
                 let env = self.pull_envelope(src, tag);
-                let transit = self.spec.transit(env.bytes.len(), src, self.rank);
-                let completion = (env.depart + transit).max(req.window_start);
+                let len = 8 * env.data.len();
+                let completion =
+                    self.ep.arrival(&self.net, src, len, &env.stamp).max(req.window_start);
                 req.completion = completion;
-                self.integrity_check(src, &env, completion);
+                if let Some(fs) = &self.net.fault {
+                    if let Err(err) = self.ep.check(fs, src, &env.stamp, completion) {
+                        self.fail(err);
+                    }
+                }
                 self.finish_window(req.window_start, completion);
                 // Count the receive where it completes. Endpoint overhead
                 // was already charged at post, so none is charged here.
-                self.stats.msgs_recvd += 1;
-                self.stats.bytes_recvd += env.bytes.len() as u64;
-                let cur = self.clock.current_phase();
-                self.phase_counters[cur].msgs_recvd += 1;
-                self.phase_counters[cur].bytes_recvd += env.bytes.len() as u64;
-                if let Some(events) = &mut self.events {
-                    events.push(Event {
-                        t: self.clock.now(),
-                        kind: EventKind::Recv,
-                        peer: src,
-                        bytes: env.bytes.len(),
-                        tag: env.tag,
-                    });
-                }
-                self.replay_record(src, env.tag, env.seq, env.checksum, env.bytes.len());
-                match decode_f64s(&env.bytes) {
-                    Ok(v) => Some(v),
-                    Err(cause) => self.fail(SimError::PayloadCorrupt {
-                        rank: self.rank,
-                        from: src,
-                        seq: env.seq,
-                        cause,
-                    }),
-                }
+                self.ep.delivered(&self.net, src, tag, len, &env.stamp);
+                Some(env.data)
             }
         }
     }
@@ -679,16 +712,16 @@ impl Comm {
     /// its hidden part (elapsed behind other work since the post — shadow
     /// accounting) and its exposed remainder (charged as idle).
     fn finish_window(&mut self, window_start: f64, completion: f64) {
-        let now = self.clock.now();
-        let hidden = (completion.min(now) - window_start).max(0.0);
-        self.clock.add_overlap(hidden);
-        self.clock.wait_until(completion);
+        let clock = &mut self.ep.clock;
+        let hidden = (completion.min(clock.now()) - window_start).max(0.0);
+        clock.add_overlap(hidden);
+        clock.wait_until(completion);
     }
 
     /// Snapshot the clock's idle accumulator before a non-blocking
     /// collective's eager data movement (see [`Comm::nb_retract`]).
     pub(crate) fn nb_idle_snapshot(&self) -> f64 {
-        self.clock.idle()
+        self.ep.clock.idle()
     }
 
     /// Turn an eagerly-executed collective into a non-blocking request.
@@ -700,50 +733,45 @@ impl Comm {
     /// the as-if-blocking finish as the request's completion, clamped to
     /// the FIFO horizon of earlier posts.
     pub(crate) fn nb_retract(&mut self, idle_before: f64) -> Request {
-        let finish = self.clock.now();
-        let idle_delta = self.clock.idle() - idle_before;
-        self.clock.retract_idle(idle_delta);
+        let clock = &mut self.ep.clock;
+        let finish = clock.now();
+        let idle_delta = clock.idle() - idle_before;
+        clock.retract_idle(idle_delta);
         let completion = finish.max(self.nb_horizon);
         self.nb_horizon = completion;
         Request {
             rank: self.rank,
             kind: ReqKind::Coll,
-            window_start: self.clock.now(),
+            window_start: self.ep.clock.now(),
             completion,
             done: false,
         }
     }
 
-    /// Run plan `key` at the rendezvous `at`, unless this run's collectives
-    /// must run as messages (then return `false`): lend this rank's seat,
-    /// holding its buffer, clock and arguments, park until the last member
-    /// has run the plan for everyone, then take the seat back with the
-    /// result, the advanced clock and the messages the plan sent and
-    /// received on this rank's behalf.
-    pub(crate) fn meet(
-        &mut self,
-        at: Seating<'_>,
-        key: PlanKey,
-        op: ReduceOp,
-        buf: &mut Buf<'_>,
-    ) -> bool {
-        if !self.meets {
-            return false;
-        }
+    /// Run plan `key` at the rendezvous `at`: lend this rank's seat,
+    /// holding its buffer, endpoint and arguments, park until the last
+    /// member has run the plan for everyone, then take the seat back with
+    /// the result and the endpoint the plan's messages were booked into.
+    ///
+    /// A fault inside the collective stops this rank's program where the
+    /// messages would have: an injected crash dies here; a timeout or
+    /// corrupt payload fails the run; a receive whose sender never sent
+    /// waits here as that receive would, until the scheduler's stall
+    /// diagnosis names the culprit.
+    pub(crate) fn meet(&mut self, at: Seating<'_>, key: PlanKey, op: ReduceOp, buf: &mut Buf<'_>) {
         self.check_abort();
         let mut seat = self.seat.take().unwrap_or_else(|| {
             Box::new(Seat {
-                clock: Clock::new(),
-                tally: Tally::default(),
+                ep: Endpoint::default(),
                 key,
                 op,
                 data: Vec::new(),
                 blocks: Vec::new(),
+                stop: None,
             })
         });
         seat.key = key;
         seat.op = op;
-        seat.tally = Tally::default();
         match buf {
             Buf::Flat(b) => {
                 seat.data.clear();
@@ -751,22 +779,13 @@ impl Comm {
             }
             Buf::Blocks(bl) => seat.data = std::mem::take(&mut bl[at.rank]),
         }
-        std::mem::swap(&mut self.clock, &mut seat.clock);
-        let mut seat = match self.coop.meet(self.rank, at, seat, &self.spec) {
+        std::mem::swap(&mut self.ep, &mut seat.ep);
+        let mut seat = match self.coop.meet(self.rank, at, seat) {
             Ok(seat) => seat,
             Err(err) => self.fail(err),
         };
-        std::mem::swap(&mut self.clock, &mut seat.clock);
-        let t = seat.tally;
-        self.stats.msgs_sent += t.msgs_sent;
-        self.stats.bytes_sent += t.bytes_sent;
-        self.stats.msgs_recvd += t.msgs_recvd;
-        self.stats.bytes_recvd += t.bytes_recvd;
-        let c = &mut self.phase_counters[self.clock.current_phase()];
-        c.msgs_sent += t.msgs_sent;
-        c.bytes_sent += t.bytes_sent;
-        c.msgs_recvd += t.msgs_recvd;
-        c.bytes_recvd += t.bytes_recvd;
+        std::mem::swap(&mut self.ep, &mut seat.ep);
+        let stop = seat.stop.take();
         match buf {
             Buf::Flat(b) => b.copy_from_slice(&seat.data),
             Buf::Blocks(bl) if seat.blocks.is_empty() => {
@@ -775,22 +794,31 @@ impl Comm {
             Buf::Blocks(bl) => **bl = std::mem::take(&mut seat.blocks),
         }
         self.seat = Some(seat);
-        true
+        match stop.map(|stop| *stop) {
+            None => {}
+            Some(Stop::Crashed(err)) => Self::die(err),
+            Some(Stop::Failed(err)) => self.fail(err),
+            Some(Stop::Waits { src }) => {
+                // Nothing of this collective ever moves as an envelope, so
+                // this parks until the stall diagnosis or an abort ends it.
+                self.await_envelope(src, at.tag);
+                self.fail(SimError::CollectiveMismatch {
+                    rank: self.rank,
+                    detail: format!(
+                        "a message tagged {:#x} from rank {src} arrived outside its collective",
+                        at.tag
+                    ),
+                });
+            }
+        }
     }
 
     /// Snapshot of this rank's statistics with the clock folded in.
     pub fn stats(&self) -> RankStats {
-        let mut s = self.stats.clone();
-        s.elapsed = self.clock.now();
-        s.compute = self.clock.compute();
-        s.comm = self.clock.comm();
-        s.idle = self.clock.idle();
-        s.hidden_comm = self.clock.overlap();
-        s.phases = self
-            .phase_names
-            .iter()
-            .zip(self.clock.phase_times())
-            .zip(&self.phase_counters)
+        let clock = &self.ep.clock;
+        let phases: Vec<PhaseStats> = (self.ep.phase_names.iter())
+            .zip(clock.phase_times())
+            .zip(&self.ep.phases)
             .map(|((name, t), c)| PhaseStats {
                 name: name.clone(),
                 compute: t.compute,
@@ -804,20 +832,33 @@ impl Comm {
                 collectives: c.collectives,
             })
             .collect();
-        s
+        let total = |f: fn(&Counters) -> u64| self.ep.phases.iter().map(f).sum();
+        RankStats {
+            rank: self.rank,
+            elapsed: clock.now(),
+            compute: clock.compute(),
+            comm: clock.comm(),
+            idle: clock.idle(),
+            hidden_comm: clock.overlap(),
+            msgs_sent: total(|c| c.msgs_sent),
+            bytes_sent: total(|c| c.bytes_sent),
+            msgs_recvd: total(|c| c.msgs_recvd),
+            bytes_recvd: total(|c| c.bytes_recvd),
+            collectives: total(|c| c.collectives),
+            phases,
+        }
     }
 
     /// Take the recorded event trace (empty when tracing was disabled).
     pub(crate) fn take_events(&mut self) -> Vec<Event> {
-        self.events.take().unwrap_or_default()
+        self.ep.events.take().unwrap_or_default()
     }
 
-    /// Count a world collective (run-wide and in the current phase) and
+    /// Count a world collective in the current phase (and so run-wide) and
     /// return its sequence number.
     pub(crate) fn count_collective(&mut self) -> u64 {
         self.coll_seq += 1;
-        self.stats.collectives += 1;
-        self.phase_counters[self.clock.current_phase()].collectives += 1;
+        self.ep.count(|c| c.collectives += 1);
         self.coll_seq
     }
 

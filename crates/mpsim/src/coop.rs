@@ -12,21 +12,26 @@
 //!
 //! # Collectives at one rendezvous
 //!
-//! On the default path (no fault plan, event recording, verifier or
-//! replay log) a collective moves no envelope. Each member lends its
-//! [`Seat`] — its buffer, its clock (swapped in, not shared) and its
-//! call's plan key, kept by its `Comm` from one collective to the next
-//! so that lending it allocates nothing — to the meeting keyed by
-//! `(communicator id, sequence number)` and suspends. The last member to arrive runs the whole plan
-//! on its own fiber ([`schedule::run_central`]): the same folds in the
-//! same order, and per member, in its program order, the same LogGP
-//! charges the plan's messages would make. It then hands every waiting
-//! member its seat back, marks it runnable at its new clock and keeps
-//! running, so a collective costs one resume per member instead of one
-//! handoff per message. Logical messages are still counted in every
-//! member's statistics. Running the plan centrally changes no result
+//! A collective moves no envelope. Each member lends its [`Seat`] — its
+//! buffer, its message endpoint (clock, counters, event trace; swapped
+//! in, not shared) and its call's plan key, kept by its `Comm` from one
+//! collective to the next so that lending it allocates nothing — to the
+//! meeting keyed by `(communicator id, sequence number)` and suspends.
+//! The last member to arrive runs the whole plan on its own fiber
+//! ([`schedule::run_central`]): the same folds in the same order, and per
+//! member, in its program order, each message booked exactly as a
+//! point-to-point message is — LogGP charges, counters, events, fault
+//! plan, timeout and checksum checks, replay log. It then hands every
+//! waiting member its seat back, marks it runnable at its new clock and
+//! keeps running, so a collective costs one resume per member instead of
+//! one handoff per message. Running the plan centrally changes no result
 //! because the cost model keeps no link state: a member's charges depend
 //! only on the plan and the members' clocks at arrival.
+//!
+//! A fault inside a collective stops a member's program at the step its
+//! messages would have stopped it. A member left waiting on a message its
+//! sender never sent then blocks as that receive (from that sender, with
+//! the collective's tag), so a stall is diagnosed exactly as on the wire.
 //!
 //! # Scheduling discipline
 //!
@@ -49,7 +54,8 @@
 //! word (crashed/dropped peers), then the scheduler's own wait-for edges,
 //! which always end in either a wait on a finished rank or a cycle. A rank
 //! waiting at a rendezvous waits on the lowest member that has not
-//! arrived, so a member that skips a collective is named.
+//! arrived, so a member that skips a collective is named, and one that
+//! crashed is a failed peer.
 //!
 //! # Switching
 //!
@@ -61,10 +67,8 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::comm::Envelope;
-use crate::cost::MachineSpec;
+use crate::comm::{Envelope, Net};
 use crate::error::SimError;
-use crate::fault::FaultState;
 use crate::fiber;
 use crate::schedule::{self, Seat, Seating};
 
@@ -182,14 +186,15 @@ impl Meeting {
 }
 
 /// Shared state of one cooperative run: the scheduler proper plus the
-/// fault layer it consults when the run stalls.
+/// wire its rendezvous books messages on and whose fault layer it
+/// consults when the run stalls.
 pub(crate) struct CoopShared {
     state: Mutex<CoopState>,
     /// Per-pair in-flight envelope bound; a sender at the bound blocks
     /// until the receiver drains (see
     /// [`crate::SimOptions::max_inflight_per_pair`]).
     max_inflight: usize,
-    fault: Option<Arc<FaultState>>,
+    net: Arc<Net>,
     abort: Arc<AtomicBool>,
 }
 
@@ -197,7 +202,7 @@ impl CoopShared {
     pub(crate) fn new(
         p: usize,
         max_inflight: usize,
-        fault: Option<Arc<FaultState>>,
+        net: Arc<Net>,
         abort: Arc<AtomicBool>,
     ) -> Self {
         assert!(p > 0, "cooperative scheduler needs at least one rank");
@@ -215,7 +220,7 @@ impl CoopShared {
                 inbox: (0..p).map(|_| None).collect(),
             }),
             max_inflight: max_inflight.max(1),
-            fault,
+            net,
             abort,
         }
     }
@@ -281,13 +286,22 @@ impl CoopShared {
     /// wait edges. Total: at a stall every blocked rank's wait chain ends
     /// in a finished rank or a cycle.
     fn diagnose_stall(&self, state: &CoopState) -> (usize, SimError) {
-        if let Some(fs) = &self.fault {
+        if let Some(fs) = &self.net.fault {
             for (r, status) in state.status.iter().enumerate() {
-                if let RankStatus::RecvWait { src, .. } = *status {
-                    let in_flight = state.mail.get(&(src, r)).map_or(0, VecDeque::len);
-                    if let Some(err) = fs.diagnose_wait(r, src, in_flight) {
-                        return (r, err);
+                let err = match *status {
+                    RankStatus::RecvWait { src, .. } => {
+                        let in_flight = state.mail.get(&(src, r)).map_or(0, VecDeque::len);
+                        fs.diagnose_wait(r, src, in_flight)
                     }
+                    RankStatus::CollWait { comm, seq } => state
+                        .meetings
+                        .get(&(comm, seq))
+                        .and_then(Meeting::first_missing)
+                        .and_then(|m| fs.crashed(r, m)),
+                    _ => None,
+                };
+                if let Some(err) = err {
+                    return (r, err);
                 }
             }
         }
@@ -436,9 +450,8 @@ impl CoopShared {
         me: usize,
         at: Seating<'_>,
         seat: Box<Seat>,
-        spec: &MachineSpec,
     ) -> Result<Box<Seat>, SimError> {
-        let now = seat.clock.now();
+        let now = seat.ep.clock.now();
         let key = (at.comm, at.seq);
         let mut state = self.lock();
         if let Some(err) = state.pending[me].take() {
@@ -474,8 +487,8 @@ impl CoopShared {
             drop(state);
             let mut seats: Vec<Box<Seat>> =
                 std::mem::take(&mut m.seats).into_iter().flatten().collect();
+            schedule::run_central(&self.net, m.members.as_deref(), at.tag, &mut seats)?;
             let world = |i: usize| m.world(i);
-            schedule::run_central(spec, &world, &mut seats)?;
             let mut state = self.lock();
             let mut mine = None;
             for (i, seat) in seats.into_iter().enumerate() {
@@ -483,7 +496,7 @@ impl CoopShared {
                 if r == me {
                     mine = Some(seat);
                 } else if state.status[r] == (RankStatus::CollWait { comm: at.comm, seq: at.seq }) {
-                    state.clocks[r] = seat.clock.now();
+                    state.clocks[r] = seat.ep.clock.now();
                     state.inbox[r] = Some(seat);
                     Self::make_ready(&mut state, r);
                 }

@@ -28,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Once};
 
-use crate::comm::{AbortPanic, Comm};
+use crate::comm::{AbortPanic, Comm, Net};
 use crate::coop::CoopShared;
 use crate::cost::MachineSpec;
 use crate::error::SimError;
@@ -74,7 +74,7 @@ pub struct SimOptions {
     /// one-shot faults recurring.
     pub fault: Option<FaultPlan>,
     /// In-flight replay log (see [`crate::replay`]): when set, every
-    /// delivered envelope's coordinates are recorded into the rank's
+    /// delivered message's coordinates are recorded into the rank's
     /// bounded ring (and a small virtual-time write cost is charged), so
     /// a localized-recovery supervisor can replay a failed rank's traffic
     /// since its last checkpoint instead of rolling the world back.
@@ -159,12 +159,19 @@ where
         return Err(SimError::InvalidMachine("machine must have at least 1 rank".into()));
     }
     install_panic_capture();
-    let spec = Arc::new(spec.clone());
+    let net = Arc::new(Net {
+        spec: spec.clone(),
+        fault: opts.fault.as_ref().map(|plan| FaultState::new(plan.clone(), p)),
+        replay: opts.replay.clone(),
+    });
     let abort = Arc::new(AtomicBool::new(false));
     let verify = opts.verify.any().then(|| Arc::new(VerifyState::new(opts.verify.clone())));
-    let fault = opts.fault.as_ref().map(|plan| Arc::new(FaultState::new(plan.clone(), p)));
-    let coop =
-        Arc::new(CoopShared::new(p, opts.max_inflight_per_pair, fault.clone(), Arc::clone(&abort)));
+    let coop = Arc::new(CoopShared::new(
+        p,
+        opts.max_inflight_per_pair,
+        Arc::clone(&net),
+        Arc::clone(&abort),
+    ));
 
     let mut slots: Vec<Option<RankOutcome<T>>> = (0..p).map(|_| None).collect();
     // A failed launch drops the fibers already made, which pools their
@@ -173,25 +180,15 @@ where
         .iter_mut()
         .enumerate()
         .map(|(rank, slot)| {
-            let spec = Arc::clone(&spec);
+            let net = Arc::clone(&net);
             let abort = Arc::clone(&abort);
             let coop = Arc::clone(&coop);
             let verify = verify.clone();
-            let fault = fault.clone();
-            let replay = opts.replay.clone();
             let record_events = opts.record_events;
             let f = &f;
             Fiber::new(move || {
-                let mut comm = Comm::new(
-                    rank,
-                    spec,
-                    Arc::clone(&coop),
-                    abort.clone(),
-                    record_events,
-                    verify,
-                    fault,
-                    replay,
-                );
+                let mut comm =
+                    Comm::new(rank, net, Arc::clone(&coop), abort.clone(), record_events, verify);
                 let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
                 let res = settle_rank(rank, outcome, &mut comm, &abort);
                 // Retire the rank *after* settle_rank has set the abort

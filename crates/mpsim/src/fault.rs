@@ -7,8 +7,9 @@
 //! time — so the same plan against the same program produces the same
 //! failure, the same detection, and the same typed error on every run.
 //!
-//! Faults are injected by [`crate::Comm`] at three checkpoints (send
-//! entry, receive entry, [`crate::Comm::work`]); detection happens on the
+//! Faults are injected at three checkpoints: the send entry and receive
+//! entry of every message, point-to-point or inside a collective at its
+//! rendezvous alike, and [`crate::Comm::work`]. Detection happens on the
 //! *receiving* side, where a wait that can provably never be satisfied
 //! surfaces as [`crate::SimError::PeerFailed`] naming the culprit rank,
 //! message seq, kind, and phase — instead of a hang. Delays additionally
@@ -263,7 +264,7 @@ pub(crate) struct FailureRecord {
     pub phase: String,
 }
 
-/// What the fault layer tells `send_bytes` to do with one message.
+/// What the fault layer tells the sender of one message to do with it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SendDirective {
     /// `false`: discard the envelope instead of enqueueing it.
@@ -388,15 +389,8 @@ impl FaultState {
     /// envelopes delivered to `me`'s mailbox from `src` and not yet
     /// pulled; dropped envelopes never reach a mailbox).
     pub fn diagnose_wait(&self, me: usize, src: usize, in_flight: usize) -> Option<SimError> {
-        // lint:allow(unwrap): mutex poisoning only follows another panic
-        if let Some(rec) = &self.failed.lock().expect("fault state lock")[src] {
-            return Some(SimError::PeerFailed {
-                rank: me,
-                peer: src,
-                kind: rec.kind,
-                seq: rec.seq,
-                phase: rec.phase.clone(),
-            });
+        if let Some(err) = self.crashed(me, src) {
+            return Some(err);
         }
         // lint:allow(unwrap): mutex poisoning only follows another panic
         let dropped = self.dropped.lock().expect("fault state lock");
@@ -412,6 +406,20 @@ impl FaultState {
             }
         }
         None
+    }
+
+    /// Explain why `me`'s wait on `peer` can never be satisfied if `peer`
+    /// failed.
+    pub fn crashed(&self, me: usize, peer: usize) -> Option<SimError> {
+        // lint:allow(unwrap): mutex poisoning only follows another panic
+        let rec = self.failed.lock().expect("fault state lock")[peer].clone()?;
+        Some(SimError::PeerFailed {
+            rank: me,
+            peer,
+            kind: rec.kind,
+            seq: rec.seq,
+            phase: rec.phase,
+        })
     }
 }
 

@@ -86,6 +86,8 @@ pub mod topology;
 pub mod trace;
 pub mod traits;
 pub mod verify;
+#[cfg(test)]
+mod wire_equivalence;
 
 pub use clock::PhaseTimes;
 pub use collectives::ReduceOp;

@@ -1,15 +1,16 @@
-//! Byte-level encoding of typed message payloads.
+//! Payload integrity on the simulated wire.
 //!
-//! Messages on the simulated wire are plain byte vectors, exactly as they
-//! would be with MPI. This module provides the little-endian codecs the
-//! typed `Comm` helpers use. Encoding is infallible; decoding validates
-//! lengths and returns a typed [`DecodeError`] on corruption, so an
-//! injected wire fault (see [`crate::fault`]) surfaces as a diagnosable
-//! error naming the offending message instead of a panic.
+//! A message carries its `f64` values; when a fault plan is active the
+//! sender stamps it with the FNV-1a checksum of their little-endian bytes,
+//! exactly what a byte-level wire would carry, and the receiver checks
+//! it, so an injected corruption (see [`crate::fault`]) surfaces as a
+//! typed, diagnosable error naming the offending message instead of
+//! silently different numbers.
 
 use std::fmt;
 
-/// Why a received payload could not be decoded. Embedded in
+/// Why a received payload — a message or a checkpoint shard — failed its
+/// check. Embedded in
 /// [`crate::SimError::PayloadCorrupt`] and reachable through
 /// [`std::error::Error::source`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,13 +20,6 @@ pub enum DecodeError {
     RaggedLength {
         /// Observed payload length in bytes.
         len: usize,
-    },
-    /// The payload length does not match the caller's buffer.
-    LengthMismatch {
-        /// Observed payload length in bytes.
-        len: usize,
-        /// Expected payload length in bytes.
-        expected: usize,
     },
     /// The envelope checksum does not match the received bytes.
     ChecksumMismatch {
@@ -42,9 +36,6 @@ impl fmt::Display for DecodeError {
             DecodeError::RaggedLength { len } => {
                 write!(f, "payload length {len} is not a multiple of 8")
             }
-            DecodeError::LengthMismatch { len, expected } => {
-                write!(f, "payload length {len} does not match expected {expected}")
-            }
             DecodeError::ChecksumMismatch { expected, found } => {
                 write!(f, "checksum mismatch: envelope says {expected:#018x}, bytes hash to {found:#018x}")
             }
@@ -57,76 +48,21 @@ impl std::error::Error for DecodeError {}
 /// FNV-1a hash of a byte buffer; the envelope checksum used to detect
 /// in-transit corruption when a fault plan is active.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(bytes.iter().copied())
 }
 
-/// Encode a slice of `f64` little-endian.
-pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+/// [`checksum`] of the little-endian bytes of `values`, with byte
+/// `flip.0` of them XOR-ed with `flip.1`: the checksum a receiver finds
+/// on a payload the wire corrupted.
+pub(crate) fn checksum_f64s(values: &[f64], flip: Option<(usize, u8)>) -> u64 {
+    let (at, mask) = flip.unwrap_or((usize::MAX, 0));
+    let bytes = values.iter().flat_map(|v| v.to_le_bytes()).enumerate();
+    fnv1a(bytes.map(|(i, b)| if i == at { b ^ mask } else { b }))
 }
 
-/// Decode a byte buffer produced by [`encode_f64s`].
-///
-/// # Errors
-/// [`DecodeError::RaggedLength`] if the length is not a multiple of 8.
-pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>, DecodeError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(DecodeError::RaggedLength { len: bytes.len() });
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        // lint:allow(unwrap): chunks_exact(8) yields 8-byte chunks
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-        .collect())
-}
-
-/// Decode into an existing buffer (must already have the right length);
-/// avoids an allocation in hot reduction loops.
-///
-/// # Errors
-/// [`DecodeError::LengthMismatch`] if `bytes.len() != out.len() * 8`.
-pub fn decode_f64s_into(bytes: &[u8], out: &mut [f64]) -> Result<(), DecodeError> {
-    if bytes.len() != out.len() * 8 {
-        return Err(DecodeError::LengthMismatch { len: bytes.len(), expected: out.len() * 8 });
-    }
-    for (c, o) in bytes.chunks_exact(8).zip(out.iter_mut()) {
-        // lint:allow(unwrap): chunks_exact(8) yields 8-byte chunks
-        *o = f64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
-    }
-    Ok(())
-}
-
-/// Encode a slice of `u64` little-endian.
-pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a byte buffer produced by [`encode_u64s`].
-///
-/// # Errors
-/// [`DecodeError::RaggedLength`] if the length is not a multiple of 8.
-pub fn decode_u64s(bytes: &[u8]) -> Result<Vec<u64>, DecodeError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(DecodeError::RaggedLength { len: bytes.len() });
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        // lint:allow(unwrap): chunks_exact(8) yields 8-byte chunks
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-        .collect())
+/// FNV-1a hash of a byte stream.
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
 }
 
 #[cfg(test)]
@@ -134,59 +70,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f64_round_trip() {
-        let v = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, std::f64::consts::PI];
-        assert_eq!(decode_f64s(&encode_f64s(&v)).unwrap(), v);
-    }
-
-    #[test]
-    fn f64_round_trip_preserves_nan_bits() {
-        let v = [f64::NAN];
-        let back = decode_f64s(&encode_f64s(&v)).unwrap();
-        assert!(back[0].is_nan());
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let v = vec![0u64, 1, u64::MAX, 0xDEAD_BEEF];
-        assert_eq!(decode_u64s(&encode_u64s(&v)).unwrap(), v);
-    }
-
-    #[test]
-    fn decode_into_matches_decode() {
-        let v = vec![1.0, 2.0, 3.0];
-        let bytes = encode_f64s(&v);
-        let mut out = vec![0.0; 3];
-        decode_f64s_into(&bytes, &mut out).unwrap();
-        assert_eq!(out, v);
-    }
-
-    #[test]
-    fn ragged_payload_is_a_typed_error() {
-        assert_eq!(decode_f64s(&[1, 2, 3]), Err(DecodeError::RaggedLength { len: 3 }));
-        assert_eq!(decode_u64s(&[1, 2, 3, 4, 5]), Err(DecodeError::RaggedLength { len: 5 }));
-        let mut out = vec![0.0; 2];
-        assert_eq!(
-            decode_f64s_into(&[0; 8], &mut out),
-            Err(DecodeError::LengthMismatch { len: 8, expected: 16 })
-        );
-    }
-
-    #[test]
-    fn empty_round_trip() {
-        assert!(decode_f64s(&encode_f64s(&[])).unwrap().is_empty());
-        assert!(decode_u64s(&encode_u64s(&[])).unwrap().is_empty());
-    }
-
-    #[test]
     fn checksum_detects_any_single_byte_flip() {
-        let bytes = encode_f64s(&[1.5, -2.25, 1e300]);
+        let values = [1.5f64, -2.25, 1e300];
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let sum = checksum(&bytes);
+        assert_eq!(checksum_f64s(&values, None), sum, "the values' bytes are what is summed");
         for i in 0..bytes.len() {
             for mask in [1u8, 0x80, 0xFF] {
                 let mut flipped = bytes.clone();
                 flipped[i] ^= mask;
                 assert_ne!(checksum(&flipped), sum, "flip at byte {i} mask {mask:#x}");
+                assert_eq!(checksum_f64s(&values, Some((i, mask))), checksum(&flipped));
             }
         }
         assert_eq!(checksum(&bytes), sum, "checksum is a pure function");

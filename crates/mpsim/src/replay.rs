@@ -1,14 +1,15 @@
 //! In-flight message replay log for localized recovery.
 //!
-//! Each rank keeps a bounded ring of the envelopes *delivered to it*
-//! since its last checkpoint: the sender, tag, per-pair sequence number,
-//! payload length, and the payload's FNV-1a checksum. The log answers
-//! the question a localized-recovery supervisor asks after a single-rank
-//! failure — "what traffic does the failed rank have to re-derive to
-//! catch back up to the surviving ranks' horizon?" — without holding the
-//! payload bytes themselves (the replay re-executes the deterministic
-//! rank body from the checkpoint, so coordinates are all that is needed
-//! to size and charge the replay).
+//! Each rank keeps a bounded ring of the messages *delivered to it* since
+//! its last checkpoint, point-to-point or inside a collective: the
+//! sender, tag, the sender's sequence number for the message (its send
+//! count, as the envelope carries it), payload length, and the payload's
+//! FNV-1a checksum. The log answers the question a localized-recovery
+//! supervisor asks after a single-rank failure — "what traffic does the
+//! failed rank have to re-derive to catch back up to the surviving
+//! ranks' horizon?" — without holding the payload bytes themselves (the
+//! replay re-executes the deterministic rank body from the checkpoint, so
+//! coordinates are all that is needed to size and charge the replay).
 //!
 //! The log is shared [`ReplayLog`]-handle-style exactly like
 //! [`crate::FaultPlan`]: clones see the same rings, so the supervisor
@@ -29,14 +30,15 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// Coordinates of one delivered envelope.
+/// Coordinates of one delivered message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayEntry {
     /// Sending rank.
     pub src: usize,
     /// Message tag.
     pub tag: u64,
-    /// Per-(sender, receiver) sequence number.
+    /// The sender's sequence number for the message: its per-rank send
+    /// count, 1-based, across all destinations.
     pub seq: u64,
     /// FNV-1a checksum of the payload bytes (0 when the sender did not
     /// stamp one).
@@ -93,7 +95,7 @@ impl ReplayLog {
         f(&mut rings[rank])
     }
 
-    /// Append a delivered envelope's coordinates to `rank`'s ring,
+    /// Append a delivered message's coordinates to `rank`'s ring,
     /// evicting the oldest entry at capacity.
     pub fn record(&self, rank: usize, entry: ReplayEntry) {
         let capacity = self.inner.capacity;

@@ -13,15 +13,17 @@
 //! A plan runs two ways, with the same folds in the same order, so the
 //! results are bitwise identical:
 //!
-//! * **As messages.** `Plan::run` walks one rank's program over the
-//!   [`PointToPoint`] surface. The native backend (`shmcomm`) always runs
-//!   plans this way, and so does the simulator whenever a fault plan,
-//!   event recording, a verifier or a replay log has to see each message.
-//! * **At one rendezvous.** On the simulator's default path every member
-//!   deposits its buffer and clock at one meeting point, and the last to
-//!   arrive runs the whole plan for all of them (`run_central`),
-//!   charging each member exactly the LogGP costs its messages would have
-//!   cost, in the same order (see `crate::coop`).
+//! * **As messages,** on the native backend (`shmcomm`): `Plan::run`
+//!   walks one rank's program over the [`PointToPoint`] surface.
+//! * **At one rendezvous,** on the simulator: every member lends its
+//!   buffer and its message endpoint (clock, counters, event trace) to
+//!   one meeting point, and the last to arrive runs the whole plan for
+//!   all of them (`run_central`). Each member's messages are booked in
+//!   its own program order by the methods that book a point-to-point
+//!   message (`crate::comm::Endpoint`), so each member pays exactly the
+//!   LogGP costs, and meets exactly the fault plan, timeout and checksum
+//!   checks, replay log and event trace, its messages would have (see
+//!   `crate::coop`).
 //!
 //! Either way the sequence of sends, receives and folds a rank performs
 //! depends only on the plan key — on every communicator and both
@@ -60,9 +62,9 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::clock::Clock;
 use crate::collectives::ReduceOp;
-use crate::cost::{AllreduceAlgo, MachineSpec};
+use crate::comm::{Endpoint, Net, Stamp};
+use crate::cost::AllreduceAlgo;
 use crate::error::SimError;
 use crate::traits::Communicator;
 use crate::verify::{CollFingerprint, CollKind};
@@ -94,7 +96,8 @@ pub trait Collective: PointToPoint {
     /// replication checking is on).
     fn check_replicated(&mut self, label: &str, buf: &[f64]);
     /// Run this rank's part of the plan `key` names, for the collective
-    /// just entered with `tag`. The default exchanges the plan's messages.
+    /// just entered with `tag`. The default exchanges the plan's messages;
+    /// the simulator's communicators meet at its rendezvous instead.
     fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
         plan(key).run(self, tag, op, buf);
     }
@@ -111,6 +114,9 @@ pub struct Seating<'a> {
     pub members: Option<&'a [usize]>,
     /// The caller's dense rank among the members.
     pub rank: usize,
+    /// The collective's message tag, which its events, replay-log
+    /// entries and stalled receives carry.
+    pub tag: u64,
 }
 
 /// A world communicator: what it lends the groups split from it.
@@ -129,8 +135,8 @@ pub trait World: Collective + Communicator {
     /// communicator `comm` (`size` ranks).
     fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]);
     /// Run plan `key` at one rendezvous of every member instead of as
-    /// messages, if this world runs collectives that way. Returns `false`,
-    /// leaving `buf` alone, when the plan must run as messages.
+    /// messages, if this world has one (the simulator's does). Returns
+    /// `false`, leaving `buf` alone, when the plan must run as messages.
     fn rendezvous(
         &mut self,
         _at: Seating<'_>,
@@ -673,22 +679,11 @@ pub(crate) fn plan(key: PlanKey) -> Arc<Plan> {
     built
 }
 
-/// Messages and payload bytes one member sent and received in a
-/// collective run at a rendezvous.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Tally {
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub msgs_recvd: u64,
-    pub bytes_recvd: u64,
-}
-
 /// One member's seat at a rendezvous: what it brings — its arguments,
-/// buffer and clock — and, once the plan has run, what it takes away.
+/// buffer and endpoint — and, once the plan has run, what it takes away.
 #[derive(Debug)]
 pub(crate) struct Seat {
-    pub clock: Clock,
-    pub tally: Tally,
+    pub ep: Endpoint,
     pub key: PlanKey,
     pub op: ReduceOp,
     /// The member's flat buffer, or the block it contributes.
@@ -696,6 +691,21 @@ pub(crate) struct Seat {
     /// Every member's block, once this member has received any (a
     /// gather's root, every allgather member); empty otherwise.
     pub blocks: Vec<Vec<f64>>,
+    /// Where the member's program stopped short of its end, if it did.
+    pub stop: Option<Box<Stop>>,
+}
+
+/// Why a member's program stopped inside a collective, at the step its
+/// messages would have stopped it.
+#[derive(Debug)]
+pub(crate) enum Stop {
+    /// The fault plan crashed it at a send or receive entry.
+    Crashed(SimError),
+    /// A message it received failed the timeout or checksum check.
+    Failed(SimError),
+    /// It waits on a message that world rank `src` never sent: `src`
+    /// crashed or stopped first, or the wire dropped the message.
+    Waits { src: usize },
 }
 
 /// Fail unless every seat holds the same collective call as dense rank
@@ -726,86 +736,103 @@ fn check_seats(seats: &[Box<Seat>], world: &dyn Fn(usize) -> usize) -> Result<()
 }
 
 /// Run a whole plan for every member at once: `seats[i]` is dense rank
-/// `i`, world rank `world(i)`. Each member is charged, in its own program
-/// order, exactly what [`Plan::run`] over the simulator's messages would
-/// charge it: `o` of endpoint overhead per send, departing at its clock
-/// after it; per receive, an idle wait until departure plus transit, then
-/// `o`. Rounds run all their sends before any receive, so a step's
-/// payload is the sender's buffer before the round's folds, as on the
-/// wire. Fails with a typed mismatch when the members disagree on the
-/// call.
+/// `i`, world rank `members[i]` (`i` without a member list), and every
+/// message is tagged `tag`. Each member's messages are booked into its
+/// endpoint in its own program order, exactly as [`Plan::run`] over the
+/// simulator's messages books them: per send, the crash checkpoint, then
+/// [`Endpoint::send`]; per receive, the crash checkpoint, then
+/// [`Endpoint::recv`]. Rounds run all their sends before any receive, so
+/// a step's payload is the sender's buffer before the round's folds, as
+/// on the wire.
+///
+/// A member stops at the step where its messages would stop it (see
+/// [`Stop`]) and takes no further step, so a member that waits on it
+/// stops in turn; a member whose receives all arrived finishes as if
+/// nothing failed. Fails with a typed mismatch when the members disagree
+/// on the call.
 pub(crate) fn run_central(
-    spec: &MachineSpec,
-    world: &dyn Fn(usize) -> usize,
+    net: &Net,
+    members: Option<&[usize]>,
+    tag: u64,
     seats: &mut [Box<Seat>],
 ) -> Result<(), SimError> {
-    check_seats(seats, world)?;
+    let world = |i: usize| members.map_or(i, |m| m[i]);
+    check_seats(seats, &world)?;
     let plan = plan(seats[0].key);
     let op = seats[0].op;
-    let overhead = spec.network.overhead;
-    // Per step of the current round: departure time, payload length, and
-    // where its payload sits in `staged`. Both are sized for the widest
-    // round up front, so they allocate once per collective.
-    let staged_len = |round: &[Step]| -> usize {
-        round
-            .iter()
-            .map(|st| match st.what {
-                Move::Fold(lo, hi) | Move::Copy(lo, hi) => (hi - lo) as usize,
-                Move::Block(_) => 0,
-            })
-            .sum()
+    let moved = |st: &Step| match st.what {
+        Move::Fold(lo, hi) | Move::Copy(lo, hi) => (hi - lo) as usize,
+        Move::Block(b) => seats[b as usize].data.len(),
     };
-    let mut sent: Vec<(f64, usize, usize)> =
+    // Per step of the current round: its stamp and where its payload sits
+    // in `staged`, unless it was never sent. Both are sized for the widest
+    // round up front, so they allocate once per collective.
+    let mut sent: Vec<Option<(Stamp, Range<usize>)>> =
         Vec::with_capacity(plan.rounds().map(<[Step]>::len).max().unwrap_or(0));
-    let mut staged: Vec<f64> = Vec::with_capacity(plan.rounds().map(staged_len).max().unwrap_or(0));
+    let widest = plan.rounds().map(|round| round.iter().map(moved).sum()).max();
+    let mut staged: Vec<f64> = Vec::with_capacity(widest.unwrap_or(0));
+    // Only a fault plan stops a member.
+    let faults = net.fault.is_some();
     for round in plan.rounds() {
         sent.clear();
         staged.clear();
         for st in round {
-            let src = st.src as usize;
+            let (src, dst) = (st.src as usize, st.dst as usize);
+            if faults && halted(&mut seats[src], net) {
+                sent.push(None);
+                continue;
+            }
             let at = staged.len();
-            let len = match st.what {
+            match st.what {
                 Move::Fold(lo, hi) | Move::Copy(lo, hi) => {
                     staged.extend_from_slice(&seats[src].data[lo as usize..hi as usize]);
-                    (hi - lo) as usize
                 }
-                Move::Block(b) => seats[b as usize].data.len(),
-            };
-            let seat = &mut seats[src];
-            seat.clock.advance_comm(overhead);
-            seat.tally.msgs_sent += 1;
-            seat.tally.bytes_sent += 8 * len as u64;
-            sent.push((seat.clock.now(), len, at));
+                // Blocks are never folded, so the block a rank forwards is
+                // still its contributor's.
+                Move::Block(b) => staged.extend_from_slice(&seats[b as usize].data),
+            }
+            let stamp = seats[src].ep.send(net, world(dst), tag, &staged[at..]);
+            sent.push(stamp.map(|stamp| (stamp, at..staged.len())));
         }
-        for (st, &(depart, len, at)) in round.iter().zip(&sent) {
+        for (st, msg) in round.iter().zip(&sent) {
             let (src, dst) = (st.src as usize, st.dst as usize);
             let seat = &mut seats[dst];
-            seat.clock.wait_until(depart + spec.transit(8 * len, world(src), world(dst)));
-            seat.clock.advance_comm(overhead);
-            seat.tally.msgs_recvd += 1;
-            seat.tally.bytes_recvd += 8 * len as u64;
+            if faults && halted(seat, net) {
+                continue;
+            }
+            let Some((stamp, payload)) = msg else {
+                seat.stop = Some(Box::new(Stop::Waits { src: world(src) }));
+                continue;
+            };
+            let data = &staged[payload.clone()];
+            if let Err(err) = seat.ep.recv(net, world(src), tag, 8 * data.len(), stamp) {
+                seat.stop = Some(Box::new(Stop::Failed(err)));
+                continue;
+            }
             match st.what {
-                Move::Fold(lo, hi) => {
-                    op.fold(&mut seat.data[lo as usize..hi as usize], &staged[at..at + len]);
-                }
-                Move::Copy(lo, hi) => {
-                    seat.data[lo as usize..hi as usize].copy_from_slice(&staged[at..at + len]);
-                }
+                Move::Fold(lo, hi) => op.fold(&mut seat.data[lo as usize..hi as usize], data),
+                Move::Copy(lo, hi) => seat.data[lo as usize..hi as usize].copy_from_slice(data),
                 Move::Block(b) => {
-                    // Blocks are never folded, so the block a rank forwards
-                    // is still its contributor's.
-                    let block = seats[b as usize].data.clone();
-                    let seat = &mut seats[dst];
                     if seat.blocks.is_empty() {
                         seat.blocks = vec![Vec::new(); plan.key.size];
                         seat.blocks[dst] = seat.data.clone();
                     }
-                    seat.blocks[b as usize] = block;
+                    seat.blocks[b as usize] = data.to_vec();
                 }
             }
         }
     }
     Ok(())
+}
+
+/// Whether `seat`'s member has stopped, or stops now: the crash
+/// checkpoint at the entry of its next send or receive.
+#[cold]
+fn halted(seat: &mut Seat, net: &Net) -> bool {
+    if seat.stop.is_none() {
+        seat.stop = seat.ep.crash(net).map(|err| Box::new(Stop::Crashed(err)));
+    }
+    seat.stop.is_some()
 }
 
 /// Synchronize all ranks (dissemination barrier, `ceil(log2 P)` rounds of

@@ -242,12 +242,12 @@ impl<W: World> Collective for Group<'_, W> {
         let size = self.size();
         self.world.check_replication(self.comm_id, self.seq, size, label, buf);
     }
-    /// Meet at the world's rendezvous when it has one, keyed by this
-    /// group's id and sequence; exchange messages with the members
-    /// otherwise.
+    /// Meet at the world's rendezvous, keyed by this group's id and
+    /// sequence; a world without one (the native backend's) exchanges the
+    /// plan's messages with the members.
     fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
         let members = Some(&self.members[..]);
-        let at = Seating { comm: self.comm_id, seq: self.seq, members, rank: self.rank };
+        let at = Seating { comm: self.comm_id, seq: self.seq, members, rank: self.rank, tag };
         if !self.world.rendezvous(at, key, op, buf) {
             schedule::plan(key).run(self, tag, op, buf);
         }

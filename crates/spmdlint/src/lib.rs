@@ -268,8 +268,8 @@ impl FileRules {
 ///   `src/`, `examples/`, and `xtask/src` at error severity; test trees
 ///   at warning (deliberately divergent deadlock tests are expected
 ///   there). `mpsim/src` is exempt — it *implements* the primitives.
-/// * `nondet` guards simulator-core code: `mpsim/src` + `pautoclass/src`
-///   + `shmcomm/src` (the native backend's collectives carry the same
+/// * `nondet` guards simulator-core code: `mpsim/src`, `pautoclass/src`
+///   and `shmcomm/src` (the native backend's collectives carry the same
 ///   bitwise-determinism contract as the simulator's).
 /// * The legacy rules keep their historical scopes exactly;
 ///   `blocking-collective` additionally covers tests/examples at
@@ -554,6 +554,34 @@ pub fn read_expectations(fixture_root: &Path) -> Vec<(String, usize)> {
     out
 }
 
+/// Run every fixture under `dir`; returns per-fixture missing
+/// expectations (empty = all rules fired where expected).
+pub fn check_fixtures(dir: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
+    let mut results = BTreeMap::new();
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("read {}: {e}", dir.display()))?
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    entries.sort();
+    for fixture in entries {
+        let name =
+            fixture.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        let expected = read_expectations(&fixture);
+        let report = analyze(&fixture)?;
+        let mut missing = Vec::new();
+        for (rule, line) in &expected {
+            let hit = report.findings.iter().any(|f| f.rule == rule.as_str() && f.line == *line);
+            if !hit {
+                missing.push(format!("{rule}:{line} did not fire"));
+            }
+        }
+        results.insert(name, missing);
+    }
+    Ok(results)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,32 +654,4 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
-}
-
-/// Run every fixture under `dir`; returns per-fixture missing
-/// expectations (empty = all rules fired where expected).
-pub fn check_fixtures(dir: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
-    let mut results = BTreeMap::new();
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("read {}: {e}", dir.display()))?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    entries.sort();
-    for fixture in entries {
-        let name =
-            fixture.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        let expected = read_expectations(&fixture);
-        let report = analyze(&fixture)?;
-        let mut missing = Vec::new();
-        for (rule, line) in &expected {
-            let hit = report.findings.iter().any(|f| f.rule == rule.as_str() && f.line == *line);
-            if !hit {
-                missing.push(format!("{rule}:{line} did not fire"));
-            }
-        }
-        results.insert(name, missing);
-    }
-    Ok(results)
 }

@@ -174,7 +174,7 @@ fn scan_flat(ts: &[Tt], file: &syn::File, rules: &FileRules, out: &mut Vec<RawFi
 }
 
 /// The path segment after `X::`, if the next tokens are `:: ident`.
-fn path_segment<'a>(ts: &'a [Tt], i: usize) -> Option<&'a str> {
+fn path_segment(ts: &[Tt], i: usize) -> Option<&str> {
     if ts.get(i + 1).is_some_and(|t| t.is_punct("::")) {
         return ts.get(i + 2).and_then(Tt::ident);
     }

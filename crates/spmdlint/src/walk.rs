@@ -767,12 +767,11 @@ impl<'a> Walker<'a> {
             match &ts[i] {
                 // Plain identifier: a pending request used any other way
                 // escapes the analysis (conservatively no finding).
-                Tt::Ident { text, .. } => {
+                Tt::Ident { text, .. }
                     if matches!(ctx.reqs.get(text), Some(Req::Pending { .. }))
-                        && !benign_request_use(ts, i)
-                    {
-                        ctx.reqs.insert(text.clone(), Req::Escaped);
-                    }
+                        && !benign_request_use(ts, i) =>
+                {
+                    ctx.reqs.insert(text.clone(), Req::Escaped);
                 }
                 Tt::Group { delim: Delim::Brace, tokens, .. } => {
                     // Closure or block body inside an expression: walk it

@@ -292,7 +292,7 @@ fn native_row(
     }
     for (r, rs) in native.ranks.iter().enumerate() {
         let sum: f64 = rs.phases.iter().map(|ph| ph.total()).sum();
-        if !((sum - rs.elapsed).abs() <= 1e-6 * rs.elapsed.max(1e-12)) {
+        if !partitions(sum, rs.elapsed) {
             return Err(format!(
                 "P={p} rank {r}: native phase totals {sum:.6e}s do not partition elapsed {:.6e}s",
                 rs.elapsed
@@ -736,9 +736,23 @@ fn check(path: &Path) -> ExitCode {
     }
 }
 
+/// Whether phase totals summing to `sum` partition `elapsed`, to a
+/// relative 1e-6. A NaN on either side does not.
+fn partitions(sum: f64, elapsed: f64) -> bool {
+    (sum - elapsed).abs() <= 1e-6 * elapsed.max(1e-12)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_nan_phase_sum_does_not_partition_elapsed() {
+        assert!(partitions(1.0 + 1e-9, 1.0));
+        assert!(!partitions(1.1, 1.0));
+        assert!(!partitions(f64::NAN, 1.0));
+        assert!(!partitions(1.0, f64::NAN));
+    }
 
     /// The R-faultmatrix and R-standby gates `report --check` must
     /// assert on `report.json`.
