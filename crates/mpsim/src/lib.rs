@@ -57,9 +57,10 @@
 //!   buckets fed by the [`Comm::enter_phase`] span API
 //! * [`report`] — paper-style tables (per-phase time, speedup, efficiency,
 //!   critical path) rendered from per-rank stats as text/CSV/JSON
-//! * [`traits`] — the backend-neutral [`Communicator`] /
-//!   [`GroupCommunicator`] traits (plus [`CommError`]) that let the same
-//!   SPMD driver run on this simulator or on a wall-clock native backend
+//! * [`traits`] — the backend-neutral [`SpmdComm`] (world or group),
+//!   [`Communicator`] (world) and [`GroupCommunicator`] (group) traits
+//!   (plus [`CommError`]) that let the same SPMD driver run on this
+//!   simulator or on a wall-clock native backend
 //! * [`verify`] — opt-in SPMD correctness verification: collective
 //!   fingerprint cross-validation and replication-invariant hashing (see
 //!   [`SimOptions::verified`]); deadlocks are always diagnosed by the
@@ -105,5 +106,5 @@ pub use report::{PhaseRow, Report, RunRecord, RunRow};
 pub use subcomm::{Group, SubComm};
 pub use topology::Topology;
 pub use trace::{Event, EventKind, PhaseStats, RankStats, RunStats, RECOVERY_PHASE};
-pub use traits::{CommError, Communicator, GroupCommunicator};
+pub use traits::{CommError, Communicator, GroupCommunicator, SpmdComm};
 pub use verify::{hash_f64s, CollFingerprint, CollKind, VerifyOptions};

@@ -1,11 +1,15 @@
 //! Backend-neutral communication traits: the surface the P-AutoClass
 //! driver actually uses, abstracted away from the simulator.
 //!
-//! [`Communicator`] captures exactly the operations `pautoclass::driver`,
-//! `run`, and `recover` perform on a world communicator — point-to-point
-//! sends/receives, the allreduce family (blocking and non-blocking),
-//! broadcast/gather, phase spans, replication checks, and `split` — and
-//! [`GroupCommunicator`] captures the subset a post-split group supports.
+//! [`SpmdComm`] is what every communicator offers, world or group: rank
+//! and size, local work, phase spans, barrier, broadcast, allreduce and
+//! gather, plus the replication check and replay-log truncation (which a
+//! group leaves off). Code written against it, such as `pautoclass`'s one
+//! EM try loop, runs unchanged on the world and on a split's group.
+//! [`Communicator`] adds what only a world has: point-to-point
+//! sends/receives, non-blocking and algorithm-pinned allreduces, the
+//! machine description, and `split`. [`GroupCommunicator`] adds a
+//! group's membership and nested `split`.
 //! [`crate::Comm`] implements [`Communicator`] for the simulated backend
 //! and the `shmcomm` crate's `NativeComm` for a wall-clock native backend
 //! over OS threads; [`GroupCommunicator`] has a single implementation, the
@@ -165,7 +169,64 @@ impl From<SimError> for CommError {
     }
 }
 
-/// The world-communicator surface the SPMD driver is generic over.
+/// The surface every communicator offers, world or group: identity,
+/// local work, phase spans and the collectives the search runs on. Code
+/// that only needs these (the EM try loop, checkpoint publication, class
+/// seeding) is written once against this trait and runs on the world and
+/// on a split's group alike.
+///
+/// Collectives must be called by every member in the same order with
+/// compatible arguments. The replication check and the replay log default
+/// to what a group has: no check and no log.
+pub trait SpmdComm {
+    /// This rank's id in `0..size()`.
+    fn rank(&self) -> usize;
+    /// Number of ranks in the communicator.
+    fn size(&self) -> usize;
+    /// Account `ops` abstract operations of local compute on this rank's
+    /// clock. The simulator charges virtual time; the native backend
+    /// measures real time implicitly, so this is free there.
+    fn work(&mut self, ops: u64);
+    /// Open a named phase span on the rank's (world) clock (see
+    /// [`crate::Comm::enter_phase`]).
+    fn enter_phase(&mut self, name: &str);
+    /// Close the innermost open phase span.
+    fn exit_phase(&mut self);
+
+    /// Synchronize all members.
+    fn barrier(&mut self);
+    /// Broadcast `buf` from member `root` to all members.
+    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]);
+    /// Gather each member's vector to `root`, concatenated in rank order.
+    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>>;
+    /// Allreduce with the communicator's default algorithm.
+    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp);
+    /// Allreduce of a single scalar; returns the reduced value.
+    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
+        let mut buf = [value];
+        self.allreduce_f64s(&mut buf, op);
+        buf[0]
+    }
+
+    /// Whether replication-invariant hashing is enabled for this run.
+    fn checks_replication(&self) -> bool {
+        false
+    }
+    /// Assert that `data` is bitwise identical on every member
+    /// (collective; no-op unless replication checking is enabled).
+    fn verify_replicated(&mut self, _label: &str, _data: &[f64]) {}
+    /// Drop this rank's in-flight replay-log entries (called by a
+    /// checkpoint publisher right after a snapshot is stored: nothing
+    /// delivered before the snapshot can need replaying). A no-op without
+    /// a replay log, mirroring how [`SpmdComm::work`] is free on the
+    /// native backend.
+    fn replay_truncate(&mut self) {}
+}
+
+/// The world-communicator surface the SPMD driver is generic over: the
+/// shared [`SpmdComm`] surface plus point-to-point messaging, the
+/// machine description, non-blocking and algorithm-pinned allreduces,
+/// and `split`.
 ///
 /// Implementations: [`crate::Comm`] (simulated virtual time) and
 /// `shmcomm::NativeComm` (wall-clock OS threads). All methods carry the
@@ -173,7 +234,7 @@ impl From<SimError> for CommError {
 /// called by every rank in the same order with compatible arguments, and
 /// every non-blocking request must be retired by exactly one
 /// [`Communicator::wait`] / [`Communicator::waitall`].
-pub trait Communicator {
+pub trait Communicator: SpmdComm {
     /// Handle for a non-blocking operation posted on this backend.
     type Req;
     /// The sub-communicator type [`Communicator::split`] produces; borrows
@@ -183,10 +244,6 @@ pub trait Communicator {
     where
         Self: 'g;
 
-    /// This rank's id in `0..size()`.
-    fn rank(&self) -> usize;
-    /// Number of ranks in the communicator.
-    fn size(&self) -> usize;
     /// The machine description (used for algorithm selection; on the
     /// native backend it describes the machine being *compared against*,
     /// so both backends take identical algorithm-choice branches).
@@ -194,14 +251,6 @@ pub trait Communicator {
     /// Current time on this rank, in seconds (virtual or wall-clock,
     /// depending on the backend).
     fn now(&self) -> f64;
-    /// Account `ops` abstract operations of local compute. The simulator
-    /// charges virtual time; the native backend measures real time
-    /// implicitly, so this is free there.
-    fn work(&mut self, ops: u64);
-    /// Open a named phase span (see [`crate::Comm::enter_phase`]).
-    fn enter_phase(&mut self, name: &str);
-    /// Close the innermost open phase span.
-    fn exit_phase(&mut self);
 
     /// Blocking typed send of an `f64` slice.
     fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]);
@@ -216,23 +265,9 @@ pub trait Communicator {
     /// Retire every request in order, collecting each wait's result.
     fn waitall(&mut self, reqs: &mut [Self::Req]) -> Vec<Option<Vec<f64>>>;
 
-    /// Synchronize all ranks.
-    fn barrier(&mut self);
-    /// Broadcast `buf` from `root` to all ranks.
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]);
-    /// Gather each rank's vector to `root`, concatenated in rank order.
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>>;
-    /// Allreduce with the machine's default algorithm.
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp);
     /// Allreduce with an explicit algorithm (`Auto` resolves identically
     /// on every rank and backend).
     fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo);
-    /// Allreduce of a single scalar; returns the reduced value.
-    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        let mut buf = [value];
-        self.allreduce_f64s(&mut buf, op);
-        buf[0]
-    }
     /// Non-blocking allreduce with the machine's default algorithm.
     fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Self::Req;
     /// Non-blocking allreduce with an explicit algorithm. Data movement
@@ -246,19 +281,6 @@ pub trait Communicator {
         algo: AllreduceAlgo,
     ) -> Self::Req;
 
-    /// Drop this rank's in-flight replay-log entries (called by a
-    /// checkpoint publisher right after a snapshot is stored: nothing
-    /// delivered before the snapshot can need replaying). Default no-op
-    /// for backends without a replay log, mirroring how
-    /// [`Communicator::work`] is free on the native backend.
-    fn replay_truncate(&mut self) {}
-
-    /// Whether replication-invariant hashing is enabled for this run.
-    fn checks_replication(&self) -> bool;
-    /// Assert that `data` is bitwise identical on every rank (collective;
-    /// no-op unless replication checking is enabled).
-    fn verify_replicated(&mut self, label: &str, data: &[f64]);
-
     /// Split the communicator by `color_of(r)`, rank `r`'s color, which
     /// every rank computes identically for every rank; ranks of equal
     /// color form a group. Collective over the world communicator, with no
@@ -267,9 +289,9 @@ pub trait Communicator {
 }
 
 /// The group-communicator surface a [`Communicator::split`] result
-/// supports: the collectives the shrink-and-redistribute recovery path
-/// uses, plus phase attribution on the underlying world clock.
-pub trait GroupCommunicator {
+/// supports: the shared [`SpmdComm`] surface (phase spans land on the
+/// underlying world clock) plus its membership and nested splits.
+pub trait GroupCommunicator: SpmdComm {
     /// The nested sub-communicator type [`GroupCommunicator::split`]
     /// produces; borrows this group (and through it the world
     /// communicator) for its lifetime.
@@ -277,32 +299,8 @@ pub trait GroupCommunicator {
     where
         Self: 'c;
 
-    /// This rank's id within the group.
-    fn rank(&self) -> usize;
-    /// Group size.
-    fn size(&self) -> usize;
     /// World ranks of the group, ascending.
     fn members(&self) -> &[usize];
-    /// Account local compute on the member's world clock.
-    fn work(&mut self, ops: u64);
-    /// Open a named phase span on the underlying world communicator.
-    fn enter_phase(&mut self, name: &str);
-    /// Close the innermost open phase span on the world communicator.
-    fn exit_phase(&mut self);
-    /// Synchronize the group.
-    fn barrier(&mut self);
-    /// Broadcast from the group-rank `root` to the group.
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]);
-    /// Allreduce over the group.
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp);
-    /// Allreduce of a single scalar over the group.
-    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        let mut buf = [value];
-        self.allreduce_f64s(&mut buf, op);
-        buf[0]
-    }
-    /// Gather variable-length vectors to the group-rank `root`.
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>>;
     /// Split this group by `color_of(r)`, group rank `r`'s color, which
     /// every member computes identically: members of equal color form a
     /// nested sub-communicator (`MPI_Comm_split` on a non-world
@@ -310,21 +308,12 @@ pub trait GroupCommunicator {
     fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Self::Child<'_>;
 }
 
-impl Communicator for Comm {
-    type Req = Request;
-    type Group<'g> = SubComm<'g>;
-
+impl SpmdComm for Comm {
     fn rank(&self) -> usize {
         Comm::rank(self)
     }
     fn size(&self) -> usize {
         Comm::size(self)
-    }
-    fn machine(&self) -> &MachineSpec {
-        Comm::machine(self)
-    }
-    fn now(&self) -> f64 {
-        Comm::now(self)
     }
     fn work(&mut self, ops: u64) {
         Comm::work(self, ops);
@@ -334,6 +323,39 @@ impl Communicator for Comm {
     }
     fn exit_phase(&mut self) {
         Comm::exit_phase(self);
+    }
+    fn barrier(&mut self) {
+        Comm::barrier(self);
+    }
+    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
+        Comm::broadcast_f64s(self, root, buf);
+    }
+    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
+        Comm::gather_f64s(self, root, mine)
+    }
+    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
+        Comm::allreduce_f64s(self, buf, op);
+    }
+    fn checks_replication(&self) -> bool {
+        Comm::checks_replication(self)
+    }
+    fn verify_replicated(&mut self, label: &str, data: &[f64]) {
+        Comm::verify_replicated(self, label, data);
+    }
+    fn replay_truncate(&mut self) {
+        Comm::replay_truncate(self);
+    }
+}
+
+impl Communicator for Comm {
+    type Req = Request;
+    type Group<'g> = SubComm<'g>;
+
+    fn machine(&self) -> &MachineSpec {
+        Comm::machine(self)
+    }
+    fn now(&self) -> f64 {
+        Comm::now(self)
     }
     fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
         Comm::send_f64s(self, dst, tag, values);
@@ -353,23 +375,8 @@ impl Communicator for Comm {
     fn waitall(&mut self, reqs: &mut [Request]) -> Vec<Option<Vec<f64>>> {
         Comm::waitall(self, reqs)
     }
-    fn barrier(&mut self) {
-        Comm::barrier(self);
-    }
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        Comm::broadcast_f64s(self, root, buf);
-    }
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        Comm::gather_f64s(self, root, mine)
-    }
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        Comm::allreduce_f64s(self, buf, op);
-    }
     fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
         Comm::allreduce_f64s_with(self, buf, op, algo);
-    }
-    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        Comm::allreduce_scalar(self, value, op)
     }
     fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Request {
         Comm::iallreduce_f64s(self, buf, op)
@@ -382,35 +389,18 @@ impl Communicator for Comm {
     ) -> Request {
         Comm::iallreduce_f64s_with(self, buf, op, algo)
     }
-    fn replay_truncate(&mut self) {
-        Comm::replay_truncate(self);
-    }
-    fn checks_replication(&self) -> bool {
-        Comm::checks_replication(self)
-    }
-    fn verify_replicated(&mut self, label: &str, data: &[f64]) {
-        Comm::verify_replicated(self, label, data);
-    }
     fn split(&mut self, color_of: impl Fn(usize) -> u32) -> SubComm<'_> {
         Comm::split(self, color_of)
     }
 }
 
 /// The one group type, over either backend's world.
-impl<W: World> GroupCommunicator for Group<'_, W> {
-    type Child<'c>
-        = Group<'c, W>
-    where
-        Self: 'c;
-
+impl<W: World> SpmdComm for Group<'_, W> {
     fn rank(&self) -> usize {
         Group::rank(self)
     }
     fn size(&self) -> usize {
         Group::size(self)
-    }
-    fn members(&self) -> &[usize] {
-        Group::members(self)
     }
     fn work(&mut self, ops: u64) {
         Group::work(self, ops);
@@ -427,14 +417,22 @@ impl<W: World> GroupCommunicator for Group<'_, W> {
     fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
         Group::broadcast_f64s(self, root, buf);
     }
+    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
+        Group::gather_f64s(self, root, mine)
+    }
     fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
         Group::allreduce_f64s(self, buf, op);
     }
-    fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        Group::allreduce_scalar(self, value, op)
-    }
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        Group::gather_f64s(self, root, mine)
+}
+
+impl<W: World> GroupCommunicator for Group<'_, W> {
+    type Child<'c>
+        = Group<'c, W>
+    where
+        Self: 'c;
+
+    fn members(&self) -> &[usize] {
+        Group::members(self)
     }
     fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Group<'_, W> {
         Group::split(self, color_of)

@@ -1,7 +1,7 @@
 //! Versioned, checksummed snapshots of the EM search state.
 //!
-//! A [`SearchCheckpoint`] captures everything `run_search`'s rank body
-//! needs to resume a search mid-try: the position in the
+//! A [`SearchCheckpoint`] captures everything the search's try loop
+//! (`run.rs`) needs to resume a search mid-try: the position in the
 //! `start_j_list × tries` schedule, the current try's EM state (class
 //! parameters, previous log likelihood, cycle count), and the
 //! classifications stored so far. Because the parallel search keeps this
@@ -16,6 +16,7 @@
 //! round-off). Decoding never panics: truncation, corruption, or a
 //! foreign file surface as a typed [`CheckpointError`].
 
+use autoclass::model::Approximation;
 use autoclass::search::Classification;
 use mpsim::payload::checksum;
 
@@ -152,12 +153,7 @@ impl CkptClassification {
         CkptClassification {
             j_initial: c.j_initial,
             j: c.classes.len(),
-            approx: [
-                c.approx.log_likelihood,
-                c.approx.complete_ll,
-                c.approx.complete_marginal,
-                c.approx.cs_score,
-            ],
+            approx: approx_to(c.approx),
             log_prior: c.log_prior,
             cycles: c.cycles,
             converged: c.converged,
@@ -172,17 +168,28 @@ impl CkptClassification {
         Classification {
             classes: autoclass::model::classes_from_flat(model, self.j, &self.classes_flat),
             j_initial: self.j_initial,
-            approx: autoclass::model::Approximation {
-                log_likelihood: self.approx[0],
-                complete_ll: self.approx[1],
-                complete_marginal: self.approx[2],
-                cs_score: self.approx[3],
-            },
+            approx: approx_from(self.approx),
             log_prior: self.log_prior,
             cycles: self.cycles,
             converged: self.converged,
             seed: self.seed,
         }
+    }
+}
+
+/// An [`Approximation`]'s scores in checkpoint order:
+/// `[log_likelihood, complete_ll, complete_marginal, cs_score]`.
+pub(crate) fn approx_to(a: Approximation) -> [f64; 4] {
+    [a.log_likelihood, a.complete_ll, a.complete_marginal, a.cs_score]
+}
+
+/// The inverse of [`approx_to`].
+pub(crate) fn approx_from(v: [f64; 4]) -> Approximation {
+    Approximation {
+        log_likelihood: v[0],
+        complete_ll: v[1],
+        complete_marginal: v[2],
+        cs_score: v[3],
     }
 }
 

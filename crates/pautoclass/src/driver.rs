@@ -8,10 +8,11 @@
 //! identical parameters and identical control-flow decisions — the
 //! semantics-preservation property the paper claims for its design.
 //!
-//! Every building block here is generic over [`mpsim::Communicator`], so
-//! the same driver runs on the simulated machine (`mpsim::Comm`, virtual
-//! time) or on real cores (`shmcomm::NativeComm`, wall-clock time) with
-//! bitwise-identical numerical results.
+//! Every building block here is generic over [`mpsim::Communicator`] (or,
+//! where a group can run it too, [`mpsim::SpmdComm`]), so the same driver
+//! runs on the simulated machine (`mpsim::Comm`, virtual time) or on real
+//! cores (`shmcomm::NativeComm`, wall-clock time) with bitwise-identical
+//! numerical results.
 
 use autoclass::data::{DataView, GlobalStats};
 use autoclass::model::{
@@ -21,7 +22,7 @@ use autoclass::model::{
 };
 use mpsim::{
     predicted_allreduce_cost, select_allreduce, AllreduceAlgo, Communicator, GroupCommunicator,
-    ReduceOp,
+    ReduceOp, SpmdComm,
 };
 
 use crate::config::{Exchange, Strategy};
@@ -54,7 +55,7 @@ pub fn build_model<C: Communicator>(
 /// Initialize a try's classes on rank 0 and broadcast them, so all ranks
 /// start identically (the parallel equivalent of AutoClass's random
 /// class seeding).
-pub fn init_classes_parallel<C: Communicator>(
+pub fn init_classes_parallel<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
@@ -485,12 +486,17 @@ fn root_view<'a>(view: &DataView<'a>) -> DataView<'a> {
 
 // ---- Sub-communicator (group) variants ---------------------------------
 //
-// The same building blocks over a `GroupCommunicator`: used by the
-// shrink-recovery path (survivors-only sub-communicator, `crate::recover`)
-// and by the fleet-parallel model search (one EM sub-search per fleet,
-// `crate::fleet`). The group allreduce is recursive doubling with the
-// standard non-power-of-two parking, so for a power-of-two group running
-// the fused exchange these produce bitwise the same numbers as the
+// Everything the try loop needs that is the same on a group (class
+// seeding, checkpoints) is written once against `SpmdComm`. Two group
+// twins stay, each for a phase-accounting reason:
+// - `sub_build_model` books no `"allreduce"` span, so the shrink's model
+//   rebuild stays inside the caller's `"recovery"` phase.
+// - `sub_base_cycle` books no phase spans, so a fleet's ranks keep no
+//   `estep`/`mstep`/`allreduce` buckets (three per rank, which costs the
+//   fleet-p256 benchmark about 4% of its peak heap).
+// The group allreduce is recursive doubling with the standard
+// non-power-of-two parking, so for a power-of-two group running the fused
+// exchange these produce bitwise the same numbers as the
 // world-communicator driver on a machine of the group's size.
 
 /// [`build_model`] over a sub-communicator: local statistics on the
@@ -511,27 +517,6 @@ pub(crate) fn sub_build_model<G: GroupCommunicator>(
     } else {
         Model::with_correlated(view.schema().clone(), &global, correlated_blocks)
     }
-}
-
-/// [`init_classes_parallel`] over a sub-communicator: the group's lowest
-/// rank seeds and broadcasts.
-pub(crate) fn sub_init_classes<G: GroupCommunicator>(
-    sub: &mut G,
-    model: &Model,
-    view: &DataView<'_>,
-    j: usize,
-    seed: u64,
-    classes: &mut Vec<ClassParams>,
-) {
-    let flat_len = model.class_param_len() * j;
-    let mut flat = if sub.rank() == 0 {
-        let init = init_classes(model, view, j, seed);
-        classes_to_flat(&init)
-    } else {
-        vec![0.0; flat_len]
-    };
-    sub.broadcast_f64s(0, &mut flat);
-    classes_from_flat_into(model, j, &flat, classes);
 }
 
 /// One EM cycle over a sub-communicator, in the fused-exchange shape:

@@ -48,22 +48,23 @@ use std::sync::Mutex;
 
 use autoclass::data::{block_partition, block_range, Dataset};
 use autoclass::model::{
-    classes_from_flat_into, classes_to_flat, converged, derive_seed, log_param_prior,
-    update_wts_into, Approximation, ClassParams, CycleWorkspace, EStepScratch, Model, WtsMatrix,
+    classes_from_flat_into, classes_to_flat, derive_seed, update_wts_into, Approximation,
+    ClassParams, CycleWorkspace, EStepScratch, Model, WtsMatrix,
 };
-use autoclass::search::{apply_class_death, is_duplicate, Classification};
+use autoclass::search::Classification;
 use mpsim::{
-    run_spmd, Communicator, GroupCommunicator, MachineSpec, ReduceOp, SimError, SimOptions,
-    RECOVERY_PHASE,
+    run_spmd, CommError, Communicator, GroupCommunicator, MachineSpec, ReduceOp, SimError,
+    SimOptions, SpmdComm, RECOVERY_PHASE,
 };
 use shmcomm::{run_native, NativeOptions};
 
 use crate::config::{
     Consensus, FleetConfig, FtConfig, ParallelConfig, Partitioning, RecoveryPolicy,
 };
+use crate::driver::{sub_base_cycle, sub_build_model};
 use crate::error::{PartitionError, RunError};
-use crate::recover::fault_culprit;
-use crate::run::{outcome_from, ParallelOutcome};
+use crate::recover::{fault_culprit, recovery_time};
+use crate::run::{best_first, keep_unique, outcome_from, ParallelOutcome, Try};
 
 /// Counters of the fleet scheduler, identical on every rank.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,15 +166,11 @@ struct Fingerprint {
 /// (all zeros when the fleet finished nothing this round).
 const SLOT_LEN: usize = 10;
 
-/// A candidate suspended across rounds on the ranks of its fleet.
+/// A candidate suspended across rounds on the ranks of its fleet: its
+/// schedule index and its try.
 struct Running {
     idx: usize,
-    j_initial: usize,
-    seed: u64,
-    classes: Vec<ClassParams>,
-    prev_ll: f64,
-    cycles: usize,
-    approx: Approximation,
+    cur: Try,
 }
 
 /// How a candidate's burst ended this round.
@@ -205,15 +202,6 @@ pub(crate) struct FleetCheckpoint {
     /// Per fleet, the serialized retained classifications (the same
     /// record format the consensus gather uses).
     retained_raw: Vec<Vec<f64>>,
-}
-
-fn neg_inf_approx() -> Approximation {
-    Approximation {
-        log_likelihood: f64::NEG_INFINITY,
-        complete_ll: f64::NEG_INFINITY,
-        complete_marginal: f64::NEG_INFINITY,
-        cs_score: f64::NEG_INFINITY,
-    }
 }
 
 /// Append one classification as a self-describing record:
@@ -294,9 +282,9 @@ fn parse_records(buf: &[f64], model: &Model) -> Vec<(usize, Classification)> {
 
 /// Does the running candidate look like it is converging into `fp`'s
 /// basin? Same features and tolerances as the sequential
-/// [`is_duplicate`]: class count, relative log likelihood, heaviest
-/// weights.
-fn matches_fingerprint(fp: &Fingerprint, run: &Running) -> bool {
+/// [`autoclass::search::is_duplicate`]: class count, relative log
+/// likelihood, heaviest weights.
+fn matches_fingerprint(fp: &Fingerprint, run: &Try) -> bool {
     if fp.n_classes != run.classes.len() {
         return false;
     }
@@ -376,7 +364,7 @@ fn fleet_core<G: GroupCommunicator>(
     let mut fleet = sub.split(|r| fleet_of[r]);
     let part = block_range(data.len(), fleet.size(), fleet.rank());
     let view = data.view(part.start, part.end);
-    let model = crate::driver::sub_build_model(&mut fleet, &view, &config.correlated_blocks);
+    let model = sub_build_model(&mut fleet, &view, &config.correlated_blocks);
     drop(fleet);
     sub.exit_phase();
 
@@ -462,66 +450,37 @@ fn fleet_core<G: GroupCommunicator>(
             if let Some(k) = in_progress[my_fleet] {
                 if my_running.is_none() {
                     let ji = k / sc.tries_per_j;
-                    let j = sc.start_j_list[ji];
                     let seed = derive_seed(sc.seed, k as u64);
-                    let mut classes = Vec::new();
-                    crate::driver::sub_init_classes(
-                        &mut fleet,
-                        &model,
-                        &view,
-                        j,
-                        seed,
-                        &mut classes,
-                    );
-                    my_running = Some(Running {
-                        idx: k,
-                        j_initial: j,
-                        seed,
-                        classes,
-                        prev_ll: f64::NEG_INFINITY,
-                        cycles: 0,
-                        approx: neg_inf_approx(),
-                    });
+                    let cur = Try::begin(&mut fleet, &model, &view, sc.start_j_list[ji], seed);
+                    my_running = Some(Running { idx: k, cur });
                 }
                 // lint:allow(unwrap): installed above when absent
                 let run = my_running.as_mut().expect("running candidate installed");
                 let mut burst = 0usize;
-                while burst < round_cycles && run.cycles < sc.max_cycles {
+                while burst < round_cycles && run.cur.cycles < sc.max_cycles {
                     // Duplicate probe: earlier-scheduled converged
                     // candidates only, so the abandonment relation is
                     // acyclic and schedule-deterministic.
                     if fc.dedup_every > 0
-                        && run.cycles > 0
-                        && run.cycles.is_multiple_of(fc.dedup_every)
+                        && run.cur.cycles > 0
+                        && run.cur.cycles.is_multiple_of(fc.dedup_every)
                         && fingerprints
                             .iter()
-                            .any(|fp| fp.idx < run.idx && matches_fingerprint(fp, run))
+                            .any(|fp| fp.idx < run.idx && matches_fingerprint(fp, &run.cur))
                     {
                         end = Some(BurstEnd::Abandoned);
                         break;
                     }
-                    let a = crate::driver::sub_base_cycle(
-                        &mut fleet,
-                        &model,
-                        &view,
-                        &mut run.classes,
-                        &mut ws,
-                    );
-                    run.approx = a;
-                    run.cycles += 1;
                     burst += 1;
-                    if apply_class_death(&mut run.classes, sc.min_class_weight) {
-                        run.prev_ll = f64::NEG_INFINITY;
-                        continue;
-                    }
-                    if converged(run.prev_ll, a.log_likelihood, sc.rel_delta_ll) {
+                    if run.cur.step(sc, |classes| {
+                        sub_base_cycle(&mut fleet, &model, &view, classes, &mut ws)
+                    }) {
                         end = Some(BurstEnd::Finished { converged: true });
                         break;
                     }
-                    run.prev_ll = a.log_likelihood;
                 }
                 if end.is_none() {
-                    end = Some(if run.cycles >= sc.max_cycles {
+                    end = Some(if run.cur.cycles >= sc.max_cycles {
                         BurstEnd::Finished { converged: false }
                     } else {
                         BurstEnd::Suspended
@@ -538,23 +497,12 @@ fn fleet_core<G: GroupCommunicator>(
             Some(BurstEnd::Finished { converged: did_converge }) => {
                 // lint:allow(unwrap): Finished is only set while running
                 let run = my_running.take().expect("finished candidate was running");
-                let mut classes = run.classes;
-                classes.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-                let log_prior = log_param_prior(&model, &classes);
-                let c = Classification {
-                    classes,
-                    j_initial: run.j_initial,
-                    approx: run.approx,
-                    log_prior,
-                    cycles: run.cycles,
-                    converged: did_converge,
-                    seed: run.seed,
-                };
+                let c = run.cur.finish(&model, did_converge);
                 slot = [
                     (run.idx + 1) as f64,
                     f64::from(u8::from(did_converge)),
                     0.0,
-                    run.cycles as f64,
+                    c.cycles as f64,
                     c.classes.len() as f64,
                     c.approx.log_likelihood,
                     0.0,
@@ -570,7 +518,7 @@ fn fleet_core<G: GroupCommunicator>(
                 let run = my_running.take().expect("abandoned candidate was running");
                 slot[0] = (run.idx + 1) as f64;
                 slot[2] = 1.0;
-                slot[3] = run.cycles as f64;
+                slot[3] = run.cur.cycles as f64;
             }
             Some(BurstEnd::Suspended) | None => {}
         }
@@ -673,12 +621,9 @@ fn fleet_core<G: GroupCommunicator>(
         // the classifications the serial search would, bit for bit.
         let mut all: Vec<Classification> = Vec::new();
         for (_, c) in cands {
-            if !all.iter().any(|existing| is_duplicate(existing, &c)) {
-                all.push(c);
-            }
+            keep_unique(&mut all, c);
         }
-        all.sort_by(|a, b| b.score().total_cmp(&a.score()));
-        all.truncate(sc.max_stored);
+        best_first(&mut all, sc.max_stored);
         let mut out = Vec::new();
         for (i, c) in all.iter().enumerate() {
             push_record(&mut out, i, c);
@@ -928,19 +873,22 @@ fn greedy_align(conf: &[f64], j0: usize, jv: usize, max_label: &mut usize) -> Ve
     map
 }
 
-/// The world rank body of the plain (non-fault-tolerant) fleet search:
-/// wrap the whole machine in a single group (so the fleet splits are the
-/// nested splits both backends implement identically) and run the core.
+/// The world rank body of the fleet search (`ft` set under supervision,
+/// with `resume` its latest checkpoint): wrap the whole machine in a
+/// single group (so the fleet splits are the nested splits both backends
+/// implement identically) and run the core.
 fn fleet_rank_body<C: Communicator>(
     comm: &mut C,
     data: &Dataset,
     config: &ParallelConfig,
     fc: &FleetConfig,
+    ft: Option<(&FtConfig, &Mutex<Option<FleetCheckpoint>>)>,
+    resume: Option<&FleetCheckpoint>,
 ) -> (Vec<Classification>, usize, FleetStats) {
     comm.enter_phase("search");
     let p = comm.size();
     let mut sub = comm.split(|_| 0);
-    let r = fleet_core(&mut sub, p, data, config, fc, None, None);
+    let r = fleet_core(&mut sub, p, data, config, fc, ft, resume);
     drop(sub);
     comm.exit_phase();
     r
@@ -987,7 +935,7 @@ pub fn run_search_fleet_with(
     opts: &SimOptions,
 ) -> Result<FleetOutcome, RunError> {
     block_only(config)?;
-    let out = run_spmd(machine, opts, |comm| fleet_rank_body(comm, data, config, fc))?;
+    let out = run_spmd(machine, opts, |comm| fleet_rank_body(comm, data, config, fc, None, None))?;
     let Some((all, cycles, fleet)) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
     };
@@ -1009,7 +957,8 @@ pub fn run_search_fleet_native(
     opts: &NativeOptions,
 ) -> Result<FleetOutcome, RunError> {
     block_only(config)?;
-    let out = run_native(machine, opts, |comm| fleet_rank_body(comm, data, config, fc))?;
+    let out =
+        run_native(machine, opts, |comm| fleet_rank_body(comm, data, config, fc, None, None))?;
     let Some((all, cycles, fleet)) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
     };
@@ -1063,7 +1012,11 @@ fn shrunk_fleet_rank_body<C: Communicator>(
 ///
 /// # Errors
 /// Same contract as [`crate::run_search_ft`], except that any
-/// partitioning but [`Partitioning::Block`] is [`RunError::Partition`].
+/// partitioning but [`Partitioning::Block`] is [`RunError::Partition`],
+/// and that [`RecoveryPolicy::LocalReplay`], as the policy or as the
+/// fallback of [`RecoveryPolicy::PromoteSpare`], is refused up front with
+/// a typed `CommError::Unsupported`: the fleet supervisor has no local
+/// replay and would otherwise turn it into a full restart.
 pub fn run_search_fleet_ft(
     data: &Dataset,
     machine: &MachineSpec,
@@ -1073,6 +1026,17 @@ pub fn run_search_fleet_ft(
     opts: &SimOptions,
 ) -> Result<FleetFtOutcome, RunError> {
     block_only(config)?;
+    let replays = match ft.policy {
+        RecoveryPolicy::LocalReplay => true,
+        RecoveryPolicy::PromoteSpare => matches!(ft.standby.fallback, RecoveryPolicy::LocalReplay),
+        _ => false,
+    };
+    if replays {
+        return Err(RunError::Comm(CommError::Unsupported {
+            what: "RecoveryPolicy::LocalReplay in the fleet search".into(),
+            backend: "simulated",
+        }));
+    }
     let store: Mutex<Option<FleetCheckpoint>> = Mutex::new(None);
     let mut faults: Vec<SimError> = Vec::new();
     let mut excluded: Option<usize> = None;
@@ -1102,24 +1066,11 @@ pub fn run_search_fleet_ft(
                 (ft, &store),
                 resume,
             ),
-            None => {
-                comm.enter_phase("search");
-                let p = comm.size();
-                let mut sub = comm.split(|_| 0);
-                let r = fleet_core(&mut sub, p, data, config, fc, Some((ft, &store)), resume);
-                drop(sub);
-                comm.exit_phase();
-                Some(r)
-            }
+            None => Some(fleet_rank_body(comm, data, config, fc, Some((ft, &store)), resume)),
         });
         match result {
             Ok(out) => {
-                let recovery_time = out
-                    .ranks
-                    .iter()
-                    .filter_map(|r| r.phase(RECOVERY_PHASE))
-                    .map(|ph| ph.total())
-                    .fold(0.0, f64::max);
+                let recovery_time = recovery_time(&out.ranks);
                 let elapsed = out.elapsed;
                 let (ranks, stats) = (out.ranks, out.stats);
                 let Some((all, cycles, fleet)) = out.per_rank.into_iter().flatten().next() else {

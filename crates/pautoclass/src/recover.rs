@@ -1,12 +1,16 @@
 //! Fault-tolerant search: checkpointing, failure handling, and the
 //! recovery policies.
 //!
-//! [`run_search_ft`] wraps the parallel search in a supervisor loop. The
-//! rank body snapshots its (bitwise replicated) state into a
-//! [`SearchCheckpoint`] every `k` EM cycles; when the engine dies with a
-//! recoverable fault — a crashed rank, a dropped or corrupted message, a
-//! receive timeout (see `mpsim::fault`) — the supervisor applies the
-//! configured [`RecoveryPolicy`]:
+//! [`run_search_ft`] and [`run_search_ft_native`] wrap the parallel
+//! search in one supervisor attempt loop; they differ only in the
+//! launcher and in how a native `CommError` yields its simulated fault.
+//! Each attempt runs the search's one try loop (`crate::run`) with
+//! checkpoints on: it snapshots its (bitwise replicated) state into a
+//! [`SearchCheckpoint`] every `k` EM cycles and resumes from the latest
+//! one. When the engine dies with a recoverable fault — a crashed rank,
+//! a dropped or corrupted message, a receive timeout (see
+//! `mpsim::fault`) — the supervisor applies the configured
+//! [`RecoveryPolicy`]:
 //!
 //! * [`RecoveryPolicy::Abort`] — return the typed error; the diagnosis
 //!   (culprit rank, sequence number, fault kind) is the product.
@@ -18,7 +22,7 @@
 //! * [`RecoveryPolicy::ShrinkAndRedistribute`] — exclude the culprit
 //!   rank, rebuild a (P−1)-rank communicator with `Communicator::split`,
 //!   repartition the data over the survivors, and resume from the
-//!   checkpoint. The rebuild cost is measured under the `"recovery"`
+//!   checkpoint: the same try loop, on the survivors' group. The rebuild cost is measured under the `"recovery"`
 //!   phase bucket and reported as [`FtOutcome::recovery_time`].
 //! * [`RecoveryPolicy::PromoteSpare`] — promote a warm spare slot into
 //!   the failed logical rank through the machine's member table
@@ -43,27 +47,20 @@
 use std::sync::Mutex;
 
 use autoclass::data::{block_range, Dataset};
-use autoclass::model::{
-    classes_from_flat_into, classes_to_flat, converged, derive_seed, log_param_prior,
-    Approximation, CycleWorkspace,
-};
-use autoclass::search::{apply_class_death, is_duplicate, Classification};
+use autoclass::search::Classification;
 use mpsim::{
-    run_spmd, CommError, Communicator, DecodeError, GroupCommunicator, MachineSpec, ReplayLog,
-    SimError, SimOptions, RECOVERY_PHASE,
+    run_spmd, CommError, Communicator, DecodeError, MachineSpec, RankStats, ReplayLog, RunStats,
+    SimError, SimOptions, SpmdComm, RECOVERY_PHASE,
 };
 use shmcomm::{run_native, NativeOptions};
 
 use crate::checkpoint::{
-    corrupt_shard, decode_shard, to_shards, CheckpointError, CkptClassification, SearchCheckpoint,
+    corrupt_shard, decode_shard, to_shards, CheckpointError, SearchCheckpoint,
 };
 use crate::config::{FtConfig, ParallelConfig, RecoveryPolicy, ShardFault};
-use crate::driver::{
-    build_model, init_classes_parallel, parallel_base_cycle, sub_base_cycle, sub_build_model,
-    sub_init_classes,
-};
+use crate::driver::{sub_base_cycle, sub_build_model};
 use crate::error::RunError;
-use crate::run::{outcome_from, ParallelOutcome};
+use crate::run::{outcome_from, search_tries, world_search, CheckpointStore, ParallelOutcome};
 
 /// Result of a fault-tolerant search, wrapping the ordinary
 /// [`ParallelOutcome`] with the supervisor's recovery record.
@@ -154,7 +151,7 @@ enum Recovery {
 /// reload; a promotion is a shard load on one slot plus a ready
 /// handshake; a replay is culprit-local with the survivors stalled at the
 /// barrier until the replay horizon catches up.
-fn recovery_prologue<C: Communicator>(comm: &mut C, recovery: Recovery) {
+fn recovery_prologue<C: SpmdComm>(comm: &mut C, recovery: Recovery) {
     let p = comm.size().max(1) as u64;
     let shard_words = move |ck_words: u64| ck_words.div_ceil(p);
     match recovery {
@@ -210,63 +207,23 @@ pub fn run_search_ft(
     ft: &FtConfig,
     opts: &SimOptions,
 ) -> Result<FtOutcome, RunError> {
-    config.partition.validate(machine.p)?;
-    let store: Mutex<Option<Vec<u8>>> = Mutex::new(None);
-    let mut sup = Supervisor::new(machine, ft);
-    let mut opts_now = opts.clone();
-    if matches!(ft.policy, RecoveryPolicy::LocalReplay) && opts_now.replay.is_none() {
-        opts_now.replay = Some(ReplayLog::new(ft.standby.replay_capacity));
+    let mut opts = opts.clone();
+    if matches!(ft.policy, RecoveryPolicy::LocalReplay) && opts.replay.is_none() {
+        opts.replay = Some(ReplayLog::new(ft.standby.replay_capacity));
     }
-    let mut attempts = 0usize;
-    let mut recovery = Recovery::None;
-    loop {
-        attempts += 1;
-        let resume = {
-            // lint:allow(unwrap): mutex poisoning only follows another panic
-            let guard = store.lock().expect("checkpoint store lock");
-            match guard.as_deref() {
-                Some(bytes) => Some(SearchCheckpoint::from_bytes(bytes)?),
-                None => None,
-            }
-        };
-        let resume = resume.as_ref();
-        if let Some(log) = &opts_now.replay {
-            // Fresh horizon per attempt: the decided prologue has already
-            // charged the previous attempt's replay.
-            log.reset();
-        }
-        let rec = recovery;
-        let excluded = sup.excluded;
-        let result = run_spmd(&sup.machine_now, &opts_now, |comm| match excluded {
-            Some(culprit) => shrunk_rank_body(comm, data, config, ft, culprit, resume, &store),
-            None => Some(ft_rank_body(comm, data, config, ft, resume, &store, rec)),
-        });
-        match result {
-            Ok(out) => {
-                let recovery_time = out
-                    .ranks
-                    .iter()
-                    .filter_map(|r| r.phase(RECOVERY_PHASE))
-                    .map(|ph| ph.total())
-                    .fold(0.0, f64::max);
-                let elapsed = out.elapsed;
-                let (ranks, stats) = (out.ranks, out.stats);
-                let Some((all, cycles)) = out.per_rank.into_iter().flatten().next() else {
-                    return Err(RunError::EmptySearch);
-                };
-                let outcome = outcome_from(all, cycles, elapsed, ranks, stats)?;
-                return Ok(sup.finish(outcome, attempts, recovery_time));
-            }
-            Err(e) => match sup.plan(&e, &store, opts_now.replay.as_ref()) {
-                Some(r) => recovery = r,
-                None => return Err(e.into()),
-            },
-        }
-    }
+    let launch = |m: &MachineSpec, at: Attempt<'_>| {
+        run_spmd(m, &opts, |comm| attempt_body(comm, data, config, ft, at)).map(|out| Launched {
+            per_rank: out.per_rank,
+            elapsed: out.elapsed,
+            ranks: out.ranks,
+            stats: out.stats,
+        })
+    };
+    supervise(machine, config, ft, opts.replay.as_ref(), launch, |e| Some(e))
 }
 
-/// [`run_search_ft`] on real cores: the same generic rank body and the
-/// same supervisor, driven by `shmcomm::run_native` with wall-clock time.
+/// [`run_search_ft`] on real cores: the same rank body and the same
+/// supervisor, driven by `shmcomm::run_native` with wall-clock time.
 /// Injected faults arrive as `CommError::Sim` (see
 /// `shmcomm::NativeOptions::fault`), so the culprit diagnosis — and
 /// therefore every recovery decision — is identical to the simulated
@@ -291,8 +248,59 @@ pub fn run_search_ft_native(
             backend: "native",
         }));
     }
+    let launch = |m: &MachineSpec, at: Attempt<'_>| {
+        run_native(m, opts, |comm| attempt_body(comm, data, config, ft, at)).map(|out| Launched {
+            per_rank: out.per_rank,
+            elapsed: out.elapsed,
+            ranks: out.ranks,
+            stats: out.stats,
+        })
+    };
+    // Only simulated-typed faults carry a culprit diagnosis; genuinely
+    // native failures propagate unrecovered.
+    supervise(machine, config, ft, None, launch, |e| match e {
+        CommError::Sim(sim) => Some(sim),
+        _ => None,
+    })
+}
+
+/// What one attempt of a supervised search starts from, as decided by the
+/// supervisor after the previous attempt's fault.
+#[derive(Clone, Copy)]
+struct Attempt<'a> {
+    /// The rank a shrink excluded, if any.
+    excluded: Option<usize>,
+    /// The recovery toll the attempt's prologue charges.
+    recovery: Recovery,
+    /// The latest checkpoint, decoded.
+    resume: Option<&'a SearchCheckpoint>,
+    /// Where the attempt publishes its checkpoints.
+    store: &'a CheckpointStore,
+}
+
+/// One finished attempt, whichever backend ran it.
+struct Launched {
+    per_rank: Vec<Option<(Vec<Classification>, usize)>>,
+    elapsed: f64,
+    ranks: Vec<RankStats>,
+    stats: RunStats,
+}
+
+/// The supervisor's attempt loop, shared by both backends. `launch` runs
+/// one attempt on the (possibly promoted) machine; `sim_error` yields the
+/// simulated fault a launch error carries, if any, which the supervisor
+/// may recover from. `replay` is the run's replay log, whose horizon
+/// restarts with every attempt.
+fn supervise<E: Into<RunError>>(
+    machine: &MachineSpec,
+    config: &ParallelConfig,
+    ft: &FtConfig,
+    replay: Option<&ReplayLog>,
+    mut launch: impl FnMut(&MachineSpec, Attempt<'_>) -> Result<Launched, E>,
+    sim_error: impl Fn(&E) -> Option<&SimError>,
+) -> Result<FtOutcome, RunError> {
     config.partition.validate(machine.p)?;
-    let store: Mutex<Option<Vec<u8>>> = Mutex::new(None);
+    let store: CheckpointStore = Mutex::new(None);
     let mut sup = Supervisor::new(machine, ft);
     let mut attempts = 0usize;
     let mut recovery = Recovery::None;
@@ -306,42 +314,96 @@ pub fn run_search_ft_native(
                 None => None,
             }
         };
-        let resume = resume.as_ref();
-        let rec = recovery;
-        let excluded = sup.excluded;
-        let result = run_native(&sup.machine_now, opts, |comm| match excluded {
-            Some(culprit) => shrunk_rank_body(comm, data, config, ft, culprit, resume, &store),
-            None => Some(ft_rank_body(comm, data, config, ft, resume, &store, rec)),
-        });
-        match result {
+        if let Some(log) = replay {
+            // Fresh horizon per attempt: the decided prologue has already
+            // charged the previous attempt's replay.
+            log.reset();
+        }
+        let at =
+            Attempt { excluded: sup.excluded, recovery, resume: resume.as_ref(), store: &store };
+        match launch(&sup.machine_now, at) {
             Ok(out) => {
-                let recovery_time = out
-                    .ranks
-                    .iter()
-                    .filter_map(|r| r.phase(RECOVERY_PHASE))
-                    .map(|ph| ph.total())
-                    .fold(0.0, f64::max);
-                let elapsed = out.elapsed;
-                let (ranks, stats) = (out.ranks, out.stats);
+                let recovery_time = recovery_time(&out.ranks);
                 let Some((all, cycles)) = out.per_rank.into_iter().flatten().next() else {
                     return Err(RunError::EmptySearch);
                 };
-                let outcome = outcome_from(all, cycles, elapsed, ranks, stats)?;
+                let outcome = outcome_from(all, cycles, out.elapsed, out.ranks, out.stats)?;
                 return Ok(sup.finish(outcome, attempts, recovery_time));
             }
-            Err(e) => {
-                // Only simulated-typed faults carry a culprit diagnosis;
-                // genuinely native failures propagate unrecovered.
-                let CommError::Sim(sim) = &e else {
-                    return Err(e.into());
-                };
-                match sup.plan(&sim.clone(), &store, None) {
-                    Some(r) => recovery = r,
-                    None => return Err(e.into()),
-                }
-            }
+            Err(e) => match sim_error(&e).and_then(|sim| sup.plan(sim, &store, replay)) {
+                Some(r) => recovery = r,
+                None => return Err(e.into()),
+            },
         }
     }
+}
+
+/// The rank body of one supervised attempt: after a shrink, the
+/// survivors' search; otherwise the decided recovery prologue, then the
+/// world search. Both publish checkpoints and resume from `at.resume`.
+/// Returns `None` on the excluded rank.
+fn attempt_body<C: Communicator>(
+    comm: &mut C,
+    data: &Dataset,
+    config: &ParallelConfig,
+    ft: &FtConfig,
+    at: Attempt<'_>,
+) -> Option<(Vec<Classification>, usize)> {
+    let checkpoints = Some((ft.checkpoint_every, at.store));
+    match at.excluded {
+        Some(culprit) => shrunk_search(comm, data, config, culprit, checkpoints, at.resume),
+        None => {
+            recovery_prologue(comm, at.recovery);
+            Some(world_search(comm, data, config, checkpoints, at.resume))
+        }
+    }
+}
+
+/// The post-shrink rank body: the culprit rank secedes, the survivors
+/// rebuild a (P−1)-rank sub-communicator, repartition the data and
+/// rebuild the model (all booked as recovery), then run the try loop on
+/// the survivors' group from the checkpoint. Returns `None` on the
+/// excluded rank.
+fn shrunk_search<C: Communicator>(
+    comm: &mut C,
+    data: &Dataset,
+    config: &ParallelConfig,
+    culprit: usize,
+    checkpoints: Option<(usize, &CheckpointStore)>,
+    resume: Option<&SearchCheckpoint>,
+) -> Option<(Vec<Classification>, usize)> {
+    // Everything up to the resumed EM — communicator shrink, data
+    // repartitioning, model rebuild — is recovery cost.
+    comm.enter_phase(RECOVERY_PHASE);
+    let excluded = comm.rank() == culprit;
+    // Every rank knows the culprit, so the shrink moves no message.
+    let mut sub = comm.split(|r| u32::from(r == culprit));
+    if excluded {
+        // The suspect rank leaves the computation entirely.
+        sub.exit_phase();
+        return None;
+    }
+    let part = block_range(data.len(), sub.size(), sub.rank());
+    let view = data.view(part.start, part.end);
+    // Survivors-only by design: the excluded rank has already left and
+    // every collective below runs on the shrunk communicator `sub`,
+    // whose membership is exactly the ranks that took this path — the
+    // analyzer's sub-communicator rule recognizes this, no waiver needed.
+    let model = sub_build_model(&mut sub, &view, &config.correlated_blocks);
+    sub.exit_phase();
+
+    sub.enter_phase("search");
+    let found = search_tries(
+        &mut sub,
+        &model,
+        &view,
+        &config.search,
+        |sub, classes, ws| sub_base_cycle(sub, &model, &view, classes, ws),
+        checkpoints,
+        resume,
+    );
+    sub.exit_phase();
+    Some(found)
 }
 
 /// The recovery decision state shared by the simulated and native
@@ -408,7 +470,7 @@ impl<'a> Supervisor<'a> {
     fn plan(
         &mut self,
         e: &SimError,
-        store: &Mutex<Option<Vec<u8>>>,
+        store: &CheckpointStore,
         replay: Option<&ReplayLog>,
     ) -> Option<Recovery> {
         // Only injected-fault errors are recoverable; anything else (a
@@ -506,7 +568,7 @@ impl<'a> Supervisor<'a> {
 /// would, applying any injected [`ShardFault`] first. A corrupt shard
 /// surfaces as [`SimError::PayloadCorrupt`] naming the shard's owner.
 fn check_culprit_shard(
-    store: &Mutex<Option<Vec<u8>>>,
+    store: &CheckpointStore,
     p: usize,
     culprit: usize,
     injected: Option<ShardFault>,
@@ -543,6 +605,12 @@ fn check_culprit_shard(
     }
 }
 
+/// Virtual seconds a run spent rebuilding after faults: the largest
+/// `"recovery"` phase total over its ranks.
+pub(crate) fn recovery_time(ranks: &[RankStats]) -> f64 {
+    ranks.iter().filter_map(|r| r.phase(RECOVERY_PHASE)).map(|ph| ph.total()).fold(0.0, f64::max)
+}
+
 /// The rank to blame for a recoverable engine fault: the crashed rank,
 /// the peer whose message went missing, or the sender of a late or
 /// corrupted payload. `None` marks the error non-recoverable.
@@ -553,283 +621,5 @@ pub(crate) fn fault_culprit(e: &SimError) -> Option<usize> {
         SimError::Timeout { from, .. } => Some(*from),
         SimError::PayloadCorrupt { from, .. } => Some(*from),
         _ => None,
-    }
-}
-
-fn approx_to(a: Approximation) -> [f64; 4] {
-    [a.log_likelihood, a.complete_ll, a.complete_marginal, a.cs_score]
-}
-
-fn approx_from(v: [f64; 4]) -> Approximation {
-    Approximation {
-        log_likelihood: v[0],
-        complete_ll: v[1],
-        complete_marginal: v[2],
-        cs_score: v[3],
-    }
-}
-
-/// Serialize the (replicated) search state, charge the serialization cost
-/// in virtual time on every rank under the `"checkpoint"` phase, and
-/// publish rank 0's copy to the supervisor's store.
-fn publish_checkpoint<C: Communicator>(
-    comm: &mut C,
-    ck: &SearchCheckpoint,
-    store: &Mutex<Option<Vec<u8>>>,
-) {
-    let bytes = ck.to_bytes();
-    comm.enter_phase("checkpoint");
-    comm.work(bytes.len() as u64);
-    comm.exit_phase();
-    if comm.rank() == 0 {
-        // lint:allow(unwrap): mutex poisoning only follows another panic
-        *store.lock().expect("checkpoint store lock") = Some(bytes);
-    }
-    // Nothing delivered before this snapshot can need replaying.
-    comm.replay_truncate();
-}
-
-/// The fault-tolerant variant of the search rank body: identical EM
-/// schedule and numbers, plus checkpoint publication every
-/// `ft.checkpoint_every` cycles and the ability to resume mid-try from a
-/// decoded checkpoint.
-fn ft_rank_body<C: Communicator>(
-    comm: &mut C,
-    data: &Dataset,
-    config: &ParallelConfig,
-    ft: &FtConfig,
-    resume: Option<&SearchCheckpoint>,
-    store: &Mutex<Option<Vec<u8>>>,
-    recovery: Recovery,
-) -> (Vec<Classification>, usize) {
-    recovery_prologue(comm, recovery);
-    comm.enter_phase("search");
-    let part = config.partition.range(data.len(), comm.size(), comm.rank());
-    let view = data.view(part.start, part.end);
-    let model = build_model(comm, &view, &config.correlated_blocks);
-    let sc = &config.search;
-
-    // Results of tries that finished before the checkpoint restore
-    // exactly (flat parameters are carried as raw bit patterns).
-    let mut all: Vec<Classification> = resume
-        .map(|ck| ck.best.iter().map(|b| b.to_classification(&model)).collect())
-        .unwrap_or_default();
-    let mut total_cycles = resume.map_or(0, |ck| ck.total_cycles);
-    let mut ws = CycleWorkspace::new();
-
-    for (ji, &j) in sc.start_j_list.iter().enumerate() {
-        for t in 0..sc.tries_per_j {
-            if resume.is_some_and(|ck| (ji, t) < (ck.ji, ck.try_idx)) {
-                continue; // finished before the checkpoint; already in `all`
-            }
-            let resumed = resume.filter(|ck| (ji, t) == (ck.ji, ck.try_idx));
-            let seed = derive_seed(sc.seed, (ji * sc.tries_per_j + t) as u64);
-            let mut classes = Vec::new();
-            let mut prev_ll = f64::NEG_INFINITY;
-            let mut cycles = 0usize;
-            let mut approx = approx_from([f64::NEG_INFINITY; 4]);
-            match resumed {
-                Some(ck) => {
-                    classes_from_flat_into(&model, ck.j_current, &ck.classes_flat, &mut classes);
-                    prev_ll = ck.prev_ll;
-                    cycles = ck.cycle;
-                    approx = approx_from(ck.approx);
-                }
-                None => init_classes_parallel(comm, &model, &view, j, seed, &mut classes),
-            }
-            let mut did_converge = false;
-            let mut since_ckpt = 0usize;
-            while cycles < sc.max_cycles {
-                if ft.checkpoint_every > 0 && since_ckpt >= ft.checkpoint_every {
-                    let ck = SearchCheckpoint {
-                        ji,
-                        try_idx: t,
-                        cycle: cycles,
-                        j_current: classes.len(),
-                        seed,
-                        prev_ll,
-                        approx: approx_to(approx),
-                        total_cycles,
-                        classes_flat: classes_to_flat(&classes),
-                        best: all.iter().map(CkptClassification::from_classification).collect(),
-                    };
-                    publish_checkpoint(comm, &ck, store);
-                    since_ckpt = 0;
-                }
-                let a = parallel_base_cycle(
-                    comm,
-                    &model,
-                    &view,
-                    &mut classes,
-                    &mut ws,
-                    config.strategy,
-                );
-                approx = a;
-                cycles += 1;
-                since_ckpt += 1;
-                if apply_class_death(&mut classes, sc.min_class_weight) {
-                    prev_ll = f64::NEG_INFINITY;
-                    continue;
-                }
-                if converged(prev_ll, a.log_likelihood, sc.rel_delta_ll) {
-                    did_converge = true;
-                    break;
-                }
-                prev_ll = a.log_likelihood;
-            }
-            total_cycles += cycles;
-            classes.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-            let log_prior = log_param_prior(&model, &classes);
-            let c = Classification {
-                classes,
-                j_initial: j,
-                approx,
-                log_prior,
-                cycles,
-                converged: did_converge,
-                seed,
-            };
-            if !all.iter().any(|existing| is_duplicate(existing, &c)) {
-                all.push(c);
-            }
-        }
-    }
-    all.sort_by(|a, b| b.score().total_cmp(&a.score()));
-    all.truncate(sc.max_stored);
-    comm.exit_phase();
-    (all, total_cycles)
-}
-
-/// The post-shrink rank body: the culprit rank secedes, the survivors
-/// rebuild a (P−1)-rank sub-communicator, repartition the data, restore
-/// the checkpointed state, and finish the search with sub-communicator
-/// collectives. Returns `None` on the excluded rank.
-fn shrunk_rank_body<C: Communicator>(
-    comm: &mut C,
-    data: &Dataset,
-    config: &ParallelConfig,
-    ft: &FtConfig,
-    culprit: usize,
-    resume: Option<&SearchCheckpoint>,
-    store: &Mutex<Option<Vec<u8>>>,
-) -> Option<(Vec<Classification>, usize)> {
-    // Everything up to the resumed EM — communicator shrink, data
-    // repartitioning, model rebuild, state restore — is recovery cost.
-    comm.enter_phase(RECOVERY_PHASE);
-    let excluded = comm.rank() == culprit;
-    // Every rank knows the culprit, so the shrink moves no message.
-    let mut sub = comm.split(|r| u32::from(r == culprit));
-    if excluded {
-        // The suspect rank leaves the computation entirely.
-        sub.exit_phase();
-        return None;
-    }
-    let part = block_range(data.len(), sub.size(), sub.rank());
-    let view = data.view(part.start, part.end);
-    // Survivors-only by design: the excluded rank has already left and
-    // every collective below runs on the shrunk communicator `sub`,
-    // whose membership is exactly the ranks that took this path — the
-    // analyzer's sub-communicator rule recognizes this, no waiver needed.
-    let model = sub_build_model(&mut sub, &view, &config.correlated_blocks);
-    let sc = &config.search;
-    let mut all: Vec<Classification> = resume
-        .map(|ck| ck.best.iter().map(|b| b.to_classification(&model)).collect())
-        .unwrap_or_default();
-    let mut total_cycles = resume.map_or(0, |ck| ck.total_cycles);
-    sub.exit_phase();
-
-    sub.enter_phase("search");
-    let mut ws = CycleWorkspace::new();
-    for (ji, &j) in sc.start_j_list.iter().enumerate() {
-        for t in 0..sc.tries_per_j {
-            if resume.is_some_and(|ck| (ji, t) < (ck.ji, ck.try_idx)) {
-                continue;
-            }
-            let resumed = resume.filter(|ck| (ji, t) == (ck.ji, ck.try_idx));
-            let seed = derive_seed(sc.seed, (ji * sc.tries_per_j + t) as u64);
-            let mut classes = Vec::new();
-            let mut prev_ll = f64::NEG_INFINITY;
-            let mut cycles = 0usize;
-            let mut approx = approx_from([f64::NEG_INFINITY; 4]);
-            match resumed {
-                Some(ck) => {
-                    // The class parameters were checkpointed in their flat
-                    // broadcast form; rebuilding them against the
-                    // survivors' model restores the crashed run's state.
-                    classes_from_flat_into(&model, ck.j_current, &ck.classes_flat, &mut classes);
-                    prev_ll = ck.prev_ll;
-                    cycles = ck.cycle;
-                    approx = approx_from(ck.approx);
-                }
-                None => sub_init_classes(&mut sub, &model, &view, j, seed, &mut classes),
-            }
-            let mut did_converge = false;
-            let mut since_ckpt = 0usize;
-            while cycles < sc.max_cycles {
-                if ft.checkpoint_every > 0 && since_ckpt >= ft.checkpoint_every {
-                    let ck = SearchCheckpoint {
-                        ji,
-                        try_idx: t,
-                        cycle: cycles,
-                        j_current: classes.len(),
-                        seed,
-                        prev_ll,
-                        approx: approx_to(approx),
-                        total_cycles,
-                        classes_flat: classes_to_flat(&classes),
-                        best: all.iter().map(CkptClassification::from_classification).collect(),
-                    };
-                    sub_publish_checkpoint(&mut sub, &ck, store);
-                    since_ckpt = 0;
-                }
-                let a = sub_base_cycle(&mut sub, &model, &view, &mut classes, &mut ws);
-                approx = a;
-                cycles += 1;
-                since_ckpt += 1;
-                if apply_class_death(&mut classes, sc.min_class_weight) {
-                    prev_ll = f64::NEG_INFINITY;
-                    continue;
-                }
-                if converged(prev_ll, a.log_likelihood, sc.rel_delta_ll) {
-                    did_converge = true;
-                    break;
-                }
-                prev_ll = a.log_likelihood;
-            }
-            total_cycles += cycles;
-            classes.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-            let log_prior = log_param_prior(&model, &classes);
-            let c = Classification {
-                classes,
-                j_initial: j,
-                approx,
-                log_prior,
-                cycles,
-                converged: did_converge,
-                seed,
-            };
-            if !all.iter().any(|existing| is_duplicate(existing, &c)) {
-                all.push(c);
-            }
-        }
-    }
-    all.sort_by(|a, b| b.score().total_cmp(&a.score()));
-    all.truncate(sc.max_stored);
-    sub.exit_phase();
-    Some((all, total_cycles))
-}
-
-/// [`publish_checkpoint`] over the sub-communicator: the lowest surviving
-/// rank publishes.
-fn sub_publish_checkpoint<G: GroupCommunicator>(
-    sub: &mut G,
-    ck: &SearchCheckpoint,
-    store: &Mutex<Option<Vec<u8>>>,
-) {
-    let bytes = ck.to_bytes();
-    sub.work(bytes.len() as u64);
-    if sub.rank() == 0 {
-        // lint:allow(unwrap): mutex poisoning only follows another panic
-        *store.lock().expect("checkpoint store lock") = Some(bytes);
     }
 }

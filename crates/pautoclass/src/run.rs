@@ -1,16 +1,32 @@
-//! Top-level P-AutoClass entry points: run the full search — or a
-//! fixed-size cycling run for scaleup measurements — on a simulated
-//! multicomputer ([`run_search`]) or on real cores ([`run_search_native`]).
-//! Both drive the same generic rank body through [`mpsim::Communicator`],
-//! so their classifications are bitwise identical; only the time axis
-//! differs (virtual LogGP seconds vs measured wall-clock seconds).
+//! The P-AutoClass search: sequential AutoClass's try loop, written once,
+//! and its plain entry points.
+//!
+//! The try loop (`search_tries`) is tries × `base_cycle` with class
+//! death, the convergence test and duplicate elimination. It is generic
+//! over [`mpsim::SpmdComm`] and takes the EM cycle as an argument, so one
+//! loop serves the world search ([`run_search`] on the simulated machine,
+//! [`run_search_native`] on real cores, both through
+//! [`crate::driver::parallel_base_cycle`]), the fault-tolerant supervisor
+//! (`crate::recover`, which switches on checkpoints and resume) and the
+//! survivors' search after a shrink (through
+//! `crate::driver::sub_base_cycle` on the survivors' group). The fleet
+//! search drives its candidates through the same per-cycle step and
+//! finish (`Try`). The simulated and native runs are bitwise identical;
+//! only the time axis differs (virtual LogGP seconds vs measured
+//! wall-clock seconds).
 
-use autoclass::data::Dataset;
-use autoclass::model::{converged, derive_seed, CycleWorkspace};
-use autoclass::search::{apply_class_death, is_duplicate, Classification};
-use mpsim::{run_spmd, Communicator, MachineSpec, RankStats, RunStats, SimOptions};
+use std::sync::Mutex;
+
+use autoclass::data::{DataView, Dataset};
+use autoclass::model::{
+    classes_from_flat_into, classes_to_flat, converged, derive_seed, log_param_prior,
+    Approximation, ClassParams, CycleWorkspace, Model,
+};
+use autoclass::search::{apply_class_death, is_duplicate, Classification, SearchConfig};
+use mpsim::{run_spmd, Communicator, MachineSpec, RankStats, RunStats, SimOptions, SpmdComm};
 use shmcomm::{run_native, NativeOptions};
 
+use crate::checkpoint::{approx_from, approx_to, CkptClassification, SearchCheckpoint};
 use crate::config::ParallelConfig;
 use crate::driver::{build_model, init_classes_parallel, parallel_base_cycle};
 use crate::error::RunError;
@@ -34,23 +50,160 @@ pub struct ParallelOutcome {
     pub cycles: usize,
 }
 
-/// The per-rank body of the search, shared by [`run_search`] and
-/// [`run_search_native`] — one body, two machines.
-fn search_rank_body<C: Communicator>(
-    comm: &mut C,
-    data: &Dataset,
-    config: &ParallelConfig,
-) -> (Vec<Classification>, usize) {
-    // Everything not claimed by an inner span (model setup, class-death
-    // and convergence decisions, dedup/scoring) is model-search time.
-    comm.enter_phase("search");
-    let part = config.partition.range(data.len(), comm.size(), comm.rank());
-    let view = data.view(part.start, part.end);
-    let model = build_model(comm, &view, &config.correlated_blocks);
-    let sc = &config.search;
+/// Where a fault-tolerant search stores its checkpoints: rank 0's
+/// serialized [`SearchCheckpoint`], read by the supervisor between
+/// attempts.
+pub(crate) type CheckpointStore = Mutex<Option<Vec<u8>>>;
 
-    let mut all: Vec<Classification> = Vec::new();
-    let mut total_cycles = 0usize;
+/// One try of the search between EM cycles: its classes and the state
+/// the convergence test reads, bitwise replicated on every rank.
+pub(crate) struct Try {
+    /// The J the try started with.
+    j_initial: usize,
+    /// The try's derived seed.
+    seed: u64,
+    /// Current class parameters.
+    pub(crate) classes: Vec<ClassParams>,
+    /// Previous cycle's log likelihood (`-inf` after init or class death).
+    prev_ll: f64,
+    /// EM cycles run.
+    pub(crate) cycles: usize,
+    /// Scores at the last cycle.
+    pub(crate) approx: Approximation,
+}
+
+impl Try {
+    /// Begin a try: rank 0 seeds `j` classes and broadcasts them.
+    pub(crate) fn begin<C: SpmdComm>(
+        comm: &mut C,
+        model: &Model,
+        view: &DataView<'_>,
+        j: usize,
+        seed: u64,
+    ) -> Try {
+        let mut classes = Vec::new();
+        init_classes_parallel(comm, model, view, j, seed, &mut classes);
+        Try {
+            j_initial: j,
+            seed,
+            classes,
+            prev_ll: f64::NEG_INFINITY,
+            cycles: 0,
+            approx: approx_from([f64::NEG_INFINITY; 4]),
+        }
+    }
+
+    /// Resume the try `ck` was taken in, at the cycle it was taken. The
+    /// class parameters were checkpointed in their flat broadcast form;
+    /// rebuilding them against the (replicated) model restores the
+    /// faulted run's state bit for bit.
+    fn resume(model: &Model, ck: &SearchCheckpoint, j: usize, seed: u64) -> Try {
+        let mut classes = Vec::new();
+        classes_from_flat_into(model, ck.j_current, &ck.classes_flat, &mut classes);
+        Try {
+            j_initial: j,
+            seed,
+            classes,
+            prev_ll: ck.prev_ll,
+            cycles: ck.cycle,
+            approx: approx_from(ck.approx),
+        }
+    }
+
+    /// Run one EM cycle, then class death and the convergence test.
+    /// Global statistics are identical on every rank, so both decisions
+    /// are too, with no extra coordination message. Returns whether the
+    /// try converged.
+    pub(crate) fn step(
+        &mut self,
+        sc: &SearchConfig,
+        cycle: impl FnOnce(&mut Vec<ClassParams>) -> Approximation,
+    ) -> bool {
+        let a = cycle(&mut self.classes);
+        self.approx = a;
+        self.cycles += 1;
+        if apply_class_death(&mut self.classes, sc.min_class_weight) {
+            self.prev_ll = f64::NEG_INFINITY;
+            return false;
+        }
+        if converged(self.prev_ll, a.log_likelihood, sc.rel_delta_ll) {
+            return true;
+        }
+        self.prev_ll = a.log_likelihood;
+        false
+    }
+
+    /// The finished try: classes by decreasing weight, with their log
+    /// prior.
+    pub(crate) fn finish(self, model: &Model, did_converge: bool) -> Classification {
+        let mut classes = self.classes;
+        classes.sort_by(|a, b| b.weight.total_cmp(&a.weight));
+        let log_prior = log_param_prior(model, &classes);
+        Classification {
+            classes,
+            j_initial: self.j_initial,
+            approx: self.approx,
+            log_prior,
+            cycles: self.cycles,
+            converged: did_converge,
+            seed: self.seed,
+        }
+    }
+}
+
+/// Keep `c` unless it duplicates an earlier classification (sequential
+/// AutoClass's duplicate elimination, in schedule order).
+pub(crate) fn keep_unique(all: &mut Vec<Classification>, c: Classification) {
+    if !all.iter().any(|existing| is_duplicate(existing, &c)) {
+        all.push(c);
+    }
+}
+
+/// Order the retained classifications best first and keep `max_stored`.
+pub(crate) fn best_first(all: &mut Vec<Classification>, max_stored: usize) {
+    all.sort_by(|a, b| b.score().total_cmp(&a.score()));
+    all.truncate(max_stored);
+}
+
+/// Serialize the (replicated) search state, charge the serialization cost
+/// on every rank under the `"checkpoint"` phase, and publish rank 0's
+/// copy to the supervisor's store.
+fn publish_checkpoint<C: SpmdComm>(comm: &mut C, ck: &SearchCheckpoint, store: &CheckpointStore) {
+    let bytes = ck.to_bytes();
+    comm.enter_phase("checkpoint");
+    comm.work(bytes.len() as u64);
+    comm.exit_phase();
+    if comm.rank() == 0 {
+        // lint:allow(unwrap): mutex poisoning only follows another panic
+        *store.lock().expect("checkpoint store lock") = Some(bytes);
+    }
+    // Nothing delivered before this snapshot can need replaying.
+    comm.replay_truncate();
+}
+
+/// The try loop: every try of the `start_j_list × tries_per_j` schedule,
+/// each run to convergence or `max_cycles` by `cycle`, duplicates dropped,
+/// the rest ranked best first. Returns the retained classifications and
+/// the total cycle count.
+///
+/// With `checkpoints = Some((k, store))` and `k > 0` the loop publishes a
+/// [`SearchCheckpoint`] every `k` cycles; with `resume` it skips the tries
+/// that finished before that checkpoint and resumes the one in progress.
+pub(crate) fn search_tries<C: SpmdComm>(
+    comm: &mut C,
+    model: &Model,
+    view: &DataView<'_>,
+    sc: &SearchConfig,
+    mut cycle: impl FnMut(&mut C, &mut Vec<ClassParams>, &mut CycleWorkspace) -> Approximation,
+    checkpoints: Option<(usize, &CheckpointStore)>,
+    resume: Option<&SearchCheckpoint>,
+) -> (Vec<Classification>, usize) {
+    // Results of tries that finished before the checkpoint restore
+    // exactly (flat parameters are carried as raw bit patterns).
+    let mut all: Vec<Classification> = resume
+        .map(|ck| ck.best.iter().map(|b| b.to_classification(model)).collect())
+        .unwrap_or_default();
+    let mut total_cycles = resume.map_or(0, |ck| ck.total_cycles);
     // One workspace outlives every try: the weight matrix, E-step scratch
     // and statistics buffer reach their high-water mark once and are
     // reused for the rest of the search.
@@ -58,63 +211,77 @@ fn search_rank_body<C: Communicator>(
 
     for (ji, &j) in sc.start_j_list.iter().enumerate() {
         for t in 0..sc.tries_per_j {
+            if resume.is_some_and(|ck| (ji, t) < (ck.ji, ck.try_idx)) {
+                continue; // finished before the checkpoint; already in `all`
+            }
             let seed = derive_seed(sc.seed, (ji * sc.tries_per_j + t) as u64);
-            let mut classes = Vec::new();
-            init_classes_parallel(comm, &model, &view, j, seed, &mut classes);
-            let mut prev_ll = f64::NEG_INFINITY;
-            let mut cycles = 0usize;
-            let mut did_converge = false;
-            let mut approx = autoclass::model::Approximation {
-                log_likelihood: f64::NEG_INFINITY,
-                complete_ll: f64::NEG_INFINITY,
-                complete_marginal: f64::NEG_INFINITY,
-                cs_score: f64::NEG_INFINITY,
+            let mut cur = match resume.filter(|ck| (ji, t) == (ck.ji, ck.try_idx)) {
+                Some(ck) => Try::resume(model, ck, j, seed),
+                None => Try::begin(comm, model, view, j, seed),
             };
-            while cycles < sc.max_cycles {
-                let a = parallel_base_cycle(
-                    comm,
-                    &model,
-                    &view,
-                    &mut classes,
-                    &mut ws,
-                    config.strategy,
-                );
-                approx = a;
-                cycles += 1;
-                // Global statistics are identical on every rank, so the
-                // class-death and convergence decisions are too — no
-                // extra coordination message is needed.
-                if apply_class_death(&mut classes, sc.min_class_weight) {
-                    prev_ll = f64::NEG_INFINITY;
-                    continue;
+            let mut did_converge = false;
+            let mut since_ckpt = 0usize;
+            while cur.cycles < sc.max_cycles {
+                if let Some((every, store)) = checkpoints {
+                    if every > 0 && since_ckpt >= every {
+                        let ck = SearchCheckpoint {
+                            ji,
+                            try_idx: t,
+                            cycle: cur.cycles,
+                            j_current: cur.classes.len(),
+                            seed,
+                            prev_ll: cur.prev_ll,
+                            approx: approx_to(cur.approx),
+                            total_cycles,
+                            classes_flat: classes_to_flat(&cur.classes),
+                            best: all.iter().map(CkptClassification::from_classification).collect(),
+                        };
+                        publish_checkpoint(comm, &ck, store);
+                        since_ckpt = 0;
+                    }
                 }
-                if converged(prev_ll, a.log_likelihood, sc.rel_delta_ll) {
+                since_ckpt += 1;
+                if cur.step(sc, |classes| cycle(comm, classes, &mut ws)) {
                     did_converge = true;
                     break;
                 }
-                prev_ll = a.log_likelihood;
             }
-            total_cycles += cycles;
-            classes.sort_by(|a, b| b.weight.total_cmp(&a.weight));
-            let log_prior = autoclass::model::log_param_prior(&model, &classes);
-            let c = Classification {
-                classes,
-                j_initial: j,
-                approx,
-                log_prior,
-                cycles,
-                converged: did_converge,
-                seed,
-            };
-            if !all.iter().any(|existing| is_duplicate(existing, &c)) {
-                all.push(c);
-            }
+            total_cycles += cur.cycles;
+            keep_unique(&mut all, cur.finish(model, did_converge));
         }
     }
-    all.sort_by(|a, b| b.score().total_cmp(&a.score()));
-    all.truncate(sc.max_stored);
-    comm.exit_phase();
+    best_first(&mut all, sc.max_stored);
     (all, total_cycles)
+}
+
+/// The world's rank body: this rank's partition, the model, then the try
+/// loop with the configured cycle strategy. Shared by the plain searches
+/// ([`run_search`], [`run_search_native`]) and the fault-tolerant
+/// supervisor's unshrunk attempts.
+pub(crate) fn world_search<C: Communicator>(
+    comm: &mut C,
+    data: &Dataset,
+    config: &ParallelConfig,
+    checkpoints: Option<(usize, &CheckpointStore)>,
+    resume: Option<&SearchCheckpoint>,
+) -> (Vec<Classification>, usize) {
+    // Everything not claimed by an inner span (model setup, class-death
+    // and convergence decisions, dedup/scoring) is model-search time.
+    comm.enter_phase("search");
+    let part = config.partition.range(data.len(), comm.size(), comm.rank());
+    let view = data.view(part.start, part.end);
+    let model = build_model(comm, &view, &config.correlated_blocks);
+    let found = search_tries(
+        comm,
+        &model,
+        &view,
+        &config.search,
+        |comm, classes, ws| parallel_base_cycle(comm, &model, &view, classes, ws, config.strategy),
+        checkpoints,
+        resume,
+    );
+    comm.exit_phase();
+    found
 }
 
 /// Run the full P-AutoClass search on the given (simulated) machine.
@@ -145,7 +312,7 @@ pub fn run_search_with(
     opts: &SimOptions,
 ) -> Result<ParallelOutcome, RunError> {
     config.partition.validate(machine.p)?;
-    let out = run_spmd(machine, opts, |comm| search_rank_body(comm, data, config))?;
+    let out = run_spmd(machine, opts, |comm| world_search(comm, data, config, None, None))?;
     let Some((all, cycles)) = out.per_rank.into_iter().next() else {
         // A machine with zero ranks is rejected by the engine before the
         // body runs, so this is unreachable in practice — but returning an
@@ -175,7 +342,7 @@ pub fn run_search_native(
     opts: &NativeOptions,
 ) -> Result<ParallelOutcome, RunError> {
     config.partition.validate(machine.p)?;
-    let out = run_native(machine, opts, |comm| search_rank_body(comm, data, config))?;
+    let out = run_native(machine, opts, |comm| world_search(comm, data, config, None, None))?;
     let Some((all, cycles)) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
     };

@@ -320,3 +320,25 @@ fn fleet_shrink_confines_the_damage_to_the_culprits_fleet() {
     let max_elapsed = out.outcome.outcome.ranks.iter().map(|r| r.elapsed).fold(0.0, f64::max);
     assert!(excluded.elapsed < max_elapsed, "culprit must leave the computation");
 }
+
+#[test]
+fn fleet_refuses_local_replay_instead_of_restarting() {
+    // The fleet supervisor keeps no replay log: asked for a local replay,
+    // as the policy or as the spare pool's fallback, it must say so up
+    // front rather than recover by a silent full restart.
+    let data = datagen::paper_dataset(240, 7);
+    let cfg = config(vec![2, 3], 11);
+    let fc = FleetConfig { groups: 2, ..FleetConfig::default() };
+    let mut promote = ft(RecoveryPolicy::PromoteSpare);
+    promote.standby.fallback = RecoveryPolicy::LocalReplay;
+    for ftc in [ft(RecoveryPolicy::LocalReplay), promote] {
+        let err =
+            run_search_fleet_ft(&data, &rd_machine(4), &cfg, &fc, &ftc, &opts_with(crash(1, 14)))
+                .unwrap_err();
+        assert!(
+            matches!(err, RunError::Comm(mpsim::CommError::Unsupported { .. })),
+            "{:?}: expected a typed refusal, got {err}",
+            ftc.policy
+        );
+    }
+}

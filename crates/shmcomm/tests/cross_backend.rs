@@ -6,7 +6,7 @@
 //! interchangeable: the machine spec chooses the schedule, the schedule
 //! fixes the fold order, and the fold order fixes every bit.
 
-use mpsim::{presets, AllreduceAlgo, Communicator, GroupCommunicator, ReduceOp};
+use mpsim::{presets, AllreduceAlgo, Communicator, ReduceOp, SpmdComm};
 use proptest::prelude::*;
 use shmcomm::{run_native, NativeOptions};
 

@@ -7,7 +7,7 @@
 
 use mpsim::{
     presets, AllreduceAlgo, CommError, Communicator, GroupCommunicator, MachineSpec, ReduceOp,
-    SimError, SimOptions, VerifyOptions,
+    SimError, SimOptions, SpmdComm, VerifyOptions,
 };
 use shmcomm::{run_native, NativeOptions};
 

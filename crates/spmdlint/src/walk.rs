@@ -167,7 +167,8 @@ pub(crate) fn divergent_param_indices(item: &ItemFn, summaries: &Summaries) -> B
 /// by repo convention: their collectives synchronize the color group the
 /// split carved out, not the world, so rank-dependent paths that mirror
 /// the split's own partition are not world divergence (see
-/// `handle_collective`). `comm`/`world` parameters get no such pass.
+/// `handle_collective`, and `passes_group` for a split child passed on
+/// to a helper). `comm`/`world` parameters get no such pass.
 fn seed_subcomm_params(params: &[String], ctx: &mut Ctx) {
     for p in params {
         if p == "sub" || p.ends_with("sub") {
@@ -717,7 +718,10 @@ impl<'a> Walker<'a> {
                 // Workspace function with a summary.
                 if let Some(info) = self.summaries.get(&name).cloned() {
                     if let Some(chain) = &info.collective {
-                        if self.spmd.is_some() {
+                        // A split child passed as an argument runs the
+                        // callee's collectives on that group, like a
+                        // collective called on it directly.
+                        if self.spmd.is_some() && !passes_group(args, &ctx.subcomms) {
                             self.divergence_at(
                                 line,
                                 ctx,
@@ -1166,6 +1170,18 @@ fn receiver_ident(ts: &[Tt], i: usize) -> Option<String> {
         }
     }
     None
+}
+
+/// Does a call's argument list pass a split child — `sub`, `&sub` or
+/// `&mut sub` with `sub` in `subcomms` — as one of its arguments? The
+/// callee's collectives then run on that group, whatever the callee
+/// names its parameter.
+fn passes_group(args: &[Tt], subcomms: &BTreeSet<String>) -> bool {
+    syn::split_top(args, ",").into_iter().any(|arg| {
+        let rest: Vec<&Tt> =
+            arg.iter().skip_while(|t| t.is_punct("&") || t.is_ident("mut")).collect();
+        matches!(rest.as_slice(), [Tt::Ident { text, .. }] if subcomms.contains(text))
+    })
 }
 
 /// Uses of a pending request ident that do not escape it.

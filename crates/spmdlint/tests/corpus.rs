@@ -22,7 +22,7 @@ fn fixture(name: &str) -> spmdlint::Report {
 #[test]
 fn every_fixture_expectation_fires() {
     let results = spmdlint::check_fixtures(&fixtures_dir()).unwrap();
-    assert_eq!(results.len(), 17, "fixture corpus changed size: {:?}", results.keys());
+    assert_eq!(results.len(), 19, "fixture corpus changed size: {:?}", results.keys());
     for (name, missing) in &results {
         assert!(missing.is_empty(), "fixture {name}: {missing:?}");
     }
@@ -60,6 +60,23 @@ fn subcomm_exemption_does_not_leak_to_the_parent() {
             (11, "collective-divergence", "split"),
             (25, "collective-divergence", "barrier"),
             (32, "collective-divergence", "split"),
+        ]
+    );
+}
+
+#[test]
+fn a_split_child_argument_is_a_group_call_and_the_world_is_not() {
+    // One helper whose collectives run on its `comm` parameter: clean on
+    // the survivors' group (`clean_split_child_argument`), divergent on
+    // the world under a rank branch and after the secede.
+    let report = fixture("bad_world_argument");
+    let got: Vec<(usize, &str, &str)> =
+        report.findings.iter().map(|f| (f.line, f.rule, f.culprit.as_str())).collect();
+    assert_eq!(
+        got,
+        vec![
+            (14, "collective-divergence", "seed_and_sync"),
+            (27, "collective-divergence", "seed_and_sync"),
         ]
     );
 }
@@ -128,6 +145,7 @@ fn clean_fixtures_stay_silent() {
         "clean_trait_spmd",
         "clean_fleet_subsearch",
         "clean_standby_supervisor",
+        "clean_split_child_argument",
     ] {
         let report = fixture(name);
         assert!(
