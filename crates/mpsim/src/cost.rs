@@ -86,7 +86,8 @@ impl ComputeModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceAlgo {
     /// Gather everything to rank 0, reduce there, broadcast back. Costs
-    /// `O(P)` message latencies; best only for tiny communicators.
+    /// `O(P)` message latencies; best only for tiny communicators. Folds
+    /// in rank order: the result is the sequential left fold for any P.
     Linear,
     /// Recursive doubling: `ceil(log2 P)` rounds of pairwise exchanges of
     /// the full vector. Latency-optimal for short messages.
@@ -94,11 +95,6 @@ pub enum AllreduceAlgo {
     /// Reduce-scatter + allgather over a ring: `2(P-1)` rounds of `m/P`
     /// sized messages. Bandwidth-optimal for long messages.
     Ring,
-    /// Behavioural alias of `Linear` kept for call-site intent: `Linear`
-    /// already folds in rank order, so its floating-point result is
-    /// deterministic and matches a sequential left fold regardless of P.
-    /// Tests that require bitwise reproducibility use this name.
-    OrderedLinear,
     /// Rabenseifner's algorithm: recursive-halving reduce-scatter followed
     /// by a recursive-doubling allgather. `2·ceil(log2 P)` rounds moving
     /// `~2m(P−1)/P` bytes per rank — the ring's bandwidth optimality with
@@ -111,9 +107,8 @@ pub enum AllreduceAlgo {
     /// Rabenseifner among the node leaders over the inter-node network,
     /// then an intra-node broadcast of the result. On a flat topology
     /// (node size 1) it degenerates to plain Rabenseifner. Never chosen by
-    /// `Auto` — like `OrderedLinear`, it is an explicit request, because
-    /// its advantage only exists when the machine actually has an
-    /// intra-node fast path.
+    /// `Auto`: it is an explicit request, because its advantage only
+    /// exists when the machine actually has an intra-node fast path.
     Hierarchical,
     /// Pick the predicted-cheapest concrete algorithm per call from the
     /// machine's LogGP parameters, the communicator size, and the vector
@@ -139,7 +134,7 @@ pub enum AllreduceAlgo {
 ///
 /// where `m = 8·elems` bytes and `P'` is the largest power of two ≤ P.
 /// `Auto` evaluates to the cost of the algorithm [`select_allreduce`]
-/// picks; `OrderedLinear` costs the same as `Linear`.
+/// picks.
 pub fn predicted_allreduce_cost(
     algo: AllreduceAlgo,
     p: usize,
@@ -159,7 +154,7 @@ pub fn predicted_allreduce_cost(
     let pow2 = if p.is_power_of_two() { p } else { p.next_power_of_two() / 2 };
     let park = if p.is_power_of_two() { 0.0 } else { 2.0 * msg(m) };
     match algo {
-        AllreduceAlgo::Linear | AllreduceAlgo::OrderedLinear => 2.0 * (pf - 1.0) * msg(m),
+        AllreduceAlgo::Linear => 2.0 * (pf - 1.0) * msg(m),
         AllreduceAlgo::RecursiveDoubling => {
             let rounds = pow2.trailing_zeros() as f64;
             rounds * msg(m) + park
@@ -194,8 +189,6 @@ pub fn predicted_allreduce_cost(
 /// — strict `<` with a fixed candidate order breaks ties — and a pure
 /// function of values that are identical on every rank (the collective
 /// fingerprint already enforces equal lengths), so all ranks agree.
-/// `OrderedLinear` is never auto-selected: it exists as an explicit
-/// determinism request, not a performance choice.
 pub fn select_allreduce(p: usize, elems: usize, net: &NetworkModel) -> AllreduceAlgo {
     let candidates = [
         AllreduceAlgo::RecursiveDoubling,
@@ -567,7 +560,7 @@ mod tests {
             for elems in [0, 1, 64, 4096, 1 << 18] {
                 let algo = select_allreduce(p, elems, &net);
                 assert!(
-                    !matches!(algo, AllreduceAlgo::Auto | AllreduceAlgo::OrderedLinear),
+                    !matches!(algo, AllreduceAlgo::Auto),
                     "P={p} elems={elems}: selected {algo:?}"
                 );
             }

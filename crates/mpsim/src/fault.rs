@@ -286,17 +286,20 @@ pub(crate) struct FaultState {
     failed: Mutex<Vec<Option<FailureRecord>>>,
     /// First dropped message per (src, dst) link.
     dropped: Mutex<BTreeMap<(usize, usize), FailureRecord>>,
-    /// Active slowdown factor per degraded (src, dst) link.
-    degrade: Mutex<BTreeMap<(usize, usize), f64>>,
+    /// Active slowdown factor per degraded (src, dst) link; `None` when no
+    /// spec degrades a link, so a send takes no lock for it.
+    degrade: Option<Mutex<BTreeMap<(usize, usize), f64>>>,
 }
 
 impl FaultState {
     pub fn new(plan: FaultPlan, p: usize) -> Self {
+        let degrades =
+            plan.specs.iter().any(|s| matches!(s.action, FaultAction::DegradeLink { .. }));
         FaultState {
             plan,
             failed: Mutex::new(vec![None; p]),
             dropped: Mutex::new(BTreeMap::new()),
-            degrade: Mutex::new(BTreeMap::new()),
+            degrade: degrades.then(Mutex::default),
         }
     }
 
@@ -372,14 +375,18 @@ impl FaultState {
                 FaultAction::DegradeLink { dst: d2, factor }
                     if d2 == dst && Self::hit(s.trigger, seq, now) && self.try_fire(i) =>
                 {
-                    // lint:allow(unwrap): mutex poisoning only follows another panic
-                    self.degrade.lock().expect("fault state lock").insert((src, dst), factor);
+                    if let Some(degrade) = &self.degrade {
+                        // lint:allow(unwrap): mutex poisoning only follows another panic
+                        degrade.lock().expect("fault state lock").insert((src, dst), factor);
+                    }
                 }
                 _ => {}
             }
         }
-        // lint:allow(unwrap): mutex poisoning only follows another panic
-        d.degrade_factor = self.degrade.lock().expect("fault state lock").get(&(src, dst)).copied();
+        if let Some(degrade) = &self.degrade {
+            // lint:allow(unwrap): mutex poisoning only follows another panic
+            d.degrade_factor = degrade.lock().expect("fault state lock").get(&(src, dst)).copied();
+        }
         d
     }
 

@@ -355,9 +355,7 @@ impl Plan {
             Shape::Broadcast => broadcast_steps(&mut b, p, key.root, n),
             Shape::Gather => gather_steps(&mut b, p, key.root),
             Shape::Allgather => allgather_steps(&mut b, p),
-            Shape::Allreduce(AllreduceAlgo::Linear | AllreduceAlgo::OrderedLinear) => {
-                linear_steps(&mut b, p, n);
-            }
+            Shape::Allreduce(AllreduceAlgo::Linear) => linear_steps(&mut b, p, n),
             Shape::Allreduce(AllreduceAlgo::RecursiveDoubling) => {
                 recursive_doubling_steps(&mut b, p, n, &|r| r);
             }

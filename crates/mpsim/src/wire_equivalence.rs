@@ -74,13 +74,12 @@ enum Coll {
     Allreduce(AllreduceAlgo),
 }
 
-const COLLS: [Coll; 10] = [
+const COLLS: [Coll; 9] = [
     Coll::Barrier,
     Coll::Broadcast,
     Coll::Gather,
     Coll::Allgather,
     Coll::Allreduce(AllreduceAlgo::Linear),
-    Coll::Allreduce(AllreduceAlgo::OrderedLinear),
     Coll::Allreduce(AllreduceAlgo::RecursiveDoubling),
     Coll::Allreduce(AllreduceAlgo::Ring),
     Coll::Allreduce(AllreduceAlgo::Rabenseifner),

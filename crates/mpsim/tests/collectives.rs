@@ -24,7 +24,6 @@ fn allreduce_matches_sequential_for_all_algorithms() {
             for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max, ReduceOp::Prod] {
                 for algo in [
                     AllreduceAlgo::Linear,
-                    AllreduceAlgo::OrderedLinear,
                     AllreduceAlgo::RecursiveDoubling,
                     AllreduceAlgo::Ring,
                     AllreduceAlgo::Rabenseifner,
@@ -114,7 +113,7 @@ fn rabenseifner_matches_every_algorithm_bitwise_on_integer_data() {
         for &n in &[0usize, 1, 7, 33] {
             let mut reference: Option<Vec<f64>> = None;
             for algo in [
-                AllreduceAlgo::OrderedLinear,
+                AllreduceAlgo::Linear,
                 AllreduceAlgo::RecursiveDoubling,
                 AllreduceAlgo::Ring,
                 AllreduceAlgo::Rabenseifner,

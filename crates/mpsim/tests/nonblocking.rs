@@ -15,9 +15,8 @@
 
 use mpsim::{presets, run_spmd, run_spmd_default, AllreduceAlgo, ReduceOp, SimError, SimOptions};
 
-const ALGOS: [AllreduceAlgo; 6] = [
+const ALGOS: [AllreduceAlgo; 5] = [
     AllreduceAlgo::Linear,
-    AllreduceAlgo::OrderedLinear,
     AllreduceAlgo::RecursiveDoubling,
     AllreduceAlgo::Ring,
     AllreduceAlgo::Rabenseifner,

@@ -14,9 +14,8 @@ use mpsim::{
     presets, run_spmd, AllreduceAlgo, EventKind, ReduceOp, RunStats, SimOptions, DEFAULT_PHASE,
 };
 
-const ALGOS: [AllreduceAlgo; 6] = [
+const ALGOS: [AllreduceAlgo; 5] = [
     AllreduceAlgo::Linear,
-    AllreduceAlgo::OrderedLinear,
     AllreduceAlgo::RecursiveDoubling,
     AllreduceAlgo::Ring,
     AllreduceAlgo::Rabenseifner,

@@ -14,9 +14,8 @@ use mpsim::{
 };
 use proptest::prelude::*;
 
-const ALGOS: [AllreduceAlgo; 7] = [
+const ALGOS: [AllreduceAlgo; 6] = [
     AllreduceAlgo::Linear,
-    AllreduceAlgo::OrderedLinear,
     AllreduceAlgo::RecursiveDoubling,
     AllreduceAlgo::Ring,
     AllreduceAlgo::Rabenseifner,
@@ -132,7 +131,7 @@ proptest! {
     fn every_layer_on_changes_no_bit(
         p in 1usize..65,
         node_size in 0usize..9,
-        algo in 0usize..7,
+        algo in 0..ALGOS.len(),
         op in 0usize..4,
         len_kind in 0usize..4,
         root in 0usize..64,

@@ -7,7 +7,10 @@
 //! classifications stored so far. Because the parallel search keeps this
 //! state bitwise replicated on every rank, one checkpoint describes the
 //! whole machine — and resuming from it reproduces the unfaulted run's
-//! final classification bit for bit (see `recover.rs`).
+//! final classification bit for bit (see `recover.rs`). The fleet search's
+//! round image (`crate::fleet`) is the same kind of machine-wide image and
+//! travels in the same frame (`frame`/`unframe`) under its own magic,
+//! so the supervisor stores, reloads, shards and checks both alike.
 //!
 //! The wire format is deliberately self-contained: a fixed header (magic,
 //! version, payload length, FNV-1a checksum) followed by a flat sequence
@@ -20,7 +23,7 @@ use autoclass::model::Approximation;
 use autoclass::search::Classification;
 use mpsim::payload::checksum;
 
-/// First eight bytes of every checkpoint file (`b"PACCKPT1"`).
+/// First eight bytes of every search checkpoint (`b"PACCKPT1"`).
 pub const MAGIC: u64 = u64::from_le_bytes(*b"PACCKPT1");
 /// Current format version. Bumped on any layout change; old versions are
 /// rejected with [`CheckpointError::BadVersion`] rather than misread.
@@ -95,7 +98,7 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checkpoint too short: {len} bytes, header needs {HEADER_LEN}")
             }
             CheckpointError::BadMagic { found } => {
-                write!(f, "bad checkpoint magic {found:#018x} (expected {MAGIC:#018x})")
+                write!(f, "bad checkpoint magic {found:#018x}")
             }
             CheckpointError::BadVersion { found } => {
                 write!(f, "unsupported checkpoint version {found} (expected {VERSION})")
@@ -250,13 +253,7 @@ impl SearchCheckpoint {
             put_u64(&mut payload, b.seed);
             put_f64s(&mut payload, &b.classes_flat);
         }
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        put_u64(&mut out, MAGIC);
-        put_u64(&mut out, VERSION);
-        put_u64(&mut out, payload.len() as u64);
-        put_u64(&mut out, checksum(&payload));
-        out.extend_from_slice(&payload);
-        out
+        frame(MAGIC, &payload)
     }
 
     /// Decode and validate checkpoint bytes.
@@ -265,39 +262,14 @@ impl SearchCheckpoint {
     /// Every way the bytes can be wrong is a distinct [`CheckpointError`];
     /// no input, however mangled, panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::TooShort { len: bytes.len() });
-        }
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.u64("magic")?;
-        if magic != MAGIC {
-            return Err(CheckpointError::BadMagic { found: magic });
-        }
-        let version = r.u64("version")?;
-        if version != VERSION {
-            return Err(CheckpointError::BadVersion { found: version });
-        }
-        let declared = r.u64("payload length")? as usize;
-        let sum = r.u64("checksum")?;
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != declared {
-            return Err(CheckpointError::LengthMismatch { len: payload.len(), expected: declared });
-        }
-        let found = checksum(payload);
-        if found != sum {
-            return Err(CheckpointError::ChecksumMismatch { expected: sum, found });
-        }
-        let mut r = Reader { bytes: payload, pos: 0 };
+        let mut r = unframe(bytes, MAGIC)?;
         let ji = r.u64("ji")? as usize;
         let try_idx = r.u64("try index")? as usize;
         let cycle = r.u64("cycle")? as usize;
         let j_current = r.u64("class count")? as usize;
         let seed = r.u64("seed")?;
         let prev_ll = r.f64("prev_ll")?;
-        let mut approx = [0.0; 4];
-        for v in &mut approx {
-            *v = r.f64("approximation")?;
-        }
+        let approx = r.f64x4("approximation")?;
         let total_cycles = r.u64("total cycles")? as usize;
         let classes_flat = r.f64s("class parameters")?;
         let n_best = r.u64("stored count")? as usize;
@@ -305,10 +277,7 @@ impl SearchCheckpoint {
         for _ in 0..n_best {
             let j_initial = r.u64("stored j_initial")? as usize;
             let j = r.u64("stored class count")? as usize;
-            let mut approx = [0.0; 4];
-            for v in &mut approx {
-                *v = r.f64("stored approximation")?;
-            }
+            let approx = r.f64x4("stored approximation")?;
             let log_prior = r.f64("stored log prior")?;
             let cycles = r.u64("stored cycles")? as usize;
             let converged = match r.u64("stored converged flag")? {
@@ -329,9 +298,7 @@ impl SearchCheckpoint {
                 classes_flat,
             });
         }
-        if r.pos != payload.len() {
-            return Err(CheckpointError::Malformed { what: "trailing bytes" });
-        }
+        r.done()?;
         Ok(SearchCheckpoint {
             ji,
             try_idx,
@@ -345,6 +312,46 @@ impl SearchCheckpoint {
             best,
         })
     }
+}
+
+/// Wrap a checkpoint payload in the fixed header: `magic`, [`VERSION`],
+/// payload length and the payload's FNV-1a checksum.
+pub(crate) fn frame(magic: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    put_u64(&mut out, magic);
+    put_u64(&mut out, VERSION);
+    put_u64(&mut out, payload.len() as u64);
+    put_u64(&mut out, checksum(payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Check the header [`frame`] wrote and return a reader over the payload
+/// it covers.
+pub(crate) fn unframe(bytes: &[u8], magic: u64) -> Result<Reader<'_>, CheckpointError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(CheckpointError::TooShort { len: bytes.len() });
+    }
+    let mut r = Reader { bytes, pos: 0 };
+    let found = r.u64("magic")?;
+    if found != magic {
+        return Err(CheckpointError::BadMagic { found });
+    }
+    let version = r.u64("version")?;
+    if version != VERSION {
+        return Err(CheckpointError::BadVersion { found: version });
+    }
+    let declared = r.u64("payload length")? as usize;
+    let sum = r.u64("checksum")?;
+    let payload = &bytes[HEADER_LEN..];
+    if payload.len() != declared {
+        return Err(CheckpointError::LengthMismatch { len: payload.len(), expected: declared });
+    }
+    let found = checksum(payload);
+    if found != sum {
+        return Err(CheckpointError::ChecksumMismatch { expected: sum, found });
+    }
+    Ok(Reader { bytes: payload, pos: 0 })
 }
 
 /// Split serialized checkpoint bytes into `p` framed shards, one per
@@ -448,15 +455,15 @@ pub fn from_shards(shards: &[Vec<u8>]) -> Result<Vec<u8>, CheckpointError> {
     Ok(out)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+pub(crate) fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
     put_u64(out, vs.len() as u64);
     for &v in vs {
         put_f64(out, v);
@@ -465,13 +472,13 @@ fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
 
 /// Bounds-checked little-endian word reader; overruns become
 /// [`CheckpointError::Malformed`] naming the field.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl Reader<'_> {
-    fn u64(&mut self, what: &'static str) -> Result<u64, CheckpointError> {
+    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, CheckpointError> {
         let end = self.pos.checked_add(8).filter(|&e| e <= self.bytes.len());
         let Some(end) = end else {
             return Err(CheckpointError::Malformed { what });
@@ -482,11 +489,19 @@ impl Reader<'_> {
         Ok(u64::from_le_bytes(w))
     }
 
-    fn f64(&mut self, what: &'static str) -> Result<f64, CheckpointError> {
+    pub(crate) fn usize(&mut self, what: &'static str) -> Result<usize, CheckpointError> {
+        Ok(self.u64(what)? as usize)
+    }
+
+    pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, CheckpointError> {
+    pub(crate) fn f64x4(&mut self, what: &'static str) -> Result<[f64; 4], CheckpointError> {
+        Ok([self.f64(what)?, self.f64(what)?, self.f64(what)?, self.f64(what)?])
+    }
+
+    pub(crate) fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, CheckpointError> {
         let n = self.u64(what)? as usize;
         // A corrupt length that slipped past the checksum must not drive a
         // huge allocation; the remaining bytes bound the element count.
@@ -498,6 +513,14 @@ impl Reader<'_> {
             out.push(self.f64(what)?);
         }
         Ok(out)
+    }
+
+    /// Require that every payload byte was read.
+    pub(crate) fn done(self) -> Result<(), CheckpointError> {
+        if self.pos != self.bytes.len() {
+            return Err(CheckpointError::Malformed { what: "trailing bytes" });
+        }
+        Ok(())
     }
 }
 

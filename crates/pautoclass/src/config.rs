@@ -23,8 +23,8 @@ pub enum Exchange {
     /// The overlapped cycle: a fused single-pass E+M kernel, then the
     /// statistics leave as *non-blocking* chunked Allreduces — one per
     /// class when the machine's algorithm reduces element-wise
-    /// independently of buffer geometry (Linear, OrderedLinear,
-    /// RecursiveDoubling), whole-buffer otherwise — and each class's
+    /// independently of buffer geometry (Linear, RecursiveDoubling),
+    /// whole-buffer otherwise — and each class's
     /// parameters are derived while later chunks are still on the wire.
     /// Results are bitwise identical to [`Exchange::Fused`]; only the
     /// schedule (and hence the virtual time) differs.
@@ -204,8 +204,9 @@ impl Default for StandbyConfig {
 /// Checkpoint/restart configuration for [`crate::run_search_ft`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FtConfig {
-    /// Take a checkpoint every this many EM cycles (0 disables
-    /// checkpointing; a restart then replays from scratch).
+    /// Take a checkpoint every this many EM cycles — BSP rounds in the
+    /// fleet search (0 disables checkpointing; a restart then replays
+    /// from scratch).
     pub checkpoint_every: usize,
     /// What to do when a run dies with a recoverable fault.
     pub policy: RecoveryPolicy,

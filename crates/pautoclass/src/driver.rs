@@ -247,7 +247,7 @@ pub fn parallel_base_cycle<C: Communicator>(
 ///   scalars packed on the end) resolves its effective algorithm at the
 ///   full `L + 2` length, exactly where the blocking call would. When
 ///   that algorithm reduces element-wise independently of buffer
-///   geometry (Linear, OrderedLinear, RecursiveDoubling) *and* the
+///   geometry (Linear, RecursiveDoubling) *and* the
 ///   predicted extra per-message cost of j chunks is covered by the
 ///   derive compute it can hide, the buffer is split into per-class
 ///   chunks, each posted with the *resolved* algorithm forced — every
@@ -306,10 +306,7 @@ fn pipelined_cycle<C: Communicator>(
             a => a,
         }
     };
-    let chunkable = matches!(
-        algo,
-        AllreduceAlgo::Linear | AllreduceAlgo::OrderedLinear | AllreduceAlgo::RecursiveDoubling
-    ) && {
+    let chunkable = matches!(algo, AllreduceAlgo::Linear | AllreduceAlgo::RecursiveDoubling) && {
         // Size-adaptive, like `AllreduceAlgo::Auto`: splitting into j
         // chunks multiplies the per-message fixed costs (LogGP L and o),
         // and pipelining can hide at most the per-class derive compute

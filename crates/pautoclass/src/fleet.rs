@@ -42,9 +42,12 @@
 //! tests below.
 //! [`Consensus::Ensemble`] additionally has the top models vote out a
 //! consensus labeling with an agreement score.
+//!
+//! Fault tolerance ([`run_search_fleet_ft`]) is the world's supervisor
+//! (`crate::recover`) running this search, with the round-boundary
+//! `FleetCheckpoint` as its image.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use autoclass::data::{block_partition, block_range, Dataset};
 use autoclass::model::{
@@ -53,21 +56,22 @@ use autoclass::model::{
 };
 use autoclass::search::Classification;
 use mpsim::{
-    run_spmd, CommError, Communicator, GroupCommunicator, MachineSpec, ReduceOp, SimError,
-    SimOptions, SpmdComm, RECOVERY_PHASE,
+    run_spmd, CommError, Communicator, GroupCommunicator, MachineSpec, RankStats, ReduceOp,
+    RunStats, SimOptions, SpmdComm, RECOVERY_PHASE,
 };
 use shmcomm::{run_native, NativeOptions};
 
+use crate::checkpoint::{frame, put_f64, put_f64s, put_u64, unframe, CheckpointError};
 use crate::config::{
     Consensus, FleetConfig, FtConfig, ParallelConfig, Partitioning, RecoveryPolicy,
 };
 use crate::driver::{sub_base_cycle, sub_build_model};
 use crate::error::{PartitionError, RunError};
-use crate::recover::{fault_culprit, recovery_time};
-use crate::run::{best_first, keep_unique, outcome_from, ParallelOutcome, Try};
+use crate::recover::{supervise_sim, FtOutcome, Supervised};
+use crate::run::{best_first, keep_unique, CheckpointStore, ParallelOutcome, Try, WorldSearch};
 
 /// Counters of the fleet scheduler, identical on every rank.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetStats {
     /// Number of fleets the search actually ran with (after clamping).
     pub groups: usize,
@@ -111,54 +115,97 @@ pub struct FleetOutcome {
 }
 
 /// Result of a fault-tolerant fleet search: [`FleetOutcome`] plus the
-/// supervisor's recovery record (same shape as [`crate::FtOutcome`]).
-#[derive(Debug, Clone)]
-pub struct FleetFtOutcome {
-    /// The search result.
-    pub outcome: FleetOutcome,
-    /// Engine runs launched, including the successful one (1 = no fault).
-    pub attempts: usize,
-    /// The typed fault each failed attempt died with, in order.
-    pub faults: Vec<SimError>,
-    /// Whether the final attempt ran with the culprit rank excluded.
-    pub shrunk: bool,
-    /// Ranks that computed the final result.
-    pub survivors: usize,
-    /// Virtual seconds spent rebuilding after a shrink (max over ranks of
-    /// the `"recovery"` phase bucket). Zero when no shrink happened.
-    pub recovery_time: f64,
-    /// Spare slots promoted into failed logical ranks under
-    /// [`RecoveryPolicy::PromoteSpare`]; each promotion preserves `P`, so
-    /// every fleet keeps its exact membership and data partition.
-    pub promotions: usize,
-}
-
-/// Which spare slot serves a failed rank. Spares are dealt round-robin
-/// over the fleets — spare `k` is attached to fleet `k mod G` — and a
-/// culprit consumes its *own fleet's* unused spare first (keeping the
-/// warm slot topologically near the fleet it backs), falling back to the
-/// lowest-numbered unused spare of any fleet. `None` when the pool is
-/// exhausted.
-pub(crate) fn spare_for(culprit: usize, p: usize, groups: usize, used: &[bool]) -> Option<usize> {
-    let g = groups.clamp(1, p.max(1));
-    let fleet = block_partition(p, g).iter().position(|r| r.contains(&culprit)).unwrap_or(0);
-    used.iter()
-        .enumerate()
-        .filter(|&(_, &taken)| !taken)
-        .map(|(k, _)| k)
-        .min_by_key(|&k| (usize::from(k % g != fleet), k))
-}
+/// supervisor's recovery record.
+pub type FleetFtOutcome = FtOutcome<FleetOutcome>;
 
 /// Convergence fingerprint of a completed candidate, broadcast to every
 /// fleet through the round exchange. Deliberately small: class count, the
 /// converged log likelihood, and the four heaviest class weights — the
 /// same features [`autoclass::search::is_duplicate`] leads with.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Fingerprint {
     idx: usize,
     n_classes: usize,
     ll: f64,
     weights: [f64; 4],
+}
+
+/// The scheduler state every rank replicates — and, taken at a round
+/// boundary with every fleet's retained list, the fleet search's
+/// checkpoint image. A candidate running when the image is taken is
+/// re-queued at the front of its fleet's queue: on resume it restarts
+/// from cycle 0, which reproduces the same converged numbers (the EM is
+/// deterministic in the candidate's seed).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct FleetCheckpoint {
+    /// Per fleet, the schedule indices still to run, in order.
+    queues: Vec<VecDeque<usize>>,
+    /// The converged candidates, for duplicate abandonment.
+    fingerprints: Vec<Fingerprint>,
+    total_cycles: usize,
+    /// The scheduler's counters so far (`groups` and `ensemble` are set
+    /// only in the final result).
+    stats: FleetStats,
+    /// Per fleet, the serialized retained classifications (the record
+    /// format the consensus gather uses); filled only in an image.
+    retained_raw: Vec<Vec<f64>>,
+}
+
+/// First eight bytes of a fleet image (`b"PACFLET1"`), so a fleet image
+/// and a [`crate::SearchCheckpoint`] can never be read as each other.
+const FLEET_MAGIC: u64 = u64::from_le_bytes(*b"PACFLET1");
+
+impl FleetCheckpoint {
+    /// Serialize in the checkpoint frame, under [`FLEET_MAGIC`].
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Vec::new();
+        put_u64(&mut w, self.queues.len() as u64);
+        for q in &self.queues {
+            put_u64(&mut w, q.len() as u64);
+            q.iter().for_each(|&k| put_u64(&mut w, k as u64));
+        }
+        put_u64(&mut w, self.fingerprints.len() as u64);
+        for fp in &self.fingerprints {
+            put_u64(&mut w, fp.idx as u64);
+            put_u64(&mut w, fp.n_classes as u64);
+            put_f64(&mut w, fp.ll);
+            fp.weights.iter().for_each(|&x| put_f64(&mut w, x));
+        }
+        let s = &self.stats;
+        for n in [self.total_cycles, s.rounds, s.candidates, s.dedup_hits, s.dedup_saved_cycles] {
+            put_u64(&mut w, n as u64);
+        }
+        put_u64(&mut w, s.steals as u64);
+        put_u64(&mut w, self.retained_raw.len() as u64);
+        self.retained_raw.iter().for_each(|raw| put_f64s(&mut w, raw));
+        frame(FLEET_MAGIC, &w)
+    }
+
+    /// Decode and validate fleet image bytes.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = unframe(bytes, FLEET_MAGIC)?;
+        let mut ck = FleetCheckpoint::default();
+        for _ in 0..r.u64("fleet count")? {
+            let n = r.u64("queue length")?;
+            ck.queues.push((0..n).map(|_| r.usize("queued index")).collect::<Result<_, _>>()?);
+        }
+        for _ in 0..r.u64("fingerprint count")? {
+            let (idx, n_classes) = (r.usize("fingerprint")?, r.usize("fingerprint")?);
+            let (ll, weights) = (r.f64("fingerprint")?, r.f64x4("fingerprint")?);
+            ck.fingerprints.push(Fingerprint { idx, n_classes, ll, weights });
+        }
+        let s = &mut ck.stats;
+        for n in [&mut ck.total_cycles, &mut s.rounds, &mut s.candidates, &mut s.dedup_hits] {
+            *n = r.usize("scheduler counter")?;
+        }
+        s.dedup_saved_cycles = r.usize("scheduler counter")?;
+        s.steals = r.usize("scheduler counter")?;
+        for _ in 0..r.u64("retained list count")? {
+            ck.retained_raw.push(r.f64s("retained records")?);
+        }
+        r.done()?;
+        Ok(ck)
+    }
 }
 
 /// Per-fleet report slot in the round exchange:
@@ -182,26 +229,6 @@ enum BurstEnd {
     Finished { converged: bool },
     /// Matched an earlier candidate's fingerprint and was abandoned.
     Abandoned,
-}
-
-/// Round-boundary snapshot of the replicated scheduler state plus every
-/// fleet's retained list, held by the fault-tolerant supervisor. Running
-/// candidates are re-queued at the front: on resume they restart from
-/// cycle 0, which reproduces the same converged numbers (the EM is
-/// deterministic in the candidate's seed).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FleetCheckpoint {
-    queues: Vec<Vec<usize>>,
-    fingerprints: Vec<(usize, usize, f64, [f64; 4])>,
-    total_cycles: usize,
-    rounds: usize,
-    candidates: usize,
-    dedup_hits: usize,
-    dedup_saved_cycles: usize,
-    steals: usize,
-    /// Per fleet, the serialized retained classifications (the same
-    /// record format the consensus gather uses).
-    retained_raw: Vec<Vec<f64>>,
 }
 
 /// Append one classification as a self-describing record:
@@ -325,7 +352,7 @@ fn fleet_core<G: GroupCommunicator>(
     data: &Dataset,
     config: &ParallelConfig,
     fc: &FleetConfig,
-    ft: Option<(&FtConfig, &Mutex<Option<FleetCheckpoint>>)>,
+    checkpoints: Option<(usize, &CheckpointStore)>,
     resume: Option<&FleetCheckpoint>,
 ) -> (Vec<Classification>, usize, FleetStats) {
     let sc = &config.search;
@@ -369,46 +396,22 @@ fn fleet_core<G: GroupCommunicator>(
     sub.exit_phase();
 
     // ---- Replicated scheduler state ---------------------------------
-    let total_k = sc.start_j_list.len() * sc.tries_per_j;
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); g];
-    let mut fingerprints: Vec<Fingerprint> = Vec::new();
-    let mut total_cycles = 0usize;
-    let mut rounds = 0usize;
-    let mut candidates = 0usize;
-    let mut dedup_hits = 0usize;
-    let mut dedup_saved_cycles = 0usize;
-    let mut steals = 0usize;
-    let mut my_retained: Vec<(usize, Classification)> = Vec::new();
-    match resume {
-        Some(ck) => {
-            for (f, q) in ck.queues.iter().enumerate() {
-                if f < g {
-                    queues[f] = q.iter().copied().collect();
-                }
-            }
-            fingerprints = ck
-                .fingerprints
-                .iter()
-                .map(|&(idx, n_classes, ll, weights)| Fingerprint { idx, n_classes, ll, weights })
-                .collect();
-            total_cycles = ck.total_cycles;
-            rounds = ck.rounds;
-            candidates = ck.candidates;
-            dedup_hits = ck.dedup_hits;
-            dedup_saved_cycles = ck.dedup_saved_cycles;
-            steals = ck.steals;
-            if let Some(raw) = ck.retained_raw.get(my_fleet) {
-                my_retained = parse_records(raw, &model);
-            }
-        }
+    let mut st = match resume {
+        Some(ck) => ck.clone(),
         None => {
             // Deal the schedule round-robin so every fleet starts with a
             // mix of small and large J.
-            for k in 0..total_k {
+            let mut queues = vec![VecDeque::new(); g];
+            for k in 0..sc.start_j_list.len() * sc.tries_per_j {
                 queues[k % g].push_back(k);
             }
+            FleetCheckpoint { queues, ..FleetCheckpoint::default() }
         }
-    }
+    };
+    st.queues.resize(g, VecDeque::new());
+    let retained_raw = std::mem::take(&mut st.retained_raw);
+    let mut my_retained: Vec<(usize, Classification)> =
+        retained_raw.get(my_fleet).map_or_else(Vec::new, |raw| parse_records(raw, &model));
 
     let mut in_progress: Vec<Option<usize>> = vec![None; g];
     let mut my_running: Option<Running> = None;
@@ -421,26 +424,26 @@ fn fleet_core<G: GroupCommunicator>(
             if fleet_sizes[f] == 0 || in_progress[f].is_some() {
                 continue;
             }
-            if let Some(k) = queues[f].pop_front() {
+            if let Some(k) = st.queues[f].pop_front() {
                 in_progress[f] = Some(k);
                 continue;
             }
             // Steal the tail of the largest queue (ties: lowest donor
             // index) — the tail is the donor's farthest-out candidate.
             let donor = (0..g)
-                .filter(|&d| d != f && !queues[d].is_empty())
-                .max_by_key(|&d| (queues[d].len(), std::cmp::Reverse(d)));
+                .filter(|&d| d != f && !st.queues[d].is_empty())
+                .max_by_key(|&d| (st.queues[d].len(), std::cmp::Reverse(d)));
             if let Some(d) = donor {
-                if let Some(k) = queues[d].pop_back() {
+                if let Some(k) = st.queues[d].pop_back() {
                     in_progress[f] = Some(k);
-                    steals += 1;
+                    st.stats.steals += 1;
                 }
             }
         }
         if in_progress.iter().all(Option::is_none) {
             break; // queues drained and every fleet idle: search done
         }
-        rounds += 1;
+        st.stats.rounds += 1;
 
         // ---- EM burst on my fleet's sub-communicator ----------------
         let mut end: Option<BurstEnd> = None;
@@ -464,7 +467,8 @@ fn fleet_core<G: GroupCommunicator>(
                     if fc.dedup_every > 0
                         && run.cur.cycles > 0
                         && run.cur.cycles.is_multiple_of(fc.dedup_every)
-                        && fingerprints
+                        && st
+                            .fingerprints
                             .iter()
                             .any(|fp| fp.idx < run.idx && matches_fingerprint(fp, &run.cur))
                     {
@@ -552,13 +556,13 @@ fn fleet_core<G: GroupCommunicator>(
             }
             let idx = s[0] as usize - 1;
             in_progress[f] = None;
-            candidates += 1;
-            total_cycles += s[3] as usize;
+            st.stats.candidates += 1;
+            st.total_cycles += s[3] as usize;
             if wire_flag(s[2]) {
-                dedup_hits += 1;
-                dedup_saved_cycles += sc.max_cycles.saturating_sub(s[3] as usize);
+                st.stats.dedup_hits += 1;
+                st.stats.dedup_saved_cycles += sc.max_cycles.saturating_sub(s[3] as usize);
             } else if wire_flag(s[1]) {
-                fingerprints.push(Fingerprint {
+                st.fingerprints.push(Fingerprint {
                     idx,
                     n_classes: s[4] as usize,
                     ll: s[5],
@@ -570,27 +574,17 @@ fn fleet_core<G: GroupCommunicator>(
 
         // ---- Round-boundary checkpoint (fault-tolerant runs only) ---
         rounds_since_ckpt += 1;
-        if let Some((ftc, store)) = ft {
-            if ftc.checkpoint_every > 0 && rounds_since_ckpt >= ftc.checkpoint_every {
+        if let Some((every, store)) = checkpoints {
+            if every > 0 && rounds_since_ckpt >= every {
                 rounds_since_ckpt = 0;
                 publish_fleet_checkpoint(
                     sub,
                     store,
-                    &queues,
+                    &st,
                     &in_progress,
-                    &fingerprints,
                     &my_retained,
                     my_fleet,
                     &leads,
-                    g,
-                    &FleetCounters {
-                        total_cycles,
-                        rounds,
-                        candidates,
-                        dedup_hits,
-                        dedup_saved_cycles,
-                        steals,
-                    },
                 );
             }
         }
@@ -649,44 +643,21 @@ fn fleet_core<G: GroupCommunicator>(
     };
     sub.exit_phase();
 
-    let stats = FleetStats {
-        groups: g,
-        rounds,
-        candidates,
-        dedup_hits,
-        dedup_saved_cycles,
-        steals,
-        ensemble,
-    };
-    (all, total_cycles, stats)
+    (all, st.total_cycles, FleetStats { groups: g, ensemble, ..st.stats })
 }
 
-/// The scheduler counters, bundled to keep the checkpoint call readable.
-struct FleetCounters {
-    total_cycles: usize,
-    rounds: usize,
-    candidates: usize,
-    dedup_hits: usize,
-    dedup_saved_cycles: usize,
-    steals: usize,
-}
-
-/// Snapshot the replicated scheduler state plus every fleet's retained
-/// list into the supervisor's store: the leaders (`leads`, by group rank)
-/// gather their serialized lists to the first leader, which assembles and
-/// publishes.
-#[allow(clippy::too_many_arguments)]
+/// Snapshot the replicated scheduler state `st` plus every fleet's
+/// retained list into the supervisor's store: the leaders (`leads`, by
+/// group rank) gather their serialized lists to the first leader, which
+/// assembles, encodes and publishes the image.
 fn publish_fleet_checkpoint<G: GroupCommunicator>(
     sub: &mut G,
-    store: &Mutex<Option<FleetCheckpoint>>,
-    queues: &[VecDeque<usize>],
+    store: &CheckpointStore,
+    st: &FleetCheckpoint,
     in_progress: &[Option<usize>],
-    fingerprints: &[Fingerprint],
     my_retained: &[(usize, Classification)],
     my_fleet: usize,
     leads: &[bool],
-    g: usize,
-    counters: &FleetCounters,
 ) {
     sub.enter_phase("checkpoint");
     let is_leader = leads[sub.rank()];
@@ -702,41 +673,26 @@ fn publish_fleet_checkpoint<G: GroupCommunicator>(
     let gathered = if is_leader { leaders.gather_f64s(0, &payload) } else { None };
     drop(leaders);
     if let Some(buf) = gathered {
-        let mut retained_raw: Vec<Vec<f64>> = vec![Vec::new(); g];
+        let mut ck = st.clone();
+        ck.retained_raw = vec![Vec::new(); ck.queues.len()];
         let mut i = 0usize;
         while i + 2 <= buf.len() {
-            let f = buf[i] as usize;
-            let n = buf[i + 1] as usize;
+            let (f, n) = (buf[i] as usize, buf[i + 1] as usize);
             i += 2;
-            if f < g && i + n <= buf.len() {
-                retained_raw[f] = buf[i..i + n].to_vec();
+            if f < ck.retained_raw.len() && i + n <= buf.len() {
+                ck.retained_raw[f] = buf[i..i + n].to_vec();
             }
             i += n;
         }
         // Running candidates restart from cycle 0 on resume: re-queue
         // them at the front of their fleet's queue.
-        let mut q: Vec<Vec<usize>> = queues.iter().map(|q| q.iter().copied().collect()).collect();
-        for (f, ip) in in_progress.iter().enumerate() {
-            if let Some(k) = ip {
-                q[f].insert(0, *k);
+        for (q, k) in ck.queues.iter_mut().zip(in_progress) {
+            if let Some(k) = k {
+                q.push_front(*k);
             }
         }
-        let ck = FleetCheckpoint {
-            queues: q,
-            fingerprints: fingerprints
-                .iter()
-                .map(|fp| (fp.idx, fp.n_classes, fp.ll, fp.weights))
-                .collect(),
-            total_cycles: counters.total_cycles,
-            rounds: counters.rounds,
-            candidates: counters.candidates,
-            dedup_hits: counters.dedup_hits,
-            dedup_saved_cycles: counters.dedup_saved_cycles,
-            steals: counters.steals,
-            retained_raw,
-        };
         // lint:allow(unwrap): mutex poisoning only follows another panic
-        *store.lock().expect("fleet checkpoint store lock") = Some(ck);
+        *store.lock().expect("checkpoint store lock") = Some(ck.to_bytes());
     }
     sub.exit_phase();
 }
@@ -873,25 +829,69 @@ fn greedy_align(conf: &[f64], j0: usize, jv: usize, max_label: &mut usize) -> Ve
     map
 }
 
-/// The world rank body of the fleet search (`ft` set under supervision,
-/// with `resume` its latest checkpoint): wrap the whole machine in a
-/// single group (so the fleet splits are the nested splits both backends
-/// implement identically) and run the core.
-fn fleet_rank_body<C: Communicator>(
-    comm: &mut C,
-    data: &Dataset,
-    config: &ParallelConfig,
-    fc: &FleetConfig,
-    ft: Option<(&FtConfig, &Mutex<Option<FleetCheckpoint>>)>,
-    resume: Option<&FleetCheckpoint>,
-) -> (Vec<Classification>, usize, FleetStats) {
-    comm.enter_phase("search");
-    let p = comm.size();
-    let mut sub = comm.split(|_| 0);
-    let r = fleet_core(&mut sub, p, data, config, fc, ft, resume);
-    drop(sub);
-    comm.exit_phase();
-    r
+/// The fleet search as the supervisor runs it: the search of
+/// [`run_search_fleet`] on the whole machine, or on the survivors' group
+/// after a shrink, with [`FleetCheckpoint`] as its image.
+struct FleetSearch<'a> {
+    data: &'a Dataset,
+    config: &'a ParallelConfig,
+    fc: &'a FleetConfig,
+}
+
+impl Supervised for FleetSearch<'_> {
+    type Image = FleetCheckpoint;
+    type Found = (Vec<Classification>, usize, FleetStats);
+    type Outcome = FleetOutcome;
+
+    fn decode(bytes: &[u8]) -> Result<FleetCheckpoint, CheckpointError> {
+        FleetCheckpoint::from_bytes(bytes)
+    }
+
+    fn groups(&self) -> usize {
+        self.fc.groups
+    }
+
+    /// Wrap the whole machine in a single group (so the fleet splits are
+    /// the nested splits both backends implement identically) and run
+    /// the core.
+    fn on_world<C: Communicator>(
+        &self,
+        comm: &mut C,
+        checkpoints: Option<(usize, &CheckpointStore)>,
+        resume: Option<&FleetCheckpoint>,
+    ) -> Self::Found {
+        comm.enter_phase("search");
+        let p = comm.size();
+        let (data, config, fc) = (self.data, self.config, self.fc);
+        let r = fleet_core(&mut comm.split(|_| 0), p, data, config, fc, checkpoints, resume);
+        comm.exit_phase();
+        r
+    }
+
+    /// Fleet blocks stay anchored to the original ranks (`orig_p`), so
+    /// only the culprit's fleet shrinks.
+    fn on_survivors<G: GroupCommunicator>(
+        &self,
+        sub: &mut G,
+        orig_p: usize,
+        checkpoints: Option<(usize, &CheckpointStore)>,
+        resume: Option<&FleetCheckpoint>,
+    ) -> Self::Found {
+        sub.enter_phase("search");
+        let r = fleet_core(sub, orig_p, self.data, self.config, self.fc, checkpoints, resume);
+        sub.exit_phase();
+        r
+    }
+
+    fn outcome(
+        (all, cycles, fleet): Self::Found,
+        elapsed: f64,
+        ranks: Vec<RankStats>,
+        stats: RunStats,
+    ) -> Result<FleetOutcome, RunError> {
+        let outcome = WorldSearch::outcome((all, cycles), elapsed, ranks, stats)?;
+        Ok(FleetOutcome { outcome, fleet })
+    }
 }
 
 /// Run the fleet-parallel model search on the given simulated machine.
@@ -935,12 +935,12 @@ pub fn run_search_fleet_with(
     opts: &SimOptions,
 ) -> Result<FleetOutcome, RunError> {
     block_only(config)?;
-    let out = run_spmd(machine, opts, |comm| fleet_rank_body(comm, data, config, fc, None, None))?;
-    let Some((all, cycles, fleet)) = out.per_rank.into_iter().next() else {
+    let search = FleetSearch { data, config, fc };
+    let out = run_spmd(machine, opts, |comm| search.on_world(comm, None, None))?;
+    let Some(found) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
     };
-    let outcome = outcome_from(all, cycles, out.elapsed, out.ranks, out.stats)?;
-    Ok(FleetOutcome { outcome, fleet })
+    FleetSearch::outcome(found, out.elapsed, out.ranks, out.stats)
 }
 
 /// [`run_search_fleet`] on real cores: same rank body, wall-clock time,
@@ -957,66 +957,29 @@ pub fn run_search_fleet_native(
     opts: &NativeOptions,
 ) -> Result<FleetOutcome, RunError> {
     block_only(config)?;
-    let out =
-        run_native(machine, opts, |comm| fleet_rank_body(comm, data, config, fc, None, None))?;
-    let Some((all, cycles, fleet)) = out.per_rank.into_iter().next() else {
+    let search = FleetSearch { data, config, fc };
+    let out = run_native(machine, opts, |comm| search.on_world(comm, None, None))?;
+    let Some(found) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
     };
-    let outcome = outcome_from(all, cycles, out.elapsed, out.ranks, out.stats)?;
-    Ok(FleetOutcome { outcome, fleet })
+    FleetSearch::outcome(found, out.elapsed, out.ranks, out.stats)
 }
 
-/// The post-shrink fleet rank body: the culprit secedes, the survivors
-/// rebuild a world group and run the fleet search on it. Fleet blocks
-/// stay anchored to the original ranks (`orig_p`), so only the
-/// culprit's fleet shrinks. Returns `None` on the excluded rank.
-#[allow(clippy::too_many_arguments)]
-fn shrunk_fleet_rank_body<C: Communicator>(
-    comm: &mut C,
-    orig_p: usize,
-    data: &Dataset,
-    config: &ParallelConfig,
-    fc: &FleetConfig,
-    culprit: usize,
-    ft: (&FtConfig, &Mutex<Option<FleetCheckpoint>>),
-    resume: Option<&FleetCheckpoint>,
-) -> Option<(Vec<Classification>, usize, FleetStats)> {
-    comm.enter_phase(RECOVERY_PHASE);
-    let secede = comm.rank() == culprit;
-    // Every rank knows the culprit, so the shrink moves no message.
-    let mut sub = comm.split(|r| u32::from(r == culprit));
-    if secede {
-        sub.exit_phase();
-        return None;
-    }
-    sub.exit_phase();
-    sub.enter_phase("search");
-    let r = fleet_core(&mut sub, orig_p, data, config, fc, Some(ft), resume);
-    sub.exit_phase();
-    Some(r)
-}
-
-/// Run the fleet search with checkpoint/restart supervision. The
-/// checkpoint granularity is the BSP round (every
-/// [`FtConfig::checkpoint_every`] rounds): completed candidates and the
-/// scheduler state are preserved; a candidate in flight when the fault
-/// fired restarts from cycle 0, which reproduces its numbers exactly.
-/// Under [`RecoveryPolicy::ShrinkAndRedistribute`] only the culprit's
-/// fleet shrinks — the other fleets keep their exact membership, data
-/// partition, and model. Under [`RecoveryPolicy::PromoteSpare`] a warm
-/// spare is promoted through the member table, consuming the culprit's
-/// *own fleet's* spare first (see [`spare_for`]); `P` and every fleet
-/// boundary are preserved, so the result stays bitwise identical. An
-/// exhausted pool falls back deterministically to
-/// [`crate::StandbyConfig::fallback`].
+/// Run the fleet search under [`crate::run_search_ft`]'s supervisor, with
+/// the round image as the checkpoint (every [`FtConfig::checkpoint_every`]
+/// BSP rounds): completed candidates and the scheduler state survive, and
+/// a candidate in flight restarts from cycle 0, which reproduces its
+/// numbers exactly. A shrink shrinks only the culprit's fleet; a
+/// promotion takes the culprit's own fleet's spare first and keeps every
+/// fleet boundary, so the result stays bitwise identical.
 ///
 /// # Errors
 /// Same contract as [`crate::run_search_ft`], except that any
 /// partitioning but [`Partitioning::Block`] is [`RunError::Partition`],
 /// and that [`RecoveryPolicy::LocalReplay`], as the policy or as the
 /// fallback of [`RecoveryPolicy::PromoteSpare`], is refused up front with
-/// a typed `CommError::Unsupported`: the fleet supervisor has no local
-/// replay and would otherwise turn it into a full restart.
+/// a typed `CommError::Unsupported`: the fleet search keeps no replay
+/// log and would otherwise turn it into a full restart.
 pub fn run_search_fleet_ft(
     data: &Dataset,
     machine: &MachineSpec,
@@ -1037,108 +1000,66 @@ pub fn run_search_fleet_ft(
             backend: "simulated",
         }));
     }
-    let store: Mutex<Option<FleetCheckpoint>> = Mutex::new(None);
-    let mut faults: Vec<SimError> = Vec::new();
-    let mut excluded: Option<usize> = None;
-    let mut attempts = 0usize;
-    let mut machine_now = machine.clone();
-    if matches!(ft.policy, RecoveryPolicy::PromoteSpare) {
-        machine_now.spares = machine_now.spares.max(ft.standby.spares);
-    }
-    let mut policy_now = ft.policy;
-    let mut spare_used = vec![false; machine_now.spares];
-    let mut promotions = 0usize;
-    loop {
-        attempts += 1;
-        let resume = {
-            // lint:allow(unwrap): mutex poisoning only follows another panic
-            store.lock().expect("fleet checkpoint store lock").clone()
-        };
-        let resume = resume.as_ref();
-        let result = run_spmd(&machine_now, opts, |comm| match excluded {
-            Some(culprit) => shrunk_fleet_rank_body(
-                comm,
-                machine.p,
-                data,
-                config,
-                fc,
-                culprit,
-                (ft, &store),
-                resume,
-            ),
-            None => Some(fleet_rank_body(comm, data, config, fc, Some((ft, &store)), resume)),
-        });
-        match result {
-            Ok(out) => {
-                let recovery_time = recovery_time(&out.ranks);
-                let elapsed = out.elapsed;
-                let (ranks, stats) = (out.ranks, out.stats);
-                let Some((all, cycles, fleet)) = out.per_rank.into_iter().flatten().next() else {
-                    return Err(RunError::EmptySearch);
-                };
-                let outcome = outcome_from(all, cycles, elapsed, ranks, stats)?;
-                return Ok(FleetFtOutcome {
-                    outcome: FleetOutcome { outcome, fleet },
-                    attempts,
-                    faults,
-                    shrunk: excluded.is_some(),
-                    survivors: machine.p - usize::from(excluded.is_some()),
-                    recovery_time,
-                    promotions,
-                });
-            }
-            Err(e) => {
-                let Some(culprit) = fault_culprit(&e) else {
-                    return Err(e.into());
-                };
-                faults.push(e.clone());
-                if matches!(policy_now, RecoveryPolicy::Abort) || faults.len() > ft.max_restarts {
-                    return Err(e.into());
-                }
-                if matches!(policy_now, RecoveryPolicy::PromoteSpare) {
-                    match spare_for(culprit, machine_now.p, fc.groups, &spare_used) {
-                        Some(k) => {
-                            spare_used[k] = true;
-                            machine_now.promote(culprit, machine_now.p + k);
-                            promotions += 1;
-                        }
-                        // Pool exhausted: walk the fallback lattice (one
-                        // step, deterministically) and let the arms below
-                        // apply the fallback policy to this same fault.
-                        None => policy_now = ft.standby.fallback,
-                    }
-                }
-                if matches!(policy_now, RecoveryPolicy::Abort) {
-                    return Err(e.into());
-                }
-                if matches!(policy_now, RecoveryPolicy::ShrinkAndRedistribute) {
-                    if machine_now.p < 2 || excluded.is_some_and(|r| r != culprit) {
-                        return Err(e.into());
-                    }
-                    excluded = Some(culprit);
-                }
-            }
-        }
-    }
+    supervise_sim(&FleetSearch { data, config, fc }, machine, ft, opts)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::spare_for;
+    use super::*;
+    use crate::SearchCheckpoint;
 
     #[test]
-    fn spares_prefer_the_culprits_own_fleet() {
-        // P = 8, G = 2: fleets {0..4} and {4..8}; spare 0 backs fleet 0,
-        // spare 1 backs fleet 1.
-        let used = [false, false];
-        assert_eq!(spare_for(2, 8, 2, &used), Some(0));
-        assert_eq!(spare_for(6, 8, 2, &used), Some(1));
-        // Own fleet's spare taken: borrow the lowest unused one.
-        assert_eq!(spare_for(6, 8, 2, &[false, true]), Some(0));
-        // Pool exhausted.
-        assert_eq!(spare_for(1, 8, 2, &[true, true]), None);
-        // More spares than fleets: round-robin attachment.
-        assert_eq!(spare_for(5, 8, 2, &[true, false, false, false]), Some(1));
-        assert_eq!(spare_for(5, 8, 2, &[true, true, false, false]), Some(3));
+    fn fleet_images_round_trip_and_never_read_as_search_images() {
+        let fp = Fingerprint { idx: 0, n_classes: 2, ll: -12.5, weights: [0.75, 0.25, 0.0, 0.0] };
+        let ck = FleetCheckpoint {
+            queues: vec![VecDeque::from([3, 1]), VecDeque::new()],
+            fingerprints: vec![fp],
+            total_cycles: 17,
+            stats: FleetStats {
+                rounds: 4,
+                candidates: 2,
+                dedup_hits: 1,
+                dedup_saved_cycles: 9,
+                steals: 1,
+                ..FleetStats::default()
+            },
+            retained_raw: vec![vec![1.0, f64::NEG_INFINITY], vec![]],
+        };
+        let bytes = ck.to_bytes();
+        assert_eq!(FleetCheckpoint::from_bytes(&bytes), Ok(ck));
+        // Each image carries its own magic in the shared frame.
+        assert!(matches!(
+            SearchCheckpoint::from_bytes(&bytes),
+            Err(CheckpointError::BadMagic { .. })
+        ));
+        let search = SearchCheckpoint {
+            ji: 0,
+            try_idx: 0,
+            cycle: 0,
+            j_current: 0,
+            seed: 0,
+            prev_ll: 0.0,
+            approx: [0.0; 4],
+            total_cycles: 0,
+            classes_flat: Vec::new(),
+            best: Vec::new(),
+        };
+        assert!(matches!(
+            FleetCheckpoint::from_bytes(&search.to_bytes()),
+            Err(CheckpointError::BadMagic { .. })
+        ));
+        // Any payload flip fails the frame's checksum; a cut fails its length.
+        for pos in 32..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 0x10;
+            assert!(matches!(
+                FleetCheckpoint::from_bytes(&bad),
+                Err(CheckpointError::ChecksumMismatch { .. })
+            ));
+        }
+        assert!(matches!(
+            FleetCheckpoint::from_bytes(&bytes[..bytes.len() - 8]),
+            Err(CheckpointError::LengthMismatch { .. })
+        ));
     }
 }

@@ -1,13 +1,16 @@
 //! Fault-tolerant search: checkpointing, failure handling, and the
 //! recovery policies.
 //!
-//! [`run_search_ft`] and [`run_search_ft_native`] wrap the parallel
-//! search in one supervisor attempt loop; they differ only in the
-//! launcher and in how a native `CommError` yields its simulated fault.
-//! Each attempt runs the search's one try loop (`crate::run`) with
-//! checkpoints on: it snapshots its (bitwise replicated) state into a
-//! [`SearchCheckpoint`] every `k` EM cycles and resumes from the latest
-//! one. When the engine dies with a recoverable fault — a crashed rank,
+//! One supervisor attempt loop (`supervise`) serves every fault-tolerant
+//! entry point: [`run_search_ft`] and [`run_search_ft_native`] run the
+//! world search on it, [`crate::run_search_fleet_ft`] the fleet search.
+//! They differ only in the launcher, in how a native `CommError` yields
+//! its simulated fault, and in the search (`Supervised`): its body on the
+//! whole machine and on the survivors' group, and its checkpoint image.
+//! Each attempt snapshots the search's (bitwise replicated) state every
+//! `k` EM cycles — a [`SearchCheckpoint`] — or every `k` BSP rounds — the
+//! fleet's round image — into one store, and resumes from the latest
+//! image. When the engine dies with a recoverable fault — a crashed rank,
 //! a dropped or corrupted message, a receive timeout (see
 //! `mpsim::fault`) — the supervisor applies the configured
 //! [`RecoveryPolicy`]:
@@ -22,12 +25,15 @@
 //! * [`RecoveryPolicy::ShrinkAndRedistribute`] — exclude the culprit
 //!   rank, rebuild a (P−1)-rank communicator with `Communicator::split`,
 //!   repartition the data over the survivors, and resume from the
-//!   checkpoint: the same try loop, on the survivors' group. The rebuild cost is measured under the `"recovery"`
-//!   phase bucket and reported as [`FtOutcome::recovery_time`].
+//!   checkpoint: the same search, on the survivors' group. The rebuild
+//!   cost is measured under the `"recovery"` phase bucket and reported
+//!   as [`FtOutcome::recovery_time`].
 //! * [`RecoveryPolicy::PromoteSpare`] — promote a warm spare slot into
 //!   the failed logical rank through the machine's member table
-//!   (`MachineSpec::promote`): `P` is preserved, every collective
-//!   schedule is unchanged, and the result stays bitwise identical. Only
+//!   (`MachineSpec::promote`), taking the culprit's own fleet's spare
+//!   first (`spare_for`; the world is one fleet): `P` is preserved, every
+//!   collective schedule is unchanged, and the result stays bitwise
+//!   identical. Only
 //!   the promoted rank loads the culprit's checkpoint *shard*
 //!   (`checkpoint::to_shards`); a corrupt shard surfaces as
 //!   [`SimError::PayloadCorrupt`] naming the shard's owner and the
@@ -46,11 +52,10 @@
 
 use std::sync::Mutex;
 
-use autoclass::data::{block_range, Dataset};
-use autoclass::search::Classification;
+use autoclass::data::{block_partition, Dataset};
 use mpsim::{
-    run_spmd, CommError, Communicator, DecodeError, MachineSpec, RankStats, ReplayLog, RunStats,
-    SimError, SimOptions, SpmdComm, RECOVERY_PHASE,
+    run_spmd, CommError, Communicator, DecodeError, GroupCommunicator, MachineSpec, RankStats,
+    ReplayLog, RunStats, SimError, SimOptions, SpmdComm, RECOVERY_PHASE,
 };
 use shmcomm::{run_native, NativeOptions};
 
@@ -58,16 +63,17 @@ use crate::checkpoint::{
     corrupt_shard, decode_shard, to_shards, CheckpointError, SearchCheckpoint,
 };
 use crate::config::{FtConfig, ParallelConfig, RecoveryPolicy, ShardFault};
-use crate::driver::{sub_base_cycle, sub_build_model};
 use crate::error::RunError;
-use crate::run::{outcome_from, search_tries, world_search, CheckpointStore, ParallelOutcome};
+use crate::run::{CheckpointStore, ParallelOutcome, WorldSearch};
 
-/// Result of a fault-tolerant search, wrapping the ordinary
-/// [`ParallelOutcome`] with the supervisor's recovery record.
+/// Result of a fault-tolerant search: the search's own outcome
+/// ([`ParallelOutcome`] for [`run_search_ft`], [`crate::FleetOutcome`]
+/// for [`crate::run_search_fleet_ft`]) with the supervisor's recovery
+/// record.
 #[derive(Debug, Clone)]
-pub struct FtOutcome {
+pub struct FtOutcome<T = ParallelOutcome> {
     /// The search result (rank 0's — identical on every surviving rank).
-    pub outcome: ParallelOutcome,
+    pub outcome: T,
     /// Engine runs launched, including the successful one (1 = no fault).
     pub attempts: usize,
     /// The typed fault each failed attempt died with, in order.
@@ -189,6 +195,51 @@ fn recovery_prologue<C: SpmdComm>(comm: &mut C, recovery: Recovery) {
     }
 }
 
+/// A search the supervisor runs: the world search ([`WorldSearch`]) or
+/// the fleet search (`crate::fleet`). Each supplies only what differs:
+/// its search on the whole machine and on the survivors' group after a
+/// shrink, its image decoder, and its outcome. The attempt loop, the
+/// store, the recovery prologue and the culprit's secession are written
+/// once, in [`supervise`] and [`attempt_body`].
+pub(crate) trait Supervised: Sync {
+    /// The decoded checkpoint image an attempt resumes from.
+    type Image: Sync;
+    /// One rank's result.
+    type Found: Send;
+    /// The entry point's result.
+    type Outcome;
+
+    /// Decode the image the search published into the store.
+    fn decode(bytes: &[u8]) -> Result<Self::Image, CheckpointError>;
+    /// Groups the machine is split into, for [`spare_for`].
+    fn groups(&self) -> usize {
+        1
+    }
+    /// The search on the whole machine.
+    fn on_world<C: Communicator>(
+        &self,
+        comm: &mut C,
+        checkpoints: Option<(usize, &CheckpointStore)>,
+        resume: Option<&Self::Image>,
+    ) -> Self::Found;
+    /// The search on the survivors' group, after one of `orig_p` ranks left.
+    fn on_survivors<G: GroupCommunicator>(
+        &self,
+        sub: &mut G,
+        orig_p: usize,
+        checkpoints: Option<(usize, &CheckpointStore)>,
+        resume: Option<&Self::Image>,
+    ) -> Self::Found;
+    /// The entry point's outcome from one rank's result and the run's
+    /// statistics.
+    fn outcome(
+        found: Self::Found,
+        elapsed: f64,
+        ranks: Vec<RankStats>,
+        stats: RunStats,
+    ) -> Result<Self::Outcome, RunError>;
+}
+
 /// Run the parallel search with checkpoint/restart supervision.
 ///
 /// Behaves exactly like [`crate::run_search_with`] when no fault fires
@@ -207,19 +258,28 @@ pub fn run_search_ft(
     ft: &FtConfig,
     opts: &SimOptions,
 ) -> Result<FtOutcome, RunError> {
+    config.partition.validate(machine.p)?;
+    supervise_sim(&WorldSearch { data, config }, machine, ft, opts)
+}
+
+/// Supervise `search` on the simulated machine. Under
+/// [`RecoveryPolicy::LocalReplay`] the run keeps a replay log (unless
+/// `opts` already brings one).
+pub(crate) fn supervise_sim<S: Supervised>(
+    search: &S,
+    machine: &MachineSpec,
+    ft: &FtConfig,
+    opts: &SimOptions,
+) -> Result<FtOutcome<S::Outcome>, RunError> {
     let mut opts = opts.clone();
     if matches!(ft.policy, RecoveryPolicy::LocalReplay) && opts.replay.is_none() {
         opts.replay = Some(ReplayLog::new(ft.standby.replay_capacity));
     }
-    let launch = |m: &MachineSpec, at: Attempt<'_>| {
-        run_spmd(m, &opts, |comm| attempt_body(comm, data, config, ft, at)).map(|out| Launched {
-            per_rank: out.per_rank,
-            elapsed: out.elapsed,
-            ranks: out.ranks,
-            stats: out.stats,
-        })
+    let launch = |m: &MachineSpec, at: &Attempt<'_, S::Image>| {
+        run_spmd(m, &opts, |comm| attempt_body(comm, search, ft, at))
+            .map(|out| (out.per_rank, out.elapsed, out.ranks, out.stats))
     };
-    supervise(machine, config, ft, opts.replay.as_ref(), launch, |e| Some(e))
+    supervise(search, machine, ft, opts.replay.as_ref(), launch, |e| Some(e))
 }
 
 /// [`run_search_ft`] on real cores: the same rank body and the same
@@ -248,17 +308,15 @@ pub fn run_search_ft_native(
             backend: "native",
         }));
     }
-    let launch = |m: &MachineSpec, at: Attempt<'_>| {
-        run_native(m, opts, |comm| attempt_body(comm, data, config, ft, at)).map(|out| Launched {
-            per_rank: out.per_rank,
-            elapsed: out.elapsed,
-            ranks: out.ranks,
-            stats: out.stats,
-        })
+    config.partition.validate(machine.p)?;
+    let search = WorldSearch { data, config };
+    let launch = |m: &MachineSpec, at: &Attempt<'_, SearchCheckpoint>| {
+        run_native(m, opts, |comm| attempt_body(comm, &search, ft, at))
+            .map(|out| (out.per_rank, out.elapsed, out.ranks, out.stats))
     };
     // Only simulated-typed faults carry a culprit diagnosis; genuinely
     // native failures propagate unrecovered.
-    supervise(machine, config, ft, None, launch, |e| match e {
+    supervise(&search, machine, ft, None, launch, |e| match e {
         CommError::Sim(sim) => Some(sim),
         _ => None,
     })
@@ -266,42 +324,36 @@ pub fn run_search_ft_native(
 
 /// What one attempt of a supervised search starts from, as decided by the
 /// supervisor after the previous attempt's fault.
-#[derive(Clone, Copy)]
-struct Attempt<'a> {
+struct Attempt<'a, I> {
     /// The rank a shrink excluded, if any.
     excluded: Option<usize>,
     /// The recovery toll the attempt's prologue charges.
     recovery: Recovery,
     /// The latest checkpoint, decoded.
-    resume: Option<&'a SearchCheckpoint>,
+    resume: Option<&'a I>,
     /// Where the attempt publishes its checkpoints.
     store: &'a CheckpointStore,
 }
 
-/// One finished attempt, whichever backend ran it.
-struct Launched {
-    per_rank: Vec<Option<(Vec<Classification>, usize)>>,
-    elapsed: f64,
-    ranks: Vec<RankStats>,
-    stats: RunStats,
-}
+/// One finished attempt, whichever backend ran it: each rank's result,
+/// the elapsed time, and the run's statistics.
+type Launched<R> = (Vec<Option<R>>, f64, Vec<RankStats>, RunStats);
 
-/// The supervisor's attempt loop, shared by both backends. `launch` runs
-/// one attempt on the (possibly promoted) machine; `sim_error` yields the
-/// simulated fault a launch error carries, if any, which the supervisor
-/// may recover from. `replay` is the run's replay log, whose horizon
-/// restarts with every attempt.
-fn supervise<E: Into<RunError>>(
+/// The supervisor's attempt loop, the only one: every search and backend
+/// runs through it. `launch` runs one attempt on the (possibly promoted)
+/// machine; `sim_error` yields the simulated fault a launch error
+/// carries, if any, which the supervisor may recover from. `replay` is
+/// the run's replay log, whose horizon restarts with every attempt.
+fn supervise<S: Supervised, E: Into<RunError>>(
+    search: &S,
     machine: &MachineSpec,
-    config: &ParallelConfig,
     ft: &FtConfig,
     replay: Option<&ReplayLog>,
-    mut launch: impl FnMut(&MachineSpec, Attempt<'_>) -> Result<Launched, E>,
+    mut launch: impl FnMut(&MachineSpec, &Attempt<'_, S::Image>) -> Result<Launched<S::Found>, E>,
     sim_error: impl Fn(&E) -> Option<&SimError>,
-) -> Result<FtOutcome, RunError> {
-    config.partition.validate(machine.p)?;
+) -> Result<FtOutcome<S::Outcome>, RunError> {
     let store: CheckpointStore = Mutex::new(None);
-    let mut sup = Supervisor::new(machine, ft);
+    let mut sup = Supervisor::new(machine, ft, search.groups());
     let mut attempts = 0usize;
     let mut recovery = Recovery::None;
     loop {
@@ -310,7 +362,7 @@ fn supervise<E: Into<RunError>>(
             // lint:allow(unwrap): mutex poisoning only follows another panic
             let guard = store.lock().expect("checkpoint store lock");
             match guard.as_deref() {
-                Some(bytes) => Some(SearchCheckpoint::from_bytes(bytes)?),
+                Some(bytes) => Some(S::decode(bytes)?),
                 None => None,
             }
         };
@@ -321,13 +373,17 @@ fn supervise<E: Into<RunError>>(
         }
         let at =
             Attempt { excluded: sup.excluded, recovery, resume: resume.as_ref(), store: &store };
-        match launch(&sup.machine_now, at) {
-            Ok(out) => {
-                let recovery_time = recovery_time(&out.ranks);
-                let Some((all, cycles)) = out.per_rank.into_iter().flatten().next() else {
+        match launch(&sup.machine_now, &at) {
+            Ok((per_rank, elapsed, ranks, stats)) => {
+                let recovery_time = ranks
+                    .iter()
+                    .filter_map(|r| r.phase(RECOVERY_PHASE))
+                    .map(|ph| ph.total())
+                    .fold(0.0, f64::max);
+                let Some(found) = per_rank.into_iter().flatten().next() else {
                     return Err(RunError::EmptySearch);
                 };
-                let outcome = outcome_from(all, cycles, out.elapsed, out.ranks, out.stats)?;
+                let outcome = S::outcome(found, elapsed, ranks, stats)?;
                 return Ok(sup.finish(outcome, attempts, recovery_time));
             }
             Err(e) => match sim_error(&e).and_then(|sim| sup.plan(sim, &store, replay)) {
@@ -338,88 +394,54 @@ fn supervise<E: Into<RunError>>(
     }
 }
 
-/// The rank body of one supervised attempt: after a shrink, the
-/// survivors' search; otherwise the decided recovery prologue, then the
-/// world search. Both publish checkpoints and resume from `at.resume`.
-/// Returns `None` on the excluded rank.
-fn attempt_body<C: Communicator>(
+/// The rank body of one supervised attempt. On the full machine: the
+/// decided recovery prologue, then the search. After a shrink: the
+/// culprit secedes at a message-free split (booked as recovery) and the
+/// survivors run the search on their group. Both publish checkpoints
+/// and resume from `at.resume`. Returns `None` on the excluded rank.
+fn attempt_body<C: Communicator, S: Supervised>(
     comm: &mut C,
-    data: &Dataset,
-    config: &ParallelConfig,
+    search: &S,
     ft: &FtConfig,
-    at: Attempt<'_>,
-) -> Option<(Vec<Classification>, usize)> {
+    at: &Attempt<'_, S::Image>,
+) -> Option<S::Found> {
     let checkpoints = Some((ft.checkpoint_every, at.store));
-    match at.excluded {
-        Some(culprit) => shrunk_search(comm, data, config, culprit, checkpoints, at.resume),
-        None => {
-            recovery_prologue(comm, at.recovery);
-            Some(world_search(comm, data, config, checkpoints, at.resume))
-        }
-    }
-}
-
-/// The post-shrink rank body: the culprit rank secedes, the survivors
-/// rebuild a (P−1)-rank sub-communicator, repartition the data and
-/// rebuild the model (all booked as recovery), then run the try loop on
-/// the survivors' group from the checkpoint. Returns `None` on the
-/// excluded rank.
-fn shrunk_search<C: Communicator>(
-    comm: &mut C,
-    data: &Dataset,
-    config: &ParallelConfig,
-    culprit: usize,
-    checkpoints: Option<(usize, &CheckpointStore)>,
-    resume: Option<&SearchCheckpoint>,
-) -> Option<(Vec<Classification>, usize)> {
-    // Everything up to the resumed EM — communicator shrink, data
-    // repartitioning, model rebuild — is recovery cost.
+    let Some(culprit) = at.excluded else {
+        recovery_prologue(comm, at.recovery);
+        return Some(search.on_world(comm, checkpoints, at.resume));
+    };
+    let orig_p = comm.size();
     comm.enter_phase(RECOVERY_PHASE);
-    let excluded = comm.rank() == culprit;
+    let secede = comm.rank() == culprit;
     // Every rank knows the culprit, so the shrink moves no message.
     let mut sub = comm.split(|r| u32::from(r == culprit));
-    if excluded {
+    sub.exit_phase();
+    if secede {
         // The suspect rank leaves the computation entirely.
-        sub.exit_phase();
         return None;
     }
-    let part = block_range(data.len(), sub.size(), sub.rank());
-    let view = data.view(part.start, part.end);
     // Survivors-only by design: the excluded rank has already left and
-    // every collective below runs on the shrunk communicator `sub`,
-    // whose membership is exactly the ranks that took this path — the
-    // analyzer's sub-communicator rule recognizes this, no waiver needed.
-    let model = sub_build_model(&mut sub, &view, &config.correlated_blocks);
-    sub.exit_phase();
-
-    sub.enter_phase("search");
-    let found = search_tries(
-        &mut sub,
-        &model,
-        &view,
-        &config.search,
-        |sub, classes, ws| sub_base_cycle(sub, &model, &view, classes, ws),
-        checkpoints,
-        resume,
-    );
-    sub.exit_phase();
-    Some(found)
+    // every collective the search runs is on the shrunk communicator
+    // `sub`, whose membership is exactly the ranks that took this path.
+    Some(search.on_survivors(&mut sub, orig_p, checkpoints, at.resume))
 }
 
-/// The recovery decision state shared by the simulated and native
-/// supervisors: the (possibly promoted) machine, the effective policy
-/// after any fallback, and the running recovery tallies.
+/// The recovery decision state of every supervised search and backend:
+/// the (possibly promoted) machine, the effective policy after any
+/// fallback, and the running recovery tallies.
 struct Supervisor<'a> {
     ft: &'a FtConfig,
     /// The machine the next attempt runs on — `p` never changes, but
-    /// promotions rewrite its member table (and spare promotions consume
-    /// slots left to right).
+    /// promotions rewrite its member table.
     machine_now: MachineSpec,
+    /// Groups the search splits the machine into, for [`spare_for`].
+    groups: usize,
     /// The policy in force — starts at `ft.policy` and moves one step
     /// down the fallback lattice when a mechanism runs out of resources.
     policy_now: RecoveryPolicy,
     excluded: Option<usize>,
-    spares_used: usize,
+    /// Which spare slots a promotion has consumed.
+    spare_used: Vec<bool>,
     promotions: usize,
     replays: usize,
     fell_back: bool,
@@ -427,7 +449,7 @@ struct Supervisor<'a> {
 }
 
 impl<'a> Supervisor<'a> {
-    fn new(machine: &MachineSpec, ft: &'a FtConfig) -> Self {
+    fn new(machine: &MachineSpec, ft: &'a FtConfig, groups: usize) -> Self {
         let mut machine_now = machine.clone();
         if matches!(ft.policy, RecoveryPolicy::PromoteSpare) {
             // The standby pool rides on the engine's warm spare slots.
@@ -435,10 +457,11 @@ impl<'a> Supervisor<'a> {
         }
         Supervisor {
             ft,
+            spare_used: vec![false; machine_now.spares],
             machine_now,
+            groups,
             policy_now: ft.policy,
             excluded: None,
-            spares_used: 0,
             promotions: 0,
             replays: 0,
             fell_back: false,
@@ -447,7 +470,7 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Wrap a successful attempt's outcome with the recovery record.
-    fn finish(self, outcome: ParallelOutcome, attempts: usize, recovery_time: f64) -> FtOutcome {
+    fn finish<T>(self, outcome: T, attempts: usize, recovery_time: f64) -> FtOutcome<T> {
         FtOutcome {
             outcome,
             attempts,
@@ -518,17 +541,15 @@ impl<'a> Supervisor<'a> {
                     return Some(Recovery::None);
                 }
                 RecoveryPolicy::PromoteSpare => {
-                    if self.spares_used >= self.machine_now.spares {
+                    let p = self.machine_now.p;
+                    let Some(k) = spare_for(culprit, p, self.groups, &self.spare_used) else {
                         self.fell_back = true;
                         self.policy_now = self.ft.standby.fallback;
                         continue;
-                    }
-                    if let Err(shard_err) = check_culprit_shard(
-                        store,
-                        self.machine_now.p,
-                        culprit,
-                        self.ft.standby.shard_fault,
-                    ) {
+                    };
+                    if let Err(shard_err) =
+                        check_culprit_shard(store, p, culprit, self.ft.standby.shard_fault)
+                    {
                         // The spare cannot trust its shard; record the
                         // corruption (naming the shard's owner) and fall
                         // back to a full restart from the intact image.
@@ -536,9 +557,8 @@ impl<'a> Supervisor<'a> {
                         self.fell_back = true;
                         return Some(Recovery::Restart { ck_words });
                     }
-                    let slot = self.machine_now.p + self.spares_used;
-                    self.machine_now.promote(culprit, slot);
-                    self.spares_used += 1;
+                    self.machine_now.promote(culprit, p + k);
+                    self.spare_used[k] = true;
                     self.promotions += 1;
                     return Some(Recovery::Promote { culprit, ck_words });
                 }
@@ -605,21 +625,62 @@ fn check_culprit_shard(
     }
 }
 
-/// Virtual seconds a run spent rebuilding after faults: the largest
-/// `"recovery"` phase total over its ranks.
-pub(crate) fn recovery_time(ranks: &[RankStats]) -> f64 {
-    ranks.iter().filter_map(|r| r.phase(RECOVERY_PHASE)).map(|ph| ph.total()).fold(0.0, f64::max)
+/// Which spare slot serves a failed rank. Spares are dealt round-robin
+/// over the `groups` fleets — spare `k` is attached to fleet `k mod G` —
+/// and a culprit consumes its *own fleet's* unused spare first (keeping
+/// the warm slot topologically near the fleet it backs), falling back to
+/// the lowest-numbered unused spare of any fleet. With one group (the
+/// world search) that is simply the lowest unused slot. `None` when the
+/// pool is exhausted.
+fn spare_for(culprit: usize, p: usize, groups: usize, used: &[bool]) -> Option<usize> {
+    let g = groups.clamp(1, p.max(1));
+    let fleet = block_partition(p, g).iter().position(|r| r.contains(&culprit)).unwrap_or(0);
+    used.iter()
+        .enumerate()
+        .filter(|&(_, &taken)| !taken)
+        .map(|(k, _)| k)
+        .min_by_key(|&k| (usize::from(k % g != fleet), k))
 }
 
 /// The rank to blame for a recoverable engine fault: the crashed rank,
 /// the peer whose message went missing, or the sender of a late or
 /// corrupted payload. `None` marks the error non-recoverable.
-pub(crate) fn fault_culprit(e: &SimError) -> Option<usize> {
+fn fault_culprit(e: &SimError) -> Option<usize> {
     match e {
         SimError::RankCrashed { rank, .. } => Some(*rank),
         SimError::PeerFailed { peer, .. } => Some(*peer),
         SimError::Timeout { from, .. } => Some(*from),
         SimError::PayloadCorrupt { from, .. } => Some(*from),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::spare_for;
+
+    #[test]
+    fn spares_prefer_the_culprits_own_fleet() {
+        // P = 8, G = 2: fleets {0..4} and {4..8}; spare 0 backs fleet 0,
+        // spare 1 backs fleet 1.
+        let used = [false, false];
+        assert_eq!(spare_for(2, 8, 2, &used), Some(0));
+        assert_eq!(spare_for(6, 8, 2, &used), Some(1));
+        // Own fleet's spare taken: borrow the lowest unused one.
+        assert_eq!(spare_for(6, 8, 2, &[false, true]), Some(0));
+        // Pool exhausted.
+        assert_eq!(spare_for(1, 8, 2, &[true, true]), None);
+        // More spares than fleets: round-robin attachment.
+        assert_eq!(spare_for(5, 8, 2, &[true, false, false, false]), Some(1));
+        assert_eq!(spare_for(5, 8, 2, &[true, true, false, false]), Some(3));
+    }
+
+    #[test]
+    fn one_group_takes_spares_left_to_right() {
+        for culprit in 0..4 {
+            assert_eq!(spare_for(culprit, 4, 1, &[false, false]), Some(0));
+            assert_eq!(spare_for(culprit, 4, 1, &[true, false]), Some(1));
+            assert_eq!(spare_for(culprit, 4, 1, &[true, true]), None);
+        }
     }
 }

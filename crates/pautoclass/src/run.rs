@@ -4,11 +4,11 @@
 //! The try loop (`search_tries`) is tries × `base_cycle` with class
 //! death, the convergence test and duplicate elimination. It is generic
 //! over [`mpsim::SpmdComm`] and takes the EM cycle as an argument, so one
-//! loop serves the world search ([`run_search`] on the simulated machine,
-//! [`run_search_native`] on real cores, both through
+//! loop serves the world search (`WorldSearch`: [`run_search`] on the
+//! simulated machine, [`run_search_native`] on real cores, both through
 //! [`crate::driver::parallel_base_cycle`]), the fault-tolerant supervisor
-//! (`crate::recover`, which switches on checkpoints and resume) and the
-//! survivors' search after a shrink (through
+//! (`crate::recover`, which runs `WorldSearch` with checkpoints and
+//! resume on) and the survivors' search after a shrink (through
 //! `crate::driver::sub_base_cycle` on the survivors' group). The fleet
 //! search drives its candidates through the same per-cycle step and
 //! finish (`Try`). The simulated and native runs are bitwise identical;
@@ -17,19 +17,27 @@
 
 use std::sync::Mutex;
 
-use autoclass::data::{DataView, Dataset};
+use autoclass::data::{block_range, DataView, Dataset};
 use autoclass::model::{
     classes_from_flat_into, classes_to_flat, converged, derive_seed, log_param_prior,
     Approximation, ClassParams, CycleWorkspace, Model,
 };
 use autoclass::search::{apply_class_death, is_duplicate, Classification, SearchConfig};
-use mpsim::{run_spmd, Communicator, MachineSpec, RankStats, RunStats, SimOptions, SpmdComm};
+use mpsim::{
+    run_spmd, Communicator, GroupCommunicator, MachineSpec, RankStats, RunStats, SimOptions,
+    SpmdComm, RECOVERY_PHASE,
+};
 use shmcomm::{run_native, NativeOptions};
 
-use crate::checkpoint::{approx_from, approx_to, CkptClassification, SearchCheckpoint};
+use crate::checkpoint::{
+    approx_from, approx_to, CheckpointError, CkptClassification, SearchCheckpoint,
+};
 use crate::config::ParallelConfig;
-use crate::driver::{build_model, init_classes_parallel, parallel_base_cycle};
+use crate::driver::{
+    build_model, init_classes_parallel, parallel_base_cycle, sub_base_cycle, sub_build_model,
+};
 use crate::error::RunError;
+use crate::recover::Supervised;
 
 /// Result of a parallel search. Every rank computes identical
 /// classifications (the semantics-preservation property); the values here
@@ -254,34 +262,93 @@ pub(crate) fn search_tries<C: SpmdComm>(
     (all, total_cycles)
 }
 
-/// The world's rank body: this rank's partition, the model, then the try
-/// loop with the configured cycle strategy. Shared by the plain searches
-/// ([`run_search`], [`run_search_native`]) and the fault-tolerant
-/// supervisor's unshrunk attempts.
-pub(crate) fn world_search<C: Communicator>(
-    comm: &mut C,
-    data: &Dataset,
-    config: &ParallelConfig,
-    checkpoints: Option<(usize, &CheckpointStore)>,
-    resume: Option<&SearchCheckpoint>,
-) -> (Vec<Classification>, usize) {
-    // Everything not claimed by an inner span (model setup, class-death
-    // and convergence decisions, dedup/scoring) is model-search time.
-    comm.enter_phase("search");
-    let part = config.partition.range(data.len(), comm.size(), comm.rank());
-    let view = data.view(part.start, part.end);
-    let model = build_model(comm, &view, &config.correlated_blocks);
-    let found = search_tries(
-        comm,
-        &model,
-        &view,
-        &config.search,
-        |comm, classes, ws| parallel_base_cycle(comm, &model, &view, classes, ws, config.strategy),
-        checkpoints,
-        resume,
-    );
-    comm.exit_phase();
-    found
+/// The world search: the plain searches' rank body ([`run_search`],
+/// [`run_search_native`]) and, under the supervisor (`crate::recover`),
+/// the search of every attempt.
+pub(crate) struct WorldSearch<'a> {
+    pub(crate) data: &'a Dataset,
+    pub(crate) config: &'a ParallelConfig,
+}
+
+impl Supervised for WorldSearch<'_> {
+    type Image = SearchCheckpoint;
+    type Found = (Vec<Classification>, usize);
+    type Outcome = ParallelOutcome;
+
+    fn decode(bytes: &[u8]) -> Result<SearchCheckpoint, CheckpointError> {
+        SearchCheckpoint::from_bytes(bytes)
+    }
+
+    /// This rank's partition, the model, then the try loop with the
+    /// configured cycle strategy.
+    fn on_world<C: Communicator>(
+        &self,
+        comm: &mut C,
+        checkpoints: Option<(usize, &CheckpointStore)>,
+        resume: Option<&SearchCheckpoint>,
+    ) -> Self::Found {
+        let (data, config) = (self.data, self.config);
+        // Everything not claimed by an inner span (model setup, class-death
+        // and convergence decisions, dedup/scoring) is model-search time.
+        comm.enter_phase("search");
+        let part = config.partition.range(data.len(), comm.size(), comm.rank());
+        let view = data.view(part.start, part.end);
+        let model = build_model(comm, &view, &config.correlated_blocks);
+        let found = search_tries(
+            comm,
+            &model,
+            &view,
+            &config.search,
+            |comm, classes, ws| {
+                parallel_base_cycle(comm, &model, &view, classes, ws, config.strategy)
+            },
+            checkpoints,
+            resume,
+        );
+        comm.exit_phase();
+        found
+    }
+
+    /// The survivors repartition the data and rebuild the model (booked
+    /// as recovery), then run the try loop on their group.
+    fn on_survivors<G: GroupCommunicator>(
+        &self,
+        sub: &mut G,
+        _orig_p: usize,
+        checkpoints: Option<(usize, &CheckpointStore)>,
+        resume: Option<&SearchCheckpoint>,
+    ) -> Self::Found {
+        sub.enter_phase(RECOVERY_PHASE);
+        let part = block_range(self.data.len(), sub.size(), sub.rank());
+        let view = self.data.view(part.start, part.end);
+        let model = sub_build_model(sub, &view, &self.config.correlated_blocks);
+        sub.exit_phase();
+
+        sub.enter_phase("search");
+        let found = search_tries(
+            sub,
+            &model,
+            &view,
+            &self.config.search,
+            |sub, classes, ws| sub_base_cycle(sub, &model, &view, classes, ws),
+            checkpoints,
+            resume,
+        );
+        sub.exit_phase();
+        found
+    }
+
+    fn outcome(
+        (all, cycles): Self::Found,
+        elapsed: f64,
+        ranks: Vec<RankStats>,
+        stats: RunStats,
+    ) -> Result<ParallelOutcome, RunError> {
+        let Some(best) = all.first().cloned() else {
+            return Err(RunError::EmptySearch);
+        };
+        Ok(ParallelOutcome { best, all, elapsed, ranks, stats, cycles })
+    }
 }
 
 /// Run the full P-AutoClass search on the given (simulated) machine.
@@ -312,14 +379,15 @@ pub fn run_search_with(
     opts: &SimOptions,
 ) -> Result<ParallelOutcome, RunError> {
     config.partition.validate(machine.p)?;
-    let out = run_spmd(machine, opts, |comm| world_search(comm, data, config, None, None))?;
-    let Some((all, cycles)) = out.per_rank.into_iter().next() else {
+    let search = WorldSearch { data, config };
+    let out = run_spmd(machine, opts, |comm| search.on_world(comm, None, None))?;
+    let Some(found) = out.per_rank.into_iter().next() else {
         // A machine with zero ranks is rejected by the engine before the
         // body runs, so this is unreachable in practice — but returning an
         // error keeps the library free of panic paths.
         return Err(RunError::EmptySearch);
     };
-    outcome_from(all, cycles, out.elapsed, out.ranks, out.stats)
+    WorldSearch::outcome(found, out.elapsed, out.ranks, out.stats)
 }
 
 /// Run the full P-AutoClass search on real cores: `machine.p` OS threads,
@@ -342,28 +410,12 @@ pub fn run_search_native(
     opts: &NativeOptions,
 ) -> Result<ParallelOutcome, RunError> {
     config.partition.validate(machine.p)?;
-    let out = run_native(machine, opts, |comm| world_search(comm, data, config, None, None))?;
-    let Some((all, cycles)) = out.per_rank.into_iter().next() else {
+    let search = WorldSearch { data, config };
+    let out = run_native(machine, opts, |comm| search.on_world(comm, None, None))?;
+    let Some(found) = out.per_rank.into_iter().next() else {
         return Err(RunError::EmptySearch);
     };
-    outcome_from(all, cycles, out.elapsed, out.ranks, out.stats)
-}
-
-/// Assemble a [`ParallelOutcome`] from one rank's search result and the
-/// run's statistics. Shared with the fault-tolerant supervisor
-/// ([`crate::run_search_ft`]), whose surviving ranks produce the same
-/// `(classifications, cycles)` pair.
-pub(crate) fn outcome_from(
-    all: Vec<Classification>,
-    cycles: usize,
-    elapsed: f64,
-    ranks: Vec<RankStats>,
-    stats: RunStats,
-) -> Result<ParallelOutcome, RunError> {
-    let Some(best) = all.first().cloned() else {
-        return Err(RunError::EmptySearch);
-    };
-    Ok(ParallelOutcome { best, all, elapsed, ranks, stats, cycles })
+    WorldSearch::outcome(found, out.elapsed, out.ranks, out.stats)
 }
 
 /// Timing of a fixed-J cycling run (the paper's scaleup measurement:

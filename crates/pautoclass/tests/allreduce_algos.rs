@@ -33,7 +33,6 @@ fn config(exchange: Exchange) -> ParallelConfig {
 
 const ALGOS: &[AllreduceAlgo] = &[
     AllreduceAlgo::Linear,
-    AllreduceAlgo::OrderedLinear,
     AllreduceAlgo::RecursiveDoubling,
     AllreduceAlgo::Ring,
     AllreduceAlgo::Rabenseifner,

@@ -17,7 +17,7 @@ use mpsim::{
 use pautoclass::{
     run_search_fleet, run_search_fleet_ft, run_search_fleet_native, run_search_fleet_with,
     run_search_with, Consensus, Exchange, FleetConfig, FtConfig, NativeOptions, ParallelConfig,
-    ParallelOutcome, RecoveryPolicy, RunError, Strategy,
+    ParallelOutcome, RecoveryPolicy, RunError, ShardFault, Strategy,
 };
 
 /// The equivalence claim is pinned to the deterministic pair the group
@@ -341,4 +341,57 @@ fn fleet_refuses_local_replay_instead_of_restarting() {
             ftc.policy
         );
     }
+}
+
+/// The fault-free run and the run with rank 2 crashed at its 45th send,
+/// which fires after the first round image is stored (G = 2, eight-cycle
+/// rounds, an image every two rounds).
+fn crash_after_a_round_image(
+    policy: RecoveryPolicy,
+    shard_fault: Option<ShardFault>,
+) -> (pautoclass::FleetFtOutcome, pautoclass::FleetFtOutcome) {
+    let data = datagen::paper_dataset(240, 7);
+    let cfg = config(vec![2, 3], 11);
+    let fc = FleetConfig { groups: 2, round_cycles: 8, ..FleetConfig::default() };
+    let mut ftc = ft(policy);
+    ftc.standby.shard_fault = shard_fault;
+    let m = rd_machine(4);
+    let baseline = run_search_fleet_ft(&data, &m, &cfg, &fc, &ftc, &SimOptions::default()).unwrap();
+    assert_eq!((baseline.attempts, baseline.recovery_time), (1, 0.0));
+    let out = run_search_fleet_ft(&data, &m, &cfg, &fc, &ftc, &opts_with(crash(2, 45))).unwrap();
+    assert_eq!(out.attempts, 2);
+    assert_eq!(
+        all_bits(&out.outcome.outcome.all),
+        all_bits(&baseline.outcome.outcome.all),
+        "recovery must keep the fault-free bits"
+    );
+    (baseline, out)
+}
+
+#[test]
+fn fleet_restart_from_a_round_image_charges_the_reload() {
+    let (_, out) = crash_after_a_round_image(RecoveryPolicy::RestartFromCheckpoint, None);
+    assert!(!out.fell_back);
+    // Every rank reloads the image under "recovery", as on the world.
+    assert!(out.recovery_time > 0.0, "the restart charged nothing");
+}
+
+#[test]
+fn fleet_promotion_from_a_round_image_charges_the_shard_load() {
+    let (_, out) = crash_after_a_round_image(RecoveryPolicy::PromoteSpare, None);
+    assert_eq!((out.promotions, out.fell_back), (1, false));
+    // The spare loads the culprit's shard and handshakes, as on the world.
+    assert!(out.recovery_time > 0.0, "the promotion charged nothing");
+}
+
+#[test]
+fn fleet_promotion_on_a_corrupt_shard_falls_back_to_a_restart() {
+    let corrupt = ShardFault { logical_rank: 2, byte: 7, mask: 0x40 };
+    let (_, out) = crash_after_a_round_image(RecoveryPolicy::PromoteSpare, Some(corrupt));
+    assert_eq!((out.promotions, out.fell_back), (0, true));
+    assert!(
+        matches!(out.faults.get(1), Some(SimError::PayloadCorrupt { from: 2, .. })),
+        "the corrupt shard must name its owner: {:?}",
+        out.faults
+    );
 }

@@ -54,7 +54,6 @@ proptest! {
         op in ops(),
         algo in prop_oneof![
             Just(AllreduceAlgo::Linear),
-            Just(AllreduceAlgo::OrderedLinear),
             Just(AllreduceAlgo::RecursiveDoubling),
             Just(AllreduceAlgo::Ring),
             Just(AllreduceAlgo::Rabenseifner),

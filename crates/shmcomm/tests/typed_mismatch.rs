@@ -20,9 +20,8 @@ enum Lengths {
     GroupAllreduce,
 }
 
-const LENGTH_CASES: [Lengths; 8] = [
+const LENGTH_CASES: [Lengths; 7] = [
     Lengths::World(AllreduceAlgo::Linear),
-    Lengths::World(AllreduceAlgo::OrderedLinear),
     Lengths::World(AllreduceAlgo::RecursiveDoubling),
     Lengths::World(AllreduceAlgo::Ring),
     Lengths::World(AllreduceAlgo::Rabenseifner),
