@@ -19,7 +19,7 @@ use crate::model::class::Model;
 use crate::model::suffstats::SuffStats;
 
 /// Scores of one classification state at the current cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Approximation {
     /// Incomplete-data log likelihood at MAP, ln P(X|V̂,T).
     pub log_likelihood: f64,

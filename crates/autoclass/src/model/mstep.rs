@@ -25,8 +25,14 @@ pub fn stats_to_classes(model: &Model, stats: &SuffStats) -> (Vec<ClassParams>, 
             .collect();
         classes.push(ClassParams::new(weight, pi, terms));
     }
-    let ops = (j * stats.layout.stride) as u64;
-    (classes, ops)
+    (classes, mstep_ops(stats))
+}
+
+/// Abstract op count of deriving every class from `stats`: one statistics
+/// stride per class. What [`stats_to_classes`] and
+/// [`stats_to_classes_into`] return, known before they run.
+pub fn mstep_ops(stats: &SuffStats) -> u64 {
+    (stats.layout.j * stats.layout.stride) as u64
 }
 
 /// In-place variant of [`stats_to_classes`] for the allocation-free EM

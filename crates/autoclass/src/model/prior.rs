@@ -107,6 +107,41 @@ pub fn tri_index(i: usize, j: usize) -> usize {
 const PSEUDO_COUNT: f64 = 1.0;
 
 impl TermPrior {
+    /// Feed `word` every bit of this prior, as 64-bit words: the family,
+    /// then each field (floats by their bit patterns, vectors after their
+    /// length). Two priors feed the same words exactly when they are the
+    /// same prior, bit for bit, so the words can key anything computed
+    /// from the prior.
+    pub fn key_words(&self, word: &mut impl FnMut(u64)) {
+        fn floats(xs: &[f64], word: &mut impl FnMut(u64)) {
+            word(xs.len() as u64);
+            xs.iter().for_each(|x| word(x.to_bits()));
+        }
+        match self {
+            TermPrior::Normal { mean0, var0, kappa0, nu0, min_sigma } => {
+                word(0);
+                floats(&[*mean0, *var0, *kappa0, *nu0, *min_sigma], word);
+            }
+            TermPrior::LogNormal { mean0, var0, kappa0, nu0, min_sigma } => {
+                word(1);
+                floats(&[*mean0, *var0, *kappa0, *nu0, *min_sigma], word);
+            }
+            TermPrior::Multinomial { levels, alpha, missing_level } => {
+                word(2);
+                word(*levels as u64);
+                word(alpha.to_bits());
+                word(u64::from(*missing_level));
+            }
+            TermPrior::MultiNormal { dim, mean0, scatter0, kappa0, nu0, min_sigma } => {
+                word(3);
+                word(*dim as u64);
+                floats(mean0, word);
+                floats(scatter0, word);
+                floats(&[*kappa0, *nu0, *min_sigma], word);
+            }
+        }
+    }
+
     /// Build the prior for one attribute from the global statistics.
     pub fn for_attribute(attr: &Attribute, stats: &GlobalStats, c: usize) -> TermPrior {
         match attr.kind {
@@ -513,6 +548,28 @@ pub enum TermParams {
 }
 
 impl TermParams {
+    /// Become a copy of `source`, refilling this term's vectors in place
+    /// when the shapes match, so nothing is allocated; any other term is
+    /// replaced by an exact-capacity clone.
+    pub(crate) fn refill_from(&mut self, source: &TermParams) {
+        match (self, source) {
+            (TermParams::Multinomial { log_p }, TermParams::Multinomial { log_p: src })
+                if log_p.len() == src.len() =>
+            {
+                log_p.copy_from_slice(src);
+            }
+            (
+                TermParams::MultiNormal { mean, chol, log_norm },
+                TermParams::MultiNormal { mean: m, chol: c, log_norm: n },
+            ) if mean.len() == m.len() && chol.len() == c.len() => {
+                mean.copy_from_slice(m);
+                chol.copy_from_slice(c);
+                *log_norm = *n;
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
+
     /// Correlated Gaussian parameters from a dense covariance matrix,
     /// with the normalization constant precomputed.
     ///

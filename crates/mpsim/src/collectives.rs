@@ -10,6 +10,7 @@
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgo;
 use crate::error::SimError;
+use crate::replica::ReplicaKey;
 use crate::schedule::{self, Buf, Collective, PlanKey, PointToPoint, Seating, World};
 use crate::verify::{hash_f64s, CollFingerprint, WORLD_COMM};
 
@@ -115,6 +116,24 @@ impl World for Comm {
     ) -> bool {
         self.meet(at, key, op, buf);
         true
+    }
+    fn derive_replicated_in<T, K, D>(
+        &mut self,
+        comm: u64,
+        size: usize,
+        key: K,
+        out: &mut T,
+        derive: D,
+    ) where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        if size < 2 || self.checks_replication() {
+            derive(out);
+        } else {
+            self.replicas().derive(comm, size, key, out, derive);
+        }
     }
 }
 

@@ -41,6 +41,7 @@ use crate::error::SimError;
 use crate::fault::FaultState;
 use crate::payload::{checksum_f64s, DecodeError};
 use crate::replay::{ReplayEntry, ReplayLog};
+use crate::replica::Replicas;
 use crate::schedule::{Buf, PlanKey, Seat, Seating, Stop};
 use crate::trace::{Event, EventKind, PhaseStats, RankStats};
 use crate::verify::{hash_f64s, VerifyState, USER_REPL_COMM};
@@ -860,6 +861,11 @@ impl Comm {
         self.coll_seq += 1;
         self.ep.count(|c| c.collectives += 1);
         self.coll_seq
+    }
+
+    /// The run's store of replicated derivations.
+    pub(crate) fn replicas(&self) -> &Replicas {
+        &self.coop.replicas
     }
 
     /// Whether replication-invariant hashing is enabled for this run.

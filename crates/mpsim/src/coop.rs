@@ -70,6 +70,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::comm::{Envelope, Net};
 use crate::error::SimError;
 use crate::fiber;
+use crate::replica::Replicas;
 use crate::schedule::{self, Seat, Seating};
 
 /// Outcome of a [`CoopShared::deposit`] that did not fail.
@@ -196,6 +197,9 @@ pub(crate) struct CoopShared {
     max_inflight: usize,
     net: Arc<Net>,
     abort: Arc<AtomicBool>,
+    /// Results of replicated derivations, kept for the members still to
+    /// call (see [`crate::replica`]).
+    pub(crate) replicas: Replicas,
 }
 
 impl CoopShared {
@@ -222,6 +226,7 @@ impl CoopShared {
             max_inflight: max_inflight.max(1),
             net,
             abort,
+            replicas: Replicas::default(),
         }
     }
 

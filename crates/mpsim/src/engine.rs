@@ -34,6 +34,7 @@ use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::fiber::Fiber;
+use crate::replica::ReplicaStats;
 use crate::trace::{RankStats, RunStats};
 use crate::verify::{VerifyOptions, VerifyState};
 
@@ -131,6 +132,10 @@ pub struct SpmdOutput<T> {
     /// so aggregate statistics and symmetry checks keep describing the `p`
     /// working ranks.
     pub spare_ranks: Vec<RankStats>,
+    /// What the members' replicated derivations did: how many were kept
+    /// for the other members, how many members copied one, and how many
+    /// were still in the store at the end (see [`crate::replica`]).
+    pub replicas: ReplicaStats,
 }
 
 /// Run `f` as an SPMD program on the machine described by `spec`.
@@ -209,6 +214,7 @@ where
     // lint:allow(unwrap): the loop ends only once every rank has finished
     let results = slots.into_iter().map(|slot| slot.expect("every rank ran to completion"));
     let mailbox_high_water = coop.high_water();
+    let replicas = coop.replicas.stats();
     let spare_ranks =
         (p..p + spec.spares).map(|rank| RankStats { rank, ..RankStats::default() }).collect();
 
@@ -245,6 +251,7 @@ where
         events,
         mailbox_high_water,
         spare_ranks,
+        replicas,
     })
 }
 

@@ -50,6 +50,8 @@
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]: crashes,
 //!   drops, delays, corruption, degraded links) and receive-side failure
 //!   detection that turns hangs into typed errors naming the culprit
+//! * [`replica`] — replicated derivations run once per host: members
+//!   whose inputs match bit for bit copy the first member's result
 //! * [`replay`] — bounded per-rank rings of delivered-envelope
 //!   coordinates ([`ReplayLog`]) that let a localized-recovery supervisor
 //!   replay a single failed rank instead of rolling the world back
@@ -80,6 +82,7 @@ pub mod fault;
 mod fiber;
 pub mod payload;
 pub mod replay;
+pub mod replica;
 pub mod report;
 pub mod schedule;
 pub mod subcomm;
@@ -102,6 +105,7 @@ pub use error::SimError;
 pub use fault::{FaultAction, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 pub use payload::DecodeError;
 pub use replay::{ReplayEntry, ReplayLog};
+pub use replica::{ReplicaKey, ReplicaStats};
 pub use report::{PhaseRow, Report, RunRecord, RunRow};
 pub use subcomm::{Group, SubComm};
 pub use topology::Topology;

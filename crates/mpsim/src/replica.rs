@@ -1,0 +1,231 @@
+//! Replicated derivations, run once per host.
+//!
+//! After a reduction every member of a communicator holds the same
+//! inputs and derives the same values from them: P-AutoClass's class
+//! parameters and scores after the statistics allreduce. The simulator
+//! runs every member on one host thread, so it need not pay for that
+//! derivation once per member. Through
+//! [`SpmdComm::derive_replicated`](crate::SpmdComm::derive_replicated), the
+//! first member of a communicator to arrive derives and keeps a copy of
+//! its result, keyed by the exact bits of the inputs, and every later
+//! member whose inputs match that key word for word copies the result
+//! with `clone_from` instead of deriving. A member whose inputs differ
+//! derives for itself, so a hit never rests on the members being
+//! replicated: the derivation is a pure function of the keyed bits.
+//!
+//! A kept result sits in one slot per communicator and is dropped once
+//! all of the communicator's members have called, so the store holds at
+//! most one entry per communicator in flight, and the whole store goes
+//! with the run.
+
+use std::any::Any;
+use std::sync::{Mutex, MutexGuard};
+
+/// The exact bits a replicated derivation reads, fed piece by piece by
+/// the caller's key function (see
+/// [`SpmdComm::derive_replicated`](crate::SpmdComm::derive_replicated)).
+pub struct ReplicaKey<'a>(Mode<'a>);
+
+enum Mode<'a> {
+    /// Write the words of a new entry's key.
+    Record(&'a mut Vec<u64>),
+    /// Compare with a kept entry's key; `same` stays true while every
+    /// word fed so far matched.
+    Match { kept: &'a [u64], at: usize, same: bool },
+}
+
+impl ReplicaKey<'_> {
+    /// Feed one 64-bit word: a count, a tag, or a float's bits.
+    pub fn word(&mut self, w: u64) {
+        match &mut self.0 {
+            Mode::Record(key) => key.push(w),
+            Mode::Match { kept, at, same } => {
+                *same = *same && kept.get(*at) == Some(&w);
+                *at += 1;
+            }
+        }
+    }
+
+    /// Feed a slice of floats by their bit patterns, after its length, so
+    /// that two different sequences of slices never feed the same words.
+    pub fn f64s(&mut self, xs: &[f64]) {
+        self.word(xs.len() as u64);
+        match &mut self.0 {
+            Mode::Record(key) => key.extend(xs.iter().map(|x| x.to_bits())),
+            Mode::Match { kept, at, same } => {
+                let end = *at + xs.len();
+                // No early exit: a hit, the common case, reads every word
+                // anyway, and the folded form vectorizes.
+                *same = *same
+                    && kept.get(*at..end).is_some_and(|k| {
+                        k.iter().zip(xs).fold(0, |d, (a, b)| d | (a ^ b.to_bits())) == 0
+                    });
+                *at = end;
+            }
+        }
+    }
+}
+
+/// Whether `key` feeds exactly the words `kept`.
+fn matches(kept: &[u64], key: &impl Fn(&mut ReplicaKey<'_>)) -> bool {
+    let mut k = ReplicaKey(Mode::Match { kept, at: 0, same: true });
+    key(&mut k);
+    match k.0 {
+        Mode::Match { at, same, .. } => same && at == kept.len(),
+        Mode::Record(_) => unreachable!("a match key stays in match mode"),
+    }
+}
+
+/// What a run's replicated derivations did (see
+/// [`crate::SpmdOutput::replicas`]). All zero when no member went through
+/// the store: a run that checks replication derives on every member.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplicaStats {
+    /// Derivations whose result was kept for the other members.
+    pub kept: u64,
+    /// Calls that copied a kept result instead of deriving.
+    pub copied: u64,
+    /// Kept results still in the store when the run ended: some member
+    /// never came for them (it failed first). Zero after a fault-free run.
+    pub left: usize,
+}
+
+/// A kept result, in its communicator's slot.
+struct Entry {
+    comm: u64,
+    /// The words the deriving member's key fed.
+    key: Vec<u64>,
+    /// Members still to call.
+    left: usize,
+    value: Box<dyn Any + Send>,
+}
+
+#[derive(Default)]
+struct Store {
+    entries: Vec<Entry>,
+    kept: u64,
+    copied: u64,
+}
+
+/// The store of one cooperative run.
+#[derive(Default)]
+pub(crate) struct Replicas {
+    store: Mutex<Store>,
+}
+
+impl Replicas {
+    /// Members run one at a time and never block inside the store, so a
+    /// poisoned lock still guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// One member of communicator `comm` (`size` members, at least two)
+    /// calls for the derivation `key` names: copy the kept result into
+    /// `out` if the communicator's slot holds one with this key, else
+    /// derive into `out`, keeping a copy when the slot was empty.
+    pub(crate) fn derive<T, K, D>(&self, comm: u64, size: usize, key: K, out: &mut T, derive: D)
+    where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        let mut store = self.lock();
+        if let Some(i) = store.entries.iter().position(|e| e.comm == comm) {
+            let e = &mut store.entries[i];
+            e.left -= 1;
+            let hit = match e.value.downcast_ref::<T>() {
+                Some(v) if matches(&e.key, &key) => {
+                    out.clone_from(v);
+                    true
+                }
+                _ => false,
+            };
+            if e.left == 0 {
+                store.entries.swap_remove(i);
+            }
+            if hit {
+                store.copied += 1;
+                return;
+            }
+            drop(store);
+            derive(out);
+            return;
+        }
+        drop(store);
+        derive(out);
+        let mut words = Vec::new();
+        key(&mut ReplicaKey(Mode::Record(&mut words)));
+        let value = Box::new(out.clone());
+        let mut store = self.lock();
+        store.kept += 1;
+        store.entries.push(Entry { comm, key: words, left: size - 1, value });
+    }
+
+    /// The run's counters, with what is left in the store.
+    pub(crate) fn stats(&self) -> ReplicaStats {
+        let store = self.lock();
+        ReplicaStats { kept: store.kept, copied: store.copied, left: store.entries.len() }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key_of<'a>(words: &'a [u64], floats: &'a [f64]) -> impl Fn(&mut ReplicaKey<'_>) + 'a {
+        move |k| {
+            words.iter().for_each(|&w| k.word(w));
+            k.f64s(floats);
+        }
+    }
+
+    #[test]
+    fn a_key_matches_only_its_own_words() {
+        let mut kept = Vec::new();
+        key_of(&[7], &[1.0, -0.0])(&mut ReplicaKey(Mode::Record(&mut kept)));
+        assert!(matches(&kept, &key_of(&[7], &[1.0, -0.0])));
+        // +0.0 and -0.0 compare equal as floats but differ in bits.
+        assert!(!matches(&kept, &key_of(&[7], &[1.0, 0.0])));
+        assert!(!matches(&kept, &key_of(&[8], &[1.0, -0.0])));
+        // A prefix, or the same words cut differently, is another key.
+        assert!(!matches(&kept, &key_of(&[7], &[1.0])));
+        assert!(!matches(&kept, &key_of(&[7, 2], &[])));
+    }
+
+    #[test]
+    fn members_copy_the_first_derivation_and_the_last_drops_it() {
+        let r = Replicas::default();
+        let mut derived = 0;
+        for member in 0..3 {
+            let mut out = vec![0.0; 2];
+            r.derive(1, 3, key_of(&[], &[2.0]), &mut out, |o| {
+                derived += 1;
+                o.iter_mut().for_each(|x| *x = 2.0 * f64::from(member + 1));
+            });
+            // The first member's result, on every member.
+            assert_eq!(out, [2.0, 2.0], "member {member}");
+        }
+        assert_eq!(derived, 1);
+        assert_eq!(r.stats(), ReplicaStats { kept: 1, copied: 2, left: 0 });
+    }
+
+    #[test]
+    fn a_member_with_other_inputs_derives_for_itself() {
+        let r = Replicas::default();
+        // Communicator 1 has three members, communicator 2 two.
+        let calls = [(1, 1.0), (2, 1.0), (1, 5.0), (1, 1.0)];
+        for (i, &(comm, x)) in calls.iter().enumerate() {
+            let size = if comm == 1 { 3 } else { 2 };
+            let mut out = 0.0;
+            r.derive(comm, size, key_of(&[], &[x]), &mut out, |o| *o = 10.0 * x + i as f64);
+            // Communicator 2 never reads communicator 1's slot, the member
+            // with input 5 misses, and the last member copies the first's.
+            let want = if i == 3 { 10.0 } else { 10.0 * x + i as f64 };
+            assert_eq!(out, want, "call {i}");
+        }
+        // Communicator 1's entry went with its last member; communicator
+        // 2's still waits for its second.
+        assert_eq!(r.stats(), ReplicaStats { kept: 2, copied: 1, left: 1 });
+    }
+}

@@ -66,6 +66,7 @@ use crate::collectives::ReduceOp;
 use crate::comm::{Endpoint, Net, Stamp};
 use crate::cost::AllreduceAlgo;
 use crate::error::SimError;
+use crate::replica::ReplicaKey;
 use crate::traits::Communicator;
 use crate::verify::{CollFingerprint, CollKind};
 
@@ -145,6 +146,24 @@ pub trait World: Collective + Communicator {
         _buf: &mut Buf<'_>,
     ) -> bool {
         false
+    }
+    /// [`crate::SpmdComm::derive_replicated`] for a member of communicator
+    /// `comm` (`size` members). The default derives in place, as a world
+    /// whose members run on threads of their own must (the native
+    /// backend's).
+    fn derive_replicated_in<T, K, D>(
+        &mut self,
+        _comm: u64,
+        _size: usize,
+        _key: K,
+        out: &mut T,
+        derive: D,
+    ) where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        derive(out);
     }
 }
 

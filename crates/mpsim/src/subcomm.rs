@@ -132,6 +132,11 @@ impl<'a, W: World> Group<'a, W> {
         &self.members
     }
 
+    /// The group's registry id, unique among the communicators of a run.
+    pub(crate) fn comm_id(&self) -> u64 {
+        self.comm_id
+    }
+
     /// Access the underlying world communicator (e.g. for `work`).
     pub fn world(&mut self) -> &mut W {
         self.world

@@ -42,8 +42,10 @@ use crate::collectives::ReduceOp;
 use crate::comm::{Comm, Request};
 use crate::cost::{AllreduceAlgo, MachineSpec};
 use crate::error::SimError;
+use crate::replica::ReplicaKey;
 use crate::schedule::World;
 use crate::subcomm::{Group, SubComm};
+use crate::verify::WORLD_COMM;
 
 /// A backend-neutral communication failure.
 ///
@@ -221,6 +223,31 @@ pub trait SpmdComm {
     /// a replay log, mirroring how [`SpmdComm::work`] is free on the
     /// native backend.
     fn replay_truncate(&mut self) {}
+
+    /// Run `derive` on `out`, where `derive` is a pure function of the
+    /// words `key` feeds and writes all of `out` from them alone. Every
+    /// member calls this at the same point with its own `out`, typically
+    /// right after the reduction that made its inputs equal to every
+    /// other member's; local work is charged by the caller, as before.
+    ///
+    /// The default derives in place, and so do the native backend's
+    /// threads and any simulated run that checks replication, where every
+    /// member deriving for itself is the proof. Elsewhere on the
+    /// simulator, whose members share one host thread, the first member
+    /// derives and keeps a copy and each later member whose key matches
+    /// it word for word takes it with `clone_from` (see
+    /// [`crate::replica`]): the same bits in `out`, at the cost of a
+    /// compare and a copy.
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    where
+        Self: Sized,
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        let _ = key;
+        derive(out);
+    }
 }
 
 /// The world-communicator surface the SPMD driver is generic over: the
@@ -345,6 +372,15 @@ impl SpmdComm for Comm {
     fn replay_truncate(&mut self) {
         Comm::replay_truncate(self);
     }
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        let size = Comm::size(self);
+        World::derive_replicated_in(self, WORLD_COMM, size, key, out, derive);
+    }
 }
 
 impl Communicator for Comm {
@@ -422,6 +458,15 @@ impl<W: World> SpmdComm for Group<'_, W> {
     }
     fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
         Group::allreduce_f64s(self, buf, op);
+    }
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        let (comm, size) = (self.comm_id(), Group::size(self));
+        self.world().derive_replicated_in(comm, size, key, out, derive);
     }
 }
 

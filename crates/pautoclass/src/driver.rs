@@ -8,6 +8,16 @@
 //! identical parameters and identical control-flow decisions — the
 //! semantics-preservation property the paper claims for its design.
 //!
+//! That derivation — the classes from the statistics or from a broadcast
+//! payload, and the cycle's scores — is the *replicated tail*
+//! ([`replicated_tail`], [`decode_classes`]). It goes through
+//! [`SpmdComm::derive_replicated`], so on the simulator, whose ranks share
+//! one host thread, it runs once per host: the first rank derives, and
+//! every rank whose inputs match bit for bit copies the result. Each rank
+//! still charges the derivation's work, so virtual time cannot tell the
+//! difference. On real threads, or with replication checking on, every
+//! rank derives for itself.
+//!
 //! Every building block here is generic over [`mpsim::Communicator`] (or,
 //! where a group can run it too, [`mpsim::SpmdComm`]), so the same driver
 //! runs on the simulated machine (`mpsim::Comm`, virtual time) or on real
@@ -16,13 +26,13 @@
 
 use autoclass::data::{DataView, GlobalStats};
 use autoclass::model::{
-    classes_from_flat_into, classes_to_flat, evaluate, init_classes, stats_to_class_into,
-    stats_to_classes_into, update_wts_and_stats_into, update_wts_into, Approximation, ClassParams,
-    CycleWorkspace, EStepScratch, Model, SuffStats, WtsMatrix,
+    classes_from_flat_into, classes_to_flat, evaluate, init_classes, mstep_ops,
+    stats_to_class_into, stats_to_classes_into, update_wts_and_stats_into, update_wts_into,
+    Approximation, ClassParams, CycleWorkspace, EStepScratch, Model, SuffStats, WtsMatrix,
 };
 use mpsim::{
     predicted_allreduce_cost, select_allreduce, AllreduceAlgo, Communicator, GroupCommunicator,
-    ReduceOp, SpmdComm,
+    ReduceOp, ReplicaKey, SpmdComm,
 };
 
 use crate::config::{Exchange, Strategy};
@@ -71,7 +81,124 @@ pub fn init_classes_parallel<C: SpmdComm>(
         vec![0.0; flat_len]
     };
     comm.broadcast_f64s(0, &mut flat);
-    classes_from_flat_into(model, j, &flat, classes);
+    decode_classes(comm, model, j, &flat, classes);
+}
+
+/// Where [`replicated_tail`] takes a cycle's classes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// Derive them from the reduced statistics (`stats_to_classes_into`).
+    Stats,
+    /// Decode them from a broadcast payload (`classes_from_flat_into`).
+    Flat(&'a [f64]),
+    /// Keep the classes the caller already derived; score only.
+    Kept,
+}
+
+/// Key tags: which derivation an entry of the replicated store holds.
+const TAIL_FROM_STATS: u64 = 1;
+const TAIL_FROM_FLAT: u64 = 2;
+const TAIL_KEPT: u64 = 3;
+const DECODE: u64 = 4;
+
+/// What [`replicated_tail`] and [`decode_classes`] derive, as the
+/// replicated store keeps it.
+#[derive(Debug, Default)]
+struct Tail {
+    classes: Vec<ClassParams>,
+    approx: Approximation,
+}
+
+/// A copy into a warmed-up tail of the same class count reuses its class
+/// list (see [`ClassParams`]'s `clone_from`); any other count gets an
+/// exact-capacity clone, as a fresh derivation or decode would.
+impl Clone for Tail {
+    fn clone(&self) -> Self {
+        Tail { classes: self.classes.clone(), approx: self.approx }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        if self.classes.len() == source.classes.len() {
+            self.classes.clone_from_slice(&source.classes);
+        } else {
+            self.classes = source.classes.clone();
+        }
+        self.approx = source.approx;
+    }
+}
+
+/// The replicated tail of a cycle: the new classes from `source`, then
+/// the scores from the reduced statistics and the global
+/// `[log_likelihood, complete_ll]`. A pure function of the model's
+/// priors and `n_total`, the statistics, `j`, the scalars and the source,
+/// so it goes through [`SpmdComm::derive_replicated`] keyed by exactly
+/// those bits. Charges nothing: the caller charges the derivation
+/// ([`mstep_ops`]) and the scoring (one statistics stride per class) where
+/// its virtual time has always put them.
+pub fn replicated_tail<C: SpmdComm>(
+    comm: &mut C,
+    model: &Model,
+    stats: &SuffStats,
+    scalars: [f64; 2],
+    source: Source<'_>,
+    classes: &mut Vec<ClassParams>,
+) -> Approximation {
+    let j = stats.layout.j;
+    let (tag, flat) = match source {
+        Source::Stats => (TAIL_FROM_STATS, &[][..]),
+        Source::Flat(flat) => (TAIL_FROM_FLAT, flat),
+        Source::Kept => (TAIL_KEPT, &[][..]),
+    };
+    let kept = matches!(source, Source::Kept);
+    let mut tail = Tail {
+        classes: if kept { Vec::new() } else { std::mem::take(classes) },
+        approx: Approximation::default(),
+    };
+    let key = |k: &mut ReplicaKey<'_>| {
+        k.word(tag);
+        k.word(j as u64);
+        k.f64s(&scalars);
+        k.f64s(&stats.data);
+        k.f64s(flat);
+        model.key_words(&mut |w| k.word(w));
+    };
+    comm.derive_replicated(key, &mut tail, |tail| {
+        match source {
+            Source::Stats => {
+                stats_to_classes_into(model, stats, &mut tail.classes);
+            }
+            Source::Flat(flat) => classes_from_flat_into(model, j, flat, &mut tail.classes),
+            Source::Kept => {}
+        }
+        tail.approx = evaluate(model, stats, scalars[0], scalars[1]);
+    });
+    if !kept {
+        *classes = tail.classes;
+    }
+    tail.approx
+}
+
+/// Decode `j` classes from a broadcast payload into `classes`, once per
+/// host (see [`replicated_tail`]): the decode reads only the payload, `j`
+/// and the model's priors and `n_total`.
+pub fn decode_classes<C: SpmdComm>(
+    comm: &mut C,
+    model: &Model,
+    j: usize,
+    flat: &[f64],
+    classes: &mut Vec<ClassParams>,
+) {
+    let key = |k: &mut ReplicaKey<'_>| {
+        k.word(DECODE);
+        k.word(j as u64);
+        k.f64s(flat);
+        model.key_words(&mut |w| k.word(w));
+    };
+    let mut tail = Tail { classes: std::mem::take(classes), approx: Approximation::default() };
+    comm.derive_replicated(key, &mut tail, |tail| {
+        classes_from_flat_into(model, j, flat, &mut tail.classes);
+    });
+    *classes = tail.classes;
 }
 
 /// One parallel `base_cycle`: E-step + weight Allreduce, M-step with the
@@ -105,7 +232,8 @@ pub fn parallel_base_cycle<C: Communicator>(
     let CycleWorkspace { wts, estep, stats, flat, accum } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
 
-    let scalars = if matches!(strategy, Strategy::Full { exchange: Exchange::Pipelined }) {
+    let pipelined = matches!(strategy, Strategy::Full { exchange: Exchange::Pipelined });
+    let scalars = if pipelined {
         pipelined_cycle(comm, model, view, classes, wts, estep, stats, accum)
     } else {
         // ---- update_wts (Figure 4) -----------------------------------
@@ -182,9 +310,11 @@ pub fn parallel_base_cycle<C: Communicator>(
                     }
                     Exchange::Pipelined => unreachable!("handled above"),
                 };
+                // The derivation itself runs in the replicated tail below;
+                // its work is charged here, ahead of PerTerm's trailing
+                // scalar allreduce, where it has always been.
                 comm.enter_phase("mstep");
-                let mops = stats_to_classes_into(model, stats, classes);
-                comm.work(mops);
+                comm.work(mstep_ops(stats));
                 comm.exit_phase();
                 packed
             }
@@ -210,7 +340,12 @@ pub fn parallel_base_cycle<C: Communicator>(
             }
         }
     };
-    let approx = evaluate(model, stats, scalars[0], scalars[1]);
+    let source = match strategy {
+        _ if pipelined => Source::Kept,
+        Strategy::WtsOnly => Source::Flat(flat),
+        Strategy::Full { .. } => Source::Stats,
+    };
+    let approx = replicated_tail(comm, model, stats, scalars, source, classes);
     comm.work((j * stats.layout.stride) as u64);
 
     // The new parameters were derived *independently* on every rank from
@@ -391,7 +526,9 @@ fn pipelined_cycle<C: Communicator>(
 ///
 /// `stats` arrives zeroed (from [`CycleWorkspace::reset_stats`]) and leaves
 /// holding the global statistics on every rank; `flat` is a reusable
-/// payload buffer; `classes` is replaced with the broadcast parameters.
+/// payload buffer and leaves holding the broadcast parameters, which the
+/// cycle's [`replicated_tail`] decodes into the classes; `classes` is the
+/// root's scratch for its derivation.
 #[allow(clippy::too_many_arguments)]
 fn wts_only_mstep<C: Communicator>(
     comm: &mut C,
@@ -460,10 +597,9 @@ fn wts_only_mstep<C: Communicator>(
     comm.enter_phase("allreduce");
     comm.broadcast_f64s(0, flat);
     comm.exit_phase();
-    // Every rank (root included) derives its classes from the broadcast
-    // payload, so all ranks share one code path and stay bitwise equal.
-    // In place: the last per-cycle `Vec<ClassParams>` allocation removed.
-    classes_from_flat_into(model, j, flat, classes);
+    // Every rank (root included) decodes its classes from the broadcast
+    // payload, left in `flat`, in the replicated tail that ends the cycle,
+    // so all ranks share one code path and stay bitwise equal.
 
     // Non-root ranks also need the global statistics for the shared
     // approximation step; broadcast them too (small next to the gather).
@@ -556,9 +692,9 @@ pub(crate) fn sub_base_cycle<G: GroupCommunicator>(
     for (c, &w) in estep.class_weight_sums.iter().enumerate() {
         stats.data[stats.layout.weight_index(c)] = w;
     }
-    let mops = stats_to_classes_into(model, stats, classes);
-    sub.work(mops);
-    let approx = evaluate(model, stats, log_likelihood, complete_ll);
+    let scalars = [log_likelihood, complete_ll];
+    let approx = replicated_tail(sub, model, stats, scalars, Source::Stats, classes);
+    sub.work(mstep_ops(stats));
     sub.work((j * stats.layout.stride) as u64);
     approx
 }

@@ -408,8 +408,20 @@ fn fleet_core<G: GroupCommunicator>(
             FleetCheckpoint { queues, ..FleetCheckpoint::default() }
         }
     };
+    // A shrink that leaves fewer survivors than the image has fleets
+    // resumes with fewer fleets: fold each dropped fleet's queue and
+    // retained records, in order, into surviving fleet `f % g`, so no
+    // candidate is lost.
+    let mut retained_raw = std::mem::take(&mut st.retained_raw);
+    for f in g..st.queues.len() {
+        let queue = std::mem::take(&mut st.queues[f]);
+        st.queues[f % g].extend(queue);
+    }
+    for f in g..retained_raw.len() {
+        let records = std::mem::take(&mut retained_raw[f]);
+        retained_raw[f % g].extend(records);
+    }
     st.queues.resize(g, VecDeque::new());
-    let retained_raw = std::mem::take(&mut st.retained_raw);
     let mut my_retained: Vec<(usize, Classification)> =
         retained_raw.get(my_fleet).map_or_else(Vec::new, |raw| parse_records(raw, &model));
 

@@ -343,6 +343,29 @@ fn fleet_refuses_local_replay_instead_of_restarting() {
     }
 }
 
+#[test]
+fn a_shrink_below_the_fleet_count_keeps_every_candidate() {
+    // P = 2, G = 2: the shrink leaves one survivor, so the search resumes
+    // with one fleet, which must take over the other fleet's queue and
+    // retained candidates from the round image.
+    let data = datagen::paper_dataset(240, 7);
+    let cfg = config(vec![2, 3], 11);
+    let fc = FleetConfig { groups: 2, round_cycles: 2, ..FleetConfig::default() };
+    let ftc = FtConfig { checkpoint_every: 1, ..ft(RecoveryPolicy::ShrinkAndRedistribute) };
+    let m = rd_machine(2);
+    let baseline = run_search_fleet_ft(&data, &m, &cfg, &fc, &ftc, &SimOptions::default()).unwrap();
+    let want = (baseline.outcome.fleet.candidates, baseline.outcome.outcome.all.len());
+    assert_eq!(want.0, 2, "one candidate per J value");
+    for seq in [5, 20] {
+        let out =
+            run_search_fleet_ft(&data, &m, &cfg, &fc, &ftc, &opts_with(crash(1, seq))).unwrap();
+        assert!(out.shrunk && out.survivors == 1, "crash at send {seq}: {out:?}");
+        assert_eq!(out.outcome.fleet.groups, 1, "crash at send {seq}");
+        let got = (out.outcome.fleet.candidates, out.outcome.outcome.all.len());
+        assert_eq!(got, want, "crash at send {seq}: candidates and retained count");
+    }
+}
+
 /// The fault-free run and the run with rank 2 crashed at its 45th send,
 /// which fires after the first round image is stored (G = 2, eight-cycle
 /// rounds, an image every two rounds).
