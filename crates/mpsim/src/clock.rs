@@ -1,4 +1,4 @@
-//! Per-rank virtual clocks with phase accounting.
+//! Per-rank virtual clocks.
 //!
 //! Each rank owns a [`Clock`]. Local computation advances it by modeled
 //! compute time; communication advances it by endpoint overhead and, on the
@@ -6,45 +6,14 @@
 //! virtual arrival is later than the receiver's current time. The elapsed
 //! time of an SPMD run is the maximum final clock across ranks.
 
-/// Compute / comm / idle seconds attributed to one named phase bucket.
-///
-/// Bucket 0 is the *default* bucket: everything not under an explicit
-/// phase span lands there, so the buckets always partition the clock —
-/// `Σ buckets == now` to the same rounding the global split enjoys.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseTimes {
-    /// Seconds of modeled computation in this phase.
-    pub compute: f64,
-    /// Seconds of communication endpoint work in this phase.
-    pub comm: f64,
-    /// Seconds spent blocked waiting for messages in this phase.
-    pub idle: f64,
-    /// Seconds of in-flight communication hidden behind other work in this
-    /// phase (non-blocking operations whose wire time elapsed while the
-    /// rank kept computing). Overlap is a *shadow* measure of the same wall
-    /// interval already counted as compute/comm/idle, so it is **not**
-    /// part of [`PhaseTimes::total`] — the partition invariant is
-    /// unaffected.
-    pub overlap: f64,
-}
-
-impl PhaseTimes {
-    /// Total seconds attributed to this phase (overlap excluded: it
-    /// shadows time already counted in the three primary components).
-    pub fn total(&self) -> f64 {
-        self.compute + self.comm + self.idle
-    }
-}
-
 /// A virtual clock, in seconds, split into compute / communication / idle
 /// components. The invariant `now == compute + comm + idle` always holds
 /// (up to floating-point rounding) because every advance goes through one
 /// of the three typed methods.
 ///
-/// Each advance is additionally attributed to the *current phase bucket*
-/// (see [`Clock::push_phase`] / [`Clock::set_phase`]); the communicator's
-/// `enter_phase`/`exit_phase` span API sits on top of this.
-#[derive(Debug, Clone, PartialEq)]
+/// Each advance returns the seconds it booked, so the caller can book the
+/// same amount into its current phase bucket (see [`crate::ledger`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Clock {
     now: f64,
     compute: f64,
@@ -53,24 +22,6 @@ pub struct Clock {
     /// In-flight communication hidden behind other work; a shadow measure
     /// outside the `now == compute + comm + idle` partition.
     overlap: f64,
-    /// Per-phase time buckets; index 0 is the default bucket.
-    phases: Vec<PhaseTimes>,
-    /// Index of the bucket currently receiving advances.
-    cur: usize,
-}
-
-impl Default for Clock {
-    fn default() -> Self {
-        Clock {
-            now: 0.0,
-            compute: 0.0,
-            comm: 0.0,
-            idle: 0.0,
-            overlap: 0.0,
-            phases: vec![PhaseTimes::default()],
-            cur: 0,
-        }
-    }
 }
 
 impl Clock {
@@ -106,84 +57,60 @@ impl Clock {
         self.overlap
     }
 
-    /// Advance by `dt` seconds of computation. Negative or non-finite
-    /// durations are clamped to zero (a measured duration can round to a
-    /// denormal; the clock must stay monotone).
-    pub fn advance_compute(&mut self, dt: f64) {
+    /// Advance by `dt` seconds of computation, returning the seconds
+    /// booked. Negative or non-finite durations are clamped to zero (a
+    /// measured duration can round to a denormal; the clock must stay
+    /// monotone).
+    pub fn advance_compute(&mut self, dt: f64) -> f64 {
         let dt = sanitize(dt);
         self.now += dt;
         self.compute += dt;
-        self.phases[self.cur].compute += dt;
-    }
-
-    /// Advance by `dt` seconds of communication endpoint work.
-    pub fn advance_comm(&mut self, dt: f64) {
-        let dt = sanitize(dt);
-        self.now += dt;
-        self.comm += dt;
-        self.phases[self.cur].comm += dt;
-    }
-
-    /// Wait (idle) until at least time `t`. No-op if `t` is in the past.
-    pub fn wait_until(&mut self, t: f64) {
-        if t > self.now {
-            self.idle += t - self.now;
-            self.phases[self.cur].idle += t - self.now;
-            self.now = t;
-        }
-    }
-
-    /// Record `dt` seconds of hidden (overlapped) communication. Does not
-    /// move `now`; the interval is already counted as compute/comm/idle.
-    pub fn add_overlap(&mut self, dt: f64) {
-        let dt = sanitize(dt);
-        self.overlap += dt;
-        self.phases[self.cur].overlap += dt;
-    }
-
-    /// Roll back up to `dt` seconds of idle time most recently charged to
-    /// the *current* phase bucket, rewinding `now` by the same amount.
-    ///
-    /// This is the primitive behind non-blocking collectives: the movement
-    /// runs eagerly (charging idle as if blocking), then the idle portion
-    /// is retracted so the caller's clock reads as if the wire time had
-    /// not yet been waited for. The retraction is capped at both the
-    /// global and the current bucket's accumulated idle, so the
-    /// `now == compute + comm + idle` partition stays exact.
-    ///
-    /// Returns the amount actually retracted.
-    pub fn retract_idle(&mut self, dt: f64) -> f64 {
-        let dt = sanitize(dt).min(self.idle).min(self.phases[self.cur].idle);
-        self.now -= dt;
-        self.idle -= dt;
-        self.phases[self.cur].idle -= dt;
         dt
     }
 
-    /// Allocate a new phase bucket and return its index. The new bucket
-    /// does **not** become current; call [`Clock::set_phase`] for that.
-    pub fn push_phase(&mut self) -> usize {
-        self.phases.push(PhaseTimes::default());
-        self.phases.len() - 1
+    /// Advance by `dt` seconds of communication endpoint work, returning
+    /// the seconds booked.
+    pub fn advance_comm(&mut self, dt: f64) -> f64 {
+        let dt = sanitize(dt);
+        self.now += dt;
+        self.comm += dt;
+        dt
     }
 
-    /// Direct subsequent advances into bucket `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` was not returned by [`Clock::push_phase`] (or 0).
-    pub fn set_phase(&mut self, idx: usize) {
-        assert!(idx < self.phases.len(), "phase index {idx} out of range");
-        self.cur = idx;
+    /// Wait (idle) until at least time `t`, returning the idle seconds
+    /// booked. No-op if `t` is in the past.
+    pub fn wait_until(&mut self, t: f64) -> f64 {
+        if t > self.now {
+            let dt = t - self.now;
+            self.idle += dt;
+            self.now = t;
+            dt
+        } else {
+            0.0
+        }
     }
 
-    /// Index of the bucket currently receiving advances (0 = default).
-    pub fn current_phase(&self) -> usize {
-        self.cur
+    /// Record `dt` seconds of hidden (overlapped) communication, returning
+    /// the seconds booked. Does not move `now`; the interval is already
+    /// counted as compute/comm/idle.
+    pub fn add_overlap(&mut self, dt: f64) -> f64 {
+        let dt = sanitize(dt);
+        self.overlap += dt;
+        dt
     }
 
-    /// The per-phase time buckets; index 0 is the default bucket.
-    pub fn phase_times(&self) -> &[PhaseTimes] {
-        &self.phases
+    /// Roll back up to `dt` seconds of idle, and at most `cap` (the idle
+    /// the caller's phase bucket holds), rewinding `now` by the same
+    /// amount; returns the amount retracted. This is the primitive behind
+    /// non-blocking collectives: the movement runs eagerly (charging idle
+    /// as if blocking), then the idle is retracted so the clock reads as
+    /// if the wire time had not yet been waited for. The caps keep the
+    /// `now == compute + comm + idle` partition and the buckets' exact.
+    pub fn retract_idle(&mut self, dt: f64, cap: f64) -> f64 {
+        let dt = sanitize(dt).min(self.idle).min(cap);
+        self.now -= dt;
+        self.idle -= dt;
+        dt
     }
 }
 
@@ -237,75 +164,36 @@ mod tests {
     }
 
     #[test]
-    fn phase_buckets_partition_the_clock() {
-        let mut c = Clock::new();
-        c.advance_compute(1.0); // default bucket
-        let a = c.push_phase();
-        let b = c.push_phase();
-        c.set_phase(a);
-        c.advance_compute(2.0);
-        c.advance_comm(0.5);
-        c.set_phase(b);
-        c.wait_until(5.0);
-        c.set_phase(0);
-        c.advance_comm(0.25);
-        let phases = c.phase_times();
-        assert_eq!(phases.len(), 3);
-        assert_eq!(phases[0].compute, 1.0);
-        assert_eq!(phases[0].comm, 0.25);
-        assert_eq!(phases[a].compute, 2.0);
-        assert_eq!(phases[a].comm, 0.5);
-        assert_eq!(phases[b].idle, 5.0 - 3.5);
-        let sum: f64 = phases.iter().map(PhaseTimes::total).sum();
-        assert!((sum - c.now()).abs() < 1e-12, "sum={} now={}", sum, c.now());
-    }
-
-    #[test]
-    #[should_panic(expected = "phase index")]
-    fn set_phase_rejects_unknown_bucket() {
-        let mut c = Clock::new();
-        c.set_phase(3);
-    }
-
-    #[test]
     fn retract_idle_rewinds_only_charged_idle() {
         let mut c = Clock::new();
         c.advance_compute(1.0);
         c.wait_until(1.5);
         // More than was charged: capped at the 0.5 s of idle.
-        assert_eq!(c.retract_idle(2.0), 0.5);
+        assert_eq!(c.retract_idle(2.0, f64::INFINITY), 0.5);
         assert_eq!(c.now(), 1.0);
         assert_eq!(c.idle(), 0.0);
         // Nothing left to retract.
-        assert_eq!(c.retract_idle(0.1), 0.0);
+        assert_eq!(c.retract_idle(0.1, f64::INFINITY), 0.0);
         assert_eq!(c.now(), 1.0);
     }
 
     #[test]
-    fn retract_idle_is_capped_by_current_bucket() {
+    fn retract_idle_is_capped_by_the_callers_bucket() {
         let mut c = Clock::new();
-        c.wait_until(1.0); // idle in default bucket
-        let a = c.push_phase();
-        c.set_phase(a);
-        c.wait_until(1.25); // 0.25 s idle in bucket a
-        assert_eq!(c.retract_idle(1.0), 0.25);
-        assert_eq!(c.phase_times()[a].idle, 0.0);
-        assert_eq!(c.phase_times()[0].idle, 1.0);
-        let sum: f64 = c.phase_times().iter().map(PhaseTimes::total).sum();
-        assert!((sum - c.now()).abs() < 1e-12);
+        c.wait_until(1.25);
+        assert_eq!(c.retract_idle(1.0, 0.25), 0.25);
+        assert_eq!(c.now(), 1.0);
+        assert_eq!(c.idle(), 1.0);
     }
 
     #[test]
     fn overlap_is_a_shadow_measure() {
         let mut c = Clock::new();
         c.advance_compute(2.0);
-        c.add_overlap(0.75);
-        c.add_overlap(-1.0); // clamped
+        assert_eq!(c.add_overlap(0.75), 0.75);
+        assert_eq!(c.add_overlap(-1.0), 0.0); // clamped
         assert_eq!(c.now(), 2.0);
         assert_eq!(c.overlap(), 0.75);
-        assert_eq!(c.phase_times()[0].overlap, 0.75);
-        // total() excludes overlap, preserving the partition invariant.
-        assert_eq!(c.phase_times()[0].total(), 2.0);
     }
 
     #[test]

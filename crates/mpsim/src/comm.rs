@@ -39,11 +39,12 @@ use crate::coop::{CoopShared, Deposit};
 use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::FaultState;
+use crate::ledger::PhaseLedger;
 use crate::payload::{checksum_f64s, DecodeError};
 use crate::replay::{ReplayEntry, ReplayLog};
 use crate::replica::Replicas;
 use crate::schedule::{Buf, PlanKey, Seat, Seating, Stop};
-use crate::trace::{Event, EventKind, PhaseStats, RankStats};
+use crate::trace::{Event, EventKind, RankStats};
 use crate::verify::{hash_f64s, VerifyState, USER_REPL_COMM};
 
 /// Highest tag value available to user point-to-point messages. Collectives
@@ -151,26 +152,10 @@ impl Drop for Request {
     }
 }
 
-/// Name of the implicit phase bucket that holds everything outside an
-/// explicit [`Comm::enter_phase`] span.
-pub const DEFAULT_PHASE: &str = "other";
-
-/// Message and collective counters of one phase bucket; merged with the
-/// clock's times into [`crate::trace::PhaseStats`], and summed into
-/// [`RankStats`], when stats are snapshotted.
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    msgs_sent: u64,
-    bytes_sent: u64,
-    msgs_recvd: u64,
-    bytes_recvd: u64,
-    collectives: u64,
-}
-
-/// One rank's end of the wire: its clock and everything a message it
-/// sends or receives is booked into. A [`Comm`] owns one and lends it to
-/// each rendezvous, where the plan's messages are booked into it by the
-/// same methods that book the envelopes [`Comm::send_f64s`] and
+/// One rank's end of the wire: its clock, its phase ledger and everything
+/// a message it sends or receives is booked into. A [`Comm`] owns one and
+/// lends it to each rendezvous, where the plan's messages are booked into
+/// it by the same methods that book the envelopes [`Comm::send_f64s`] and
 /// [`Comm::recv_f64s`] move. The default is the stand-in a [`Seat`]
 /// holds while its member keeps its own endpoint.
 #[derive(Debug, Default)]
@@ -181,11 +166,9 @@ pub(crate) struct Endpoint {
     /// Messages sent so far, across phases: the last one's sequence
     /// number.
     sent: u64,
-    /// Per-phase counters, parallel to the clock's time buckets.
-    phases: Vec<Counters>,
-    /// Phase names, parallel to the clock's time buckets; `[0]` is the
-    /// implicit [`DEFAULT_PHASE`] bucket.
-    phase_names: Vec<String>,
+    /// The phase buckets every advance of the clock and every message is
+    /// also booked into, and the open phase spans.
+    ledger: PhaseLedger,
     /// Message event trace; `None` when tracing is disabled.
     events: Option<Vec<Event>>,
 }
@@ -196,21 +179,27 @@ impl Endpoint {
             rank,
             clock: Clock::new(),
             sent: 0,
-            phases: vec![Counters::default()],
-            phase_names: vec![DEFAULT_PHASE.to_string()],
+            ledger: PhaseLedger::new(),
             events: record_events.then(Vec::new),
         }
     }
 
-    /// Name of the phase currently receiving attribution.
-    fn phase(&self) -> &str {
-        &self.phase_names[self.clock.current_phase()]
+    /// Advance the clock by `dt` seconds of computation, in the phase.
+    #[inline]
+    fn compute(&mut self, dt: f64) {
+        self.ledger.bucket().compute += self.clock.advance_compute(dt);
     }
 
-    /// Apply `f` to the current phase's counters.
+    /// Advance the clock by `dt` seconds of endpoint work, in the phase.
     #[inline]
-    fn count(&mut self, f: impl Fn(&mut Counters)) {
-        f(&mut self.phases[self.clock.current_phase()]);
+    fn comm(&mut self, dt: f64) {
+        self.ledger.bucket().comm += self.clock.advance_comm(dt);
+    }
+
+    /// Idle until time `t`, in the phase.
+    #[inline]
+    fn wait_until(&mut self, t: f64) {
+        self.ledger.bucket().idle += self.clock.wait_until(t);
     }
 
     #[inline]
@@ -227,7 +216,7 @@ impl Endpoint {
     #[inline]
     pub fn crash(&self, net: &Net) -> Option<SimError> {
         let fs = net.fault.as_ref()?;
-        let rec = fs.crash_due(self.rank, self.sent, self.clock.now(), self.phase())?;
+        let rec = fs.crash_due(self.rank, self.sent, self.clock.now(), self.ledger.current())?;
         Some(SimError::RankCrashed { rank: self.rank, seq: rec.seq, phase: rec.phase })
     }
 
@@ -240,11 +229,10 @@ impl Endpoint {
     pub fn send(&mut self, net: &Net, dst: usize, tag: u64, data: &[f64]) -> Option<Stamp> {
         let len = 8 * data.len();
         self.sent += 1;
-        self.count(|c| {
-            c.msgs_sent += 1;
-            c.bytes_sent += len as u64;
-        });
-        self.clock.advance_comm(net.spec.network.overhead);
+        let b = self.ledger.bucket();
+        b.msgs_sent += 1;
+        b.bytes_sent += len as u64;
+        self.comm(net.spec.network.overhead);
         self.event(EventKind::Send, dst, len, tag);
         let (seq, now) = (self.sent, self.clock.now());
         let (depart, sum, found) = match &net.fault {
@@ -267,7 +255,7 @@ impl Endpoint {
     ) -> Option<(f64, u64, u64)> {
         let len = 8 * data.len();
         let mut depart = self.clock.now();
-        let d = fs.on_send(self.rank, dst, seq, depart, self.phase());
+        let d = fs.on_send(self.rank, dst, seq, depart, self.ledger.current());
         let clean = checksum_f64s(data, None);
         let (sum, found) = match d.corrupt {
             None => (clean, clean),
@@ -306,7 +294,7 @@ impl Endpoint {
         if let Some(limit) = fs.virtual_timeout() {
             let waited = arrival - self.clock.now();
             if waited > limit {
-                let phase = self.phase().to_string();
+                let phase = self.ledger.current().to_string();
                 let (rank, seq) = (self.rank, stamp.seq);
                 return Err(SimError::Timeout { rank, from: src, seq, waited, limit, phase });
             }
@@ -329,16 +317,17 @@ impl Endpoint {
     /// recovery logging is not free.
     #[inline]
     fn delivered(&mut self, net: &Net, src: usize, tag: u64, len: usize, stamp: &Stamp) {
-        self.count(|c| {
-            c.msgs_recvd += 1;
-            c.bytes_recvd += len as u64;
-        });
+        let b = self.ledger.bucket();
+        b.msgs_recvd += 1;
+        b.bytes_recvd += len as u64;
         self.event(EventKind::Recv, src, len, tag);
         let Some(log) = &net.replay else { return };
-        log.record(self.rank, ReplayEntry { src, tag, seq: stamp.seq, checksum: stamp.sum, len });
+        let entry =
+            ReplayEntry { src, tag, seq: stamp.seq, at: self.sent, checksum: stamp.sum, len };
+        log.record(self.rank, entry);
         let dt =
             ReplayLog::WRITE_OPS as f64 * net.spec.compute.sec_per_op / net.spec.speed(self.rank);
-        self.clock.advance_compute(dt);
+        self.compute(dt);
     }
 
     /// Book the blocking receive of a message of `len` bytes from `src`:
@@ -357,8 +346,8 @@ impl Endpoint {
         if let Some(fs) = &net.fault {
             self.check(fs, src, stamp, arrival)?;
         }
-        self.clock.wait_until(arrival);
-        self.clock.advance_comm(net.spec.network.overhead);
+        self.wait_until(arrival);
+        self.comm(net.spec.network.overhead);
         self.delivered(net, src, tag, len, stamp);
         Ok(())
     }
@@ -386,8 +375,6 @@ pub struct Comm {
     pub(crate) coll_seq: u64,
     /// Monotone counter for user-level [`Comm::verify_replicated`] calls.
     repl_seq: u64,
-    /// Stack of open `enter_phase` spans (bucket indices).
-    phase_stack: Vec<usize>,
     /// Shared verification state; `None` when every check is disabled.
     pub(crate) verify: Option<Arc<VerifyState>>,
     /// Completion horizon of non-blocking collectives already posted:
@@ -422,7 +409,6 @@ impl Comm {
             abort,
             coll_seq: 0,
             repl_seq: 0,
-            phase_stack: Vec::new(),
             verify,
             nb_horizon: 0.0,
             seat: None,
@@ -456,12 +442,7 @@ impl Comm {
         self.fault_checkpoint();
         let spec = &self.net.spec;
         let dt = ops as f64 * spec.compute.sec_per_op / spec.speed(self.rank);
-        self.ep.clock.advance_compute(dt);
-    }
-
-    /// Charge an exact number of virtual seconds of local compute.
-    pub fn work_secs(&mut self, secs: f64) {
-        self.ep.clock.advance_compute(secs);
+        self.ep.compute(dt);
     }
 
     /// Run `f`, measure its wall-clock duration, and charge it (scaled by
@@ -470,7 +451,7 @@ impl Comm {
         let start = Instant::now();
         let out = f();
         let dt = start.elapsed().as_secs_f64() * self.net.spec.compute.wall_scale;
-        self.ep.clock.advance_compute(dt);
+        self.ep.compute(dt);
         out
     }
 
@@ -484,21 +465,9 @@ impl Comm {
     /// accumulates into the same bucket, so a phase entered once per EM
     /// cycle reports its total across the run. Phase buckets always
     /// partition the rank's elapsed time: whatever runs outside any span
-    /// lands in the implicit [`DEFAULT_PHASE`] bucket.
-    pub fn enter_phase(&mut self, name: &str) {
-        let ep = &mut self.ep;
-        let idx = match ep.phase_names.iter().position(|n| n == name) {
-            Some(idx) => idx,
-            None => {
-                let idx = ep.clock.push_phase();
-                ep.phase_names.push(name.to_string());
-                ep.phases.push(Counters::default());
-                debug_assert_eq!(ep.phase_names.len(), idx + 1);
-                idx
-            }
-        };
-        self.phase_stack.push(idx);
-        ep.clock.set_phase(idx);
+    /// lands in the implicit [`crate::DEFAULT_PHASE`] bucket.
+    pub fn enter_phase(&mut self, name: &'static str) {
+        self.ep.ledger.enter(name);
     }
 
     /// Close the innermost open phase span, returning attribution to the
@@ -506,13 +475,7 @@ impl Comm {
     /// with no span open is a no-op, so a helper that always pairs
     /// enter/exit stays safe even if its caller already unwound the stack.
     pub fn exit_phase(&mut self) {
-        self.phase_stack.pop();
-        self.ep.clock.set_phase(self.phase_stack.last().copied().unwrap_or(0));
-    }
-
-    /// Name of the phase currently receiving attribution.
-    pub fn current_phase(&self) -> &str {
-        self.ep.phase()
+        self.ep.ledger.exit();
     }
 
     fn check_abort(&self) {
@@ -649,7 +612,7 @@ impl Comm {
         assert!(src < self.size, "irecv from rank {src} but size is {}", self.size);
         self.check_abort();
         self.fault_checkpoint();
-        self.ep.clock.advance_comm(self.net.spec.network.overhead);
+        self.ep.comm(self.net.spec.network.overhead);
         let now = self.ep.clock.now();
         Request {
             rank: self.rank,
@@ -713,10 +676,10 @@ impl Comm {
     /// its hidden part (elapsed behind other work since the post — shadow
     /// accounting) and its exposed remainder (charged as idle).
     fn finish_window(&mut self, window_start: f64, completion: f64) {
-        let clock = &mut self.ep.clock;
-        let hidden = (completion.min(clock.now()) - window_start).max(0.0);
-        clock.add_overlap(hidden);
-        clock.wait_until(completion);
+        let ep = &mut self.ep;
+        let hidden = (completion.min(ep.clock.now()) - window_start).max(0.0);
+        ep.ledger.bucket().hidden_comm += ep.clock.add_overlap(hidden);
+        ep.wait_until(completion);
     }
 
     /// Snapshot the clock's idle accumulator before a non-blocking
@@ -734,10 +697,11 @@ impl Comm {
     /// the as-if-blocking finish as the request's completion, clamped to
     /// the FIFO horizon of earlier posts.
     pub(crate) fn nb_retract(&mut self, idle_before: f64) -> Request {
-        let clock = &mut self.ep.clock;
-        let finish = clock.now();
-        let idle_delta = clock.idle() - idle_before;
-        clock.retract_idle(idle_delta);
+        let ep = &mut self.ep;
+        let finish = ep.clock.now();
+        let idle_delta = ep.clock.idle() - idle_before;
+        let bucket = ep.ledger.bucket();
+        bucket.idle -= ep.clock.retract_idle(idle_delta, bucket.idle);
         let completion = finish.max(self.nb_horizon);
         self.nb_horizon = completion;
         Request {
@@ -816,24 +780,7 @@ impl Comm {
 
     /// Snapshot of this rank's statistics with the clock folded in.
     pub fn stats(&self) -> RankStats {
-        let clock = &self.ep.clock;
-        let phases: Vec<PhaseStats> = (self.ep.phase_names.iter())
-            .zip(clock.phase_times())
-            .zip(&self.ep.phases)
-            .map(|((name, t), c)| PhaseStats {
-                name: name.clone(),
-                compute: t.compute,
-                comm: t.comm,
-                idle: t.idle,
-                hidden_comm: t.overlap,
-                msgs_sent: c.msgs_sent,
-                bytes_sent: c.bytes_sent,
-                msgs_recvd: c.msgs_recvd,
-                bytes_recvd: c.bytes_recvd,
-                collectives: c.collectives,
-            })
-            .collect();
-        let total = |f: fn(&Counters) -> u64| self.ep.phases.iter().map(f).sum();
+        let (clock, ledger) = (&self.ep.clock, &self.ep.ledger);
         RankStats {
             rank: self.rank,
             elapsed: clock.now(),
@@ -841,12 +788,12 @@ impl Comm {
             comm: clock.comm(),
             idle: clock.idle(),
             hidden_comm: clock.overlap(),
-            msgs_sent: total(|c| c.msgs_sent),
-            bytes_sent: total(|c| c.bytes_sent),
-            msgs_recvd: total(|c| c.msgs_recvd),
-            bytes_recvd: total(|c| c.bytes_recvd),
-            collectives: total(|c| c.collectives),
-            phases,
+            msgs_sent: ledger.total(|p| p.msgs_sent),
+            bytes_sent: ledger.total(|p| p.bytes_sent),
+            msgs_recvd: ledger.total(|p| p.msgs_recvd),
+            bytes_recvd: ledger.total(|p| p.bytes_recvd),
+            collectives: ledger.total(|p| p.collectives),
+            phases: ledger.phases().to_vec(),
         }
     }
 
@@ -859,7 +806,7 @@ impl Comm {
     /// return its sequence number.
     pub(crate) fn count_collective(&mut self) -> u64 {
         self.coll_seq += 1;
-        self.ep.count(|c| c.collectives += 1);
+        self.ep.ledger.bucket().collectives += 1;
         self.coll_seq
     }
 
@@ -896,5 +843,20 @@ impl Comm {
         {
             self.fail(e);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Endpoint;
+
+    /// [`Comm::meet`](super::Comm::meet) swaps the endpoint in and out of
+    /// its seat on every collective, so it must not grow: the clock's five
+    /// seconds, the rank, the send count, the event trace, and a phase
+    /// ledger of two vectors and an index.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_endpoint_is_no_larger_than_its_parts() {
+        assert_eq!(std::mem::size_of::<Endpoint>(), 136);
     }
 }

@@ -122,6 +122,25 @@ impl fmt::Display for SimError {
     }
 }
 
+impl SimError {
+    /// The rank an injected fault blames, and the sends its program made
+    /// before the fault: a crash's send count, or one less than the
+    /// faulted message's seq (a drop, a late or corrupt message). `None`
+    /// for an error no injected fault caused.
+    pub fn fault_origin(&self) -> Option<(usize, u64)> {
+        match self {
+            SimError::RankCrashed { rank, seq, .. } => Some((*rank, *seq)),
+            SimError::PeerFailed { peer, kind: FaultKind::Crash, seq, .. } => Some((*peer, *seq)),
+            SimError::PeerFailed { peer, seq, .. }
+            | SimError::Timeout { from: peer, seq, .. }
+            | SimError::PayloadCorrupt { from: peer, seq, .. } => {
+                Some((*peer, seq.saturating_sub(1)))
+            }
+            _ => None,
+        }
+    }
+}
+
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -163,6 +182,23 @@ mod tests {
         assert!(s.contains("drop"), "{s}");
         assert!(s.contains("#17"), "{s}");
         assert!(s.contains("allreduce"), "{s}");
+    }
+
+    #[test]
+    fn fault_origin_counts_the_culprits_sends_before_the_fault() {
+        let phase = String::new;
+        let crashed = SimError::RankCrashed { rank: 2, seq: 5, phase: phase() };
+        assert_eq!(crashed.fault_origin(), Some((2, 5)));
+        let peer = |kind| SimError::PeerFailed { rank: 0, peer: 2, kind, seq: 5, phase: phase() };
+        assert_eq!(peer(FaultKind::Crash).fault_origin(), Some((2, 5)));
+        assert_eq!(peer(FaultKind::Drop).fault_origin(), Some((2, 4)));
+        let late =
+            SimError::Timeout { rank: 0, from: 2, seq: 5, waited: 2.0, limit: 1.0, phase: phase() };
+        assert_eq!(late.fault_origin(), Some((2, 4)));
+        let cause = DecodeError::RaggedLength { len: 3 };
+        let corrupt = SimError::PayloadCorrupt { rank: 0, from: 2, seq: 5, cause };
+        assert_eq!(corrupt.fault_origin(), Some((2, 4)));
+        assert_eq!(SimError::Aborted { rank: 1 }.fault_origin(), None);
     }
 
     #[test]

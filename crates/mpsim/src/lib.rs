@@ -34,6 +34,7 @@
 //! * [`topology`] — interconnect shapes and hop counts
 //! * [`cost`] — LogGP-style network model, compute model, machine presets
 //! * [`clock`] — per-rank virtual clocks with compute/comm/idle accounting
+//! * [`ledger`] — per-rank phase buckets and spans, for both backends
 //! * [`comm`] — point-to-point messaging ([`Comm`]), blocking and
 //!   non-blocking ([`Request`] handles with `wait`/`waitall`)
 //! * [`schedule`] — the one copy of every shared collective schedule
@@ -80,6 +81,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 mod fiber;
+pub mod ledger;
 pub mod payload;
 pub mod replay;
 pub mod replica;
@@ -93,9 +95,8 @@ pub mod verify;
 #[cfg(test)]
 mod wire_equivalence;
 
-pub use clock::PhaseTimes;
 pub use collectives::ReduceOp;
-pub use comm::{Comm, Request, DEFAULT_PHASE, MAX_USER_TAG};
+pub use comm::{Comm, Request, MAX_USER_TAG};
 pub use cost::{
     predicted_allreduce_cost, presets, select_allreduce, AllreduceAlgo, ComputeModel, MachineSpec,
     NetworkModel,
@@ -103,6 +104,7 @@ pub use cost::{
 pub use engine::{run_spmd, run_spmd_default, Engine, SimOptions, SpmdOutput};
 pub use error::SimError;
 pub use fault::{FaultAction, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+pub use ledger::{PhaseLedger, DEFAULT_PHASE};
 pub use payload::DecodeError;
 pub use replay::{ReplayEntry, ReplayLog};
 pub use replica::{ReplicaKey, ReplicaStats};

@@ -3,13 +3,16 @@
 //! Each rank keeps a bounded ring of the messages *delivered to it* since
 //! its last checkpoint, point-to-point or inside a collective: the
 //! sender, tag, the sender's sequence number for the message (its send
-//! count, as the envelope carries it), payload length, and the payload's
-//! FNV-1a checksum. The log answers the question a localized-recovery
-//! supervisor asks after a single-rank failure — "what traffic does the
-//! failed rank have to re-derive to catch back up to the surviving
-//! ranks' horizon?" — without holding the payload bytes themselves (the
-//! replay re-executes the deterministic rank body from the checkpoint, so
-//! coordinates are all that is needed to size and charge the replay).
+//! count, as the envelope carries it), the receiver's own send count at
+//! delivery, payload length, and the payload's FNV-1a checksum. The log
+//! answers the question a localized-recovery supervisor asks after a
+//! single-rank failure — "what traffic does the failed rank have to
+//! re-derive to catch back up to the surviving ranks' horizon?" — without
+//! holding the payload bytes themselves (the replay re-executes the
+//! deterministic rank body from the checkpoint, so coordinates are all
+//! that is needed to size and charge the replay): the entries its program
+//! received before its faulted send ([`ReplayLog::len_within`]), not the
+//! more a live culprit may log before the failure reaches it.
 //!
 //! The log is shared [`ReplayLog`]-handle-style exactly like
 //! [`crate::FaultPlan`]: clones see the same rings, so the supervisor
@@ -40,6 +43,9 @@ pub struct ReplayEntry {
     /// The sender's sequence number for the message: its per-rank send
     /// count, 1-based, across all destinations.
     pub seq: u64,
+    /// The receiving rank's own send count when the message was
+    /// delivered: where in the receiver's program the delivery falls.
+    pub at: u64,
     /// FNV-1a checksum of the payload bytes (0 when the sender did not
     /// stamp one).
     pub checksum: u64,
@@ -117,14 +123,11 @@ impl ReplayLog {
         });
     }
 
-    /// Entries currently logged for `rank`.
-    pub fn len(&self, rank: usize) -> usize {
-        self.with_ring(rank, |ring| ring.entries.len())
-    }
-
-    /// Whether `rank`'s ring is empty.
-    pub fn is_empty(&self, rank: usize) -> bool {
-        self.len(rank) == 0
+    /// Entries logged for `rank` that were delivered while it had sent at
+    /// most `sent` messages: the part of its ring its program fixes
+    /// before its send `sent + 1`, whatever the run order of the ranks.
+    pub fn len_within(&self, rank: usize, sent: u64) -> usize {
+        self.with_ring(rank, |ring| ring.entries.iter().filter(|e| e.at <= sent).count())
     }
 
     /// Entries evicted from `rank`'s ring since its last truncate. A
@@ -152,7 +155,7 @@ mod tests {
     use super::*;
 
     fn e(src: usize, seq: u64) -> ReplayEntry {
-        ReplayEntry { src, tag: 7, seq, checksum: 0xFEED, len: 24 }
+        ReplayEntry { src, tag: 7, seq, at: seq, checksum: 0xFEED, len: 24 }
     }
 
     #[test]
@@ -160,12 +163,23 @@ mod tests {
         let log = ReplayLog::new(8);
         log.record(2, e(0, 1));
         log.record(2, e(1, 1));
-        assert_eq!(log.len(2), 2);
-        assert_eq!(log.len(0), 0);
+        assert_eq!(log.snapshot(2).len(), 2);
+        assert_eq!(log.snapshot(0).len(), 0);
         let snap = log.snapshot(2);
         assert_eq!(snap[0].src, 0);
         assert_eq!(snap[1].src, 1);
         assert_eq!(log.evicted(2), 0);
+    }
+
+    #[test]
+    fn len_within_counts_what_the_receivers_sends_fix() {
+        let log = ReplayLog::new(8);
+        for at in [0, 0, 1, 3] {
+            log.record(2, ReplayEntry { at, ..e(0, 1) });
+        }
+        assert_eq!(log.len_within(2, 0), 2);
+        assert_eq!(log.len_within(2, 2), 3);
+        assert_eq!(log.len_within(2, u64::MAX), 4);
     }
 
     #[test]
@@ -174,7 +188,7 @@ mod tests {
         for seq in 1..=5 {
             log.record(0, e(1, seq));
         }
-        assert_eq!(log.len(0), 3);
+        assert_eq!(log.snapshot(0).len(), 3);
         assert_eq!(log.evicted(0), 2);
         let snap = log.snapshot(0);
         assert_eq!(snap.iter().map(|x| x.seq).collect::<Vec<_>>(), vec![3, 4, 5]);
@@ -188,12 +202,12 @@ mod tests {
         }
         assert_eq!(log.evicted(1), 2);
         log.truncate(1);
-        assert!(log.is_empty(1));
+        assert!(log.snapshot(1).is_empty());
         assert_eq!(log.evicted(1), 0);
         // Other ranks' rings are untouched by a per-rank truncate.
         log.record(0, e(1, 9));
         log.truncate(1);
-        assert_eq!(log.len(0), 1);
+        assert_eq!(log.snapshot(0).len(), 1);
     }
 
     #[test]
@@ -201,8 +215,8 @@ mod tests {
         let log = ReplayLog::new(4);
         let alias = log.clone();
         alias.record(3, e(0, 1));
-        assert_eq!(log.len(3), 1);
+        assert_eq!(log.snapshot(3).len(), 1);
         log.reset();
-        assert_eq!(alias.len(3), 0);
+        assert!(alias.snapshot(3).is_empty());
     }
 }

@@ -333,8 +333,8 @@ fn aggregate_phases(ranks: &[RankStats]) -> Vec<PhaseRow> {
     let mut names: Vec<&str> = Vec::new();
     for r in ranks {
         for ph in &r.phases {
-            if !names.iter().any(|&n| n == ph.name) {
-                names.push(&ph.name);
+            if !names.contains(&ph.name) {
+                names.push(ph.name);
             }
         }
     }
@@ -375,11 +375,11 @@ mod tests {
     use super::*;
     use crate::trace::PhaseStats;
 
-    fn rank(rank: usize, phases: &[(&str, f64, f64, f64)]) -> RankStats {
+    fn rank(rank: usize, phases: &[(&'static str, f64, f64, f64)]) -> RankStats {
         let ps: Vec<PhaseStats> = phases
             .iter()
             .map(|&(name, compute, comm, idle)| PhaseStats {
-                name: name.to_string(),
+                name,
                 compute,
                 comm,
                 idle,

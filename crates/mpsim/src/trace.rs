@@ -34,14 +34,14 @@ pub struct Event {
 
 /// Time and traffic attributed to one named phase on one rank.
 ///
-/// Produced by the communicator's `enter_phase`/`exit_phase` span API.
-/// Phase 0 is always the synthetic `"other"` bucket holding everything
-/// outside an explicit span, so the buckets partition the rank's elapsed
-/// time: `Σ phases[i].total() == elapsed` up to floating-point rounding.
+/// A bucket of the [`crate::PhaseLedger`] both backends' span APIs book
+/// into. Phase 0 is always the synthetic `"other"` bucket holding
+/// everything outside an explicit span, so the buckets partition the
+/// rank's elapsed time: `Σ phases[i].total() == elapsed` up to rounding.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseStats {
     /// Phase name (`"other"` for the default bucket).
-    pub name: String,
+    pub name: &'static str,
     /// Virtual seconds spent computing in this phase.
     pub compute: f64,
     /// Virtual seconds of communication endpoint work in this phase.
@@ -103,9 +103,9 @@ pub struct RankStats {
     /// which makes a [`crate::SimError::CollectiveDivergence`] report easy
     /// to line up against a trace.
     pub collectives: u64,
-    /// Per-phase breakdown of the totals above, in phase-creation order
-    /// with the synthetic `"other"` bucket first. Empty when the rank body
-    /// never ran under a [`crate::Comm`] (hand-built stats).
+    /// Per-phase breakdown of the totals above: the rank's ledger buckets,
+    /// `"other"` first, one per phase it entered, on the world or in a
+    /// group. Empty when no communicator ran the body (hand-built stats).
     pub phases: Vec<PhaseStats>,
 }
 
@@ -291,9 +291,9 @@ mod tests {
             rank: 0,
             elapsed: 3.0,
             phases: vec![
-                PhaseStats { name: "other".into(), compute: 1.0, ..Default::default() },
+                PhaseStats { name: "other", compute: 1.0, ..Default::default() },
                 PhaseStats {
-                    name: "estep".into(),
+                    name: "estep",
                     compute: 1.5,
                     comm: 0.25,
                     idle: 0.25,

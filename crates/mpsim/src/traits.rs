@@ -191,7 +191,7 @@ pub trait SpmdComm {
     fn work(&mut self, ops: u64);
     /// Open a named phase span on the rank's (world) clock (see
     /// [`crate::Comm::enter_phase`]).
-    fn enter_phase(&mut self, name: &str);
+    fn enter_phase(&mut self, name: &'static str);
     /// Close the innermost open phase span.
     fn exit_phase(&mut self);
 
@@ -345,7 +345,7 @@ impl SpmdComm for Comm {
     fn work(&mut self, ops: u64) {
         Comm::work(self, ops);
     }
-    fn enter_phase(&mut self, name: &str) {
+    fn enter_phase(&mut self, name: &'static str) {
         Comm::enter_phase(self, name);
     }
     fn exit_phase(&mut self) {
@@ -441,7 +441,7 @@ impl<W: World> SpmdComm for Group<'_, W> {
     fn work(&mut self, ops: u64) {
         Group::work(self, ops);
     }
-    fn enter_phase(&mut self, name: &str) {
+    fn enter_phase(&mut self, name: &'static str) {
         self.world().enter_phase(name);
     }
     fn exit_phase(&mut self) {

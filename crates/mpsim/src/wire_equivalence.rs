@@ -15,7 +15,8 @@
 //! when the run aborts (a timeout or a corrupt payload), the wire stops
 //! the culprit wherever the scheduler's run order finds it, so its ring
 //! may be cut short of the rendezvous's, which books every receive that
-//! does not wait on the failed member.
+//! does not wait on the failed member. The replay charge, the entries
+//! the culprit received before its faulted send, is the same on both.
 //!
 //! The one other allowed difference is a drop that the wire gets wrong:
 //! when the culprit sends its victim a later message with the same tag in
@@ -167,16 +168,6 @@ fn run_case(spec: &MachineSpec, coll: Coll, wire: bool, fault: Option<&FaultSpec
     (res, plan.map_or(0, |p| p.fired_count()), log)
 }
 
-/// The rank a recovery supervisor blames for `err`.
-fn culprit_of(err: &SimError) -> Option<usize> {
-    match err {
-        SimError::RankCrashed { rank, .. } => Some(*rank),
-        SimError::PeerFailed { peer, .. } => Some(*peer),
-        SimError::Timeout { from, .. } | SimError::PayloadCorrupt { from, .. } => Some(*from),
-        _ => None,
-    }
-}
-
 /// Compare one case's two runs for a fault on a message tagged `tag`;
 /// `shifts` marks a drop the wire gets wrong.
 fn compare(what: &str, wire: Run, meet: Run, tag: u64, shifts: bool) {
@@ -190,7 +181,8 @@ fn compare(what: &str, wire: Run, meet: Run, tag: u64, shifts: bool) {
         (Err(we), Err(me)) if !shifts => {
             assert_eq!(we, me, "{what}: errors");
             assert_eq!(wire.1, meet.1, "{what}: fired faults");
-            let culprit = culprit_of(&me).unwrap_or_else(|| panic!("{what}: untyped {me:?}"));
+            let (culprit, sent) =
+                me.fault_origin().unwrap_or_else(|| panic!("{what}: untyped {me:?}"));
             let upto = |log: &ReplayLog| -> Vec<ReplayEntry> {
                 log.snapshot(culprit).into_iter().filter(|e| e.tag <= tag).collect()
             };
@@ -201,12 +193,39 @@ fn compare(what: &str, wire: Run, meet: Run, tag: u64, shifts: bool) {
                 assert_eq!(w, m, "{what}: ring");
             }
             assert_eq!(wire.2.evicted(culprit), 0, "{what}: the ring evicted");
+            // What a replay charges is fixed by the culprit's program.
+            let charge = |log: &ReplayLog| log.len_within(culprit, sent);
+            assert_eq!(charge(&wire.2), charge(&meet.2), "{what}: replay charge");
         }
         (_, Err(SimError::PeerFailed { peer, kind: FaultKind::Drop, .. })) if shifts => {
             assert_eq!(peer, CULPRIT, "{what}");
         }
         (w, m) => panic!("{what}: wire {:?} != rendezvous {:?}", w.err(), m.err()),
     }
+}
+
+/// Rank 1's first allgather send at P = 3 leaves 10 s late against a 1 s
+/// timeout. The abort reaches the live culprit where the run order puts
+/// it, so its ring differs between the wire and the rendezvous; its
+/// replay charge does not, and a rerun repeats it.
+#[test]
+fn a_live_culprits_replay_charge_is_fixed_by_its_program() {
+    let spec = presets::meiko_cs2(3);
+    let clean = run_case(&spec, Coll::Allgather, false, None).0;
+    let events = &clean.unwrap_or_else(|e| panic!("{e}")).events[CULPRIT];
+    let dst = events.iter().find(|e| e.kind == EventKind::Send).map_or(0, |e| e.peer);
+    let action = FaultAction::Delay { dst, secs: 10.0 };
+    let late = FaultSpec { rank: CULPRIT, action, trigger: FaultTrigger::AtSendSeq(1) };
+    let charge = |wire| {
+        let (res, _, log) = run_case(&spec, Coll::Allgather, wire, Some(&late));
+        let timeout = res.err().filter(|e| matches!(e, SimError::Timeout { .. }));
+        let (culprit, sent) = timeout.and_then(|e| e.fault_origin()).expect("a timeout");
+        (log.snapshot(culprit).len(), log.len_within(culprit, sent))
+    };
+    let (wire, meet) = (charge(true), charge(false));
+    assert_ne!(wire.0, meet.0, "the rings no longer differ: the case tests nothing");
+    assert_eq!(wire.1, meet.1, "replay charge");
+    assert_eq!((charge(true), charge(false)), (wire, meet), "rerun");
 }
 
 #[test]

@@ -155,7 +155,7 @@ fn reentering_a_phase_accumulates_into_one_bucket() {
     for stats in &out.ranks {
         // Exactly three buckets: other, estep, allreduce — not one per
         // iteration.
-        let names: Vec<&str> = stats.phases.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = stats.phases.iter().map(|p| p.name).collect();
         assert_eq!(names, [DEFAULT_PHASE, "estep", "allreduce"], "rank {}", stats.rank);
         let ar = stats.phase("allreduce").expect("allreduce span");
         assert_eq!(ar.collectives, 3);

@@ -18,10 +18,15 @@
 //! difference. On real threads, or with replication checking on, every
 //! rank derives for itself.
 //!
-//! Every building block here is generic over [`mpsim::Communicator`] (or,
-//! where a group can run it too, [`mpsim::SpmdComm`]), so the same driver
-//! runs on the simulated machine (`mpsim::Comm`, virtual time) or on real
-//! cores (`shmcomm::NativeComm`, wall-clock time) with bitwise-identical
+//! There is one EM cycle, [`blocking_cycle`], and one model build,
+//! [`build_model`], both generic over [`mpsim::SpmdComm`]: the world runs
+//! them, and so do a fleet's group and a shrink's survivors, so every rank
+//! that runs cycles books the same `"estep"`, `"mstep"` and `"allreduce"`
+//! phases. Only the overlapped Pipelined exchange is the world's alone
+//! ([`parallel_base_cycle`]), since it needs the machine and non-blocking
+//! requests of an [`mpsim::Communicator`]. Either way the same driver runs
+//! on the simulated machine (`mpsim::Comm`, virtual time) or on real cores
+//! (`shmcomm::NativeComm`, wall-clock time) with bitwise-identical
 //! numerical results.
 
 use autoclass::data::{DataView, GlobalStats};
@@ -31,27 +36,31 @@ use autoclass::model::{
     Approximation, ClassParams, CycleWorkspace, EStepScratch, Model, SuffStats, WtsMatrix,
 };
 use mpsim::{
-    predicted_allreduce_cost, select_allreduce, AllreduceAlgo, Communicator, GroupCommunicator,
-    ReduceOp, ReplicaKey, SpmdComm,
+    predicted_allreduce_cost, select_allreduce, AllreduceAlgo, Communicator, ReduceOp, ReplicaKey,
+    SpmdComm,
 };
 
 use crate::config::{Exchange, Strategy};
 
-/// Build the model structure on every rank: local statistics are computed
-/// on the partition and combined with one Allreduce, so each rank derives
-/// the identical `Model` (this is AutoClass's "data structures
-/// initialized" step, distributed). `correlated_blocks` selects the
-/// attribute structure (empty = all independent).
-pub fn build_model<C: Communicator>(
+/// Build the model structure on every member: local statistics are
+/// computed on the partition and combined with one Allreduce, so each
+/// member derives the identical `Model` (this is AutoClass's "data
+/// structures initialized" step, distributed). `correlated_blocks` selects
+/// the attribute structure (empty = all independent). The Allreduce is
+/// booked under the phase `span`: `"allreduce"` on the world and on a
+/// fleet, [`mpsim::RECOVERY_PHASE`] on a shrink's rebuild, which is
+/// recovery time as a whole.
+pub fn build_model<C: SpmdComm>(
     comm: &mut C,
     view: &DataView<'_>,
     correlated_blocks: &[Vec<usize>],
+    span: &'static str,
 ) -> Model {
     let local = GlobalStats::compute(view);
     // Scanning the partition once costs ~K ops per item.
     comm.work((view.len() * view.schema().len()) as u64);
     let mut flat = local.to_flat();
-    comm.enter_phase("allreduce");
+    comm.enter_phase(span);
     comm.allreduce_f64s(&mut flat, ReduceOp::Sum);
     comm.exit_phase();
     let global = GlobalStats::from_flat(&local, &flat);
@@ -201,10 +210,36 @@ pub fn decode_classes<C: SpmdComm>(
     *classes = tail.classes;
 }
 
+/// One parallel `base_cycle` on the world: [`blocking_cycle`], or for the
+/// [`Exchange::Pipelined`] exchange, which needs the world's non-blocking
+/// collectives and its machine, the overlapped `pipelined_cycle` with the
+/// same replicated tail.
+pub fn parallel_base_cycle<C: Communicator>(
+    comm: &mut C,
+    model: &Model,
+    view: &DataView<'_>,
+    classes: &mut Vec<ClassParams>,
+    ws: &mut CycleWorkspace,
+    strategy: Strategy,
+) -> Approximation {
+    if strategy != (Strategy::Full { exchange: Exchange::Pipelined }) {
+        return blocking_cycle(comm, model, view, classes, ws, strategy);
+    }
+    ws.reset_stats(model, classes.len());
+    let CycleWorkspace { wts, estep, stats, flat, accum } = ws;
+    let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
+    let scalars = pipelined_cycle(comm, model, view, classes, wts, estep, stats, accum);
+    let approx = replicated_tail(comm, model, stats, scalars, Source::Kept, classes);
+    end_cycle(comm, stats, scalars, classes, flat);
+    approx
+}
+
 /// One parallel `base_cycle`: E-step + weight Allreduce, M-step with the
 /// configured statistics exchange, and the approximation update. Updates
 /// `classes` in place with the new parameters and returns the cycle's
-/// (global) scores — identical on every rank.
+/// (global) scores — identical on every member. The world runs it (through
+/// [`parallel_base_cycle`]), and so do a fleet's group and a shrink's
+/// survivors, with the Fused exchange.
 ///
 /// Time and traffic are attributed to named phase spans for the report
 /// harness: `"estep"` (weight computation), `"mstep"` (statistics
@@ -218,8 +253,10 @@ pub fn decode_classes<C: SpmdComm>(
 /// like the sequential `base_cycle`, the `Full` strategies perform no heap
 /// allocation in steady state. (`WtsOnly` gathers the whole weight matrix
 /// through growing transport buffers by design — that bandwidth cost is
-/// the point of the comparison.)
-pub fn parallel_base_cycle<C: Communicator>(
+/// the point of the comparison.) [`Exchange::Pipelined`] needs
+/// non-blocking collectives, which only the world has; here it runs the
+/// Fused exchange, whose results it equals bit for bit.
+pub fn blocking_cycle<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
@@ -229,126 +266,132 @@ pub fn parallel_base_cycle<C: Communicator>(
 ) -> Approximation {
     let j = classes.len();
     ws.reset_stats(model, j);
-    let CycleWorkspace { wts, estep, stats, flat, accum } = ws;
+    let CycleWorkspace { wts, estep, stats, flat, .. } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
 
-    let pipelined = matches!(strategy, Strategy::Full { exchange: Exchange::Pipelined });
-    let scalars = if pipelined {
-        pipelined_cycle(comm, model, view, classes, wts, estep, stats, accum)
-    } else {
-        // ---- update_wts (Figure 4) -----------------------------------
-        comm.enter_phase("estep");
-        let e = update_wts_into(model, view, classes, wts, estep);
-        comm.work(e.ops);
-        comm.exit_phase();
-        // Allreduce of the per-class weight sums w_j, in place in the
-        // scratch.
-        comm.enter_phase("allreduce");
-        comm.allreduce_f64s(&mut estep.class_weight_sums, ReduceOp::Sum);
-        comm.exit_phase();
-        comm.verify_replicated("class weight sums w_j", &estep.class_weight_sums);
-        let wj = &estep.class_weight_sums;
+    // ---- update_wts (Figure 4) -------------------------------------------
+    comm.enter_phase("estep");
+    let e = update_wts_into(model, view, classes, wts, estep);
+    comm.work(e.ops);
+    comm.exit_phase();
+    // Allreduce of the per-class weight sums w_j, in place in the scratch.
+    comm.enter_phase("allreduce");
+    comm.allreduce_f64s(&mut estep.class_weight_sums, ReduceOp::Sum);
+    comm.exit_phase();
+    comm.verify_replicated("class weight sums w_j", &estep.class_weight_sums);
+    let wj = &estep.class_weight_sums;
 
-        // ---- update_parameters (Figure 5) ----------------------------
-        // `Fused` combines the two cycle scalars with the statistics
-        // message (`Some`); the other arms leave them for the trailing
-        // scalar Allreduce (`None`).
-        let packed: Option<[f64; 2]> = match strategy {
-            Strategy::Full { exchange } => {
-                comm.enter_phase("mstep");
-                let ops = stats.accumulate(model, view, wts);
-                comm.work(ops);
-                comm.exit_phase();
-                let packed = match exchange {
-                    Exchange::PerTerm => {
-                        // The class-weight slots were already combined in
-                        // the wts phase; install the global values so the
-                        // per-term mode doesn't need to re-send them.
-                        for (c, &w) in wj.iter().enumerate() {
-                            let idx = stats.layout.weight_index(c);
-                            stats.data[idx] = w;
-                        }
-                        // Faithful to Figure 5: the Allreduce sits inside
-                        // the per-class, per-attribute loops.
-                        comm.enter_phase("allreduce");
-                        for c in 0..j {
-                            for k in 0..model.n_groups() {
-                                let range = stats.layout.attr_range(c, k);
-                                // lint:allow(blocking-collective): this IS the ablation baseline
-                                comm.allreduce_f64s(&mut stats.data[range], ReduceOp::Sum);
-                            }
-                        }
-                        comm.exit_phase();
-                        None
+    // ---- update_parameters (Figure 5) ------------------------------------
+    // `Fused` combines the two cycle scalars with the statistics message
+    // (`Some`); the other arms leave them for the trailing scalar
+    // Allreduce (`None`).
+    let packed: Option<[f64; 2]> = match strategy {
+        Strategy::Full { exchange } => {
+            comm.enter_phase("mstep");
+            let ops = stats.accumulate(model, view, wts);
+            comm.work(ops);
+            comm.exit_phase();
+            let packed = match exchange {
+                Exchange::PerTerm => {
+                    // The class-weight slots were already combined in the
+                    // wts phase; install the global values so the per-term
+                    // mode doesn't need to re-send them.
+                    for (c, &w) in wj.iter().enumerate() {
+                        let idx = stats.layout.weight_index(c);
+                        stats.data[idx] = w;
                     }
-                    Exchange::Fused => {
-                        // One big message. The weight slots were already
-                        // combined in the wts phase, so send zeros in
-                        // their place and install the global values
-                        // afterwards — no save/restore buffer needed. The
-                        // two log-likelihood scalars piggyback on the end
-                        // of the same buffer, replacing the trailing
-                        // 2-element Allreduce.
-                        for c in 0..j {
-                            let idx = stats.layout.weight_index(c);
-                            stats.data[idx] = 0.0;
+                    // Faithful to Figure 5: the Allreduce sits inside the
+                    // per-class, per-attribute loops.
+                    comm.enter_phase("allreduce");
+                    for c in 0..j {
+                        for k in 0..model.n_groups() {
+                            let range = stats.layout.attr_range(c, k);
+                            // lint:allow(blocking-collective): this IS the ablation baseline
+                            comm.allreduce_f64s(&mut stats.data[range], ReduceOp::Sum);
                         }
-                        stats.data.push(e.log_likelihood);
-                        stats.data.push(e.complete_ll);
-                        comm.enter_phase("allreduce");
-                        comm.allreduce_f64s(&mut stats.data, ReduceOp::Sum);
-                        comm.exit_phase();
-                        // lint:allow(unwrap): the two scalars were pushed above
-                        let complete_ll = stats.data.pop().expect("piggybacked scalar");
-                        // lint:allow(unwrap): the two scalars were pushed above
-                        let log_likelihood = stats.data.pop().expect("piggybacked scalar");
-                        for (c, &w) in wj.iter().enumerate() {
-                            let idx = stats.layout.weight_index(c);
-                            stats.data[idx] = w;
-                        }
-                        Some([log_likelihood, complete_ll])
                     }
-                    Exchange::Pipelined => unreachable!("handled above"),
-                };
-                // The derivation itself runs in the replicated tail below;
-                // its work is charged here, ahead of PerTerm's trailing
-                // scalar allreduce, where it has always been.
-                comm.enter_phase("mstep");
-                comm.work(mstep_ops(stats));
-                comm.exit_phase();
-                packed
-            }
-            Strategy::WtsOnly => {
-                wts_only_mstep(comm, model, view, wts, stats, flat, classes, j);
-                None
-            }
-        };
+                    comm.exit_phase();
+                    None
+                }
+                Exchange::Fused | Exchange::Pipelined => {
+                    // One big message. The weight slots were already
+                    // combined in the wts phase, so send zeros in their
+                    // place and install the global values afterwards — no
+                    // save/restore buffer needed. The two log-likelihood
+                    // scalars piggyback on the end of the same buffer,
+                    // replacing the trailing 2-element Allreduce.
+                    for c in 0..j {
+                        let idx = stats.layout.weight_index(c);
+                        stats.data[idx] = 0.0;
+                    }
+                    stats.data.push(e.log_likelihood);
+                    stats.data.push(e.complete_ll);
+                    comm.enter_phase("allreduce");
+                    comm.allreduce_f64s(&mut stats.data, ReduceOp::Sum);
+                    comm.exit_phase();
+                    // lint:allow(unwrap): the two scalars were pushed above
+                    let complete_ll = stats.data.pop().expect("piggybacked scalar");
+                    // lint:allow(unwrap): the two scalars were pushed above
+                    let log_likelihood = stats.data.pop().expect("piggybacked scalar");
+                    for (c, &w) in wj.iter().enumerate() {
+                        let idx = stats.layout.weight_index(c);
+                        stats.data[idx] = w;
+                    }
+                    Some([log_likelihood, complete_ll])
+                }
+            };
+            // The derivation itself runs in the replicated tail below; its
+            // work is charged here, ahead of PerTerm's trailing scalar
+            // allreduce, where it has always been.
+            comm.enter_phase("mstep");
+            comm.work(mstep_ops(stats));
+            comm.exit_phase();
+            packed
+        }
+        Strategy::WtsOnly => {
+            wts_only_mstep(comm, model, view, wts, stats, flat, classes, j);
+            None
+        }
+    };
 
-        // ---- update_approximations -----------------------------------
-        // Two scalars must become global: the log likelihood and the
-        // complete log likelihood. The paper folds this into the
-        // (negligible) update_approximations step; the fused exchanges
-        // have already combined them on the statistics wire.
-        match packed {
-            Some(s) => s,
-            None => {
-                let mut s = [e.log_likelihood, e.complete_ll];
-                comm.enter_phase("allreduce");
-                comm.allreduce_f64s(&mut s, ReduceOp::Sum);
-                comm.exit_phase();
-                s
-            }
+    // ---- update_approximations -------------------------------------------
+    // Two scalars must become global: the log likelihood and the complete
+    // log likelihood. The paper folds this into the (negligible)
+    // update_approximations step; the fused exchange has already combined
+    // them on the statistics wire.
+    let scalars = match packed {
+        Some(s) => s,
+        None => {
+            let mut s = [e.log_likelihood, e.complete_ll];
+            comm.enter_phase("allreduce");
+            comm.allreduce_f64s(&mut s, ReduceOp::Sum);
+            comm.exit_phase();
+            s
         }
     };
     let source = match strategy {
-        _ if pipelined => Source::Kept,
         Strategy::WtsOnly => Source::Flat(flat),
         Strategy::Full { .. } => Source::Stats,
     };
     let approx = replicated_tail(comm, model, stats, scalars, source, classes);
-    comm.work((j * stats.layout.stride) as u64);
+    end_cycle(comm, stats, scalars, classes, flat);
+    approx
+}
 
-    // The new parameters were derived *independently* on every rank from
+/// What every cycle does after its [`replicated_tail`]: charge the
+/// scoring, and, when replication checking is on, prove that the new
+/// parameters and scores are bitwise identical on every member (`flat` is
+/// the cycle's reusable payload buffer).
+fn end_cycle<C: SpmdComm>(
+    comm: &mut C,
+    stats: &SuffStats,
+    scalars: [f64; 2],
+    classes: &[ClassParams],
+    flat: &mut Vec<f64>,
+) {
+    comm.work((stats.layout.j * stats.layout.stride) as u64);
+
+    // The new parameters were derived *independently* on every member from
     // the combined statistics. When replication checking is on, prove they
     // are still bitwise identical — the semantics-preservation property
     // the paper's design rests on — before the next cycle builds on them.
@@ -360,8 +403,6 @@ pub fn parallel_base_cycle<C: Communicator>(
         comm.verify_replicated("updated class parameters", flat);
         comm.verify_replicated("cycle scores", &scalars);
     }
-
-    approx
 }
 
 /// The overlapped cycle (the [`Exchange::Pipelined`] arm): one fused
@@ -530,7 +571,7 @@ fn pipelined_cycle<C: Communicator>(
 /// cycle's [`replicated_tail`] decodes into the classes; `classes` is the
 /// root's scratch for its derivation.
 #[allow(clippy::too_many_arguments)]
-fn wts_only_mstep<C: Communicator>(
+fn wts_only_mstep<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
@@ -617,88 +658,6 @@ fn root_view<'a>(view: &DataView<'a>) -> DataView<'a> {
     view.whole_dataset()
 }
 
-// ---- Sub-communicator (group) variants ---------------------------------
-//
-// Everything the try loop needs that is the same on a group (class
-// seeding, checkpoints) is written once against `SpmdComm`. Two group
-// twins stay, each for a phase-accounting reason:
-// - `sub_build_model` books no `"allreduce"` span, so the shrink's model
-//   rebuild stays inside the caller's `"recovery"` phase.
-// - `sub_base_cycle` books no phase spans, so a fleet's ranks keep no
-//   `estep`/`mstep`/`allreduce` buckets (three per rank, which costs the
-//   fleet-p256 benchmark about 4% of its peak heap).
-// The group allreduce is recursive doubling with the standard
-// non-power-of-two parking, so for a power-of-two group running the fused
-// exchange these produce bitwise the same numbers as the
-// world-communicator driver on a machine of the group's size.
-
-/// [`build_model`] over a sub-communicator: local statistics on the
-/// group's partition, combined with a group allreduce, so every member
-/// derives the identical model.
-pub(crate) fn sub_build_model<G: GroupCommunicator>(
-    sub: &mut G,
-    view: &DataView<'_>,
-    correlated_blocks: &[Vec<usize>],
-) -> Model {
-    let local = GlobalStats::compute(view);
-    sub.work((view.len() * view.schema().len()) as u64);
-    let mut flat = local.to_flat();
-    sub.allreduce_f64s(&mut flat, ReduceOp::Sum);
-    let global = GlobalStats::from_flat(&local, &flat);
-    if correlated_blocks.is_empty() {
-        Model::new(view.schema().clone(), &global)
-    } else {
-        Model::with_correlated(view.schema().clone(), &global, correlated_blocks)
-    }
-}
-
-/// One EM cycle over a sub-communicator, in the fused-exchange shape:
-/// E-step, one w_j group allreduce, statistics accumulation, one combined
-/// statistics + scalars group allreduce, parameter derivation, evaluation.
-/// The compact blocking form is fine on these paths (recovery, fleet
-/// sub-searches): correctness — every member bitwise identical — is what
-/// matters, not overlap.
-pub(crate) fn sub_base_cycle<G: GroupCommunicator>(
-    sub: &mut G,
-    model: &Model,
-    view: &DataView<'_>,
-    classes: &mut Vec<ClassParams>,
-    ws: &mut CycleWorkspace,
-) -> Approximation {
-    let j = classes.len();
-    ws.reset_stats(model, j);
-    let CycleWorkspace { wts, estep, stats, .. } = ws;
-    let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
-
-    let e = update_wts_into(model, view, classes, wts, estep);
-    sub.work(e.ops);
-    sub.allreduce_f64s(&mut estep.class_weight_sums, ReduceOp::Sum);
-
-    let ops = stats.accumulate(model, view, wts);
-    sub.work(ops);
-    // As in the world-communicator Fused exchange: the class-weight slots
-    // already traveled on the w_j wire, so zero them out, and the two
-    // cycle scalars piggyback on the end of the statistics message.
-    for c in 0..j {
-        stats.data[stats.layout.weight_index(c)] = 0.0;
-    }
-    stats.data.push(e.log_likelihood);
-    stats.data.push(e.complete_ll);
-    sub.allreduce_f64s(&mut stats.data, ReduceOp::Sum);
-    // lint:allow(unwrap): the two scalars were pushed above
-    let complete_ll = stats.data.pop().expect("piggybacked scalar");
-    // lint:allow(unwrap): the two scalars were pushed above
-    let log_likelihood = stats.data.pop().expect("piggybacked scalar");
-    for (c, &w) in estep.class_weight_sums.iter().enumerate() {
-        stats.data[stats.layout.weight_index(c)] = w;
-    }
-    let scalars = [log_likelihood, complete_ll];
-    let approx = replicated_tail(sub, model, stats, scalars, Source::Stats, classes);
-    sub.work(mstep_ops(stats));
-    sub.work((j * stats.layout.stride) as u64);
-    approx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,7 +676,7 @@ mod tests {
                 let parts = block_partition(data.len(), comm.size());
                 let part = &parts[comm.rank()];
                 let view = data.view(part.start, part.end);
-                build_model(comm, &view, &[])
+                build_model(comm, &view, &[], "allreduce")
             })
             .unwrap();
             for (r, m) in out.per_rank.iter().enumerate() {
@@ -752,7 +711,7 @@ mod tests {
             let parts = block_partition(data.len(), comm.size());
             let part = &parts[comm.rank()];
             let view = data.view(part.start, part.end);
-            let model = build_model(comm, &view, &[]);
+            let model = build_model(comm, &view, &[], "allreduce");
             let mut classes = Vec::new();
             init_classes_parallel(comm, &model, &view, 5, 99, &mut classes);
             classes

@@ -65,10 +65,12 @@ use crate::checkpoint::{frame, put_f64, put_f64s, put_u64, unframe, CheckpointEr
 use crate::config::{
     Consensus, FleetConfig, FtConfig, ParallelConfig, Partitioning, RecoveryPolicy,
 };
-use crate::driver::{sub_base_cycle, sub_build_model};
+use crate::driver::{blocking_cycle, build_model};
 use crate::error::{PartitionError, RunError};
 use crate::recover::{supervise_sim, FtOutcome, Supervised};
-use crate::run::{best_first, keep_unique, CheckpointStore, ParallelOutcome, Try, WorldSearch};
+use crate::run::{
+    best_first, keep_unique, CheckpointStore, ParallelOutcome, Try, WorldSearch, FUSED,
+};
 
 /// Counters of the fleet scheduler, identical on every rank.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -391,7 +393,8 @@ fn fleet_core<G: GroupCommunicator>(
     let mut fleet = sub.split(|r| fleet_of[r]);
     let part = block_range(data.len(), fleet.size(), fleet.rank());
     let view = data.view(part.start, part.end);
-    let model = sub_build_model(&mut fleet, &view, &config.correlated_blocks);
+    let span = if shrunk { RECOVERY_PHASE } else { "allreduce" };
+    let model = build_model(&mut fleet, &view, &config.correlated_blocks, span);
     drop(fleet);
     sub.exit_phase();
 
@@ -489,7 +492,7 @@ fn fleet_core<G: GroupCommunicator>(
                     }
                     burst += 1;
                     if run.cur.step(sc, |classes| {
-                        sub_base_cycle(&mut fleet, &model, &view, classes, &mut ws)
+                        blocking_cycle(&mut fleet, &model, &view, classes, &mut ws, FUSED)
                     }) {
                         end = Some(BurstEnd::Finished { converged: true });
                         break;

@@ -498,7 +498,7 @@ impl<'a> Supervisor<'a> {
     ) -> Option<Recovery> {
         // Only injected-fault errors are recoverable; anything else (a
         // genuine bug, a verifier divergence) propagates.
-        let culprit = fault_culprit(e)?;
+        let (culprit, sent) = e.fault_origin()?;
         self.faults.push(e.clone());
         if matches!(self.policy_now, RecoveryPolicy::Abort)
             || self.faults.len() > self.ft.max_restarts
@@ -563,12 +563,15 @@ impl<'a> Supervisor<'a> {
                     return Some(Recovery::Promote { culprit, ck_words });
                 }
                 RecoveryPolicy::LocalReplay => match replay {
+                    // Charge what the culprit's program received before
+                    // the fault, not what a live culprit happened to log
+                    // before the failure reached it.
                     Some(log) if log.evicted(culprit) == 0 => {
                         self.replays += 1;
                         return Some(Recovery::Replay {
                             culprit,
                             ck_words,
-                            entries: log.len(culprit) as u64,
+                            entries: log.len_within(culprit, sent) as u64,
                         });
                     }
                     // Ring evicted entries (or no log at all): the log no
@@ -640,19 +643,6 @@ fn spare_for(culprit: usize, p: usize, groups: usize, used: &[bool]) -> Option<u
         .filter(|&(_, &taken)| !taken)
         .map(|(k, _)| k)
         .min_by_key(|&k| (usize::from(k % g != fleet), k))
-}
-
-/// The rank to blame for a recoverable engine fault: the crashed rank,
-/// the peer whose message went missing, or the sender of a late or
-/// corrupted payload. `None` marks the error non-recoverable.
-fn fault_culprit(e: &SimError) -> Option<usize> {
-    match e {
-        SimError::RankCrashed { rank, .. } => Some(*rank),
-        SimError::PeerFailed { peer, .. } => Some(*peer),
-        SimError::Timeout { from, .. } => Some(*from),
-        SimError::PayloadCorrupt { from, .. } => Some(*from),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

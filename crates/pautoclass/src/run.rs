@@ -9,9 +9,10 @@
 //! [`crate::driver::parallel_base_cycle`]), the fault-tolerant supervisor
 //! (`crate::recover`, which runs `WorldSearch` with checkpoints and
 //! resume on) and the survivors' search after a shrink (through
-//! `crate::driver::sub_base_cycle` on the survivors' group). The fleet
-//! search drives its candidates through the same per-cycle step and
-//! finish (`Try`). The simulated and native runs are bitwise identical;
+//! [`crate::driver::blocking_cycle`], the world's cycle body, with the Fused
+//! exchange on the survivors' group). The fleet search drives its
+//! candidates through the same per-cycle step and finish (`Try`) and the
+//! same cycle. The simulated and native runs are bitwise identical;
 //! only the time axis differs (virtual LogGP seconds vs measured
 //! wall-clock seconds).
 
@@ -32,10 +33,8 @@ use shmcomm::{run_native, NativeOptions};
 use crate::checkpoint::{
     approx_from, approx_to, CheckpointError, CkptClassification, SearchCheckpoint,
 };
-use crate::config::ParallelConfig;
-use crate::driver::{
-    build_model, init_classes_parallel, parallel_base_cycle, sub_base_cycle, sub_build_model,
-};
+use crate::config::{Exchange, ParallelConfig, Strategy};
+use crate::driver::{blocking_cycle, build_model, init_classes_parallel, parallel_base_cycle};
 use crate::error::RunError;
 use crate::recover::Supervised;
 
@@ -262,6 +261,11 @@ pub(crate) fn search_tries<C: SpmdComm>(
     (all, total_cycles)
 }
 
+/// The strategy a group runs its cycles with: a fleet's and a shrink's
+/// survivors' cycles exchange their statistics Fused, whatever the
+/// world's strategy.
+pub(crate) const FUSED: Strategy = Strategy::Full { exchange: Exchange::Fused };
+
 /// The world search: the plain searches' rank body ([`run_search`],
 /// [`run_search_native`]) and, under the supervisor (`crate::recover`),
 /// the search of every attempt.
@@ -293,7 +297,7 @@ impl Supervised for WorldSearch<'_> {
         comm.enter_phase("search");
         let part = config.partition.range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
-        let model = build_model(comm, &view, &config.correlated_blocks);
+        let model = build_model(comm, &view, &config.correlated_blocks, "allreduce");
         let found = search_tries(
             comm,
             &model,
@@ -321,7 +325,7 @@ impl Supervised for WorldSearch<'_> {
         sub.enter_phase(RECOVERY_PHASE);
         let part = block_range(self.data.len(), sub.size(), sub.rank());
         let view = self.data.view(part.start, part.end);
-        let model = sub_build_model(sub, &view, &self.config.correlated_blocks);
+        let model = build_model(sub, &view, &self.config.correlated_blocks, RECOVERY_PHASE);
         sub.exit_phase();
 
         sub.enter_phase("search");
@@ -330,7 +334,7 @@ impl Supervised for WorldSearch<'_> {
             &model,
             &view,
             &self.config.search,
-            |sub, classes, ws| sub_base_cycle(sub, &model, &view, classes, ws),
+            |sub, classes, ws| blocking_cycle(sub, &model, &view, classes, ws, FUSED),
             checkpoints,
             resume,
         );
@@ -453,7 +457,7 @@ pub fn run_fixed_j(
         comm.enter_phase("search");
         let part = config.partition.range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
-        let model = build_model(comm, &view, &config.correlated_blocks);
+        let model = build_model(comm, &view, &config.correlated_blocks, "allreduce");
         let mut classes = Vec::new();
         init_classes_parallel(comm, &model, &view, j, seed, &mut classes);
         let mut ws = CycleWorkspace::new();

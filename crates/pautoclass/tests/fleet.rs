@@ -36,6 +36,34 @@ fn config(j_list: Vec<usize>, seed: u64) -> ParallelConfig {
     }
 }
 
+/// Which time axis a run's phase buckets were booked on.
+#[derive(Clone, Copy, Debug)]
+enum Axis {
+    Virtual,
+    Wall,
+}
+
+/// Every rank's phase buckets partition its elapsed time (to rounding on
+/// the virtual clock, and as the report's native gate allows on the wall
+/// clock), and every rank named in `cycling` books the EM cycle's own
+/// phases, as a world rank does.
+fn assert_cycle_phases(what: &str, out: &ParallelOutcome, axis: Axis, cycling: &[usize]) {
+    for r in &out.ranks {
+        let gap = (r.phases_total() - r.elapsed).abs();
+        let tol = match axis {
+            Axis::Virtual => 1e-9 * r.elapsed.max(1.0),
+            Axis::Wall => 1e-6 * r.elapsed.max(1e-12),
+        };
+        assert!(gap <= tol, "{what} ({axis:?}): rank {}'s phases miss elapsed by {gap}", r.rank);
+    }
+    for &rank in cycling {
+        for name in ["estep", "mstep", "allreduce"] {
+            let t = out.ranks[rank].phase(name).map_or(0.0, |ph| ph.total());
+            assert!(t > 0.0, "{what} ({axis:?}): rank {rank} books no {name:?} time");
+        }
+    }
+}
+
 /// Score and parameter bits of every retained classification — the
 /// strictest "same result" comparison.
 fn all_bits(all: &[Classification]) -> Vec<(u64, Vec<u64>)> {
@@ -84,15 +112,23 @@ fn single_fleet_degenerates_to_the_serial_search() {
 
 #[test]
 fn fleet_search_matches_across_backends() {
+    // Every fleet rank runs the world's cycle and books its phases, on
+    // either clock, one fleet or two.
     let data = datagen::paper_dataset(240, 9);
     let cfg = config(vec![2, 3], 13);
-    let fc = FleetConfig { groups: 2, ..FleetConfig::default() };
     let m = rd_machine(4);
-    let sim = run_search_fleet_with(&data, &m, &cfg, &fc, &SimOptions::default()).unwrap();
-    let native = run_search_fleet_native(&data, &m, &cfg, &fc, &NativeOptions::default()).unwrap();
-    assert_eq!(all_bits(&native.outcome.all), all_bits(&sim.outcome.all), "native backend differs");
-    assert_eq!(sim.fleet.rounds, native.fleet.rounds);
-    assert_eq!(sim.outcome.cycles, native.outcome.cycles);
+    for groups in [1, 2] {
+        let what = format!("G = {groups}");
+        let fc = FleetConfig { groups, ..FleetConfig::default() };
+        let sim = run_search_fleet_with(&data, &m, &cfg, &fc, &SimOptions::default()).unwrap();
+        let native =
+            run_search_fleet_native(&data, &m, &cfg, &fc, &NativeOptions::default()).unwrap();
+        assert_eq!(all_bits(&native.outcome.all), all_bits(&sim.outcome.all), "{what}");
+        assert_eq!(sim.fleet.rounds, native.fleet.rounds, "{what}");
+        assert_eq!(sim.outcome.cycles, native.outcome.cycles, "{what}");
+        assert_cycle_phases(&what, &sim.outcome, Axis::Virtual, &[0, 1, 2, 3]);
+        assert_cycle_phases(&what, &native.outcome, Axis::Wall, &[0, 1, 2, 3]);
+    }
 }
 
 #[test]

@@ -214,7 +214,7 @@ fn inputs_one_bit_apart_never_share_an_entry() {
 fn cycles_and_groups(comm: &mut Comm, data: &autoclass::data::Dataset) -> Vec<u64> {
     let part = block_range(data.len(), comm.size(), comm.rank());
     let view = data.view(part.start, part.end);
-    let model = build_model(comm, &view, &[]);
+    let model = build_model(comm, &view, &[], "allreduce");
     let mut classes = Vec::new();
     init_classes_parallel(comm, &model, &view, 4, 9, &mut classes);
     let mut ws = CycleWorkspace::new();
@@ -254,7 +254,7 @@ fn copying_a_kept_result_into_warmed_up_classes_allocates_nothing() {
     let out = run_spmd(&presets::zero_cost(p), &SimOptions::default(), |comm| {
         let part = block_range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
-        let model = build_model(comm, &view, &[]);
+        let model = build_model(comm, &view, &[], "allreduce");
         let mut classes: Vec<ClassParams> = Vec::new();
         init_classes_parallel(comm, &model, &view, 5, 3, &mut classes);
         let mut ws = CycleWorkspace::new();

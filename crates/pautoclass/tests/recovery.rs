@@ -7,6 +7,7 @@ use autoclass::model::classes_to_flat;
 use autoclass::search::SearchConfig;
 use mpsim::{
     presets, CommError, FaultAction, FaultPlan, FaultSpec, FaultTrigger, SimError, SimOptions,
+    RECOVERY_PHASE,
 };
 use pautoclass::{
     corrupt_shard, decode_shard, from_shards, run_search_ft, run_search_ft_native, run_search_with,
@@ -153,6 +154,26 @@ fn shrink_completes_on_the_survivors_and_reports_the_cost() {
     let excluded = &out.outcome.ranks[1];
     let max_elapsed = out.outcome.ranks.iter().map(|r| r.elapsed).fold(0.0, f64::max);
     assert!(excluded.elapsed < max_elapsed, "culprit must leave the computation");
+    // Every rank's buckets partition its elapsed time, and the survivors
+    // book the EM cycle's phases as world ranks do.
+    for r in &out.outcome.ranks {
+        let gap = (r.phases_total() - r.elapsed).abs();
+        assert!(gap <= 1e-9 * r.elapsed.max(1.0), "rank {}: phases miss elapsed by {gap}", r.rank);
+    }
+    for rank in [0, 2, 3] {
+        for name in ["estep", "mstep", "allreduce"] {
+            let t = out.outcome.ranks[rank].phase(name).map_or(0.0, |ph| ph.total());
+            assert!(t > 0.0, "survivor {rank} books no {name:?} time");
+        }
+    }
+    // The rebuild stays recovery time, to the bit it was before the
+    // survivors' cycles booked their own phases.
+    let recovery: Vec<u64> = (out.outcome.ranks.iter())
+        .map(|r| r.phase(RECOVERY_PHASE).map_or(0, |ph| ph.total().to_bits()))
+        .collect();
+    let want = [0x3f4a_566d_74f8_7a7b, 0, 0x3f49_266c_a646_7b3a, 0x3f50_81d8_5ccd_e14a];
+    assert_eq!(recovery, want, "per-rank recovery bits");
+    assert_eq!(out.recovery_time.to_bits(), want[3], "the recovery record");
 }
 
 #[test]

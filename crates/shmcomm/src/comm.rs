@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use mpsim::error::SimError;
 use mpsim::traits::CommError;
 use mpsim::verify::USER_REPL_COMM;
-use mpsim::{MachineSpec, PhaseStats, RankStats, DEFAULT_PHASE};
+use mpsim::{MachineSpec, PhaseLedger, RankStats};
 
 /// How long a blocked receive sleeps per poll before re-checking the
 /// abort flag and its deadline.
@@ -103,19 +103,6 @@ impl ReplCheck {
     }
 }
 
-/// Wall-clock time and traffic attributed to one phase bucket.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Bucket {
-    pub compute: f64,
-    pub comm: f64,
-    pub idle: f64,
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub msgs_recvd: u64,
-    pub bytes_recvd: u64,
-    pub collectives: u64,
-}
-
 /// What a pending [`NativeReq`] still has to do at wait time.
 #[derive(Debug)]
 pub(crate) enum ReqKind {
@@ -173,10 +160,9 @@ pub struct NativeComm {
     send_seq: u64,
     pub(crate) coll_seq: u64,
     repl_seq: u64,
-    phase_names: Vec<String>,
-    buckets: Vec<Bucket>,
-    phase_stack: Vec<usize>,
-    cur_phase: usize,
+    /// The phase buckets the measured intervals and messages are booked
+    /// into, and the open phase spans.
+    ledger: PhaseLedger,
 }
 
 impl NativeComm {
@@ -209,10 +195,7 @@ impl NativeComm {
             send_seq: 0,
             coll_seq: 0,
             repl_seq: 0,
-            phase_names: vec![DEFAULT_PHASE.to_string()],
-            buckets: vec![Bucket::default()],
-            phase_stack: Vec::new(),
-            cur_phase: 0,
+            ledger: PhaseLedger::new(),
         }
     }
 
@@ -260,45 +243,35 @@ impl NativeComm {
     /// current phase (the rank was running its own code).
     pub(crate) fn stamp_compute(&mut self) {
         let now = Instant::now();
-        self.buckets[self.cur_phase].compute += now.duration_since(self.last_stamp).as_secs_f64();
+        self.ledger.bucket().compute += now.duration_since(self.last_stamp).as_secs_f64();
         self.last_stamp = now;
     }
 
     /// Book the open interval as communication endpoint work.
     fn stamp_comm(&mut self) {
         let now = Instant::now();
-        self.buckets[self.cur_phase].comm += now.duration_since(self.last_stamp).as_secs_f64();
+        self.ledger.bucket().comm += now.duration_since(self.last_stamp).as_secs_f64();
         self.last_stamp = now;
     }
 
     /// Book the open interval as idle (blocked waiting on a peer).
     fn stamp_idle(&mut self) {
         let now = Instant::now();
-        self.buckets[self.cur_phase].idle += now.duration_since(self.last_stamp).as_secs_f64();
+        self.ledger.bucket().idle += now.duration_since(self.last_stamp).as_secs_f64();
         self.last_stamp = now;
     }
 
     /// Open a named phase span; same nesting semantics as
     /// [`mpsim::Comm::enter_phase`].
-    pub fn enter_phase(&mut self, name: &str) {
+    pub fn enter_phase(&mut self, name: &'static str) {
         self.stamp_compute();
-        let idx = match self.phase_names.iter().position(|n| n == name) {
-            Some(i) => i,
-            None => {
-                self.phase_names.push(name.to_string());
-                self.buckets.push(Bucket::default());
-                self.phase_names.len() - 1
-            }
-        };
-        self.phase_stack.push(idx);
-        self.cur_phase = idx;
+        self.ledger.enter(name);
     }
 
     /// Close the innermost open phase span.
     pub fn exit_phase(&mut self) {
         self.stamp_compute();
-        self.phase_stack.pop();
-        self.cur_phase = self.phase_stack.last().copied().unwrap_or(0);
+        self.ledger.exit();
     }
 
     /// Snapshot this rank's statistics in the same shape the simulator
@@ -306,23 +279,7 @@ impl NativeComm {
     /// partition elapsed wall time.
     pub fn stats(&mut self) -> RankStats {
         self.stamp_compute();
-        let phases: Vec<PhaseStats> = self
-            .phase_names
-            .iter()
-            .zip(&self.buckets)
-            .map(|(name, b)| PhaseStats {
-                name: name.clone(),
-                compute: b.compute,
-                comm: b.comm,
-                idle: b.idle,
-                hidden_comm: 0.0,
-                msgs_sent: b.msgs_sent,
-                bytes_sent: b.bytes_sent,
-                msgs_recvd: b.msgs_recvd,
-                bytes_recvd: b.bytes_recvd,
-                collectives: b.collectives,
-            })
-            .collect();
+        let phases = self.ledger.phases();
         RankStats {
             rank: self.rank,
             elapsed: self.last_stamp.duration_since(self.start).as_secs_f64(),
@@ -330,12 +287,12 @@ impl NativeComm {
             comm: phases.iter().map(|p| p.comm).sum(),
             idle: phases.iter().map(|p| p.idle).sum(),
             hidden_comm: 0.0,
-            msgs_sent: phases.iter().map(|p| p.msgs_sent).sum(),
-            bytes_sent: phases.iter().map(|p| p.bytes_sent).sum(),
-            msgs_recvd: phases.iter().map(|p| p.msgs_recvd).sum(),
-            bytes_recvd: phases.iter().map(|p| p.bytes_recvd).sum(),
+            msgs_sent: self.ledger.total(|p| p.msgs_sent),
+            bytes_sent: self.ledger.total(|p| p.bytes_sent),
+            msgs_recvd: self.ledger.total(|p| p.msgs_recvd),
+            bytes_recvd: self.ledger.total(|p| p.bytes_recvd),
             collectives: self.coll_seq,
-            phases,
+            phases: phases.to_vec(),
         }
     }
 
@@ -352,7 +309,7 @@ impl NativeComm {
         // a vanished rank rather than a half-delivered collective.
         if let Some(plan) = &self.fault {
             if plan.crash_now(self.rank, self.send_seq, self.start.elapsed().as_secs_f64()) {
-                let phase = self.phase_names[self.cur_phase].clone();
+                let phase = self.ledger.current().to_string();
                 self.fail(CommError::Sim(SimError::RankCrashed {
                     rank: self.rank,
                     seq: self.send_seq + 1,
@@ -367,7 +324,7 @@ impl NativeComm {
                 self.rank
             ))));
         }
-        let b = &mut self.buckets[self.cur_phase];
+        let b = self.ledger.bucket();
         b.msgs_sent += 1;
         b.bytes_sent += (values.len() * 8) as u64;
         if self.senders[dst].send(Msg { tag, values: values.to_vec() }).is_err() {
@@ -385,7 +342,7 @@ impl NativeComm {
     pub fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
         self.stamp_compute();
         let msg = self.pull(src, tag);
-        let b = &mut self.buckets[self.cur_phase];
+        let b = self.ledger.bucket();
         b.msgs_recvd += 1;
         b.bytes_recvd += (msg.values.len() * 8) as u64;
         self.stamp_idle();
@@ -464,7 +421,7 @@ impl NativeComm {
             ReqKind::Recv { src, tag } => {
                 self.stamp_compute();
                 let msg = self.pull(src, tag);
-                let b = &mut self.buckets[self.cur_phase];
+                let b = self.ledger.bucket();
                 b.msgs_recvd += 1;
                 b.bytes_recvd += (msg.values.len() * 8) as u64;
                 self.stamp_idle();
@@ -489,7 +446,7 @@ impl NativeComm {
     /// sequence number.
     pub(crate) fn count_collective(&mut self) -> u64 {
         self.coll_seq += 1;
-        self.buckets[self.cur_phase].collectives += 1;
+        self.ledger.bucket().collectives += 1;
         self.coll_seq
     }
 

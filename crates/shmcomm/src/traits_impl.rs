@@ -20,7 +20,7 @@ impl SpmdComm for NativeComm {
     fn work(&mut self, ops: u64) {
         NativeComm::work(self, ops);
     }
-    fn enter_phase(&mut self, name: &str) {
+    fn enter_phase(&mut self, name: &'static str) {
         NativeComm::enter_phase(self, name);
     }
     fn exit_phase(&mut self) {
