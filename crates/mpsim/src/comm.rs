@@ -158,7 +158,7 @@ impl Drop for Request {
 /// it by the same methods that book the envelopes [`Comm::send_f64s`] and
 /// [`Comm::recv_f64s`] move. The default is the stand-in a [`Seat`]
 /// holds while its member keeps its own endpoint.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Endpoint {
     /// World rank.
     pub rank: usize,
@@ -171,6 +171,19 @@ pub(crate) struct Endpoint {
     ledger: PhaseLedger,
     /// Message event trace; `None` when tracing is disabled.
     events: Option<Vec<Event>>,
+}
+
+impl Default for Endpoint {
+    /// The stand-in: allocates nothing, and nothing is booked into it.
+    fn default() -> Self {
+        Endpoint {
+            rank: 0,
+            clock: Clock::default(),
+            sent: 0,
+            ledger: PhaseLedger::empty(),
+            events: None,
+        }
+    }
 }
 
 impl Endpoint {

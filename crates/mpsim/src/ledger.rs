@@ -10,9 +10,10 @@ use crate::trace::PhaseStats;
 /// explicit phase span.
 pub const DEFAULT_PHASE: &str = "other";
 
-/// One rank's phase buckets and open spans. The default ledger is empty
-/// and books nothing: the stand-in held while a working one is lent out.
-#[derive(Debug, Default)]
+/// One rank's phase buckets and open spans. Every public way to make one
+/// ([`PhaseLedger::new`], or its `Default`) gives a ledger holding the
+/// [`DEFAULT_PHASE`] bucket, so it can be booked into at once.
+#[derive(Debug)]
 pub struct PhaseLedger {
     /// The buckets in first-entry order, [`DEFAULT_PHASE`] first.
     buckets: Vec<PhaseStats>,
@@ -20,6 +21,12 @@ pub struct PhaseLedger {
     spans: Vec<usize>,
     /// The bucket being booked into: the innermost span's, or 0.
     cur: usize,
+}
+
+impl Default for PhaseLedger {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl PhaseLedger {
@@ -31,6 +38,13 @@ impl PhaseLedger {
             spans: Vec::new(),
             cur: 0,
         }
+    }
+
+    /// An empty ledger with no bucket, which allocates nothing: the
+    /// stand-in an endpoint holds while its working ledger is lent out.
+    /// Nothing may be booked into it.
+    pub(crate) const fn empty() -> Self {
+        PhaseLedger { buckets: Vec::new(), spans: Vec::new(), cur: 0 }
     }
 
     /// Open a span of phase `name`: until the matching
@@ -116,6 +130,18 @@ mod tests {
             assert_eq!(l.buckets.capacity(), l.buckets.len());
         }
         assert_eq!(l.phases().len(), 6);
+    }
+
+    #[test]
+    fn public_ledgers_book_into_the_default_bucket_and_the_empty_one_holds_nothing() {
+        for mut l in [PhaseLedger::new(), PhaseLedger::default()] {
+            assert_eq!(l.current(), DEFAULT_PHASE);
+            l.bucket().compute += 1.0;
+            assert_eq!(l.phases()[0].compute, 1.0);
+        }
+        let e = PhaseLedger::empty();
+        assert!(e.phases().is_empty());
+        assert_eq!(e.buckets.capacity(), 0);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!    rank, and mismatched posted lengths trip the collective fingerprint
 //!    checker.
 
-use mpsim::{presets, run_spmd, run_spmd_default, AllreduceAlgo, ReduceOp, SimError, SimOptions};
+use mpsim::{
+    presets, run_spmd, run_spmd_default, AllreduceAlgo, ReduceOp, SimError, SimOptions,
+    DEFAULT_PHASE,
+};
 
 const ALGOS: [AllreduceAlgo; 5] = [
     AllreduceAlgo::Linear,
@@ -91,6 +94,10 @@ fn posted_wire_time_hides_behind_compute() {
     );
     for r in &nonblocking.ranks {
         assert!(r.hidden_comm > 0.0, "rank {}: nothing was hidden", r.rank);
+        // Outside any span the default bucket holds all of it.
+        let hidden: f64 = r.phases.iter().map(|p| p.hidden_comm).sum();
+        assert_eq!(hidden, r.hidden_comm, "rank {}: phase buckets' hidden time", r.rank);
+        assert_eq!(r.phase(DEFAULT_PHASE).map(|p| p.hidden_comm), Some(r.hidden_comm));
         let sum = r.compute + r.comm + r.idle;
         assert!(
             (sum - r.elapsed).abs() <= 1e-9 * r.elapsed.max(1.0),
@@ -110,6 +117,37 @@ fn posted_wire_time_hides_behind_compute() {
     }
     // Nothing hidden in the blocking run.
     assert!(blocking.ranks.iter().all(|r| r.hidden_comm == 0.0));
+}
+
+#[test]
+fn hidden_time_is_booked_to_the_phase_that_waits() {
+    // The overlap a wait uncovers lands in the bucket of the span open at
+    // the wait, as a shadow measure outside that bucket's total.
+    let spec = presets::meiko_cs2(4);
+    let out = run_spmd_default(&spec, |c| {
+        let mut buf = payload(c.rank(), 256);
+        c.enter_phase("overlap");
+        let mut req = c.iallreduce_f64s(&mut buf, ReduceOp::Sum);
+        c.work(2_000_000);
+        c.wait(&mut req);
+        c.exit_phase();
+        buf[0]
+    })
+    .unwrap();
+    for r in &out.ranks {
+        assert!(r.hidden_comm > 0.0, "rank {}: nothing was hidden", r.rank);
+        let Some(span) = r.phase("overlap") else { panic!("rank {}: no overlap bucket", r.rank) };
+        assert_eq!(span.hidden_comm, r.hidden_comm, "rank {}: span's hidden time", r.rank);
+        assert_eq!(r.phase(DEFAULT_PHASE).map(|p| p.hidden_comm), Some(0.0));
+        let phases = r.phases_total();
+        assert!(
+            (phases - r.elapsed).abs() <= 1e-9 * r.elapsed.max(1.0),
+            "rank {}: phases {} != elapsed {}",
+            r.rank,
+            phases,
+            r.elapsed
+        );
+    }
 }
 
 #[test]

@@ -254,8 +254,8 @@ pub fn parallel_base_cycle<C: Communicator>(
 /// allocation in steady state. (`WtsOnly` gathers the whole weight matrix
 /// through growing transport buffers by design — that bandwidth cost is
 /// the point of the comparison.) [`Exchange::Pipelined`] needs
-/// non-blocking collectives, which only the world has; here it runs the
-/// Fused exchange, whose results it equals bit for bit.
+/// non-blocking collectives, which only the world has, so it is not run
+/// here: [`parallel_base_cycle`] runs it.
 pub fn blocking_cycle<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
@@ -313,7 +313,7 @@ pub fn blocking_cycle<C: SpmdComm>(
                     comm.exit_phase();
                     None
                 }
-                Exchange::Fused | Exchange::Pipelined => {
+                Exchange::Fused => {
                     // One big message. The weight slots were already
                     // combined in the wts phase, so send zeros in their
                     // place and install the global values afterwards — no
@@ -338,6 +338,9 @@ pub fn blocking_cycle<C: SpmdComm>(
                         stats.data[idx] = w;
                     }
                     Some([log_likelihood, complete_ll])
+                }
+                Exchange::Pipelined => {
+                    unreachable!("parallel_base_cycle runs the overlapped exchange")
                 }
             };
             // The derivation itself runs in the replicated tail below; its

@@ -386,14 +386,18 @@ fn fleet_core<G: GroupCommunicator>(
 
     // ---- Per-fleet setup: partition, model --------------------------
     // After a shrink this rebuilds the fleets on the survivors, which is
-    // recovery cost as in the plain shrink path; otherwise it stays in
-    // the caller's `"search"` phase.
-    let shrunk = sub.size() < orig_p;
-    sub.enter_phase(if shrunk { RECOVERY_PHASE } else { "search" });
+    // recovery cost as a whole, as in the plain shrink path; otherwise it
+    // stays in the caller's `"search"` phase, with the model's allreduce
+    // under `"allreduce"` as on the world.
+    let (setup, span) = if sub.size() < orig_p {
+        (RECOVERY_PHASE, RECOVERY_PHASE)
+    } else {
+        ("search", "allreduce")
+    };
+    sub.enter_phase(setup);
     let mut fleet = sub.split(|r| fleet_of[r]);
     let part = block_range(data.len(), fleet.size(), fleet.rank());
     let view = data.view(part.start, part.end);
-    let span = if shrunk { RECOVERY_PHASE } else { "allreduce" };
     let model = build_model(&mut fleet, &view, &config.correlated_blocks, span);
     drop(fleet);
     sub.exit_phase();
