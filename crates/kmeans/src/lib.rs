@@ -16,7 +16,7 @@
 #![forbid(unsafe_code)]
 
 use autoclass::data::{block_range, DataView, Dataset};
-use mpsim::{run_spmd, Comm, MachineSpec, RankStats, ReduceOp, SimError, SimOptions};
+use mpsim::{run_spmd, Comm, MachineSpec, RankStats, ReduceOp, SimError, SimOptions, SpmdComm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,9 +1,11 @@
 //! The per-rank communicator: point-to-point messaging with virtual time.
 //!
 //! A [`Comm`] is handed to each rank's closure by the SPMD engine. It plays
-//! the role of `MPI_COMM_WORLD`: it knows the rank, the communicator size,
-//! and provides blocking `send`/`recv`, plus the collectives of
-//! [`crate::collectives`] and [`crate::schedule`].
+//! the role of `MPI_COMM_WORLD`: it implements [`SpmdComm`] and
+//! [`Communicator`] — the rank, the communicator size, blocking and
+//! non-blocking point-to-point messages — and the schedules' hooks
+//! ([`crate::collectives`]), so every collective the traits provide runs
+//! on it.
 //!
 //! A shared collective is a plan (see [`crate::schedule`]) run at one
 //! rendezvous of its members (see `crate::coop`): the rank lends its
@@ -36,16 +38,18 @@ use std::time::Instant;
 use crate::clock::Clock;
 use crate::collectives::ReduceOp;
 use crate::coop::{CoopShared, Deposit};
+use crate::cost::AllreduceAlgo;
 use crate::cost::MachineSpec;
 use crate::error::SimError;
 use crate::fault::FaultState;
 use crate::ledger::PhaseLedger;
 use crate::payload::{checksum_f64s, DecodeError};
 use crate::replay::{ReplayEntry, ReplayLog};
-use crate::replica::Replicas;
+use crate::replica::ReplicaKey;
 use crate::schedule::{Buf, PlanKey, Seat, Seating, Stop};
 use crate::trace::{Event, EventKind, RankStats};
-use crate::verify::{hash_f64s, VerifyState, USER_REPL_COMM};
+use crate::traits::{Communicator, SpmdComm};
+use crate::verify::{hash_f64s, CollFingerprint, VerifyState, USER_REPL_COMM, WORLD_COMM};
 
 /// Highest tag value available to user point-to-point messages. Collectives
 /// use tags above this range so that user traffic can never be confused
@@ -105,12 +109,12 @@ enum ReqKind {
 /// The operation progresses in *virtual* time while the rank keeps
 /// computing: endpoint overhead (LogGP `o`) was charged on the CPU clock at
 /// post, and the wire time (`L`/`g`/`G`) elapses concurrently with
-/// subsequent [`Comm::work`]. [`Comm::wait`] blocks only for whatever wire
+/// subsequent [`SpmdComm::work`]. [`Communicator::wait`] blocks only for whatever wire
 /// time has not yet been hidden, and credits the hidden portion to the
 /// clock's overlap shadow accounting.
 ///
-/// Every request must be retired by exactly one [`Comm::wait`] (or
-/// [`Comm::waitall`]): waiting twice fails the run with
+/// Every request must be retired by exactly one [`Communicator::wait`] (or
+/// [`Communicator::waitall`]): waiting twice fails the run with
 /// [`SimError::RequestMisuse`], and dropping an unwaited request panics the
 /// owning rank — both name the culprit rank.
 #[derive(Debug)]
@@ -155,8 +159,8 @@ impl Drop for Request {
 /// One rank's end of the wire: its clock, its phase ledger and everything
 /// a message it sends or receives is booked into. A [`Comm`] owns one and
 /// lends it to each rendezvous, where the plan's messages are booked into
-/// it by the same methods that book the envelopes [`Comm::send_f64s`] and
-/// [`Comm::recv_f64s`] move. The default is the stand-in a [`Seat`]
+/// it by the same methods that book the envelopes
+/// [`Communicator::send_f64s`] and [`Communicator::recv_f64s`] move. The default is the stand-in a [`Seat`]
 /// holds while its member keeps its own endpoint.
 #[derive(Debug)]
 pub(crate) struct Endpoint {
@@ -223,7 +227,7 @@ impl Endpoint {
     }
 
     /// Fault-injection checkpoint (send entry, receive entry,
-    /// [`Comm::work`]): the typed error this rank dies with when the fault
+    /// [`SpmdComm::work`]): the typed error this rank dies with when the fault
     /// plan crashes it now. Its failure record is published before this
     /// returns, so no peer can observe the death without its explanation.
     #[inline]
@@ -386,7 +390,7 @@ pub struct Comm {
     /// ranks must invoke collectives in the same order (SPMD discipline),
     /// exactly as MPI requires.
     pub(crate) coll_seq: u64,
-    /// Monotone counter for user-level [`Comm::verify_replicated`] calls.
+    /// Monotone counter for user-level [`SpmdComm::verify_replicated`] calls.
     repl_seq: u64,
     /// Shared verification state; `None` when every check is disabled.
     pub(crate) verify: Option<Arc<VerifyState>>,
@@ -428,36 +432,6 @@ impl Comm {
         }
     }
 
-    /// This rank's id in `0..size()`.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks in the communicator.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The machine being simulated.
-    pub fn machine(&self) -> &MachineSpec {
-        &self.net.spec
-    }
-
-    /// Current virtual time on this rank, in seconds.
-    pub fn now(&self) -> f64 {
-        self.ep.clock.now()
-    }
-
-    /// Charge `ops` abstract operations of local compute to the virtual
-    /// clock (see [`crate::cost::ComputeModel::sec_per_op`]), scaled by
-    /// this rank's relative speed on heterogeneous machines.
-    pub fn work(&mut self, ops: u64) {
-        self.fault_checkpoint();
-        let spec = &self.net.spec;
-        let dt = ops as f64 * spec.compute.sec_per_op / spec.speed(self.rank);
-        self.ep.compute(dt);
-    }
-
     /// Run `f`, measure its wall-clock duration, and charge it (scaled by
     /// [`crate::cost::ComputeModel::wall_scale`]) as virtual compute time.
     pub fn measured<R>(&mut self, f: impl FnOnce() -> R) -> R {
@@ -466,29 +440,6 @@ impl Comm {
         let dt = start.elapsed().as_secs_f64() * self.net.spec.compute.wall_scale;
         self.ep.compute(dt);
         out
-    }
-
-    /// Open a named phase span: until the matching [`Comm::exit_phase`],
-    /// every clock advance (compute, comm endpoint work, idle waits) and
-    /// every message/collective on this rank is attributed to the bucket
-    /// named `name`.
-    ///
-    /// Spans nest (an `"allreduce"` span inside an `"estep"` span takes
-    /// over attribution until it closes), and re-entering a name later
-    /// accumulates into the same bucket, so a phase entered once per EM
-    /// cycle reports its total across the run. Phase buckets always
-    /// partition the rank's elapsed time: whatever runs outside any span
-    /// lands in the implicit [`crate::DEFAULT_PHASE`] bucket.
-    pub fn enter_phase(&mut self, name: &'static str) {
-        self.ep.ledger.enter(name);
-    }
-
-    /// Close the innermost open phase span, returning attribution to the
-    /// enclosing span (or the default bucket when none is open). Calling
-    /// with no span open is a no-op, so a helper that always pairs
-    /// enter/exit stays safe even if its caller already unwound the stack.
-    pub fn exit_phase(&mut self) {
-        self.ep.ledger.exit();
     }
 
     fn check_abort(&self) {
@@ -518,49 +469,11 @@ impl Comm {
         }
     }
 
-    /// Send `values` to `dst` with `tag`. Buffered and non-blocking, like
-    /// an `MPI_Send` that always finds buffer space.
-    ///
-    /// # Panics
-    /// Panics if `dst` is out of range.
-    pub fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
-        assert!(dst < self.size, "send to rank {dst} but size is {}", self.size);
-        self.check_abort();
-        self.fault_checkpoint();
-        let Some(stamp) = self.ep.send(&self.net, dst, tag, values) else {
-            return;
-        };
-        let env = Envelope { tag, stamp, data: values.to_vec() };
-        // A gone receiver means the run is aborting after a failure
-        // elsewhere, or `dst` already finished its body and will never
-        // receive again. The latter is legal for a buffered send: the
-        // values are simply never read.
-        match self.coop.deposit(self.rank, dst, env, self.ep.clock.now()) {
-            Ok(Deposit::Delivered) => {}
-            Ok(Deposit::Closed) => self.check_abort(),
-            // Woken with a typed error (stall rescue or abort cascade)
-            // while parked on a full mailbox: the envelope never got in
-            // flight.
-            Err(err) => self.fail(err),
-        }
-    }
-
-    /// Blocking receive of the message from `src` with exactly `tag`.
-    /// Messages from `src` with other tags are stashed and delivered to
-    /// later matching receives in arrival order.
-    pub fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        let env = self.pull_envelope(src, tag);
-        if let Err(err) = self.ep.recv(&self.net, src, tag, 8 * env.data.len(), &env.stamp) {
-            self.fail(err);
-        }
-        env.data
-    }
-
     /// Take the next envelope from `src` with exactly `tag` off the wire
     /// (or the stash), parking until the scheduler delivers it. No
     /// virtual-time or statistics bookkeeping happens here; callers pair
     /// this with [`Endpoint::recv`] (blocking receive) or the non-blocking
-    /// completion path in [`Comm::wait`].
+    /// completion path in [`Communicator::wait`].
     fn pull_envelope(&mut self, src: usize, tag: u64) -> Envelope {
         assert!(src < self.size, "recv from rank {src} but size is {}", self.size);
         self.fault_checkpoint();
@@ -590,101 +503,6 @@ impl Comm {
         }
     }
 
-    /// Drop this rank's replay-ring entries: the checkpoint that was just
-    /// published covers everything delivered so far, so none of it can
-    /// need replaying. No-op when no log is installed.
-    pub fn replay_truncate(&mut self) {
-        if let Some(log) = &self.net.replay {
-            log.truncate(self.rank);
-        }
-    }
-
-    /// Non-blocking send of an `f64` slice. The message departs
-    /// immediately (buffered, like [`Comm::send_f64s`]); the returned
-    /// request completes at once, so `wait` never blocks — it exists to
-    /// keep the post/wait protocol uniform across operation kinds.
-    pub fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Request {
-        self.send_f64s(dst, tag, values);
-        let now = self.ep.clock.now();
-        Request {
-            rank: self.rank,
-            kind: ReqKind::Send,
-            window_start: now,
-            completion: now,
-            done: false,
-        }
-    }
-
-    /// Post a non-blocking receive of an `f64` vector from `src` with
-    /// `tag`. The receive-side endpoint overhead (LogGP `o`) is charged on
-    /// the CPU clock *now*; the message's wire time then elapses
-    /// concurrently with subsequent [`Comm::work`]. The matching
-    /// [`Comm::wait`] returns `Some(values)` after blocking only for
-    /// whatever wire time was not hidden.
-    pub fn irecv_f64s(&mut self, src: usize, tag: u64) -> Request {
-        assert!(src < self.size, "irecv from rank {src} but size is {}", self.size);
-        self.check_abort();
-        self.fault_checkpoint();
-        self.ep.comm(self.net.spec.network.overhead);
-        let now = self.ep.clock.now();
-        Request {
-            rank: self.rank,
-            kind: ReqKind::Recv { src, tag },
-            window_start: now,
-            completion: now, // provisional: the envelope carries the real one
-            done: false,
-        }
-    }
-
-    /// Retire a non-blocking request: advance the virtual clock over the
-    /// operation's *exposed* remainder (idle), credit the portion that
-    /// already elapsed behind other work to the overlap shadow accounting,
-    /// and — for receives — deliver the payload (`Some`); sends and
-    /// collectives return `None`.
-    ///
-    /// Waiting on a request twice fails the run with
-    /// [`SimError::RequestMisuse`] naming this rank.
-    pub fn wait(&mut self, req: &mut Request) -> Option<Vec<f64>> {
-        if req.done {
-            self.fail(SimError::RequestMisuse {
-                rank: self.rank,
-                detail: format!(
-                    "request posted at t={:.9}s waited twice (kind {:?})",
-                    req.window_start, req.kind
-                ),
-            });
-        }
-        req.done = true;
-        match req.kind {
-            ReqKind::Send | ReqKind::Coll => {
-                self.finish_window(req.window_start, req.completion);
-                None
-            }
-            ReqKind::Recv { src, tag } => {
-                let env = self.pull_envelope(src, tag);
-                let len = 8 * env.data.len();
-                let completion =
-                    self.ep.arrival(&self.net, src, len, &env.stamp).max(req.window_start);
-                req.completion = completion;
-                if let Some(fs) = &self.net.fault {
-                    if let Err(err) = self.ep.check(fs, src, &env.stamp, completion) {
-                        self.fail(err);
-                    }
-                }
-                self.finish_window(req.window_start, completion);
-                // Count the receive where it completes. Endpoint overhead
-                // was already charged at post, so none is charged here.
-                self.ep.delivered(&self.net, src, tag, len, &env.stamp);
-                Some(env.data)
-            }
-        }
-    }
-
-    /// Retire every request in order, collecting each `wait`'s result.
-    pub fn waitall(&mut self, reqs: &mut [Request]) -> Vec<Option<Vec<f64>>> {
-        reqs.iter_mut().map(|r| self.wait(r)).collect()
-    }
-
     /// Split a completed overlap window `[window_start, completion]` into
     /// its hidden part (elapsed behind other work since the post — shadow
     /// accounting) and its exposed remainder (charged as idle).
@@ -695,12 +513,6 @@ impl Comm {
         ep.wait_until(completion);
     }
 
-    /// Snapshot the clock's idle accumulator before a non-blocking
-    /// collective's eager data movement (see [`Comm::nb_retract`]).
-    pub(crate) fn nb_idle_snapshot(&self) -> f64 {
-        self.ep.clock.idle()
-    }
-
     /// Turn an eagerly-executed collective into a non-blocking request.
     ///
     /// The caller ran the full blocking movement (so buffers, messages,
@@ -709,7 +521,7 @@ impl Comm {
     /// leaving endpoint overhead on the CPU clock per LogGP — and records
     /// the as-if-blocking finish as the request's completion, clamped to
     /// the FIFO horizon of earlier posts.
-    pub(crate) fn nb_retract(&mut self, idle_before: f64) -> Request {
+    fn nb_retract(&mut self, idle_before: f64) -> Request {
         let ep = &mut self.ep;
         let finish = ep.clock.now();
         let idle_delta = ep.clock.idle() - idle_before;
@@ -822,29 +634,40 @@ impl Comm {
         self.ep.ledger.bucket().collectives += 1;
         self.coll_seq
     }
+}
 
-    /// The run's store of replicated derivations.
-    pub(crate) fn replicas(&self) -> &Replicas {
-        &self.coop.replicas
+impl SpmdComm for Comm {
+    fn rank(&self) -> usize {
+        self.rank
     }
-
-    /// Whether replication-invariant hashing is enabled for this run.
-    /// Lets callers skip assembling a flattened buffer for
-    /// [`verify_replicated`](Self::verify_replicated) when it is off.
-    pub fn checks_replication(&self) -> bool {
+    fn size(&self) -> usize {
+        self.size
+    }
+    /// Charge `ops` abstract operations of local compute to the virtual
+    /// clock (see [`crate::cost::ComputeModel::sec_per_op`]), scaled by
+    /// this rank's relative speed on heterogeneous machines.
+    fn work(&mut self, ops: u64) {
+        self.fault_checkpoint();
+        let spec = &self.net.spec;
+        let dt = ops as f64 * spec.compute.sec_per_op / spec.speed(self.rank);
+        self.ep.compute(dt);
+    }
+    fn enter_phase(&mut self, name: &'static str) {
+        self.ep.ledger.enter(name);
+    }
+    fn exit_phase(&mut self) {
+        self.ep.ledger.exit();
+    }
+    fn checks_replication(&self) -> bool {
         self.verify.as_ref().is_some_and(|v| v.opts().check_replication)
     }
-
-    /// Assert that `data` is bitwise identical on every rank.
-    ///
-    /// Must be called by **all** ranks, in the same program order (like a
-    /// collective); each call hashes the local buffer and cross-checks the
-    /// digest against the other ranks'. A mismatch fails the run with
+    /// Hash the local buffer and cross-check the digest against the other
+    /// ranks'; a mismatch fails the run with
     /// [`SimError::ReplicationDivergence`] naming the diverging ranks and
-    /// hashes. No-op (beyond one branch) unless
-    /// [`crate::verify::VerifyOptions::check_replication`] is enabled, so
-    /// calls can stay in production code paths.
-    pub fn verify_replicated(&mut self, label: &str, data: &[f64]) {
+    /// hashes. One branch unless
+    /// [`crate::verify::VerifyOptions::check_replication`] is on, so calls
+    /// can stay in production code paths.
+    fn verify_replicated(&mut self, label: &str, data: &[f64]) {
         let Some(v) = &self.verify else { return };
         if !v.opts().check_replication {
             return;
@@ -855,6 +678,211 @@ impl Comm {
             v.check_replication(self.rank, USER_REPL_COMM, self.repl_seq, self.size, label, hash)
         {
             self.fail(e);
+        }
+    }
+    fn replay_truncate(&mut self) {
+        if let Some(log) = &self.net.replay {
+            log.truncate(self.rank);
+        }
+    }
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        self.derive_replicated_in(WORLD_COMM, self.size, key, out, derive);
+    }
+}
+
+impl Communicator for Comm {
+    type Req = Request;
+
+    fn machine(&self) -> &MachineSpec {
+        &self.net.spec
+    }
+    /// Current virtual time on this rank, in seconds.
+    fn now(&self) -> f64 {
+        self.ep.clock.now()
+    }
+
+    /// # Panics
+    /// Panics if `dst` is out of range.
+    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
+        assert!(dst < self.size, "send to rank {dst} but size is {}", self.size);
+        self.check_abort();
+        self.fault_checkpoint();
+        let Some(stamp) = self.ep.send(&self.net, dst, tag, values) else {
+            return;
+        };
+        let env = Envelope { tag, stamp, data: values.to_vec() };
+        // A gone receiver means the run is aborting after a failure
+        // elsewhere, or `dst` already finished its body and will never
+        // receive again. The latter is legal for a buffered send: the
+        // values are simply never read.
+        match self.coop.deposit(self.rank, dst, env, self.ep.clock.now()) {
+            Ok(Deposit::Delivered) => {}
+            Ok(Deposit::Closed) => self.check_abort(),
+            // Woken with a typed error (stall rescue or abort cascade)
+            // while parked on a full mailbox: the envelope never got in
+            // flight.
+            Err(err) => self.fail(err),
+        }
+    }
+    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
+        let env = self.pull_envelope(src, tag);
+        if let Err(err) = self.ep.recv(&self.net, src, tag, 8 * env.data.len(), &env.stamp) {
+            self.fail(err);
+        }
+        env.data
+    }
+    /// The message departs immediately (buffered, like
+    /// [`Communicator::send_f64s`]); the returned request completes at
+    /// once, so `wait` never blocks — it exists to keep the post/wait
+    /// protocol uniform across operation kinds.
+    fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Request {
+        self.send_f64s(dst, tag, values);
+        let now = self.ep.clock.now();
+        Request {
+            rank: self.rank,
+            kind: ReqKind::Send,
+            window_start: now,
+            completion: now,
+            done: false,
+        }
+    }
+    /// The receive-side endpoint overhead (LogGP `o`) is charged on the
+    /// CPU clock *now*; the message's wire time then elapses concurrently
+    /// with subsequent [`SpmdComm::work`]. The matching `wait` returns
+    /// `Some(values)` after blocking only for whatever wire time was not
+    /// hidden.
+    fn irecv_f64s(&mut self, src: usize, tag: u64) -> Request {
+        assert!(src < self.size, "irecv from rank {src} but size is {}", self.size);
+        self.check_abort();
+        self.fault_checkpoint();
+        self.ep.comm(self.net.spec.network.overhead);
+        let now = self.ep.clock.now();
+        Request {
+            rank: self.rank,
+            kind: ReqKind::Recv { src, tag },
+            window_start: now,
+            completion: now, // provisional: the envelope carries the real one
+            done: false,
+        }
+    }
+    /// Advance the virtual clock over the operation's *exposed* remainder
+    /// (idle), credit the portion that already elapsed behind other work
+    /// to the overlap shadow accounting, and — for receives — deliver the
+    /// payload; waiting twice fails the run with
+    /// [`SimError::RequestMisuse`].
+    fn wait(&mut self, req: &mut Request) -> Option<Vec<f64>> {
+        if req.done {
+            self.fail(SimError::RequestMisuse {
+                rank: self.rank,
+                detail: format!(
+                    "request posted at t={:.9}s waited twice (kind {:?})",
+                    req.window_start, req.kind
+                ),
+            });
+        }
+        req.done = true;
+        match req.kind {
+            ReqKind::Send | ReqKind::Coll => {
+                self.finish_window(req.window_start, req.completion);
+                None
+            }
+            ReqKind::Recv { src, tag } => {
+                let env = self.pull_envelope(src, tag);
+                let len = 8 * env.data.len();
+                let completion =
+                    self.ep.arrival(&self.net, src, len, &env.stamp).max(req.window_start);
+                req.completion = completion;
+                if let Some(fs) = &self.net.fault {
+                    if let Err(err) = self.ep.check(fs, src, &env.stamp, completion) {
+                        self.fail(err);
+                    }
+                }
+                self.finish_window(req.window_start, completion);
+                // Count the receive where it completes. Endpoint overhead
+                // was already charged at post, so none is charged here.
+                self.ep.delivered(&self.net, src, tag, len, &env.stamp);
+                Some(env.data)
+            }
+        }
+    }
+    /// The data movement runs *eagerly*: on return `buf` already holds the
+    /// reduction, and the messages, collective fingerprint, and
+    /// replication hash are exactly those of the blocking
+    /// [`Communicator::allreduce_f64s_with`] — so results are bitwise
+    /// identical to the blocking call under every algorithm, and all
+    /// verification layers see the same collective. What is deferred is
+    /// *time*: the idle (wire) portion of the collective's cost is rolled
+    /// off the clock and becomes the returned request's pending window,
+    /// free to hide behind subsequent [`SpmdComm::work`]. Endpoint
+    /// overhead (LogGP `o`) stays on the CPU clock at post, and `wait`
+    /// blocks only for whatever wire time was not hidden. Completions are
+    /// clamped FIFO-monotone across posts on the same rank.
+    fn iallreduce_f64s_with(
+        &mut self,
+        buf: &mut [f64],
+        op: ReduceOp,
+        algo: AllreduceAlgo,
+    ) -> Request {
+        let idle_before = self.ep.clock.idle();
+        self.allreduce_f64s_with(buf, op, algo);
+        self.nb_retract(idle_before)
+    }
+
+    fn coll_seq(&self) -> u64 {
+        self.coll_seq
+    }
+    fn checks_collectives(&self) -> bool {
+        self.verify.as_ref().is_some_and(|v| v.opts().check_collectives)
+    }
+    fn check_collective(&mut self, comm: u64, seq: u64, size: usize, fp: CollFingerprint) {
+        let Some(v) = &self.verify else { return };
+        if !v.opts().check_collectives {
+            return;
+        }
+        if let Err(e) = v.check_collective(self.rank, comm, seq, size, fp) {
+            self.fail(e);
+        }
+    }
+    fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]) {
+        let Some(v) = &self.verify else { return };
+        if !v.opts().check_replication {
+            return;
+        }
+        if let Err(e) = v.check_replication(self.rank, comm, seq, size, label, hash_f64s(buf)) {
+            self.fail(e);
+        }
+    }
+    fn rendezvous(
+        &mut self,
+        at: Seating<'_>,
+        key: PlanKey,
+        op: ReduceOp,
+        buf: &mut Buf<'_>,
+    ) -> bool {
+        self.meet(at, key, op, buf);
+        true
+    }
+    fn derive_replicated_in<T, K, D>(
+        &mut self,
+        comm: u64,
+        size: usize,
+        key: K,
+        out: &mut T,
+        derive: D,
+    ) where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        if size < 2 || self.checks_replication() {
+            derive(out);
+        } else {
+            self.coop.replicas.derive(comm, size, key, out, derive);
         }
     }
 }

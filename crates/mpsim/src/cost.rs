@@ -10,7 +10,7 @@
 //!
 //! with a fixed CPU `overhead` charged on both the sending and receiving
 //! rank. Compute is charged per abstract "op" reported by the algorithm
-//! (see [`crate::Comm::work`]); what counts as one op is up to the caller
+//! (see [`crate::SpmdComm::work`]); what counts as one op is up to the caller
 //! and calibrated per preset.
 //!
 //! # Calibration
@@ -63,7 +63,7 @@ impl NetworkModel {
 /// Compute timing parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComputeModel {
-    /// Seconds per abstract op reported through [`crate::Comm::work`].
+    /// Seconds per abstract op reported through [`crate::SpmdComm::work`].
     pub sec_per_op: f64,
     /// Multiplier applied to wall-clock time measured through
     /// [`crate::Comm::measured`]; lets a fast host impersonate slow
@@ -116,6 +116,19 @@ pub enum AllreduceAlgo {
     /// values identical on every rank, so all ranks pick the same
     /// algorithm.
     Auto,
+}
+
+impl AllreduceAlgo {
+    /// The concrete algorithm an allreduce of `elems` f64s on `p` ranks
+    /// under `net` runs: `Auto` resolves through [`select_allreduce`], any
+    /// other algorithm is itself. Every input is identical on every rank
+    /// and backend, so all of them dispatch to the same schedule.
+    pub fn resolve(self, p: usize, elems: usize, net: &NetworkModel) -> AllreduceAlgo {
+        match self {
+            AllreduceAlgo::Auto => select_allreduce(p, elems, net),
+            algo => algo,
+        }
+    }
 }
 
 /// Predicted virtual cost (seconds) of one allreduce of `elems` f64s on
@@ -247,6 +260,13 @@ pub struct MachineSpec {
 }
 
 impl MachineSpec {
+    /// The schedule a world allreduce of `elems` f64s runs under `algo`
+    /// on this machine: the algorithm resolved over all `p` ranks (see
+    /// [`AllreduceAlgo::resolve`]) and the ranks per node.
+    pub fn allreduce_schedule(&self, algo: AllreduceAlgo, elems: usize) -> (AllreduceAlgo, usize) {
+        (algo.resolve(self.p, elems, &self.network), self.topology.node_size())
+    }
+
     /// Physical slot carrying a logical rank (identity when no promotion
     /// has touched the member table).
     pub fn slot(&self, rank: usize) -> usize {

@@ -112,7 +112,7 @@ pub struct SpmdOutput<T> {
     /// Elapsed virtual time: the maximum final clock over all ranks.
     pub elapsed: f64,
     /// Per-rank statistics, including the per-phase breakdown fed by
-    /// [`Comm::enter_phase`](crate::Comm::enter_phase) spans.
+    /// [`SpmdComm::enter_phase`](crate::SpmdComm::enter_phase) spans.
     pub ranks: Vec<RankStats>,
     /// Aggregate statistics (both send- and receive-side traffic totals;
     /// see [`RunStats::check_message_symmetry`]).
@@ -367,6 +367,7 @@ fn classify_panic(rank: usize, payload: Box<dyn std::any::Any + Send>) -> SimErr
 mod tests {
     use super::*;
     use crate::cost::presets;
+    use crate::traits::{Communicator, SpmdComm};
     use std::time::{Duration, Instant};
 
     #[test]

@@ -38,7 +38,7 @@ pub enum SimError {
     /// Replication-invariant violation (see [`crate::verify`]): a value
     /// that must be bitwise identical on every rank of the communicator
     /// (an allreduce/broadcast result, or a buffer passed to
-    /// [`crate::Comm::verify_replicated`]) hashed differently across ranks.
+    /// [`crate::SpmdComm::verify_replicated`]) hashed differently across ranks.
     ReplicationDivergence { rank: usize, seq: u64, detail: String },
     /// A non-blocking [`crate::Request`] was used incorrectly on a rank:
     /// waited twice, or completed out of protocol. Dropping a request

@@ -9,7 +9,7 @@
 //!
 //! Faults are injected at three checkpoints: the send entry and receive
 //! entry of every message, point-to-point or inside a collective at its
-//! rendezvous alike, and [`crate::Comm::work`]. Detection happens on the
+//! rendezvous alike, and [`crate::SpmdComm::work`]. Detection happens on the
 //! *receiving* side, where a wait that can provably never be satisfied
 //! surfaces as [`crate::SimError::PeerFailed`] naming the culprit rank,
 //! message seq, kind, and phase — instead of a hang. Delays additionally
@@ -134,6 +134,17 @@ pub enum FaultTrigger {
     AtTime(f64),
 }
 
+impl FaultTrigger {
+    /// Whether the send numbered `seq`, or a checkpoint at time `now`,
+    /// reaches this trigger.
+    fn reached(self, seq: u64, now: f64) -> bool {
+        match self {
+            FaultTrigger::AtSendSeq(n) => seq >= n,
+            FaultTrigger::AtTime(t) => now >= t,
+        }
+    }
+}
+
 /// One planned fault: who misbehaves, how, and when.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
@@ -197,28 +208,21 @@ impl FaultPlan {
         }
     }
 
-    /// One-shot crash probe for backends that carry no engine-side
-    /// `FaultState` (the native backend calls this at each send entry).
-    /// `seq` is the rank's current send count and the semantics mirror
-    /// the simulator's injection checkpoints: a crash spec fires when the
-    /// *next* send would reach its trigger. The shared fired flags keep
-    /// each fault one-shot across a supervisor's re-runs, exactly like
-    /// the simulated path.
+    /// The one crash rule, for every backend: at an injection checkpoint
+    /// of `rank`, whose current send count is `seq`, fire the first armed
+    /// crash spec that the *next* send (`seq + 1`) or the time `now`
+    /// reaches. The simulator's injection checkpoints ask through its
+    /// fault state; the native backend, which carries none, asks at each
+    /// send entry. The shared fired flags keep
+    /// each fault one-shot across a supervisor's re-runs. A crash that
+    /// fires is reported with `seq`: the sends the rank made.
     pub fn crash_now(&self, rank: usize, seq: u64, now: f64) -> bool {
-        for (i, s) in self.specs.iter().enumerate() {
-            let due = match s.trigger {
-                FaultTrigger::AtSendSeq(n) => seq + 1 >= n,
-                FaultTrigger::AtTime(t) => now >= t,
-            };
-            if s.rank == rank
+        self.specs.iter().enumerate().any(|(i, s)| {
+            s.rank == rank
                 && matches!(s.action, FaultAction::Crash)
-                && due
+                && s.trigger.reached(seq + 1, now)
                 && !self.fired[i].swap(true, Ordering::Relaxed)
-            {
-                return true;
-            }
-        }
-        false
+        })
     }
 
     /// A deterministic pseudo-random single-fault plan: `seed` fully
@@ -311,31 +315,19 @@ impl FaultState {
         !self.plan.fired[idx].swap(true, Ordering::Relaxed)
     }
 
-    fn hit(trigger: FaultTrigger, seq: u64, now: f64) -> bool {
-        match trigger {
-            FaultTrigger::AtSendSeq(n) => seq >= n,
-            FaultTrigger::AtTime(t) => now >= t,
-        }
-    }
-
-    /// Check crash specs for `rank` at an injection checkpoint. `seq` is
-    /// the rank's current send count (the next send would be `seq + 1`).
-    /// On the first hit the failure record is published, then returned so
-    /// the comm layer can die with a typed error.
+    /// Check crash specs for `rank` at an injection checkpoint by
+    /// [`FaultPlan::crash_now`]'s rule. `seq` is the rank's current send
+    /// count (the next send would be `seq + 1`). On a hit the failure
+    /// record is published, then returned so the comm layer can die with a
+    /// typed error.
     pub fn crash_due(&self, rank: usize, seq: u64, now: f64, phase: &str) -> Option<FailureRecord> {
-        for (i, s) in self.plan.specs.iter().enumerate() {
-            if s.rank == rank
-                && matches!(s.action, FaultAction::Crash)
-                && Self::hit(s.trigger, seq + 1, now)
-                && self.try_fire(i)
-            {
-                let rec = FailureRecord { kind: FaultKind::Crash, seq, phase: phase.to_string() };
-                // lint:allow(unwrap): mutex poisoning only follows another panic
-                self.failed.lock().expect("fault state lock")[rank] = Some(rec.clone());
-                return Some(rec);
-            }
+        if !self.plan.crash_now(rank, seq, now) {
+            return None;
         }
-        None
+        let rec = FailureRecord { kind: FaultKind::Crash, seq, phase: phase.to_string() };
+        // lint:allow(unwrap): mutex poisoning only follows another panic
+        self.failed.lock().expect("fault state lock")[rank] = Some(rec.clone());
+        Some(rec)
     }
 
     /// Apply message-level faults to the send `src → dst` with seq `seq`.
@@ -354,7 +346,7 @@ impl FaultState {
             }
             match s.action {
                 FaultAction::Drop { dst: d2 }
-                    if d2 == dst && Self::hit(s.trigger, seq, now) && self.try_fire(i) =>
+                    if d2 == dst && s.trigger.reached(seq, now) && self.try_fire(i) =>
                 {
                     d.dropped = true;
                     let rec =
@@ -363,17 +355,17 @@ impl FaultState {
                     self.dropped.lock().expect("fault state lock").insert((src, dst), rec);
                 }
                 FaultAction::Delay { dst: d2, secs }
-                    if d2 == dst && Self::hit(s.trigger, seq, now) && self.try_fire(i) =>
+                    if d2 == dst && s.trigger.reached(seq, now) && self.try_fire(i) =>
                 {
                     d.extra_delay += secs;
                 }
                 FaultAction::Corrupt { dst: d2, byte, mask }
-                    if d2 == dst && Self::hit(s.trigger, seq, now) && self.try_fire(i) =>
+                    if d2 == dst && s.trigger.reached(seq, now) && self.try_fire(i) =>
                 {
                     d.corrupt = Some((byte, mask | 1));
                 }
                 FaultAction::DegradeLink { dst: d2, factor }
-                    if d2 == dst && Self::hit(s.trigger, seq, now) && self.try_fire(i) =>
+                    if d2 == dst && s.trigger.reached(seq, now) && self.try_fire(i) =>
                 {
                     if let Some(degrade) = &self.degrade {
                         // lint:allow(unwrap): mutex poisoning only follows another panic

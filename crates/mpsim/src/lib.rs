@@ -15,7 +15,7 @@
 //! ## Quick tour
 //!
 //! ```
-//! use mpsim::{presets, run_spmd_default, ReduceOp};
+//! use mpsim::{presets, run_spmd_default, ReduceOp, SpmdComm};
 //!
 //! let machine = presets::meiko_cs2(4);
 //! let out = run_spmd_default(&machine, |comm| {
@@ -39,9 +39,10 @@
 //!   non-blocking ([`Request`] handles with `wait`/`waitall`)
 //! * [`schedule`] — the one copy of every shared collective schedule
 //!   (barrier, broadcast, gather, allgather, the allreduce family), as a
-//!   cached plan both backends run over a small point-to-point surface and
-//!   the simulator also runs at one rendezvous per collective
-//! * [`collectives`] — the world [`Comm`]'s collectives
+//!   cached plan the native backend runs as messages and the simulator at
+//!   one rendezvous per collective, over one hook trait
+//! * [`collectives`] — the reduction operators and the world [`Comm`]'s
+//!   schedule hooks
 //! * [`subcomm`] — sub-communicators (`MPI_Comm_split` analogue): one
 //!   group type for both backends
 //! * [`engine`] — the SPMD launcher ([`run_spmd`]) on the cooperative
@@ -57,13 +58,14 @@
 //!   coordinates ([`ReplayLog`]) that let a localized-recovery supervisor
 //!   replay a single failed rank instead of rolling the world back
 //! * [`trace`] — per-rank and aggregate statistics, including per-phase
-//!   buckets fed by the [`Comm::enter_phase`] span API
+//!   buckets fed by the [`SpmdComm::enter_phase`] span API
 //! * [`report`] — paper-style tables (per-phase time, speedup, efficiency,
 //!   critical path) rendered from per-rank stats as text/CSV/JSON
-//! * [`traits`] — the backend-neutral [`SpmdComm`] (world or group),
-//!   [`Communicator`] (world) and [`GroupCommunicator`] (group) traits
-//!   (plus [`CommError`]) that let the same SPMD driver run on this
-//!   simulator or on a wall-clock native backend
+//! * [`traits`] — the backend-neutral [`SpmdComm`] (world or group) and
+//!   [`Communicator`] (world) traits (plus [`CommError`]) that let the
+//!   same SPMD driver run on this simulator or on a wall-clock native
+//!   backend; every collective entry point is one provided method of
+//!   theirs
 //! * [`verify`] — opt-in SPMD correctness verification: collective
 //!   fingerprint cross-validation and replication-invariant hashing (see
 //!   [`SimOptions::verified`]); deadlocks are always diagnosed by the
@@ -112,5 +114,5 @@ pub use report::{PhaseRow, Report, RunRecord, RunRow};
 pub use subcomm::{Group, SubComm};
 pub use topology::Topology;
 pub use trace::{Event, EventKind, PhaseStats, RankStats, RunStats, RECOVERY_PHASE};
-pub use traits::{CommError, Communicator, GroupCommunicator, SpmdComm};
+pub use traits::{CommError, Communicator, SpmdComm};
 pub use verify::{hash_f64s, CollFingerprint, CollKind, VerifyOptions};

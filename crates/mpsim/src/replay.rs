@@ -23,7 +23,7 @@
 //! report's R-standby gates compare recovery times across policies
 //! honestly only if the logging tax is on the books.
 //!
-//! Rings are truncated by [`crate::Comm::replay_truncate`] (called by
+//! Rings are truncated by [`crate::SpmdComm::replay_truncate`] (called by
 //! the checkpoint publisher) — entries older than the last checkpoint
 //! can never need replaying. When a ring overflows its capacity the
 //! oldest entry is evicted and counted: an eviction since the last

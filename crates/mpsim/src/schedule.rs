@@ -13,8 +13,9 @@
 //! A plan runs two ways, with the same folds in the same order, so the
 //! results are bitwise identical:
 //!
-//! * **As messages,** on the native backend (`shmcomm`): `Plan::run`
-//!   walks one rank's program over the [`PointToPoint`] surface.
+//! * **As messages,** on the native backend (`shmcomm`): [`exchange`]
+//!   walks one rank's program over its world's `send_f64s`/`recv_f64s`
+//!   ([`crate::Communicator`]), a group's members addressed by world rank.
 //! * **At one rendezvous,** on the simulator: every member lends its
 //!   buffer and its message endpoint (clock, counters, event trace) to
 //!   one meeting point, and the last to arrive runs the whole plan for
@@ -30,16 +31,14 @@
 //! backends, by construction. That is what makes results bitwise
 //! identical across backends.
 //!
-//! A collective sees a communicator through three small traits:
-//!
-//! * [`PointToPoint`]: dense `rank`/`size`, tagged `send`/`recv` of `f64`
-//!   blocks, and a typed `mismatch` for inconsistent arguments;
-//! * [`Collective`]: the entry hook that allocates a collective's tag and
-//!   posts its fingerprint, the replication-check hook run on a
-//!   replicated result, and the hook that runs a plan;
-//! * [`World`]: what a world communicator lends the groups split from it
-//!   (its collective sequence, the communicator-scoped verifier hooks and
-//!   its rendezvous).
+//! A collective sees a communicator through one hook trait,
+//! [`Collective`]: the entry hook that allocates a collective's tag and
+//! posts its fingerprint, the replication check run on a replicated
+//! result, the hook that runs a plan, a typed `mismatch`, and the default
+//! allreduce schedule. Dense `rank` and `size` come from
+//! [`crate::SpmdComm`], whose provided methods (and
+//! [`crate::Communicator`]'s) are the one body of every collective entry
+//! point, on every communicator and both backends.
 //!
 //! # SPMD discipline
 //!
@@ -56,7 +55,7 @@
 //!
 //! Collectives carry no phase tagging of their own: every constituent
 //! send/recv and all idle time waiting on peers is charged to whatever
-//! phase span (see [`Comm::enter_phase`](crate::Comm::enter_phase)) is
+//! phase span (see [`SpmdComm::enter_phase`](crate::SpmdComm::enter_phase)) is
 //! open on the calling rank.
 
 use std::ops::Range;
@@ -66,42 +65,35 @@ use crate::collectives::ReduceOp;
 use crate::comm::{Endpoint, Net, Stamp};
 use crate::cost::AllreduceAlgo;
 use crate::error::SimError;
-use crate::replica::ReplicaKey;
-use crate::traits::Communicator;
-use crate::verify::{CollFingerprint, CollKind};
+use crate::traits::{Communicator, SpmdComm};
+use crate::verify::{CollFingerprint, CollKind, WORLD_COMM};
 
 /// Base of the tag space reserved for world collectives (above all user
 /// tags); a world collective's tag is this plus its sequence number.
 pub const COLL_TAG_BASE: u64 = 1 << 32;
 
-/// The point-to-point surface a plan runs on as messages.
-pub trait PointToPoint {
-    /// This rank's dense index in `0..size()`.
-    fn rank(&self) -> usize;
-    /// Number of ranks taking part.
-    fn size(&self) -> usize;
-    /// Buffered send of `data` to dense rank `to`.
-    fn send(&mut self, to: usize, tag: u64, data: &[f64]);
-    /// Blocking receive of the message from dense rank `from` with `tag`.
-    fn recv(&mut self, from: usize, tag: u64) -> Vec<f64>;
+/// The hooks the schedules run on, below the public
+/// [`SpmdComm`](crate::SpmdComm) surface: each world communicator and
+/// [`Group`](crate::subcomm::Group) implements them once, and every
+/// collective [`SpmdComm`](crate::SpmdComm) and
+/// [`Communicator`](crate::Communicator) offer is written once over them.
+pub trait Collective {
     /// Fail the run with a typed collective-argument mismatch.
     fn mismatch(&self, detail: String) -> !;
-}
-
-/// A communicator collectives run on: the point-to-point surface plus the
-/// per-communicator entry, replication and execution hooks.
-pub trait Collective: PointToPoint {
     /// Enter a collective: allocate its tag and post its fingerprint.
     fn coll_enter(&mut self, fp: CollFingerprint) -> u64;
     /// Cross-check a replicated result across ranks (no-op unless
     /// replication checking is on).
     fn check_replicated(&mut self, label: &str, buf: &[f64]);
     /// Run this rank's part of the plan `key` names, for the collective
-    /// just entered with `tag`. The default exchanges the plan's messages;
-    /// the simulator's communicators meet at its rendezvous instead.
-    fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
-        plan(key).run(self, tag, op, buf);
-    }
+    /// just entered with `tag`: at the simulator's rendezvous, or as
+    /// messages ([`exchange`]) on a world without one.
+    fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>);
+    /// The schedule and node size of an allreduce of `len` elements with
+    /// the communicator's default algorithm: a world's machine algorithm,
+    /// resolved ([`crate::MachineSpec::allreduce_schedule`]); a group's
+    /// recursive doubling with node size 1.
+    fn default_allreduce(&self, len: usize) -> (AllreduceAlgo, usize);
 }
 
 /// Where a member meets the other members of one collective.
@@ -120,51 +112,23 @@ pub struct Seating<'a> {
     pub tag: u64,
 }
 
-/// A world communicator: what it lends the groups split from it.
-pub trait World: Collective + Communicator {
-    /// Sequence number of the most recent world collective.
-    fn coll_seq(&self) -> u64;
-    /// Whether [`World::check_collective`] reads the fingerprints it is
-    /// given; when it does not, a split skips hashing its color table.
-    fn checks_collectives(&self) -> bool {
-        false
+impl Seating<'_> {
+    /// The seat of world rank `rank` at world collective `seq`.
+    pub fn world(seq: u64, rank: usize, tag: u64) -> Seating<'static> {
+        Seating { comm: WORLD_COMM, seq, members: None, rank, tag }
     }
-    /// Cross-check collective `seq` of communicator `comm` (`size` ranks)
-    /// against the other members' fingerprints.
-    fn check_collective(&mut self, comm: u64, seq: u64, size: usize, fp: CollFingerprint);
-    /// Cross-check a replicated result of collective `seq` of
-    /// communicator `comm` (`size` ranks).
-    fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]);
-    /// Run plan `key` at one rendezvous of every member instead of as
-    /// messages, if this world has one (the simulator's does). Returns
-    /// `false`, leaving `buf` alone, when the plan must run as messages.
-    fn rendezvous(
-        &mut self,
-        _at: Seating<'_>,
-        _key: PlanKey,
-        _op: ReduceOp,
-        _buf: &mut Buf<'_>,
-    ) -> bool {
-        false
-    }
-    /// [`crate::SpmdComm::derive_replicated`] for a member of communicator
-    /// `comm` (`size` members). The default derives in place, as a world
-    /// whose members run on threads of their own must (the native
-    /// backend's).
-    fn derive_replicated_in<T, K, D>(
-        &mut self,
-        _comm: u64,
-        _size: usize,
-        _key: K,
-        out: &mut T,
-        derive: D,
-    ) where
-        T: Clone + Send + 'static,
-        K: Fn(&mut ReplicaKey<'_>),
-        D: FnOnce(&mut T),
-    {
-        derive(out);
-    }
+}
+
+/// Run `at`'s part of the plan `key` names as messages over the world
+/// communicator `w`, addressing each member by its world rank.
+pub fn exchange<W: Communicator + ?Sized>(
+    w: &mut W,
+    at: Seating<'_>,
+    key: PlanKey,
+    op: ReduceOp,
+    buf: &mut Buf<'_>,
+) {
+    plan(key).run(w, &at, op, buf);
 }
 
 /// The fingerprint a collective posts on entry.
@@ -179,7 +143,7 @@ pub(crate) fn fp(
 
 /// Fail through `s` unless the buffer a message lands in is exactly as
 /// long as the message.
-pub(crate) fn check_len<S: PointToPoint + ?Sized>(s: &S, from: usize, mine: &[f64], data: &[f64]) {
+pub(crate) fn check_len<S: Collective + ?Sized>(s: &S, from: usize, mine: &[f64], data: &[f64]) {
     if mine.len() != data.len() {
         s.mismatch(format!(
             "buffer length {} != {} elements received from rank {from}",
@@ -305,7 +269,7 @@ impl Buf<'_> {
 
     /// Land the message `data` from `from` as `what` says, failing through
     /// `s` when its length disagrees with the range it lands in.
-    fn land<S: PointToPoint + ?Sized>(
+    fn land<S: Collective + ?Sized>(
         &mut self,
         s: &S,
         from: usize,
@@ -343,24 +307,24 @@ impl Plan {
             + (self.rounds.capacity() + self.starts.capacity() + self.program.capacity()) * 4
     }
 
-    /// Run `s`'s part of the plan as messages tagged `tag`.
-    pub(crate) fn run<S: PointToPoint + ?Sized>(
+    /// Run `at`'s part of the plan as messages over `w`.
+    fn run<W: Communicator + ?Sized>(
         &self,
-        s: &mut S,
-        tag: u64,
+        w: &mut W,
+        at: &Seating<'_>,
         op: ReduceOp,
         buf: &mut Buf<'_>,
     ) {
-        let me = s.rank();
+        let me = at.rank;
+        let world = |r: u32| at.members.map_or(r as usize, |m| m[r as usize]);
         let ops = &self.program[self.starts[me] as usize..self.starts[me + 1] as usize];
         for &code in ops {
             let st = self.steps[(code & !RECV) as usize];
             if code & RECV == 0 {
-                s.send(st.dst as usize, tag, buf.part(st.what));
+                w.send_f64s(world(st.dst), at.tag, buf.part(st.what));
             } else {
-                let from = st.src as usize;
-                let data = s.recv(from, tag);
-                buf.land(s, from, st.what, op, data);
+                let data = w.recv_f64s(world(st.src), at.tag);
+                buf.land(w, st.src as usize, st.what, op, data);
             }
         }
     }
@@ -854,7 +818,7 @@ fn halted(seat: &mut Seat, net: &Net) -> bool {
 
 /// Synchronize all ranks (dissemination barrier, `ceil(log2 P)` rounds of
 /// zero-length messages).
-pub fn barrier<C: Collective>(c: &mut C) {
+pub(crate) fn barrier<C: SpmdComm + ?Sized>(c: &mut C) {
     let p = c.size();
     if p <= 1 {
         return;
@@ -865,7 +829,7 @@ pub fn barrier<C: Collective>(c: &mut C) {
 
 /// Broadcast `buf` from `root` to all ranks (binomial tree). On entry only
 /// `root`'s buffer is meaningful; all ranks pass buffers of one length.
-pub fn broadcast<C: Collective>(c: &mut C, root: usize, buf: &mut [f64]) {
+pub(crate) fn broadcast<C: SpmdComm + ?Sized>(c: &mut C, root: usize, buf: &mut [f64]) {
     let p = c.size();
     if p <= 1 {
         return;
@@ -879,7 +843,11 @@ pub fn broadcast<C: Collective>(c: &mut C, root: usize, buf: &mut [f64]) {
 
 /// Gather each rank's (possibly differently sized) vector to `root`,
 /// concatenated in rank order. `Some` on the root, `None` elsewhere.
-pub fn gather<C: Collective>(c: &mut C, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn gather<C: SpmdComm + ?Sized>(
+    c: &mut C,
+    root: usize,
+    mine: &[f64],
+) -> Option<Vec<f64>> {
     let p = c.size();
     let me = c.rank();
     let tag = c.coll_enter(fp(CollKind::Gather, Some(root), None, mine.len()));
@@ -892,7 +860,7 @@ pub fn gather<C: Collective>(c: &mut C, root: usize, mine: &[f64]) -> Option<Vec
 
 /// Allgather over a ring: `result[r]` is rank `r`'s vector. Vectors may
 /// differ in length across ranks.
-pub fn allgather<C: Collective>(c: &mut C, mine: &[f64]) -> Vec<Vec<f64>> {
+pub(crate) fn allgather<C: SpmdComm + ?Sized>(c: &mut C, mine: &[f64]) -> Vec<Vec<f64>> {
     let p = c.size();
     let tag = c.coll_enter(fp(CollKind::Allgather, None, None, mine.len()));
     let mut blocks = vec![Vec::new(); p];
@@ -910,7 +878,7 @@ pub fn allgather<C: Collective>(c: &mut C, mine: &[f64]) -> Vec<Vec<f64>> {
 /// machine's ranks per node, read only by [`AllreduceAlgo::Hierarchical`].
 /// On exit every rank holds the element-wise reduction of all ranks'
 /// buffers, bitwise identical everywhere.
-pub fn allreduce<C: Collective>(
+pub(crate) fn allreduce<C: SpmdComm + ?Sized>(
     c: &mut C,
     buf: &mut [f64],
     op: ReduceOp,

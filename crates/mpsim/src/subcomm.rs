@@ -1,15 +1,18 @@
 //! Sub-communicators: the `MPI_Comm_split` analogue, for both backends.
 //!
-//! [`split`] partitions a world communicator by color; ranks sharing a
-//! color form a [`Group`] with dense ranks `0..group size` ordered by world
-//! rank, and [`Group::split`] partitions a group once more. A group borrows
-//! its world communicator and runs the shared [`crate::schedule`]
-//! collectives on it, mapping group ranks to world ranks through its
-//! member list, in a tag space and rendezvous keys disjoint from world
-//! traffic and from every other group's. The group type is
-//! generic over the world: [`SubComm`] is the simulator's and
+//! [`Communicator::split`] partitions a world communicator by color;
+//! ranks sharing a color form a [`Group`] with dense ranks `0..group
+//! size` ordered by world rank, and [`Group::split`] partitions a group
+//! once more. A group borrows its world communicator and runs the shared
+//! [`crate::schedule`] collectives on it, mapping group ranks to world
+//! ranks through its member list, in a tag space and rendezvous keys
+//! disjoint from world traffic and from every other group's. The group
+//! type is generic over the world: [`SubComm`] is the simulator's and
 //! `shmcomm::NativeSubComm` the native backend's, so both derive the same
-//! members, tags and registry ids from one protocol.
+//! members, tags and registry ids from one protocol. It implements
+//! [`SpmdComm`] and the schedules' [`Collective`] hooks once, for both;
+//! its allreduce is always recursive doubling, whatever the machine's
+//! default algorithm.
 //!
 //! The colors are a collective argument: every rank passes the same color
 //! function, `color_of(r)` being parent rank `r`'s color, so each rank
@@ -17,11 +20,11 @@
 //! message. It still takes one collective sequence number on the parent,
 //! which keeps the registry ids and tags of successive splits distinct and
 //! lets the verifier diagnose a rank that skips the split. When the world
-//! checks collectives ([`World::checks_collectives`]), the fingerprint
-//! also carries a hash of the whole color table, so a rank whose colors
-//! differ fails the run with a collective divergence; otherwise nothing
-//! reads that hash and a rank evaluates only the colors it needs: its
-//! own, and one per parent rank to find its group.
+//! checks collectives ([`Communicator::checks_collectives`]), the
+//! fingerprint also carries a hash of the whole color table, so a rank
+//! whose colors differ fails the run with a collective divergence;
+//! otherwise nothing reads that hash and a rank evaluates only the colors
+//! it needs: its own, and one per parent rank to find its group.
 //!
 //! As with MPI, a split is itself collective: every rank of the parent
 //! communicator must call it, in the same relative order with respect to
@@ -30,7 +33,9 @@
 use crate::collectives::ReduceOp;
 use crate::comm::Comm;
 use crate::cost::AllreduceAlgo;
-use crate::schedule::{self, fp, Buf, Collective, PlanKey, PointToPoint, Seating, World};
+use crate::replica::ReplicaKey;
+use crate::schedule::{self, fp, Buf, Collective, PlanKey, Seating};
+use crate::traits::{Communicator, SpmdComm};
 use crate::verify::{hash_f64s, CollFingerprint, CollKind};
 
 /// Tag-space marker for sub-communicator traffic (bit 63).
@@ -64,14 +69,6 @@ pub struct Group<'a, W> {
 /// The simulator's sub-communicator.
 pub type SubComm<'a> = Group<'a, Comm>;
 
-impl Comm {
-    /// Split the world communicator by `color_of(r)`, world rank `r`'s
-    /// color: ranks of equal color form a group (see [`split`]).
-    pub fn split(&mut self, color_of: impl Fn(usize) -> u32) -> SubComm<'_> {
-        split(self, color_of)
-    }
-}
-
 /// The fingerprint a split of a `size`-rank parent posts: the size and,
 /// when `hashed` (the world checks collectives), a hash of the whole
 /// color table.
@@ -83,29 +80,29 @@ fn split_fp(size: usize, color_of: &impl Fn(usize) -> u32, hashed: bool) -> Coll
     CollFingerprint { colors, ..fp(CollKind::Split, None, None, size) }
 }
 
-/// Split `world` by `color_of(r)`, world rank `r`'s color, which every rank
-/// must compute identically for every rank: ranks of equal color form a
-/// group. Collective over `world`, but no message moves. A color with bit
-/// 30 set fails the run with a typed collective mismatch: that bit marks
-/// nested groups.
-pub fn split<W: World>(world: &mut W, color_of: impl Fn(usize) -> u32) -> Group<'_, W> {
-    let size = PointToPoint::size(world);
-    let me = PointToPoint::rank(world);
-    let color = color_of(me);
-    if color & NESTED_COLOR_BIT != 0 {
-        world.mismatch(format!("split color {color:#x} sets bit 30, which marks nested groups"));
+impl<'a, W: Communicator> Group<'a, W> {
+    /// Split `world` by `color_of(r)`, world rank `r`'s color, which every
+    /// rank must compute identically for every rank: ranks of equal color
+    /// form a group ([`Communicator::split`]). Collective over `world`, but
+    /// no message moves. A color with bit 30 set fails the run with a
+    /// typed collective mismatch: that bit marks nested groups.
+    pub(crate) fn of_world(world: &'a mut W, color_of: impl Fn(usize) -> u32) -> Self {
+        let (size, me) = (world.size(), world.rank());
+        let color = color_of(me);
+        if color & NESTED_COLOR_BIT != 0 {
+            world
+                .mismatch(format!("split color {color:#x} sets bit 30, which marks nested groups"));
+        }
+        let hashed = world.checks_collectives();
+        world.coll_enter(split_fp(size, &color_of, hashed));
+        let members: Vec<usize> = (0..size).filter(|&r| color_of(r) == color).collect();
+        // All members entered the same split, so they agree on the world
+        // collective sequence number and derive the same id; including it
+        // keeps successive same-color splits distinct in the registries.
+        let comm_id = SUB_TAG_BASE | (u64::from(color) << 32) | world.coll_seq();
+        Group::new(world, members, me, color, comm_id)
     }
-    let hashed = world.checks_collectives();
-    world.coll_enter(split_fp(size, &color_of, hashed));
-    let members: Vec<usize> = (0..size).filter(|&r| color_of(r) == color).collect();
-    // All members entered the same split, so they agree on the world
-    // collective sequence number and derive the same id; including it
-    // keeps successive same-color splits distinct in the registries.
-    let comm_id = SUB_TAG_BASE | (u64::from(color) << 32) | world.coll_seq();
-    Group::new(world, members, me, color, comm_id)
-}
 
-impl<'a, W: World> Group<'a, W> {
     /// A group over `members` (world ranks, ascending) that contains the
     /// calling world rank `me`.
     fn new(world: &'a mut W, members: Vec<usize>, me: usize, color: u32, comm_id: u64) -> Self {
@@ -117,73 +114,17 @@ impl<'a, W: World> Group<'a, W> {
         Group { world, members, rank, color, seq: 0, comm_id }
     }
 
-    /// This rank's id within the group.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
     /// World ranks of the group, ascending.
     pub fn members(&self) -> &[usize] {
         &self.members
-    }
-
-    /// The group's registry id, unique among the communicators of a run.
-    pub(crate) fn comm_id(&self) -> u64 {
-        self.comm_id
-    }
-
-    /// Access the underlying world communicator (e.g. for `work`).
-    pub fn world(&mut self) -> &mut W {
-        self.world
-    }
-
-    /// Account local compute on the member's world clock, so group-local
-    /// algorithms (e.g. a shrunk EM resume after a rank failure) read
-    /// naturally without reaching for [`Group::world`] on every step.
-    pub fn work(&mut self, ops: u64) {
-        self.world.work(ops);
-    }
-
-    /// Synchronize the group (dissemination barrier over group ranks).
-    pub fn barrier(&mut self) {
-        schedule::barrier(self);
-    }
-
-    /// Broadcast from the group-rank `root` to the group (binomial tree).
-    pub fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        schedule::broadcast(self, root, buf);
-    }
-
-    /// Allreduce over the group; always recursive doubling, whatever the
-    /// machine's default algorithm.
-    pub fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        schedule::allreduce(self, buf, op, AllreduceAlgo::RecursiveDoubling, 1);
-    }
-
-    /// Allreduce of a single scalar over the group; the group analogue of
-    /// [`Comm::allreduce_scalar`].
-    pub fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
-        let mut buf = [value];
-        self.allreduce_f64s(&mut buf, op);
-        buf[0]
-    }
-
-    /// Gather variable-length vectors to the group-rank `root`,
-    /// concatenated in group-rank order. `Some` on the root.
-    pub fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        schedule::gather(self, root, mine)
     }
 
     /// Split this group by `color_of(r)`, group rank `r`'s color, which
     /// every member must compute identically for every member: members of
     /// equal color form a nested sub-communicator (`MPI_Comm_split` on a
     /// non-world communicator), with dense ranks ordered by parent group
-    /// rank. Collective over this group, with no message (see [`split`]).
+    /// rank. Collective over this group, with no message (see
+    /// [`Communicator::split`]).
     ///
     /// Two levels of splitting are supported, with colors up to `0x7FFF`
     /// at each: a larger color, or a split of a nested group, fails the
@@ -215,36 +156,49 @@ impl<'a, W: World> Group<'a, W> {
     }
 }
 
-impl<W: World> PointToPoint for Group<'_, W> {
+impl<W: Communicator> SpmdComm for Group<'_, W> {
     fn rank(&self) -> usize {
         self.rank
     }
     fn size(&self) -> usize {
         self.members.len()
     }
-    fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
-        self.world.send(self.members[to], tag, data);
+    /// Local compute on the member's world clock.
+    fn work(&mut self, ops: u64) {
+        self.world.work(ops);
     }
-    fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        self.world.recv(self.members[from], tag)
+    fn enter_phase(&mut self, name: &'static str) {
+        self.world.enter_phase(name);
     }
-    fn mismatch(&self, detail: String) -> ! {
-        self.world.mismatch(detail)
+    fn exit_phase(&mut self) {
+        self.world.exit_phase();
+    }
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    where
+        T: Clone + Send + 'static,
+        K: Fn(&mut ReplicaKey<'_>),
+        D: FnOnce(&mut T),
+    {
+        let size = self.members.len();
+        self.world.derive_replicated_in(self.comm_id, size, key, out, derive);
     }
 }
 
-impl<W: World> Collective for Group<'_, W> {
+impl<W: Communicator> Collective for Group<'_, W> {
+    fn mismatch(&self, detail: String) -> ! {
+        self.world.mismatch(detail)
+    }
     /// Allocate the group collective's tag and cross-validate its
     /// fingerprint against the other members (world-rank labelled, so
     /// divergence reports stay unambiguous).
     fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
         self.seq += 1;
-        let size = self.size();
+        let size = self.members.len();
         self.world.check_collective(self.comm_id, self.seq, size, fp);
         SUB_TAG_BASE | (u64::from(self.color) << 32) | self.seq
     }
     fn check_replicated(&mut self, label: &str, buf: &[f64]) {
-        let size = self.size();
+        let size = self.members.len();
         self.world.check_replication(self.comm_id, self.seq, size, label, buf);
     }
     /// Meet at the world's rendezvous, keyed by this group's id and
@@ -254,8 +208,12 @@ impl<W: World> Collective for Group<'_, W> {
         let members = Some(&self.members[..]);
         let at = Seating { comm: self.comm_id, seq: self.seq, members, rank: self.rank, tag };
         if !self.world.rendezvous(at, key, op, buf) {
-            schedule::plan(key).run(self, tag, op, buf);
+            schedule::exchange(self.world, at, key, op, buf);
         }
+    }
+    /// Always recursive doubling, whatever the machine's default.
+    fn default_allreduce(&self, _len: usize) -> (AllreduceAlgo, usize) {
+        (AllreduceAlgo::RecursiveDoubling, 1)
     }
 }
 

@@ -8,13 +8,14 @@
 //! EM try loop, runs unchanged on the world and on a split's group.
 //! [`Communicator`] adds what only a world has: point-to-point
 //! sends/receives, non-blocking and algorithm-pinned allreduces, the
-//! machine description, and `split`. [`GroupCommunicator`] adds a
-//! group's membership and nested `split`.
+//! machine description, `split`, and the hooks a world lends its groups.
+//! Every collective entry point is written once, as a provided method of
+//! one of the two, over the [`Collective`] hooks the schedules run on.
 //! [`crate::Comm`] implements [`Communicator`] for the simulated backend
 //! and the `shmcomm` crate's `NativeComm` for a wall-clock native backend
-//! over OS threads; [`GroupCommunicator`] has a single implementation, the
-//! [`crate::subcomm::Group`] split from either. One generic SPMD driver
-//! runs on both.
+//! over OS threads; a group is the one [`crate::subcomm::Group`] type,
+//! split from either, with its membership and nested `split` as inherent
+//! methods. One generic SPMD driver runs on both.
 //!
 //! `split` takes the colors as a collective argument — a function every
 //! rank evaluates for every rank — so each rank derives the membership
@@ -39,13 +40,12 @@
 //! their own variants instead of escaping as raw panics.
 
 use crate::collectives::ReduceOp;
-use crate::comm::{Comm, Request};
 use crate::cost::{AllreduceAlgo, MachineSpec};
 use crate::error::SimError;
 use crate::replica::ReplicaKey;
-use crate::schedule::World;
-use crate::subcomm::{Group, SubComm};
-use crate::verify::WORLD_COMM;
+use crate::schedule::{self, Buf, Collective, PlanKey, Seating};
+use crate::subcomm::Group;
+use crate::verify::CollFingerprint;
 
 /// A backend-neutral communication failure.
 ///
@@ -177,10 +177,12 @@ impl From<SimError> for CommError {
 /// seeding) is written once against this trait and runs on the world and
 /// on a split's group alike.
 ///
+/// Each collective here is written once, as a provided method over the
+/// [`Collective`] hooks and the shared schedules of [`crate::schedule`].
 /// Collectives must be called by every member in the same order with
 /// compatible arguments. The replication check and the replay log default
 /// to what a group has: no check and no log.
-pub trait SpmdComm {
+pub trait SpmdComm: Collective {
     /// This rank's id in `0..size()`.
     fn rank(&self) -> usize;
     /// Number of ranks in the communicator.
@@ -189,20 +191,41 @@ pub trait SpmdComm {
     /// clock. The simulator charges virtual time; the native backend
     /// measures real time implicitly, so this is free there.
     fn work(&mut self, ops: u64);
-    /// Open a named phase span on the rank's (world) clock (see
-    /// [`crate::Comm::enter_phase`]).
+    /// Open a named phase span on the rank's (world) clock: until the
+    /// matching [`SpmdComm::exit_phase`], every clock advance and every
+    /// message and collective on this rank is attributed to the bucket
+    /// named `name`. Spans nest, and re-entering a name accumulates into
+    /// the same bucket; whatever runs outside any span lands in the
+    /// implicit [`crate::DEFAULT_PHASE`] bucket.
     fn enter_phase(&mut self, name: &'static str);
-    /// Close the innermost open phase span.
+    /// Close the innermost open phase span (a no-op when none is open).
     fn exit_phase(&mut self);
 
-    /// Synchronize all members.
-    fn barrier(&mut self);
-    /// Broadcast `buf` from member `root` to all members.
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]);
-    /// Gather each member's vector to `root`, concatenated in rank order.
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>>;
-    /// Allreduce with the communicator's default algorithm.
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp);
+    /// Synchronize all members (dissemination barrier, `ceil(log2 P)`
+    /// rounds).
+    fn barrier(&mut self) {
+        schedule::barrier(self);
+    }
+    /// Broadcast `buf` from member `root` to all members (binomial tree).
+    /// On entry only `root`'s buffer is meaningful; all members pass
+    /// buffers of the same length.
+    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
+        schedule::broadcast(self, root, buf);
+    }
+    /// Gather each member's (possibly differently sized) vector to
+    /// `root`, concatenated in rank order: `Some` on the root, `None`
+    /// elsewhere.
+    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
+        schedule::gather(self, root, mine)
+    }
+    /// Allreduce with the communicator's default algorithm: a world's
+    /// machine algorithm ([`crate::MachineSpec::allreduce`]), a group's
+    /// recursive doubling. On exit every member holds the element-wise
+    /// reduction of all members' buffers.
+    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
+        let (algo, node_size) = self.default_allreduce(buf.len());
+        schedule::allreduce(self, buf, op, algo, node_size);
+    }
     /// Allreduce of a single scalar; returns the reduced value.
     fn allreduce_scalar(&mut self, value: f64, op: ReduceOp) -> f64 {
         let mut buf = [value];
@@ -253,7 +276,9 @@ pub trait SpmdComm {
 /// The world-communicator surface the SPMD driver is generic over: the
 /// shared [`SpmdComm`] surface plus point-to-point messaging, the
 /// machine description, non-blocking and algorithm-pinned allreduces,
-/// and `split`.
+/// `split`, and what a world lends the groups split from it (its
+/// collective sequence, the communicator-scoped verifier hooks and its
+/// rendezvous).
 ///
 /// Implementations: [`crate::Comm`] (simulated virtual time) and
 /// `shmcomm::NativeComm` (wall-clock OS threads). All methods carry the
@@ -264,12 +289,6 @@ pub trait SpmdComm {
 pub trait Communicator: SpmdComm {
     /// Handle for a non-blocking operation posted on this backend.
     type Req;
-    /// The sub-communicator type [`Communicator::split`] produces; borrows
-    /// the world communicator for its lifetime, exactly like
-    /// [`crate::SubComm`].
-    type Group<'g>: GroupCommunicator
-    where
-        Self: 'g;
 
     /// The machine description (used for algorithm selection; on the
     /// native backend it describes the machine being *compared against*,
@@ -279,24 +298,38 @@ pub trait Communicator: SpmdComm {
     /// depending on the backend).
     fn now(&self) -> f64;
 
-    /// Blocking typed send of an `f64` slice.
+    /// Blocking typed send of an `f64` slice to world rank `dst`.
+    /// Buffered, like an `MPI_Send` that always finds buffer space, so
+    /// send-then-receive exchanges cannot deadlock.
     fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]);
-    /// Blocking typed receive of an `f64` vector.
+    /// Blocking receive of the message from `src` with exactly `tag`;
+    /// messages from `src` with other tags are kept for later receives.
     fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64>;
     /// Non-blocking send; the returned request must be waited.
     fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Self::Req;
     /// Post a non-blocking receive; the matching wait yields the payload.
     fn irecv_f64s(&mut self, src: usize, tag: u64) -> Self::Req;
     /// Retire a non-blocking request (receives yield `Some(payload)`).
+    /// Waiting on a request twice fails the run naming this rank.
     fn wait(&mut self, req: &mut Self::Req) -> Option<Vec<f64>>;
     /// Retire every request in order, collecting each wait's result.
-    fn waitall(&mut self, reqs: &mut [Self::Req]) -> Vec<Option<Vec<f64>>>;
+    fn waitall(&mut self, reqs: &mut [Self::Req]) -> Vec<Option<Vec<f64>>> {
+        reqs.iter_mut().map(|r| self.wait(r)).collect()
+    }
 
-    /// Allreduce with an explicit algorithm (`Auto` resolves identically
-    /// on every rank and backend).
-    fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo);
-    /// Non-blocking allreduce with the machine's default algorithm.
-    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Self::Req;
+    /// Allreduce with an explicit algorithm. `Auto` resolves here, before
+    /// the fingerprint is posted (see [`AllreduceAlgo::resolve`]), so
+    /// every rank and backend dispatches to the same concrete schedule.
+    fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
+        let (algo, node_size) = self.machine().allreduce_schedule(algo, buf.len());
+        schedule::allreduce(self, buf, op, algo, node_size);
+    }
+    /// Non-blocking allreduce with the machine's default algorithm (see
+    /// [`Communicator::iallreduce_f64s_with`]).
+    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Self::Req {
+        let algo = self.machine().allreduce;
+        self.iallreduce_f64s_with(buf, op, algo)
+    }
     /// Non-blocking allreduce with an explicit algorithm. Data movement
     /// may run eagerly (both current backends do), which keeps results
     /// bitwise identical to the blocking call; only completion timing is
@@ -311,176 +344,57 @@ pub trait Communicator: SpmdComm {
     /// Split the communicator by `color_of(r)`, rank `r`'s color, which
     /// every rank computes identically for every rank; ranks of equal
     /// color form a group. Collective over the world communicator, with no
-    /// message (see [`crate::subcomm::split`]).
-    fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Self::Group<'_>;
-}
-
-/// The group-communicator surface a [`Communicator::split`] result
-/// supports: the shared [`SpmdComm`] surface (phase spans land on the
-/// underlying world clock) plus its membership and nested splits.
-pub trait GroupCommunicator: SpmdComm {
-    /// The nested sub-communicator type [`GroupCommunicator::split`]
-    /// produces; borrows this group (and through it the world
-    /// communicator) for its lifetime.
-    type Child<'c>: GroupCommunicator
+    /// message (see [`crate::subcomm`]).
+    fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Group<'_, Self>
     where
-        Self: 'c;
-
-    /// World ranks of the group, ascending.
-    fn members(&self) -> &[usize];
-    /// Split this group by `color_of(r)`, group rank `r`'s color, which
-    /// every member computes identically: members of equal color form a
-    /// nested sub-communicator (`MPI_Comm_split` on a non-world
-    /// communicator). Collective over this group, with no message.
-    fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Self::Child<'_>;
-}
-
-impl SpmdComm for Comm {
-    fn rank(&self) -> usize {
-        Comm::rank(self)
-    }
-    fn size(&self) -> usize {
-        Comm::size(self)
-    }
-    fn work(&mut self, ops: u64) {
-        Comm::work(self, ops);
-    }
-    fn enter_phase(&mut self, name: &'static str) {
-        Comm::enter_phase(self, name);
-    }
-    fn exit_phase(&mut self) {
-        Comm::exit_phase(self);
-    }
-    fn barrier(&mut self) {
-        Comm::barrier(self);
-    }
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        Comm::broadcast_f64s(self, root, buf);
-    }
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        Comm::gather_f64s(self, root, mine)
-    }
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        Comm::allreduce_f64s(self, buf, op);
-    }
-    fn checks_replication(&self) -> bool {
-        Comm::checks_replication(self)
-    }
-    fn verify_replicated(&mut self, label: &str, data: &[f64]) {
-        Comm::verify_replicated(self, label, data);
-    }
-    fn replay_truncate(&mut self) {
-        Comm::replay_truncate(self);
-    }
-    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
-    where
-        T: Clone + Send + 'static,
-        K: Fn(&mut ReplicaKey<'_>),
-        D: FnOnce(&mut T),
+        Self: Sized,
     {
-        let size = Comm::size(self);
-        World::derive_replicated_in(self, WORLD_COMM, size, key, out, derive);
+        Group::of_world(self, color_of)
     }
-}
 
-impl Communicator for Comm {
-    type Req = Request;
-    type Group<'g> = SubComm<'g>;
-
-    fn machine(&self) -> &MachineSpec {
-        Comm::machine(self)
+    /// Sequence number of the most recent world collective.
+    fn coll_seq(&self) -> u64;
+    /// Whether [`Communicator::check_collective`] reads the fingerprints
+    /// it is given; when it does not, a split skips hashing its color
+    /// table.
+    fn checks_collectives(&self) -> bool {
+        false
     }
-    fn now(&self) -> f64 {
-        Comm::now(self)
-    }
-    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
-        Comm::send_f64s(self, dst, tag, values);
-    }
-    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        Comm::recv_f64s(self, src, tag)
-    }
-    fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Request {
-        Comm::isend_f64s(self, dst, tag, values)
-    }
-    fn irecv_f64s(&mut self, src: usize, tag: u64) -> Request {
-        Comm::irecv_f64s(self, src, tag)
-    }
-    fn wait(&mut self, req: &mut Request) -> Option<Vec<f64>> {
-        Comm::wait(self, req)
-    }
-    fn waitall(&mut self, reqs: &mut [Request]) -> Vec<Option<Vec<f64>>> {
-        Comm::waitall(self, reqs)
-    }
-    fn allreduce_f64s_with(&mut self, buf: &mut [f64], op: ReduceOp, algo: AllreduceAlgo) {
-        Comm::allreduce_f64s_with(self, buf, op, algo);
-    }
-    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Request {
-        Comm::iallreduce_f64s(self, buf, op)
-    }
-    fn iallreduce_f64s_with(
+    /// Cross-check collective `seq` of communicator `comm` (`size` ranks)
+    /// against the other members' fingerprints.
+    fn check_collective(&mut self, comm: u64, seq: u64, size: usize, fp: CollFingerprint);
+    /// Cross-check a replicated result of collective `seq` of
+    /// communicator `comm` (`size` ranks).
+    fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]);
+    /// Run plan `key` at one rendezvous of every member instead of as
+    /// messages, if this world has one (the simulator's does). Returns
+    /// `false`, leaving `buf` alone, when the plan must run as messages.
+    fn rendezvous(
         &mut self,
-        buf: &mut [f64],
-        op: ReduceOp,
-        algo: AllreduceAlgo,
-    ) -> Request {
-        Comm::iallreduce_f64s_with(self, buf, op, algo)
+        _at: Seating<'_>,
+        _key: PlanKey,
+        _op: ReduceOp,
+        _buf: &mut Buf<'_>,
+    ) -> bool {
+        false
     }
-    fn split(&mut self, color_of: impl Fn(usize) -> u32) -> SubComm<'_> {
-        Comm::split(self, color_of)
-    }
-}
-
-/// The one group type, over either backend's world.
-impl<W: World> SpmdComm for Group<'_, W> {
-    fn rank(&self) -> usize {
-        Group::rank(self)
-    }
-    fn size(&self) -> usize {
-        Group::size(self)
-    }
-    fn work(&mut self, ops: u64) {
-        Group::work(self, ops);
-    }
-    fn enter_phase(&mut self, name: &'static str) {
-        self.world().enter_phase(name);
-    }
-    fn exit_phase(&mut self) {
-        self.world().exit_phase();
-    }
-    fn barrier(&mut self) {
-        Group::barrier(self);
-    }
-    fn broadcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        Group::broadcast_f64s(self, root, buf);
-    }
-    fn gather_f64s(&mut self, root: usize, mine: &[f64]) -> Option<Vec<f64>> {
-        Group::gather_f64s(self, root, mine)
-    }
-    fn allreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) {
-        Group::allreduce_f64s(self, buf, op);
-    }
-    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
-    where
+    /// [`SpmdComm::derive_replicated`] for a member of communicator
+    /// `comm` (`size` members). The default derives in place, as a world
+    /// whose members run on threads of their own must (the native
+    /// backend's).
+    fn derive_replicated_in<T, K, D>(
+        &mut self,
+        _comm: u64,
+        _size: usize,
+        _key: K,
+        out: &mut T,
+        derive: D,
+    ) where
         T: Clone + Send + 'static,
         K: Fn(&mut ReplicaKey<'_>),
         D: FnOnce(&mut T),
     {
-        let (comm, size) = (self.comm_id(), Group::size(self));
-        self.world().derive_replicated_in(comm, size, key, out, derive);
-    }
-}
-
-impl<W: World> GroupCommunicator for Group<'_, W> {
-    type Child<'c>
-        = Group<'c, W>
-    where
-        Self: 'c;
-
-    fn members(&self) -> &[usize] {
-        Group::members(self)
-    }
-    fn split(&mut self, color_of: impl Fn(usize) -> u32) -> Group<'_, W> {
-        Group::split(self, color_of)
+        derive(out);
     }
 }
 

@@ -21,7 +21,7 @@
 //! * **Replication hashing** ([`VerifyOptions::check_replication`]):
 //!   allreduce and broadcast results — which the simulator guarantees to be
 //!   bitwise identical on every rank — are hashed per rank and
-//!   cross-checked; [`crate::Comm::verify_replicated`] extends the same
+//!   cross-checked; [`crate::SpmdComm::verify_replicated`] extends the same
 //!   check to any value the program asserts is replicated (P-AutoClass
 //!   uses it on the model parameters across the EM loop).
 
@@ -46,7 +46,7 @@ pub struct VerifyOptions {
     /// Cross-validate every collective call's fingerprint across ranks.
     pub check_collectives: bool,
     /// Hash allreduce/broadcast results (and explicit
-    /// [`crate::Comm::verify_replicated`] buffers) per rank and require
+    /// [`crate::SpmdComm::verify_replicated`] buffers) per rank and require
     /// bitwise identity.
     pub check_replication: bool,
 }
@@ -163,7 +163,7 @@ pub(crate) struct VerifyState {
 /// Communicator id of the world communicator in the verification
 /// registries (both backends).
 pub const WORLD_COMM: u64 = 0;
-/// Communicator id for user-level [`crate::Comm::verify_replicated`] calls
+/// Communicator id for user-level [`crate::SpmdComm::verify_replicated`] calls
 /// (both backends).
 pub const USER_REPL_COMM: u64 = u64::MAX;
 

@@ -1,7 +1,7 @@
 //! The rendezvous against the wire: a collective plan run at one
 //! rendezvous must book, member by member, exactly what the same plan
 //! books when each member walks its program over `Comm`'s point-to-point
-//! messages (`Plan::run`, the native backend's way) — with every layer
+//! messages (`schedule::exchange`, the native backend's way) — with every layer
 //! on: event recording, a replay log, the verifier, and a fault plan
 //! injecting each fault kind at every send of its culprit.
 //!
@@ -30,38 +30,50 @@ use crate::engine::{run_spmd, SimOptions, SpmdOutput};
 use crate::error::SimError;
 use crate::fault::{FaultAction, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use crate::replay::{ReplayEntry, ReplayLog};
-use crate::schedule::{self, Collective, PointToPoint};
+use crate::schedule::{self, Buf, Collective, PlanKey, Seating};
 use crate::trace::EventKind;
+use crate::traits::{Communicator, SpmdComm};
 use crate::verify::{CollFingerprint, VerifyOptions};
 
-/// The world communicator with its collectives run as messages: the
-/// default [`Collective::run_plan`], over `Comm`'s point-to-point.
+/// The world communicator with its collectives run as messages
+/// ([`schedule::exchange`], the native backend's way), over `Comm`'s
+/// point-to-point.
 struct Wire<'a>(&'a mut Comm);
 
-impl PointToPoint for Wire<'_> {
+impl SpmdComm for Wire<'_> {
     fn rank(&self) -> usize {
         self.0.rank()
     }
     fn size(&self) -> usize {
         self.0.size()
     }
-    fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
-        PointToPoint::send(self.0, to, tag, data);
+    fn work(&mut self, ops: u64) {
+        self.0.work(ops);
     }
-    fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        PointToPoint::recv(self.0, from, tag)
+    fn enter_phase(&mut self, name: &'static str) {
+        self.0.enter_phase(name);
     }
-    fn mismatch(&self, detail: String) -> ! {
-        self.0.mismatch(detail)
+    fn exit_phase(&mut self) {
+        self.0.exit_phase();
     }
 }
 
 impl Collective for Wire<'_> {
+    fn mismatch(&self, detail: String) -> ! {
+        self.0.mismatch(detail)
+    }
     fn coll_enter(&mut self, fp: CollFingerprint) -> u64 {
         self.0.coll_enter(fp)
     }
     fn check_replicated(&mut self, label: &str, buf: &[f64]) {
         self.0.check_replicated(label, buf);
+    }
+    fn run_plan(&mut self, key: PlanKey, tag: u64, op: ReduceOp, buf: &mut Buf<'_>) {
+        let at = Seating::world(self.0.coll_seq(), self.0.rank(), tag);
+        schedule::exchange(self.0, at, key, op, buf);
+    }
+    fn default_allreduce(&self, len: usize) -> (AllreduceAlgo, usize) {
+        self.0.default_allreduce(len)
     }
 }
 
@@ -95,7 +107,7 @@ const LEN: usize = 7;
 const CULPRIT: usize = 1;
 
 /// Run `coll` on `c`, returning the bits it leaves in the caller's hands.
-fn run<C: Collective>(c: &mut C, coll: Coll, node_size: usize, salt: usize) -> Vec<u64> {
+fn run<C: SpmdComm>(c: &mut C, coll: Coll, node_size: usize, salt: usize) -> Vec<u64> {
     let (me, p) = (c.rank(), c.size());
     let mine: Vec<f64> = (0..LEN).map(|i| 0.5 + ((me * 31 + i * 7 + salt) % 17) as f64).collect();
     let out = match coll {

@@ -6,8 +6,8 @@
 //! the dropped one's place.
 
 use mpsim::{
-    presets, run_spmd, AllreduceAlgo, FaultAction, FaultKind, FaultPlan, FaultSpec, FaultTrigger,
-    ReduceOp, SimError, SimOptions,
+    presets, run_spmd, AllreduceAlgo, Communicator, FaultAction, FaultKind, FaultPlan, FaultSpec,
+    FaultTrigger, ReduceOp, SimError, SimOptions, SpmdComm,
 };
 
 /// One allreduce of `len` elements with `algo` on `meiko_cs2(p)`, rank 1

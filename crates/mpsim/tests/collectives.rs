@@ -1,7 +1,7 @@
 //! Correctness tests for the collectives: every algorithm must agree with
 //! a straightforward sequential reduction for all communicator sizes.
 
-use mpsim::{presets, run_spmd_default, AllreduceAlgo, ReduceOp};
+use mpsim::{presets, run_spmd_default, AllreduceAlgo, Communicator, ReduceOp, SpmdComm};
 
 const SIZES: &[usize] = &[1, 2, 3, 4, 5, 7, 8, 10, 13];
 
@@ -227,19 +227,6 @@ fn allgather_gives_every_rank_every_block() {
                 assert_eq!(*block, vec![r as f64; r % 3 + 1], "p={p} rank={rank} block={r}");
             }
         }
-    }
-}
-
-#[test]
-fn broadcast_u64_is_bit_exact() {
-    let spec = presets::zero_cost(6);
-    for value in [0u64, 1, u64::MAX, 0x7FF0_0000_0000_0001 /* would be a signaling NaN */] {
-        let out = run_spmd_default(&spec, |c| {
-            let v = if c.rank() == 2 { value } else { 0 };
-            c.broadcast_u64(2, v)
-        })
-        .unwrap();
-        assert!(out.per_rank.iter().all(|&v| v == value), "value={value:#x}");
     }
 }
 

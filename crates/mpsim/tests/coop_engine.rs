@@ -2,7 +2,7 @@
 //! guarantee, and the invariants (phase partition, message symmetry) the
 //! engine must keep at every size.
 
-use mpsim::{presets, run_spmd, ReduceOp, SimOptions};
+use mpsim::{presets, run_spmd, Communicator, ReduceOp, SimOptions, SpmdComm};
 use proptest::prelude::*;
 
 /// A representative SPMD body: a phase-bucketed neighbor exchange plus an

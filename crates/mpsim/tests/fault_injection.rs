@@ -7,8 +7,8 @@ use std::error::Error;
 use std::time::Duration;
 
 use mpsim::{
-    presets, run_spmd, AllreduceAlgo, DecodeError, FaultAction, FaultPlan, FaultSpec, FaultTrigger,
-    ReduceOp, SimError, SimOptions,
+    presets, run_spmd, AllreduceAlgo, Communicator, DecodeError, FaultAction, FaultPlan, FaultSpec,
+    FaultTrigger, ReduceOp, SimError, SimOptions, SpmdComm,
 };
 use proptest::prelude::*;
 

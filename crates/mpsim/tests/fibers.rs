@@ -9,7 +9,7 @@
 
 use std::sync::Barrier;
 
-use mpsim::{presets, run_spmd_default, Comm, ReduceOp, SimError};
+use mpsim::{presets, run_spmd_default, Comm, Communicator, ReduceOp, SimError, SpmdComm};
 
 /// Point-to-point ring traffic, uneven compute and collectives, so the
 /// scheduler switches ranks often and in a clock-dependent order.

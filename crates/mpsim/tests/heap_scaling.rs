@@ -22,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use mpsim::{presets, run_spmd, Comm, MachineSpec, ReduceOp, SimOptions};
+use mpsim::{presets, run_spmd, Comm, Communicator, MachineSpec, ReduceOp, SimOptions, SpmdComm};
 
 /// The system allocator, counting live heap bytes, their peak and the
 /// allocations made.

@@ -4,7 +4,7 @@
 
 #![cfg(all(target_os = "linux", target_arch = "x86_64", not(mpsim_tsan)))]
 
-use mpsim::{presets, run_spmd_default};
+use mpsim::{presets, run_spmd_default, SpmdComm};
 
 fn tasks() -> usize {
     std::fs::read_dir("/proc/self/task").map(Iterator::count).unwrap_or(0)

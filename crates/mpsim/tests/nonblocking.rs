@@ -14,8 +14,8 @@
 //!    checker.
 
 use mpsim::{
-    presets, run_spmd, run_spmd_default, AllreduceAlgo, ReduceOp, SimError, SimOptions,
-    DEFAULT_PHASE,
+    presets, run_spmd, run_spmd_default, AllreduceAlgo, Communicator, ReduceOp, SimError,
+    SimOptions, SpmdComm, DEFAULT_PHASE,
 };
 
 const ALGOS: [AllreduceAlgo; 5] = [

@@ -11,7 +11,8 @@
 //!    enclosing span.
 
 use mpsim::{
-    presets, run_spmd, AllreduceAlgo, EventKind, ReduceOp, RunStats, SimOptions, DEFAULT_PHASE,
+    presets, run_spmd, AllreduceAlgo, EventKind, ReduceOp, RunStats, SimOptions, SpmdComm,
+    DEFAULT_PHASE,
 };
 
 const ALGOS: [AllreduceAlgo; 5] = [

@@ -1,7 +1,7 @@
 //! Property-based tests: collectives must agree with sequential reductions
 //! for arbitrary inputs, communicator sizes, and algorithms.
 
-use mpsim::{presets, run_spmd_default, AllreduceAlgo, ReduceOp};
+use mpsim::{presets, run_spmd_default, AllreduceAlgo, Communicator, ReduceOp, SpmdComm};
 use proptest::prelude::*;
 
 fn op_strategy() -> impl Strategy<Value = ReduceOp> {

@@ -9,8 +9,8 @@
 use std::time::{Duration, Instant};
 
 use mpsim::{
-    presets, run_spmd, AllreduceAlgo, Comm, FaultPlan, MachineSpec, ReduceOp, SimError, SimOptions,
-    VerifyOptions,
+    presets, run_spmd, AllreduceAlgo, Comm, Communicator, FaultPlan, MachineSpec, ReduceOp,
+    SimError, SimOptions, SpmdComm, VerifyOptions,
 };
 use proptest::prelude::*;
 

@@ -1,7 +1,9 @@
 //! Tests of the optional message-event trace and heterogeneous rank
 //! speeds.
 
-use mpsim::{presets, run_spmd, run_spmd_default, EventKind, ReduceOp, SimOptions};
+use mpsim::{
+    presets, run_spmd, run_spmd_default, Communicator, EventKind, ReduceOp, SimOptions, SpmdComm,
+};
 
 #[test]
 fn trace_is_empty_when_disabled() {

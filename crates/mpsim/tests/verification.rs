@@ -5,7 +5,10 @@
 
 use std::time::{Duration, Instant};
 
-use mpsim::{presets, run_spmd, AllreduceAlgo, ReduceOp, SimError, SimOptions, VerifyOptions};
+use mpsim::{
+    presets, run_spmd, AllreduceAlgo, Communicator, ReduceOp, SimError, SimOptions, SpmdComm,
+    VerifyOptions,
+};
 use proptest::prelude::*;
 
 #[test]

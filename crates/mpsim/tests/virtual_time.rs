@@ -1,7 +1,9 @@
 //! Tests of the virtual-time model: determinism, monotonicity, and the
 //! qualitative cost behaviour the figure harnesses rely on.
 
-use mpsim::{presets, run_spmd_default, AllreduceAlgo, MachineSpec, ReduceOp};
+use mpsim::{
+    presets, run_spmd_default, AllreduceAlgo, Communicator, MachineSpec, ReduceOp, SpmdComm,
+};
 
 fn elapsed_of(spec: &MachineSpec, body: impl Fn(&mut mpsim::Comm) + Sync) -> f64 {
     run_spmd_default(spec, |c| body(c)).unwrap().elapsed

@@ -132,7 +132,7 @@ pub enum RecoveryPolicy {
     /// replicated state exactly and the EM search is deterministic.
     RestartFromCheckpoint,
     /// Exclude the culprit rank, rebuild a (P−1)-rank communicator via
-    /// `Comm::split`, repartition the data over the survivors, and resume
+    /// `Communicator::split`, repartition the data over the survivors, and resume
     /// from the latest checkpoint. Completes on degraded hardware; the
     /// rebuild cost is reported under the `"recovery"` phase bucket.
     ShrinkAndRedistribute,

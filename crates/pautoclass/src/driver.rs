@@ -36,8 +36,7 @@ use autoclass::model::{
     Approximation, ClassParams, CycleWorkspace, EStepScratch, Model, SuffStats, WtsMatrix,
 };
 use mpsim::{
-    predicted_allreduce_cost, select_allreduce, AllreduceAlgo, Communicator, ReduceOp, ReplicaKey,
-    SpmdComm,
+    predicted_allreduce_cost, AllreduceAlgo, Communicator, ReduceOp, ReplicaKey, SpmdComm,
 };
 
 use crate::config::{Exchange, Strategy};
@@ -478,13 +477,8 @@ fn pipelined_cycle<C: Communicator>(
     stats.data.push(e.complete_ll);
     let full_len = stats.data.len();
 
-    let algo = {
-        let machine = comm.machine();
-        match machine.allreduce {
-            AllreduceAlgo::Auto => select_allreduce(machine.p, full_len, &machine.network),
-            a => a,
-        }
-    };
+    let machine = comm.machine();
+    let algo = machine.allreduce.resolve(machine.p, full_len, &machine.network);
     let chunkable = matches!(algo, AllreduceAlgo::Linear | AllreduceAlgo::RecursiveDoubling) && {
         // Size-adaptive, like `AllreduceAlgo::Auto`: splitting into j
         // chunks multiplies the per-message fixed costs (LogGP L and o),
@@ -493,7 +487,6 @@ fn pipelined_cycle<C: Communicator>(
         // the predicted extra cost — on latency-bound machines with small
         // per-class payloads, the whole buffer goes as one collective.
         // Every input is replicated, so all ranks take the same branch.
-        let machine = comm.machine();
         let stride = stats.layout.stride;
         let whole = predicted_allreduce_cost(algo, machine.p, full_len, &machine.network);
         let split = (j - 1) as f64

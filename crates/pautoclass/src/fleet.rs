@@ -16,7 +16,7 @@
 //! bitwise identity for IEEE doubles away from `-0.0` — the exchange is
 //! bit-exact transport regardless of the allreduce algorithm. Every rank
 //! computes every rank's fleet from the rank blocks and passes that color
-//! table to [`GroupCommunicator::split`], so forming the fleet and leader
+//! table to [`Group::split`], so forming the fleet and leader
 //! sub-communicators moves no message: the control plane's cost grows
 //! with G and the fleet size, never with P, and a single fleet (G = 1)
 //! exchanges nothing at all. The replicated reports drive three decisions
@@ -56,8 +56,8 @@ use autoclass::model::{
 };
 use autoclass::search::Classification;
 use mpsim::{
-    run_spmd, CommError, Communicator, GroupCommunicator, MachineSpec, RankStats, ReduceOp,
-    RunStats, SimOptions, SpmdComm, RECOVERY_PHASE,
+    run_spmd, CommError, Communicator, Group, MachineSpec, RankStats, ReduceOp, RunStats,
+    SimOptions, SpmdComm, RECOVERY_PHASE,
 };
 use shmcomm::{run_native, NativeOptions};
 
@@ -348,8 +348,8 @@ fn top4_weights(classes: &[ClassParams]) -> [f64; 4] {
 /// original contiguous rank blocks — after a shrink only the culprit's
 /// fleet loses a member, the others keep their exact membership.
 #[allow(clippy::too_many_arguments)]
-fn fleet_core<G: GroupCommunicator>(
-    sub: &mut G,
+fn fleet_core<W: Communicator>(
+    sub: &mut Group<'_, W>,
     orig_p: usize,
     data: &Dataset,
     config: &ParallelConfig,
@@ -669,8 +669,8 @@ fn fleet_core<G: GroupCommunicator>(
 /// retained list into the supervisor's store: the leaders (`leads`, by
 /// group rank) gather their serialized lists to the first leader, which
 /// assembles, encodes and publishes the image.
-fn publish_fleet_checkpoint<G: GroupCommunicator>(
-    sub: &mut G,
+fn publish_fleet_checkpoint<W: Communicator>(
+    sub: &mut Group<'_, W>,
     store: &CheckpointStore,
     st: &FleetCheckpoint,
     in_progress: &[Option<usize>],
@@ -723,8 +723,8 @@ fn publish_fleet_checkpoint<G: GroupCommunicator>(
 /// computes the identical alignment (the confusion counts are exact
 /// integer sums); the labeling hash travels root → all so the summary is
 /// replicated.
-fn ensemble_stage<G: GroupCommunicator>(
-    sub: &mut G,
+fn ensemble_stage<W: Communicator>(
+    sub: &mut Group<'_, W>,
     data: &Dataset,
     model: &Model,
     all: &[Classification],
@@ -889,9 +889,9 @@ impl Supervised for FleetSearch<'_> {
 
     /// Fleet blocks stay anchored to the original ranks (`orig_p`), so
     /// only the culprit's fleet shrinks.
-    fn on_survivors<G: GroupCommunicator>(
+    fn on_survivors<W: Communicator>(
         &self,
-        sub: &mut G,
+        sub: &mut Group<'_, W>,
         orig_p: usize,
         checkpoints: Option<(usize, &CheckpointStore)>,
         resume: Option<&FleetCheckpoint>,

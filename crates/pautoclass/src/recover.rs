@@ -54,8 +54,8 @@ use std::sync::Mutex;
 
 use autoclass::data::{block_partition, Dataset};
 use mpsim::{
-    run_spmd, CommError, Communicator, DecodeError, GroupCommunicator, MachineSpec, RankStats,
-    ReplayLog, RunStats, SimError, SimOptions, SpmdComm, RECOVERY_PHASE,
+    run_spmd, CommError, Communicator, DecodeError, Group, MachineSpec, RankStats, ReplayLog,
+    RunStats, SimError, SimOptions, SpmdComm, RECOVERY_PHASE,
 };
 use shmcomm::{run_native, NativeOptions};
 
@@ -223,9 +223,9 @@ pub(crate) trait Supervised: Sync {
         resume: Option<&Self::Image>,
     ) -> Self::Found;
     /// The search on the survivors' group, after one of `orig_p` ranks left.
-    fn on_survivors<G: GroupCommunicator>(
+    fn on_survivors<W: Communicator>(
         &self,
-        sub: &mut G,
+        sub: &mut Group<'_, W>,
         orig_p: usize,
         checkpoints: Option<(usize, &CheckpointStore)>,
         resume: Option<&Self::Image>,

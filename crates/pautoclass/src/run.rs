@@ -25,8 +25,8 @@ use autoclass::model::{
 };
 use autoclass::search::{apply_class_death, is_duplicate, Classification, SearchConfig};
 use mpsim::{
-    run_spmd, Communicator, GroupCommunicator, MachineSpec, RankStats, RunStats, SimOptions,
-    SpmdComm, RECOVERY_PHASE,
+    run_spmd, Communicator, Group, MachineSpec, RankStats, RunStats, SimOptions, SpmdComm,
+    RECOVERY_PHASE,
 };
 use shmcomm::{run_native, NativeOptions};
 
@@ -315,9 +315,9 @@ impl Supervised for WorldSearch<'_> {
 
     /// The survivors repartition the data and rebuild the model (booked
     /// as recovery), then run the try loop on their group.
-    fn on_survivors<G: GroupCommunicator>(
+    fn on_survivors<W: Communicator>(
         &self,
-        sub: &mut G,
+        sub: &mut Group<'_, W>,
         _orig_p: usize,
         checkpoints: Option<(usize, &CheckpointStore)>,
         resume: Option<&SearchCheckpoint>,

@@ -17,7 +17,9 @@ use autoclass::model::{
     StatLayout, SuffStats, TermPrior, WtsMatrix,
 };
 use autoclass::search::{Classification, SearchConfig};
-use mpsim::{presets, run_spmd, Comm, SimOptions, SpmdOutput, VerifyOptions};
+use mpsim::{
+    presets, run_spmd, Comm, Communicator, SimOptions, SpmdComm, SpmdOutput, VerifyOptions,
+};
 use pautoclass::driver::{
     build_model, init_classes_parallel, parallel_base_cycle, replicated_tail, Source,
 };

@@ -127,14 +127,20 @@ fn abort_policy_surfaces_the_typed_culprit() {
     let machine = presets::meiko_cs2(4);
     let cfg = config(11);
     let ftc = ft(RecoveryPolicy::Abort);
-    let err = run_search_ft(&data, &machine, &cfg, &ftc, &opts_with(crash(1, 12))).unwrap_err();
-    match err {
-        RunError::Sim(SimError::RankCrashed { rank, seq, .. }) => {
-            assert_eq!(rank, 1);
-            assert!(seq <= 12, "crash at or before its trigger seq, got {seq}");
-        }
+    let culprit = |err: RunError| match err {
+        RunError::Sim(SimError::RankCrashed { rank, seq, .. })
+        | RunError::Comm(CommError::Sim(SimError::RankCrashed { rank, seq, .. })) => (rank, seq),
         other => panic!("expected the crash diagnosis, got {other}"),
-    }
+    };
+    let sim = run_search_ft(&data, &machine, &cfg, &ftc, &opts_with(crash(1, 12))).unwrap_err();
+    let (rank, seq) = culprit(sim);
+    assert_eq!(rank, 1);
+    assert!(seq <= 12, "crash at or before its trigger seq, got {seq}");
+    // One crash rule on both backends: the native error names the same
+    // rank and the same count of sends made.
+    let opts = NativeOptions { fault: Some(crash(1, 12)), ..NativeOptions::default() };
+    let native = run_search_ft_native(&data, &machine, &cfg, &ftc, &opts).unwrap_err();
+    assert_eq!(culprit(native), (rank, seq));
 }
 
 #[test]

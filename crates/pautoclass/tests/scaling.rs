@@ -5,7 +5,7 @@
 //! tests pin the *shapes* so regressions in the cost model or the drivers
 //! are caught.
 
-use mpsim::presets;
+use mpsim::{presets, SpmdComm};
 use pautoclass::{run_fixed_j, ParallelConfig};
 
 /// Virtual seconds per base_cycle for a dataset of `n` at `p` processors.

@@ -15,7 +15,7 @@
 //! buckets therefore partition elapsed wall time exactly like the
 //! simulated clock's do: `Σ phases[i].total() == elapsed`.
 //!
-//! [`NativeComm::work`] is a timing no-op: the real kernel already ran on
+//! [`SpmdComm::work`] is a timing no-op: the real kernel already ran on
 //! this thread and its duration lands in the compute bucket implicitly.
 
 use std::collections::VecDeque;
@@ -27,7 +27,10 @@ use std::time::{Duration, Instant};
 use mpsim::error::SimError;
 use mpsim::traits::CommError;
 use mpsim::verify::USER_REPL_COMM;
-use mpsim::{MachineSpec, PhaseLedger, RankStats};
+use mpsim::{
+    AllreduceAlgo, CollFingerprint, Communicator, MachineSpec, PhaseLedger, RankStats, ReduceOp,
+    SpmdComm,
+};
 
 /// How long a blocked receive sleeps per poll before re-checking the
 /// abort flag and its deadline.
@@ -114,7 +117,7 @@ pub(crate) enum ReqKind {
 }
 
 /// Handle for a non-blocking operation on the native backend. Must be
-/// retired by exactly one [`NativeComm::wait`] / [`NativeComm::waitall`];
+/// retired by exactly one [`Communicator::wait`] / [`Communicator::waitall`];
 /// dropping an unwaited request panics (same contract as the simulator's
 /// [`mpsim::Request`]).
 #[must_use = "non-blocking requests must be waited"]
@@ -133,13 +136,18 @@ impl Drop for NativeReq {
     }
 }
 
+/// A communicator over a subset of the native world's ranks: the
+/// split protocol, tag layout and group collectives are
+/// [`mpsim::subcomm::Group`]'s, written once for both backends.
+pub type NativeSubComm<'a> = mpsim::subcomm::Group<'a, NativeComm>;
+
 /// One rank's endpoint of the native shared-memory machine: the
 /// wall-clock implementor of [`mpsim::Communicator`].
 pub struct NativeComm {
     rank: usize,
     size: usize,
     machine: MachineSpec,
-    /// Start of this rank's body, origin of [`NativeComm::now`].
+    /// Start of this rank's body, origin of [`Communicator::now`].
     start: Instant,
     /// End of the last interval already booked into a bucket.
     last_stamp: Instant,
@@ -199,36 +207,6 @@ impl NativeComm {
         }
     }
 
-    /// This rank's id.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The machine description this native run is being compared against.
-    /// Only its *decision* surface matters here — algorithm selection
-    /// (`allreduce`, `network` for `Auto`) — so both backends take
-    /// identical branches; its timing parameters predict nothing about
-    /// real silicon.
-    pub fn machine(&self) -> &MachineSpec {
-        &self.machine
-    }
-
-    /// Wall-clock seconds since this rank's body started.
-    pub fn now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Timing no-op: real compute is measured implicitly (the kernel
-    /// already ran on this thread; its duration lands in the current
-    /// phase's compute bucket at the next comm call). Kept so SPMD
-    /// bodies written against the simulator run unchanged.
-    pub fn work(&mut self, _ops: u64) {}
-
     /// Raise a typed backend failure: flag the abort (so peers blocked in
     /// receives fail fast instead of timing out) and unwind with the
     /// error as payload for `run_native` to classify.
@@ -261,19 +239,6 @@ impl NativeComm {
         self.last_stamp = now;
     }
 
-    /// Open a named phase span; same nesting semantics as
-    /// [`mpsim::Comm::enter_phase`].
-    pub fn enter_phase(&mut self, name: &'static str) {
-        self.stamp_compute();
-        self.ledger.enter(name);
-    }
-
-    /// Close the innermost open phase span.
-    pub fn exit_phase(&mut self) {
-        self.stamp_compute();
-        self.ledger.exit();
-    }
-
     /// Snapshot this rank's statistics in the same shape the simulator
     /// reports: per-phase buckets (synthetic `"other"` first) that
     /// partition elapsed wall time.
@@ -297,57 +262,6 @@ impl NativeComm {
     }
 
     // ---- point-to-point ---------------------------------------------
-
-    /// Blocking typed send. Buffered (the channel is unbounded), so
-    /// send-then-recv exchange patterns cannot deadlock — the same
-    /// guarantee the simulator's buffered sends give the collective
-    /// schedules.
-    pub fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
-        self.stamp_compute();
-        // Same injection point as the simulated transport: a due crash
-        // fires at the send boundary, before any bytes move, so peers see
-        // a vanished rank rather than a half-delivered collective.
-        if let Some(plan) = &self.fault {
-            if plan.crash_now(self.rank, self.send_seq, self.start.elapsed().as_secs_f64()) {
-                let phase = self.ledger.current().to_string();
-                self.fail(CommError::Sim(SimError::RankCrashed {
-                    rank: self.rank,
-                    seq: self.send_seq + 1,
-                    phase,
-                }));
-            }
-        }
-        self.send_seq += 1;
-        if dst >= self.size {
-            self.fail(CommError::Sim(SimError::InvalidMachine(format!(
-                "rank {}: send to nonexistent rank {dst}",
-                self.rank
-            ))));
-        }
-        let b = self.ledger.bucket();
-        b.msgs_sent += 1;
-        b.bytes_sent += (values.len() * 8) as u64;
-        if self.senders[dst].send(Msg { tag, values: values.to_vec() }).is_err() {
-            self.fail(CommError::Disconnected {
-                rank: self.rank,
-                peer: dst,
-                detail: format!("send of tag {tag} found the peer's inbox closed"),
-            });
-        }
-        self.stamp_comm();
-    }
-
-    /// Blocking typed receive of the message from `src` carrying `tag`.
-    /// Time spent blocked is booked as idle in the current phase.
-    pub fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        self.stamp_compute();
-        let msg = self.pull(src, tag);
-        let b = self.ledger.bucket();
-        b.msgs_recvd += 1;
-        b.bytes_recvd += (msg.values.len() * 8) as u64;
-        self.stamp_idle();
-        msg.values
-    }
 
     /// Drain `src`'s channel until the message tagged `tag` appears,
     /// stashing out-of-order messages. Fails typed: abort flag →
@@ -389,26 +303,120 @@ impl NativeComm {
         }
     }
 
-    // ---- non-blocking -----------------------------------------------
+    /// Count a world collective in the current phase and return its
+    /// sequence number.
+    pub(crate) fn count_collective(&mut self) -> u64 {
+        self.coll_seq += 1;
+        self.ledger.bucket().collectives += 1;
+        self.coll_seq
+    }
+}
 
-    /// Non-blocking send. Data moves eagerly (the channel buffers), so
-    /// the returned request is already complete; it must still be waited
-    /// to satisfy the request discipline.
-    pub fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> NativeReq {
+impl SpmdComm for NativeComm {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.size
+    }
+    /// Timing no-op: real compute is measured implicitly (the kernel
+    /// already ran on this thread; its duration lands in the current
+    /// phase's compute bucket at the next comm call).
+    fn work(&mut self, _ops: u64) {}
+    fn enter_phase(&mut self, name: &'static str) {
+        self.stamp_compute();
+        self.ledger.enter(name);
+    }
+    fn exit_phase(&mut self) {
+        self.stamp_compute();
+        self.ledger.exit();
+    }
+    fn checks_replication(&self) -> bool {
+        self.repl.is_some()
+    }
+    fn verify_replicated(&mut self, label: &str, data: &[f64]) {
+        let Some(repl) = self.repl.clone() else { return };
+        self.repl_seq += 1;
+        let hash = mpsim::hash_f64s(data);
+        if let Err(e) = repl.check(self.rank, USER_REPL_COMM, self.repl_seq, self.size, label, hash)
+        {
+            self.fail(e);
+        }
+    }
+}
+
+impl Communicator for NativeComm {
+    type Req = NativeReq;
+
+    /// The machine description this native run is being compared against.
+    /// Only its *decision* surface matters here — algorithm selection
+    /// (`allreduce`, `network` for `Auto`) — so both backends take
+    /// identical branches; its timing parameters predict nothing about
+    /// real silicon.
+    fn machine(&self) -> &MachineSpec {
+        &self.machine
+    }
+    /// Wall-clock seconds since this rank's body started.
+    fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Buffered: the channel is unbounded, the same guarantee the
+    /// simulator's buffered sends give the collective schedules.
+    fn send_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) {
+        self.stamp_compute();
+        // Same injection point and rule as the simulated transport: a due
+        // crash fires at the send boundary, before any bytes move, so
+        // peers see a vanished rank rather than a half-delivered
+        // collective, and the error names the sends made.
+        if let Some(plan) = &self.fault {
+            if plan.crash_now(self.rank, self.send_seq, self.start.elapsed().as_secs_f64()) {
+                let phase = self.ledger.current().to_string();
+                let (rank, seq) = (self.rank, self.send_seq);
+                self.fail(CommError::Sim(SimError::RankCrashed { rank, seq, phase }));
+            }
+        }
+        self.send_seq += 1;
+        if dst >= self.size {
+            self.fail(CommError::Sim(SimError::InvalidMachine(format!(
+                "rank {}: send to nonexistent rank {dst}",
+                self.rank
+            ))));
+        }
+        let b = self.ledger.bucket();
+        b.msgs_sent += 1;
+        b.bytes_sent += (values.len() * 8) as u64;
+        if self.senders[dst].send(Msg { tag, values: values.to_vec() }).is_err() {
+            self.fail(CommError::Disconnected {
+                rank: self.rank,
+                peer: dst,
+                detail: format!("send of tag {tag} found the peer's inbox closed"),
+            });
+        }
+        self.stamp_comm();
+    }
+    /// Time spent blocked is booked as idle in the current phase.
+    fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64> {
+        self.stamp_compute();
+        let msg = self.pull(src, tag);
+        let b = self.ledger.bucket();
+        b.msgs_recvd += 1;
+        b.bytes_recvd += (msg.values.len() * 8) as u64;
+        self.stamp_idle();
+        msg.values
+    }
+    /// Data moves eagerly (the channel buffers), so the returned request
+    /// is already complete; it must still be waited to satisfy the
+    /// request discipline.
+    fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> NativeReq {
         self.send_f64s(dst, tag, values);
         NativeReq { rank: self.rank, kind: ReqKind::Ready, done: false }
     }
-
-    /// Post a non-blocking receive; the matching [`NativeComm::wait`]
-    /// pulls the payload.
-    pub fn irecv_f64s(&mut self, src: usize, tag: u64) -> NativeReq {
+    /// The matching wait pulls the payload.
+    fn irecv_f64s(&mut self, src: usize, tag: u64) -> NativeReq {
         NativeReq { rank: self.rank, kind: ReqKind::Recv { src, tag }, done: false }
     }
-
-    /// Retire a request. Receives return `Some(payload)`; completed
-    /// sends and collectives return `None`. Waiting twice is a typed
-    /// error, as on the simulator.
-    pub fn wait(&mut self, req: &mut NativeReq) -> Option<Vec<f64>> {
+    fn wait(&mut self, req: &mut NativeReq) -> Option<Vec<f64>> {
         if req.done {
             self.fail(CommError::Request {
                 rank: self.rank,
@@ -418,65 +426,35 @@ impl NativeComm {
         req.done = true;
         match req.kind {
             ReqKind::Ready => None,
-            ReqKind::Recv { src, tag } => {
-                self.stamp_compute();
-                let msg = self.pull(src, tag);
-                let b = self.ledger.bucket();
-                b.msgs_recvd += 1;
-                b.bytes_recvd += (msg.values.len() * 8) as u64;
-                self.stamp_idle();
-                Some(msg.values)
-            }
+            ReqKind::Recv { src, tag } => Some(self.recv_f64s(src, tag)),
         }
     }
-
-    /// Retire every request in order, collecting each wait's result.
-    pub fn waitall(&mut self, reqs: &mut [NativeReq]) -> Vec<Option<Vec<f64>>> {
-        reqs.iter_mut().map(|r| self.wait(r)).collect()
+    /// Like the simulator's, the data movement runs *eagerly*: on return
+    /// `buf` already holds the reduction — bitwise identical to the
+    /// blocking call — and the returned request is complete. The
+    /// simulator defers only virtual wire time (hidden behind later
+    /// `work`); on real silicon there is no deferred wire to hide, so the
+    /// pipelined driver degenerates gracefully to its synchronous
+    /// schedule.
+    fn iallreduce_f64s_with(
+        &mut self,
+        buf: &mut [f64],
+        op: ReduceOp,
+        algo: AllreduceAlgo,
+    ) -> NativeReq {
+        self.allreduce_f64s_with(buf, op, algo);
+        NativeReq { rank: self.rank, kind: ReqKind::Ready, done: false }
     }
 
-    // ---- replication checking ---------------------------------------
-
-    /// Whether replication-invariant hashing is enabled for this run.
-    pub fn checks_replication(&self) -> bool {
-        self.repl.is_some()
-    }
-
-    /// Count a world collective in the current phase and return its
-    /// sequence number.
-    pub(crate) fn count_collective(&mut self) -> u64 {
-        self.coll_seq += 1;
-        self.ledger.bucket().collectives += 1;
+    fn coll_seq(&self) -> u64 {
         self.coll_seq
     }
-
-    /// Hash a replicated result of collective `seq` on communicator
-    /// `comm_id` (`group` ranks) and cross-check it against the other
-    /// ranks (no-op unless replication checking is on).
-    pub(crate) fn check_replicated_in(
-        &mut self,
-        comm_id: u64,
-        seq: u64,
-        group: usize,
-        label: &str,
-        buf: &[f64],
-    ) {
+    /// The native backend has no fingerprint verifier.
+    fn check_collective(&mut self, _comm: u64, _seq: u64, _size: usize, _fp: CollFingerprint) {}
+    fn check_replication(&mut self, comm: u64, seq: u64, size: usize, label: &str, buf: &[f64]) {
         let Some(repl) = self.repl.clone() else { return };
         let hash = mpsim::hash_f64s(buf);
-        if let Err(e) = repl.check(self.rank, comm_id, seq, group, label, hash) {
-            self.fail(e);
-        }
-    }
-
-    /// Assert that `data` is bitwise identical on every rank. Collective
-    /// (all ranks must call it in the same order); no-op unless
-    /// replication checking is enabled.
-    pub fn verify_replicated(&mut self, label: &str, data: &[f64]) {
-        let Some(repl) = self.repl.clone() else { return };
-        self.repl_seq += 1;
-        let hash = mpsim::hash_f64s(data);
-        if let Err(e) = repl.check(self.rank, USER_REPL_COMM, self.repl_seq, self.size, label, hash)
-        {
+        if let Err(e) = repl.check(self.rank, comm, seq, size, label, hash) {
             self.fail(e);
         }
     }

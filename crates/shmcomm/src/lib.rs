@@ -9,8 +9,11 @@
 //! bitwise identical across backends by construction while the reported
 //! times come from real silicon.
 //!
-//! Both backends implement [`mpsim::Communicator`]; a driver written
-//! against the trait picks its machine with one call:
+//! Both backends implement [`mpsim::Communicator`], whose provided
+//! methods (and [`mpsim::SpmdComm`]'s) are the one body of every
+//! collective entry point; groups split from either are the one
+//! [`mpsim::subcomm::Group`] type ([`NativeSubComm`] here). A driver
+//! written against the trait picks its machine with one call:
 //!
 //! ```
 //! use mpsim::{presets, Communicator, ReduceOp};
@@ -48,9 +51,6 @@
 pub mod collectives;
 pub mod comm;
 pub mod engine;
-pub mod subcomm;
-mod traits_impl;
 
-pub use comm::{NativeComm, NativeReq};
+pub use comm::{NativeComm, NativeReq, NativeSubComm};
 pub use engine::{run_native, NativeOptions, NativeOutput};
-pub use subcomm::NativeSubComm;

@@ -6,7 +6,7 @@
 //! including ragged outer and inner group sizes. A split itself moves no
 //! message on either backend.
 
-use mpsim::{presets, Communicator, GroupCommunicator, ReduceOp, SpmdComm};
+use mpsim::{presets, Communicator, ReduceOp, SpmdComm};
 use proptest::prelude::*;
 use shmcomm::{run_native, NativeOptions};
 

@@ -6,8 +6,8 @@
 //! and split colors beyond what the group tag layout can hold.
 
 use mpsim::{
-    presets, AllreduceAlgo, CommError, Communicator, GroupCommunicator, MachineSpec, ReduceOp,
-    SimError, SimOptions, SpmdComm, VerifyOptions,
+    presets, AllreduceAlgo, CommError, Communicator, MachineSpec, ReduceOp, SimError, SimOptions,
+    SpmdComm, VerifyOptions,
 };
 use shmcomm::{run_native, NativeOptions};
 

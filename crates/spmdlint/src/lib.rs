@@ -90,7 +90,6 @@ pub const COLLECTIVES: &[&str] = &[
     "allreduce_scalar",
     "barrier",
     "broadcast_f64s",
-    "broadcast_u64",
     "gather_f64s",
     "iallreduce_f64s",
     "iallreduce_f64s_with",
@@ -111,7 +110,6 @@ pub const SANITIZERS: &[&str] = &[
     "allreduce_f64s_with",
     "allreduce_scalar",
     "broadcast_f64s",
-    "broadcast_u64",
 ];
 
 /// The blocking collectives the legacy loop rule watches (kept exactly

@@ -6,6 +6,7 @@ use autoclass::predict::{classify, posterior};
 use autoclass::report::report;
 use autoclass::search::{search, SearchConfig};
 use autoclass::Model;
+use mpsim::SpmdComm;
 use pautoclass::{run_search, ParallelConfig};
 
 #[test]

@@ -11,7 +11,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use autoclass::search::{search, SearchConfig};
-use mpsim::{presets, run_spmd_default, AllreduceAlgo, MachineSpec, SimOptions};
+use mpsim::{
+    presets, run_spmd_default, AllreduceAlgo, Communicator, MachineSpec, SimOptions, SpmdComm,
+};
 use pautoclass::{
     run_fixed_j, run_search, run_search_fleet_with, run_search_with, Exchange, FleetConfig,
     ParallelConfig, Partitioning, Strategy,
