@@ -173,7 +173,7 @@ impl Model {
 }
 
 /// MAP parameters of one class.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassParams {
     /// Expected item count w_j = Σ_i w_ij.
     pub weight: f64,
@@ -183,32 +183,6 @@ pub struct ClassParams {
     pub log_pi: f64,
     /// Per-attribute term parameters, in schema order.
     pub terms: Vec<TermParams>,
-}
-
-/// `clone_from` keeps this class's `terms` allocation, and each term's
-/// own, when the shapes match, so copying a class list into a warmed-up
-/// one of the same shape allocates nothing; otherwise `terms` is replaced
-/// by an exact-capacity clone.
-impl Clone for ClassParams {
-    fn clone(&self) -> Self {
-        ClassParams {
-            weight: self.weight,
-            pi: self.pi,
-            log_pi: self.log_pi,
-            terms: self.terms.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.weight = source.weight;
-        self.pi = source.pi;
-        self.log_pi = source.log_pi;
-        if self.terms.len() == source.terms.len() {
-            self.terms.iter_mut().zip(&source.terms).for_each(|(t, s)| t.refill_from(s));
-        } else {
-            self.terms = source.terms.clone();
-        }
-    }
 }
 
 impl ClassParams {
@@ -375,28 +349,6 @@ mod tests {
         assert_eq!(flat.len(), 2 * m.class_param_len());
         let back = classes_from_flat(&m, 2, &flat);
         assert_eq!(back, classes);
-    }
-
-    #[test]
-    fn clone_from_keeps_every_allocation_of_a_same_shape_class() {
-        let class = |w: f64, p: [f64; 3]| {
-            ClassParams::new(
-                w,
-                0.5,
-                vec![TermParams::normal(w, 1.0), TermParams::Multinomial { log_p: p.to_vec() }],
-            )
-        };
-        let source = class(2.0, [-0.5, -1.0, -2.0]);
-        let mut dest = class(7.0, [-3.0, -3.0, -3.0]);
-        let log_p_ptr = |c: &ClassParams| match &c.terms[1] {
-            TermParams::Multinomial { log_p } => log_p.as_ptr(),
-            other => panic!("unexpected term {other:?}"),
-        };
-        let (terms, log_p) = (dest.terms.as_ptr(), log_p_ptr(&dest));
-        dest.clone_from(&source);
-        assert_eq!(dest, source);
-        assert_eq!(dest.terms.as_ptr(), terms, "the term list was reallocated");
-        assert_eq!(log_p_ptr(&dest), log_p, "the multinomial's levels were reallocated");
     }
 
     #[test]

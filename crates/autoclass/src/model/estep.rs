@@ -235,7 +235,7 @@ impl<S: TileSink> Wide for Tiled<'_, '_, S> {
 /// Numerically equivalent to [`update_wts_naive`], not bitwise: phase 1
 /// applies the same per-element operation sequence (`log_pi`, then each
 /// term in group order) regardless of tiling, but phase 2 runs
-/// column-major over the tile — one [`fast_exp`] per element followed by
+/// column-major over the tile — one `fast_exp` per element followed by
 /// a normalization multiply (`w_c = e_c · (1/Σe)`) where the reference
 /// calls libm `exp` twice, and the scalar reductions associate per tile
 /// pass rather than strictly item-by-item. The two agree to
@@ -321,9 +321,12 @@ fn update_wts_tiled<S: TileSink>(
 
     scratch.class_weight_sums.clear();
     scratch.class_weight_sums.resize(j, 0.0);
-    scratch.rowmax.resize(ESTEP_TILE, 0.0);
-    scratch.sums.resize(ESTEP_TILE, 0.0);
-    scratch.accwr.resize(ESTEP_TILE, 0.0);
+    // No tile is longer than the partition, so a partition of a few
+    // items keeps a few-item scratch.
+    let tile = ESTEP_TILE.min(n);
+    scratch.rowmax.resize(tile, 0.0);
+    scratch.sums.resize(tile, 0.0);
+    scratch.accwr.resize(tile, 0.0);
 
     let mut log_likelihood = 0.0;
     let mut complete_ll = 0.0;
@@ -726,6 +729,30 @@ mod tests {
         }
         let total: f64 = out.class_weight_sums.iter().sum();
         assert!((total - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tile_scratch_is_sized_to_a_short_partition() {
+        // A 16-item partition of a larger dataset, as a rank of a large
+        // machine holds: its tile buffers hold 16 entries, not a full tile.
+        let schema = Schema::new(vec![Attribute::real("x", 0.01)]);
+        let rows: Vec<Vec<Value>> =
+            (0..ESTEP_TILE + 40).map(|i| vec![Value::Real(i as f64)]).collect();
+        let data = Dataset::from_rows(schema.clone(), &rows);
+        let model = Model::new(schema, &GlobalStats::compute(&data.full_view()));
+        let classes = vec![
+            ClassParams::new(2.0, 0.5, vec![TermParams::normal(10.0, 4.0)]),
+            ClassParams::new(2.0, 0.5, vec![TermParams::normal(200.0, 4.0)]),
+        ];
+        let view = data.view(100, 116);
+        let mut wts = WtsMatrix::default();
+        let mut scratch = EStepScratch::default();
+        update_wts_into(&model, &view, &classes, &mut wts, &mut scratch);
+        for (name, buf) in
+            [("rowmax", &scratch.rowmax), ("sums", &scratch.sums), ("accwr", &scratch.accwr)]
+        {
+            assert!(buf.capacity() <= 16, "{name} holds {} entries", buf.capacity());
+        }
     }
 
     #[test]

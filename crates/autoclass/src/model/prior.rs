@@ -548,28 +548,6 @@ pub enum TermParams {
 }
 
 impl TermParams {
-    /// Become a copy of `source`, refilling this term's vectors in place
-    /// when the shapes match, so nothing is allocated; any other term is
-    /// replaced by an exact-capacity clone.
-    pub(crate) fn refill_from(&mut self, source: &TermParams) {
-        match (self, source) {
-            (TermParams::Multinomial { log_p }, TermParams::Multinomial { log_p: src })
-                if log_p.len() == src.len() =>
-            {
-                log_p.copy_from_slice(src);
-            }
-            (
-                TermParams::MultiNormal { mean, chol, log_norm },
-                TermParams::MultiNormal { mean: m, chol: c, log_norm: n },
-            ) if mean.len() == m.len() && chol.len() == c.len() => {
-                mean.copy_from_slice(m);
-                chol.copy_from_slice(c);
-                *log_norm = *n;
-            }
-            (this, source) => *this = source.clone(),
-        }
-    }
-
     /// Correlated Gaussian parameters from a dense covariance matrix,
     /// with the normalization constant precomputed.
     ///

@@ -192,6 +192,24 @@ pub fn base_cycle(
     approx
 }
 
+/// Whether class `c` survives class death: its expected count reaches
+/// `min_weight`, or it is the heaviest class (weight `max_w`), which is
+/// kept unconditionally so J ≥ 1.
+fn survives(c: &ClassParams, min_weight: f64, max_w: f64) -> bool {
+    c.weight >= min_weight || c.weight == max_w
+}
+
+fn heaviest(classes: &[ClassParams]) -> f64 {
+    classes.iter().map(|c| c.weight).fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Whether [`apply_class_death`] would remove a class, without touching
+/// `classes`.
+pub fn class_death_due(classes: &[ClassParams], min_weight: f64) -> bool {
+    let max_w = heaviest(classes);
+    classes.len() > 1 && !classes.iter().all(|c| survives(c, min_weight, max_w))
+}
+
 /// Remove classes whose expected count dropped below the threshold.
 /// Returns true when anything was removed. Never removes the last class.
 pub fn apply_class_death(classes: &mut Vec<ClassParams>, min_weight: f64) -> bool {
@@ -199,9 +217,8 @@ pub fn apply_class_death(classes: &mut Vec<ClassParams>, min_weight: f64) -> boo
         return false;
     }
     let before = classes.len();
-    // Keep the heaviest class unconditionally so J ≥ 1.
-    let max_w = classes.iter().map(|c| c.weight).fold(f64::NEG_INFINITY, f64::max);
-    classes.retain(|c| c.weight >= min_weight || c.weight == max_w);
+    let max_w = heaviest(classes);
+    classes.retain(|c| survives(c, min_weight, max_w));
     if classes.is_empty() {
         unreachable!("the heaviest class is always retained");
     }

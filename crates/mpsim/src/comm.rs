@@ -685,9 +685,9 @@ impl SpmdComm for Comm {
             log.truncate(self.rank);
         }
     }
-    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut Arc<T>, derive: D)
     where
-        T: Clone + Send + 'static,
+        T: Clone + Send + Sync + 'static,
         K: Fn(&mut ReplicaKey<'_>),
         D: FnOnce(&mut T),
     {
@@ -872,15 +872,15 @@ impl Communicator for Comm {
         comm: u64,
         size: usize,
         key: K,
-        out: &mut T,
+        out: &mut Arc<T>,
         derive: D,
     ) where
-        T: Clone + Send + 'static,
+        T: Clone + Send + Sync + 'static,
         K: Fn(&mut ReplicaKey<'_>),
         D: FnOnce(&mut T),
     {
         if size < 2 || self.checks_replication() {
-            derive(out);
+            derive(Arc::make_mut(out));
         } else {
             self.coop.replicas.derive(comm, size, key, out, derive);
         }

@@ -143,7 +143,11 @@ impl Ord for HeapEntry {
 }
 
 struct CoopState {
+    /// Written only through [`CoopState::set_status`].
     status: Vec<RankStatus>,
+    /// Ranks whose status is `SendWait`, so a finishing rank looks for
+    /// senders parked on its mailboxes only while some sender is parked.
+    send_waits: usize,
     /// Each rank's virtual clock, frozen when it last blocked;
     /// the run-queue key. Invariant: a `Ready` rank has exactly one heap
     /// entry, pushed with its current frozen clock, so entries are never
@@ -164,6 +168,15 @@ struct CoopState {
     /// Each rank's seat back from a rendezvous that ran while it was
     /// blocked, until it is next resumed.
     inbox: Vec<Option<Box<Seat>>>,
+}
+
+impl CoopState {
+    /// Set `rank`'s status, keeping [`CoopState::send_waits`] in step.
+    fn set_status(&mut self, rank: usize, status: RankStatus) {
+        let parked = |s: &RankStatus| usize::from(matches!(s, RankStatus::SendWait { .. }));
+        self.send_waits = self.send_waits + parked(&status) - parked(&self.status[rank]);
+        self.status[rank] = status;
+    }
 }
 
 /// A collective some of its members have arrived at.
@@ -215,6 +228,7 @@ impl CoopShared {
         CoopShared {
             state: Mutex::new(CoopState {
                 status: vec![RankStatus::Ready; p],
+                send_waits: 0,
                 clocks: vec![0.0; p],
                 ready,
                 mail: BTreeMap::new(),
@@ -244,7 +258,7 @@ impl CoopShared {
 
     fn make_ready(state: &mut CoopState, rank: usize) {
         debug_assert!(state.status[rank].is_blocked(), "only blocked ranks re-enter the queue");
-        state.status[rank] = RankStatus::Ready;
+        state.set_status(rank, RankStatus::Ready);
         let clock = state.clocks[rank];
         state.ready.push(HeapEntry { clock, rank });
     }
@@ -264,7 +278,7 @@ impl CoopShared {
             }
             None => return None,
         };
-        state.status[next] = RankStatus::Running;
+        state.set_status(next, RankStatus::Running);
         Some(next)
     }
 
@@ -279,7 +293,7 @@ impl CoopShared {
         mut state: MutexGuard<'a, CoopState>,
     ) -> MutexGuard<'a, CoopState> {
         debug_assert!(status.is_blocked());
-        state.status[me] = status;
+        state.set_status(me, status);
         state.clocks[me] = now;
         drop(state);
         fiber::suspend();
@@ -531,12 +545,16 @@ impl CoopShared {
     /// cascade sees it.
     pub(crate) fn finish(&self, me: usize, failed: bool) {
         let mut state = self.lock();
-        state.status[me] = if failed { RankStatus::Failed } else { RankStatus::Done };
+        state.set_status(me, if failed { RankStatus::Failed } else { RankStatus::Done });
         state.pending[me] = None;
         let p = state.status.len();
-        for r in 0..p {
-            if state.status[r] == (RankStatus::SendWait { dst: me }) {
-                Self::make_ready(&mut state, r);
+        // Only a parked sender needs the scan: without one, finishing is
+        // O(1) and a launch does not pay O(P²) for its ranks' returns.
+        if state.send_waits > 0 {
+            for r in 0..p {
+                if state.status[r] == (RankStatus::SendWait { dst: me }) {
+                    Self::make_ready(&mut state, r);
+                }
             }
         }
         if failed && self.abort.load(Ordering::Relaxed) {

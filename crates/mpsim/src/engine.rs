@@ -4,7 +4,7 @@
 //! per-rank statistics. A panic on any rank aborts the whole run and is
 //! reported as a [`SimError`]. Ranks are cooperatively scheduled tasks on
 //! a virtual-time-ordered run queue with lazily created per-pair
-//! mailboxes (see [`crate::coop`]): each rank body runs as a stackful
+//! mailboxes (see the `coop` module): each rank body runs as a stackful
 //! fiber on the calling thread, which runs the scheduler loop, so no
 //! thread is started per rank and a handoff is a stack switch. Exactly
 //! one rank runs at a time, a blocked receive costs nothing, and a run
@@ -14,7 +14,7 @@
 //! # Stack overflow
 //!
 //! Each rank has a 1 MiB stack with a guard page below it, recycled
-//! from an earlier launch where one is pooled (see [`crate::fiber`]); a
+//! from an earlier launch where one is pooled (see the `fiber` module); a
 //! launch that cannot map the stacks it needs returns
 //! [`SimError::InvalidMachine`]. On x86_64
 //! Linux, where a rank's stack is a fiber stack rather than a thread's,
@@ -133,7 +133,7 @@ pub struct SpmdOutput<T> {
     /// working ranks.
     pub spare_ranks: Vec<RankStats>,
     /// What the members' replicated derivations did: how many were kept
-    /// for the other members, how many members copied one, and how many
+    /// for the other members, how many members shared one, and how many
     /// were still in the store at the end (see [`crate::replica`]).
     pub replicas: ReplicaStats,
 }

@@ -111,7 +111,7 @@ pub use payload::DecodeError;
 pub use replay::{ReplayEntry, ReplayLog};
 pub use replica::{ReplicaKey, ReplicaStats};
 pub use report::{PhaseRow, Report, RunRecord, RunRow};
-pub use subcomm::{Group, SubComm};
+pub use subcomm::Group;
 pub use topology::Topology;
 pub use trace::{Event, EventKind, PhaseStats, RankStats, RunStats, RECOVERY_PHASE};
 pub use traits::{CommError, Communicator, SpmdComm};

@@ -1,25 +1,29 @@
-//! Replicated derivations, run once per host.
+//! Replicated derivations, run once per host and held once per host.
 //!
 //! After a reduction every member of a communicator holds the same
 //! inputs and derives the same values from them: P-AutoClass's class
 //! parameters and scores after the statistics allreduce. The simulator
 //! runs every member on one host thread, so it need not pay for that
-//! derivation once per member. Through
-//! [`SpmdComm::derive_replicated`](crate::SpmdComm::derive_replicated), the
-//! first member of a communicator to arrive derives and keeps a copy of
-//! its result, keyed by the exact bits of the inputs, and every later
-//! member whose inputs match that key word for word copies the result
-//! with `clone_from` instead of deriving. A member whose inputs differ
-//! derives for itself, so a hit never rests on the members being
-//! replicated: the derivation is a pure function of the keyed bits.
+//! derivation, or for its result, once per member. Through
+//! [`SpmdComm::derive_replicated`](crate::SpmdComm::derive_replicated),
+//! each member holds its result behind an [`Arc`]. The first member of a
+//! communicator to arrive derives (through [`Arc::make_mut`]) and the
+//! store keeps a second handle to its result, keyed by the exact bits of
+//! the inputs; every later member whose inputs match that key word for
+//! word takes a handle to the same value instead of deriving, so all of
+//! them share one copy. A member whose inputs differ derives for itself,
+//! so a hit never rests on the members being replicated: the derivation
+//! is a pure function of the keyed bits.
 //!
-//! A kept result sits in one slot per communicator and is dropped once
+//! A kept handle sits in one slot per communicator and is dropped once
 //! all of the communicator's members have called, so the store holds at
 //! most one entry per communicator in flight, and the whole store goes
-//! with the run.
+//! with the run. A shared value lives until its last holder replaces it;
+//! a holder that changes it in place calls [`Arc::make_mut`], which copies
+//! it only while others still share it.
 
 use std::any::Any;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The exact bits a replicated derivation reads, fed piece by piece by
 /// the caller's key function (see
@@ -83,8 +87,8 @@ fn matches(kept: &[u64], key: &impl Fn(&mut ReplicaKey<'_>)) -> bool {
 pub struct ReplicaStats {
     /// Derivations whose result was kept for the other members.
     pub kept: u64,
-    /// Calls that copied a kept result instead of deriving.
-    pub copied: u64,
+    /// Calls that took a handle to a kept result instead of deriving.
+    pub shared: u64,
     /// Kept results still in the store when the run ended: some member
     /// never came for them (it failed first). Zero after a fault-free run.
     pub left: usize,
@@ -97,14 +101,15 @@ struct Entry {
     key: Vec<u64>,
     /// Members still to call.
     left: usize,
-    value: Box<dyn Any + Send>,
+    /// A handle to the deriving member's result.
+    value: Arc<dyn Any + Send + Sync>,
 }
 
 #[derive(Default)]
 struct Store {
     entries: Vec<Entry>,
     kept: u64,
-    copied: u64,
+    shared: u64,
 }
 
 /// The store of one cooperative run.
@@ -121,42 +126,50 @@ impl Replicas {
     }
 
     /// One member of communicator `comm` (`size` members, at least two)
-    /// calls for the derivation `key` names: copy the kept result into
-    /// `out` if the communicator's slot holds one with this key, else
-    /// derive into `out`, keeping a copy when the slot was empty.
-    pub(crate) fn derive<T, K, D>(&self, comm: u64, size: usize, key: K, out: &mut T, derive: D)
-    where
-        T: Clone + Send + 'static,
+    /// calls for the derivation `key` names: point `out` at the kept
+    /// result if the communicator's slot holds one with this key, else
+    /// derive into `out` (through [`Arc::make_mut`]), keeping a handle to
+    /// the result when the slot was empty.
+    pub(crate) fn derive<T, K, D>(
+        &self,
+        comm: u64,
+        size: usize,
+        key: K,
+        out: &mut Arc<T>,
+        derive: D,
+    ) where
+        T: Clone + Send + Sync + 'static,
         K: Fn(&mut ReplicaKey<'_>),
         D: FnOnce(&mut T),
     {
         let mut store = self.lock();
-        if let Some(i) = store.entries.iter().position(|e| e.comm == comm) {
+        let slot = store.entries.iter().position(|e| e.comm == comm);
+        if let Some(i) = slot {
             let e = &mut store.entries[i];
             e.left -= 1;
-            let hit = match e.value.downcast_ref::<T>() {
-                Some(v) if matches(&e.key, &key) => {
-                    out.clone_from(v);
-                    true
-                }
-                _ => false,
+            let hit = match Arc::clone(&e.value).downcast::<T>() {
+                Ok(v) if matches(&e.key, &key) => Some(v),
+                _ => None,
             };
             if e.left == 0 {
                 store.entries.swap_remove(i);
             }
-            if hit {
-                store.copied += 1;
+            if let Some(v) = hit {
+                store.shared += 1;
+                drop(store);
+                *out = v;
                 return;
             }
-            drop(store);
-            derive(out);
-            return;
         }
         drop(store);
-        derive(out);
+        derive(Arc::make_mut(out));
+        if slot.is_some() {
+            // A member that found the slot taken keeps nothing.
+            return;
+        }
         let mut words = Vec::new();
         key(&mut ReplicaKey(Mode::Record(&mut words)));
-        let value = Box::new(out.clone());
+        let value = Arc::clone(out);
         let mut store = self.lock();
         store.kept += 1;
         store.entries.push(Entry { comm, key: words, left: size - 1, value });
@@ -165,7 +178,7 @@ impl Replicas {
     /// The run's counters, with what is left in the store.
     pub(crate) fn stats(&self) -> ReplicaStats {
         let store = self.lock();
-        ReplicaStats { kept: store.kept, copied: store.copied, left: store.entries.len() }
+        ReplicaStats { kept: store.kept, shared: store.shared, left: store.entries.len() }
     }
 }
 
@@ -194,20 +207,25 @@ mod tests {
     }
 
     #[test]
-    fn members_copy_the_first_derivation_and_the_last_drops_it() {
+    fn members_share_the_first_derivation_and_the_last_drops_it() {
         let r = Replicas::default();
         let mut derived = 0;
+        let mut held = Vec::new();
         for member in 0..3 {
-            let mut out = vec![0.0; 2];
+            let mut out = Arc::new(vec![0.0; 2]);
             r.derive(1, 3, key_of(&[], &[2.0]), &mut out, |o| {
                 derived += 1;
                 o.iter_mut().for_each(|x| *x = 2.0 * f64::from(member + 1));
             });
             // The first member's result, on every member.
-            assert_eq!(out, [2.0, 2.0], "member {member}");
+            assert_eq!(*out, [2.0, 2.0], "member {member}");
+            held.push(out);
         }
         assert_eq!(derived, 1);
-        assert_eq!(r.stats(), ReplicaStats { kept: 1, copied: 2, left: 0 });
+        // One value, held by the three members and no longer by the store.
+        assert!(held.iter().all(|h| Arc::ptr_eq(h, &held[0])));
+        assert_eq!(Arc::strong_count(&held[0]), 3);
+        assert_eq!(r.stats(), ReplicaStats { kept: 1, shared: 2, left: 0 });
     }
 
     #[test]
@@ -217,15 +235,27 @@ mod tests {
         let calls = [(1, 1.0), (2, 1.0), (1, 5.0), (1, 1.0)];
         for (i, &(comm, x)) in calls.iter().enumerate() {
             let size = if comm == 1 { 3 } else { 2 };
-            let mut out = 0.0;
+            let mut out = Arc::new(0.0);
             r.derive(comm, size, key_of(&[], &[x]), &mut out, |o| *o = 10.0 * x + i as f64);
             // Communicator 2 never reads communicator 1's slot, the member
-            // with input 5 misses, and the last member copies the first's.
+            // with input 5 misses, and the last member shares the first's.
             let want = if i == 3 { 10.0 } else { 10.0 * x + i as f64 };
-            assert_eq!(out, want, "call {i}");
+            assert_eq!(*out, want, "call {i}");
         }
         // Communicator 1's entry went with its last member; communicator
         // 2's still waits for its second.
-        assert_eq!(r.stats(), ReplicaStats { kept: 2, copied: 1, left: 1 });
+        assert_eq!(r.stats(), ReplicaStats { kept: 2, shared: 1, left: 1 });
+    }
+
+    #[test]
+    fn a_miss_derives_into_its_own_value_and_leaves_the_shared_one() {
+        let r = Replicas::default();
+        let shared = Arc::new(1.0);
+        let mut out = Arc::clone(&shared);
+        r.derive(1, 2, key_of(&[], &[3.0]), &mut out, |o| *o += 2.0);
+        // The deriving member's value was shared, so it derived into a copy.
+        assert_eq!((*shared, *out), (1.0, 3.0));
+        // The store holds the only other handle to the derived value.
+        assert_eq!(Arc::strong_count(&out), 2);
     }
 }

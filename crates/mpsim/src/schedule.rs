@@ -48,14 +48,14 @@
 //! rendezvous key, so a rank that skips a collective deadlocks (and is
 //! diagnosed) rather than silently corrupting a later one. A buffer whose
 //! length disagrees with a peer's fails the run with
-//! [`SimError::CollectiveMismatch`](crate::SimError::CollectiveMismatch),
+//! [`SimError::CollectiveMismatch`],
 //! whether or not the fingerprint verifier is on.
 //!
 //! # Phase attribution
 //!
 //! Collectives carry no phase tagging of their own: every constituent
 //! send/recv and all idle time waiting on peers is charged to whatever
-//! phase span (see [`SpmdComm::enter_phase`](crate::SpmdComm::enter_phase)) is
+//! phase span (see [`SpmdComm::enter_phase`]) is
 //! open on the calling rank.
 
 use std::ops::Range;
@@ -73,10 +73,10 @@ use crate::verify::{CollFingerprint, CollKind, WORLD_COMM};
 pub const COLL_TAG_BASE: u64 = 1 << 32;
 
 /// The hooks the schedules run on, below the public
-/// [`SpmdComm`](crate::SpmdComm) surface: each world communicator and
+/// [`SpmdComm`] surface: each world communicator and
 /// [`Group`](crate::subcomm::Group) implements them once, and every
-/// collective [`SpmdComm`](crate::SpmdComm) and
-/// [`Communicator`](crate::Communicator) offer is written once over them.
+/// collective [`SpmdComm`] and [`Communicator`] offer is written once over
+/// them.
 pub trait Collective {
     /// Fail the run with a typed collective-argument mismatch.
     fn mismatch(&self, detail: String) -> !;

@@ -7,12 +7,12 @@
 //! [`crate::schedule`] collectives on it, mapping group ranks to world
 //! ranks through its member list, in a tag space and rendezvous keys
 //! disjoint from world traffic and from every other group's. The group
-//! type is generic over the world: [`SubComm`] is the simulator's and
-//! `shmcomm::NativeSubComm` the native backend's, so both derive the same
-//! members, tags and registry ids from one protocol. It implements
-//! [`SpmdComm`] and the schedules' [`Collective`] hooks once, for both;
-//! its allreduce is always recursive doubling, whatever the machine's
-//! default algorithm.
+//! type is generic over the world: `Group<'_, Comm>` is the simulator's
+//! and `Group<'_, shmcomm::NativeComm>` the native backend's, so both
+//! derive the same members, tags and registry ids from one protocol. It
+//! implements [`SpmdComm`] and the schedules' [`Collective`] hooks once,
+//! for both; its allreduce is always recursive doubling, whatever the
+//! machine's default algorithm.
 //!
 //! The colors are a collective argument: every rank passes the same color
 //! function, `color_of(r)` being parent rank `r`'s color, so each rank
@@ -30,8 +30,9 @@
 //! communicator must call it, in the same relative order with respect to
 //! other collectives.
 
+use std::sync::Arc;
+
 use crate::collectives::ReduceOp;
-use crate::comm::Comm;
 use crate::cost::AllreduceAlgo;
 use crate::replica::ReplicaKey;
 use crate::schedule::{self, fp, Buf, Collective, PlanKey, Seating};
@@ -65,9 +66,6 @@ pub struct Group<'a, W> {
     /// world communicator and from groups of other splits/colors.
     comm_id: u64,
 }
-
-/// The simulator's sub-communicator.
-pub type SubComm<'a> = Group<'a, Comm>;
 
 /// The fingerprint a split of a `size`-rank parent posts: the size and,
 /// when `hashed` (the world checks collectives), a hash of the whole
@@ -173,9 +171,9 @@ impl<W: Communicator> SpmdComm for Group<'_, W> {
     fn exit_phase(&mut self) {
         self.world.exit_phase();
     }
-    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut Arc<T>, derive: D)
     where
-        T: Clone + Send + 'static,
+        T: Clone + Send + Sync + 'static,
         K: Fn(&mut ReplicaKey<'_>),
         D: FnOnce(&mut T),
     {

@@ -39,6 +39,8 @@
 //! simulated analogue (a disconnected channel, a poisoned mutex) get
 //! their own variants instead of escaping as raw panics.
 
+use std::sync::Arc;
+
 use crate::collectives::ReduceOp;
 use crate::cost::{AllreduceAlgo, MachineSpec};
 use crate::error::SimError;
@@ -247,29 +249,31 @@ pub trait SpmdComm: Collective {
     /// native backend.
     fn replay_truncate(&mut self) {}
 
-    /// Run `derive` on `out`, where `derive` is a pure function of the
-    /// words `key` feeds and writes all of `out` from them alone. Every
-    /// member calls this at the same point with its own `out`, typically
-    /// right after the reduction that made its inputs equal to every
-    /// other member's; local work is charged by the caller, as before.
+    /// Run `derive` on `out`'s value, where `derive` is a pure function of
+    /// the words `key` feeds and writes all of the value from them alone.
+    /// Every member calls this at the same point with its own `out`,
+    /// typically right after the reduction that made its inputs equal to
+    /// every other member's; local work is charged by the caller, as
+    /// before.
     ///
-    /// The default derives in place, and so do the native backend's
-    /// threads and any simulated run that checks replication, where every
-    /// member deriving for itself is the proof. Elsewhere on the
-    /// simulator, whose members share one host thread, the first member
-    /// derives and keeps a copy and each later member whose key matches
-    /// it word for word takes it with `clone_from` (see
-    /// [`crate::replica`]): the same bits in `out`, at the cost of a
-    /// compare and a copy.
-    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut T, derive: D)
+    /// The default derives through [`Arc::make_mut`], and so do the native
+    /// backend's threads, whose handles are their own (so in place), and
+    /// any simulated run that checks replication, where every member
+    /// deriving for itself is the proof. Elsewhere on the simulator, whose
+    /// members share one host thread, the first member derives and the
+    /// store keeps a handle to its result, and each later member whose key
+    /// matches it word for word takes a handle to that one value (see
+    /// [`crate::replica`]): the same bits behind `out`, at the cost of a
+    /// compare, and one copy per host instead of one per member.
+    fn derive_replicated<T, K, D>(&mut self, key: K, out: &mut Arc<T>, derive: D)
     where
         Self: Sized,
-        T: Clone + Send + 'static,
+        T: Clone + Send + Sync + 'static,
         K: Fn(&mut ReplicaKey<'_>),
         D: FnOnce(&mut T),
     {
         let _ = key;
-        derive(out);
+        derive(Arc::make_mut(out));
     }
 }
 
@@ -379,22 +383,22 @@ pub trait Communicator: SpmdComm {
         false
     }
     /// [`SpmdComm::derive_replicated`] for a member of communicator
-    /// `comm` (`size` members). The default derives in place, as a world
-    /// whose members run on threads of their own must (the native
-    /// backend's).
+    /// `comm` (`size` members). The default derives through
+    /// [`Arc::make_mut`], as a world whose members run on threads of their
+    /// own must (the native backend's, whose handles are never shared).
     fn derive_replicated_in<T, K, D>(
         &mut self,
         _comm: u64,
         _size: usize,
         _key: K,
-        out: &mut T,
+        out: &mut Arc<T>,
         derive: D,
     ) where
-        T: Clone + Send + 'static,
+        T: Clone + Send + Sync + 'static,
         K: Fn(&mut ReplicaKey<'_>),
         D: FnOnce(&mut T),
     {
-        derive(out);
+        derive(Arc::make_mut(out));
     }
 }
 

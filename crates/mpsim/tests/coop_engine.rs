@@ -73,6 +73,27 @@ fn bounded_mailbox_holds_under_a_flood() {
     assert!(out.mailbox_high_water > 0, "flood never used the mailbox");
 }
 
+#[test]
+fn a_sender_parked_on_a_rank_that_returns_is_released() {
+    // With one envelope in flight per pair, rank 0's second send parks on
+    // rank 1's full mailbox. Rank 1 returns without receiving, so its
+    // finish must wake the parked sender, whose send then sees the closed
+    // endpoint and returns; the run ends normally.
+    let spec = presets::zero_cost(2);
+    let opts = SimOptions { max_inflight_per_pair: 1, ..SimOptions::default() };
+    let out = run_spmd(&spec, &opts, |c| {
+        if c.rank() == 0 {
+            for i in 0..3 {
+                c.send_f64s(1, 5, &[f64::from(i)]);
+            }
+        }
+        c.rank()
+    })
+    .unwrap();
+    assert_eq!(out.per_rank, [0, 1]);
+    assert_eq!(out.mailbox_high_water, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 

@@ -12,11 +12,12 @@
 //! payload, and the cycle's scores — is the *replicated tail*
 //! ([`replicated_tail`], [`decode_classes`]). It goes through
 //! [`SpmdComm::derive_replicated`], so on the simulator, whose ranks share
-//! one host thread, it runs once per host: the first rank derives, and
-//! every rank whose inputs match bit for bit copies the result. Each rank
-//! still charges the derivation's work, so virtual time cannot tell the
-//! difference. On real threads, or with replication checking on, every
-//! rank derives for itself.
+//! one host thread, it runs once per host and its result is held once per
+//! host: the first rank derives, and every rank whose inputs match bit for
+//! bit takes a handle to the same [`Tail`]. Each rank still charges the
+//! derivation's work, so virtual time cannot tell the difference. On real
+//! threads, or with replication checking on, every rank derives for
+//! itself, into a handle of its own.
 //!
 //! There is one EM cycle, [`blocking_cycle`], and one model build,
 //! [`build_model`], both generic over [`mpsim::SpmdComm`]: the world runs
@@ -28,6 +29,8 @@
 //! on the simulated machine (`mpsim::Comm`, virtual time) or on real cores
 //! (`shmcomm::NativeComm`, wall-clock time) with bitwise-identical
 //! numerical results.
+
+use std::sync::Arc;
 
 use autoclass::data::{DataView, GlobalStats};
 use autoclass::model::{
@@ -79,8 +82,7 @@ pub fn init_classes_parallel<C: SpmdComm>(
     view: &DataView<'_>,
     j: usize,
     seed: u64,
-    classes: &mut Vec<ClassParams>,
-) {
+) -> Arc<Tail> {
     let flat_len = model.class_param_len() * j;
     let mut flat = if comm.rank() == 0 {
         let init = init_classes(model, view, j, seed);
@@ -89,7 +91,9 @@ pub fn init_classes_parallel<C: SpmdComm>(
         vec![0.0; flat_len]
     };
     comm.broadcast_f64s(0, &mut flat);
-    decode_classes(comm, model, j, &flat, classes);
+    let mut tail = Arc::default();
+    decode_classes(comm, model, j, &flat, &mut tail);
+    tail
 }
 
 /// Where [`replicated_tail`] takes a cycle's classes from.
@@ -109,30 +113,19 @@ const TAIL_FROM_FLAT: u64 = 2;
 const TAIL_KEPT: u64 = 3;
 const DECODE: u64 = 4;
 
-/// What [`replicated_tail`] and [`decode_classes`] derive, as the
-/// replicated store keeps it.
-#[derive(Debug, Default)]
-struct Tail {
-    classes: Vec<ClassParams>,
-    approx: Approximation,
-}
-
-/// A copy into a warmed-up tail of the same class count reuses its class
-/// list (see [`ClassParams`]'s `clone_from`); any other count gets an
-/// exact-capacity clone, as a fresh derivation or decode would.
-impl Clone for Tail {
-    fn clone(&self) -> Self {
-        Tail { classes: self.classes.clone(), approx: self.approx }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        if self.classes.len() == source.classes.len() {
-            self.classes.clone_from_slice(&source.classes);
-        } else {
-            self.classes = source.classes.clone();
-        }
-        self.approx = source.approx;
-    }
+/// What [`replicated_tail`] and [`decode_classes`] derive: a try's
+/// current classes and the scores of the cycle that derived them. Every
+/// rank holds it behind an `Arc`, which on the simulator all the ranks of
+/// a communicator share; a rank that changes its classes in place (class
+/// death, the Pipelined exchange's per-class derive) takes
+/// [`Arc::make_mut`], which copies them only while they are shared.
+#[derive(Debug, Clone, Default)]
+pub struct Tail {
+    /// The class parameters.
+    pub classes: Vec<ClassParams>,
+    /// The scores of the cycle that derived `classes` (default after a
+    /// decode).
+    pub approx: Approximation,
 }
 
 /// The replicated tail of a cycle: the new classes from `source`, then
@@ -143,24 +136,23 @@ impl Clone for Tail {
 /// those bits. Charges nothing: the caller charges the derivation
 /// ([`mstep_ops`]) and the scoring (one statistics stride per class) where
 /// its virtual time has always put them.
+///
+/// With [`Source::Kept`] the classes the caller derived are part of the
+/// result a sharing rank takes: they are a pure function of the same
+/// statistics and model.
 pub fn replicated_tail<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
     stats: &SuffStats,
     scalars: [f64; 2],
     source: Source<'_>,
-    classes: &mut Vec<ClassParams>,
+    tail: &mut Arc<Tail>,
 ) -> Approximation {
     let j = stats.layout.j;
     let (tag, flat) = match source {
         Source::Stats => (TAIL_FROM_STATS, &[][..]),
         Source::Flat(flat) => (TAIL_FROM_FLAT, flat),
         Source::Kept => (TAIL_KEPT, &[][..]),
-    };
-    let kept = matches!(source, Source::Kept);
-    let mut tail = Tail {
-        classes: if kept { Vec::new() } else { std::mem::take(classes) },
-        approx: Approximation::default(),
     };
     let key = |k: &mut ReplicaKey<'_>| {
         k.word(tag);
@@ -170,7 +162,7 @@ pub fn replicated_tail<C: SpmdComm>(
         k.f64s(flat);
         model.key_words(&mut |w| k.word(w));
     };
-    comm.derive_replicated(key, &mut tail, |tail| {
+    comm.derive_replicated(key, tail, |tail| {
         match source {
             Source::Stats => {
                 stats_to_classes_into(model, stats, &mut tail.classes);
@@ -180,13 +172,10 @@ pub fn replicated_tail<C: SpmdComm>(
         }
         tail.approx = evaluate(model, stats, scalars[0], scalars[1]);
     });
-    if !kept {
-        *classes = tail.classes;
-    }
     tail.approx
 }
 
-/// Decode `j` classes from a broadcast payload into `classes`, once per
+/// Decode `j` classes from a broadcast payload into `tail`, once per
 /// host (see [`replicated_tail`]): the decode reads only the payload, `j`
 /// and the model's priors and `n_total`.
 pub fn decode_classes<C: SpmdComm>(
@@ -194,7 +183,7 @@ pub fn decode_classes<C: SpmdComm>(
     model: &Model,
     j: usize,
     flat: &[f64],
-    classes: &mut Vec<ClassParams>,
+    tail: &mut Arc<Tail>,
 ) {
     let key = |k: &mut ReplicaKey<'_>| {
         k.word(DECODE);
@@ -202,11 +191,10 @@ pub fn decode_classes<C: SpmdComm>(
         k.f64s(flat);
         model.key_words(&mut |w| k.word(w));
     };
-    let mut tail = Tail { classes: std::mem::take(classes), approx: Approximation::default() };
-    comm.derive_replicated(key, &mut tail, |tail| {
+    comm.derive_replicated(key, tail, |tail| {
         classes_from_flat_into(model, j, flat, &mut tail.classes);
+        tail.approx = Approximation::default();
     });
-    *classes = tail.classes;
 }
 
 /// One parallel `base_cycle` on the world: [`blocking_cycle`], or for the
@@ -217,26 +205,26 @@ pub fn parallel_base_cycle<C: Communicator>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
-    classes: &mut Vec<ClassParams>,
+    tail: &mut Arc<Tail>,
     ws: &mut CycleWorkspace,
     strategy: Strategy,
 ) -> Approximation {
     if strategy != (Strategy::Full { exchange: Exchange::Pipelined }) {
-        return blocking_cycle(comm, model, view, classes, ws, strategy);
+        return blocking_cycle(comm, model, view, tail, ws, strategy);
     }
-    ws.reset_stats(model, classes.len());
+    ws.reset_stats(model, tail.classes.len());
     let CycleWorkspace { wts, estep, stats, flat, accum } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
-    let scalars = pipelined_cycle(comm, model, view, classes, wts, estep, stats, accum);
-    let approx = replicated_tail(comm, model, stats, scalars, Source::Kept, classes);
-    end_cycle(comm, stats, scalars, classes, flat);
+    let scalars = pipelined_cycle(comm, model, view, tail, wts, estep, stats, accum);
+    let approx = replicated_tail(comm, model, stats, scalars, Source::Kept, tail);
+    end_cycle(comm, stats, scalars, &tail.classes, flat);
     approx
 }
 
 /// One parallel `base_cycle`: E-step + weight Allreduce, M-step with the
-/// configured statistics exchange, and the approximation update. Updates
-/// `classes` in place with the new parameters and returns the cycle's
-/// (global) scores — identical on every member. The world runs it (through
+/// configured statistics exchange, and the approximation update. Points
+/// `tail` at the new parameters and returns the cycle's (global) scores —
+/// identical on every member. The world runs it (through
 /// [`parallel_base_cycle`]), and so do a fleet's group and a shrink's
 /// survivors, with the Fused exchange.
 ///
@@ -259,18 +247,18 @@ pub fn blocking_cycle<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
-    classes: &mut Vec<ClassParams>,
+    tail: &mut Arc<Tail>,
     ws: &mut CycleWorkspace,
     strategy: Strategy,
 ) -> Approximation {
-    let j = classes.len();
+    let j = tail.classes.len();
     ws.reset_stats(model, j);
     let CycleWorkspace { wts, estep, stats, flat, .. } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
 
     // ---- update_wts (Figure 4) -------------------------------------------
     comm.enter_phase("estep");
-    let e = update_wts_into(model, view, classes, wts, estep);
+    let e = update_wts_into(model, view, &tail.classes, wts, estep);
     comm.work(e.ops);
     comm.exit_phase();
     // Allreduce of the per-class weight sums w_j, in place in the scratch.
@@ -323,6 +311,8 @@ pub fn blocking_cycle<C: SpmdComm>(
                         let idx = stats.layout.weight_index(c);
                         stats.data[idx] = 0.0;
                     }
+                    // One exact growth per layout, not a doubling.
+                    stats.data.reserve_exact(2);
                     stats.data.push(e.log_likelihood);
                     stats.data.push(e.complete_ll);
                     comm.enter_phase("allreduce");
@@ -351,7 +341,7 @@ pub fn blocking_cycle<C: SpmdComm>(
             packed
         }
         Strategy::WtsOnly => {
-            wts_only_mstep(comm, model, view, wts, stats, flat, classes, j);
+            wts_only_mstep(comm, model, view, wts, stats, flat, tail, j);
             None
         }
     };
@@ -375,8 +365,8 @@ pub fn blocking_cycle<C: SpmdComm>(
         Strategy::WtsOnly => Source::Flat(flat),
         Strategy::Full { .. } => Source::Stats,
     };
-    let approx = replicated_tail(comm, model, stats, scalars, source, classes);
-    end_cycle(comm, stats, scalars, classes, flat);
+    let approx = replicated_tail(comm, model, stats, scalars, source, tail);
+    end_cycle(comm, stats, scalars, &tail.classes, flat);
     approx
 }
 
@@ -438,23 +428,26 @@ fn end_cycle<C: SpmdComm>(
 ///
 /// The only steady-state heap allocation in this cycle is the vector of
 /// `Request` handles (`j + 1` of them) — documented in DESIGN.md §10;
-/// everything else reuses the [`CycleWorkspace`] buffers.
+/// everything else reuses the [`CycleWorkspace`] buffers. The per-class
+/// derive writes the classes in place, so on the simulator, where the
+/// ranks share them, each rank first takes a copy of its own.
 #[allow(clippy::too_many_arguments)]
 fn pipelined_cycle<C: Communicator>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
-    classes: &mut Vec<ClassParams>,
+    tail: &mut Arc<Tail>,
     wts: &mut WtsMatrix,
     estep: &mut EStepScratch,
     stats: &mut SuffStats,
     accum: &mut Vec<f64>,
 ) -> [f64; 2] {
-    let j = classes.len();
+    let j = tail.classes.len();
 
     // ---- fused update_wts + statistics accumulation (one pass) -------
     comm.enter_phase("estep");
-    let (e, stat_ops) = update_wts_and_stats_into(model, view, classes, wts, estep, stats, accum);
+    let (e, stat_ops) =
+        update_wts_and_stats_into(model, view, &tail.classes, wts, estep, stats, accum);
     comm.work(e.ops);
     comm.exit_phase();
     // The statistics ops are charged under "mstep" so the phase rows stay
@@ -473,6 +466,7 @@ fn pipelined_cycle<C: Communicator>(
     for c in 0..j {
         stats.data[stats.layout.weight_index(c)] = 0.0;
     }
+    stats.data.reserve_exact(2);
     stats.data.push(e.log_likelihood);
     stats.data.push(e.complete_ll);
     let full_len = stats.data.len();
@@ -518,7 +512,8 @@ fn pipelined_cycle<C: Communicator>(
 
     // Identical on every rank (class shapes are replicated), so this
     // branch — and with it the collective schedule — matches across ranks.
-    let in_place = classes.iter().all(|c| c.terms.len() == model.groups.len());
+    let in_place = tail.classes.iter().all(|c| c.terms.len() == model.groups.len());
+    let classes = &mut Arc::make_mut(tail).classes;
     if chunkable && in_place {
         for (c, class) in classes.iter_mut().enumerate() {
             comm.enter_phase("allreduce");
@@ -564,8 +559,9 @@ fn pipelined_cycle<C: Communicator>(
 /// `stats` arrives zeroed (from [`CycleWorkspace::reset_stats`]) and leaves
 /// holding the global statistics on every rank; `flat` is a reusable
 /// payload buffer and leaves holding the broadcast parameters, which the
-/// cycle's [`replicated_tail`] decodes into the classes; `classes` is the
-/// root's scratch for its derivation.
+/// cycle's [`replicated_tail`] decodes into the classes; the root derives
+/// into `tail`'s classes (its own copy, through [`Arc::make_mut`]) before
+/// encoding them.
 #[allow(clippy::too_many_arguments)]
 fn wts_only_mstep<C: SpmdComm>(
     comm: &mut C,
@@ -574,7 +570,7 @@ fn wts_only_mstep<C: SpmdComm>(
     wts: &WtsMatrix,
     stats: &mut SuffStats,
     flat: &mut Vec<f64>,
-    classes: &mut Vec<ClassParams>,
+    tail: &mut Arc<Tail>,
     j: usize,
 ) {
     let n_local = wts.n_items();
@@ -619,6 +615,7 @@ fn wts_only_mstep<C: SpmdComm>(
         comm.enter_phase("mstep");
         let ops = stats.accumulate(model, &full, &global_wts);
         comm.work(ops);
+        let classes = &mut Arc::make_mut(tail).classes;
         let mops = stats_to_classes_into(model, stats, classes);
         comm.work(mops);
         comm.exit_phase();
@@ -708,9 +705,7 @@ mod tests {
             let part = &parts[comm.rank()];
             let view = data.view(part.start, part.end);
             let model = build_model(comm, &view, &[], "allreduce");
-            let mut classes = Vec::new();
-            init_classes_parallel(comm, &model, &view, 5, 99, &mut classes);
-            classes
+            init_classes_parallel(comm, &model, &view, 5, 99).classes.clone()
         })
         .unwrap();
         for r in 1..4 {

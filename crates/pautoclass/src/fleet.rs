@@ -314,14 +314,14 @@ fn parse_records(buf: &[f64], model: &Model) -> Vec<(usize, Classification)> {
 /// [`autoclass::search::is_duplicate`]: class count, relative log
 /// likelihood, heaviest weights.
 fn matches_fingerprint(fp: &Fingerprint, run: &Try) -> bool {
-    if fp.n_classes != run.classes.len() {
+    if fp.n_classes != run.tail.classes.len() {
         return false;
     }
     let ll = run.approx.log_likelihood;
     if !ll.is_finite() || (fp.ll - ll).abs() > 1e-4 * ll.abs().max(1.0) {
         return false;
     }
-    let mut w: Vec<f64> = run.classes.iter().map(|c| c.weight).collect();
+    let mut w: Vec<f64> = run.tail.classes.iter().map(|c| c.weight).collect();
     w.sort_by(|a, b| b.total_cmp(a));
     for (k, fw) in fp.weights.iter().enumerate() {
         let rw = w.get(k).copied().unwrap_or(0.0);
@@ -495,8 +495,8 @@ fn fleet_core<W: Communicator>(
                         break;
                     }
                     burst += 1;
-                    if run.cur.step(sc, |classes| {
-                        blocking_cycle(&mut fleet, &model, &view, classes, &mut ws, FUSED)
+                    if run.cur.step(sc, |tail| {
+                        blocking_cycle(&mut fleet, &model, &view, tail, &mut ws, FUSED)
                     }) {
                         end = Some(BurstEnd::Finished { converged: true });
                         break;

@@ -44,7 +44,7 @@
 //!   shard and replay its in-flight delivery log ([`mpsim::ReplayLog`])
 //!   locally; the survivors stall just to the replay horizon. Its
 //!   recovery virtual time is strictly below a full restart's (see
-//!   [`BASE_LOCAL_OPS`]). When the bounded ring evicted entries since the
+//!   `BASE_LOCAL_OPS`). When the bounded ring evicted entries since the
 //!   last checkpoint the log no longer covers the gap, and the supervisor
 //!   falls back like an exhausted spare pool. Simulated backends only:
 //!   [`run_search_ft_native`] refuses it with a typed

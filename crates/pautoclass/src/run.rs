@@ -16,14 +16,16 @@
 //! only the time axis differs (virtual LogGP seconds vs measured
 //! wall-clock seconds).
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use autoclass::data::{block_range, DataView, Dataset};
 use autoclass::model::{
     classes_from_flat_into, classes_to_flat, converged, derive_seed, log_param_prior,
-    Approximation, ClassParams, CycleWorkspace, Model,
+    Approximation, CycleWorkspace, Model,
 };
-use autoclass::search::{apply_class_death, is_duplicate, Classification, SearchConfig};
+use autoclass::search::{
+    apply_class_death, class_death_due, is_duplicate, Classification, SearchConfig,
+};
 use mpsim::{
     run_spmd, Communicator, Group, MachineSpec, RankStats, RunStats, SimOptions, SpmdComm,
     RECOVERY_PHASE,
@@ -34,7 +36,9 @@ use crate::checkpoint::{
     approx_from, approx_to, CheckpointError, CkptClassification, SearchCheckpoint,
 };
 use crate::config::{Exchange, ParallelConfig, Strategy};
-use crate::driver::{blocking_cycle, build_model, init_classes_parallel, parallel_base_cycle};
+use crate::driver::{
+    blocking_cycle, build_model, init_classes_parallel, parallel_base_cycle, Tail,
+};
 use crate::error::RunError;
 use crate::recover::Supervised;
 
@@ -69,8 +73,9 @@ pub(crate) struct Try {
     j_initial: usize,
     /// The try's derived seed.
     seed: u64,
-    /// Current class parameters.
-    pub(crate) classes: Vec<ClassParams>,
+    /// Current class parameters, shared on the simulator by every rank of
+    /// the communicator that derived them.
+    pub(crate) tail: Arc<Tail>,
     /// Previous cycle's log likelihood (`-inf` after init or class death).
     prev_ll: f64,
     /// EM cycles run.
@@ -88,12 +93,10 @@ impl Try {
         j: usize,
         seed: u64,
     ) -> Try {
-        let mut classes = Vec::new();
-        init_classes_parallel(comm, model, view, j, seed, &mut classes);
         Try {
             j_initial: j,
             seed,
-            classes,
+            tail: init_classes_parallel(comm, model, view, j, seed),
             prev_ll: f64::NEG_INFINITY,
             cycles: 0,
             approx: approx_from([f64::NEG_INFINITY; 4]),
@@ -110,7 +113,7 @@ impl Try {
         Try {
             j_initial: j,
             seed,
-            classes,
+            tail: Arc::new(Tail { classes, approx: Approximation::default() }),
             prev_ll: ck.prev_ll,
             cycles: ck.cycle,
             approx: approx_from(ck.approx),
@@ -120,16 +123,18 @@ impl Try {
     /// Run one EM cycle, then class death and the convergence test.
     /// Global statistics are identical on every rank, so both decisions
     /// are too, with no extra coordination message. Returns whether the
-    /// try converged.
+    /// try converged. Only a death changes the (shared) classes, so only
+    /// a death takes a copy of them.
     pub(crate) fn step(
         &mut self,
         sc: &SearchConfig,
-        cycle: impl FnOnce(&mut Vec<ClassParams>) -> Approximation,
+        cycle: impl FnOnce(&mut Arc<Tail>) -> Approximation,
     ) -> bool {
-        let a = cycle(&mut self.classes);
+        let a = cycle(&mut self.tail);
         self.approx = a;
         self.cycles += 1;
-        if apply_class_death(&mut self.classes, sc.min_class_weight) {
+        if class_death_due(&self.tail.classes, sc.min_class_weight) {
+            apply_class_death(&mut Arc::make_mut(&mut self.tail).classes, sc.min_class_weight);
             self.prev_ll = f64::NEG_INFINITY;
             return false;
         }
@@ -141,9 +146,10 @@ impl Try {
     }
 
     /// The finished try: classes by decreasing weight, with their log
-    /// prior.
+    /// prior. Takes the classes out of the handle, or a copy while other
+    /// ranks still share them.
     pub(crate) fn finish(self, model: &Model, did_converge: bool) -> Classification {
-        let mut classes = self.classes;
+        let mut classes = Arc::unwrap_or_clone(self.tail).classes;
         classes.sort_by(|a, b| b.weight.total_cmp(&a.weight));
         let log_prior = log_param_prior(model, &classes);
         Classification {
@@ -201,7 +207,7 @@ pub(crate) fn search_tries<C: SpmdComm>(
     model: &Model,
     view: &DataView<'_>,
     sc: &SearchConfig,
-    mut cycle: impl FnMut(&mut C, &mut Vec<ClassParams>, &mut CycleWorkspace) -> Approximation,
+    mut cycle: impl FnMut(&mut C, &mut Arc<Tail>, &mut CycleWorkspace) -> Approximation,
     checkpoints: Option<(usize, &CheckpointStore)>,
     resume: Option<&SearchCheckpoint>,
 ) -> (Vec<Classification>, usize) {
@@ -235,12 +241,12 @@ pub(crate) fn search_tries<C: SpmdComm>(
                             ji,
                             try_idx: t,
                             cycle: cur.cycles,
-                            j_current: cur.classes.len(),
+                            j_current: cur.tail.classes.len(),
                             seed,
                             prev_ll: cur.prev_ll,
                             approx: approx_to(cur.approx),
                             total_cycles,
-                            classes_flat: classes_to_flat(&cur.classes),
+                            classes_flat: classes_to_flat(&cur.tail.classes),
                             best: all.iter().map(CkptClassification::from_classification).collect(),
                         };
                         publish_checkpoint(comm, &ck, store);
@@ -248,7 +254,7 @@ pub(crate) fn search_tries<C: SpmdComm>(
                     }
                 }
                 since_ckpt += 1;
-                if cur.step(sc, |classes| cycle(comm, classes, &mut ws)) {
+                if cur.step(sc, |tail| cycle(comm, tail, &mut ws)) {
                     did_converge = true;
                     break;
                 }
@@ -303,9 +309,7 @@ impl Supervised for WorldSearch<'_> {
             &model,
             &view,
             &config.search,
-            |comm, classes, ws| {
-                parallel_base_cycle(comm, &model, &view, classes, ws, config.strategy)
-            },
+            |comm, tail, ws| parallel_base_cycle(comm, &model, &view, tail, ws, config.strategy),
             checkpoints,
             resume,
         );
@@ -334,7 +338,7 @@ impl Supervised for WorldSearch<'_> {
             &model,
             &view,
             &self.config.search,
-            |sub, classes, ws| blocking_cycle(sub, &model, &view, classes, ws, FUSED),
+            |sub, tail, ws| blocking_cycle(sub, &model, &view, tail, ws, FUSED),
             checkpoints,
             resume,
         );
@@ -458,8 +462,7 @@ pub fn run_fixed_j(
         let part = config.partition.range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
         let model = build_model(comm, &view, &config.correlated_blocks, "allreduce");
-        let mut classes = Vec::new();
-        init_classes_parallel(comm, &model, &view, j, seed, &mut classes);
+        let mut tail = init_classes_parallel(comm, &model, &view, j, seed);
         let mut ws = CycleWorkspace::new();
         // Synchronize before the measured window so stragglers from setup
         // don't leak into the cycle timing.
@@ -467,8 +470,7 @@ pub fn run_fixed_j(
         let t0 = comm.now();
         let mut ll = f64::NEG_INFINITY;
         for _ in 0..n_cycles {
-            let a =
-                parallel_base_cycle(comm, &model, &view, &mut classes, &mut ws, config.strategy);
+            let a = parallel_base_cycle(comm, &model, &view, &mut tail, &mut ws, config.strategy);
             ll = a.log_likelihood;
         }
         comm.exit_phase();

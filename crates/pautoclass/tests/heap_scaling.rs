@@ -8,6 +8,11 @@
 //! bytes a (rank, rank) pair is 4 MiB at `P = 512` and 16 MiB at
 //! `P = 1024`, against a search that otherwise peaks at a few MiB.
 //!
+//! The peak at `P = 1024` is also held to an absolute bound,
+//! [`PEAK_AT_1024_MIB`]: each rank's heap is sized to its own 16-item
+//! partition, and the classes every rank derives identically are held
+//! once per host, not once per rank.
+//!
 //! One `#[test]` in its own binary, so no concurrently running test shares
 //! the allocator's counters.
 
@@ -96,6 +101,11 @@ fn search_peak_bytes(data: &autoclass::data::Dataset, p: usize) -> usize {
     peak - base
 }
 
+/// The most a search at `P = 1024` may peak at, in MiB. A tile-sized
+/// E-step scratch on every rank (6 KiB each) or a class list per rank
+/// (about 2 KiB each) takes it past the bound.
+const PEAK_AT_1024_MIB: f64 = 6.0;
+
 #[test]
 fn search_peak_heap_grows_linearly_in_p() {
     let data = datagen::paper_dataset(16_384, 7);
@@ -112,6 +122,11 @@ fn search_peak_heap_grows_linearly_in_p() {
         "doubling P grew the search's peak heap {ratio:.2}x ({:.2} -> {:.2} MiB): \
          some per-rank state is O(P)",
         mib(half),
+        mib(full)
+    );
+    assert!(
+        mib(full) <= PEAK_AT_1024_MIB,
+        "the search at P=1024 peaked at {:.2} MiB, over {PEAK_AT_1024_MIB} MiB",
         mib(full)
     );
 }

@@ -1,20 +1,22 @@
 //! The replicated tail runs once per host on the simulator (see
 //! `pautoclass::driver::replicated_tail`): the first rank derives the
 //! classes and scores, and every rank whose inputs match bit for bit
-//! copies them. These tests hold that the sharing is invisible. A search
-//! equals, bit for bit and in virtual time, the same search with every
-//! verifier check on, where each rank derives for itself; inputs that
-//! differ in one bit never share a result; the store is empty after a
-//! fault-free run and untouched with replication checking on; and a copy
-//! into a warmed-up class list allocates nothing.
+//! takes a handle to them. These tests hold that the sharing is
+//! invisible. A search equals, bit for bit and in virtual time, the same
+//! search with every verifier check on, where each rank derives for
+//! itself; inputs that differ in one bit never share a result; the store
+//! is empty after a fault-free run and untouched with replication
+//! checking on; and a rank that shares a kept result allocates nothing
+//! and holds the very value the deriving rank holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use autoclass::data::{block_range, GlobalStats};
 use autoclass::model::{
-    classes_to_flat, evaluate, init_classes, stats_to_classes, ClassParams, CycleWorkspace, Model,
-    StatLayout, SuffStats, TermPrior, WtsMatrix,
+    classes_to_flat, evaluate, init_classes, stats_to_classes, CycleWorkspace, Model, StatLayout,
+    SuffStats, TermPrior, WtsMatrix,
 };
 use autoclass::search::{Classification, SearchConfig};
 use mpsim::{
@@ -195,19 +197,19 @@ fn inputs_one_bit_apart_never_share_an_entry() {
         let theirs = own_tail(m, st, sc);
         assert_eq!(i == 0, theirs == mine, "input {i}: the flipped bit must change the result");
         // Two ranks on one communicator: rank 0 runs first and keeps its
-        // result; rank 1, with input `i`, may copy it only when the
+        // result; rank 1, with input `i`, may share it only when the
         // inputs are the same.
         let out = run_spmd(&presets::zero_cost(2), &SimOptions::default(), |comm| {
             let (m, st, sc) = if comm.rank() == 0 { inputs[0] } else { inputs[i] };
-            let mut classes = Vec::new();
-            let approx = replicated_tail(comm, m, st, sc, Source::Stats, &mut classes);
+            let mut tail = Arc::default();
+            let approx = replicated_tail(comm, m, st, sc, Source::Stats, &mut tail);
             let mut b = vec![approx.cs_score.to_bits(), approx.complete_marginal.to_bits()];
-            b.extend(classes_to_flat(&classes).iter().map(|v| v.to_bits()));
+            b.extend(classes_to_flat(&tail.classes).iter().map(|v| v.to_bits()));
             b
         })
         .unwrap();
         assert_eq!(out.per_rank, [mine.clone(), theirs], "input {i}");
-        assert_eq!((out.replicas.copied, out.replicas.left), (u64::from(i == 0), 0), "input {i}");
+        assert_eq!((out.replicas.shared, out.replicas.left), (u64::from(i == 0), 0), "input {i}");
     }
 }
 
@@ -217,18 +219,17 @@ fn cycles_and_groups(comm: &mut Comm, data: &autoclass::data::Dataset) -> Vec<u6
     let part = block_range(data.len(), comm.size(), comm.rank());
     let view = data.view(part.start, part.end);
     let model = build_model(comm, &view, &[], "allreduce");
-    let mut classes = Vec::new();
-    init_classes_parallel(comm, &model, &view, 4, 9, &mut classes);
+    let mut tail = init_classes_parallel(comm, &model, &view, 4, 9);
     let mut ws = CycleWorkspace::new();
     let mut approx = Default::default();
     for strategy in STRATEGIES {
-        approx = parallel_base_cycle(comm, &model, &view, &mut classes, &mut ws, strategy);
+        approx = parallel_base_cycle(comm, &model, &view, &mut tail, &mut ws, strategy);
     }
     let stats = ws.stats.as_ref().expect("the cycles installed statistics");
     let scalars = [approx.log_likelihood, approx.complete_ll];
     let mut half = comm.split(|r| (r % 2) as u32);
-    replicated_tail(&mut half, &model, stats, scalars, Source::Stats, &mut classes);
-    classes_to_flat(&classes).iter().map(|v| v.to_bits()).collect()
+    replicated_tail(&mut half, &model, stats, scalars, Source::Stats, &mut tail);
+    classes_to_flat(&tail.classes).iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -245,37 +246,40 @@ fn the_store_empties_and_checking_replication_never_consults_it() {
     // One kept result per derivation: the initial decode, four cycles on
     // the world of six, and one tail on each half of three.
     let r = shared.replicas;
-    assert_eq!((r.kept, r.copied, r.left), (7, 5 * 5 + 2 * 2, 0), "{r:?}");
+    assert_eq!((r.kept, r.shared, r.left), (7, 5 * 5 + 2 * 2, 0), "{r:?}");
     assert_eq!(derived.replicas, Default::default(), "a checking run must derive everywhere");
 }
 
 #[test]
-fn copying_a_kept_result_into_warmed_up_classes_allocates_nothing() {
+fn sharing_a_kept_result_allocates_nothing() {
     let data = datagen::paper_dataset(400, 8);
     let p = 4;
     let out = run_spmd(&presets::zero_cost(p), &SimOptions::default(), |comm| {
         let part = block_range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
         let model = build_model(comm, &view, &[], "allreduce");
-        let mut classes: Vec<ClassParams> = Vec::new();
-        init_classes_parallel(comm, &model, &view, 5, 3, &mut classes);
+        let mut tail = init_classes_parallel(comm, &model, &view, 5, 3);
         let mut ws = CycleWorkspace::new();
         let strategy = Strategy::Full { exchange: Exchange::Fused };
-        let a = parallel_base_cycle(comm, &model, &view, &mut classes, &mut ws, strategy);
+        let a = parallel_base_cycle(comm, &model, &view, &mut tail, &mut ws, strategy);
         let stats = ws.stats.as_ref().expect("the cycle installed statistics");
         let scalars = [a.log_likelihood, a.complete_ll];
-        // Warm up: every rank's class list takes its final shape.
-        replicated_tail(comm, &model, stats, scalars, Source::Stats, &mut classes);
+        replicated_tail(comm, &model, stats, scalars, Source::Stats, &mut tail);
         comm.barrier();
         let before = allocs();
-        replicated_tail(comm, &model, stats, scalars, Source::Stats, &mut classes);
-        allocs() - before
+        replicated_tail(comm, &model, stats, scalars, Source::Stats, &mut tail);
+        let allocated = allocs() - before;
+        comm.barrier();
+        // Every rank still holds its handle, so the addresses compare.
+        (allocated, Arc::as_ptr(&tail) as usize)
     })
     .unwrap();
-    // One rank derived and kept a copy; every other rank copied it.
-    let copies = out.per_rank.iter().filter(|&&n| n == 0).count();
-    assert_eq!(copies, p - 1, "allocations per rank: {:?}", out.per_rank);
+    // One rank derived and kept a handle; every other rank took one.
+    let sharers = out.per_rank.iter().filter(|&&(n, _)| n == 0).count();
+    assert_eq!(sharers, p - 1, "allocations per rank: {:?}", out.per_rank);
+    // One value, held by all the ranks.
+    assert!(out.per_rank.iter().all(|&(_, at)| at == out.per_rank[0].1), "{:?}", out.per_rank);
     // The initial decode, the cycle's tail and the two tails above: each
-    // kept once and copied by the other ranks.
-    assert_eq!((out.replicas.kept, out.replicas.copied), (4, 4 * (p as u64 - 1)));
+    // kept once and shared by the other ranks.
+    assert_eq!((out.replicas.kept, out.replicas.shared), (4, 4 * (p as u64 - 1)));
 }

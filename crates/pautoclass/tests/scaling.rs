@@ -123,14 +123,18 @@ fn weighted_and_block_partitioning_agree_numerically() {
     use autoclass::data::GlobalStats;
     use autoclass::model::{init_classes, CycleWorkspace, Model};
     use mpsim::run_spmd_default;
-    use pautoclass::driver::parallel_base_cycle;
+    use pautoclass::driver::{parallel_base_cycle, Tail};
     use pautoclass::{Partitioning, Strategy};
+    use std::sync::Arc;
 
     let data = datagen::paper_dataset(2_000, 5);
     let p = 5;
     let gstats = GlobalStats::compute(&data.full_view());
     let model = Model::new(data.schema().clone(), &gstats);
-    let classes0 = init_classes(&model, &data.full_view(), 8, 77);
+    let classes0 = Arc::new(Tail {
+        classes: init_classes(&model, &data.full_view(), 8, 77),
+        approx: Default::default(),
+    });
 
     let run = |partition: Partitioning| {
         let spec = presets::zero_cost(p);
@@ -139,16 +143,10 @@ fn weighted_and_block_partitioning_agree_numerically() {
             let part = &parts[comm.rank()];
             let view = data.view(part.start, part.end);
             let mut ws = CycleWorkspace::new();
-            let mut classes = classes0.clone();
-            let approx = parallel_base_cycle(
-                comm,
-                &model,
-                &view,
-                &mut classes,
-                &mut ws,
-                Strategy::default(),
-            );
-            (classes, approx.log_likelihood)
+            let mut tail = Arc::clone(&classes0);
+            let approx =
+                parallel_base_cycle(comm, &model, &view, &mut tail, &mut ws, Strategy::default());
+            (tail.classes.clone(), approx.log_likelihood)
         })
         .unwrap()
         .per_rank

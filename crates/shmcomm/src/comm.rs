@@ -136,11 +136,6 @@ impl Drop for NativeReq {
     }
 }
 
-/// A communicator over a subset of the native world's ranks: the
-/// split protocol, tag layout and group collectives are
-/// [`mpsim::subcomm::Group`]'s, written once for both backends.
-pub type NativeSubComm<'a> = mpsim::subcomm::Group<'a, NativeComm>;
-
 /// One rank's endpoint of the native shared-memory machine: the
 /// wall-clock implementor of [`mpsim::Communicator`].
 pub struct NativeComm {

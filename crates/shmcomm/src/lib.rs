@@ -12,7 +12,7 @@
 //! Both backends implement [`mpsim::Communicator`], whose provided
 //! methods (and [`mpsim::SpmdComm`]'s) are the one body of every
 //! collective entry point; groups split from either are the one
-//! [`mpsim::subcomm::Group`] type ([`NativeSubComm`] here). A driver
+//! [`mpsim::subcomm::Group`] type (`Group<'_, NativeComm>` here). A driver
 //! written against the trait picks its machine with one call:
 //!
 //! ```
@@ -52,5 +52,5 @@ pub mod collectives;
 pub mod comm;
 pub mod engine;
 
-pub use comm::{NativeComm, NativeReq, NativeSubComm};
+pub use comm::{NativeComm, NativeReq};
 pub use engine::{run_native, NativeOptions, NativeOutput};

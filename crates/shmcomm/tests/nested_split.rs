@@ -1,5 +1,5 @@
 //! Cross-backend determinism for *nested* sub-communicators: collectives
-//! on a `SubComm` of a `SubComm` must be bitwise identical between the
+//! on a group split from a group must be bitwise identical between the
 //! simulated and the native backend — the contract the fleet-parallel
 //! model search rests on when each fleet sub-partitions further (and when
 //! the shrink-recovery path runs inside a fleet). Covers P ∈ {4, 6, 8}
