@@ -20,9 +20,7 @@ pub use estep::{
     EStepScalars, EStepScratch, WtsMatrix, ESTEP_TILE,
 };
 pub use init::{derive_seed, init_classes};
-pub use mstep::{
-    log_param_prior, mstep_ops, stats_to_class_into, stats_to_classes, stats_to_classes_into,
-};
+pub use mstep::{log_param_prior, mstep_ops, stats_to_classes, stats_to_classes_into};
 pub use prior::{TermParams, TermPrior};
 pub use suffstats::{StatLayout, SuffStats};
 pub use workspace::CycleWorkspace;

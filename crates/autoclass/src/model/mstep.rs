@@ -63,17 +63,10 @@ pub fn stats_to_classes_into(
 }
 
 /// Update a single class in place from global statistics — the per-class
-/// unit of [`stats_to_classes_into`]. The pipelined driver calls this as
-/// each class chunk's allreduce completes, deriving class `c`'s parameters
-/// while later chunks are still on the wire. `class` must already have the
-/// right term shape. Returns the abstract op count (one class stride),
-/// summing over classes to exactly the [`stats_to_classes_into`] count.
-pub fn stats_to_class_into(
-    model: &Model,
-    stats: &SuffStats,
-    c: usize,
-    class: &mut ClassParams,
-) -> u64 {
+/// unit of [`stats_to_classes_into`]. `class` must already have the right
+/// term shape. Returns the abstract op count (one class stride), summing
+/// over classes to exactly the [`stats_to_classes_into`] count.
+fn stats_to_class_into(model: &Model, stats: &SuffStats, c: usize, class: &mut ClassParams) -> u64 {
     let j = stats.layout.j;
     let n = model.n_total;
     let weight = stats.class_weight(c);

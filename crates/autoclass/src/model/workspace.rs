@@ -26,7 +26,7 @@ pub struct CycleWorkspace {
     /// `None` until the first [`reset_stats`](CycleWorkspace::reset_stats).
     pub stats: Option<SuffStats>,
     /// Flat parameter scratch (`classes_to_flat`-style serialization in
-    /// the parallel driver's gather/broadcast and replication checks).
+    /// the parallel driver's WtsOnly gather and broadcast).
     pub flat: Vec<f64>,
     /// Carry buffer for the fused single-pass E+M kernel
     /// (`update_wts_and_stats_into`): the scalar accumulation chains

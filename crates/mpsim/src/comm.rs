@@ -91,65 +91,58 @@ pub(crate) struct Net {
     pub replay: Option<ReplayLog>,
 }
 
-/// What a [`Request`] is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReqKind {
-    /// A buffered send: complete at post (like `MPI_Isend` with unlimited
-    /// buffering); `wait` never blocks.
-    Send,
-    /// A posted receive: the envelope is pulled off the wire at `wait`.
-    Recv { src: usize, tag: u64 },
-    /// A non-blocking collective whose data movement already ran eagerly;
-    /// only its remaining wire time is pending.
-    Coll,
-}
-
-/// Handle for a non-blocking operation posted on a [`Comm`].
+/// Handle for a non-blocking collective, on either backend.
 ///
-/// The operation progresses in *virtual* time while the rank keeps
-/// computing: endpoint overhead (LogGP `o`) was charged on the CPU clock at
-/// post, and the wire time (`L`/`g`/`G`) elapses concurrently with
-/// subsequent [`SpmdComm::work`]. [`Communicator::wait`] blocks only for whatever wire
-/// time has not yet been hidden, and credits the hidden portion to the
-/// clock's overlap shadow accounting.
+/// On [`Comm`] the collective progresses in *virtual* time while the rank
+/// keeps computing: endpoint overhead (LogGP `o`) was charged on the CPU
+/// clock at post, and the wire time (`L`/`g`/`G`) elapses concurrently
+/// with subsequent [`SpmdComm::work`]. [`Communicator::wait`] blocks only
+/// for whatever wire time has not yet been hidden, and credits the hidden
+/// portion to the clock's overlap shadow accounting. A backend with no
+/// deferred wire (the native one) posts requests complete at post.
 ///
 /// Every request must be retired by exactly one [`Communicator::wait`] (or
-/// [`Communicator::waitall`]): waiting twice fails the run with
-/// [`SimError::RequestMisuse`], and dropping an unwaited request panics the
-/// owning rank — both name the culprit rank.
+/// [`Communicator::waitall`]): waiting twice fails the run with the
+/// backend's typed error ([`SimError::RequestMisuse`] here), and dropping
+/// an unwaited request panics the owning rank — both name the culprit
+/// rank.
 #[derive(Debug)]
-#[must_use = "non-blocking requests must be retired with Comm::wait / Comm::waitall"]
+#[must_use = "non-blocking requests must be retired with wait / waitall"]
 pub struct Request {
     rank: usize,
-    kind: ReqKind,
-    /// Virtual time at post (after idle retraction): start of the window
-    /// during which the operation's wire time can hide behind other work.
+    /// Time at post (after idle retraction): start of the window during
+    /// which the operation's wire time can hide behind other work.
     window_start: f64,
-    /// Virtual time at which the operation's wire activity finishes.
-    /// Unknown at post for receives (the envelope carries it); `wait`
-    /// computes it on arrival.
+    /// Time at which the operation's wire activity finishes.
     completion: f64,
     done: bool,
 }
 
 impl Request {
-    /// Whether this request has been retired by a `wait`.
-    pub fn is_done(&self) -> bool {
-        self.done
+    /// A request posted by `rank` whose wire activity runs from
+    /// `window_start` to `completion` (equal for one complete at post).
+    pub fn new(rank: usize, window_start: f64, completion: f64) -> Self {
+        Request { rank, window_start, completion, done: false }
     }
 
-    /// The rank that posted this request.
-    pub fn rank(&self) -> usize {
-        self.rank
+    /// Retire the request, returning its `(window_start, completion)`
+    /// window; a second retirement is `Err` with the detail the backend's
+    /// typed misuse error carries.
+    pub fn retire(&mut self) -> Result<(f64, f64), String> {
+        if self.done {
+            return Err(format!("request posted at t={:.9}s waited twice", self.window_start));
+        }
+        self.done = true;
+        Ok((self.window_start, self.completion))
     }
 }
 
 impl Drop for Request {
     fn drop(&mut self) {
-        // Dropping an unretired request loses its completion accounting
-        // (and, for receives, strands an envelope): fail loudly, naming
-        // the culprit rank. Suppressed while already panicking so request
-        // cleanup during an abort cannot mask the original error.
+        // Dropping an unretired request loses its completion accounting:
+        // fail loudly, naming the culprit rank. Suppressed while already
+        // panicking so request cleanup during an abort cannot mask the
+        // original error.
         if !self.done && !std::thread::panicking() {
             panic!("rank {}: non-blocking request dropped without wait", self.rank);
         }
@@ -529,13 +522,7 @@ impl Comm {
         bucket.idle -= ep.clock.retract_idle(idle_delta, bucket.idle);
         let completion = finish.max(self.nb_horizon);
         self.nb_horizon = completion;
-        Request {
-            rank: self.rank,
-            kind: ReqKind::Coll,
-            window_start: self.ep.clock.now(),
-            completion,
-            done: false,
-        }
+        Request::new(self.rank, self.ep.clock.now(), completion)
     }
 
     /// Run plan `key` at the rendezvous `at`: lend this rank's seat,
@@ -696,8 +683,6 @@ impl SpmdComm for Comm {
 }
 
 impl Communicator for Comm {
-    type Req = Request;
-
     fn machine(&self) -> &MachineSpec {
         &self.net.spec
     }
@@ -736,78 +721,14 @@ impl Communicator for Comm {
         }
         env.data
     }
-    /// The message departs immediately (buffered, like
-    /// [`Communicator::send_f64s`]); the returned request completes at
-    /// once, so `wait` never blocks — it exists to keep the post/wait
-    /// protocol uniform across operation kinds.
-    fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Request {
-        self.send_f64s(dst, tag, values);
-        let now = self.ep.clock.now();
-        Request {
-            rank: self.rank,
-            kind: ReqKind::Send,
-            window_start: now,
-            completion: now,
-            done: false,
-        }
-    }
-    /// The receive-side endpoint overhead (LogGP `o`) is charged on the
-    /// CPU clock *now*; the message's wire time then elapses concurrently
-    /// with subsequent [`SpmdComm::work`]. The matching `wait` returns
-    /// `Some(values)` after blocking only for whatever wire time was not
-    /// hidden.
-    fn irecv_f64s(&mut self, src: usize, tag: u64) -> Request {
-        assert!(src < self.size, "irecv from rank {src} but size is {}", self.size);
-        self.check_abort();
-        self.fault_checkpoint();
-        self.ep.comm(self.net.spec.network.overhead);
-        let now = self.ep.clock.now();
-        Request {
-            rank: self.rank,
-            kind: ReqKind::Recv { src, tag },
-            window_start: now,
-            completion: now, // provisional: the envelope carries the real one
-            done: false,
-        }
-    }
-    /// Advance the virtual clock over the operation's *exposed* remainder
-    /// (idle), credit the portion that already elapsed behind other work
-    /// to the overlap shadow accounting, and — for receives — deliver the
-    /// payload; waiting twice fails the run with
-    /// [`SimError::RequestMisuse`].
-    fn wait(&mut self, req: &mut Request) -> Option<Vec<f64>> {
-        if req.done {
-            self.fail(SimError::RequestMisuse {
-                rank: self.rank,
-                detail: format!(
-                    "request posted at t={:.9}s waited twice (kind {:?})",
-                    req.window_start, req.kind
-                ),
-            });
-        }
-        req.done = true;
-        match req.kind {
-            ReqKind::Send | ReqKind::Coll => {
-                self.finish_window(req.window_start, req.completion);
-                None
-            }
-            ReqKind::Recv { src, tag } => {
-                let env = self.pull_envelope(src, tag);
-                let len = 8 * env.data.len();
-                let completion =
-                    self.ep.arrival(&self.net, src, len, &env.stamp).max(req.window_start);
-                req.completion = completion;
-                if let Some(fs) = &self.net.fault {
-                    if let Err(err) = self.ep.check(fs, src, &env.stamp, completion) {
-                        self.fail(err);
-                    }
-                }
-                self.finish_window(req.window_start, completion);
-                // Count the receive where it completes. Endpoint overhead
-                // was already charged at post, so none is charged here.
-                self.ep.delivered(&self.net, src, tag, len, &env.stamp);
-                Some(env.data)
-            }
+    /// Advance the virtual clock over the collective's *exposed* remainder
+    /// (idle) and credit the portion that already elapsed behind other
+    /// work to the overlap shadow accounting; waiting twice fails the run
+    /// with [`SimError::RequestMisuse`].
+    fn wait(&mut self, req: &mut Request) {
+        match req.retire() {
+            Ok((window_start, completion)) => self.finish_window(window_start, completion),
+            Err(detail) => self.fail(SimError::RequestMisuse { rank: self.rank, detail }),
         }
     }
     /// The data movement runs *eagerly*: on return `buf` already holds the

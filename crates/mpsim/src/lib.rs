@@ -35,8 +35,9 @@
 //! * [`cost`] — LogGP-style network model, compute model, machine presets
 //! * [`clock`] — per-rank virtual clocks with compute/comm/idle accounting
 //! * [`ledger`] — per-rank phase buckets and spans, for both backends
-//! * [`comm`] — point-to-point messaging ([`Comm`]), blocking and
-//!   non-blocking ([`Request`] handles with `wait`/`waitall`)
+//! * [`comm`] — point-to-point messaging ([`Comm`]), and the
+//!   [`Request`] handle of a non-blocking allreduce, one type on both
+//!   backends
 //! * [`schedule`] — the one copy of every shared collective schedule
 //!   (barrier, broadcast, gather, allgather, the allreduce family), as a
 //!   cached plan the native backend runs as messages and the simulator at
@@ -53,7 +54,7 @@
 //!   drops, delays, corruption, degraded links) and receive-side failure
 //!   detection that turns hangs into typed errors naming the culprit
 //! * [`replica`] — replicated derivations run once per host: members
-//!   whose inputs match bit for bit copy the first member's result
+//!   whose inputs match bit for bit share the first member's result
 //! * [`replay`] — bounded per-rank rings of delivered-envelope
 //!   coordinates ([`ReplayLog`]) that let a localized-recovery supervisor
 //!   replay a single failed rank instead of rolling the world back

@@ -42,6 +42,7 @@
 use std::sync::Arc;
 
 use crate::collectives::ReduceOp;
+use crate::comm::Request;
 use crate::cost::{AllreduceAlgo, MachineSpec};
 use crate::error::SimError;
 use crate::replica::ReplicaKey;
@@ -279,7 +280,8 @@ pub trait SpmdComm: Collective {
 
 /// The world-communicator surface the SPMD driver is generic over: the
 /// shared [`SpmdComm`] surface plus point-to-point messaging, the
-/// machine description, non-blocking and algorithm-pinned allreduces,
+/// machine description, the non-blocking allreduce and its [`Request`]
+/// (one type on both backends), algorithm-pinned allreduces,
 /// `split`, and what a world lends the groups split from it (its
 /// collective sequence, the communicator-scoped verifier hooks and its
 /// rendezvous).
@@ -291,9 +293,6 @@ pub trait SpmdComm: Collective {
 /// every non-blocking request must be retired by exactly one
 /// [`Communicator::wait`] / [`Communicator::waitall`].
 pub trait Communicator: SpmdComm {
-    /// Handle for a non-blocking operation posted on this backend.
-    type Req;
-
     /// The machine description (used for algorithm selection; on the
     /// native backend it describes the machine being *compared against*,
     /// so both backends take identical algorithm-choice branches).
@@ -309,16 +308,14 @@ pub trait Communicator: SpmdComm {
     /// Blocking receive of the message from `src` with exactly `tag`;
     /// messages from `src` with other tags are kept for later receives.
     fn recv_f64s(&mut self, src: usize, tag: u64) -> Vec<f64>;
-    /// Non-blocking send; the returned request must be waited.
-    fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> Self::Req;
-    /// Post a non-blocking receive; the matching wait yields the payload.
-    fn irecv_f64s(&mut self, src: usize, tag: u64) -> Self::Req;
-    /// Retire a non-blocking request (receives yield `Some(payload)`).
-    /// Waiting on a request twice fails the run naming this rank.
-    fn wait(&mut self, req: &mut Self::Req) -> Option<Vec<f64>>;
-    /// Retire every request in order, collecting each wait's result.
-    fn waitall(&mut self, reqs: &mut [Self::Req]) -> Vec<Option<Vec<f64>>> {
-        reqs.iter_mut().map(|r| self.wait(r)).collect()
+    /// Retire a non-blocking request (see [`Request::retire`]). Waiting on
+    /// a request twice fails the run naming this rank.
+    fn wait(&mut self, req: &mut Request);
+    /// Retire every request in order.
+    fn waitall(&mut self, reqs: &mut [Request]) {
+        for req in reqs {
+            self.wait(req);
+        }
     }
 
     /// Allreduce with an explicit algorithm. `Auto` resolves here, before
@@ -330,7 +327,7 @@ pub trait Communicator: SpmdComm {
     }
     /// Non-blocking allreduce with the machine's default algorithm (see
     /// [`Communicator::iallreduce_f64s_with`]).
-    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Self::Req {
+    fn iallreduce_f64s(&mut self, buf: &mut [f64], op: ReduceOp) -> Request {
         let algo = self.machine().allreduce;
         self.iallreduce_f64s_with(buf, op, algo)
     }
@@ -343,7 +340,7 @@ pub trait Communicator: SpmdComm {
         buf: &mut [f64],
         op: ReduceOp,
         algo: AllreduceAlgo,
-    ) -> Self::Req;
+    ) -> Request;
 
     /// Split the communicator by `color_of(r)`, rank `r`'s color, which
     /// every rank computes identically for every rank; ranks of equal

@@ -201,32 +201,6 @@ fn completions_stay_fifo_across_posts() {
 }
 
 #[test]
-fn isend_irecv_roundtrip_delivers_and_accounts() {
-    let spec = presets::meiko_cs2(2);
-    let opts = SimOptions { record_events: true, ..Default::default() };
-    let out = run_spmd(&spec, &opts, |c| {
-        if c.rank() == 0 {
-            let mut req = c.isend_f64s(1, 7, &[1.5, -2.5, 3.25]);
-            c.wait(&mut req);
-            Vec::new()
-        } else {
-            let mut req = c.irecv_f64s(0, 7);
-            c.work(100_000);
-            c.wait(&mut req).expect("recv request returns data")
-        }
-    })
-    .unwrap();
-    assert_eq!(out.per_rank[1], vec![1.5, -2.5, 3.25]);
-    out.stats.check_message_symmetry().unwrap();
-    // The receiver overlapped the wire time behind its work.
-    assert!(out.ranks[1].hidden_comm > 0.0, "receiver hid nothing");
-    for r in &out.ranks {
-        let sum = r.compute + r.comm + r.idle;
-        assert!((sum - r.elapsed).abs() <= 1e-9 * r.elapsed.max(1.0));
-    }
-}
-
-#[test]
 fn wait_twice_is_diagnosed_with_rank() {
     let spec = presets::meiko_cs2(3);
     let err = run_spmd_default(&spec, |c| {

@@ -25,18 +25,19 @@
 //! that runs cycles books the same `"estep"`, `"mstep"` and `"allreduce"`
 //! phases. Only the overlapped Pipelined exchange is the world's alone
 //! ([`parallel_base_cycle`]), since it needs the machine and non-blocking
-//! requests of an [`mpsim::Communicator`]. Either way the same driver runs
-//! on the simulated machine (`mpsim::Comm`, virtual time) or on real cores
-//! (`shmcomm::NativeComm`, wall-clock time) with bitwise-identical
-//! numerical results.
+//! requests of an [`mpsim::Communicator`]; it ends in the same replicated
+//! tail, so the classes have one derive path whatever the exchange.
+//! Either way the same driver runs on the simulated machine
+//! (`mpsim::Comm`, virtual time) or on real cores (`shmcomm::NativeComm`,
+//! wall-clock time) with bitwise-identical numerical results.
 
 use std::sync::Arc;
 
 use autoclass::data::{DataView, GlobalStats};
 use autoclass::model::{
     classes_from_flat_into, classes_to_flat, evaluate, init_classes, mstep_ops,
-    stats_to_class_into, stats_to_classes_into, update_wts_and_stats_into, update_wts_into,
-    Approximation, ClassParams, CycleWorkspace, EStepScratch, Model, SuffStats, WtsMatrix,
+    stats_to_classes_into, update_wts_and_stats_into, update_wts_into, Approximation, ClassParams,
+    CycleWorkspace, EStepScratch, Model, SuffStats, WtsMatrix,
 };
 use mpsim::{
     predicted_allreduce_cost, AllreduceAlgo, Communicator, ReduceOp, ReplicaKey, SpmdComm,
@@ -103,22 +104,20 @@ pub enum Source<'a> {
     Stats,
     /// Decode them from a broadcast payload (`classes_from_flat_into`).
     Flat(&'a [f64]),
-    /// Keep the classes the caller already derived; score only.
-    Kept,
 }
 
 /// Key tags: which derivation an entry of the replicated store holds.
 const TAIL_FROM_STATS: u64 = 1;
 const TAIL_FROM_FLAT: u64 = 2;
-const TAIL_KEPT: u64 = 3;
 const DECODE: u64 = 4;
 
 /// What [`replicated_tail`] and [`decode_classes`] derive: a try's
 /// current classes and the scores of the cycle that derived them. Every
 /// rank holds it behind an `Arc`, which on the simulator all the ranks of
 /// a communicator share; a rank that changes its classes in place (class
-/// death, the Pipelined exchange's per-class derive) takes
-/// [`Arc::make_mut`], which copies them only while they are shared.
+/// death, the WtsOnly root's derivation, the one rank that derives a
+/// shared tail) takes [`Arc::make_mut`], which copies them only while
+/// they are shared.
 #[derive(Debug, Clone, Default)]
 pub struct Tail {
     /// The class parameters.
@@ -136,10 +135,6 @@ pub struct Tail {
 /// those bits. Charges nothing: the caller charges the derivation
 /// ([`mstep_ops`]) and the scoring (one statistics stride per class) where
 /// its virtual time has always put them.
-///
-/// With [`Source::Kept`] the classes the caller derived are part of the
-/// result a sharing rank takes: they are a pure function of the same
-/// statistics and model.
 pub fn replicated_tail<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
@@ -152,7 +147,6 @@ pub fn replicated_tail<C: SpmdComm>(
     let (tag, flat) = match source {
         Source::Stats => (TAIL_FROM_STATS, &[][..]),
         Source::Flat(flat) => (TAIL_FROM_FLAT, flat),
-        Source::Kept => (TAIL_KEPT, &[][..]),
     };
     let key = |k: &mut ReplicaKey<'_>| {
         k.word(tag);
@@ -168,7 +162,6 @@ pub fn replicated_tail<C: SpmdComm>(
                 stats_to_classes_into(model, stats, &mut tail.classes);
             }
             Source::Flat(flat) => classes_from_flat_into(model, j, flat, &mut tail.classes),
-            Source::Kept => {}
         }
         tail.approx = evaluate(model, stats, scalars[0], scalars[1]);
     });
@@ -200,7 +193,7 @@ pub fn decode_classes<C: SpmdComm>(
 /// One parallel `base_cycle` on the world: [`blocking_cycle`], or for the
 /// [`Exchange::Pipelined`] exchange, which needs the world's non-blocking
 /// collectives and its machine, the overlapped `pipelined_cycle` with the
-/// same replicated tail.
+/// same ending.
 pub fn parallel_base_cycle<C: Communicator>(
     comm: &mut C,
     model: &Model,
@@ -213,12 +206,10 @@ pub fn parallel_base_cycle<C: Communicator>(
         return blocking_cycle(comm, model, view, tail, ws, strategy);
     }
     ws.reset_stats(model, tail.classes.len());
-    let CycleWorkspace { wts, estep, stats, flat, accum } = ws;
+    let CycleWorkspace { wts, estep, stats, accum, .. } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
-    let scalars = pipelined_cycle(comm, model, view, tail, wts, estep, stats, accum);
-    let approx = replicated_tail(comm, model, stats, scalars, Source::Kept, tail);
-    end_cycle(comm, stats, scalars, &tail.classes, flat);
-    approx
+    let scalars = pipelined_cycle(comm, model, view, &tail.classes, wts, estep, stats, accum);
+    end_cycle(comm, model, stats, scalars, Source::Stats, tail)
 }
 
 /// One parallel `base_cycle`: E-step + weight Allreduce, M-step with the
@@ -236,13 +227,17 @@ pub fn parallel_base_cycle<C: Communicator>(
 /// caller's enclosing span, so buckets still partition elapsed time.
 ///
 /// All transient storage (the weight matrix, E-step scratch, statistics
-/// buffer, flat payload buffer) lives in `ws` and is reused across cycles:
-/// like the sequential `base_cycle`, the `Full` strategies perform no heap
-/// allocation in steady state. (`WtsOnly` gathers the whole weight matrix
-/// through growing transport buffers by design — that bandwidth cost is
-/// the point of the comparison.) [`Exchange::Pipelined`] needs
-/// non-blocking collectives, which only the world has, so it is not run
-/// here: [`parallel_base_cycle`] runs it.
+/// buffer, flat payload buffer) lives in `ws` and is reused across cycles.
+/// At P = 1, like the sequential `base_cycle`, the `Full` strategies make
+/// no heap allocation in steady state. On a simulated machine of P > 1
+/// they make a few per cycle per host, almost flat in P (about 19–24 on
+/// `meiko_cs2` at J = 5): the deriving rank's [`Arc::make_mut`] copy of
+/// the shared [`Tail`], and per-meeting state of the collectives.
+/// (`WtsOnly` gathers the whole weight matrix through growing transport
+/// buffers by design — that bandwidth cost is the point of the
+/// comparison.) [`Exchange::Pipelined`] needs non-blocking collectives,
+/// which only the world has, so it is not run here:
+/// [`parallel_base_cycle`] runs it.
 pub fn blocking_cycle<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
@@ -365,22 +360,22 @@ pub fn blocking_cycle<C: SpmdComm>(
         Strategy::WtsOnly => Source::Flat(flat),
         Strategy::Full { .. } => Source::Stats,
     };
-    let approx = replicated_tail(comm, model, stats, scalars, source, tail);
-    end_cycle(comm, stats, scalars, &tail.classes, flat);
-    approx
+    end_cycle(comm, model, stats, scalars, source, tail)
 }
 
-/// What every cycle does after its [`replicated_tail`]: charge the
-/// scoring, and, when replication checking is on, prove that the new
-/// parameters and scores are bitwise identical on every member (`flat` is
-/// the cycle's reusable payload buffer).
+/// The ending every cycle shares: the [`replicated_tail`] from `source`,
+/// the charge for the scoring, and, when replication checking is on, the
+/// proof that the new parameters and scores are bitwise identical on
+/// every member. Returns the cycle's scores.
 fn end_cycle<C: SpmdComm>(
     comm: &mut C,
+    model: &Model,
     stats: &SuffStats,
     scalars: [f64; 2],
-    classes: &[ClassParams],
-    flat: &mut Vec<f64>,
-) {
+    source: Source<'_>,
+    tail: &mut Arc<Tail>,
+) -> Approximation {
+    let approx = replicated_tail(comm, model, stats, scalars, source, tail);
     comm.work((stats.layout.j * stats.layout.stride) as u64);
 
     // The new parameters were derived *independently* on every member from
@@ -388,21 +383,23 @@ fn end_cycle<C: SpmdComm>(
     // are still bitwise identical — the semantics-preservation property
     // the paper's design rests on — before the next cycle builds on them.
     if comm.checks_replication() {
-        flat.clear();
-        for class in classes.iter() {
-            class.to_flat(flat);
-        }
-        comm.verify_replicated("updated class parameters", flat);
+        comm.verify_replicated("updated class parameters", &classes_to_flat(&tail.classes));
         comm.verify_replicated("cycle scores", &scalars);
     }
+    approx
 }
 
 /// The overlapped cycle (the [`Exchange::Pipelined`] arm): one fused
 /// single-pass E+M kernel produces the weights and the local statistics
 /// together; then w_j and the statistics leave as *non-blocking*
-/// collectives, and each class's parameters are derived while later
-/// chunks are still on the wire. Returns the global `[log_likelihood,
-/// complete_ll]` scalars.
+/// collectives, and each class's derivation is charged while later chunks
+/// are still on the wire. Returns the global `[log_likelihood,
+/// complete_ll]` scalars; the classes themselves are derived once per
+/// host in the [`replicated_tail`] that ends the cycle, as in the blocking
+/// cycle. Both backends run the collectives eagerly at post, so the
+/// overlap is one of virtual time only: the simulator hides the wire time
+/// behind the charged derive work, and the native backend has no wire
+/// time left to hide.
 ///
 /// Bitwise identical to the blocking [`Exchange::Fused`] cycle for every
 /// allreduce algorithm, by construction:
@@ -426,28 +423,26 @@ fn end_cycle<C: SpmdComm>(
 ///   pipelining, but the fused kernel, packed scalars, and post/wait
 ///   overlap (w_j's wire hides behind the statistics post) still apply.
 ///
-/// The only steady-state heap allocation in this cycle is the vector of
-/// `Request` handles (`j + 1` of them) — documented in DESIGN.md §10;
-/// everything else reuses the [`CycleWorkspace`] buffers. The per-class
-/// derive writes the classes in place, so on the simulator, where the
-/// ranks share them, each rank first takes a copy of its own.
+/// Beyond what a Fused cycle allocates, the only heap allocation in this
+/// cycle is the vector of statistics requests (j of them when chunked, 1
+/// otherwise; w_j's request is separate) — documented in DESIGN.md §10;
+/// everything else reuses the [`CycleWorkspace`] buffers.
 #[allow(clippy::too_many_arguments)]
 fn pipelined_cycle<C: Communicator>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
-    tail: &mut Arc<Tail>,
+    classes: &[ClassParams],
     wts: &mut WtsMatrix,
     estep: &mut EStepScratch,
     stats: &mut SuffStats,
     accum: &mut Vec<f64>,
 ) -> [f64; 2] {
-    let j = tail.classes.len();
+    let j = classes.len();
 
     // ---- fused update_wts + statistics accumulation (one pass) -------
     comm.enter_phase("estep");
-    let (e, stat_ops) =
-        update_wts_and_stats_into(model, view, &tail.classes, wts, estep, stats, accum);
+    let (e, stat_ops) = update_wts_and_stats_into(model, view, classes, wts, estep, stats, accum);
     comm.work(e.ops);
     comm.exit_phase();
     // The statistics ops are charged under "mstep" so the phase rows stay
@@ -504,40 +499,34 @@ fn pipelined_cycle<C: Communicator>(
     }
     comm.exit_phase();
 
-    // ---- wait / install / derive, overlapped -------------------------
+    // ---- wait / install / charge the derive, overlapped ---------------
     comm.enter_phase("allreduce");
     comm.wait(&mut wj_req);
     comm.exit_phase();
     comm.verify_replicated("class weight sums w_j", &estep.class_weight_sums);
 
-    // Identical on every rank (class shapes are replicated), so this
-    // branch — and with it the collective schedule — matches across ranks.
-    let in_place = tail.classes.iter().all(|c| c.terms.len() == model.groups.len());
-    let classes = &mut Arc::make_mut(tail).classes;
-    if chunkable && in_place {
-        for (c, class) in classes.iter_mut().enumerate() {
+    // The replicated tail derives the classes; each one's derive costs one
+    // statistics stride (what `mstep_ops` sums), charged as its chunk
+    // lands.
+    if chunkable {
+        for (c, &w) in estep.class_weight_sums.iter().enumerate() {
             comm.enter_phase("allreduce");
             comm.wait(&mut chunk_reqs[c]);
             comm.exit_phase();
-            stats.data[stats.layout.weight_index(c)] = estep.class_weight_sums[c];
+            stats.data[stats.layout.weight_index(c)] = w;
             comm.enter_phase("mstep");
-            let mops = stats_to_class_into(model, stats, c, class);
-            comm.work(mops);
+            comm.work(stats.layout.stride as u64);
             comm.exit_phase();
         }
     } else {
         comm.enter_phase("allreduce");
-        // The reductions land in place; waitall's per-request payloads
-        // only confirm every request completed.
-        let completions = comm.waitall(&mut chunk_reqs);
-        debug_assert_eq!(completions.len(), chunk_reqs.len());
+        comm.waitall(&mut chunk_reqs);
         comm.exit_phase();
         for (c, &w) in estep.class_weight_sums.iter().enumerate() {
             stats.data[stats.layout.weight_index(c)] = w;
         }
         comm.enter_phase("mstep");
-        let mops = stats_to_classes_into(model, stats, classes);
-        comm.work(mops);
+        comm.work(mstep_ops(stats));
         comm.exit_phase();
     }
 
@@ -596,8 +585,11 @@ fn wts_only_mstep<C: SpmdComm>(
     // no panic path inside the rank closure.
     if let (Some(all), Some(sizes)) = (gathered, sizes) {
         // Root: rebuild the global weight matrix. Ranks contributed in
-        // rank order; rank r's block is n_r × J column-major.
-        let full = root_view(view);
+        // rank order; rank r's block is n_r × J column-major. Only the
+        // root conceptually owns the whole dataset; every rank here
+        // borrows the same one, so this is a reslice, but getting the
+        // weights to the root was charged for real.
+        let full = view.whole_dataset();
         let n_total = full.len();
         let mut global_wts = WtsMatrix::new(n_total, j);
         let mut offset = 0;
@@ -640,15 +632,6 @@ fn wts_only_mstep<C: SpmdComm>(
     comm.enter_phase("allreduce");
     comm.broadcast_f64s(0, &mut stats.data);
     comm.exit_phase();
-}
-
-/// Recover the full-dataset view from a partition view. Only valid on the
-/// rank that conceptually owns the whole dataset (rank 0 in the WtsOnly
-/// strategy); in this simulation every rank borrows the same `Dataset`, so
-/// this is a reslice, but the communication cost of getting the weights to
-/// rank 0 is charged for real.
-fn root_view<'a>(view: &DataView<'a>) -> DataView<'a> {
-    view.whole_dataset()
 }
 
 #[cfg(test)]

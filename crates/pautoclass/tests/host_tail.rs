@@ -283,3 +283,53 @@ fn sharing_a_kept_result_allocates_nothing() {
     // kept once and shared by the other ranks.
     assert_eq!((out.replicas.kept, out.replicas.shared), (4, 4 * (p as u64 - 1)));
 }
+
+const CYCLES: usize = 10;
+
+/// Allocations made by all the ranks of `meiko_cs2(p)` over `CYCLES`
+/// cycles of `strategy` at J = 5, after three warm-up cycles.
+fn allocs_over_cycles(data: &autoclass::data::Dataset, p: usize, strategy: Strategy) -> u64 {
+    let out = run_spmd(&presets::meiko_cs2(p), &SimOptions::default(), |comm| {
+        let part = block_range(data.len(), comm.size(), comm.rank());
+        let view = data.view(part.start, part.end);
+        let model = build_model(comm, &view, &[], "allreduce");
+        let mut tail = init_classes_parallel(comm, &model, &view, 5, 3);
+        let mut ws = CycleWorkspace::new();
+        for _ in 0..3 {
+            parallel_base_cycle(comm, &model, &view, &mut tail, &mut ws, strategy);
+        }
+        comm.barrier();
+        let before = allocs();
+        for _ in 0..CYCLES {
+            parallel_base_cycle(comm, &model, &view, &mut tail, &mut ws, strategy);
+        }
+        comm.barrier();
+        (std::thread::current().id(), allocs() - before)
+    })
+    .unwrap();
+    // Fibers share the calling thread, whose counter sees every rank
+    // between rank 0's two reads; thread-backed ranks count their own.
+    if out.per_rank.iter().all(|(t, _)| *t == out.per_rank[0].0) {
+        out.per_rank[0].1
+    } else {
+        out.per_rank.iter().map(|(_, n)| n).sum()
+    }
+}
+
+#[test]
+fn a_pipelined_cycle_allocates_at_most_its_request_vector_beyond_a_fused_one() {
+    let data = datagen::paper_dataset(400, 8);
+    let p = 4;
+    let fused = allocs_over_cycles(&data, p, Strategy::Full { exchange: Exchange::Fused });
+    let pipelined = allocs_over_cycles(&data, p, Strategy::Full { exchange: Exchange::Pipelined });
+    // The one extra allocation per rank and cycle is the vector of
+    // statistics requests; a rank that copied the shared class list to
+    // derive into would add that copy's allocations on top.
+    let per = |n: u64| n as f64 / (p * CYCLES) as f64;
+    assert!(
+        pipelined <= fused + (p * CYCLES) as u64,
+        "allocations per rank per cycle: Pipelined {}, Fused {}",
+        per(pipelined),
+        per(fused)
+    );
+}

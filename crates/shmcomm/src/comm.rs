@@ -29,7 +29,7 @@ use mpsim::traits::CommError;
 use mpsim::verify::USER_REPL_COMM;
 use mpsim::{
     AllreduceAlgo, CollFingerprint, Communicator, MachineSpec, PhaseLedger, RankStats, ReduceOp,
-    SpmdComm,
+    Request, SpmdComm,
 };
 
 /// How long a blocked receive sleeps per poll before re-checking the
@@ -103,36 +103,6 @@ impl ReplCheck {
             slots.remove(&(comm, seq));
         }
         Ok(())
-    }
-}
-
-/// What a pending [`NativeReq`] still has to do at wait time.
-#[derive(Debug)]
-pub(crate) enum ReqKind {
-    /// Already complete (sends run eagerly; non-blocking collectives run
-    /// their data movement at post, like the simulator's).
-    Ready,
-    /// A posted receive; the wait pulls the matching message.
-    Recv { src: usize, tag: u64 },
-}
-
-/// Handle for a non-blocking operation on the native backend. Must be
-/// retired by exactly one [`Communicator::wait`] / [`Communicator::waitall`];
-/// dropping an unwaited request panics (same contract as the simulator's
-/// [`mpsim::Request`]).
-#[must_use = "non-blocking requests must be waited"]
-#[derive(Debug)]
-pub struct NativeReq {
-    pub(crate) rank: usize,
-    pub(crate) kind: ReqKind,
-    pub(crate) done: bool,
-}
-
-impl Drop for NativeReq {
-    fn drop(&mut self) {
-        if !self.done && !std::thread::panicking() {
-            panic!("rank {}: non-blocking request dropped without wait", self.rank);
-        }
     }
 }
 
@@ -341,8 +311,6 @@ impl SpmdComm for NativeComm {
 }
 
 impl Communicator for NativeComm {
-    type Req = NativeReq;
-
     /// The machine description this native run is being compared against.
     /// Only its *decision* surface matters here — algorithm selection
     /// (`allreduce`, `network` for `Auto`) — so both backends take
@@ -400,45 +368,25 @@ impl Communicator for NativeComm {
         self.stamp_idle();
         msg.values
     }
-    /// Data moves eagerly (the channel buffers), so the returned request
-    /// is already complete; it must still be waited to satisfy the
-    /// request discipline.
-    fn isend_f64s(&mut self, dst: usize, tag: u64, values: &[f64]) -> NativeReq {
-        self.send_f64s(dst, tag, values);
-        NativeReq { rank: self.rank, kind: ReqKind::Ready, done: false }
-    }
-    /// The matching wait pulls the payload.
-    fn irecv_f64s(&mut self, src: usize, tag: u64) -> NativeReq {
-        NativeReq { rank: self.rank, kind: ReqKind::Recv { src, tag }, done: false }
-    }
-    fn wait(&mut self, req: &mut NativeReq) -> Option<Vec<f64>> {
-        if req.done {
-            self.fail(CommError::Request {
-                rank: self.rank,
-                detail: "request waited twice".into(),
-            });
-        }
-        req.done = true;
-        match req.kind {
-            ReqKind::Ready => None,
-            ReqKind::Recv { src, tag } => Some(self.recv_f64s(src, tag)),
+    fn wait(&mut self, req: &mut Request) {
+        if let Err(detail) = req.retire() {
+            self.fail(CommError::Request { rank: self.rank, detail });
         }
     }
     /// Like the simulator's, the data movement runs *eagerly*: on return
     /// `buf` already holds the reduction — bitwise identical to the
-    /// blocking call — and the returned request is complete. The
-    /// simulator defers only virtual wire time (hidden behind later
-    /// `work`); on real silicon there is no deferred wire to hide, so the
-    /// pipelined driver degenerates gracefully to its synchronous
-    /// schedule.
+    /// blocking call — and the returned request is complete at post. The
+    /// simulator defers only virtual wire time; on real silicon there is
+    /// no deferred wire to hide, so `wait` only retires the request.
     fn iallreduce_f64s_with(
         &mut self,
         buf: &mut [f64],
         op: ReduceOp,
         algo: AllreduceAlgo,
-    ) -> NativeReq {
+    ) -> Request {
         self.allreduce_f64s_with(buf, op, algo);
-        NativeReq { rank: self.rank, kind: ReqKind::Ready, done: false }
+        let now = self.now();
+        Request::new(self.rank, now, now)
     }
 
     fn coll_seq(&self) -> u64 {

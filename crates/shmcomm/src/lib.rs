@@ -52,5 +52,5 @@ pub mod collectives;
 pub mod comm;
 pub mod engine;
 
-pub use comm::{NativeComm, NativeReq};
+pub use comm::NativeComm;
 pub use engine::{run_native, NativeOptions, NativeOutput};

@@ -6,7 +6,7 @@
 //! interchangeable: the machine spec chooses the schedule, the schedule
 //! fixes the fold order, and the fold order fixes every bit.
 
-use mpsim::{presets, AllreduceAlgo, Communicator, ReduceOp, SpmdComm};
+use mpsim::{presets, AllreduceAlgo, CommError, Communicator, ReduceOp, SimError, SpmdComm};
 use proptest::prelude::*;
 use shmcomm::{run_native, NativeOptions};
 
@@ -160,16 +160,61 @@ fn nonblocking_requests_match_the_eager_sim() {
         let mut req = comm.iallreduce_f64s(&mut buf, ReduceOp::Sum);
         comm.work(500);
         comm.wait(&mut req);
-        let me = comm.rank();
-        let p = comm.size();
-        let mut sreq = comm.isend_f64s((me + 1) % p, 3, &buf[..4]);
-        let mut rreq = comm.irecv_f64s((me + p - 1) % p, 3);
-        comm.wait(&mut sreq);
-        let ring = comm.wait(&mut rreq).expect("irecv must yield the payload");
-        buf.iter().chain(ring.iter()).map(|v| v.to_bits()).collect()
+        buf.iter().map(|v| v.to_bits()).collect()
     }
     let machine = presets::meiko_cs2(4);
     let sim = mpsim::run_spmd_default(&machine, body).unwrap();
     let native = run_native(&machine, &NativeOptions::default(), body).unwrap();
     assert_eq!(sim.per_rank, native.per_rank);
+}
+
+#[test]
+fn request_misuse_names_the_culprit_rank_on_both_backends() {
+    // Both backends hand out `mpsim::Request`, so one body misuses it on
+    // either: the culprit waits its request twice, or drops it unwaited.
+    const CULPRIT: usize = 1;
+    fn body<C: Communicator>(comm: &mut C, twice: bool) {
+        let mut buf = payload(comm.rank(), 4, 1);
+        let mut req = comm.iallreduce_f64s(&mut buf, ReduceOp::Sum);
+        if comm.rank() != CULPRIT {
+            comm.wait(&mut req);
+        } else if twice {
+            comm.wait(&mut req);
+            comm.wait(&mut req);
+        } else {
+            drop(req);
+        }
+    }
+    let machine = presets::meiko_cs2(3);
+    let native = |twice| run_native(&machine, &NativeOptions::default(), |c| body(c, twice));
+
+    match mpsim::run_spmd_default(&machine, |c| body(c, true)).unwrap_err() {
+        SimError::RequestMisuse { rank, detail } => {
+            assert_eq!(rank, CULPRIT, "{detail}");
+            assert!(detail.contains("waited twice"), "{detail}");
+        }
+        other => panic!("expected RequestMisuse, got {other}"),
+    }
+    match native(true).map(|_| ()).unwrap_err() {
+        CommError::Request { rank, detail } => {
+            assert_eq!(rank, CULPRIT, "{detail}");
+            assert!(detail.contains("waited twice"), "{detail}");
+        }
+        other => panic!("expected CommError::Request, got {other}"),
+    }
+
+    match mpsim::run_spmd_default(&machine, |c| body(c, false)).unwrap_err() {
+        SimError::RankPanicked { rank, message } => {
+            assert_eq!(rank, CULPRIT, "{message}");
+            assert!(message.contains("rank 1: non-blocking request dropped"), "{message}");
+        }
+        other => panic!("expected RankPanicked, got {other}"),
+    }
+    match native(false).map(|_| ()).unwrap_err() {
+        CommError::RankPanicked { rank, detail } => {
+            assert_eq!(rank, CULPRIT, "{detail}");
+            assert!(detail.contains("rank 1: non-blocking request dropped"), "{detail}");
+        }
+        other => panic!("expected CommError::RankPanicked, got {other}"),
+    }
 }
