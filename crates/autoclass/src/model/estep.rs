@@ -51,6 +51,11 @@ impl WtsMatrix {
         (0..self.j).map(|c| self.data[c * self.n + i]).collect()
     }
 
+    /// Doubles of storage held: the largest shape it has been reset to.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Resize for a different item/class count, keeping the existing
     /// capacity. Contents are **unspecified** afterwards: every E-step
     /// kernel overwrites each column with `log_pi` before accumulating, so
@@ -62,9 +67,11 @@ impl WtsMatrix {
         self.j = j;
         let len = n * j;
         if self.data.len() < len {
-            // Grow (amortized: only until the matrix reaches its high-water
-            // mark). The new tail is zeroed by `resize`; existing elements
-            // keep stale values, which is fine under the overwrite contract.
+            // Grow to exactly the new shape, so the capacity is the largest
+            // shape seen, never a doubling past it. The new tail is zeroed
+            // by `resize`; existing elements keep stale values, which is
+            // fine under the overwrite contract.
+            self.data.reserve_exact(len - self.data.len());
             self.data.resize(len, 0.0);
         } else {
             // Shrink without touching memory: capacity is retained.
@@ -104,14 +111,18 @@ pub struct EStepOut {
 /// striding across a matrix that long since left it.
 pub const ESTEP_TILE: usize = 256;
 
-/// Reusable buffers for [`update_wts_into`]. One instance lives for a whole
-/// search (inside a `CycleWorkspace`); after the first cycle at a given
-/// model shape no call allocates.
+/// Reusable buffers for [`update_wts_into`] and [`estep_and_stats_into`].
+/// One instance lives for a whole search (inside a `CycleWorkspace`);
+/// after the first cycle at a given model shape no call allocates.
 #[derive(Debug, Clone, Default)]
 pub struct EStepScratch {
     /// w_j = Σ_i w_ij per class (this partition's part); the output vector
     /// that P-AutoClass allreduces. Resized to `j` and refilled each call.
     pub class_weight_sums: Vec<f64>,
+    /// The weights of one tile, `min(n, ESTEP_TILE)` rows by `j` classes:
+    /// all the weight storage [`estep_and_stats_into`] uses. Empty until
+    /// that entry first runs; the whole-matrix entries leave it alone.
+    pub tile: WtsMatrix,
     /// Per-item row maxima over one tile (`max_c r_ic`).
     rowmax: Vec<f64>,
     /// Per-item exponential sums over one tile (`Σ_c e_ic`), later
@@ -169,13 +180,14 @@ pub fn update_wts(
 
 /// Consumer of finalized weight tiles inside the blocked E-step kernel.
 ///
-/// `tile(lo, hi, wts)` is called once per tile, after pass D, when the
-/// `[lo, hi)` rows of every class column hold their **final normalized**
-/// weights and are still cache-hot. This is what lets the fused E+M entry
-/// point accumulate sufficient statistics in the same pass without a
-/// second walk over the weight matrix.
+/// `tile(lo, hi, wts, at)` is called once per tile, after pass D, when the
+/// rows `at..at + (hi - lo)` of every class column of `wts` hold the
+/// **final normalized** weights of the items `[lo, hi)` and are still
+/// cache-hot. This is what lets the fused E+M entry points accumulate
+/// sufficient statistics in the same pass without a second walk over the
+/// weights.
 trait TileSink {
-    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix);
+    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix, at: usize);
 }
 
 /// Sink for the plain E-step: no per-tile consumer.
@@ -183,36 +195,39 @@ struct NoSink;
 
 impl TileSink for NoSink {
     #[inline(always)]
-    fn tile(&mut self, _lo: usize, _hi: usize, _wts: &WtsMatrix) {}
+    fn tile(&mut self, _lo: usize, _hi: usize, _wts: &WtsMatrix, _at: usize) {}
 }
 
-/// Sink for the fused E+M kernel: feeds each finalized tile to
-/// [`SuffStats::accumulate_tile`], carrying the scalar accumulation
-/// chains so the result is bitwise identical to a whole-partition
-/// [`SuffStats::accumulate`] after the E-step.
+/// Sink for the fused E+M kernels: folds each finalized tile into `stats`
+/// through [`SuffStats::fold_tile_on`], whose chains carry across tiles
+/// in the statistics themselves, so the result is bitwise a
+/// whole-partition [`SuffStats::accumulate`] after the E-step.
 struct StatsSink<'a, 'v> {
+    isa: Isa,
     model: &'a Model,
     view: &'a DataView<'v>,
     stats: &'a mut SuffStats,
-    carry: &'a mut [f64],
     ops: u64,
 }
 
 impl TileSink for StatsSink<'_, '_> {
-    #[inline(always)]
-    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix) {
-        self.ops +=
-            self.stats.accumulate_tile_inline(self.model, self.view, wts, lo, hi, self.carry);
+    /// Out of line, on the caller's instance: inlined into the E-step's
+    /// instance, the statistics kernel made the whole pass slower than the
+    /// two passes it replaces. One call per tile costs nothing measurable.
+    #[inline(never)]
+    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix, at: usize) {
+        self.ops += self.stats.fold_tile_on(self.isa, self.model, self.view, wts, at, lo, hi);
     }
 }
 
 /// One call of the tile loop, as a [`Wide`] kernel so it runs on the
-/// widest instance the CPU supports.
+/// widest instance the CPU supports. The weights go to `wts`, or to the
+/// scratch's one-tile buffer when it is `None`.
 struct Tiled<'a, 'v, S> {
     model: &'a Model,
     view: &'a DataView<'v>,
     classes: &'a [ClassParams],
-    wts: &'a mut WtsMatrix,
+    wts: Option<&'a mut WtsMatrix>,
     scratch: &'a mut EStepScratch,
     sink: &'a mut S,
 }
@@ -251,6 +266,7 @@ pub fn update_wts_into(
     wts: &mut WtsMatrix,
     scratch: &mut EStepScratch,
 ) -> EStepScalars {
+    let wts = Some(wts);
     run_wide(Isa::best(), Tiled { model, view, classes, wts, scratch, sink: &mut NoSink })
 }
 
@@ -259,14 +275,16 @@ pub fn update_wts_into(
 /// bitwise equal), but each finalized tile is immediately folded into
 /// `stats` while its weights are still in cache, instead of re-reading
 /// the whole `n × j` matrix in a separate [`SuffStats::accumulate`] pass.
-/// The carried-chain tiling keeps the statistics bitwise identical to the
-/// two-pass form as well.
+/// The statistics' chains carry across tiles unbroken, so they are
+/// bitwise identical to the two-pass form as well. The EM cycle keeps no
+/// weight matrix and calls [`estep_and_stats_into`] instead.
 ///
-/// `stats` must be zeroed (or hold a prior partition's partials, as in the
-/// untiled call); `carry` is resized/zeroed here and is all flushed into
-/// `stats` before returning. Returns the E-step scalars and the statistics
-/// op count (charged separately, under the M-step phase, so phase
-/// accounting matches the two-pass driver).
+/// `stats` accumulates as in [`SuffStats::accumulate`]: zeroed, it ends
+/// holding this partition's statistics. `carry` is neither read nor
+/// written: the chains carry in `stats`, so the kernel needs no buffer,
+/// and the parameter stays for the callers that pass one. Returns the
+/// E-step scalars and the statistics op count (charged separately, under
+/// the M-step phase, so phase accounting matches the two-pass driver).
 pub fn update_wts_and_stats_into(
     model: &Model,
     view: &DataView<'_>,
@@ -276,54 +294,85 @@ pub fn update_wts_and_stats_into(
     stats: &mut SuffStats,
     carry: &mut Vec<f64>,
 ) -> (EStepScalars, u64) {
-    update_wts_and_stats_on(Isa::best(), model, view, classes, wts, scratch, stats, carry)
+    let _ = carry;
+    fused_on(Isa::best(), model, view, classes, Some(wts), scratch, stats)
 }
 
-/// [`update_wts_and_stats_into`] on the kernel instance for `isa`.
-#[allow(clippy::too_many_arguments)]
-fn update_wts_and_stats_on(
+/// The EM cycle's E-step and local statistics in one tile-resident pass:
+/// the scalars, `scratch.class_weight_sums` and `stats` come out bitwise
+/// as [`update_wts_into`] followed by [`SuffStats::accumulate`] leaves
+/// them, but no weight outlives its tile. Each tile's weights go to
+/// `scratch.tile` and are folded into `stats` while still in cache, so a
+/// partition of `n` items keeps `min(n, ESTEP_TILE) × j` weights, not
+/// `n × j`, and reads none of them back from memory.
+///
+/// `stats` accumulates as in [`SuffStats::accumulate`]; the cycle passes
+/// it zeroed, as `CycleWorkspace::reset_stats` leaves it. Returns the
+/// E-step scalars and the statistics op count, which the caller charges
+/// separately.
+pub fn estep_and_stats_into(
+    model: &Model,
+    view: &DataView<'_>,
+    classes: &[ClassParams],
+    scratch: &mut EStepScratch,
+    stats: &mut SuffStats,
+) -> (EStepScalars, u64) {
+    fused_on(Isa::best(), model, view, classes, None, scratch, stats)
+}
+
+/// Both fused E+M entries on the kernel instance for `isa`: the weights go
+/// to `wts`, or, when it is `None`, one tile at a time to `scratch.tile`.
+fn fused_on(
     isa: Isa,
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
-    wts: &mut WtsMatrix,
+    wts: Option<&mut WtsMatrix>,
     scratch: &mut EStepScratch,
     stats: &mut SuffStats,
-    carry: &mut Vec<f64>,
 ) -> (EStepScalars, u64) {
-    carry.clear();
-    carry.resize(stats.carry_len(model), 0.0);
-    let mut sink = StatsSink { model, view, stats, carry, ops: 0 };
+    let mut sink = StatsSink { isa, model, view, stats, ops: 0 };
     let scalars = run_wide(isa, Tiled { model, view, classes, wts, scratch, sink: &mut sink });
-    let stat_ops = sink.ops;
-    stats.finish_tiles(model, carry);
-    (scalars, stat_ops)
+    (scalars, sink.ops)
 }
 
-/// The tile loop shared by [`update_wts_into`] and
-/// [`update_wts_and_stats_into`]; `sink` observes each tile after its
-/// weights are final. Always inlined, together with everything on its hot
-/// path, so that each [`Wide`] instance compiles the whole loop at its own
-/// vector width.
+/// The tile loop shared by every E-step entry point. The weights go to
+/// `wts`, each item at its own row, or, when it is `None`, to
+/// `scratch.tile`, each tile at rows `0..`; `sink` observes each tile
+/// after its weights are final. Always inlined, together with everything
+/// on its hot path, so that each [`Wide`] instance compiles the whole
+/// loop at its own vector width.
 #[inline(always)]
 fn update_wts_tiled<S: TileSink>(
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
-    wts: &mut WtsMatrix,
+    wts: Option<&mut WtsMatrix>,
     scratch: &mut EStepScratch,
     sink: &mut S,
 ) -> EStepScalars {
     let n = view.len();
     let j = classes.len();
     assert!(j >= 1, "need at least one class");
-    wts.reset(n, j);
-
-    scratch.class_weight_sums.clear();
-    scratch.class_weight_sums.resize(j, 0.0);
     // No tile is longer than the partition, so a partition of a few
     // items keeps a few-item scratch.
     let tile = ESTEP_TILE.min(n);
+    let resident = wts.is_none();
+    let wts = match wts {
+        Some(wts) => {
+            wts.reset(n, j);
+            wts
+        }
+        None => {
+            scratch.tile.reset(tile, j);
+            &mut scratch.tile
+        }
+    };
+    // Column stride of the weights: `n`, or one tile.
+    let stride = wts.n;
+
+    scratch.class_weight_sums.clear();
+    scratch.class_weight_sums.resize(j, 0.0);
     scratch.rowmax.resize(tile, 0.0);
     scratch.sums.resize(tile, 0.0);
     scratch.accwr.resize(tile, 0.0);
@@ -335,6 +384,8 @@ fn update_wts_tiled<S: TileSink>(
     while lo < n {
         let hi = (lo + ESTEP_TILE).min(n);
         let tl = hi - lo;
+        // The row of `wts` that holds item `lo`.
+        let at = if resident { 0 } else { lo };
 
         // The tile's logarithms, taken once per LogNormal group rather
         // than once per class.
@@ -351,7 +402,7 @@ fn update_wts_tiled<S: TileSink>(
         // of its column — the same element-wise additions the full-column
         // naive kernel performs, just grouped by tile.
         for (c, class) in classes.iter().enumerate() {
-            let col = &mut wts.data[c * n + lo..c * n + hi];
+            let col = &mut wts.data[c * stride + at..c * stride + at + tl];
             col.fill(class.log_pi);
             let mut ln_at = 0;
             for (term, group) in class.terms.iter().zip(&model.groups) {
@@ -411,7 +462,7 @@ fn update_wts_tiled<S: TileSink>(
         // (multinomial smoothing keeps log_p finite).
         rm.fill(f64::NEG_INFINITY);
         for c in 0..j {
-            let col = &wts.data[c * n + lo..c * n + hi];
+            let col = &wts.data[c * stride + at..c * stride + at + tl];
             for (m, &v) in rm.iter_mut().zip(col) {
                 // A select, not an `if`: the branch form mispredicts on
                 // randomly ordered data (which class holds the running max
@@ -428,7 +479,7 @@ fn update_wts_tiled<S: TileSink>(
         sums.fill(0.0);
         accwr.fill(0.0);
         for c in 0..j {
-            let col = &mut wts.data[c * n + lo..c * n + hi];
+            let col = &mut wts.data[c * stride + at..c * stride + at + tl];
             for t in 0..tl {
                 let r = col[t];
                 let e = fast_exp(r - rm[t]);
@@ -455,21 +506,22 @@ fn update_wts_tiled<S: TileSink>(
         let cws = &mut scratch.class_weight_sums;
         let mut c0 = 0;
         while c0 + LANES <= j {
-            normalize_classes::<LANES>(&mut wts.data, n, c0, lo, sums, &mut cws[c0..c0 + LANES]);
+            let cws = &mut cws[c0..c0 + LANES];
+            normalize_classes::<LANES>(&mut wts.data, stride, c0, at, sums, cws);
             c0 += LANES;
         }
         if c0 + LANES / 2 <= j {
             let cws = &mut cws[c0..c0 + LANES / 2];
-            normalize_classes::<{ LANES / 2 }>(&mut wts.data, n, c0, lo, sums, cws);
+            normalize_classes::<{ LANES / 2 }>(&mut wts.data, stride, c0, at, sums, cws);
             c0 += LANES / 2;
         }
         for c in c0..j {
-            normalize_classes::<1>(&mut wts.data, n, c, lo, sums, &mut cws[c..c + 1]);
+            normalize_classes::<1>(&mut wts.data, stride, c, at, sums, &mut cws[c..c + 1]);
         }
 
         // The tile's weights are final; hand them to the sink while the
         // column segments are still cache-resident.
-        sink.tile(lo, hi, wts);
+        sink.tile(lo, hi, wts, at);
 
         lo = hi;
     }
@@ -479,9 +531,10 @@ fn update_wts_tiled<S: TileSink>(
     EStepScalars { log_likelihood, complete_ll, ops }
 }
 
-/// Pass D for the `L` classes `c0..c0 + L`: scale each weight of the tile
-/// starting at item `lo` by its item's reciprocal sum `inv[t]`, in place,
-/// and add each class's tile total to its entry of `cws`.
+/// Pass D for the `L` classes `c0..c0 + L` of weights whose columns are
+/// `n` long: scale each weight of the tile starting at row `lo` by its
+/// item's reciprocal sum `inv[t]`, in place, and add each class's tile
+/// total to its entry of `cws`.
 ///
 /// One lane per class: the `L` per-class sums are independent chains that
 /// advance together, one item per step, so none waits on the latency of
@@ -753,6 +806,11 @@ mod tests {
         {
             assert!(buf.capacity() <= 16, "{name} holds {} entries", buf.capacity());
         }
+        // The tile-resident entry's weights: one 16-row tile of two classes.
+        assert_eq!(scratch.tile.capacity(), 0, "the whole-matrix entry used the tile");
+        let mut stats = SuffStats::zeros(crate::model::suffstats::StatLayout::new(&model, 2));
+        estep_and_stats_into(&model, &view, &classes, &mut scratch, &mut stats);
+        assert_eq!(scratch.tile.capacity(), 16 * 2);
     }
 
     #[test]
@@ -1004,19 +1062,11 @@ mod tests {
         }
     }
 
-    /// Every kernel instance this CPU supports (see `model::wide`) against
-    /// the plain one, bit for bit: the E-step alone, the fused E+M kernel
-    /// and `SuffStats::accumulate`, on a schema with every term family —
-    /// Normal with missing values, LogNormal, Multinomial without and with
-    /// a missing level, a 2-D MultiNormal block — at class counts that
-    /// run every block width (8, 4 and 1 classes, 13 running all three)
-    /// and leave remainders, over a ragged last tile.
-    #[test]
-    fn every_kernel_instance_is_bitwise_identical_to_plain() {
-        use crate::model::init::init_classes;
-        use crate::model::suffstats::{StatLayout, SuffStats};
-        use crate::model::wide::{run_wide, Isa};
-
+    /// Every term family the kernels special-case: Normal with missing
+    /// values, LogNormal, Multinomial without and with a missing level, and
+    /// a 2-D MultiNormal block with a missing component, over
+    /// `2 · ESTEP_TILE + 37` items, so the last tile is ragged.
+    fn mixed() -> (Dataset, Model) {
         let schema = Schema::new(vec![
             Attribute::real("x", 0.01),
             Attribute::positive_real("y", 0.01),
@@ -1047,34 +1097,51 @@ mod tests {
             })
             .collect();
         let data = Dataset::from_rows(schema.clone(), &rows);
-        let view = data.full_view();
-        let gstats = GlobalStats::compute(&view);
+        let gstats = GlobalStats::compute(&data.full_view());
         let model =
             Model::with_correlated(schema, &gstats, &[vec![4, 5]]).with_missing_levels(&[3]);
+        (data, model)
+    }
 
-        // Every output bit of the three kernels, in one vector.
+    /// Every kernel instance this CPU supports (see `model::wide`) against
+    /// the plain one, bit for bit: the E-step alone, both fused E+M
+    /// kernels and `SuffStats::accumulate`, on the [`mixed`] schema, at
+    /// class counts that run every block width (8, 4 and 1 classes, 13
+    /// running all three) and leave remainders, over a ragged last tile.
+    #[test]
+    fn every_kernel_instance_is_bitwise_identical_to_plain() {
+        use crate::model::init::init_classes;
+        use crate::model::suffstats::{StatLayout, SuffStats};
+        use crate::model::wide::{run_wide, Isa};
+
+        let (data, model) = mixed();
+        let view = data.full_view();
+
+        // Every output bit of the four kernels, in one vector.
         let outputs = |isa: Isa, classes: &[ClassParams]| -> Vec<u64> {
             let j = classes.len();
             let mut bits = Vec::new();
-            let push_e = |bits: &mut Vec<u64>, e: EStepScalars, s: &EStepScratch, w: &WtsMatrix| {
+            let push_e = |bits: &mut Vec<u64>, e: EStepScalars, s: &EStepScratch| {
                 bits.extend([e.log_likelihood.to_bits(), e.complete_ll.to_bits(), e.ops]);
                 bits.extend(s.class_weight_sums.iter().map(|v| v.to_bits()));
+            };
+            let push_w = |bits: &mut Vec<u64>, w: &WtsMatrix| {
                 bits.extend((0..j).flat_map(|c| w.class_column(c)).map(|v| v.to_bits()));
             };
 
             let (mut wts, mut scratch) = (WtsMatrix::default(), EStepScratch::default());
             let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
-            let (e, ops) = update_wts_and_stats_on(
-                isa,
-                &model,
-                &view,
-                classes,
-                &mut wts,
-                &mut scratch,
-                &mut stats,
-                &mut Vec::new(),
-            );
-            push_e(&mut bits, e, &scratch, &wts);
+            let wts_out = Some(&mut wts);
+            let (e, ops) = fused_on(isa, &model, &view, classes, wts_out, &mut scratch, &mut stats);
+            push_e(&mut bits, e, &scratch);
+            push_w(&mut bits, &wts);
+            bits.push(ops);
+            bits.extend(stats.data.iter().map(|v| v.to_bits()));
+
+            let mut scratch = EStepScratch::default();
+            let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
+            let (e, ops) = fused_on(isa, &model, &view, classes, None, &mut scratch, &mut stats);
+            push_e(&mut bits, e, &scratch);
             bits.push(ops);
             bits.extend(stats.data.iter().map(|v| v.to_bits()));
 
@@ -1083,12 +1150,13 @@ mod tests {
                 model: &model,
                 view: &view,
                 classes,
-                wts: &mut wts,
+                wts: Some(&mut wts),
                 scratch: &mut scratch,
                 sink: &mut NoSink,
             };
             let e = run_wide(isa, tiled);
-            push_e(&mut bits, e, &scratch, &wts);
+            push_e(&mut bits, e, &scratch);
+            push_w(&mut bits, &wts);
             let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
             bits.push(stats.accumulate_on(isa, &model, &view, &wts));
             bits.extend(stats.data.iter().map(|v| v.to_bits()));
@@ -1110,6 +1178,65 @@ mod tests {
                         "J={j}: {isa:?} differs from Plain at output {k}: {:#x} vs {:#x}",
                         wide[k], plain[k]
                     );
+                }
+            }
+        }
+    }
+
+    /// The EM cycle's tile-resident entry against the two passes it
+    /// replaces (`update_wts_into`, then `SuffStats::accumulate`), bit for
+    /// bit: the scalars, w_j, every statistic and both op counts. On every
+    /// instance this CPU supports, on the [`mixed`] schema, at every class
+    /// block width, over a partition shorter than one tile and over a
+    /// ragged multi-tile one that starts past the dataset's first item.
+    #[test]
+    fn tile_resident_entry_is_bitwise_the_two_passes() {
+        use crate::model::init::init_classes;
+        use crate::model::suffstats::{StatLayout, SuffStats};
+        use crate::model::wide::{run_wide, Isa};
+
+        let (data, model) = mixed();
+        let short = data.view(40, 40 + ESTEP_TILE / 2 + 3);
+        let ragged = data.view(9, data.len());
+        assert!(short.len() < ESTEP_TILE && ragged.len() > 2 * ESTEP_TILE);
+        assert!(ragged.len() % ESTEP_TILE != 0);
+        for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+            for view in [&short, &ragged] {
+                for j in [1, 3, 5, 8, 13, 24] {
+                    let classes = init_classes(&model, view, j, 11 + j as u64);
+                    let what = format!("{isa:?}, n={}, J={j}", view.len());
+
+                    let (mut wts, mut two) = (WtsMatrix::default(), EStepScratch::default());
+                    let tiled = Tiled {
+                        model: &model,
+                        view,
+                        classes: &classes,
+                        wts: Some(&mut wts),
+                        scratch: &mut two,
+                        sink: &mut NoSink,
+                    };
+                    let e_two = run_wide(isa, tiled);
+                    let mut stats_two = SuffStats::zeros(StatLayout::new(&model, j));
+                    let ops_two = stats_two.accumulate_on(isa, &model, view, &wts);
+
+                    let mut one = EStepScratch::default();
+                    let mut stats_one = SuffStats::zeros(StatLayout::new(&model, j));
+                    let (e_one, ops_one) =
+                        fused_on(isa, &model, view, &classes, None, &mut one, &mut stats_one);
+
+                    assert_eq!(
+                        e_one.log_likelihood.to_bits(),
+                        e_two.log_likelihood.to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(e_one.complete_ll.to_bits(), e_two.complete_ll.to_bits(), "{what}");
+                    assert_eq!((e_one.ops, ops_one), (e_two.ops, ops_two), "{what}: op counts");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let (wj_one, wj_two) = (&one.class_weight_sums, &two.class_weight_sums);
+                    assert_eq!(bits(wj_one), bits(wj_two), "{what}: w_j");
+                    assert_eq!(bits(&stats_one.data), bits(&stats_two.data), "{what}: statistics");
+                    let rows = ESTEP_TILE.min(view.len());
+                    assert_eq!(one.tile.capacity(), rows * j, "{what}: one tile of weights");
                 }
             }
         }

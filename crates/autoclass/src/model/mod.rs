@@ -16,8 +16,8 @@ pub use class::{
     classes_from_flat, classes_from_flat_into, classes_to_flat, ClassParams, Model, TermGroup,
 };
 pub use estep::{
-    estep_ops, update_wts, update_wts_and_stats_into, update_wts_into, update_wts_naive, EStepOut,
-    EStepScalars, EStepScratch, WtsMatrix, ESTEP_TILE,
+    estep_and_stats_into, estep_ops, update_wts, update_wts_and_stats_into, update_wts_into,
+    update_wts_naive, EStepOut, EStepScalars, EStepScratch, WtsMatrix, ESTEP_TILE,
 };
 pub use init::{derive_seed, init_classes};
 pub use mstep::{log_param_prior, mstep_ops, stats_to_classes, stats_to_classes_into};

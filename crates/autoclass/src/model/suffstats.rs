@@ -68,19 +68,6 @@ impl StatLayout {
     }
 }
 
-/// Carry slots per class for tiled accumulation: the running class-weight
-/// sum plus an `(s0, s1, s2)` triple per scalar real (Normal/LogNormal)
-/// group. Multinomial and MultiNormal groups need no carry — they write
-/// per item straight into the flat block.
-fn carry_stride(model: &Model) -> usize {
-    let scalar_groups = model
-        .groups
-        .iter()
-        .filter(|g| matches!(g.prior, TermPrior::Normal { .. } | TermPrior::LogNormal { .. }))
-        .count();
-    1 + 3 * scalar_groups
-}
-
 /// Flat weighted sufficient statistics for one classification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuffStats {
@@ -88,50 +75,6 @@ pub struct SuffStats {
     pub layout: StatLayout,
     /// The flat values; element-wise summable across partitions.
     pub data: Vec<f64>,
-}
-
-/// Where the carried chains (each class weight and each Normal/LogNormal
-/// `(s0, s1, s2)`) of one [`SuffStats::accumulate_range`] start and end.
-/// A type parameter rather than an enum, so each instance of the kernel
-/// is compiled for one of the two.
-trait Chains {
-    /// The value the chain in carry slot `slot` starts from.
-    fn start(&self, slot: usize) -> f64;
-    /// Hand back the chain in carry slot `slot`, whose statistic is `stat`.
-    fn end(&mut self, slot: usize, stat: &mut f64, v: f64);
-}
-
-/// Continue from a tile carry buffer and leave the chains in it, for
-/// [`SuffStats::finish_tiles`] to flush after the last tile.
-struct Carry<'a>(&'a mut [f64]);
-
-impl Chains for Carry<'_> {
-    #[inline(always)]
-    fn start(&self, slot: usize) -> f64 {
-        self.0[slot]
-    }
-
-    #[inline(always)]
-    fn end(&mut self, slot: usize, _stat: &mut f64, v: f64) {
-        self.0[slot] = v;
-    }
-}
-
-/// Start every chain at zero and add it into the statistics after the
-/// range: the flush `finish_tiles` does, for a range that is a whole
-/// partition. No carry buffer, so nothing to allocate.
-struct Flush;
-
-impl Chains for Flush {
-    #[inline(always)]
-    fn start(&self, _slot: usize) -> f64 {
-        0.0
-    }
-
-    #[inline(always)]
-    fn end(&mut self, _slot: usize, stat: &mut f64, v: f64) {
-        *stat += v;
-    }
 }
 
 impl SuffStats {
@@ -155,12 +98,15 @@ impl SuffStats {
     /// `update_parameters`). Returns the number of abstract ops performed,
     /// for the virtual-time model.
     ///
-    /// The body is the one [`SuffStats::accumulate_tile`] and the fused
-    /// E+M kernel run, over the whole partition as a single tile, with
-    /// each chain flushed into the statistics at the end. That is bitwise
-    /// what any tiling followed by [`SuffStats::finish_tiles`] gives, since
-    /// a tiled chain carries across tiles unbroken. Runs on the widest
-    /// kernel instance the CPU supports.
+    /// Each scalar accumulator (the class weight sum and each
+    /// Normal/LogNormal `(s0, s1, s2)`) is one left-fold chain over the
+    /// items that continues from the value already in the statistics and
+    /// leaves its sum there; the per-item block writes (Multinomial,
+    /// MultiNormal) add in item order. So accumulating a partition's tiles
+    /// in ascending order, as the fused E+M kernels do, gives the bits of
+    /// one call over the whole partition, and so does accumulating
+    /// consecutive partitions one after another. Runs on the widest kernel
+    /// instance the CPU supports.
     pub fn accumulate(&mut self, model: &Model, view: &DataView<'_>, wts: &WtsMatrix) -> u64 {
         self.accumulate_on(Isa::best(), model, view, wts)
     }
@@ -173,93 +119,63 @@ impl SuffStats {
         view: &DataView<'_>,
         wts: &WtsMatrix,
     ) -> u64 {
-        let (lo, hi) = (0, view.len());
-        run_wide(isa, Accumulate { stats: self, model, view, wts, lo, hi, chains: Flush })
+        assert_eq!(wts.n_items(), view.len(), "weights/partition size mismatch");
+        self.fold_tile_on(isa, model, view, wts, 0, 0, view.len())
     }
 
-    /// Length of the carry buffer threaded through
-    /// [`SuffStats::accumulate_tile`]: per class, the running class-weight
-    /// sum plus one `(s0, s1, s2)` triple per scalar real group.
-    pub fn carry_len(&self, model: &Model) -> usize {
-        self.layout.j * carry_stride(model)
-    }
-
-    /// Accumulate the items `[lo, hi)` of this partition, carrying the
-    /// scalar accumulation chains across tiles.
-    ///
-    /// Calling this for a partition's tiles in ascending item order and
-    /// then flushing with [`SuffStats::finish_tiles`] is **bitwise
-    /// identical** to one [`SuffStats::accumulate`] over the whole
-    /// partition: every scalar accumulator (the class weight sum and each
-    /// Normal/LogNormal `(s0, s1, s2)`) continues its exact left-fold
-    /// chain through `carry` instead of restarting per tile, and the
-    /// per-item block writes (Multinomial, MultiNormal) hit `data` in the
-    /// same item order either way. `carry` must be zeroed to
-    /// [`SuffStats::carry_len`] before the first tile. Returns abstract
-    /// ops, summing over a partition's tiles to exactly the untiled count.
-    /// Runs on the widest kernel instance the CPU supports.
-    pub fn accumulate_tile(
+    /// Fold in the items `[lo, hi)` of this partition, whose weights are
+    /// the rows `at..at + (hi - lo)` of `wts`, on the kernel instance for
+    /// `isa`: [`SuffStats::accumulate`] over one tile, which the fused E+M
+    /// kernels call once per finished tile. Returns abstract ops, summing
+    /// over a partition's tiles to exactly the untiled count.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fold_tile_on(
         &mut self,
+        isa: Isa,
         model: &Model,
         view: &DataView<'_>,
         wts: &WtsMatrix,
+        at: usize,
         lo: usize,
         hi: usize,
-        carry: &mut [f64],
     ) -> u64 {
-        assert_eq!(carry.len(), self.carry_len(model), "carry buffer length mismatch");
-        let chains = Carry(carry);
-        run_wide(Isa::best(), Accumulate { stats: self, model, view, wts, lo, hi, chains })
+        run_wide(isa, Accumulate { stats: self, model, view, wts, at, lo, hi })
     }
 
-    /// [`SuffStats::accumulate_tile`] for the fused E+M kernel, which
-    /// inlines it into its own instance.
-    #[inline(always)]
-    pub(crate) fn accumulate_tile_inline(
-        &mut self,
-        model: &Model,
-        view: &DataView<'_>,
-        wts: &WtsMatrix,
-        lo: usize,
-        hi: usize,
-        carry: &mut [f64],
-    ) -> u64 {
-        self.accumulate_range(model, view, wts, lo, hi, &mut Carry(carry))
-    }
-
-    /// The statistics kernel: accumulate items `[lo, hi)`, the carried
-    /// chains starting and ending as `chains` says.
+    /// The statistics kernel: accumulate items `[lo, hi)`, whose weights
+    /// are the rows `at..at + (hi - lo)` of `wts`, each chain continuing
+    /// from its statistic.
     ///
     /// The chains advance [`LANES`] classes per item loop, one lane per
     /// class, then `LANES / 2`, then one class at a time for the
     /// remainder. Each chain still adds its items in ascending order, so
     /// every sum keeps the bits of a one-class-at-a-time fold.
     #[inline(always)]
-    fn accumulate_range<C: Chains>(
+    fn accumulate_range(
         &mut self,
         model: &Model,
         view: &DataView<'_>,
         wts: &WtsMatrix,
+        at: usize,
         lo: usize,
         hi: usize,
-        chains: &mut C,
     ) -> u64 {
         let n = view.len();
         let j = self.layout.j;
-        assert_eq!(wts.n_items(), n, "weights/partition size mismatch");
         assert_eq!(wts.n_classes(), j, "weights/layout class count mismatch");
         assert!(lo <= hi && hi <= n, "tile [{lo}, {hi}) out of range for {n} items");
+        assert!(at + (hi - lo) <= wts.n_items(), "tile rows past the end of the weights");
         let mut c0 = 0;
         while c0 + LANES <= j {
-            self.accumulate_classes::<LANES, C>(model, view, wts, lo, hi, chains, c0);
+            self.accumulate_classes::<LANES>(model, view, wts, at, lo, hi, c0);
             c0 += LANES;
         }
         if c0 + LANES / 2 <= j {
-            self.accumulate_classes::<{ LANES / 2 }, C>(model, view, wts, lo, hi, chains, c0);
+            self.accumulate_classes::<{ LANES / 2 }>(model, view, wts, at, lo, hi, c0);
             c0 += LANES / 2;
         }
         for c in c0..j {
-            self.accumulate_classes::<1, C>(model, view, wts, lo, hi, chains, c);
+            self.accumulate_classes::<1>(model, view, wts, at, lo, hi, c);
         }
         // Per class: the weight, then one op per item per scalar or
         // multinomial group and `d` per MultiNormal block.
@@ -277,49 +193,45 @@ impl SuffStats {
     /// [`SuffStats::accumulate_range`] for the `L` classes `c0..c0 + L`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn accumulate_classes<const L: usize, C: Chains>(
+    fn accumulate_classes<const L: usize>(
         &mut self,
         model: &Model,
         view: &DataView<'_>,
         wts: &WtsMatrix,
+        at: usize,
         lo: usize,
         hi: usize,
-        chains: &mut C,
         c0: usize,
     ) {
-        let cstride = carry_stride(model);
-        let cols: [&[f64]; L] = std::array::from_fn(|l| &wts.class_column(c0 + l)[lo..hi]);
+        let cols: [&[f64]; L] =
+            std::array::from_fn(|l| &wts.class_column(c0 + l)[at..at + (hi - lo)]);
         // The class weights: `L` independent left folds.
-        let mut wsum: [f64; L] = std::array::from_fn(|l| chains.start((c0 + l) * cstride));
+        let mut wsum: [f64; L] =
+            std::array::from_fn(|l| self.data[self.layout.weight_index(c0 + l)]);
         for t in 0..hi - lo {
             for (s, col) in wsum.iter_mut().zip(&cols) {
                 *s += col[t];
             }
         }
         for (l, s) in wsum.into_iter().enumerate() {
-            let stat = &mut self.data[self.layout.weight_index(c0 + l)];
-            chains.end((c0 + l) * cstride, stat, s);
+            self.data[self.layout.weight_index(c0 + l)] = s;
         }
-        let mut coff = 1;
         for (k, group) in model.groups.iter().enumerate() {
             match &group.prior {
                 TermPrior::Normal { .. } | TermPrior::LogNormal { .. } => {
                     let xs = &view.real_column(group.attrs[0])[lo..hi];
-                    let slot = |l: usize, m: usize| (c0 + l) * cstride + coff + m;
-                    let mut s: [[f64; 3]; L] =
-                        std::array::from_fn(|l| std::array::from_fn(|m| chains.start(slot(l, m))));
+                    let mut s: [[f64; 3]; L] = std::array::from_fn(|l| {
+                        let block = &self.data[self.layout.attr_range(c0 + l, k)];
+                        [block[0], block[1], block[2]]
+                    });
                     if matches!(group.prior, TermPrior::LogNormal { .. }) {
                         moments(xs, &cols, &mut s, f64::ln);
                     } else {
                         moments(xs, &cols, &mut s, |x| x);
                     }
                     for (l, s) in s.iter().enumerate() {
-                        let block = &mut self.data[self.layout.attr_range(c0 + l, k)];
-                        for (m, (stat, &v)) in block.iter_mut().zip(s).enumerate() {
-                            chains.end(slot(l, m), stat, v);
-                        }
+                        self.data[self.layout.attr_range(c0 + l, k)].copy_from_slice(s);
                     }
-                    coff += 3;
                 }
                 TermPrior::Multinomial { missing_level, .. } => {
                     let ls = &view.discrete_column(group.attrs[0])[lo..hi];
@@ -359,29 +271,6 @@ impl SuffStats {
                             }
                         }
                     }
-                }
-            }
-        }
-    }
-
-    /// Flush the scalar accumulation chains carried across
-    /// [`SuffStats::accumulate_tile`] calls into the flat statistics —
-    /// one `+=` per carried accumulator, a single final add per chain.
-    pub fn finish_tiles(&mut self, model: &Model, carry: &[f64]) {
-        let cstride = carry_stride(model);
-        assert_eq!(carry.len(), self.layout.j * cstride, "carry buffer length mismatch");
-        for c in 0..self.layout.j {
-            let cbase = c * cstride;
-            self.data[self.layout.weight_index(c)] += carry[cbase];
-            let mut coff = cbase + 1;
-            for (k, group) in model.groups.iter().enumerate() {
-                if matches!(&group.prior, TermPrior::Normal { .. } | TermPrior::LogNormal { .. }) {
-                    let range = self.layout.attr_range(c, k);
-                    let block = &mut self.data[range];
-                    block[0] += carry[coff];
-                    block[1] += carry[coff + 1];
-                    block[2] += carry[coff + 2];
-                    coff += 3;
                 }
             }
         }
@@ -432,23 +321,23 @@ fn moments<const L: usize>(
 }
 
 /// One statistics kernel call as a [`Wide`] kernel.
-struct Accumulate<'a, 'v, C> {
+struct Accumulate<'a, 'v> {
     stats: &'a mut SuffStats,
     model: &'a Model,
     view: &'a DataView<'v>,
     wts: &'a WtsMatrix,
+    at: usize,
     lo: usize,
     hi: usize,
-    chains: C,
 }
 
-impl<C: Chains> Wide for Accumulate<'_, '_, C> {
+impl Wide for Accumulate<'_, '_> {
     type Out = u64;
 
     #[inline(always)]
     fn run(self) -> u64 {
-        let Accumulate { stats, model, view, wts, lo, hi, mut chains } = self;
-        stats.accumulate_range(model, view, wts, lo, hi, &mut chains)
+        let Accumulate { stats, model, view, wts, at, lo, hi } = self;
+        stats.accumulate_range(model, view, wts, at, lo, hi)
     }
 }
 
@@ -547,12 +436,10 @@ mod tests {
         let ops_whole = whole.accumulate(&model, &view, &wts);
 
         let mut tiled = SuffStats::zeros(layout);
-        let mut carry = vec![0.0; tiled.carry_len(&model)];
         let mut ops_tiled = 0;
         for (lo, hi) in [(0, 1), (1, 3), (3, 4)] {
-            ops_tiled += tiled.accumulate_tile(&model, &view, &wts, lo, hi, &mut carry);
+            ops_tiled += tiled.fold_tile_on(Isa::best(), &model, &view, &wts, lo, lo, hi);
         }
-        tiled.finish_tiles(&model, &carry);
 
         assert_eq!(ops_whole, ops_tiled, "op counts must match");
         for (i, (a, b)) in whole.data.iter().zip(&tiled.data).enumerate() {

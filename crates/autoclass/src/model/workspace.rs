@@ -4,11 +4,11 @@
 //!
 //! Lifecycle: create one workspace per search (or per rank), call
 //! [`CycleWorkspace::reset_stats`] at the top of each cycle, and thread the
-//! pieces through `update_wts_into` / `SuffStats::accumulate` /
-//! `stats_to_classes_into`. Buffers only ever grow (to the high-water mark
-//! of the shapes seen), so steady-state cycles touch no allocator — a
-//! property asserted by the counting-allocator test in
-//! `tests/alloc_free.rs`.
+//! pieces through `update_wts_into` / `SuffStats::accumulate` (or the
+//! one-pass `estep_and_stats_into`) / `stats_to_classes_into`. Buffers
+//! only ever grow (to the high-water mark of the shapes seen), so
+//! steady-state cycles touch no allocator — a property asserted by the
+//! counting-allocator test in `tests/alloc_free.rs`.
 
 use crate::model::class::Model;
 use crate::model::estep::{EStepScratch, WtsMatrix};
@@ -18,9 +18,13 @@ use crate::model::suffstats::{StatLayout, SuffStats};
 /// flat scratch for parameter serialization in the parallel driver).
 #[derive(Debug, Clone, Default)]
 pub struct CycleWorkspace {
-    /// The item × class weight matrix, reused across cycles.
+    /// The item × class weight matrix, reused across cycles, for the
+    /// cycles that keep every weight: the sequential `base_cycle` and the
+    /// parallel WtsOnly strategy. The parallel Full cycles never shape it;
+    /// their weights live one tile at a time in `estep`.
     pub wts: WtsMatrix,
-    /// E-step scratch (class weight sums, row buffer, MVN gathers).
+    /// E-step scratch (class weight sums, the one-tile weight buffer of
+    /// `estep_and_stats_into`, per-item tile buffers, MVN gathers).
     pub estep: EStepScratch,
     /// Sufficient statistics, rebuilt only when the model shape changes.
     /// `None` until the first [`reset_stats`](CycleWorkspace::reset_stats).
@@ -28,10 +32,6 @@ pub struct CycleWorkspace {
     /// Flat parameter scratch (`classes_to_flat`-style serialization in
     /// the parallel driver's WtsOnly gather and broadcast).
     pub flat: Vec<f64>,
-    /// Carry buffer for the fused single-pass E+M kernel
-    /// (`update_wts_and_stats_into`): the scalar accumulation chains
-    /// threaded across tiles. Sized on first fused call, then reused.
-    pub accum: Vec<f64>,
 }
 
 impl CycleWorkspace {

@@ -21,6 +21,18 @@
 //! with the run. A shared value lives until its last holder replaces it;
 //! a holder that changes it in place calls [`Arc::make_mut`], which copies
 //! it only while others still share it.
+//!
+//! A deriving member's own handle is usually shared: it points at the
+//! communicator's previous result. So that it need not copy that value
+//! only to overwrite it, the store keeps the values deriving members
+//! retire as spares. A member that derives takes a spare of its type that
+//! nobody else holds any longer (every member has moved on to a newer
+//! result), derives into it, and leaves its retired handle as a spare in
+//! turn. In steady state a communicator's derivations alternate between
+//! two values, and none copies. A derivation overwrites its result whole,
+//! being a pure function of the keyed bits, so which spare it lands in
+//! cannot show. The spares cost one value per communicator deriving at
+//! a time, and go with the store.
 
 use std::any::Any;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -108,8 +120,27 @@ struct Entry {
 #[derive(Default)]
 struct Store {
     entries: Vec<Entry>,
+    /// Values deriving members retired, to derive into once nobody else
+    /// holds them. About one per communicator deriving at a time.
+    spares: Vec<Arc<dyn Any + Send + Sync>>,
     kept: u64,
     shared: u64,
+}
+
+impl Store {
+    /// Point `out`, a handle others share, at a spare of its type that
+    /// nobody else holds, if there is one, and keep `out`'s value as a
+    /// spare: deriving into `out` then copies nothing.
+    fn swap_in_spare<T: Send + Sync + 'static>(&mut self, out: &mut Arc<T>) {
+        let free = self.spares.iter().position(|v| Arc::strong_count(v) == 1 && v.is::<T>());
+        let retired = Arc::clone(out);
+        if let Some(i) = free {
+            if let Ok(spare) = self.spares.swap_remove(i).downcast::<T>() {
+                *out = spare;
+            }
+        }
+        self.spares.push(retired);
+    }
 }
 
 /// The store of one cooperative run.
@@ -128,8 +159,9 @@ impl Replicas {
     /// One member of communicator `comm` (`size` members, at least two)
     /// calls for the derivation `key` names: point `out` at the kept
     /// result if the communicator's slot holds one with this key, else
-    /// derive into `out` (through [`Arc::make_mut`]), keeping a handle to
-    /// the result when the slot was empty.
+    /// derive into `out` (through [`Arc::make_mut`], after swapping a free
+    /// spare in when `out` is shared), keeping a handle to the result
+    /// when the slot was empty.
     pub(crate) fn derive<T, K, D>(
         &self,
         comm: u64,
@@ -160,6 +192,9 @@ impl Replicas {
                 *out = v;
                 return;
             }
+        }
+        if Arc::get_mut(out).is_none() {
+            store.swap_in_spare(out);
         }
         drop(store);
         derive(Arc::make_mut(out));
@@ -245,6 +280,31 @@ mod tests {
         // Communicator 1's entry went with its last member; communicator
         // 2's still waits for its second.
         assert_eq!(r.stats(), ReplicaStats { kept: 2, shared: 1, left: 1 });
+    }
+
+    #[test]
+    fn a_derivation_lands_in_a_spare_once_nobody_holds_it() {
+        let r = Replicas::default();
+        // Three members share the value they start from.
+        let start = Arc::new(vec![0.0; 2]);
+        let start_at = Arc::as_ptr(&start);
+        let mut held = vec![Arc::clone(&start); 3];
+        drop(start);
+        let mut at = Vec::new();
+        for round in 1..=3u32 {
+            let x = f64::from(round);
+            for out in &mut held {
+                r.derive(1, 3, key_of(&[u64::from(round)], &[]), out, |o| o.fill(x));
+            }
+            assert!(held.iter().all(|h| **h == [x, x] && Arc::ptr_eq(h, &held[0])));
+            at.push(Arc::as_ptr(&held[0]));
+        }
+        // Round 1 copied the shared starting value, which it retired; once
+        // every member had moved on, round 2 derived into it, and round 3
+        // into round 1's value.
+        assert_ne!(at[0], start_at);
+        assert_eq!((at[1], at[2]), (start_at, at[0]));
+        assert_eq!(r.stats(), ReplicaStats { kept: 3, shared: 6, left: 0 });
     }
 
     #[test]

@@ -20,12 +20,12 @@ pub enum Exchange {
     /// The two cycle log-likelihood scalars piggyback on the same
     /// message, so one collective per cycle replaces three.
     Fused,
-    /// The overlapped cycle: a fused single-pass E+M kernel, then the
-    /// statistics leave as *non-blocking* chunked Allreduces — one per
-    /// class when the machine's algorithm reduces element-wise
-    /// independently of buffer geometry (Linear, RecursiveDoubling),
-    /// whole-buffer otherwise — and each class's
-    /// parameters are derived while later chunks are still on the wire.
+    /// The overlapped cycle: the one-pass E+M kernel every `Full` cycle
+    /// runs, then the statistics leave as *non-blocking* chunked
+    /// Allreduces — one per class when the machine's algorithm reduces
+    /// element-wise independently of buffer geometry (Linear,
+    /// RecursiveDoubling), whole-buffer otherwise — and each class's
+    /// derivation is charged while later chunks are still on the wire.
     /// Results are bitwise identical to [`Exchange::Fused`]; only the
     /// schedule (and hence the virtual time) differs.
     Pipelined,

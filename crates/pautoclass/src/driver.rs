@@ -35,9 +35,9 @@ use std::sync::Arc;
 
 use autoclass::data::{DataView, GlobalStats};
 use autoclass::model::{
-    classes_from_flat_into, classes_to_flat, evaluate, init_classes, mstep_ops,
-    stats_to_classes_into, update_wts_and_stats_into, update_wts_into, Approximation, ClassParams,
-    CycleWorkspace, EStepScratch, Model, SuffStats, WtsMatrix,
+    classes_from_flat_into, classes_to_flat, estep_and_stats_into, evaluate, init_classes,
+    mstep_ops, stats_to_classes_into, update_wts_into, Approximation, ClassParams, CycleWorkspace,
+    EStepScratch, Model, SuffStats, WtsMatrix,
 };
 use mpsim::{
     predicted_allreduce_cost, AllreduceAlgo, Communicator, ReduceOp, ReplicaKey, SpmdComm,
@@ -115,9 +115,10 @@ const DECODE: u64 = 4;
 /// current classes and the scores of the cycle that derived them. Every
 /// rank holds it behind an `Arc`, which on the simulator all the ranks of
 /// a communicator share; a rank that changes its classes in place (class
-/// death, the WtsOnly root's derivation, the one rank that derives a
-/// shared tail) takes [`Arc::make_mut`], which copies them only while
-/// they are shared.
+/// death, the WtsOnly root's derivation) takes [`Arc::make_mut`], which
+/// copies them only while they are shared. The one rank that derives a
+/// shared tail derives into a spare the simulator's store kept (see
+/// [`mpsim::replica`]), so it copies nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Tail {
     /// The class parameters.
@@ -206,9 +207,9 @@ pub fn parallel_base_cycle<C: Communicator>(
         return blocking_cycle(comm, model, view, tail, ws, strategy);
     }
     ws.reset_stats(model, tail.classes.len());
-    let CycleWorkspace { wts, estep, stats, accum, .. } = ws;
+    let CycleWorkspace { estep, stats, .. } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
-    let scalars = pipelined_cycle(comm, model, view, &tail.classes, wts, estep, stats, accum);
+    let scalars = pipelined_cycle(comm, model, view, &tail.classes, estep, stats);
     end_cycle(comm, model, stats, scalars, Source::Stats, tail)
 }
 
@@ -226,18 +227,28 @@ pub fn parallel_base_cycle<C: Communicator>(
 /// realizes it). The negligible `update_approximations` tail falls to the
 /// caller's enclosing span, so buckets still partition elapsed time.
 ///
-/// All transient storage (the weight matrix, E-step scratch, statistics
-/// buffer, flat payload buffer) lives in `ws` and is reused across cycles.
-/// At P = 1, like the sequential `base_cycle`, the `Full` strategies make
-/// no heap allocation in steady state. On a simulated machine of P > 1
-/// they make a few per cycle per host, almost flat in P (about 19–24 on
-/// `meiko_cs2` at J = 5): the deriving rank's [`Arc::make_mut`] copy of
-/// the shared [`Tail`], and per-meeting state of the collectives.
-/// (`WtsOnly` gathers the whole weight matrix through growing transport
-/// buffers by design — that bandwidth cost is the point of the
-/// comparison.) [`Exchange::Pipelined`] needs non-blocking collectives,
-/// which only the world has, so it is not run here:
-/// [`parallel_base_cycle`] runs it.
+/// The `Full` strategies keep no weight matrix: one tile-resident pass
+/// ([`estep_and_stats_into`]) computes the weights a tile at a time and
+/// folds each tile into the local statistics while it is in cache. Its
+/// E-step ops are charged under `"estep"` before the w_j Allreduce and its
+/// statistics ops under `"mstep"` after it, where the two passes it
+/// replaces charged them, so virtual time and phase attribution are
+/// those of the two passes. `WtsOnly` keeps the matrix it gathers.
+///
+/// All transient storage (the one-tile weight buffer and the rest of the
+/// E-step scratch, the statistics buffer, the flat payload buffer, and
+/// for `WtsOnly` the weight matrix) lives in `ws` and is reused across
+/// cycles. At P = 1, like the sequential `base_cycle`, the `Full`
+/// strategies make no heap allocation in steady state. On a simulated
+/// machine of P > 1 they make a few per cycle per host, almost flat in P
+/// (about 12–17 on `meiko_cs2` at J = 5 for P from 2 to 16): per-meeting
+/// state of the collectives. The deriving rank derives into a spare
+/// [`Tail`] the replicated store kept, not into a copy of the shared one
+/// (see [`mpsim::replica`]). (`WtsOnly` gathers the whole weight matrix
+/// through growing transport buffers by design — that bandwidth cost is
+/// the point of the comparison.) [`Exchange::Pipelined`] needs
+/// non-blocking collectives, which only the world has, so it is not run
+/// here: [`parallel_base_cycle`] runs it.
 pub fn blocking_cycle<C: SpmdComm>(
     comm: &mut C,
     model: &Model,
@@ -252,8 +263,14 @@ pub fn blocking_cycle<C: SpmdComm>(
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
 
     // ---- update_wts (Figure 4) -------------------------------------------
+    // The Full strategies fold each weight tile into the local statistics
+    // as it is finished; their statistics ops are charged under "mstep"
+    // below, after the w_j Allreduce, as the two-pass form charged them.
     comm.enter_phase("estep");
-    let e = update_wts_into(model, view, &tail.classes, wts, estep);
+    let (e, stat_ops) = match strategy {
+        Strategy::Full { .. } => estep_and_stats_into(model, view, &tail.classes, estep, stats),
+        Strategy::WtsOnly => (update_wts_into(model, view, &tail.classes, wts, estep), 0),
+    };
     comm.work(e.ops);
     comm.exit_phase();
     // Allreduce of the per-class weight sums w_j, in place in the scratch.
@@ -270,8 +287,7 @@ pub fn blocking_cycle<C: SpmdComm>(
     let packed: Option<[f64; 2]> = match strategy {
         Strategy::Full { exchange } => {
             comm.enter_phase("mstep");
-            let ops = stats.accumulate(model, view, wts);
-            comm.work(ops);
+            comm.work(stat_ops);
             comm.exit_phase();
             let packed = match exchange {
                 Exchange::PerTerm => {
@@ -389,8 +405,8 @@ fn end_cycle<C: SpmdComm>(
     approx
 }
 
-/// The overlapped cycle (the [`Exchange::Pipelined`] arm): one fused
-/// single-pass E+M kernel produces the weights and the local statistics
+/// The overlapped cycle (the [`Exchange::Pipelined`] arm): the blocking
+/// cycle's tile-resident E+M pass produces w_j and the local statistics
 /// together; then w_j and the statistics leave as *non-blocking*
 /// collectives, and each class's derivation is charged while later chunks
 /// are still on the wire. Returns the global `[log_likelihood,
@@ -403,9 +419,9 @@ fn end_cycle<C: SpmdComm>(
 ///
 /// Bitwise identical to the blocking [`Exchange::Fused`] cycle for every
 /// allreduce algorithm, by construction:
-/// * The fused kernel's weights, scalars, and statistics are bitwise
-///   equal to the two-pass form (carried-chain tiling; see
-///   `update_wts_and_stats_into`).
+/// * The E+M pass is the blocking cycle's ([`estep_and_stats_into`]),
+///   whose scalars, w_j and statistics are bitwise those of the two-pass
+///   form.
 /// * w_j travels as its own j-length collective with the machine's
 ///   algorithm — identical geometry to the blocking path.
 /// * The statistics buffer (weight slots zeroed, the two log-likelihood
@@ -420,29 +436,26 @@ fn end_cycle<C: SpmdComm>(
 ///   call. Ring and Rabenseifner fold orders depend on the element→chunk
 ///   mapping — and latency-bound machines make small chunks a net loss —
 ///   so those cases ship a single whole-buffer collective: no chunk
-///   pipelining, but the fused kernel, packed scalars, and post/wait
-///   overlap (w_j's wire hides behind the statistics post) still apply.
+///   pipelining, but the packed scalars and post/wait overlap (w_j's
+///   wire hides behind the statistics post) still apply.
 ///
 /// Beyond what a Fused cycle allocates, the only heap allocation in this
 /// cycle is the vector of statistics requests (j of them when chunked, 1
 /// otherwise; w_j's request is separate) — documented in DESIGN.md §10;
 /// everything else reuses the [`CycleWorkspace`] buffers.
-#[allow(clippy::too_many_arguments)]
 fn pipelined_cycle<C: Communicator>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
-    wts: &mut WtsMatrix,
     estep: &mut EStepScratch,
     stats: &mut SuffStats,
-    accum: &mut Vec<f64>,
 ) -> [f64; 2] {
     let j = classes.len();
 
     // ---- fused update_wts + statistics accumulation (one pass) -------
     comm.enter_phase("estep");
-    let (e, stat_ops) = update_wts_and_stats_into(model, view, classes, wts, estep, stats, accum);
+    let (e, stat_ops) = estep_and_stats_into(model, view, classes, estep, stats);
     comm.work(e.ops);
     comm.exit_phase();
     // The statistics ops are charged under "mstep" so the phase rows stay

@@ -739,21 +739,23 @@ fn ensemble_stage<W: Communicator>(
     let mut wts = WtsMatrix::default();
     let mut scratch = EStepScratch::default();
     let mut labels: Vec<Vec<usize>> = Vec::with_capacity(v);
+    let mut best = Vec::with_capacity(n_local);
     for c in all.iter().take(v) {
         let e = update_wts_into(model, &view, &c.classes, &mut wts, &mut scratch);
         sub.work(e.ops);
-        let lab: Vec<usize> = (0..n_local)
-            .map(|i| {
-                let w = wts.item_weights(i);
-                let mut best = 0usize;
-                for (ci, &wc) in w.iter().enumerate() {
-                    if wc > w[best] {
-                        best = ci;
-                    }
+        // A running argmax down the class columns; the strict `>` keeps
+        // the lowest class on a tie.
+        let mut lab = vec![0usize; n_local];
+        best.clear();
+        best.extend_from_slice(wts.class_column(0));
+        for ci in 1..wts.n_classes() {
+            for ((l, b), &w) in lab.iter_mut().zip(&mut best).zip(wts.class_column(ci)) {
+                if w > *b {
+                    *b = w;
+                    *l = ci;
                 }
-                best
-            })
-            .collect();
+            }
+        }
         labels.push(lab);
     }
 

@@ -6,8 +6,10 @@
 //! search with every verifier check on, where each rank derives for
 //! itself; inputs that differ in one bit never share a result; the store
 //! is empty after a fault-free run and untouched with replication
-//! checking on; and a rank that shares a kept result allocates nothing
-//! and holds the very value the deriving rank holds.
+//! checking on; a rank that shares a kept result allocates nothing and
+//! holds the very value the deriving rank holds; and the deriving rank
+//! derives into a spare the store kept, not into a copy of the class
+//! list every rank shares.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -332,4 +334,20 @@ fn a_pipelined_cycle_allocates_at_most_its_request_vector_beyond_a_fused_one() {
         per(pipelined),
         per(fused)
     );
+}
+
+/// Fused allocations per rank and cycle at `meiko_cs2(4)`, J = 5: the
+/// per-meeting state of the collectives. When the deriving rank copied
+/// the shared class list to derive into, instead of a spare the store
+/// kept, it was 4.85.
+const FUSED_ALLOCS_PER_RANK_CYCLE: f64 = 3.1;
+
+#[test]
+fn a_fused_cycle_derives_into_a_spare_not_a_copy() {
+    let data = datagen::paper_dataset(400, 8);
+    let p = 4;
+    let fused = allocs_over_cycles(&data, p, Strategy::Full { exchange: Exchange::Fused });
+    let per = fused as f64 / (p * CYCLES) as f64;
+    println!("Fused allocations per rank per cycle: {per}");
+    assert!(per <= FUSED_ALLOCS_PER_RANK_CYCLE, "{per} allocations per rank per cycle");
 }
