@@ -7,7 +7,9 @@ use crate::data::dataset::DataView;
 use crate::model::class::{ClassParams, Model};
 use crate::model::prior::TermPrior;
 use crate::model::suffstats::SuffStats;
-use crate::model::wide::{run_wide, Isa, Wide, LANES};
+use crate::model::wide::{
+    class_block, class_blocks, class_lanes, run_wide, ClassBlocks, Isa, Lanes, Wide,
+};
 
 /// Column-major item×class weight matrix: `class_column(j)[i]` is w_ij.
 /// Column-major because every kernel (log-density accumulation, statistics
@@ -36,6 +38,7 @@ impl WtsMatrix {
     }
 
     /// Class `c`'s weights over all items.
+    #[inline]
     pub fn class_column(&self, c: usize) -> &[f64] {
         &self.data[c * self.n..(c + 1) * self.n]
     }
@@ -142,6 +145,31 @@ pub struct EStepScratch {
     mvn_scratch: Vec<f64>,
 }
 
+impl EStepScratch {
+    /// Doubles of storage held by every buffer. After the tile-resident
+    /// entry on a partition of `n` items, a tile of `min(n, ESTEP_TILE)`
+    /// rows, this is at most `j` class sums plus, per tile row, `j`
+    /// weights, three per-item sums, one logarithm per LogNormal group and
+    /// `d` gathered values of the widest MultiNormal block, plus `2d`.
+    pub fn capacity(&self) -> usize {
+        // Every field, so that a new buffer is counted or fails to compile.
+        let EStepScratch {
+            class_weight_sums,
+            tile,
+            rowmax,
+            sums,
+            accwr,
+            ln_x,
+            mvn_gather,
+            mvn_diff,
+            mvn_scratch,
+        } = self;
+        let vecs =
+            [class_weight_sums, rowmax, sums, accwr, ln_x, mvn_gather, mvn_diff, mvn_scratch];
+        tile.capacity() + vecs.iter().map(|v| v.capacity()).sum::<usize>()
+    }
+}
+
 /// Scalar outputs of one E-step (the vector output, `class_weight_sums`,
 /// stays in the caller's [`EStepScratch`] so it can be allreduced in place).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,14 +208,15 @@ pub fn update_wts(
 
 /// Consumer of finalized weight tiles inside the blocked E-step kernel.
 ///
-/// `tile(lo, hi, wts, at)` is called once per tile, after pass D, when the
-/// rows `at..at + (hi - lo)` of every class column of `wts` hold the
-/// **final normalized** weights of the items `[lo, hi)` and are still
-/// cache-hot. This is what lets the fused E+M entry points accumulate
-/// sufficient statistics in the same pass without a second walk over the
-/// weights.
+/// `tile(lo, hi, wts, at, logs)` is called once per tile, after pass D,
+/// when the rows `at..at + (hi - lo)` of every class column of `wts` hold
+/// the **final normalized** weights of the items `[lo, hi)` and are still
+/// cache-hot, and `logs` holds phase 1's `ln x` of those items,
+/// group-major over the LogNormal groups. This is what lets the fused E+M
+/// entry points accumulate sufficient statistics in the same pass without
+/// a second walk over the weights.
 trait TileSink {
-    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix, at: usize);
+    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix, at: usize, logs: &[f64]);
 }
 
 /// Sink for the plain E-step: no per-tile consumer.
@@ -195,7 +224,7 @@ struct NoSink;
 
 impl TileSink for NoSink {
     #[inline(always)]
-    fn tile(&mut self, _lo: usize, _hi: usize, _wts: &WtsMatrix, _at: usize) {}
+    fn tile(&mut self, _lo: usize, _hi: usize, _wts: &WtsMatrix, _at: usize, _logs: &[f64]) {}
 }
 
 /// Sink for the fused E+M kernels: folds each finalized tile into `stats`
@@ -215,8 +244,9 @@ impl TileSink for StatsSink<'_, '_> {
     /// instance, the statistics kernel made the whole pass slower than the
     /// two passes it replaces. One call per tile costs nothing measurable.
     #[inline(never)]
-    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix, at: usize) {
-        self.ops += self.stats.fold_tile_on(self.isa, self.model, self.view, wts, at, lo, hi);
+    fn tile(&mut self, lo: usize, hi: usize, wts: &WtsMatrix, at: usize, logs: &[f64]) {
+        let (model, view) = (self.model, self.view);
+        self.ops += self.stats.fold_tile_on(self.isa, model, view, wts, at, lo, hi, Some(logs));
     }
 }
 
@@ -236,8 +266,9 @@ impl<S: TileSink> Wide for Tiled<'_, '_, S> {
     type Out = EStepScalars;
 
     #[inline(always)]
-    fn run(self) -> EStepScalars {
-        update_wts_tiled(self.model, self.view, self.classes, self.wts, self.scratch, self.sink)
+    fn run<L: Lanes>(self, lanes: L) -> EStepScalars {
+        let Tiled { model, view, classes, wts, scratch, sink } = self;
+        update_wts_tiled(lanes, model, view, classes, wts, scratch, sink)
     }
 }
 
@@ -343,7 +374,8 @@ fn fused_on(
 /// on its hot path, so that each [`Wide`] instance compiles the whole
 /// loop at its own vector width.
 #[inline(always)]
-fn update_wts_tiled<S: TileSink>(
+fn update_wts_tiled<L: Lanes, S: TileSink>(
+    lanes: L,
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
@@ -500,28 +532,25 @@ fn update_wts_tiled<S: TileSink>(
             *s = 1.0 / *s;
         }
 
-        // Pass D: normalize in place and fold each column segment into its
-        // class weight sum, `LANES` classes at a time, then `LANES / 2`,
-        // then one.
-        let cws = &mut scratch.class_weight_sums;
-        let mut c0 = 0;
-        while c0 + LANES <= j {
-            let cws = &mut cws[c0..c0 + LANES];
-            normalize_classes::<LANES>(&mut wts.data, stride, c0, at, sums, cws);
-            c0 += LANES;
+        // Pass D: normalize in place, column by column (elementwise, so it
+        // vectorizes), then fold each column segment into its class
+        // weight sum in the class-lane sweep, one lane per class.
+        for c in 0..j {
+            let col = &mut wts.data[c * stride + at..c * stride + at + tl];
+            for (w, &inv) in col.iter_mut().zip(sums.iter()) {
+                *w *= inv;
+            }
         }
-        if c0 + LANES / 2 <= j {
-            let cws = &mut cws[c0..c0 + LANES / 2];
-            normalize_classes::<{ LANES / 2 }>(&mut wts.data, stride, c0, at, sums, cws);
-            c0 += LANES / 2;
-        }
-        for c in c0..j {
-            normalize_classes::<1>(&mut wts.data, stride, c, at, sums, &mut cws[c..c + 1]);
-        }
+        // The columns are read through a slice the closure owns: one that
+        // borrowed `wts` itself kept pass B's loop from vectorizing.
+        let data: &[f64] = &wts.data;
+        let cols = move |c: usize| &data[c * stride + at..c * stride + at + tl];
+        let cws = &mut scratch.class_weight_sums[..];
+        class_blocks(lanes, j, tl, &mut ClassSums { cols, cws });
 
         // The tile's weights are final; hand them to the sink while the
         // column segments are still cache-resident.
-        sink.tile(lo, hi, wts, at);
+        sink.tile(lo, hi, wts, at, &scratch.ln_x);
 
         lo = hi;
     }
@@ -531,40 +560,27 @@ fn update_wts_tiled<S: TileSink>(
     EStepScalars { log_likelihood, complete_ll, ops }
 }
 
-/// Pass D for the `L` classes `c0..c0 + L` of weights whose columns are
-/// `n` long: scale each weight of the tile starting at row `lo` by its
-/// item's reciprocal sum `inv[t]`, in place, and add each class's tile
-/// total to its entry of `cws`.
-///
-/// One lane per class: the `L` per-class sums are independent chains that
-/// advance together, one item per step, so none waits on the latency of
-/// its own previous add. Each chain still adds its items in ascending
-/// order, so every sum is bitwise the one-class-at-a-time fold.
-#[inline(always)]
-fn normalize_classes<const L: usize>(
-    data: &mut [f64],
-    n: usize,
-    c0: usize,
-    lo: usize,
-    inv: &[f64],
-    cws: &mut [f64],
-) {
-    let mut rest = &mut data[c0 * n..];
-    let mut cols: [&mut [f64]; L] = std::array::from_fn(|_| {
-        let (col, tail) = std::mem::take(&mut rest).split_at_mut(n);
-        rest = tail;
-        &mut col[lo..lo + inv.len()]
-    });
-    let mut acc = [0.0; L];
-    for (t, &inv) in inv.iter().enumerate() {
-        for (col, acc) in cols.iter_mut().zip(acc.iter_mut()) {
-            let w = col[t] * inv;
-            col[t] = w;
-            *acc += w;
+/// Pass D's class weight sums as a class-block pass: each block's
+/// column segments `cols(c)` summed in item order, one chain per class
+/// starting at zero, and each tile total added to its entry of `cws`.
+struct ClassSums<'a, F> {
+    cols: F,
+    cws: &'a mut [f64],
+}
+
+impl<'a, F: Fn(usize) -> &'a [f64]> ClassBlocks for ClassSums<'_, F> {
+    #[inline(always)]
+    fn block<L: Lanes>(&mut self, lanes: L, c0: usize, k: usize) {
+        let mut acc = lanes.splat(0.0);
+        class_lanes(
+            lanes,
+            &class_block(c0, k, &self.cols),
+            #[inline(always)]
+            |_, w| acc = lanes.add(acc, w),
+        );
+        for (cw, acc) in self.cws[c0..c0 + k].iter_mut().zip(lanes.store(acc)) {
+            *cw += acc;
         }
-    }
-    for (cw, acc) in cws.iter_mut().zip(acc) {
-        *cw += acc;
     }
 }
 
@@ -1238,6 +1254,75 @@ mod tests {
                     let rows = ESTEP_TILE.min(view.len());
                     assert_eq!(one.tile.capacity(), rows * j, "{what}: one tile of weights");
                 }
+            }
+        }
+    }
+
+    /// Pass D's class weight sums against a per-class scalar fold of the
+    /// weights it leaves, bit for bit, on every instance this CPU
+    /// supports: every class count whose last block runs on a narrower
+    /// lane type (J = 1..=17), two full AVX-512 blocks and more, over
+    /// one-tile partitions of every ragged length.
+    #[test]
+    fn pass_d_class_sums_are_a_per_class_scalar_fold() {
+        use crate::model::init::init_classes;
+        use crate::model::wide::{run_wide, Isa};
+
+        let (data, model) = mixed();
+        for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+            for n in crate::model::wide::TILE_LENGTHS {
+                let view = data.view(3, 3 + n);
+                for j in (1..=17).chain([24, 33]) {
+                    let classes = init_classes(&model, &view, j, 5 + j as u64);
+                    let (mut wts, mut scratch) = (WtsMatrix::default(), EStepScratch::default());
+                    let tiled = Tiled {
+                        model: &model,
+                        view: &view,
+                        classes: &classes,
+                        wts: Some(&mut wts),
+                        scratch: &mut scratch,
+                        sink: &mut NoSink,
+                    };
+                    run_wide(isa, tiled);
+                    for c in 0..j {
+                        let mut acc = 0.0;
+                        for &w in wts.class_column(c) {
+                            acc += w;
+                        }
+                        let want = 0.0 + acc;
+                        let got = scratch.class_weight_sums[c];
+                        assert_eq!(got.to_bits(), want.to_bits(), "{isa:?}, n={n}, J={j}, c={c}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The heap gate on the E-step's scratch: after the tile-resident
+    /// entry, every buffer together holds no more than the tile's shape
+    /// calls for (see [`EStepScratch::capacity`]), on the [`mixed`]
+    /// schema (one LogNormal group, a 2-D MultiNormal block), over
+    /// partitions shorter than a tile, of one ragged chunk and of several
+    /// tiles. A per-rank copy of the tile in another layout would fail it.
+    #[test]
+    fn every_scratch_buffer_is_bounded_by_the_tile() {
+        use crate::model::init::init_classes;
+        use crate::model::suffstats::StatLayout;
+
+        let (data, model) = mixed();
+        let (ln_groups, d) = (1, 2);
+        for (lo, hi) in [(5, 11), (40, 40 + ESTEP_TILE / 2 + 3), (9, data.len())] {
+            let view = data.view(lo, hi);
+            for j in [1, 5, 24] {
+                let classes = init_classes(&model, &view, j, 3);
+                let mut scratch = EStepScratch::default();
+                let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
+                estep_and_stats_into(&model, &view, &classes, &mut scratch, &mut stats);
+                let rows = ESTEP_TILE.min(view.len());
+                // A buffer's first allocation holds at least four doubles.
+                let bound = j.max(4) + rows * (j + 3 + ln_groups + d) + 2 * d.max(4);
+                let held = scratch.capacity();
+                assert!(held <= bound, "n={}, J={j}: {held} doubles, over {bound}", view.len());
             }
         }
     }

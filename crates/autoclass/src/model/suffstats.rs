@@ -11,7 +11,9 @@ use crate::data::dataset::DataView;
 use crate::model::class::Model;
 use crate::model::estep::WtsMatrix;
 use crate::model::prior::TermPrior;
-use crate::model::wide::{run_wide, Isa, Wide, LANES};
+use crate::model::wide::{
+    class_block, class_blocks, class_lanes, run_wide, ClassBlocks, Isa, Lanes, Wide, LANES,
+};
 
 /// Index arithmetic for the flat statistics vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,14 +122,17 @@ impl SuffStats {
         wts: &WtsMatrix,
     ) -> u64 {
         assert_eq!(wts.n_items(), view.len(), "weights/partition size mismatch");
-        self.fold_tile_on(isa, model, view, wts, 0, 0, view.len())
+        self.fold_tile_on(isa, model, view, wts, 0, 0, view.len(), None)
     }
 
     /// Fold in the items `[lo, hi)` of this partition, whose weights are
     /// the rows `at..at + (hi - lo)` of `wts`, on the kernel instance for
     /// `isa`: [`SuffStats::accumulate`] over one tile, which the fused E+M
-    /// kernels call once per finished tile. Returns abstract ops, summing
-    /// over a partition's tiles to exactly the untiled count.
+    /// kernels call once per finished tile. `logs`, when given, holds
+    /// `ln x` of those items, group-major over the LogNormal groups, as
+    /// the E-step's phase 1 leaves it; without it the kernel takes the
+    /// logarithms itself. Returns abstract ops, summing over a
+    /// partition's tiles to exactly the untiled count.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fold_tile_on(
         &mut self,
@@ -138,107 +143,129 @@ impl SuffStats {
         at: usize,
         lo: usize,
         hi: usize,
+        logs: Option<&[f64]>,
     ) -> u64 {
-        run_wide(isa, Accumulate { stats: self, model, view, wts, at, lo, hi })
+        run_wide(isa, Accumulate { stats: self, model, view, wts, at, lo, hi, logs })
     }
 
-    /// The statistics kernel: accumulate items `[lo, hi)`, whose weights
-    /// are the rows `at..at + (hi - lo)` of `wts`, each chain continuing
-    /// from its statistic.
-    ///
-    /// The chains advance [`LANES`] classes per item loop, one lane per
-    /// class, then `LANES / 2`, then one class at a time for the
-    /// remainder. Each chain still adds its items in ascending order, so
-    /// every sum keeps the bits of a one-class-at-a-time fold.
+    /// Element-wise merge of another partition's statistics (what the
+    /// Allreduce computes).
+    pub fn merge(&mut self, other: &SuffStats) {
+        assert_eq!(self.layout, other.layout, "cannot merge different layouts");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
+    /// Total weight across classes (should equal the number of items whose
+    /// weights were accumulated; each item contributes exactly 1).
+    pub fn total_weight(&self) -> f64 {
+        (0..self.layout.j).map(|c| self.class_weight(c)).sum()
+    }
+}
+
+/// The statistics `data[start + at]` of a block's classes, whose blocks
+/// start at `starts` (at most `L::W`), as the first lanes of one vector.
+#[inline(always)]
+fn load_chain<L: Lanes>(lanes: L, data: &[f64], starts: &[usize], at: usize) -> L::V {
+    let mut chain = [0.0; LANES];
+    for (x, &start) in chain.iter_mut().zip(starts) {
+        *x = data[start + at];
+    }
+    lanes.load(&chain)
+}
+
+/// Store the first `starts.len()` lanes of `v` at `data[start + at]`.
+#[inline(always)]
+fn store_chain<L: Lanes>(lanes: L, data: &mut [f64], starts: &[usize], at: usize, v: L::V) {
+    for (&start, x) in starts.iter().zip(lanes.store(v)) {
+        data[start + at] = x;
+    }
+}
+
+/// Continue the chains `[w, s0, s1, s2]` of one scalar real group for the
+/// classes of `cols` over the items of `xs`, in the class-lane sweep: the
+/// class weight `w` over every item, and the weighted count, sum and sum
+/// of squares of `value(t)` (`xs[t]` for Normal, its logarithm for
+/// LogNormal) over the items whose `xs[t]` is not missing.
+#[inline(always)]
+fn moments<L: Lanes>(
+    lanes: L,
+    cols: &[&[f64]; LANES],
+    xs: &[f64],
+    value: impl Fn(usize) -> f64,
+    chains: [L::V; 4],
+) -> [L::V; 4] {
+    assert_eq!(cols[0].len(), xs.len(), "weights/values length mismatch");
+    let [mut w_sum, mut s0, mut s1, mut s2] = chains;
+    class_lanes(
+        lanes,
+        cols,
+        #[inline(always)]
+        |t, w| {
+            let skip = xs[t].is_nan();
+            let v = lanes.splat(value(t));
+            let wv = lanes.mul(w, v);
+            w_sum = lanes.add(w_sum, w);
+            s0 = lanes.add_unless(s0, w, skip);
+            s1 = lanes.add_unless(s1, wv, skip);
+            s2 = lanes.add_unless(s2, lanes.mul(wv, v), skip);
+        },
+    );
+    [w_sum, s0, s1, s2]
+}
+
+/// One statistics kernel call: accumulate the items `[lo, hi)`, whose
+/// weights are the rows `at..at + (hi - lo)` of `wts`, each chain
+/// continuing from its statistic.
+struct Accumulate<'a, 'v> {
+    stats: &'a mut SuffStats,
+    model: &'a Model,
+    view: &'a DataView<'v>,
+    wts: &'a WtsMatrix,
+    at: usize,
+    lo: usize,
+    hi: usize,
+    logs: Option<&'a [f64]>,
+}
+
+impl<'a> Accumulate<'a, '_> {
+    /// Class `c`'s weights of the tile.
     #[inline(always)]
-    fn accumulate_range(
-        &mut self,
-        model: &Model,
-        view: &DataView<'_>,
-        wts: &WtsMatrix,
-        at: usize,
-        lo: usize,
-        hi: usize,
-    ) -> u64 {
-        let n = view.len();
-        let j = self.layout.j;
-        assert_eq!(wts.n_classes(), j, "weights/layout class count mismatch");
+    fn col(&self, c: usize) -> &'a [f64] {
+        &self.wts.class_column(c)[self.at..self.at + self.hi - self.lo]
+    }
+}
+
+impl Wide for Accumulate<'_, '_> {
+    type Out = u64;
+
+    /// The class weight and each Normal/LogNormal `(s0, s1, s2)` chain
+    /// run in the class-lane sweep, a block of classes to a vector, one
+    /// lane per class ([`Accumulate::block`]); each chain still adds its
+    /// items in ascending order, so every sum keeps the bits of a
+    /// one-class-at-a-time fold. Multinomial and MultiNormal blocks take
+    /// one class at a time, each item in order.
+    #[inline(always)]
+    fn run<L: Lanes>(mut self, lanes: L) -> u64 {
+        let (n, j, lo, hi) = (self.view.len(), self.stats.layout.j, self.lo, self.hi);
+        assert_eq!(self.wts.n_classes(), j, "weights/layout class count mismatch");
         assert!(lo <= hi && hi <= n, "tile [{lo}, {hi}) out of range for {n} items");
-        assert!(at + (hi - lo) <= wts.n_items(), "tile rows past the end of the weights");
-        let mut c0 = 0;
-        while c0 + LANES <= j {
-            self.accumulate_classes::<LANES>(model, view, wts, at, lo, hi, c0);
-            c0 += LANES;
-        }
-        if c0 + LANES / 2 <= j {
-            self.accumulate_classes::<{ LANES / 2 }>(model, view, wts, at, lo, hi, c0);
-            c0 += LANES / 2;
-        }
-        for c in c0..j {
-            self.accumulate_classes::<1>(model, view, wts, at, lo, hi, c);
-        }
-        // Per class: the weight, then one op per item per scalar or
-        // multinomial group and `d` per MultiNormal block.
-        let per_item: usize = 1 + model
-            .groups
-            .iter()
-            .map(|g| match g.prior {
-                TermPrior::MultiNormal { dim, .. } => dim,
-                _ => 1,
-            })
-            .sum::<usize>();
-        ((hi - lo) * j * per_item) as u64
-    }
-
-    /// [`SuffStats::accumulate_range`] for the `L` classes `c0..c0 + L`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn accumulate_classes<const L: usize>(
-        &mut self,
-        model: &Model,
-        view: &DataView<'_>,
-        wts: &WtsMatrix,
-        at: usize,
-        lo: usize,
-        hi: usize,
-        c0: usize,
-    ) {
-        let cols: [&[f64]; L] =
-            std::array::from_fn(|l| &wts.class_column(c0 + l)[at..at + (hi - lo)]);
-        // The class weights: `L` independent left folds.
-        let mut wsum: [f64; L] =
-            std::array::from_fn(|l| self.data[self.layout.weight_index(c0 + l)]);
-        for t in 0..hi - lo {
-            for (s, col) in wsum.iter_mut().zip(&cols) {
-                *s += col[t];
-            }
-        }
-        for (l, s) in wsum.into_iter().enumerate() {
-            self.data[self.layout.weight_index(c0 + l)] = s;
-        }
-        for (k, group) in model.groups.iter().enumerate() {
-            match &group.prior {
-                TermPrior::Normal { .. } | TermPrior::LogNormal { .. } => {
-                    let xs = &view.real_column(group.attrs[0])[lo..hi];
-                    let mut s: [[f64; 3]; L] = std::array::from_fn(|l| {
-                        let block = &self.data[self.layout.attr_range(c0 + l, k)];
-                        [block[0], block[1], block[2]]
-                    });
-                    if matches!(group.prior, TermPrior::LogNormal { .. }) {
-                        moments(xs, &cols, &mut s, f64::ln);
-                    } else {
-                        moments(xs, &cols, &mut s, |x| x);
-                    }
-                    for (l, s) in s.iter().enumerate() {
-                        self.data[self.layout.attr_range(c0 + l, k)].copy_from_slice(s);
-                    }
-                }
-                TermPrior::Multinomial { missing_level, .. } => {
-                    let ls = &view.discrete_column(group.attrs[0])[lo..hi];
-                    for (l, w) in cols.iter().enumerate() {
-                        let block = &mut self.data[self.layout.attr_range(c0 + l, k)];
+        let rows = self.at + (hi - lo);
+        assert!(rows <= self.wts.n_items(), "tile rows past the end of the weights");
+        class_blocks(lanes, j, hi - lo, &mut self);
+        let (model, view) = (self.model, self.view);
+        for c in 0..j {
+            let w = self.col(c);
+            let (layout, data) = (&self.stats.layout, &mut self.stats.data);
+            for (k, group) in model.groups.iter().enumerate() {
+                match &group.prior {
+                    TermPrior::Normal { .. } | TermPrior::LogNormal { .. } => {}
+                    TermPrior::Multinomial { missing_level, .. } => {
+                        let ls = &view.discrete_column(group.attrs[0])[lo..hi];
+                        let block = &mut data[layout.attr_range(c, k)];
                         let missing_slot = block.len() - 1;
-                        for (&lv, &wi) in ls.iter().zip(*w) {
+                        for (&lv, &wi) in ls.iter().zip(w) {
                             if lv != crate::data::dataset::MISSING_DISCRETE {
                                 block[lv as usize] += wi;
                             } else if *missing_level {
@@ -246,12 +273,10 @@ impl SuffStats {
                             }
                         }
                     }
-                }
-                TermPrior::MultiNormal { dim, .. } => {
-                    // Joint block: skip items missing *any* block value.
-                    let d = *dim;
-                    for (l, w) in cols.iter().enumerate() {
-                        let block = &mut self.data[self.layout.attr_range(c0 + l, k)];
+                    TermPrior::MultiNormal { dim, .. } => {
+                        // Joint block: skip items missing *any* block value.
+                        let d = *dim;
+                        let block = &mut data[layout.attr_range(c, k)];
                         'items: for (t, &wi) in w.iter().enumerate() {
                             let i = lo + t;
                             for &attr in &group.attrs {
@@ -274,70 +299,79 @@ impl SuffStats {
                 }
             }
         }
-    }
-
-    /// Element-wise merge of another partition's statistics (what the
-    /// Allreduce computes).
-    pub fn merge(&mut self, other: &SuffStats) {
-        assert_eq!(self.layout, other.layout, "cannot merge different layouts");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Total weight across classes (should equal the number of items whose
-    /// weights were accumulated; each item contributes exactly 1).
-    pub fn total_weight(&self) -> f64 {
-        (0..self.layout.j).map(|c| self.class_weight(c)).sum()
+        // Per class: the weight, then one op per item per scalar or
+        // multinomial group and `d` per MultiNormal block.
+        let per_item: usize = 1 + model
+            .groups
+            .iter()
+            .map(|g| match g.prior {
+                TermPrior::MultiNormal { dim, .. } => dim,
+                _ => 1,
+            })
+            .sum::<usize>();
+        ((hi - lo) * j * per_item) as u64
     }
 }
 
-/// Continue the `(s0, s1, s2)` chains of one scalar real group for `L`
-/// classes over the items of `xs`, whose weights are `cols`: the weighted
-/// count, sum and sum of squares of `f(x)` (`f` is `ln` for LogNormal).
-#[inline(always)]
-fn moments<const L: usize>(
-    xs: &[f64],
-    cols: &[&[f64]; L],
-    s: &mut [[f64; 3]; L],
-    f: impl Fn(f64) -> f64,
-) {
-    for col in cols {
-        assert_eq!(col.len(), xs.len(), "weights/values length mismatch");
-    }
-    for (t, &x) in xs.iter().enumerate() {
-        let v = f(x);
-        // A missing value adds -0.0, the exact additive identity: the
-        // bits of skipping the item, with no branch.
-        let skip = x.is_nan();
-        for (s, col) in s.iter_mut().zip(cols) {
-            let w = col[t];
-            let wv = w * v;
-            s[0] += if skip { -0.0 } else { w };
-            s[1] += if skip { -0.0 } else { wv };
-            s[2] += if skip { -0.0 } else { wv * v };
-        }
-    }
-}
-
-/// One statistics kernel call as a [`Wide`] kernel.
-struct Accumulate<'a, 'v> {
-    stats: &'a mut SuffStats,
-    model: &'a Model,
-    view: &'a DataView<'v>,
-    wts: &'a WtsMatrix,
-    at: usize,
-    lo: usize,
-    hi: usize,
-}
-
-impl Wide for Accumulate<'_, '_> {
-    type Out = u64;
-
+impl ClassBlocks for Accumulate<'_, '_> {
+    /// The class weight and scalar real chains of the classes
+    /// `c0..c0 + k`, one sweep per scalar real group. The class weight
+    /// rides along the first group's sweep; a later group's copy of it is
+    /// discarded, and a model with no such group sweeps it alone.
     #[inline(always)]
-    fn run(self) -> u64 {
-        let Accumulate { stats, model, view, wts, at, lo, hi } = self;
-        stats.accumulate_range(model, view, wts, at, lo, hi)
+    fn block<L: Lanes>(&mut self, lanes: L, c0: usize, k: usize) {
+        let (lo, hi, tl) = (self.lo, self.hi, self.hi - self.lo);
+        let cols = class_block(c0, k, |c| self.col(c));
+        let (layout, data) = (&self.stats.layout, &mut self.stats.data);
+        let mut starts = [0; LANES];
+        for (l, start) in starts[..k].iter_mut().enumerate() {
+            *start = layout.class_range(c0 + l).start;
+        }
+        let starts = &starts[..k];
+        // The class weight is each class block's first statistic.
+        let mut w_sum = load_chain(lanes, data, starts, 0);
+        let mut w_done = false;
+        let mut logs_at = 0;
+        for (group, &(at, _)) in self.model.groups.iter().zip(&layout.attr_blocks) {
+            let xs = match group.prior {
+                TermPrior::Normal { .. } | TermPrior::LogNormal { .. } => {
+                    &self.view.real_column(group.attrs[0])[lo..hi]
+                }
+                _ => continue,
+            };
+            let chains = [
+                w_sum,
+                load_chain(lanes, data, starts, at),
+                load_chain(lanes, data, starts, at + 1),
+                load_chain(lanes, data, starts, at + 2),
+            ];
+            let [w, sums @ ..] = match (&group.prior, self.logs) {
+                (TermPrior::LogNormal { .. }, Some(logs)) => {
+                    let ln_xs = &logs[logs_at..logs_at + tl];
+                    logs_at += tl;
+                    moments(lanes, &cols, xs, |t| ln_xs[t], chains)
+                }
+                (TermPrior::LogNormal { .. }, None) => {
+                    moments(lanes, &cols, xs, |t| xs[t].ln(), chains)
+                }
+                _ => moments(lanes, &cols, xs, |t| xs[t], chains),
+            };
+            if !w_done {
+                (w_sum, w_done) = (w, true);
+            }
+            for (s, chain) in sums.into_iter().enumerate() {
+                store_chain(lanes, data, starts, at + s, chain);
+            }
+        }
+        if !w_done {
+            class_lanes(
+                lanes,
+                &cols,
+                #[inline(always)]
+                |_, w| w_sum = lanes.add(w_sum, w),
+            );
+        }
+        store_chain(lanes, data, starts, 0, w_sum);
     }
 }
 
@@ -438,12 +472,128 @@ mod tests {
         let mut tiled = SuffStats::zeros(layout);
         let mut ops_tiled = 0;
         for (lo, hi) in [(0, 1), (1, 3), (3, 4)] {
-            ops_tiled += tiled.fold_tile_on(Isa::best(), &model, &view, &wts, lo, lo, hi);
+            ops_tiled += tiled.fold_tile_on(Isa::best(), &model, &view, &wts, lo, lo, hi, None);
         }
 
         assert_eq!(ops_whole, ops_tiled, "op counts must match");
         for (i, (a, b)) in whole.data.iter().zip(&tiled.data).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "slot {i}: {a} vs {b}");
+        }
+    }
+
+    /// The statistics kernel's class-lane sweep against a per-class scalar
+    /// fold kept here, bit for bit, on every instance this CPU supports:
+    /// the class weights, a Normal and a LogNormal group's `(s0, s1, s2)`
+    /// and a Multinomial block, each continuing from non-zero statistics.
+    /// Every class count whose last block runs on a narrower lane type
+    /// (J = 1..=17) and two full AVX-512 blocks and more, over tiles of
+    /// every ragged length, with missing values on chunk edges of every
+    /// width; the LogNormal logarithms come from the kernel itself and, as
+    /// on the fused path, from the caller.
+    #[test]
+    fn the_sweep_is_bitwise_a_per_class_scalar_fold() {
+        let schema = Schema::new(vec![
+            Attribute::real("x", 0.1),
+            Attribute::positive_real("y", 0.1),
+            Attribute::discrete("c", 3),
+        ]);
+        // First and last items of chunks of 2, 4 and 8, on both sides of
+        // `WIDE_FROM`, and a tile's last.
+        let x_missing = [0, 7, 8, 15, 16, 63, 64, 71, 72, 255];
+        let y_missing = [1, 3, 4, 11, 12, 17, 65, 67, 68, 254];
+        let rows: Vec<Vec<Value>> = (0..256)
+            .map(|i| {
+                let s = (i as f64 * 0.61).sin();
+                let x = if x_missing.contains(&i) { Value::Missing } else { Value::Real(3.0 * s) };
+                let y = if y_missing.contains(&i) { Value::Missing } else { Value::Real(1.5 + s) };
+                vec![x, y, Value::Discrete((i % 3) as u32)]
+            })
+            .collect();
+        let data = Dataset::from_rows(schema.clone(), &rows);
+        let model = Model::new(schema, &GlobalStats::compute(&data.full_view()));
+        let weight = |c: usize, t: usize| ((c * 31 + t * 17) % 97) as f64 / 97.0 + 0.001;
+
+        for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+            for n in crate::model::wide::TILE_LENGTHS {
+                let view = data.view(0, n);
+                let (xs, ys) = (view.real_column(0), view.real_column(1));
+                let logs: Vec<f64> = ys.iter().map(|y| y.ln()).collect();
+                for j in (1..=17).chain([24, 33]) {
+                    let mut wts = WtsMatrix::new(n, j);
+                    for c in 0..j {
+                        for (t, w) in wts.class_column_mut(c).iter_mut().enumerate() {
+                            *w = weight(c, t);
+                        }
+                    }
+                    let layout = StatLayout::new(&model, j);
+                    let start: Vec<f64> = (0..layout.len()).map(|i| (i % 5) as f64 - 1.5).collect();
+
+                    let mut want = start.clone();
+                    for c in 0..j {
+                        let w = wts.class_column(c);
+                        for &wi in w {
+                            want[layout.weight_index(c)] += wi;
+                        }
+                        for (k, vs) in [xs, ys].into_iter().enumerate() {
+                            let s = &mut want[layout.attr_range(c, k)];
+                            for (&x, &wi) in vs.iter().zip(w) {
+                                let v = if k == 1 { x.ln() } else { x };
+                                let skip = x.is_nan();
+                                s[0] += if skip { -0.0 } else { wi };
+                                s[1] += if skip { -0.0 } else { wi * v };
+                                s[2] += if skip { -0.0 } else { wi * v * v };
+                            }
+                        }
+                        let levels = &mut want[layout.attr_range(c, 2)];
+                        for (&lv, &wi) in view.discrete_column(2).iter().zip(w) {
+                            levels[lv as usize] += wi;
+                        }
+                    }
+
+                    for given in [None, Some(&logs[..])] {
+                        let mut got = SuffStats { layout: layout.clone(), data: start.clone() };
+                        got.fold_tile_on(isa, &model, &view, &wts, 0, 0, n, given);
+                        for (i, (a, b)) in got.data.iter().zip(&want).enumerate() {
+                            let what =
+                                format!("{isa:?}, n={n}, J={j}, logs given: {}", given.is_some());
+                            assert_eq!(a.to_bits(), b.to_bits(), "{what}, slot {i}: {a} vs {b}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// With no Normal or LogNormal group for the class weight to ride
+    /// along, the sweep folds it alone: bitwise a per-class scalar fold,
+    /// on every instance this CPU supports, at class counts that run
+    /// every lane type.
+    #[test]
+    fn a_model_without_real_groups_sweeps_the_class_weight_alone() {
+        let schema = Schema::new(vec![Attribute::discrete("c", 3)]);
+        let rows: Vec<Vec<Value>> = (0..19).map(|i| vec![Value::Discrete(i % 3)]).collect();
+        let data = Dataset::from_rows(schema.clone(), &rows);
+        let model = Model::new(schema, &GlobalStats::compute(&data.full_view()));
+        let view = data.full_view();
+        for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+            for j in [1, 2, 3, 5, 8, 13] {
+                let mut wts = WtsMatrix::new(19, j);
+                for c in 0..j {
+                    for (t, w) in wts.class_column_mut(c).iter_mut().enumerate() {
+                        *w = ((c * 7 + t * 5) % 11) as f64 / 11.0;
+                    }
+                }
+                let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
+                stats.accumulate_on(isa, &model, &view, &wts);
+                for c in 0..j {
+                    let mut want = 0.0;
+                    for &w in wts.class_column(c) {
+                        want += w;
+                    }
+                    let got = stats.class_weight(c);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{isa:?}, J={j}, class {c}");
+                }
+            }
         }
     }
 

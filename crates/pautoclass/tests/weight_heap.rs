@@ -9,8 +9,9 @@
 //! items), which must stay under [`PEAK_MIB`]: eight per-rank matrices
 //! of 3 750 × 24 doubles alone are 5.5 MiB. Then each Full exchange runs
 //! a few cycles on the world and the Fused one on each half of a split,
-//! and every rank's workspace must hold no weight matrix and at most one
-//! tile of weights.
+//! and every rank's workspace must hold no weight matrix, at most one
+//! tile of weights, and no E-step buffer past the tile's shape (a copy of
+//! the tile in another layout would fail it).
 //!
 //! One `#[test]` in its own binary, so no concurrently running test shares
 //! the allocator's counters.
@@ -114,8 +115,9 @@ fn search_peak_bytes(data: &Dataset) -> usize {
 
 /// Each rank's weight storage after cycles of every Full exchange on the
 /// world, then Fused cycles on its half of a split: the doubles its
-/// weight matrix holds, and those its one-tile buffer holds.
-fn weight_storage(data: &Dataset) -> Vec<(usize, usize)> {
+/// weight matrix holds, those its one-tile buffer holds, and those every
+/// buffer of its E-step scratch holds.
+fn weight_storage(data: &Dataset) -> Vec<(usize, usize, usize)> {
     let out = run_spmd(&presets::meiko_cs2(P), &SimOptions::default(), |comm| {
         let part = block_range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
@@ -135,7 +137,7 @@ fn weight_storage(data: &Dataset) -> Vec<(usize, usize)> {
         for _ in 0..2 {
             blocking_cycle(&mut half, &model, &view, &mut tail, &mut ws, strategy);
         }
-        (ws.wts.capacity(), ws.estep.tile.capacity())
+        (ws.wts.capacity(), ws.estep.tile.capacity(), ws.estep.capacity())
     })
     .expect("the cycles run");
     out.per_rank
@@ -148,8 +150,15 @@ fn no_cycle_holds_the_weight_matrix() {
     println!("Fused search at J = {J}, P = {P}: peak heap {mib:.2} MiB");
     assert!(mib <= PEAK_MIB, "the search peaked at {mib:.2} MiB, over {PEAK_MIB} MiB");
 
-    for (rank, (matrix, tile)) in weight_storage(&data).into_iter().enumerate() {
+    // The scratch of an all-Normal model: the class sums, and per tile
+    // row the weights and the three per-item sums; nothing else.
+    let scratch_bound = J + ESTEP_TILE * (J + 3);
+    for (rank, (matrix, tile, scratch)) in weight_storage(&data).into_iter().enumerate() {
         assert_eq!(matrix, 0, "rank {rank} shaped a weight matrix");
         assert!(tile <= ESTEP_TILE * J, "rank {rank} holds {tile} weights, over one tile");
+        assert!(
+            scratch <= scratch_bound,
+            "rank {rank}'s E-step scratch holds {scratch} doubles, over {scratch_bound}"
+        );
     }
 }

@@ -36,6 +36,13 @@
 //!   diagnoses recovery decisions are made from, so discarding one
 //!   silently skips a recovery path.
 //!
+//! * **fma** — kernel code (`crates/autoclass`) must not fuse a multiply
+//!   and an add: no `mul_add`, no `*fmadd*`/`*fmsub*` intrinsic and no
+//!   `enable = "fma"`. A fused op rounds once where the unfused pair
+//!   rounds twice, so the instance that used it would leave the bits
+//!   every other instance and every earlier commit compute, and a runner
+//!   without that ISA could not see it.
+//!
 //! Migrated `xtask lint` rules, same IDs and waiver comments as the old
 //! regex pass, now on the token stream (comments, strings, and doc-tests
 //! can no longer false-positive): **wall-clock**, **unwrap**,
@@ -75,6 +82,7 @@ pub const PHASE_BALANCE: &str = "phase-balance";
 pub const RANK_VARIANT_PAYLOAD: &str = "rank-variant-payload";
 pub const NONDET: &str = "nondet";
 pub const DISCARDED_RECOVERY: &str = "discarded-recovery";
+pub const FMA: &str = "fma";
 pub const WALL_CLOCK: &str = "wall-clock";
 pub const UNWRAP: &str = "unwrap";
 pub const FLOAT_EQ: &str = "float-eq";
@@ -244,6 +252,8 @@ pub struct FileRules {
     /// discarded-recovery: supervisor code must not `let _ = …` a
     /// receive/wait/promotion result.
     pub discarded_recovery: bool,
+    /// fma: kernel code must not fuse a multiply and an add.
+    pub fma: bool,
 }
 
 impl FileRules {
@@ -256,6 +266,7 @@ impl FileRules {
             || self.recv_unwrap
             || self.float_eq
             || self.discarded_recovery
+            || self.fma
     }
 }
 
@@ -269,6 +280,8 @@ impl FileRules {
 /// * `nondet` guards simulator-core code: `mpsim/src`, `pautoclass/src`
 ///   and `shmcomm/src` (the native backend's collectives carry the same
 ///   bitwise-determinism contract as the simulator's).
+/// * `fma` guards the bitwise-pinned kernels: everything under
+///   `crates/autoclass`.
 /// * The legacy rules keep their historical scopes exactly;
 ///   `blocking-collective` additionally covers tests/examples at
 ///   warning severity.
@@ -310,6 +323,7 @@ pub fn workspace_rules(rel: &str) -> FileRules {
         rel.starts_with("crates/autoclass/src") || rel.starts_with("crates/pautoclass/src");
     // Supervisor code: the fault-tolerant drivers whose receive/wait/
     // promotion results *are* the recovery diagnoses.
+    r.fma = rel.starts_with("crates/autoclass/");
     r.discarded_recovery = rel == "crates/pautoclass/src/recover.rs"
         || rel == "crates/pautoclass/src/fleet.rs"
         || rel == "crates/pautoclass/src/driver.rs";
@@ -343,6 +357,10 @@ pub fn role_rules(role: &str) -> FileRules {
         // acted on, never dropped.
         "supervisor" => {
             r.discarded_recovery = true;
+        }
+        // Bitwise-pinned kernel code: no fused multiply-add.
+        "kernel" => {
+            r.fma = true;
         }
         _ => {}
     }

@@ -1,5 +1,6 @@
 //! Token-stream rules: the migrated legacy lint rules (wall-clock,
-//! unwrap, float-eq, recv-unwrap) plus the new `nondet` rule.
+//! unwrap, float-eq, recv-unwrap) plus the `nondet`, `discarded-recovery`
+//! and `fma` rules.
 //!
 //! These run over the file's full token-tree stream (so module-level
 //! items like `type Registry = Mutex<HashMap<…>>` are covered, not just
@@ -12,8 +13,8 @@
 use syn::{Delim, Tt};
 
 use crate::{
-    FileRules, RawFinding, Severity, DISCARDED_RECOVERY, FLOAT_EQ, NONDET, RECV_UNWRAP, UNWRAP,
-    WALL_CLOCK,
+    FileRules, RawFinding, Severity, DISCARDED_RECOVERY, FLOAT_EQ, FMA, NONDET, RECV_UNWRAP,
+    UNWRAP, WALL_CLOCK,
 };
 
 pub(crate) fn scan_stream(file: &syn::File, rules: &FileRules, out: &mut Vec<RawFinding>) {
@@ -22,7 +23,8 @@ pub(crate) fn scan_stream(file: &syn::File, rules: &FileRules, out: &mut Vec<Raw
         || rules.recv_unwrap
         || rules.float_eq
         || rules.nondet
-        || rules.discarded_recovery)
+        || rules.discarded_recovery
+        || rules.fma)
     {
         return;
     }
@@ -128,6 +130,32 @@ fn scan_flat(ts: &[Tt], file: &syn::File, rules: &FileRules, out: &mut Vec<RawFi
                 ));
             }
         }
+        // fma: `mul_add`, a fused multiply-add/subtract intrinsic, or
+        // `enable = "…fma…"` in a `target_feature` attribute.
+        if rules.fma {
+            let fused = match t {
+                Tt::Ident { text, .. }
+                    if text == "mul_add" || FUSED.iter().any(|f| text.contains(f)) =>
+                {
+                    Some(text.clone())
+                }
+                Tt::Lit { .. } if enables_fma(ts, i) => Some("enable = \"fma\"".to_string()),
+                _ => None,
+            };
+            if let Some(pat) = fused {
+                out.push(RawFinding::new(
+                    line,
+                    FMA,
+                    Severity::Error,
+                    format!(
+                        "`{pat}` in kernel code: a fused multiply-add rounds once where the \
+                         other instances round twice, so this instance's bits would move; \
+                         waive with `// lint:allow(fma): why`"
+                    ),
+                    pat,
+                ));
+            }
+        }
         // discarded-recovery: `let _ = <expr>;` where the discarded
         // expression mentions a receive, wait, or promotion. Under
         // injected faults those results carry the failure diagnosis the
@@ -208,6 +236,21 @@ fn discarded_recovery_ident(ts: &[Tt]) -> Option<String> {
     }
     let end = ts.iter().position(|t| t.is_punct(";")).unwrap_or(ts.len());
     mentions(&ts[..end])
+}
+
+/// Identifier fragments of the fused multiply-add/subtract intrinsics
+/// (`_mm256_fmadd_pd`, `_mm512_fnmsub_pd`, `_mm_fmaddsub_pd`, …).
+const FUSED: [&str; 4] = ["fmadd", "fmsub", "fnmadd", "fnmsub"];
+
+/// Is `ts[i]` the string of an `enable = "…"` that lists `fma`?
+fn enables_fma(ts: &[Tt], i: usize) -> bool {
+    let Some(Tt::Lit { text, .. }) = ts.get(i) else {
+        return false;
+    };
+    i >= 2
+        && ts[i - 1].is_punct("=")
+        && ts[i - 2].is_ident("enable")
+        && text.trim_matches('"').split(',').any(|f| f.trim() == "fma")
 }
 
 /// Does any identifier on this line mention a receive or wait? (The old

@@ -22,7 +22,7 @@ fn fixture(name: &str) -> spmdlint::Report {
 #[test]
 fn every_fixture_expectation_fires() {
     let results = spmdlint::check_fixtures(&fixtures_dir()).unwrap();
-    assert_eq!(results.len(), 19, "fixture corpus changed size: {:?}", results.keys());
+    assert_eq!(results.len(), 20, "fixture corpus changed size: {:?}", results.keys());
     for (name, missing) in &results {
         assert!(missing.is_empty(), "fixture {name}: {missing:?}");
     }
@@ -135,6 +135,23 @@ fn discarded_recovery_names_the_dropped_call() {
     assert!(msgs[0].contains("recv_f64s"));
     assert!(msgs[1].contains("wait"));
     assert!(msgs[2].contains("promote_spare"));
+}
+
+#[test]
+fn fma_fires_on_fused_ops_and_not_on_lookalikes() {
+    let report = fixture("bad_fma");
+    let got: Vec<(usize, &str, &str, bool)> =
+        report.findings.iter().map(|f| (f.line, f.rule, f.culprit.as_str(), f.waived)).collect();
+    assert_eq!(
+        got,
+        vec![
+            (6, "fma", "mul_add", false),
+            (10, "fma", "enable = \"fma\"", false),
+            (12, "fma", "_mm256_fmadd_pd", false),
+            (13, "fma", "_mm256_fnmsub_pd", false),
+            (27, "fma", "mul_add", true),
+        ]
+    );
 }
 
 #[test]
