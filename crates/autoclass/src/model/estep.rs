@@ -546,7 +546,7 @@ fn update_wts_tiled<L: Lanes, S: TileSink>(
         let data: &[f64] = &wts.data;
         let cols = move |c: usize| &data[c * stride + at..c * stride + at + tl];
         let cws = &mut scratch.class_weight_sums[..];
-        class_blocks(lanes, j, tl, &mut ClassSums { cols, cws });
+        class_blocks(lanes, j, &mut ClassSums { cols, cws });
 
         // The tile's weights are final; hand them to the sink while the
         // column segments are still cache-resident.
@@ -1261,7 +1261,7 @@ mod tests {
     /// Pass D's class weight sums against a per-class scalar fold of the
     /// weights it leaves, bit for bit, on every instance this CPU
     /// supports: every class count whose last block runs on a narrower
-    /// lane type (J = 1..=17), two full AVX-512 blocks and more, over
+    /// lane type (J = 1..=17), several full blocks and more, over
     /// one-tile partitions of every ragged length.
     #[test]
     fn pass_d_class_sums_are_a_per_class_scalar_fold() {

@@ -183,21 +183,22 @@ fn store_chain<L: Lanes>(lanes: L, data: &mut [f64], starts: &[usize], at: usize
     }
 }
 
-/// Continue the chains `[w, s0, s1, s2]` of one scalar real group for the
+/// Continue the chains `(s0, s1, s2)` of one scalar real group for the
 /// classes of `cols` over the items of `xs`, in the class-lane sweep: the
-/// class weight `w` over every item, and the weighted count, sum and sum
-/// of squares of `value(t)` (`xs[t]` for Normal, its logarithm for
-/// LogNormal) over the items whose `xs[t]` is not missing.
+/// weighted count, sum and sum of squares of `value(t)` (`xs[t]` for
+/// Normal, its logarithm for LogNormal) over the items whose `xs[t]` is
+/// not missing; and, when `WEIGHT`, the class weight `w` over every item.
 #[inline(always)]
-fn moments<L: Lanes>(
+fn moments<L: Lanes, const WEIGHT: bool>(
     lanes: L,
     cols: &[&[f64]; LANES],
     xs: &[f64],
     value: impl Fn(usize) -> f64,
-    chains: [L::V; 4],
-) -> [L::V; 4] {
+    w: L::V,
+    sums: [L::V; 3],
+) -> (L::V, [L::V; 3]) {
     assert_eq!(cols[0].len(), xs.len(), "weights/values length mismatch");
-    let [mut w_sum, mut s0, mut s1, mut s2] = chains;
+    let (mut w_sum, [mut s0, mut s1, mut s2]) = (w, sums);
     class_lanes(
         lanes,
         cols,
@@ -206,13 +207,34 @@ fn moments<L: Lanes>(
             let skip = xs[t].is_nan();
             let v = lanes.splat(value(t));
             let wv = lanes.mul(w, v);
-            w_sum = lanes.add(w_sum, w);
+            if WEIGHT {
+                w_sum = lanes.add(w_sum, w);
+            }
             s0 = lanes.add_unless(s0, w, skip);
             s1 = lanes.add_unless(s1, wv, skip);
             s2 = lanes.add_unless(s2, lanes.mul(wv, v), skip);
         },
     );
-    [w_sum, s0, s1, s2]
+    (w_sum, [s0, s1, s2])
+}
+
+/// [`moments`] of a Normal group's values `xs`, or of a LogNormal group's
+/// logarithms: `ln_xs` when the caller has them, else taken per item.
+#[inline(always)]
+fn real_group<L: Lanes, const WEIGHT: bool>(
+    lanes: L,
+    cols: &[&[f64]; LANES],
+    xs: &[f64],
+    log_normal: bool,
+    ln_xs: Option<&[f64]>,
+    w: L::V,
+    sums: [L::V; 3],
+) -> (L::V, [L::V; 3]) {
+    match (log_normal, ln_xs) {
+        (true, Some(ln_xs)) => moments::<L, WEIGHT>(lanes, cols, xs, |t| ln_xs[t], w, sums),
+        (true, None) => moments::<L, WEIGHT>(lanes, cols, xs, |t| xs[t].ln(), w, sums),
+        (false, _) => moments::<L, WEIGHT>(lanes, cols, xs, |t| xs[t], w, sums),
+    }
 }
 
 /// One statistics kernel call: accumulate the items `[lo, hi)`, whose
@@ -253,7 +275,7 @@ impl Wide for Accumulate<'_, '_> {
         assert!(lo <= hi && hi <= n, "tile [{lo}, {hi}) out of range for {n} items");
         let rows = self.at + (hi - lo);
         assert!(rows <= self.wts.n_items(), "tile rows past the end of the weights");
-        class_blocks(lanes, j, hi - lo, &mut self);
+        class_blocks(lanes, j, &mut self);
         let (model, view) = (self.model, self.view);
         for c in 0..j {
             let w = self.col(c);
@@ -316,8 +338,8 @@ impl Wide for Accumulate<'_, '_> {
 impl ClassBlocks for Accumulate<'_, '_> {
     /// The class weight and scalar real chains of the classes
     /// `c0..c0 + k`, one sweep per scalar real group. The class weight
-    /// rides along the first group's sweep; a later group's copy of it is
-    /// discarded, and a model with no such group sweeps it alone.
+    /// rides along the first group's sweep only, and a model with no such
+    /// group sweeps it alone.
     #[inline(always)]
     fn block<L: Lanes>(&mut self, lanes: L, c0: usize, k: usize) {
         let (lo, hi, tl) = (self.lo, self.hi, self.hi - self.lo);
@@ -333,32 +355,30 @@ impl ClassBlocks for Accumulate<'_, '_> {
         let mut w_done = false;
         let mut logs_at = 0;
         for (group, &(at, _)) in self.model.groups.iter().zip(&layout.attr_blocks) {
-            let xs = match group.prior {
-                TermPrior::Normal { .. } | TermPrior::LogNormal { .. } => {
-                    &self.view.real_column(group.attrs[0])[lo..hi]
-                }
+            let log_normal = match group.prior {
+                TermPrior::Normal { .. } => false,
+                TermPrior::LogNormal { .. } => true,
                 _ => continue,
             };
-            let chains = [
-                w_sum,
+            let xs = &self.view.real_column(group.attrs[0])[lo..hi];
+            let ln_xs = match self.logs {
+                Some(logs) if log_normal => {
+                    logs_at += tl;
+                    Some(&logs[logs_at - tl..logs_at])
+                }
+                _ => None,
+            };
+            let sums = [
                 load_chain(lanes, data, starts, at),
                 load_chain(lanes, data, starts, at + 1),
                 load_chain(lanes, data, starts, at + 2),
             ];
-            let [w, sums @ ..] = match (&group.prior, self.logs) {
-                (TermPrior::LogNormal { .. }, Some(logs)) => {
-                    let ln_xs = &logs[logs_at..logs_at + tl];
-                    logs_at += tl;
-                    moments(lanes, &cols, xs, |t| ln_xs[t], chains)
-                }
-                (TermPrior::LogNormal { .. }, None) => {
-                    moments(lanes, &cols, xs, |t| xs[t].ln(), chains)
-                }
-                _ => moments(lanes, &cols, xs, |t| xs[t], chains),
+            let (w, sums) = if w_done {
+                real_group::<L, false>(lanes, &cols, xs, log_normal, ln_xs, w_sum, sums)
+            } else {
+                real_group::<L, true>(lanes, &cols, xs, log_normal, ln_xs, w_sum, sums)
             };
-            if !w_done {
-                (w_sum, w_done) = (w, true);
-            }
+            (w_sum, w_done) = (w, true);
             for (s, chain) in sums.into_iter().enumerate() {
                 store_chain(lanes, data, starts, at + s, chain);
             }
@@ -486,7 +506,7 @@ mod tests {
     /// the class weights, a Normal and a LogNormal group's `(s0, s1, s2)`
     /// and a Multinomial block, each continuing from non-zero statistics.
     /// Every class count whose last block runs on a narrower lane type
-    /// (J = 1..=17) and two full AVX-512 blocks and more, over tiles of
+    /// (J = 1..=17) and several full blocks and more, over tiles of
     /// every ragged length, with missing values on chunk edges of every
     /// width; the LogNormal logarithms come from the kernel itself and, as
     /// on the fused path, from the caller.
@@ -497,8 +517,7 @@ mod tests {
             Attribute::positive_real("y", 0.1),
             Attribute::discrete("c", 3),
         ]);
-        // First and last items of chunks of 2, 4 and 8, on both sides of
-        // `WIDE_FROM`, and a tile's last.
+        // First and last items of chunks of 2 and 4, and a tile's last.
         let x_missing = [0, 7, 8, 15, 16, 63, 64, 71, 72, 255];
         let y_missing = [1, 3, 4, 11, 12, 17, 65, 67, 68, 254];
         let rows: Vec<Vec<Value>> = (0..256)

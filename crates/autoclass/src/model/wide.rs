@@ -19,16 +19,20 @@
 //! class's items in order is not: the compiler keeps each class's chain in
 //! a scalar register. The class-lane sweep ([`class_lanes`]) runs such
 //! chains as real vector lanes, one class per lane, through the
-//! instance's [`Lanes`] type: `zmm` for AVX-512, `ymm` for AVX2, SSE2's
-//! `xmm` for the plain x86-64 instance, and a scalar elsewhere.
+//! instance's [`Lanes`] type: `ymm` for the AVX2 and AVX-512 instances,
+//! SSE2's `xmm` for the plain x86-64 instance, and a scalar elsewhere.
+//! The AVX-512 instance keeps `ymm` lanes: its elementwise loops run on
+//! `zmm`, but `zmm` chains made the simulated workloads of short
+//! partitions, whose ranks run a short kernel between stretches of
+//! scalar engine code, slower end to end.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-/// The most lanes any instance has: eight doubles fill an AVX-512
-/// register. A class block hands the sweep this many column slices;
-/// an instance of `W` lanes reads the first `W`.
-pub(crate) const LANES: usize = 8;
+/// The most lanes any instance has: four doubles fill a `ymm` register.
+/// A class block hands the sweep this many column slices; an instance of
+/// `W` lanes reads the first `W`.
+pub(crate) const LANES: usize = 4;
 
 /// A kernel body compiled inside each instance. `run` must be
 /// `#[inline(always)]`, as must everything on its hot path, or it is
@@ -106,7 +110,7 @@ fn run_avx2<K: Wide>(k: K) -> K::Out {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 fn run_avx512<K: Wide>(k: K) -> K::Out {
-    k.run(Zmm(()))
+    k.run(Ymm(()))
 }
 
 /// Run `k` on the instance compiled for `isa`; the kernels pass
@@ -222,38 +226,18 @@ pub(crate) trait ClassBlocks {
     fn block<L: Lanes>(&mut self, lanes: L, c0: usize, k: usize);
 }
 
-/// Tiles shorter than this run the class-lane sweep on the instance's
-/// narrowest lanes (`xmm` on x86-64). A few items do not pay for the wide
-/// vector units: on the simulator, whose ranks of 6 items each run a
-/// short kernel between stretches of scalar engine code, wide sweeps made
-/// `fleet-p256` about 4% slower end to end, and `xmm` ones did not.
-pub(crate) const WIDE_FROM: usize = 64;
-
 /// The tile lengths the class-lane tests run: one item, ragged chunks and
-/// chunk edges of every width on the narrowest lanes and, from
-/// `WIDE_FROM` items, on the instance's own, and a whole tile.
+/// chunk edges of every width, and a whole tile.
 #[cfg(test)]
-pub(crate) const TILE_LENGTHS: [usize; 21] =
-    [1, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 255, 256];
-
-/// Run `pass` over the classes `0..j` of a tile of `len` items: on the
-/// narrowest lanes of `L` when `len < WIDE_FROM`, else on `L` itself.
-#[inline(always)]
-pub(crate) fn class_blocks<L: Lanes>(lanes: L, j: usize, len: usize, pass: &mut impl ClassBlocks) {
-    if len < WIDE_FROM {
-        blocks(lanes.half().half(), j, pass);
-    } else {
-        blocks(lanes, j, pass);
-    }
-}
+pub(crate) const TILE_LENGTHS: [usize; 10] = [1, 6, 7, 8, 9, 15, 16, 17, 255, 256];
 
 /// Run `pass` over the classes `0..j` in blocks of `L::W`, then the last
 /// `j mod W` on the narrowest of `L`, its half and its quarter that they
-/// fill more than half of: on AVX-512, J = 13 runs as 8 + 5 classes and
-/// J = 2 as one two-lane block, not as an eight-lane block of six padding
+/// fill more than half of: on `ymm`, J = 7 runs as 4 + 3 classes and
+/// J = 2 as one two-lane block, not as a four-lane block of two padding
 /// lanes.
 #[inline(always)]
-fn blocks<L: Lanes>(lanes: L, j: usize, pass: &mut impl ClassBlocks) {
+pub(crate) fn class_blocks<L: Lanes>(lanes: L, j: usize, pass: &mut impl ClassBlocks) {
     let full = j - j % L::W;
     for c0 in (0..full).step_by(L::W) {
         pass.block(lanes, c0, L::W);
@@ -344,7 +328,7 @@ impl Lanes for Xmm {
     }
 }
 
-/// AVX's four-lane `ymm`, the AVX2 instance's lanes.
+/// AVX's four-lane `ymm`, the AVX2 and AVX-512 instances' lanes.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct Ymm(());
@@ -449,129 +433,6 @@ impl Lanes for Ymm {
     }
 }
 
-/// AVX-512's eight-lane `zmm`, the AVX-512 instance's lanes.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-pub(crate) struct Zmm(());
-
-#[cfg(target_arch = "x86_64")]
-impl Lanes for Zmm {
-    const W: usize = 8;
-    type V = __m512d;
-    type Half = Ymm;
-
-    #[inline(always)]
-    fn half(self) -> Ymm {
-        // AVX-512 support is only confirmed together with AVX2's.
-        Ymm(())
-    }
-
-    #[inline(always)]
-    fn splat(self, x: f64) -> __m512d {
-        // SAFETY: a `Zmm` exists only inside the AVX-512 instance (`Lanes`).
-        unsafe { _mm512_set1_pd(x) }
-    }
-
-    #[inline(always)]
-    fn load(self, a: &[f64; LANES]) -> __m512d {
-        // SAFETY: reads `a[..8]`, in bounds; a `Zmm` exists only inside the
-        // AVX-512 instance (`Lanes`).
-        unsafe { _mm512_loadu_pd(a.as_ptr()) }
-    }
-
-    #[inline(always)]
-    fn store(self, v: __m512d) -> [f64; LANES] {
-        let mut a = [0.0; LANES];
-        // SAFETY: writes `a[..8]`, in bounds; a `Zmm` exists only inside
-        // the AVX-512 instance (`Lanes`).
-        unsafe { _mm512_storeu_pd(a.as_mut_ptr(), v) };
-        a
-    }
-
-    #[inline(always)]
-    fn add(self, a: __m512d, b: __m512d) -> __m512d {
-        // SAFETY: a `Zmm` exists only inside the AVX-512 instance (`Lanes`).
-        unsafe { _mm512_add_pd(a, b) }
-    }
-
-    #[inline(always)]
-    fn mul(self, a: __m512d, b: __m512d) -> __m512d {
-        // SAFETY: a `Zmm` exists only inside the AVX-512 instance (`Lanes`).
-        unsafe { _mm512_mul_pd(a, b) }
-    }
-
-    #[inline(always)]
-    fn add_unless(self, acc: __m512d, x: __m512d, skip: bool) -> __m512d {
-        // SAFETY: a `Zmm` exists only inside the AVX-512 instance (`Lanes`).
-        unsafe { _mm512_mask_add_pd(acc, if skip { 0 } else { 0xFF }, acc, x) }
-    }
-
-    #[inline(always)]
-    fn chunk(self, cols: &[&[f64]; LANES], t: usize, n: usize, mut f: impl FnMut(usize, __m512d)) {
-        // SAFETY: a `Zmm` exists only inside the AVX-512 instance
-        // (`Lanes`). Each load reads `n` doubles of a slice just
-        // bounds-checked to hold them; a masked load does not touch the
-        // masked-off lanes.
-        unsafe {
-            let keep: __mmask8 = if n == 8 { 0xFF } else { (1u8 << n) - 1 };
-            let r = [
-                _mm512_maskz_loadu_pd(keep, cols[0][t..t + n].as_ptr()),
-                _mm512_maskz_loadu_pd(keep, cols[1][t..t + n].as_ptr()),
-                _mm512_maskz_loadu_pd(keep, cols[2][t..t + n].as_ptr()),
-                _mm512_maskz_loadu_pd(keep, cols[3][t..t + n].as_ptr()),
-                _mm512_maskz_loadu_pd(keep, cols[4][t..t + n].as_ptr()),
-                _mm512_maskz_loadu_pd(keep, cols[5][t..t + n].as_ptr()),
-                _mm512_maskz_loadu_pd(keep, cols[6][t..t + n].as_ptr()),
-                _mm512_maskz_loadu_pd(keep, cols[7][t..t + n].as_ptr()),
-            ];
-            // Pairs of rows interleaved: 128-bit lane `h` of `t0` holds
-            // items `2h` of rows 0 and 1, of `t1` items `2h + 1`.
-            let t0 = _mm512_unpacklo_pd(r[0], r[1]);
-            let t1 = _mm512_unpackhi_pd(r[0], r[1]);
-            let t2 = _mm512_unpacklo_pd(r[2], r[3]);
-            let t3 = _mm512_unpackhi_pd(r[2], r[3]);
-            let t4 = _mm512_unpacklo_pd(r[4], r[5]);
-            let t5 = _mm512_unpackhi_pd(r[4], r[5]);
-            let t6 = _mm512_unpacklo_pd(r[6], r[7]);
-            let t7 = _mm512_unpackhi_pd(r[6], r[7]);
-            // Quads of rows: `u0` holds items 0 and 4 of rows 0..4, `u1`
-            // items 2 and 6, `u2` items 1 and 5, `u3` items 3 and 7.
-            let u0 = _mm512_shuffle_f64x2::<0x88>(t0, t2);
-            let u1 = _mm512_shuffle_f64x2::<0xDD>(t0, t2);
-            let u2 = _mm512_shuffle_f64x2::<0x88>(t1, t3);
-            let u3 = _mm512_shuffle_f64x2::<0xDD>(t1, t3);
-            let u4 = _mm512_shuffle_f64x2::<0x88>(t4, t6);
-            let u5 = _mm512_shuffle_f64x2::<0xDD>(t4, t6);
-            let u6 = _mm512_shuffle_f64x2::<0x88>(t5, t7);
-            let u7 = _mm512_shuffle_f64x2::<0xDD>(t5, t7);
-            // The branches past the first are taken on every chunk but a
-            // ragged last one.
-            f(0, _mm512_shuffle_f64x2::<0x88>(u0, u4));
-            if n > 1 {
-                f(1, _mm512_shuffle_f64x2::<0x88>(u2, u6));
-            }
-            if n > 2 {
-                f(2, _mm512_shuffle_f64x2::<0x88>(u1, u5));
-            }
-            if n > 3 {
-                f(3, _mm512_shuffle_f64x2::<0x88>(u3, u7));
-            }
-            if n > 4 {
-                f(4, _mm512_shuffle_f64x2::<0xDD>(u0, u4));
-            }
-            if n > 5 {
-                f(5, _mm512_shuffle_f64x2::<0xDD>(u2, u6));
-            }
-            if n > 6 {
-                f(6, _mm512_shuffle_f64x2::<0xDD>(u1, u5));
-            }
-            if n > 7 {
-                f(7, _mm512_shuffle_f64x2::<0xDD>(u3, u7));
-            }
-        }
-    }
-}
-
 /// One lane, for targets without the x86 instances (and for the sweep's
 /// tests everywhere).
 #[cfg(any(test, not(target_arch = "x86_64")))]
@@ -654,17 +515,16 @@ mod tests {
         }
     }
 
-    /// `class_blocks` over `j` classes of `len` items as a kernel: the
-    /// instance's lane count, its narrowest lanes' count, and the blocks.
+    /// `class_blocks` over `j` classes as a kernel: the instance's lane
+    /// count and the blocks.
     struct Sweep<'a>(usize, Record<'a>);
 
     impl Wide for Sweep<'_> {
-        type Out = (usize, usize, Vec<Seen>);
+        type Out = (usize, Vec<Seen>);
 
         fn run<L: Lanes>(mut self, lanes: L) -> Self::Out {
-            let len = self.1.cols[0].len();
-            class_blocks(lanes, self.0, len, &mut self.1);
-            (L::W, <<L::Half as Lanes>::Half as Lanes>::W, self.1.seen)
+            class_blocks(lanes, self.0, &mut self.1);
+            (L::W, self.1.seen)
         }
     }
 
@@ -700,10 +560,8 @@ mod tests {
     }
 
     /// The class-lane sweep and its blocks on every instance this CPU
-    /// supports, and on the scalar lanes: every class count up to four
-    /// AVX-512 blocks and one more, over columns of every ragged length,
-    /// short ones on the narrowest lanes and from `WIDE_FROM` items on
-    /// the instance's own.
+    /// supports, and on the scalar lanes: every class count up to eight
+    /// blocks of four and one more, over columns of every ragged length.
     #[test]
     fn the_sweep_hands_every_item_in_order_on_every_instance() {
         for len in TILE_LENGTHS {
@@ -712,12 +570,11 @@ mod tests {
                     (0..j).map(|c| (0..len).map(|t| (c * 1000 + t) as f64).collect()).collect();
                 for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
                     let record = Record { cols: &cols, seen: Vec::new() };
-                    let (wide, narrow, blocks) = run_wide(isa, Sweep(j, record));
-                    let width = if len < WIDE_FROM { narrow } else { wide };
+                    let (width, blocks) = run_wide(isa, Sweep(j, record));
                     check(width, &blocks, &cols, &format!("{isa:?}, len {len}, J={j}"));
                 }
                 let mut record = Record { cols: &cols, seen: Vec::new() };
-                class_blocks(Scalar, j, len, &mut record);
+                class_blocks(Scalar, j, &mut record);
                 check(1, &record.seen, &cols, &format!("scalar, len {len}, J={j}"));
             }
         }
