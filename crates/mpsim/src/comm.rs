@@ -680,6 +680,14 @@ impl SpmdComm for Comm {
     {
         self.derive_replicated_in(WORLD_COMM, self.size, key, out, derive);
     }
+    /// The run's one value of type `T`, borrowed for the call (see
+    /// [`crate::replica`]); `own` is not touched.
+    fn with_scratch<T, R>(&mut self, _own: &mut T, f: impl FnOnce(&mut T) -> R) -> R
+    where
+        T: Default + Send + 'static,
+    {
+        self.coop.scratch.with(f)
+    }
 }
 
 impl Communicator for Comm {

@@ -70,7 +70,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::comm::{Envelope, Net};
 use crate::error::SimError;
 use crate::fiber;
-use crate::replica::Replicas;
+use crate::replica::{Replicas, Scratch};
 use crate::schedule::{self, Seat, Seating};
 
 /// Outcome of a [`CoopShared::deposit`] that did not fail.
@@ -213,6 +213,9 @@ pub(crate) struct CoopShared {
     /// Results of replicated derivations, kept for the members still to
     /// call (see [`crate::replica`]).
     pub(crate) replicas: Replicas,
+    /// The scratch values lent to one member at a time (see
+    /// [`crate::SpmdComm::with_scratch`]).
+    pub(crate) scratch: Scratch,
 }
 
 impl CoopShared {
@@ -241,6 +244,7 @@ impl CoopShared {
             net,
             abort,
             replicas: Replicas::default(),
+            scratch: Scratch::default(),
         }
     }
 

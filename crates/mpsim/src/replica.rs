@@ -33,6 +33,12 @@
 //! being a pure function of the keyed bits, so which spare it lands in
 //! cannot show. The spares cost one value per communicator deriving at
 //! a time, and go with the store.
+//!
+//! The same host thread also lends one scratch value per type (`Scratch`,
+//! behind [`SpmdComm::with_scratch`](crate::SpmdComm::with_scratch)): storage
+//! that a member needs only inside one call that cannot suspend, such as
+//! the E-step's tile buffers, is held once per host instead of once per
+//! member, and goes with the run.
 
 use std::any::Any;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -217,6 +223,54 @@ impl Replicas {
     }
 }
 
+/// The scratch values of one cooperative run: at most one per type, lent
+/// to one member at a time (see
+/// [`SpmdComm::with_scratch`](crate::SpmdComm::with_scratch)).
+#[derive(Default)]
+pub(crate) struct Scratch {
+    slot: Mutex<Vec<Box<dyn Any + Send>>>,
+}
+
+impl Scratch {
+    /// Members run one at a time and never block inside the slot, so a
+    /// poisoned lock still guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, Vec<Box<dyn Any + Send>>> {
+        self.slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Run `f` on the run's value of type `T`, taken out of the slot for
+    /// the call and put back after it. A member that finds no value there
+    /// (the first call, or another member holds it) gets a fresh
+    /// `T::default()`; one that panics inside `f` drops the value it
+    /// held, so the slot never holds a value a panic left half written.
+    /// Once the slot holds a value, a call allocates nothing: the value
+    /// stays in its box.
+    pub(crate) fn with<T: Default + Send + 'static, R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let held = {
+            let mut slot = self.lock();
+            let at = slot.iter().position(|v| v.is::<T>());
+            at.map(|i| slot.swap_remove(i))
+        };
+        let mut value = match held.map(|v| v.downcast::<T>()) {
+            Some(Ok(v)) => v,
+            _ => Box::default(),
+        };
+        let out = f(&mut value);
+        let mut slot = self.lock();
+        // Another member's value of this type, put back first, stays.
+        if !slot.iter().any(|v| v.is::<T>()) {
+            slot.push(value);
+        }
+        out
+    }
+
+    /// How many values the slot holds.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.lock().len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,6 +359,39 @@ mod tests {
         assert_ne!(at[0], start_at);
         assert_eq!((at[1], at[2]), (start_at, at[0]));
         assert_eq!(r.stats(), ReplicaStats { kept: 3, shared: 6, left: 0 });
+    }
+
+    #[test]
+    fn members_borrow_one_scratch_value_per_type() {
+        let s = Scratch::default();
+        // The first borrower grows the value; later ones find it grown.
+        let first = s.with(|v: &mut Vec<f64>| {
+            v.resize(64, 1.0);
+            v.as_ptr()
+        });
+        for _ in 0..3 {
+            let (len, at) = s.with(|v: &mut Vec<f64>| (v.len(), v.as_ptr()));
+            assert_eq!((len, at), (64, first));
+        }
+        // Another type gets its own value.
+        assert_eq!(s.with(|v: &mut Vec<u8>| v.len()), 0);
+        assert_eq!(s.held(), 2);
+    }
+
+    #[test]
+    fn a_borrower_that_panics_drops_the_value() {
+        let s = Scratch::default();
+        s.with(|v: &mut Vec<f64>| v.push(1.0));
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.with(|v: &mut Vec<f64>| {
+                v.push(2.0);
+                panic!("inside the lend");
+            })
+        }));
+        assert!(hit.is_err());
+        assert_eq!(s.held(), 0);
+        // The next borrower starts from a fresh value.
+        assert_eq!(s.with(|v: &mut Vec<f64>| v.len()), 0);
     }
 
     #[test]

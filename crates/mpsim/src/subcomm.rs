@@ -180,6 +180,13 @@ impl<W: Communicator> SpmdComm for Group<'_, W> {
         let size = self.members.len();
         self.world.derive_replicated_in(self.comm_id, size, key, out, derive);
     }
+    /// The world's lend: a group's members are members of its world.
+    fn with_scratch<T, R>(&mut self, own: &mut T, f: impl FnOnce(&mut T) -> R) -> R
+    where
+        T: Default + Send + 'static,
+    {
+        self.world.with_scratch(own, f)
+    }
 }
 
 impl<W: Communicator> Collective for Group<'_, W> {

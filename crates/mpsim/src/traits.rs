@@ -276,6 +276,27 @@ pub trait SpmdComm: Collective {
         let _ = key;
         derive(Arc::make_mut(out));
     }
+
+    /// Run `f` on scratch storage of type `T` that this member needs only
+    /// for the call, such as the E-step's tile buffers, and return what
+    /// `f` returns. `f` gets no communicator, so it cannot suspend; what
+    /// must outlive the call belongs in the member's own storage.
+    ///
+    /// The default runs `f(own)`, as a world whose members run on threads
+    /// of their own must (the native backend's). The simulator runs every
+    /// member on one host thread, one at a time, so there the members
+    /// borrow one value of type `T` per run in turn and `own` stays
+    /// untouched: the value the first member grew is the one the next
+    /// finds, and the host keeps one instead of one per member. A member
+    /// that finds no value to borrow gets a fresh `T::default()`, never a
+    /// value another member holds. The value goes with the run.
+    fn with_scratch<T, R>(&mut self, own: &mut T, f: impl FnOnce(&mut T) -> R) -> R
+    where
+        Self: Sized,
+        T: Default + Send + 'static,
+    {
+        f(own)
+    }
 }
 
 /// The world-communicator surface the SPMD driver is generic over: the

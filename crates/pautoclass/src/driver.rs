@@ -207,9 +207,9 @@ pub fn parallel_base_cycle<C: Communicator>(
         return blocking_cycle(comm, model, view, tail, ws, strategy);
     }
     ws.reset_stats(model, tail.classes.len());
-    let CycleWorkspace { estep, stats, .. } = ws;
+    let CycleWorkspace { estep, class_weight_sums: wj, stats, .. } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
-    let scalars = pipelined_cycle(comm, model, view, &tail.classes, estep, stats);
+    let scalars = pipelined_cycle(comm, model, view, &tail.classes, estep, wj, stats);
     end_cycle(comm, model, stats, scalars, Source::Stats, tail)
 }
 
@@ -235,10 +235,16 @@ pub fn parallel_base_cycle<C: Communicator>(
 /// replaces charged them, so virtual time and phase attribution are
 /// those of the two passes. `WtsOnly` keeps the matrix it gathers.
 ///
-/// All transient storage (the one-tile weight buffer and the rest of the
-/// E-step scratch, the statistics buffer, the flat payload buffer, and
-/// for `WtsOnly` the weight matrix) lives in `ws` and is reused across
-/// cycles. At P = 1, like the sequential `base_cycle`, the `Full`
+/// The kernel runs inside [`SpmdComm::with_scratch`] on `ws.estep`: on
+/// the simulator every rank borrows the host's one E-step scratch (the
+/// one-tile weight buffer and the per-item tile buffers), which is live
+/// only inside the call, and on real threads each rank uses its own. What
+/// outlives the call is the rank's: w_j (`ws.class_weight_sums`), which is
+/// allreduced after it, and `WtsOnly`'s weight matrix.
+///
+/// All other transient storage (the statistics buffer, the flat payload
+/// buffer) lives in `ws` and is reused across cycles. At P = 1, like the
+/// sequential `base_cycle`, the `Full`
 /// strategies make no heap allocation in steady state. On a simulated
 /// machine of P > 1 they make a few per cycle per host, almost flat in P
 /// (about 12–17 on `meiko_cs2` at J = 5 for P from 2 to 16): per-meeting
@@ -259,7 +265,7 @@ pub fn blocking_cycle<C: SpmdComm>(
 ) -> Approximation {
     let j = tail.classes.len();
     ws.reset_stats(model, j);
-    let CycleWorkspace { wts, estep, stats, flat, .. } = ws;
+    let CycleWorkspace { wts, estep, class_weight_sums: wj, stats, flat } = ws;
     let Some(stats) = stats else { unreachable!("reset_stats installs the statistics buffer") };
 
     // ---- update_wts (Figure 4) -------------------------------------------
@@ -267,18 +273,23 @@ pub fn blocking_cycle<C: SpmdComm>(
     // as it is finished; their statistics ops are charged under "mstep"
     // below, after the w_j Allreduce, as the two-pass form charged them.
     comm.enter_phase("estep");
-    let (e, stat_ops) = match strategy {
-        Strategy::Full { .. } => estep_and_stats_into(model, view, &tail.classes, estep, stats),
-        Strategy::WtsOnly => (update_wts_into(model, view, &tail.classes, wts, estep), 0),
-    };
+    let classes = &tail.classes;
+    let (e, stat_ops) = comm.with_scratch(estep, |scratch| match strategy {
+        Strategy::Full { .. } => estep_and_stats_into(model, view, classes, scratch, wj, stats),
+        Strategy::WtsOnly => {
+            let e = update_wts_into(model, view, classes, wts, scratch);
+            wj.clone_from(&scratch.class_weight_sums);
+            (e, 0)
+        }
+    });
     comm.work(e.ops);
     comm.exit_phase();
-    // Allreduce of the per-class weight sums w_j, in place in the scratch.
+    // Allreduce of the per-class weight sums w_j, in place.
     comm.enter_phase("allreduce");
-    comm.allreduce_f64s(&mut estep.class_weight_sums, ReduceOp::Sum);
+    comm.allreduce_f64s(wj, ReduceOp::Sum);
     comm.exit_phase();
-    comm.verify_replicated("class weight sums w_j", &estep.class_weight_sums);
-    let wj = &estep.class_weight_sums;
+    comm.verify_replicated("class weight sums w_j", wj);
+    let wj = &*wj;
 
     // ---- update_parameters (Figure 5) ------------------------------------
     // `Fused` combines the two cycle scalars with the statistics message
@@ -442,20 +453,24 @@ fn end_cycle<C: SpmdComm>(
 /// Beyond what a Fused cycle allocates, the only heap allocation in this
 /// cycle is the vector of statistics requests (j of them when chunked, 1
 /// otherwise; w_j's request is separate) — documented in DESIGN.md §10;
-/// everything else reuses the [`CycleWorkspace`] buffers.
+/// everything else reuses the [`CycleWorkspace`] buffers, and the kernel
+/// borrows its scratch as the blocking cycle's does.
 fn pipelined_cycle<C: Communicator>(
     comm: &mut C,
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
     estep: &mut EStepScratch,
+    wj: &mut Vec<f64>,
     stats: &mut SuffStats,
 ) -> [f64; 2] {
     let j = classes.len();
 
     // ---- fused update_wts + statistics accumulation (one pass) -------
     comm.enter_phase("estep");
-    let (e, stat_ops) = estep_and_stats_into(model, view, classes, estep, stats);
+    let (e, stat_ops) = comm.with_scratch(estep, |scratch| {
+        estep_and_stats_into(model, view, classes, scratch, wj, stats)
+    });
     comm.work(e.ops);
     comm.exit_phase();
     // The statistics ops are charged under "mstep" so the phase rows stay
@@ -466,7 +481,7 @@ fn pipelined_cycle<C: Communicator>(
 
     // ---- post the exchanges ------------------------------------------
     comm.enter_phase("allreduce");
-    let mut wj_req = comm.iallreduce_f64s(&mut estep.class_weight_sums, ReduceOp::Sum);
+    let mut wj_req = comm.iallreduce_f64s(wj, ReduceOp::Sum);
     comm.exit_phase();
 
     // Weight slots travel on the w_j wire; zero them here and piggyback
@@ -516,13 +531,13 @@ fn pipelined_cycle<C: Communicator>(
     comm.enter_phase("allreduce");
     comm.wait(&mut wj_req);
     comm.exit_phase();
-    comm.verify_replicated("class weight sums w_j", &estep.class_weight_sums);
+    comm.verify_replicated("class weight sums w_j", wj);
 
     // The replicated tail derives the classes; each one's derive costs one
     // statistics stride (what `mstep_ops` sums), charged as its chunk
     // lands.
     if chunkable {
-        for (c, &w) in estep.class_weight_sums.iter().enumerate() {
+        for (c, &w) in wj.iter().enumerate() {
             comm.enter_phase("allreduce");
             comm.wait(&mut chunk_reqs[c]);
             comm.exit_phase();
@@ -535,7 +550,7 @@ fn pipelined_cycle<C: Communicator>(
         comm.enter_phase("allreduce");
         comm.waitall(&mut chunk_reqs);
         comm.exit_phase();
-        for (c, &w) in estep.class_weight_sums.iter().enumerate() {
+        for (c, &w) in wj.iter().enumerate() {
             stats.data[stats.layout.weight_index(c)] = w;
         }
         comm.enter_phase("mstep");

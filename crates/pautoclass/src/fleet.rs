@@ -741,7 +741,9 @@ fn ensemble_stage<W: Communicator>(
     let mut labels: Vec<Vec<usize>> = Vec::with_capacity(v);
     let mut best = Vec::with_capacity(n_local);
     for c in all.iter().take(v) {
-        let e = update_wts_into(model, &view, &c.classes, &mut wts, &mut scratch);
+        let e = sub.with_scratch(&mut scratch, |scratch| {
+            update_wts_into(model, &view, &c.classes, &mut wts, scratch)
+        });
         sub.work(e.ops);
         // A running argmax down the class columns; the strict `>` keeps
         // the lowest class on a tie.

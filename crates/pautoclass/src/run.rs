@@ -217,10 +217,11 @@ pub(crate) fn search_tries<C: SpmdComm>(
         .map(|ck| ck.best.iter().map(|b| b.to_classification(model)).collect())
         .unwrap_or_default();
     let mut total_cycles = resume.map_or(0, |ck| ck.total_cycles);
-    // One workspace outlives every try: the E-step scratch (with its one
-    // tile of weights), the statistics buffer and WtsOnly's weight matrix
-    // reach their high-water mark once and are reused for the rest of the
-    // search.
+    // One workspace outlives every try: w_j, the statistics buffer and
+    // WtsOnly's weight matrix (and, on real threads, the E-step scratch
+    // with its one tile of weights, which simulated ranks borrow from the
+    // host instead) reach their high-water mark once and are reused for
+    // the rest of the search.
     let mut ws = CycleWorkspace::new();
 
     for (ji, &j) in sc.start_j_list.iter().enumerate() {

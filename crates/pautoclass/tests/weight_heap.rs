@@ -1,17 +1,26 @@
-//! No EM cycle holds the `n × J` weight matrix. A Full-strategy cycle
+//! No EM cycle holds the `n × J` weight matrix, and a simulated host
+//! holds one tile of weights, not one per rank. A Full-strategy cycle
 //! computes the weights one `ESTEP_TILE`-item tile at a time and folds
-//! each tile into the local statistics while it is in cache, so a rank's
+//! each tile into the local statistics while it is in cache, so its
 //! weight storage is one tile, `min(n, ESTEP_TILE) × J` doubles, not its
-//! partition's `n/P × J`.
+//! partition's `n/P × J`; and the ranks of a simulated run borrow that
+//! tile, with the rest of the E-step scratch, from the host
+//! (`SpmdComm::with_scratch`), one at a time.
 //!
-//! A counting `#[global_allocator]` records the peak live heap of a
-//! Fused search at the paper's shape (J = 24 on `meiko_cs2(8)`, 30 000
-//! items), which must stay under [`PEAK_MIB`]: eight per-rank matrices
-//! of 3 750 × 24 doubles alone are 5.5 MiB. Then each Full exchange runs
-//! a few cycles on the world and the Fused one on each half of a split,
-//! and every rank's workspace must hold no weight matrix, at most one
-//! tile of weights, and no E-step buffer past the tile's shape (a copy of
-//! the tile in another layout would fail it).
+//! A counting `#[global_allocator]` records the peak live heap of two
+//! Fused searches over what was live before each:
+//! * the paper's shape (J = 24 on `meiko_cs2(8)`, 30 000 items), which
+//!   must stay under [`PEAK_MIB`]: eight per-rank matrices of 3 750 × 24
+//!   doubles alone are 5.5 MiB;
+//! * the recovery workload's shape (J = 16 on `meiko_cs2(64)`, 32 768
+//!   items, 512 per rank), which must stay under [`MANY_RANKS_PEAK_MIB`]:
+//!   a full 256 × 16 tile per rank alone is 2 MiB.
+//!
+//! Then each Full exchange runs a few cycles on the world and the Fused
+//! one on each half of a split, and every rank's workspace must hold no
+//! weight matrix and no E-step scratch, while the value the ranks borrow
+//! holds at most one tile of weights and no E-step buffer past the
+//! tile's shape (a copy of the tile in another layout would fail it).
 //!
 //! One `#[test]` in its own binary, so no concurrently running test shares
 //! the allocator's counters.
@@ -20,7 +29,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use autoclass::data::{block_range, Dataset};
-use autoclass::model::{CycleWorkspace, ESTEP_TILE};
+use autoclass::model::{CycleWorkspace, EStepScratch, ESTEP_TILE};
 use autoclass::search::SearchConfig;
 use mpsim::{presets, run_spmd, Communicator, SimOptions, SpmdComm};
 use pautoclass::driver::{blocking_cycle, build_model, init_classes_parallel, parallel_base_cycle};
@@ -82,17 +91,22 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const P: usize = 8;
 const J: usize = 24;
 
-/// The most the search may peak at over what was live before it, in MiB.
-/// It peaks at about 0.5 MiB; with a weight matrix per rank it peaked at
-/// about 5.6.
+/// The most the paper-shape search may peak at over what was live before
+/// it, in MiB. It peaks at about 0.1 MiB; with a weight matrix per rank
+/// it peaked at about 5.6.
 const PEAK_MIB: f64 = 1.5;
 
-/// Peak heap growth, in bytes, of a Fused search of `J` classes on
-/// `meiko_cs2(P)` over what was live before it.
-fn search_peak_bytes(data: &Dataset) -> usize {
+/// The most the recovery-shape search (`meiko_cs2(64)`, J = 16) may peak
+/// at over what was live before it, in MiB. A one-tile scratch per rank,
+/// 64 tiles of 256 × 16 doubles, is 2 MiB on its own.
+const MANY_RANKS_PEAK_MIB: f64 = 1.0;
+
+/// Peak heap growth, in bytes, of a Fused search of `j` classes on
+/// `meiko_cs2(p)` over what was live before it.
+fn search_peak_bytes(data: &Dataset, p: usize, j: usize) -> usize {
     let config = ParallelConfig {
         search: SearchConfig {
-            start_j_list: vec![J],
+            start_j_list: vec![j],
             tries_per_j: 1,
             max_cycles: 3,
             rel_delta_ll: 0.0,
@@ -105,19 +119,20 @@ fn search_peak_bytes(data: &Dataset) -> usize {
     };
     let base = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(base, Ordering::Relaxed);
-    let out = run_search_with(data, &presets::meiko_cs2(P), &config, &SimOptions::default())
+    let out = run_search_with(data, &presets::meiko_cs2(p), &config, &SimOptions::default())
         .expect("the search runs");
     let peak = PEAK_BYTES.load(Ordering::Relaxed);
-    assert_eq!(out.best.classes.len(), J, "no class may die");
+    assert_eq!(out.best.classes.len(), j, "no class may die");
     drop(out);
     peak - base
 }
 
 /// Each rank's weight storage after cycles of every Full exchange on the
 /// world, then Fused cycles on its half of a split: the doubles its
-/// weight matrix holds, those its one-tile buffer holds, and those every
-/// buffer of its E-step scratch holds.
-fn weight_storage(data: &Dataset) -> Vec<(usize, usize, usize)> {
+/// weight matrix holds, those every buffer of its own E-step scratch
+/// holds, and those of the scratch it borrows from the host: its one-tile
+/// buffer and every buffer.
+fn weight_storage(data: &Dataset) -> Vec<(usize, usize, usize, usize)> {
     let out = run_spmd(&presets::meiko_cs2(P), &SimOptions::default(), |comm| {
         let part = block_range(data.len(), comm.size(), comm.rank());
         let view = data.view(part.start, part.end);
@@ -137,7 +152,10 @@ fn weight_storage(data: &Dataset) -> Vec<(usize, usize, usize)> {
         for _ in 0..2 {
             blocking_cycle(&mut half, &model, &view, &mut tail, &mut ws, strategy);
         }
-        (ws.wts.capacity(), ws.estep.tile.capacity(), ws.estep.capacity())
+        let lent = half.with_scratch(&mut EStepScratch::default(), |s: &mut EStepScratch| {
+            (s.tile.capacity(), s.capacity())
+        });
+        (ws.wts.capacity(), ws.estep.capacity(), lent.0, lent.1)
     })
     .expect("the cycles run");
     out.per_rank
@@ -145,20 +163,31 @@ fn weight_storage(data: &Dataset) -> Vec<(usize, usize, usize)> {
 
 #[test]
 fn no_cycle_holds_the_weight_matrix() {
+    let mib = |b: usize| b as f64 / (1024.0 * 1024.0);
     let data = datagen::paper_dataset(30_000, 5);
-    let mib = search_peak_bytes(&data) as f64 / (1024.0 * 1024.0);
-    println!("Fused search at J = {J}, P = {P}: peak heap {mib:.2} MiB");
-    assert!(mib <= PEAK_MIB, "the search peaked at {mib:.2} MiB, over {PEAK_MIB} MiB");
+    let paper = mib(search_peak_bytes(&data, P, J));
+    println!("Fused search at J = {J}, P = {P}: peak heap {paper:.2} MiB");
+    assert!(paper <= PEAK_MIB, "the search peaked at {paper:.2} MiB, over {PEAK_MIB} MiB");
 
-    // The scratch of an all-Normal model: the class sums, and per tile
-    // row the weights and the three per-item sums; nothing else.
-    let scratch_bound = J + ESTEP_TILE * (J + 3);
-    for (rank, (matrix, tile, scratch)) in weight_storage(&data).into_iter().enumerate() {
+    let many = mib(search_peak_bytes(&datagen::paper_dataset(32_768, 5), 64, 16));
+    println!("Fused search at J = 16, P = 64: peak heap {many:.2} MiB");
+    assert!(
+        many <= MANY_RANKS_PEAK_MIB,
+        "the search at P = 64 peaked at {many:.2} MiB, over {MANY_RANKS_PEAK_MIB} MiB"
+    );
+
+    // The host's scratch for an all-Normal model: per tile row the
+    // weights and the three per-item sums; nothing else (w_j is the
+    // rank's own).
+    let scratch_bound = ESTEP_TILE * (J + 3);
+    for (rank, storage) in weight_storage(&data).into_iter().enumerate() {
+        let (matrix, own, tile, lent) = storage;
         assert_eq!(matrix, 0, "rank {rank} shaped a weight matrix");
-        assert!(tile <= ESTEP_TILE * J, "rank {rank} holds {tile} weights, over one tile");
+        assert_eq!(own, 0, "rank {rank} keeps an E-step scratch of its own");
+        assert!(tile <= ESTEP_TILE * J, "rank {rank} borrows {tile} weights, over one tile");
         assert!(
-            scratch <= scratch_bound,
-            "rank {rank}'s E-step scratch holds {scratch} doubles, over {scratch_bound}"
+            lent <= scratch_bound,
+            "rank {rank}'s borrowed E-step scratch holds {lent} doubles, over {scratch_bound}"
         );
     }
 }

@@ -218,3 +218,91 @@ fn request_misuse_names_the_culprit_rank_on_both_backends() {
         other => panic!("expected CommError::RankPanicked, got {other}"),
     }
 }
+
+/// Scratch values alive anywhere in the process (see [`Tracked`]).
+static TRACKED_LIVE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// A scratch buffer that counts how many of its kind are alive, so a test
+/// can see a lent value go with its run.
+struct Tracked(Vec<f64>);
+
+impl Default for Tracked {
+    fn default() -> Self {
+        TRACKED_LIVE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Tracked(Vec::new())
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        TRACKED_LIVE.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+/// What one member saw inside `with_scratch`: the value's address, its
+/// capacity, and whether this member grew it.
+type Lent = (usize, usize, bool);
+
+#[test]
+fn with_scratch_lends_one_host_value_on_the_simulator_and_own_storage_natively() {
+    use std::sync::atomic::Ordering;
+    const P: usize = 8;
+    const CAP: usize = 64;
+    // Every member borrows on the world and on its half of a split: it
+    // grows the value if it finds it empty. Returns the two borrows, the
+    // address of the member's own value and its capacity afterwards.
+    fn body<C: Communicator>(comm: &mut C, culprit: Option<usize>) -> (Lent, Lent, usize, usize) {
+        fn borrow(s: &mut Tracked) -> Lent {
+            let grew = s.0.capacity() == 0;
+            if grew {
+                s.0.reserve_exact(CAP);
+            }
+            (s as *const Tracked as usize, s.0.capacity(), grew)
+        }
+        let mut own = Tracked::default();
+        let me = comm.rank();
+        let world = comm.with_scratch(&mut own, |s| {
+            assert_ne!(culprit, Some(me), "rank {me} fails inside the lend");
+            borrow(s)
+        });
+        let mut half = comm.split(|r| (r % 2) as u32);
+        let group = half.with_scratch(&mut own, borrow);
+        (world, group, &own as *const Tracked as usize, own.0.capacity())
+    }
+    let machine = presets::meiko_cs2(P);
+
+    let sim = mpsim::run_spmd_default(&machine, |c| body(c, None)).unwrap();
+    let host = sim.per_rank[0].0 .0;
+    for (r, &(world, group, own, own_cap)) in sim.per_rank.iter().enumerate() {
+        // One value, grown once by the first member and found grown by
+        // every later one, on the world and on both halves.
+        assert_eq!((world.0, world.1, group.0, group.1), (host, CAP, host, CAP), "rank {r}");
+        assert_ne!(own, host, "rank {r} borrowed its own value");
+        assert_eq!(own_cap, 0, "rank {r}'s own value was touched");
+    }
+    let grown = sim.per_rank.iter().map(|(w, g, ..)| usize::from(w.2) + usize::from(g.2));
+    assert_eq!(grown.sum::<usize>(), 1, "more than one member grew the host value");
+    assert_eq!(TRACKED_LIVE.load(Ordering::Relaxed), 0, "the lent value outlived the run");
+
+    let native = run_native(&machine, &NativeOptions::default(), |c| body(c, None)).unwrap();
+    for (r, &(world, group, own, own_cap)) in native.per_rank.iter().enumerate() {
+        // Each member works on its own value, grown on the world call.
+        assert_eq!((world.0, world.2, group.0, group.2), (own, true, own, false), "rank {r}");
+        assert_eq!(own_cap, CAP, "rank {r}");
+    }
+    assert_eq!(TRACKED_LIVE.load(Ordering::Relaxed), 0);
+
+    // A member that panics inside the lend fails the run, and the value
+    // it held goes with it.
+    match mpsim::run_spmd_default(&machine, |c| body(c, Some(3))).unwrap_err() {
+        SimError::RankPanicked { rank, .. } => assert_eq!(rank, 3),
+        other => panic!("expected RankPanicked, got {other}"),
+    }
+    assert_eq!(TRACKED_LIVE.load(Ordering::Relaxed), 0, "a value outlived the failed run");
+    let failed = run_native(&machine, &NativeOptions::default(), |c| body(c, Some(3)));
+    match failed.map(|_| ()).unwrap_err() {
+        CommError::RankPanicked { rank, .. } => assert_eq!(rank, 3),
+        other => panic!("expected CommError::RankPanicked, got {other}"),
+    }
+    assert_eq!(TRACKED_LIVE.load(Ordering::Relaxed), 0);
+}

@@ -48,6 +48,18 @@
 //! can no longer false-positive): **wall-clock**, **unwrap**,
 //! **float-eq**, **blocking-collective**, **recv-unwrap**.
 //!
+//! # Crate scope
+//!
+//! Calls resolve by bare name, so a function that shares a name with one
+//! on a collective chain joins that chain. A crate whose manifest
+//! neither is `mpsim` nor lists it among its dependencies (the kernels'
+//! `autoclass`, `datagen`) has no communicator to call a collective on:
+//! its functions are left out of the summaries, so none gets a
+//! collective chain or lends its callees to a same-named `mpsim`
+//! function, and the collective rules (the taint walk,
+//! blocking-collective) skip its files. A file under no manifest is
+//! assumed to reach one.
+//!
 //! # Waivers
 //!
 //! Two forms, both preserved in the JSON output with `"waived": true`:
@@ -376,6 +388,9 @@ struct SourceFile {
     lines: Vec<String>,
     parsed: syn::File,
     rules: FileRules,
+    /// Whether the file's crate can reach a communicator (see the crate
+    /// docs' "Crate scope").
+    spmd_crate: bool,
 }
 
 /// Analyze a root directory. If `<root>/spmdlint.role` exists, its
@@ -385,10 +400,11 @@ struct SourceFile {
 pub fn analyze(root: &Path) -> Result<Report, String> {
     let role = std::fs::read_to_string(root.join("spmdlint.role")).ok();
     let waivers = FileWaivers::load(root);
+    let mut manifests = BTreeMap::new();
     let mut files = Vec::new();
     for path in rust_files(root) {
         let rel = relpath(root, &path);
-        let rules = match &role {
+        let mut rules = match &role {
             Some(r) => role_rules(r.trim()),
             None => workspace_rules(&rel),
         };
@@ -404,13 +420,22 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
             std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         let parsed = syn::parse_file(&src).map_err(|e| format!("parse {rel}: {e}"))?;
         let lines = src.lines().map(str::to_string).collect();
-        files.push(SourceFile { rel, lines, parsed, rules });
+        let spmd_crate = crate_reaches_mpsim(root, &path, &mut manifests);
+        if !spmd_crate {
+            rules.spmd = None;
+            rules.blocking_collective = None;
+        }
+        files.push(SourceFile { rel, lines, parsed, rules, spmd_crate });
     }
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
 
-    // Interprocedural summaries over every parsed function.
-    let all_fns: Vec<(&str, &syn::ItemFn)> =
-        files.iter().flat_map(|f| f.parsed.fns.iter().map(move |i| (f.rel.as_str(), i))).collect();
+    // Interprocedural summaries over every function a communicator can
+    // reach.
+    let all_fns: Vec<(&str, &syn::ItemFn)> = files
+        .iter()
+        .filter(|f| f.spmd_crate)
+        .flat_map(|f| f.parsed.fns.iter().map(move |i| (f.rel.as_str(), i)))
+        .collect();
     let summaries = Summaries::build(&all_fns);
 
     let mut findings = Vec::new();
@@ -526,6 +551,55 @@ fn relpath(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
+}
+
+/// Whether the crate owning `path` can reach a communicator: the nearest
+/// `Cargo.toml` above it, up to `root`, is `mpsim`'s or lists `mpsim`
+/// among its dependencies. `true` when no manifest is found. Manifests
+/// are read once, into `cache`.
+fn crate_reaches_mpsim(root: &Path, path: &Path, cache: &mut BTreeMap<PathBuf, bool>) -> bool {
+    for dir in path.ancestors().skip(1) {
+        let manifest = dir.join("Cargo.toml");
+        if let Some(&known) = cache.get(&manifest) {
+            return known;
+        }
+        if let Ok(text) = std::fs::read_to_string(&manifest) {
+            let reaches = manifest_reaches_mpsim(&text);
+            cache.insert(manifest, reaches);
+            return reaches;
+        }
+        if dir == root {
+            break;
+        }
+    }
+    true
+}
+
+/// Whether a manifest names the package `mpsim` or lists `mpsim` in a
+/// dependency table (`[dependencies]`, `[dev-dependencies]`,
+/// `[workspace.dependencies]`, …, or a `[….dependencies.mpsim]` table).
+fn manifest_reaches_mpsim(text: &str) -> bool {
+    let mut section = "";
+    for line in text.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[').and_then(|h| h.strip_suffix(']')) {
+            section = header.trim();
+            if section.ends_with("dependencies.mpsim") {
+                return true;
+            }
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else { continue };
+        let key = key.trim();
+        let names_mpsim = match section {
+            "package" => key == "name" && value.trim().trim_matches('"') == "mpsim",
+            s if s.ends_with("dependencies") => key.split('.').next() == Some("mpsim"),
+            _ => false,
+        };
+        if names_mpsim {
+            return true;
+        }
+    }
+    false
 }
 
 fn rust_files(root: &Path) -> Vec<PathBuf> {
@@ -663,6 +737,19 @@ mod tests {
         assert!(inline_waived(&lines, 3, UNWRAP));
         assert!(!inline_waived(&lines, 5, UNWRAP));
         assert!(!inline_waived(&lines, 2, FLOAT_EQ), "rule name must match");
+    }
+
+    #[test]
+    fn a_manifest_reaches_mpsim_by_name_or_dependency() {
+        let reaches = |deps: &str| manifest_reaches_mpsim(deps);
+        assert!(reaches("[package]\nname = \"mpsim\"\n"));
+        assert!(reaches("[package]\nname = \"k\"\n[dependencies]\nmpsim = { workspace = true }"));
+        assert!(reaches("[dev-dependencies]\nmpsim.workspace = true\n"));
+        assert!(reaches("[target.'cfg(unix)'.dependencies.mpsim]\npath = \"../mpsim\"\n"));
+        // Another crate named like it, a feature, or a dependency's own
+        // field do not count.
+        assert!(!reaches("[package]\nname = \"autoclass\"\n[dependencies]\nmpsimx = \"1\"\n"));
+        assert!(!reaches("[features]\nmpsim = []\n[dependencies]\nrand = { path = \"mpsim\" }"));
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! path calls both resolve by last segment); same-named functions merge
 //! conservatively (any-true wins, first collective chain wins). That is
 //! deliberately coarse — the analyzer prefers a rare conservative
-//! finding, which a waiver can silence, over a missed divergence.
+//! finding, which a waiver can silence, over a missed divergence. The
+//! caller leaves out the functions of crates that cannot reach a
+//! communicator (see the crate docs' "Crate scope"), so a kernel helper
+//! never joins a collective chain by its name.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -22,7 +22,7 @@ fn fixture(name: &str) -> spmdlint::Report {
 #[test]
 fn every_fixture_expectation_fires() {
     let results = spmdlint::check_fixtures(&fixtures_dir()).unwrap();
-    assert_eq!(results.len(), 20, "fixture corpus changed size: {:?}", results.keys());
+    assert_eq!(results.len(), 22, "fixture corpus changed size: {:?}", results.keys());
     for (name, missing) in &results {
         assert!(missing.is_empty(), "fixture {name}: {missing:?}");
     }
@@ -45,6 +45,19 @@ fn divergence_fixture_exact_findings() {
     // The taint traces name the source.
     assert!(report.findings[0].taint_trace[0].contains("rank()"));
     assert!(report.findings[1].taint_trace[0].contains("early exit"));
+}
+
+#[test]
+fn a_helper_of_a_crate_without_mpsim_joins_no_collective_chain() {
+    // The same sources twice; only the kernel crate's manifest differs.
+    // Listing mpsim, its `block -> gather` merges with the simulator's
+    // same-named functions and the rank-gated post reaches a collective.
+    let got = |name: &str| -> Vec<(String, usize, String)> {
+        let report = fixture(name);
+        report.findings.iter().map(|f| (f.file.clone(), f.line, f.culprit.clone())).collect()
+    };
+    assert_eq!(got("bad_kernel_helper"), vec![("app/src/lib.rs".into(), 7, "post".into())]);
+    assert_eq!(got("clean_kernel_helper"), vec![]);
 }
 
 #[test]

@@ -15,6 +15,9 @@
 //!   count must either recover bit-identically or surface a typed error
 //!   naming the correct culprit. See the `report` and `faultmatrix`
 //!   module docs for flags and gates.
+//! * `asm` — disassemble the release `autoclass-cli` and check the E/M
+//!   kernels' wide instances: packed pass-B clamps, no outlined
+//!   intrinsic (see the `asm` module docs).
 //!
 //! # Rules
 //!
@@ -38,6 +41,7 @@
 //!   rule fires at its expected line.
 //! * `--root DIR` — analyze a different root (used by the corpus).
 
+mod asm;
 mod faultmatrix;
 mod report;
 mod sections;
@@ -51,11 +55,13 @@ fn main() -> ExitCode {
         Some("lint") => lint(),
         Some("analyze") => analyze(&args[1..]),
         Some("report") => report::report(&args[1..]),
+        Some("asm") => asm::asm(),
         _ => {
             eprintln!(
                 "usage: cargo xtask lint \
                  | analyze [--check] [--out PATH] [--fixtures] [--root DIR] \
-                 | report [--smoke] [--full] [--largep] [--out DIR] [--check PATH]"
+                 | report [--smoke] [--full] [--largep] [--out DIR] [--check PATH] \
+                 | asm"
             );
             ExitCode::FAILURE
         }
