@@ -115,19 +115,16 @@ pub struct EStepOut {
 pub const ESTEP_TILE: usize = 256;
 
 /// Reusable buffers for [`update_wts_into`] and [`estep_and_stats_into`].
-/// Every buffer but `class_weight_sums` is live only inside one call, so
-/// one instance can serve every caller that runs one call at a time: a
-/// whole search (inside a `CycleWorkspace`), or, on the simulator, every
-/// rank of a run, through `mpsim::SpmdComm::with_scratch`. After the first
-/// call at a given model shape and partition length no call allocates.
+/// Every buffer is refilled by each call, so one instance can serve every
+/// caller that runs one call at a time: a whole search (inside a
+/// `CycleWorkspace`), or, on the simulator, every rank of a run, through
+/// `mpsim::SpmdComm::with_scratch`. After the first call at a given model
+/// shape and partition length no call allocates.
 #[derive(Debug, Clone, Default)]
 pub struct EStepScratch {
-    /// w_j = Σ_i w_ij per class (this partition's part), as the
-    /// whole-matrix entries ([`update_wts_into`],
-    /// [`update_wts_and_stats_into`]) leave it; [`estep_and_stats_into`]
-    /// writes w_j to its caller's vector instead, since the EM cycle
-    /// allreduces it after the call. Resized to `j` and refilled each
-    /// call.
+    /// w_j = Σ_i w_ij per class (this partition's part); the output vector
+    /// that P-AutoClass allreduces. Resized to `j` and refilled each call;
+    /// a caller that lends the scratch copies it out before the lend ends.
     pub class_weight_sums: Vec<f64>,
     /// The weights of one tile, `min(n, ESTEP_TILE)` rows by `j` classes:
     /// all the weight storage [`estep_and_stats_into`] uses. Empty until
@@ -155,10 +152,9 @@ pub struct EStepScratch {
 impl EStepScratch {
     /// Doubles of storage held by every buffer. After the tile-resident
     /// entry on a partition of `n` items, a tile of `min(n, ESTEP_TILE)`
-    /// rows, this is at most, per tile row, `j` weights, three per-item
-    /// sums, one logarithm per LogNormal group and `d` gathered values of
-    /// the widest MultiNormal block, plus `2d`; the whole-matrix entries
-    /// add `j` class sums.
+    /// rows, this is at most `j` class sums plus, per tile row, `j`
+    /// weights, three per-item sums, one logarithm per LogNormal group and
+    /// `d` gathered values of the widest MultiNormal block, plus `2d`.
     pub fn capacity(&self) -> usize {
         // Every field, so that a new buffer is counted or fails to compile.
         let EStepScratch {
@@ -260,14 +256,12 @@ impl TileSink for StatsSink<'_, '_> {
 
 /// One call of the tile loop, as a [`Wide`] kernel so it runs on the
 /// widest instance the CPU supports. The weights go to `wts`, or to the
-/// scratch's one-tile buffer when it is `None`; the class weight sums go
-/// to `cws`, or to the scratch's `class_weight_sums` when it is `None`.
+/// scratch's one-tile buffer when it is `None`.
 struct Tiled<'a, 'v, S> {
     model: &'a Model,
     view: &'a DataView<'v>,
     classes: &'a [ClassParams],
     wts: Option<&'a mut WtsMatrix>,
-    cws: Option<&'a mut Vec<f64>>,
     scratch: &'a mut EStepScratch,
     sink: &'a mut S,
 }
@@ -277,8 +271,8 @@ impl<S: TileSink> Wide for Tiled<'_, '_, S> {
 
     #[inline(always)]
     fn run<L: Lanes>(self, lanes: L) -> EStepScalars {
-        let Tiled { model, view, classes, wts, cws, scratch, sink } = self;
-        update_wts_tiled(lanes, model, view, classes, wts, cws, scratch, sink)
+        let Tiled { model, view, classes, wts, scratch, sink } = self;
+        update_wts_tiled(lanes, model, view, classes, wts, scratch, sink)
     }
 }
 
@@ -307,8 +301,8 @@ pub fn update_wts_into(
     wts: &mut WtsMatrix,
     scratch: &mut EStepScratch,
 ) -> EStepScalars {
-    let (wts, cws) = (Some(wts), None);
-    run_wide(Isa::best(), Tiled { model, view, classes, wts, cws, scratch, sink: &mut NoSink })
+    let wts = Some(wts);
+    run_wide(Isa::best(), Tiled { model, view, classes, wts, scratch, sink: &mut NoSink })
 }
 
 /// Single-pass fused E+M kernel: identical to [`update_wts_into`] (same
@@ -336,64 +330,53 @@ pub fn update_wts_and_stats_into(
     carry: &mut Vec<f64>,
 ) -> (EStepScalars, u64) {
     let _ = carry;
-    fused_on(Isa::best(), model, view, classes, Some(wts), None, scratch, stats)
+    fused_on(Isa::best(), model, view, classes, Some(wts), scratch, stats)
 }
 
 /// The EM cycle's E-step and local statistics in one tile-resident pass:
-/// the scalars, `class_weight_sums` and `stats` come out bitwise as
-/// [`update_wts_into`] followed by [`SuffStats::accumulate`] leaves them
-/// (with w_j in `scratch.class_weight_sums`), but no weight outlives its
-/// tile. Each tile's weights go to `scratch.tile` and are folded into
-/// `stats` while still in cache, so a partition of `n` items keeps
-/// `min(n, ESTEP_TILE) × j` weights, not `n × j`, and reads none of them
-/// back from memory.
+/// the scalars, `scratch.class_weight_sums` and `stats` come out bitwise
+/// as [`update_wts_into`] followed by [`SuffStats::accumulate`] leaves
+/// them, but no weight outlives its tile. Each tile's weights go to
+/// `scratch.tile` and are folded into `stats` while still in cache, so a
+/// partition of `n` items keeps `min(n, ESTEP_TILE) × j` weights, not
+/// `n × j`, and reads none of them back from memory.
 ///
-/// The outputs are the caller's: w_j goes to `class_weight_sums` (resized
-/// to `j`), which the EM cycle allreduces after the call, and `stats`
-/// accumulates as in [`SuffStats::accumulate`]; the cycle passes it
-/// zeroed, as `CycleWorkspace::reset_stats` leaves it. Nothing in
-/// `scratch` outlives the call. Returns the E-step scalars and the
-/// statistics op count, which the caller charges separately.
+/// `stats` accumulates as in [`SuffStats::accumulate`]; the cycle passes
+/// it zeroed, as `CycleWorkspace::reset_stats` leaves it. Returns the
+/// E-step scalars and the statistics op count, which the caller charges
+/// separately.
 pub fn estep_and_stats_into(
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
     scratch: &mut EStepScratch,
-    class_weight_sums: &mut Vec<f64>,
     stats: &mut SuffStats,
 ) -> (EStepScalars, u64) {
-    fused_on(Isa::best(), model, view, classes, None, Some(class_weight_sums), scratch, stats)
+    fused_on(Isa::best(), model, view, classes, None, scratch, stats)
 }
 
 /// Both fused E+M entries on the kernel instance for `isa`: the weights go
-/// to `wts`, or, when it is `None`, one tile at a time to `scratch.tile`,
-/// and the class weight sums to `cws`, or, when it is `None`, to
-/// `scratch.class_weight_sums`.
-#[allow(clippy::too_many_arguments)]
+/// to `wts`, or, when it is `None`, one tile at a time to `scratch.tile`.
 fn fused_on(
     isa: Isa,
     model: &Model,
     view: &DataView<'_>,
     classes: &[ClassParams],
     wts: Option<&mut WtsMatrix>,
-    cws: Option<&mut Vec<f64>>,
     scratch: &mut EStepScratch,
     stats: &mut SuffStats,
 ) -> (EStepScalars, u64) {
     let mut sink = StatsSink { isa, model, view, stats, ops: 0 };
-    let kernel = Tiled { model, view, classes, wts, cws, scratch, sink: &mut sink };
-    let scalars = run_wide(isa, kernel);
+    let scalars = run_wide(isa, Tiled { model, view, classes, wts, scratch, sink: &mut sink });
     (scalars, sink.ops)
 }
 
 /// The tile loop shared by every E-step entry point. The weights go to
 /// `wts`, each item at its own row, or, when it is `None`, to
-/// `scratch.tile`, each tile at rows `0..`; the class weight sums go to
-/// `cws`, or, when it is `None`, to `scratch.class_weight_sums`; `sink`
-/// observes each tile after its weights are final. Always inlined,
-/// together with everything on its hot path, so that each [`Wide`]
-/// instance compiles the whole loop at its own vector width.
-#[allow(clippy::too_many_arguments)]
+/// `scratch.tile`, each tile at rows `0..`; `sink` observes each tile
+/// after its weights are final. Always inlined, together with everything
+/// on its hot path, so that each [`Wide`] instance compiles the whole
+/// loop at its own vector width.
 #[inline(always)]
 fn update_wts_tiled<L: Lanes, S: TileSink>(
     lanes: L,
@@ -401,7 +384,6 @@ fn update_wts_tiled<L: Lanes, S: TileSink>(
     view: &DataView<'_>,
     classes: &[ClassParams],
     wts: Option<&mut WtsMatrix>,
-    cws: Option<&mut Vec<f64>>,
     scratch: &mut EStepScratch,
     sink: &mut S,
 ) -> EStepScalars {
@@ -425,12 +407,8 @@ fn update_wts_tiled<L: Lanes, S: TileSink>(
     // Column stride of the weights: `n`, or one tile.
     let stride = wts.n;
 
-    let cws = match cws {
-        Some(cws) => cws,
-        None => &mut scratch.class_weight_sums,
-    };
-    cws.clear();
-    cws.resize(j, 0.0);
+    scratch.class_weight_sums.clear();
+    scratch.class_weight_sums.resize(j, 0.0);
     scratch.rowmax.resize(tile, 0.0);
     scratch.sums.resize(tile, 0.0);
     scratch.accwr.resize(tile, 0.0);
@@ -571,7 +549,8 @@ fn update_wts_tiled<L: Lanes, S: TileSink>(
         // borrowed `wts` itself kept pass B's loop from vectorizing.
         let data: &[f64] = &wts.data;
         let cols = move |c: usize| &data[c * stride + at..c * stride + at + tl];
-        class_blocks(lanes, j, &mut ClassSums { cols, cws: &mut cws[..] });
+        let cws = &mut scratch.class_weight_sums[..];
+        class_blocks(lanes, j, &mut ClassSums { cols, cws });
 
         // The tile's weights are final; hand them to the sink while the
         // column segments are still cache-resident.
@@ -850,8 +829,7 @@ mod tests {
         // The tile-resident entry's weights: one 16-row tile of two classes.
         assert_eq!(scratch.tile.capacity(), 0, "the whole-matrix entry used the tile");
         let mut stats = SuffStats::zeros(crate::model::suffstats::StatLayout::new(&model, 2));
-        let mut wj = Vec::new();
-        estep_and_stats_into(&model, &view, &classes, &mut scratch, &mut wj, &mut stats);
+        estep_and_stats_into(&model, &view, &classes, &mut scratch, &mut stats);
         assert_eq!(scratch.tile.capacity(), 16 * 2);
     }
 
@@ -1174,8 +1152,7 @@ mod tests {
             let (mut wts, mut scratch) = (WtsMatrix::default(), EStepScratch::default());
             let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
             let wts_out = Some(&mut wts);
-            let (e, ops) =
-                fused_on(isa, &model, &view, classes, wts_out, None, &mut scratch, &mut stats);
+            let (e, ops) = fused_on(isa, &model, &view, classes, wts_out, &mut scratch, &mut stats);
             push_e(&mut bits, e, &scratch);
             push_w(&mut bits, &wts);
             bits.push(ops);
@@ -1183,8 +1160,7 @@ mod tests {
 
             let mut scratch = EStepScratch::default();
             let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
-            let (e, ops) =
-                fused_on(isa, &model, &view, classes, None, None, &mut scratch, &mut stats);
+            let (e, ops) = fused_on(isa, &model, &view, classes, None, &mut scratch, &mut stats);
             push_e(&mut bits, e, &scratch);
             bits.push(ops);
             bits.extend(stats.data.iter().map(|v| v.to_bits()));
@@ -1195,7 +1171,6 @@ mod tests {
                 view: &view,
                 classes,
                 wts: Some(&mut wts),
-                cws: None,
                 scratch: &mut scratch,
                 sink: &mut NoSink,
             };
@@ -1257,7 +1232,6 @@ mod tests {
                         view,
                         classes: &classes,
                         wts: Some(&mut wts),
-                        cws: None,
                         scratch: &mut two,
                         sink: &mut NoSink,
                     };
@@ -1265,11 +1239,10 @@ mod tests {
                     let mut stats_two = SuffStats::zeros(StatLayout::new(&model, j));
                     let ops_two = stats_two.accumulate_on(isa, &model, view, &wts);
 
-                    let (mut one, mut wj_one) = (EStepScratch::default(), Vec::new());
+                    let mut one = EStepScratch::default();
                     let mut stats_one = SuffStats::zeros(StatLayout::new(&model, j));
-                    let cws = Some(&mut wj_one);
                     let (e_one, ops_one) =
-                        fused_on(isa, &model, view, &classes, None, cws, &mut one, &mut stats_one);
+                        fused_on(isa, &model, view, &classes, None, &mut one, &mut stats_one);
 
                     assert_eq!(
                         e_one.log_likelihood.to_bits(),
@@ -1279,8 +1252,8 @@ mod tests {
                     assert_eq!(e_one.complete_ll.to_bits(), e_two.complete_ll.to_bits(), "{what}");
                     assert_eq!((e_one.ops, ops_one), (e_two.ops, ops_two), "{what}: op counts");
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&wj_one), bits(&two.class_weight_sums), "{what}: w_j");
-                    assert_eq!(one.class_weight_sums.capacity(), 0, "{what}: w_j is the caller's");
+                    let (wj_one, wj_two) = (&one.class_weight_sums, &two.class_weight_sums);
+                    assert_eq!(bits(wj_one), bits(wj_two), "{what}: w_j");
                     assert_eq!(bits(&stats_one.data), bits(&stats_two.data), "{what}: statistics");
                     let rows = ESTEP_TILE.min(view.len());
                     assert_eq!(one.tile.capacity(), rows * j, "{what}: one tile of weights");
@@ -1311,7 +1284,6 @@ mod tests {
                         view: &view,
                         classes: &classes,
                         wts: Some(&mut wts),
-                        cws: None,
                         scratch: &mut scratch,
                         sink: &mut NoSink,
                     };
@@ -1349,12 +1321,10 @@ mod tests {
                 let classes = init_classes(&model, &view, j, 3);
                 let mut scratch = EStepScratch::default();
                 let mut stats = SuffStats::zeros(StatLayout::new(&model, j));
-                let mut wj = Vec::new();
-                estep_and_stats_into(&model, &view, &classes, &mut scratch, &mut wj, &mut stats);
+                estep_and_stats_into(&model, &view, &classes, &mut scratch, &mut stats);
                 let rows = ESTEP_TILE.min(view.len());
-                // w_j is the caller's, and a buffer's first allocation
-                // holds at least four doubles.
-                let bound = rows * (j + 3 + ln_groups + d) + 2 * d.max(4);
+                // A buffer's first allocation holds at least four doubles.
+                let bound = j.max(4) + rows * (j + 3 + ln_groups + d) + 2 * d.max(4);
                 let held = scratch.capacity();
                 assert!(held <= bound, "n={}, J={j}: {held} doubles, over {bound}", view.len());
             }

@@ -23,14 +23,15 @@ pub struct CycleWorkspace {
     /// parallel WtsOnly strategy. The parallel Full cycles never shape it;
     /// their weights live one tile at a time in `estep`.
     pub wts: WtsMatrix,
-    /// E-step scratch (the one-tile weight buffer of
+    /// E-step scratch (class weight sums, the one-tile weight buffer of
     /// `estep_and_stats_into`, per-item tile buffers, MVN gathers), live
     /// only inside one kernel call. The parallel driver lends it through
     /// `mpsim::SpmdComm::with_scratch`, so on the simulator every rank
     /// borrows one host value and this one stays empty.
     pub estep: EStepScratch,
-    /// This partition's class weight sums w_j from the E-step, which the
-    /// parallel cycle allreduces after the kernel call, in place.
+    /// This partition's class weight sums w_j, copied out of the E-step
+    /// scratch before its lend ends; the parallel cycle allreduces them
+    /// in place.
     pub class_weight_sums: Vec<f64>,
     /// Sufficient statistics, rebuilt only when the model shape changes.
     /// `None` until the first [`reset_stats`](CycleWorkspace::reset_stats).

@@ -239,8 +239,9 @@ pub fn parallel_base_cycle<C: Communicator>(
 /// the simulator every rank borrows the host's one E-step scratch (the
 /// one-tile weight buffer and the per-item tile buffers), which is live
 /// only inside the call, and on real threads each rank uses its own. What
-/// outlives the call is the rank's: w_j (`ws.class_weight_sums`), which is
-/// allreduced after it, and `WtsOnly`'s weight matrix.
+/// outlives the call is the rank's: w_j, copied out of the scratch into
+/// `ws.class_weight_sums` before the lend ends and allreduced after it,
+/// and `WtsOnly`'s weight matrix.
 ///
 /// All other transient storage (the statistics buffer, the flat payload
 /// buffer) lives in `ws` and is reused across cycles. At P = 1, like the
@@ -274,13 +275,13 @@ pub fn blocking_cycle<C: SpmdComm>(
     // below, after the w_j Allreduce, as the two-pass form charged them.
     comm.enter_phase("estep");
     let classes = &tail.classes;
-    let (e, stat_ops) = comm.with_scratch(estep, |scratch| match strategy {
-        Strategy::Full { .. } => estep_and_stats_into(model, view, classes, scratch, wj, stats),
-        Strategy::WtsOnly => {
-            let e = update_wts_into(model, view, classes, wts, scratch);
-            wj.clone_from(&scratch.class_weight_sums);
-            (e, 0)
-        }
+    let (e, stat_ops) = comm.with_scratch(estep, |scratch| {
+        let out = match strategy {
+            Strategy::Full { .. } => estep_and_stats_into(model, view, classes, scratch, stats),
+            Strategy::WtsOnly => (update_wts_into(model, view, classes, wts, scratch), 0),
+        };
+        wj.clone_from(&scratch.class_weight_sums);
+        out
     });
     comm.work(e.ops);
     comm.exit_phase();
@@ -469,7 +470,9 @@ fn pipelined_cycle<C: Communicator>(
     // ---- fused update_wts + statistics accumulation (one pass) -------
     comm.enter_phase("estep");
     let (e, stat_ops) = comm.with_scratch(estep, |scratch| {
-        estep_and_stats_into(model, view, classes, scratch, wj, stats)
+        let out = estep_and_stats_into(model, view, classes, scratch, stats);
+        wj.clone_from(&scratch.class_weight_sums);
+        out
     });
     comm.work(e.ops);
     comm.exit_phase();

@@ -176,10 +176,9 @@ fn no_cycle_holds_the_weight_matrix() {
         "the search at P = 64 peaked at {many:.2} MiB, over {MANY_RANKS_PEAK_MIB} MiB"
     );
 
-    // The host's scratch for an all-Normal model: per tile row the
-    // weights and the three per-item sums; nothing else (w_j is the
-    // rank's own).
-    let scratch_bound = ESTEP_TILE * (J + 3);
+    // The host's scratch for an all-Normal model: the class sums, and per
+    // tile row the weights and the three per-item sums; nothing else.
+    let scratch_bound = J + ESTEP_TILE * (J + 3);
     for (rank, storage) in weight_storage(&data).into_iter().enumerate() {
         let (matrix, own, tile, lent) = storage;
         assert_eq!(matrix, 0, "rank {rank} shaped a weight matrix");
